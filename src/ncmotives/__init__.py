@@ -18,7 +18,6 @@ from .derived import (
     PairingMatrix,
     check_proper,
     check_smooth,
-    dual,
     euler_matrix,
     euler_pairing,
     k0_class,

@@ -13,7 +13,8 @@ a: i -> j the products satisfy e_i * a = a = a * e_j, and p * q is "p then q"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+
 from .linalg import Matrix, RowBasis, norm_scalar, vec_is_zero
 
 
@@ -25,11 +26,7 @@ class AlgebraStructureError(ValueError):
     """Raised when an algebra lacks the monomial structure an operation needs."""
 
 
-@dataclass(frozen=True)
-class Arrow:
-    source: int
-    target: int
-    label: str
+Arrow = namedtuple("Arrow", "source target label")
 
 
 class Quiver:
@@ -74,8 +71,12 @@ class Quiver:
 class Algebra:
     """Associative unital algebra given by structure constants.
 
-    mul[i][j] is the coordinate vector of (basis_i * basis_j).  The unit and
-    the complete orthogonal idempotent list are coordinate vectors.  Unit and
+    mul[i][j] is the product basis_i * basis_j as a tuple of its nonzero
+    (k, c) pairs, ordered by k, with () for a zero product; the algebras
+    built here have about one nonzero per product, so every reader iterates
+    over the nonzeros.  Dense coordinate vectors, as in the JSON `table`
+    format, are converted once by sparse_table.  The unit and the complete
+    orthogonal idempotent list are dense coordinate vectors.  Unit and
     idempotent axioms are checked at construction; associativity is cheap to
     check for the generated corpus and is exercised by the test suite.
     """
@@ -121,17 +122,15 @@ class Algebra:
 
     def multiply(self, x, y):
         out = [0] * self.dim
+        y_nz = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if not a:
                 continue
             row = self.mul[i]
-            for j, b in enumerate(y):
-                if not b:
-                    continue
+            for j, b in y_nz:
                 c = a * b
-                for k, s in enumerate(row[j]):
-                    if s:
-                        out[k] += c * s
+                for k, s in row[j]:
+                    out[k] += c * s
         return [norm_scalar(v) for v in out]
 
     def basis_vector(self, i):
@@ -147,7 +146,7 @@ class Algebra:
             self._cache["left_matrices"] = mats
         if mats[i] is None:
             # row s of L_i holds the coordinates of b_i * b_s
-            mats[i] = Matrix(self.dim, self.dim, [self.mul[i][s] for s in range(self.dim)])
+            mats[i] = Matrix(self.dim, self.dim, [self._dense(p) for p in self.mul[i]])
         return mats[i]
 
     def right_matrix(self, j) -> Matrix:
@@ -157,8 +156,14 @@ class Algebra:
             mats = [None] * self.dim
             self._cache["right_matrices"] = mats
         if mats[j] is None:
-            mats[j] = Matrix(self.dim, self.dim, [self.mul[s][j] for s in range(self.dim)])
+            mats[j] = Matrix(self.dim, self.dim, [self._dense(r[j]) for r in self.mul])
         return mats[j]
+
+    def _dense(self, pairs):
+        v = [0] * self.dim
+        for k, c in pairs:
+            v[k] = c
+        return v
 
     # -- Peirce structure ---------------------------------------------------
 
@@ -249,7 +254,7 @@ class Algebra:
             gram = [
                 [
                     norm_scalar(
-                        sum(c * tl[k] for k, c in enumerate(self.mul[i][j]) if c)
+                        sum(c * tl[k] for k, c in self.mul[i][j])
                     )
                     for j in range(self.dim)
                 ]
@@ -268,24 +273,20 @@ class Algebra:
 # -- constructors -------------------------------------------------------------
 
 
-def _monomial_mul_table(dim, table):
+def sparse_table(mul):
+    """Structure constants from dense coordinate vectors (the JSON `table`
+    format) to the (k, c) pairs Algebra stores."""
+    return [
+        [tuple((k, norm_scalar(c)) for k, c in enumerate(vec) if c) for vec in row]
+        for row in mul
+    ]
+
+
+def _monomial_mul_table(table):
     """Structure constants for a basis where products are single monomials.
 
     table[i][j] is a basis index or None."""
-    zero = [0] * dim
-    mul = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            k = table[i][j]
-            if k is None:
-                row.append(zero)
-            else:
-                v = [0] * dim
-                v[k] = 1
-                row.append(v)
-        mul.append(row)
-    return mul
+    return [[() if k is None else ((k, 1),) for k in row] for row in table]
 
 
 def path_algebra(q: Quiver) -> Algebra:
@@ -330,7 +331,7 @@ def path_algebra(q: Quiver) -> Algebra:
     return Algebra(
         dim,
         [p[3] for p in paths],
-        _monomial_mul_table(dim, table),
+        _monomial_mul_table(table),
         unit,
         idems,
         meta={"name": "path algebra", "quiver": q},
@@ -368,7 +369,7 @@ def scalar_algebra() -> Algebra:
         _SCALAR = Algebra(
             1,
             ["1"],
-            [[[1]]],
+            [[((0, 1),)]],
             [1],
             [[1]],
             meta={"name": "Q"},
@@ -394,26 +395,23 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
             return result
     dim = a.dim * b.dim
     labels = [f"{la}|{lb}" for la in a.labels for lb in b.labels]
-    zero = [0] * dim
+    b_dim = b.dim
+    # (b_i1 (x) c_j1)(b_i2 (x) c_j2) = b_i1 b_i2 (x) c_j1 c_j2: only pairs of
+    # nonzero factor products give a nonzero product
+    b_nz = [[(j2, cb) for j2, cb in enumerate(row) if cb] for row in b.mul]
     mul = []
-    for i1 in range(a.dim):
-        for j1 in range(b.dim):
-            row = []
-            for i2 in range(a.dim):
-                ca = a.mul[i1][i2]
-                ca_nz = [(k, c) for k, c in enumerate(ca) if c]
-                for j2 in range(b.dim):
-                    cb = b.mul[j1][j2]
-                    cb_nz = [(k, c) for k, c in enumerate(cb) if c]
-                    if not ca_nz or not cb_nz:
-                        row.append(zero)
-                        continue
-                    v = [0] * dim
-                    for ka, csa in ca_nz:
-                        base = ka * b.dim
-                        for kb, csb in cb_nz:
-                            v[base + kb] = norm_scalar(csa * csb)
-                    row.append(v)
+    for arow in a.mul:
+        a_nz = [(i2, ca) for i2, ca in enumerate(arow) if ca]
+        for brow in b_nz:
+            row = [()] * dim
+            for i2, ca in a_nz:
+                base = i2 * b_dim
+                for j2, cb in brow:
+                    row[base + j2] = tuple(
+                        (ka * b_dim + kb, norm_scalar(csa * csb))
+                        for ka, csa in ca
+                        for kb, csb in cb
+                    )
             mul.append(row)
     unit = [0] * dim
     for i, x in enumerate(a.unit):

@@ -12,7 +12,6 @@ Exit codes: 0 all checks passed; 1 some check failed; 2 malformed input;
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -27,6 +26,7 @@ from .algebra import (
     opposite,
     path_algebra,
     scalar_algebra,
+    sparse_table,
     tensor,
 )
 from .complexes import PerfectComplex
@@ -138,10 +138,10 @@ def algebra_from_spec(spec) -> Algebra:
         try:
             dim = spec["dim"]
             labels = spec.get("labels") or [f"b{i}" for i in range(dim)]
-            mul = [
+            mul = sparse_table(
                 [[scalar_from_json(x) for x in vec] for vec in row]
                 for row in spec["mul"]
-            ]
+            )
             unit = [scalar_from_json(x) for x in spec["unit"]]
             idems = [
                 [scalar_from_json(x) for x in e] for e in spec["idempotents"]
@@ -268,6 +268,8 @@ def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Co
 
 
 def digest(obj) -> str:
+    import hashlib
+
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
@@ -349,7 +351,7 @@ def cmd_serre_check(args) -> int:
     for trial in range(args.samples):
         m = random_perfect_complex(a, rng)
         n = random_perfect_complex(a, rng)
-        sm = serre(m, args.cap)
+        sm = serre(m)
         h_mn = hom_complex(m, n.to_complex()).homology_dims()
         h_nsm = hom_complex(n, sm.to_complex()).homology_dims()
         degs = sorted(set(h_mn) | {-d for d in h_nsm})
@@ -517,7 +519,7 @@ def cmd_corpus(args) -> int:
         for _ in range(args.samples):
             m = random_perfect_complex(a, rng)
             n = random_perfect_complex(a, rng)
-            sm = serre(m, args.cap)
+            sm = serre(m)
             h_mn = hom_complex(m, n.to_complex()).homology_dims()
             h_nsm = hom_complex(n, sm.to_complex()).homology_dims()
             degs = set(h_mn) | {-d for d in h_nsm}

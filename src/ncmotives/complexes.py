@@ -54,6 +54,11 @@ class Complex:
     def is_zero(self) -> bool:
         return not self.components
 
+    def to_complex(self) -> "Complex":
+        """Itself; PerfectComplex.to_complex gives the same view, so callers
+        accept either kind of complex."""
+        return self
+
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
@@ -388,10 +393,8 @@ def assemble_block_matrix(a: Algebra, from_copies, to_copies, blocks) -> Matrix:
             for g, coeff in enumerate(z):
                 if not coeff:
                     continue
-                prod = a.mul[g][h]
-                for k, s in enumerate(prod):
-                    if s:
-                        out[offs_t[c2] + pos_t[k]] += coeff * s
+                for k, s in a.mul[g][h]:
+                    out[offs_t[c2] + pos_t[k]] += coeff * s
     return Matrix(rows_total, cols_total, data)
 
 

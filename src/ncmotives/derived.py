@@ -4,53 +4,38 @@ The Grothendieck group of the derived category of a supported algebra is
 free on the simple classes; a complex lands in it through its alternating
 idempotent-weighted dimension vector.  The Euler pairing of two perfect
 complexes is the Euler characteristic of their Hom complex, an exact
-integer.  The Serre transform is the derived Nakayama construction
-- (x)_A D(A), made perfect again by resolve_complex; its defining duality
-is verified by the test suite rather than assumed.
+integer.
+
+Which terms must be perfect: the first argument of euler_pairing (and of
+homalg.hom_complex) is a PerfectComplex; the second may be any bounded
+complex.  The Serre transform is the derived Nakayama construction
+- (x)_A D(A), returned as the unresolved tensor complex: every consumer
+reads S(M) only as that second argument, so no perfect replacement is
+built.  resolve_complex makes one where a caller needs it.  The defining
+duality of S is verified by the test suite rather than assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Algebra, scalar_algebra
 from .complexes import Complex, PerfectComplex, as_complex
-from .homalg import dual_perfect, tensor_over
+from .homalg import tensor_over
 from .linalg import Matrix
 from .modules import diagonal_bimodule, dual_bimodule, simple_modules
 from .resolutions import (
     DEFAULT_CAP,
     ResolutionCapExceeded,
     projective_resolution,
-    resolve_complex,
 )
 
-
-@dataclass(frozen=True)
-class K0Class:
-    algebra: Algebra
-    coords: tuple
-
-    def __add__(self, other):
-        if other.algebra is not self.algebra:
-            raise ValueError("classes over different algebras")
-        return K0Class(
-            self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        if other.algebra is not self.algebra:
-            raise ValueError("classes over different algebras")
-        return K0Class(
-            self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+K0Class = namedtuple("K0Class", "algebra coords")
 
 
-@dataclass
-class PairingMatrix:
-    matrix: Matrix
-    basis: str
+class PairingMatrix(namedtuple("PairingMatrix", "matrix basis")):
+    __slots__ = ()
 
     @property
     def size(self):
@@ -139,13 +124,16 @@ def euler_pairing_classes(a: Algebra, u, v):
     return total
 
 
-def serre(m: PerfectComplex, cap: int = DEFAULT_CAP) -> PerfectComplex:
-    """Serre transform: derived tensor with the dual bimodule D(A),
-    resolved back to a perfect complex."""
+def serre(m: PerfectComplex) -> Complex:
+    """Serre transform: the tensor complex M (x)_A D(A).
+
+    M must be perfect, which makes this tensor product the derived one.  The
+    result is not resolved: use it as the second argument of euler_pairing
+    or hom_complex, where any bounded complex is valid, or pass it to
+    resolve_complex for a perfect replacement."""
     a = m.algebra
     q = scalar_algebra()
-    t = tensor_over(m, as_complex(dual_bimodule(a)), q, a, a, check=False)
-    return resolve_complex(t, cap)
+    return tensor_over(m, as_complex(dual_bimodule(a)), q, a, a, check=False)
 
 
 def kernel_left(g: PairingMatrix):
@@ -181,12 +169,6 @@ def check_smooth(a: Algebra, cap: int = DEFAULT_CAP):
         return True, diagonal_resolution(a, cap)
     except ResolutionCapExceeded:
         return False, None
-
-
-def dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
-    """Dual of a perfect complex of (left,right)-bimodules, as a perfect
-    complex of (right,left)-bimodules."""
-    return dual_perfect(x, left, right)
 
 
 def injective_dimension_vector(a: Algebra, i: int):

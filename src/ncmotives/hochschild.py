@@ -16,7 +16,7 @@ need only the idempotent traces of the tensor complexes, never homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (
@@ -34,11 +34,10 @@ from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
 
 
-@dataclass
-class HHProfile:
-    algebra: Algebra
-    dims: list
-    coefficients: str = ""
+class HHProfile(
+    namedtuple("HHProfile", "algebra dims coefficients", defaults=("",))
+):
+    __slots__ = ()
 
     def euler(self) -> int:
         return sum((-1) ** n * d for n, d in enumerate(self.dims))
@@ -198,11 +197,9 @@ def _bar_differential_rows(a: Algebra, dim_w, right_rows, left_rows, n):
             sign = 1
             for i in range(n - 1):
                 sign = -sign
-                prod = mul[ts[i]][ts[i + 1]]
-                for k, c in enumerate(prod):
-                    if c:
-                        key = enc(widx, ts[:i] + (k,) + ts[i + 2 :])
-                        row[key] = row.get(key, 0) + sign * c
+                for k, c in mul[ts[i]][ts[i + 1]]:
+                    key = enc(widx, ts[:i] + (k,) + ts[i + 2 :])
+                    row[key] = row.get(key, 0) + sign * c
             for w2, c in left_rows[ts[-1]][widx].items():
                 key = enc(w2, ts[:-1])
                 row[key] = row.get(key, 0) + sign_n * c

@@ -276,9 +276,8 @@ def tensor_over(
                         raise AssertionError("right action escaped the block")
                     yrows.append(cs)
                 for s, u in enumerate(lblock):
-                    lrow = lrows[u]
-                    for u2, cl in enumerate(lrow):
-                        if not cl or u2 not in lpos:
+                    for u2, cl in lrows[u]:
+                        if u2 not in lpos:
                             continue
                         s2 = lpos[u2]
                         for vi in range(ydim):
@@ -336,8 +335,8 @@ def tensor_over(
                             raise AssertionError("d_X transport escaped the block")
                         ycoords.append(cs)
                     for s, u in enumerate(lblock):
-                        for u2, cl in enumerate(left.mul[u][g_l]):
-                            if not cl or u2 not in lpos2:
+                        for u2, cl in left.mul[u][g_l]:
+                            if u2 not in lpos2:
                                 continue
                             s2 = lpos2[u2]
                             dst_base = off2 + s2 * yb2.dim

@@ -42,10 +42,12 @@ class Module:
 
     def act_matrix(self, coeffs) -> Matrix:
         """Action matrix of the algebra element with the given coordinates."""
+        return self._act_pairs((k, c) for k, c in enumerate(coeffs) if c)
+
+    def _act_pairs(self, pairs) -> Matrix:
+        """Action matrix of the element sum c * b_k over nonzero (k, c)."""
         out = None
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
+        for k, c in pairs:
             term = self.action[k] if c == 1 else self.action[k].scale(c)
             out = term if out is None else out + term
         return out if out is not None else Matrix.zeros(self.dim, self.dim)
@@ -81,7 +83,7 @@ class Module:
         for i in range(a.dim):
             for j in range(a.dim):
                 lhs = self.action[i] * self.action[j]
-                rhs = self.act_matrix(a.mul[i][j])
+                rhs = self._act_pairs(a.mul[i][j])
                 if lhs != rhs:
                     raise ValueError(
                         f"action incompatible with product of basis {i},{j}"
@@ -116,11 +118,9 @@ def projective_module(a: Algebra, i: int):
         for j in range(a.dim):
             rows = []
             for t in basis:
-                coeffs = a.mul[t][j]
                 row = [0] * d
-                for k, c in enumerate(coeffs):
-                    if c:
-                        row[pos[k]] = c
+                for k, c in a.mul[t][j]:
+                    row[pos[k]] = c
                 rows.append(row)
             action.append(Matrix(d, d, rows))
         a._cache[key] = (Module(a, d, action), basis)

@@ -13,7 +13,7 @@ computed through cached composition tables on the simple bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Algebra, opposite, tensor
@@ -131,7 +131,13 @@ def identity_class(a: Algebra):
 
 
 class Correspondence:
-    """Rational combination of perfect bimodule complexes between motives."""
+    """Rational combination of bimodule complexes between motives.
+
+    Terms built from specs, simple resolutions, duals and vertex cuts are
+    perfect; compose and serre_correspondence give unresolved tensor
+    complexes.  Terms must be perfect in the first argument of chi_hom and
+    intersection_number and in dualize; compose resolves a non-perfect x
+    itself; k0 and trace accept any bounded complex."""
 
     def __init__(self, source: NCMotive, target: NCMotive, terms, label: str = ""):
         self.source = source
@@ -229,7 +235,11 @@ def project_class(src: NCMotive, dst: NCMotive, cls, cap: int = DEFAULT_CAP):
 
 def compose(y: Correspondence, x: Correspondence, cap: int = DEFAULT_CAP) -> Correspondence:
     """Composite y o x of x: L -> M and y: M -> N: termwise derived tensor
-    over the middle algebra, resolved back to perfect complexes."""
+    X (x)_M Y over the middle algebra.
+
+    The tensor complexes are returned unresolved.  tensor_over needs each
+    left factor X perfect, so a non-perfect term of x is resolved first
+    (within cap); perfect terms are used as they are."""
     if x.target != y.source:
         raise ValueError("correspondence endpoints do not chain")
     a = x.source.algebra
@@ -239,9 +249,10 @@ def compose(y: Correspondence, x: Correspondence, cap: int = DEFAULT_CAP) -> Cor
 
     terms = []
     for cx, xt in x.terms:
+        if not isinstance(xt, PerfectComplex):
+            xt = resolve_complex(xt, cap)
         for cy, yt in y.terms:
-            w = tensor_over(xt, yt.to_complex(), a, b, c, check=False)
-            terms.append((cx * cy, resolve_complex(w, cap)))
+            terms.append((cx * cy, tensor_over(xt, yt, a, b, c, check=False)))
     return Correspondence(x.source, y.target, terms)
 
 
@@ -283,10 +294,11 @@ def chi_hom(x: Correspondence, y: Correspondence) -> Fraction:
     return total
 
 
-def serre_correspondence(x: Correspondence, cap: int = DEFAULT_CAP) -> Correspondence:
-    """Termwise Serre transform over the Hom algebra (same endpoints)."""
+def serre_correspondence(x: Correspondence) -> Correspondence:
+    """Termwise Serre transform over the Hom algebra (same endpoints); the
+    terms of x must be perfect, those of the result are unresolved."""
     return Correspondence(
-        x.source, x.target, [(c, serre(t, cap)) for c, t in x.terms]
+        x.source, x.target, [(c, serre(t)) for c, t in x.terms]
     )
 
 
@@ -302,14 +314,13 @@ def realize_class(cls, src: NCMotive, dst: NCMotive, cap: int = DEFAULT_CAP) -> 
 # -- Hom-space models ----------------------------------------------------------------
 
 
-@dataclass
-class HomSpaceModel:
-    source: NCMotive
-    target: NCMotive
-    basis: list  # class vectors (rows of the canonical echelon basis)
-    realized: list  # correspondences realizing the basis classes
-    gram_chi: PairingMatrix
-    gram_int: PairingMatrix
+class HomSpaceModel(
+    namedtuple("HomSpaceModel", "source target basis realized gram_chi gram_int")
+):
+    """basis: class vectors (rows of the canonical echelon basis); realized:
+    correspondences realizing them; gram_chi, gram_int: PairingMatrix."""
+
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -427,7 +438,7 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
         x, y = m.realized[i], m.realized[j]
         lhs = chi_hom(x, y)
         if i not in serres:
-            serres[i] = serre_correspondence(x, cap)
+            serres[i] = serre_correspondence(x)
         record(
             f"serre-symmetry[{i},{j}]",
             "chi(x,y) = chi(y, S(x))",
@@ -438,7 +449,7 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
             f"trace-formula[{i},{j}]",
             "chi(x,y) = trace(y o D(x))",
             lhs,
-            trace(compose(dualize(x), y, cap), cap),
+            trace(compose(y, dualize(x), cap), cap),
         )
         record(
             f"commutative-square[{i},{j}]",
@@ -527,7 +538,6 @@ def _coords_in_basis(basis, cls):
     if not basis:
         return None if any(cls) else []
     rb = RowBasis(len(cls))
-    rows = []
     for b in basis:
         rb.add(b)
     return rb.coords(cls)

@@ -257,7 +257,7 @@ def test_c07_trace_formula(parallel_pairs):
     ok = True
     for x, y in parallel_pairs:
         lhs = chi_hom(x, y)
-        rhs = trace(compose(dualize(x), y))
+        rhs = trace(compose(y, dualize(x)))
         ok = ok and lhs == rhs
     elapsed = time.monotonic() - t0
     report(
@@ -266,6 +266,20 @@ def test_c07_trace_formula(parallel_pairs):
         f"chi(x,y) = trace(y o D(x)) through independent pipelines on {len(parallel_pairs)} pairs",
         elapsed,
     )
+
+
+def test_trace_of_unresolved_composite_matches_perfect_replacement(composable_pairs):
+    """compose returns its tensor complexes unresolved; the trace must not
+    see the difference from a termwise perfect replacement."""
+    from ncmotives.motives import Correspondence
+    from ncmotives.resolutions import resolve_complex
+
+    for x, y in composable_pairs:
+        z = compose(y, x)
+        resolved = Correspondence(
+            z.source, z.target, [(c, resolve_complex(t)) for c, t in z.terms]
+        )
+        assert trace(z) == trace(resolved)
 
 
 def test_c08_commutative_square(parallel_pairs):

@@ -150,6 +150,28 @@ def test_tensor_associative_on_dims():
             assert left.mul[i][j] == right.mul[i][j]
 
 
+@pytest.mark.parametrize(
+    "left, right, op_left", [("A3", "A3", True), ("Kronecker", "A2", False)]
+)
+def test_tensor_structure_constants_match_dense_oracle(left, right, op_left):
+    """tensor builds only the nonzero products; compare every product with
+    the Kronecker product of the factor products computed by multiply."""
+    from ncmotives.algebra import sparse_table
+
+    a, b = corpus_algebra(left), corpus_algebra(right)
+    if op_left:
+        a = opposite(a)
+    t = tensor(a, b)
+    for i in range(t.dim):
+        i1, j1 = divmod(i, b.dim)
+        for j in range(t.dim):
+            i2, j2 = divmod(j, b.dim)
+            pa = a.multiply(a.basis_vector(i1), a.basis_vector(i2))
+            pb = b.multiply(b.basis_vector(j1), b.basis_vector(j2))
+            dense = [x * y for x in pa for y in pb]
+            assert t.mul[i][j] == sparse_table([[dense]])[0][0]
+
+
 def test_radical_is_arrow_span():
     for name in ("A2", "A3", "Kronecker"):
         a = corpus_algebra(name)
@@ -168,7 +190,7 @@ def test_semisimple_detection():
 
 
 def test_peirce_requires_monomial_idempotents():
-    from ncmotives.algebra import Algebra
+    from ncmotives.algebra import Algebra, sparse_table
 
     # QxQ presented with basis {1, u}, u^2 = 1: idempotents (1 +- u)/2 are
     # not basis monomials, so the projective machinery must refuse
@@ -177,7 +199,7 @@ def test_peirce_requires_monomial_idempotents():
     a = Algebra(
         2,
         ["1", "u"],
-        [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+        sparse_table([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
         [1, 0],
         [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]],
     )
@@ -186,7 +208,7 @@ def test_peirce_requires_monomial_idempotents():
 
 
 def test_unit_axiom_enforced():
-    from ncmotives.algebra import Algebra
+    from ncmotives.algebra import Algebra, sparse_table
 
     with pytest.raises(ValueError):
-        Algebra(1, ["x"], [[[0]]], [1], [[1]])
+        Algebra(1, ["x"], sparse_table([[[0]]]), [1], [[1]])

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
-from ncmotives.cli import main
+from ncmotives.cli import algebra_from_spec, main
 
 A2_SPEC = {
     "format": 1,
@@ -208,3 +211,70 @@ def test_corpus_command_small(tmp_path):
     assert report["verdict"]
     sections = {row["section"] for row in report["table"]}
     assert {"euler", "euler-oracle", "smooth", "hochschild-vs-bar", "serre-duality", "verify"} <= sections
+
+
+def _table_example_from_docs():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    block = re.search(r'```json\n(\{"kind": "table".*?)```', text, re.S).group(1)
+    return json.loads(block)
+
+
+def test_dense_table_specs_load_and_multiply():
+    """The JSON table format stays dense; loading converts it to the sparse
+    structure constants and the basis products read back as in the file."""
+    for spec in (_table_example_from_docs(), DUAL_NUMBERS_SPEC):
+        a = algebra_from_spec(spec)
+        a._check_basic()
+        for i in range(a.dim):
+            for j in range(a.dim):
+                product = a.multiply(a.basis_vector(i), a.basis_vector(j))
+                assert product == spec["mul"][i][j]
+
+
+def _line_quiver(n):
+    arrows = [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(n - 1)]
+    return {"format": 1, "kind": "quiver", "vertices": n, "arrows": arrows}
+
+
+# SHA-256 of the reports of the benchmark's commands.  They depend only on
+# the mathematics, so a change of representation or of how much
+# intermediate work is built must leave them byte-identical.
+PINNED_VERIFY = {
+    (3, 3): "ca66a827db84da1538f5aa85acc98d81f817dfca381a0840e8fae56bf403b382",
+    (4, 2): "7904f49a9dd3e440bb156adaa05af9b676619a1bee182106a9fb1f051d3a0229",
+}
+PINNED_CORPUS = "1e6fc928f8fa8616796f1da209bf543f21987ae5d21196a1b7c13da0b301461a"
+
+
+def _report_sha256(tmp_path, argv):
+    out = tmp_path / "pinned.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_benchmark_reports_are_pinned(tmp_path):
+    for (m, n), expected in PINNED_VERIFY.items():
+        scenario = {
+            "format": 1,
+            "source": {"algebra": _line_quiver(m)},
+            "target": {"algebra": _line_quiver(n)},
+        }
+        path = write(tmp_path, f"verify_A{m}_A{n}.json", scenario)
+        assert _report_sha256(tmp_path, ["--seed", "1", "verify", path]) == expected
+    corpus = ["--seed", "1", "corpus", "--samples", "2", "--bar-depth", "3"]
+    assert _report_sha256(tmp_path, corpus) == PINNED_CORPUS
+
+
+def test_verify_three_arrow_kronecker_endo(tmp_path):
+    k3 = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 2,
+        "arrows": [{"from": 0, "to": 1, "label": x} for x in "abc"],
+    }
+    path = write(tmp_path, "k3.json", {"format": 1, "source": {"algebra": k3}, "target": {"algebra": k3}})
+    code, report = run_to_report(tmp_path, ["verify", path])
+    assert code == 0
+    assert report["verdict"] is True
+    assert report["dim"] == 4
+    assert report["kernel_dim"] == 0

@@ -161,6 +161,26 @@ def test_serre_duality_degreewise(a2, a3, kronecker, qxq, rng):
                 assert h1.get(i, 0) == h2.get(-i, 0)
 
 
+@pytest.mark.parametrize("name", ["Q", "QxQ", "A2", "A3", "Kronecker"])
+def test_unresolved_serre_matches_its_perfect_replacement(name, request, rng):
+    """serre returns the tensor complex M (x)_A D(A) unresolved; resolving
+    it must change neither homology, class, nor pairings into it."""
+    from ncmotives.corpus import corpus_algebra
+    from ncmotives.resolutions import resolve_complex
+
+    alg = corpus_algebra(name)
+    for _ in range(3):
+        m = random_perfect_complex(alg, rng)
+        sm = serre(m)
+        res = resolve_complex(sm)
+        degs = set(sm.components) | set(res.copies)
+        assert all(sm.homology(d)[0] == res.homology(d)[0] for d in degs)
+        assert k0_class(sm) == k0_class(res)
+        for _ in range(2):
+            n = random_perfect_complex(alg, rng)
+            assert euler_pairing(n, sm) == euler_pairing(n, res.to_complex())
+
+
 def test_kernels_of_identity_and_zero():
     ident = PairingMatrix(Matrix.identity(2), basis="test")
     zero = PairingMatrix(Matrix.zeros(2, 2), basis="test")
@@ -196,12 +216,12 @@ def test_check_smooth_lengths(name, length, request):
 
 
 def test_check_smooth_cap_exhaustion_returns_false():
-    from ncmotives.algebra import Algebra
+    from ncmotives.algebra import Algebra, sparse_table
 
     dual_numbers = Algebra(
         2,
         ["1", "x"],
-        [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        sparse_table([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]),
         [1, 0],
         [[1, 0]],
     )

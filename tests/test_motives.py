@@ -107,7 +107,8 @@ def test_chi_hom_on_simple_classes_matches_euler_matrix(qxq, a2):
 
 
 def test_trace_formula_on_random_pairs(a2, qxq, rng):
-    """chi(x, y) = trace(y o D(x)): Ext pipeline against Hochschild pipeline."""
+    """chi(x, y) = trace(D(x) o y), the cyclic partner of the order in
+    criterion 7: Ext pipeline against Hochschild pipeline."""
     ma, mb = NCMotive(a2), NCMotive(qxq)
     for _ in range(4):
         x = random_correspondence(ma, mb, rng)

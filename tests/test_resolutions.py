@@ -1,6 +1,6 @@
 import pytest
 
-from ncmotives.algebra import Algebra
+from ncmotives.algebra import Algebra, sparse_table
 from ncmotives.complexes import Complex, PerfectComplex, single_module_complex
 from ncmotives.corpus import random_module, random_perfect_complex
 from ncmotives.derived import k0_class
@@ -22,7 +22,7 @@ def dual_numbers():
     return Algebra(
         2,
         ["1", "x"],
-        [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        sparse_table([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]),
         [1, 0],
         [[1, 0]],
         meta={"name": "dual numbers"},
