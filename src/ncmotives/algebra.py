@@ -111,7 +111,7 @@ class Algebra:
                 if s != r and not vec_is_zero(self.multiply(e, f)):
                     raise ValueError(f"idempotents {r},{s} are not orthogonal")
             tot = [a + b for a, b in zip(tot, e)]
-        if [norm_scalar(x) for x in tot] != self.unit:
+        if tot != self.unit:
             raise ValueError("idempotents do not sum to the unit")
 
     def __repr__(self):
@@ -131,7 +131,7 @@ class Algebra:
                 c = a * b
                 for k, s in row[j]:
                     out[k] += c * s
-        return [norm_scalar(v) for v in out]
+        return out
 
     def basis_vector(self, i):
         v = [0] * self.dim

@@ -49,7 +49,7 @@ from .derived import (
 )
 from .hochschild import bar_oracle, hochschild, intersection_number
 from .homalg import hom_complex
-from .linalg import Matrix
+from .linalg import Matrix, norm_scalar
 from .modules import Module, diagonal_bimodule, dual_bimodule
 from .motives import (
     Correspondence,
@@ -91,7 +91,7 @@ def scalar_from_json(v):
         return v
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            return norm_scalar(Fraction(v))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {v!r}") from exc
     raise InputError(f"bad scalar {v!r}")
@@ -137,18 +137,34 @@ def algebra_from_spec(spec) -> Algebra:
     if kind == "table":
         try:
             dim = spec["dim"]
+            if type(dim) is not int or dim < 0:
+                raise InputError(f"table dim must be a non-negative integer, not {dim!r}")
             labels = spec.get("labels") or [f"b{i}" for i in range(dim)]
-            mul = sparse_table(
+            mul = [
                 [[scalar_from_json(x) for x in vec] for vec in row]
                 for row in spec["mul"]
-            )
+            ]
             unit = [scalar_from_json(x) for x in spec["unit"]]
             idems = [
                 [scalar_from_json(x) for x in e] for e in spec["idempotents"]
             ]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad table spec: {exc}") from exc
-        return Algebra(dim, labels, mul, unit, idems, meta={"name": "table"})
+        if len(mul) != dim or any(len(row) != dim for row in mul):
+            raise InputError(f"table mul must be {dim} x {dim} product vectors")
+        vectors = [v for row in mul for v in row] + [unit, *idems]
+        if any(len(v) != dim for v in vectors):
+            raise InputError(
+                f"table product, unit and idempotent vectors must have length {dim}"
+            )
+        try:
+            return Algebra(
+                dim, labels, sparse_table(mul), unit, idems, meta={"name": "table"}
+            )
+        except AlgebraStructureError:
+            raise
+        except ValueError as exc:
+            raise InputError(f"bad table spec: {exc}") from exc
     raise InputError(f"unknown algebra kind {kind!r}")
 
 

@@ -21,7 +21,7 @@ exactly right-linearity of the differential.
 from __future__ import annotations
 
 from .algebra import Algebra, scalar_algebra
-from .linalg import Matrix, RowBasis, norm_scalar
+from .linalg import Matrix, RowBasis
 from .modules import Module, direct_sum_modules, projective_module, zero_module
 
 
@@ -181,7 +181,7 @@ def cone(f: ChainMap) -> Complex:
         dy = y.differential(n)
         rows = []
         for r in range(sx):
-            rows.append([norm_scalar(-v) for v in dx.data[r]] + fx.data[r][:])
+            rows.append([-v for v in dx.data[r]] + fx.data[r][:])
         for r in range(sy):
             rows.append([0] * tx + dy.data[r][:])
         diffs[n] = Matrix(sx + sy, tx + ty, rows)

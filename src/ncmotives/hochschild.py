@@ -29,7 +29,7 @@ from .algebra import (
 from .complexes import Complex, as_complex
 from .derived import diagonal_resolution
 from .homalg import tensor_euler_traces, tensor_over
-from .linalg import as_fraction, norm_scalar
+from .linalg import as_fraction, matrix_sum, norm_scalar
 from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
 
@@ -138,18 +138,12 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
 
     right_rows = []
     left_rows = []
+    op_a = opposite(a)
     for t in range(dim_a):
-        racc = None
-        lacc = None
-        for i, u in enumerate(a.unit):
-            if not u:
-                continue
-            rmat = w.action[join_pair_basis(opposite(a), a, i, t)]
-            lmat = w.action[join_pair_basis(opposite(a), a, t, i)]
-            rmat = rmat if u == 1 else rmat.scale(u)
-            lmat = lmat if u == 1 else lmat.scale(u)
-            racc = rmat if racc is None else racc + rmat
-            lacc = lmat if lacc is None else lacc + lmat
+        rterms = [(w.action[join_pair_basis(op_a, a, i, t)], u) for i, u in enumerate(a.unit)]
+        lterms = [(w.action[join_pair_basis(op_a, a, t, i)], u) for i, u in enumerate(a.unit)]
+        racc = matrix_sum(rterms, dim_w, dim_w)
+        lacc = matrix_sum(lterms, dim_w, dim_w)
         right_rows.append([_sparse_row(r) for r in racc.data])
         left_rows.append([_sparse_row(r) for r in lacc.data])
 

@@ -39,7 +39,7 @@ from .complexes import (
     assemble_block_matrix,
     scalar_complex,
 )
-from .linalg import Matrix, RowBasis, norm_scalar, row_times
+from .linalg import Matrix, RowBasis, matrix_sum, row_times
 from .modules import Module
 
 
@@ -136,7 +136,7 @@ def hom_complex(m: PerfectComplex, n) -> Complex:
                     for t, v in enumerate(cs):
                         if v:
                             out[toff + t] += sign * v
-                rows.append([norm_scalar(x) for x in out])
+                rows.append(out)
         diffs[k] = Matrix(dims[k], dims[k + 1], rows)
     return scalar_complex(dims, diffs)
 
@@ -189,14 +189,14 @@ def tensor_over(
         key = (q, g_m)
         if key not in yleft_cache:
             yq = y.component(q)
-            acc = None
-            for j, u in enumerate(right.unit):
-                if not u:
-                    continue
-                mat = yq.action[join_pair_basis(opposite(middle), right, g_m, j)]
-                mat = mat if u == 1 else mat.scale(u)
-                acc = mat if acc is None else acc + mat
-            yleft_cache[key] = acc if acc is not None else Matrix.zeros(yq.dim, yq.dim)
+            yleft_cache[key] = matrix_sum(
+                (
+                    (yq.action[join_pair_basis(opposite(middle), right, g_m, j)], u)
+                    for j, u in enumerate(right.unit)
+                ),
+                yq.dim,
+                yq.dim,
+            )
         return yleft_cache[key]
 
     yright_cache: dict = {}
@@ -205,14 +205,14 @@ def tensor_over(
         key = (q, r)
         if key not in yright_cache:
             yq = y.component(q)
-            acc = None
-            for i, u in enumerate(middle.unit):
-                if not u:
-                    continue
-                mat = yq.action[join_pair_basis(opposite(middle), right, i, r)]
-                mat = mat if u == 1 else mat.scale(u)
-                acc = mat if acc is None else acc + mat
-            yright_cache[key] = acc if acc is not None else Matrix.zeros(yq.dim, yq.dim)
+            yright_cache[key] = matrix_sum(
+                (
+                    (yq.action[join_pair_basis(opposite(middle), right, i, r)], u)
+                    for i, u in enumerate(middle.unit)
+                ),
+                yq.dim,
+                yq.dim,
+            )
         return yright_cache[key]
 
     yblock_cache: dict = {}
@@ -346,9 +346,7 @@ def tensor_over(
                                 for vj, cy in enumerate(ycoords[vi]):
                                     if cy:
                                         row[dst_base + vj] += cc2 * cy
-        diffs[k] = Matrix(
-            dims[k], dims[k + 1], [[norm_scalar(v) for v in r] for r in rows_out]
-        )
+        diffs[k] = Matrix(dims[k], dims[k + 1], rows_out)
 
     return Complex(e_t, components, diffs, check=check)
 

@@ -5,11 +5,21 @@ Vectors are plain lists of scalars (row vectors unless stated otherwise),
 matrices are dense and immutable by convention.  Pivoting is always "first
 nonzero entry", so echelon forms, kernel bases and coordinates are
 deterministic.
+
+Scalars are not kept in a canonical type: sums and products are stored as
+they come, so an integral ``Fraction`` such as ``Fraction(4, 2)`` may sit
+where an int would.  Comparison and hashing treat the two alike.
+``norm_scalar`` collapses integral Fractions to int only where division
+happens (elimination, ``det``, ``RowBasis``) and where a scalar leaves
+(``trace``, ``vec_dot``, and the JSON writer).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+
+EXACT_TYPES = frozenset((int, Fraction))
 
 Scalar = int | Fraction
 
@@ -44,7 +54,7 @@ def vec_sub(u, v):
 def vec_scale(c, v):
     if c == 0:
         return [0] * len(v)
-    return [norm_scalar(c * x) if x else 0 for x in v]
+    return [c * x if x else 0 for x in v]
 
 
 def vec_dot(u, v):
@@ -58,19 +68,26 @@ def vec_dot(u, v):
 class Matrix:
     """Dense rows x cols matrix of exact scalars.
 
-    Rows act on the left of column vectors in ``solve``/``kernel_basis``;
-    the rest of the package multiplies row vectors on the right
-    (``row_times``), which composes maps left to right.
+    Entries must be ints or Fractions (anything else raises TypeError) and
+    are kept as given, so an integral Fraction may appear; ``det``,
+    ``kernel_basis`` and ``solve`` return normalized scalars.  Rows act on
+    the left of column vectors in ``solve``/``kernel_basis``; the rest of
+    the package multiplies row vectors on the right (``row_times``), which
+    composes maps left to right.
     """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data):
-        if len(data) != rows or any(len(r) != cols for r in data):
+        data = [r if type(r) is list else list(r) for r in data]
+        if len(data) != rows or not set(map(len, data)) <= {cols}:
             raise ValueError("matrix data has wrong shape")
+        if not set(map(type, chain.from_iterable(data))) <= EXACT_TYPES:
+            bad = next(x for x in chain.from_iterable(data) if type(x) not in EXACT_TYPES)
+            raise TypeError(f"not an exact scalar: {bad!r}")
         self.rows = rows
         self.cols = cols
-        self.data = [[norm_scalar(x) for x in r] for r in data]
+        self.data = data
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -209,7 +226,7 @@ class Matrix:
             return None
         x = [0] * self.cols
         for r, p in enumerate(pivots):
-            x[p] = rows[r][self.cols]
+            x[p] = norm_scalar(rows[r][self.cols])
         return x
 
     def det(self):
@@ -239,6 +256,22 @@ class Matrix:
         return norm_scalar(det)
 
 
+def matrix_sum(terms, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix sum of c * m over (m, c) terms, accumulated in
+    one pass over the entries; a lone term with c == 1 is returned as is."""
+    terms = [(m, c) for m, c in terms if c]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    out = [[0] * cols for _ in range(rows)]
+    for m, c in terms:
+        for acc, row in zip(out, m.data):
+            if any(row):
+                for j, x in enumerate(row):
+                    if x:
+                        acc[j] += c * x
+    return Matrix(rows, cols, out)
+
+
 def row_times(v, m: Matrix):
     """Row vector times matrix: the action of a map on an element."""
     if len(v) != m.rows:
@@ -249,7 +282,7 @@ def row_times(v, m: Matrix):
             for j, b in enumerate(m.data[i]):
                 if b:
                     out[j] += a * b
-    return [norm_scalar(x) for x in out]
+    return out
 
 
 def _rref(rows, width):

@@ -19,7 +19,7 @@ from .algebra import (
     swap_permutation,
     tensor,
 )
-from .linalg import Matrix, RowBasis, norm_scalar, row_times, vec_is_zero
+from .linalg import Matrix, RowBasis, matrix_sum, row_times, vec_is_zero
 
 
 class Module:
@@ -46,11 +46,9 @@ class Module:
 
     def _act_pairs(self, pairs) -> Matrix:
         """Action matrix of the element sum c * b_k over nonzero (k, c)."""
-        out = None
-        for k, c in pairs:
-            term = self.action[k] if c == 1 else self.action[k].scale(c)
-            out = term if out is None else out + term
-        return out if out is not None else Matrix.zeros(self.dim, self.dim)
+        return matrix_sum(
+            ((self.action[k], c) for k, c in pairs), self.dim, self.dim
+        )
 
     def act_vector(self, v, coeffs):
         out = [0] * self.dim
@@ -61,7 +59,7 @@ class Module:
             for t, x in enumerate(w):
                 if x:
                     out[t] += c * x
-        return [norm_scalar(x) for x in out]
+        return out
 
     def idempotent_dims(self):
         """Dimension vector: dim(M e_i) per idempotent (trace of an
@@ -286,16 +284,33 @@ def cover_data(m: Module):
 # -- bimodules ----------------------------------------------------------------
 
 
+def _sandwich_products(a: Algebra, i: int, j: int):
+    """(s, k, c) for every nonzero coefficient c of b_k in b_i b_s b_j."""
+    mul = a.mul
+    right = [row[j] for row in mul]
+    return [
+        (s, k2, c * c2)
+        for s, left in enumerate(mul[i])
+        for k, c in left
+        for k2, c2 in right[k]
+    ]
+
+
 def diagonal_bimodule(a: Algebra) -> Module:
     """A as an A-A-bimodule, i.e. a right module over tensor(op(A), A):
-    the pair (x^op, y) sends m to x m y."""
+    the pair (x^op, y) sends m to x m y.
+
+    The pair (b_i^op, b_j) acts by L_i R_j, whose row s holds the
+    coordinates of b_i b_s b_j; it is filled from the structure constants."""
     m = a._cache.get("diagonal_bimodule")
     if m is None:
         env = enveloping_algebra(a)
         action = []
         for t in range(env.dim):
-            i, j = divmod(t, a.dim)
-            action.append(a.left_matrix(i) * a.right_matrix(j))
+            data = [[0] * a.dim for _ in range(a.dim)]
+            for s, k, c in _sandwich_products(a, *divmod(t, a.dim)):
+                data[s][k] += c
+            action.append(Matrix(a.dim, a.dim, data))
         m = Module(env, a.dim, action)
         a._cache["diagonal_bimodule"] = m
     return m
@@ -305,14 +320,17 @@ def dual_bimodule(a: Algebra) -> Module:
     """The linear dual D(A) as an A-A-bimodule: (x phi y)(c) = phi(y c x).
 
     In dual-basis coordinates the pair (b_i^op, b_j) acts by the transpose
-    of L_j R_i."""
+    of L_j R_i: entry (k, s) is the coefficient of b_k in b_j b_s b_i."""
     m = a._cache.get("dual_bimodule")
     if m is None:
         env = enveloping_algebra(a)
         action = []
         for t in range(env.dim):
             i, j = divmod(t, a.dim)
-            action.append((a.left_matrix(j) * a.right_matrix(i)).transpose())
+            data = [[0] * a.dim for _ in range(a.dim)]
+            for s, k, c in _sandwich_products(a, j, i):
+                data[k][s] += c
+            action.append(Matrix(a.dim, a.dim, data))
         m = Module(env, a.dim, action)
         a._cache["dual_bimodule"] = m
     return m

@@ -3,7 +3,9 @@ import json
 import re
 from pathlib import Path
 
-from ncmotives.cli import algebra_from_spec, main
+import pytest
+
+from ncmotives.cli import algebra_from_spec, main, module_from_spec
 
 A2_SPEC = {
     "format": 1,
@@ -182,6 +184,52 @@ def test_malformed_json_exit_code(tmp_path):
 def test_bad_schema_exit_code(tmp_path):
     spec = write(tmp_path, "bad.json", {"kind": "quiver", "arrows": "nope"})
     assert main(["euler-matrix", spec]) == 2
+
+
+def _table(**changes):
+    spec = {"kind": "table", "dim": 1, "mul": [[[1]]], "unit": [1], "idempotents": [[1]]}
+    spec.update(changes)
+    return spec
+
+
+MALFORMED_TABLES = {
+    "product-vector-too-long": _table(mul=[[[1, 1]]]),
+    "product-vector-too-short": _table(mul=[[[]]]),
+    "too-few-rows": _table(mul=[]),
+    "too-many-rows": _table(mul=[[[1]], [[1]]]),
+    "row-too-long": _table(mul=[[[1], [0]]]),
+    "unit-too-long": _table(unit=[1, 0]),
+    "idempotent-too-long": _table(idempotents=[[1, 0]]),
+    "dim-larger-than-table": _table(dim=2),
+    "dim-not-an-integer": _table(dim="1"),
+    "dim-negative": _table(dim=-1),
+    "unit-not-a-unit": _table(unit=[0]),
+    "idempotent-not-idempotent": _table(idempotents=[["1/2"]]),
+    "labels-too-many": _table(labels=["x", "y"]),
+}
+
+
+@pytest.mark.parametrize("spec", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES.keys())
+def test_malformed_table_spec_exit_code(tmp_path, spec):
+    path = write(tmp_path, "table.json", spec)
+    assert main(["euler-matrix", path]) == 2
+
+
+def test_rational_literals_are_normalized_on_load():
+    """"4/2" is the integer 2 once loaded; Matrix keeps entries as given."""
+    a2 = algebra_from_spec(A2_SPEC)
+    spec = {
+        "dim": 2,
+        "action": {
+            "e0": [["2/2", 0], [0, 0]],
+            "e1": [[0, 0], [0, "3/3"]],
+            "a": [[0, "4/2"], [0, 0]],
+        },
+    }
+    m = module_from_spec(spec, a2)
+    entries = [x for mat in m.action for row in mat.data for x in row]
+    assert all(type(x) is int for x in entries)
+    assert m.action[a2.labels.index("a")].data[0][1] == 2
 
 
 def test_cyclic_quiver_exit_code(tmp_path):

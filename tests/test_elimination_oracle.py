@@ -1,0 +1,86 @@
+"""Exact elimination against sympy on unnormalized input.
+
+Matrix keeps its entries as given, so ints, proper Fractions and integral
+Fractions such as Fraction(4, 2) meet in one matrix.  Rank, determinant and
+kernel dimension must agree with sympy, and what elimination returns must
+be normalized: no integral Fraction comes out of kernel_basis, solve or det.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ncmotives.linalg import Matrix  # noqa: E402
+
+SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-4, 4).map(lambda n: Fraction(2 * n, 2)),
+)
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw, square=False):
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    data = draw(st.lists(st.lists(SCALARS, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return Matrix(rows, cols, data)
+
+
+def to_sympy(m: Matrix):
+    return sympy.Matrix(
+        m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for r in m.data for x in r]
+    )
+
+
+def is_normalized(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@SETTINGS
+@given(matrices())
+def test_rank_and_kernel_agree_with_sympy(m):
+    rank = to_sympy(m).rank()
+    assert m.rank() == rank
+    basis = m.kernel_basis()
+    assert len(basis) == m.cols - rank
+    for v in basis:
+        assert all(is_normalized(x) for x in v)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.data)
+
+
+@SETTINGS
+@given(matrices(square=True))
+def test_det_agrees_with_sympy(m):
+    d = m.det()
+    assert is_normalized(d)
+    assert d == Fraction(str(to_sympy(m).det()))
+
+
+@st.composite
+def systems(draw):
+    m = draw(matrices())
+    return m, draw(st.lists(SCALARS, min_size=m.rows, max_size=m.rows))
+
+
+@SETTINGS
+@given(systems())
+# a unit pivot leaves its row unscaled, so the right-hand side passes through
+@example((Matrix(1, 1, [[1]]), [Fraction(4, 2)]))
+def test_solve_agrees_with_sympy(system):
+    m, b = system
+    x = m.solve(b)
+    sm = to_sympy(m)
+    consistent = sm.rank() == sm.row_join(to_sympy(Matrix(m.rows, 1, [[c] for c in b]))).rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert all(is_normalized(c) for c in x)
+        assert [sum(a * c for a, c in zip(row, x)) for row in m.data] == b

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
-from ncmotives.linalg import Matrix, RowBasis, row_times, span_equal
+import pytest
+
+from ncmotives.linalg import Matrix, RowBasis, matrix_sum, row_times, span_equal
 
 
 def test_rank_identity():
@@ -115,3 +118,39 @@ def test_det():
     assert Matrix.from_rows([[0, 1], [1, 0]]).det() == -1
     assert Matrix.from_rows([[2, 0], [0, 3]]).det() == 6
     assert Matrix.from_rows([[1, 2], [2, 4]]).det() == 0
+
+
+def test_matrix_rejects_inexact_entries():
+    with pytest.raises(TypeError):
+        Matrix(2, 2, [[1, 0], [0, 0.5]])
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[1.0]])
+
+
+def test_matrix_keeps_integral_fractions_but_compares_exactly():
+    m = Matrix(1, 2, [[Fraction(4, 2), Fraction(1, 2)]])
+    assert m == Matrix(1, 2, [[2, Fraction(1, 2)]])
+    assert hash(m) == hash(Matrix(1, 2, [[2, Fraction(1, 2)]]))
+
+
+def _random_scalar(rng):
+    return rng.choice(
+        [0, 0, rng.randint(-3, 3), Fraction(rng.randint(-4, 4), rng.randint(1, 3))]
+    )
+
+
+def test_matrix_sum_matches_chained_sum():
+    rng = random.Random(7)
+    for _ in range(50):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        terms = [
+            (
+                Matrix(rows, cols, [[_random_scalar(rng) for _ in range(cols)] for _ in range(rows)]),
+                _random_scalar(rng),
+            )
+            for _ in range(rng.randint(0, 4))
+        ]
+        chained = Matrix.zeros(rows, cols)
+        for m, c in terms:
+            chained = chained + m.scale(c)
+        assert matrix_sum(terms, rows, cols) == chained

@@ -1,6 +1,7 @@
 import pytest
 
 from ncmotives.algebra import enveloping_algebra, opposite, tensor
+from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
 from ncmotives.linalg import Matrix
 from ncmotives.modules import (
     cover_data,
@@ -121,6 +122,20 @@ def test_dual_bimodule_dimension_vector(a2):
             idx = i * 2 + j
             t = da.act_matrix(env.idempotents[idx]).trace()
             assert t == a2.peirce_dim(j, i)
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "env(A2)"])
+def test_bimodule_actions_match_dense_products(name):
+    """diagonal_bimodule and dual_bimodule fill their actions from the
+    structure constants; the dense products L_i R_j and (L_j R_i)^T are the
+    oracle."""
+    a = enveloping_algebra(corpus_algebra("A2")) if name == "env(A2)" else corpus_algebra(name)
+    diag = diagonal_bimodule(a)
+    dual = dual_bimodule(a)
+    for t in range(enveloping_algebra(a).dim):
+        i, j = divmod(t, a.dim)
+        assert diag.action[t] == a.left_matrix(i) * a.right_matrix(j)
+        assert dual.action[t] == (a.left_matrix(j) * a.right_matrix(i)).transpose()
 
 
 def test_left_structure_module_is_valid(a2):
