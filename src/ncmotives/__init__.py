@@ -16,7 +16,6 @@ from .complexes import ChainMap, Complex, PerfectComplex, as_complex, cone
 from .derived import (
     K0Class,
     PairingMatrix,
-    check_proper,
     check_smooth,
     euler_matrix,
     euler_pairing,

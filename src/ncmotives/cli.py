@@ -34,11 +34,11 @@ from .corpus import (
     CORPUS_NAMES,
     corpus_algebra,
     corpus_motive_scenarios,
+    quiver_euler_oracle,
     random_correspondence,
     random_perfect_complex,
 )
 from .derived import (
-    check_proper,
     check_smooth,
     euler_matrix,
     kernel_left,
@@ -55,6 +55,7 @@ from .motives import (
     Correspondence,
     NCMotive,
     build_hom_model,
+    check_record,
     complement_idempotent,
     hom_algebra,
     ideal_stability_samples,
@@ -101,6 +102,12 @@ def matrix_to_json(m: Matrix):
     return [[scalar_to_json(x) for x in row] for row in m.data]
 
 
+def spec_index(value, bound: int, what: str) -> int:
+    """An index field of a spec: an integer in [0, bound)."""
+    if type(value) is not int or not 0 <= value < bound:
+        raise InputError(f"{what} must be an integer in [0, {bound}), not {value!r}")
+    return value
+
 # -- algebra specs -----------------------------------------------------------------
 
 
@@ -121,12 +128,20 @@ def algebra_from_spec(spec) -> Algebra:
     if kind == "quiver":
         try:
             vertices = spec["vertices"]
+            if type(vertices) is not int or vertices < 0:
+                raise InputError(f"vertices must be a non-negative integer, not {vertices!r}")
             arrows = [
                 (a["from"], a["to"], a["label"]) for a in spec.get("arrows", [])
             ]
-        except (KeyError, TypeError) as exc:
+            for source, target, _ in arrows:
+                spec_index(source, vertices, "arrow endpoint")
+                spec_index(target, vertices, "arrow endpoint")
+            quiver = Quiver(vertices, arrows)
+        except CyclicQuiverError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad quiver spec: {exc}") from exc
-        return path_algebra(Quiver(vertices, arrows))
+        return path_algebra(quiver)
     if kind == "opposite":
         return opposite(algebra_from_spec(spec["of"]))
     if kind == "tensor":
@@ -176,22 +191,21 @@ def module_from_spec(spec, algebra: Algebra) -> Module:
         raise InputError("named coefficients are resolved by the caller")
     try:
         dim = spec["dim"]
-        action_by_label = spec["action"]
-    except (KeyError, TypeError) as exc:
+        pos = {lab: i for i, lab in enumerate(algebra.labels)}
+        action = [None] * algebra.dim
+        for lab, rows in spec["action"].items():
+            if lab not in pos:
+                raise InputError(f"unknown basis label {lab!r}")
+            action[pos[lab]] = Matrix(
+                dim, dim, [[scalar_from_json(x) for x in r] for r in rows]
+            )
+        if any(m is None for m in action):
+            missing = [l for l, m in zip(algebra.labels, action) if m is None]
+            raise InputError(f"action missing for basis elements {missing}")
+        m = Module(algebra, dim, action)
+        m.check()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad module spec: {exc}") from exc
-    pos = {lab: i for i, lab in enumerate(algebra.labels)}
-    action = [None] * algebra.dim
-    for lab, rows in action_by_label.items():
-        if lab not in pos:
-            raise InputError(f"unknown basis label {lab!r}")
-        action[pos[lab]] = Matrix(
-            dim, dim, [[scalar_from_json(x) for x in r] for r in rows]
-        )
-    if any(m is None for m in action):
-        missing = [l for l, m in zip(algebra.labels, action) if m is None]
-        raise InputError(f"action missing for basis elements {missing}")
-    m = Module(algebra, dim, action)
-    m.check()
     return m
 
 
@@ -215,9 +229,9 @@ def complex_from_spec(spec, algebra: Algebra):
                 [[scalar_from_json(x) for x in r] for r in rows],
             )
             diffs[n] = mat
-    except (KeyError, TypeError, ValueError) as exc:
+        return Complex(algebra, comps, diffs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad complex spec: {exc}") from exc
-    return Complex(algebra, comps, diffs)
 
 
 def coefficients_from_spec(spec, algebra: Algebra):
@@ -236,34 +250,58 @@ def motive_from_spec(spec) -> NCMotive:
     if not isinstance(spec, dict):
         raise InputError("motive spec must be an object")
     a = algebra_from_spec(spec.get("algebra", {"kind": "scalar"}))
-    idem = spec.get("idempotent")
-    if idem is None or idem.get("kind", "identity") == "identity":
-        return NCMotive(a)
-    kind = idem["kind"]
+    return NCMotive(a, idempotent_from_spec(spec.get("idempotent"), a))
+
+
+def idempotent_from_spec(idem, a: Algebra) -> Correspondence | None:
+    """The idempotent correspondence of a motive over a; None for the identity."""
+    if idem is None:
+        return None
+    if not isinstance(idem, dict):
+        raise InputError("idempotent spec must be an object")
+    kind = idem.get("kind", "identity")
+    if kind == "identity":
+        return None
     if kind == "vertex-cut":
-        return NCMotive(a, vertex_cut_idempotent(a, idem.get("vertices", [])))
+        vertices = idem.get("vertices", [])
+        if not isinstance(vertices, list):
+            raise InputError("vertex-cut vertices must be a list")
+        for v in vertices:
+            spec_index(v, len(a.idempotents), "vertex-cut vertex")
+        try:
+            return vertex_cut_idempotent(a, vertices)
+        except ValueError as exc:
+            raise InputError(f"bad vertex cut: {exc}") from exc
     if kind == "complement":
-        inner = motive_from_spec({"algebra": spec["algebra"], "idempotent": idem["of"]})
-        if inner.idem is None:
+        inner = idempotent_from_spec(idem.get("of"), a)
+        if inner is None:
             raise InputError("complement of the identity is the zero class")
-        return NCMotive(a, complement_idempotent(inner.idem))
+        return complement_idempotent(inner)
     raise InputError(f"unknown idempotent kind {kind!r}")
 
 
 def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Correspondence:
-    if not isinstance(spec, dict) or "terms" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("terms"), list):
         raise InputError("correspondence spec must have a terms list")
     e = hom_algebra(src.algebra, dst.algebra)
     terms = []
     for t in spec["terms"]:
+        b = t.get("bimodule") if isinstance(t, dict) else None
+        if not isinstance(b, dict):
+            raise InputError("correspondence term must be an object with a bimodule object")
         coeff = scalar_from_json(t.get("coefficient", 1))
-        b = t.get("bimodule", {})
         kind = b.get("kind")
         if kind == "simple":
-            pc = simple_resolutions(e, cap)[b["index"]]
+            pc = simple_resolutions(e, cap)[
+                spec_index(b.get("index"), len(e.idempotents), "simple index")
+            ]
         elif kind == "projective":
-            i, j = b["pair"]
+            pair = b.get("pair")
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InputError("projective pair must be a list [i, j]")
+            i = spec_index(pair[0], len(src.algebra.idempotents), "projective pair entry")
             n_b = len(dst.algebra.idempotents)
+            j = spec_index(pair[1], n_b, "projective pair entry")
             pc = PerfectComplex(e, {0: (i * n_b + j,)}, {})
         elif kind == "diagonal":
             if src.algebra is not dst.algebra:
@@ -274,6 +312,8 @@ def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Co
         else:
             raise InputError(f"unknown bimodule kind {kind!r}")
         shift = t.get("shift", 0)
+        if type(shift) is not int:
+            raise InputError(f"term shift must be an integer, not {shift!r}")
         if shift:
             pc = pc.shift(shift)
         terms.append((coeff, pc))
@@ -289,16 +329,6 @@ def digest(obj) -> str:
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
-
-
-def make_check(name, identity, expected, actual):
-    return {
-        "name": name,
-        "identity": identity,
-        "expected": str(expected),
-        "actual": str(actual),
-        "pass": str(expected) == str(actual),
-    }
 
 
 def emit(report, args) -> int:
@@ -320,6 +350,31 @@ def load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def load_scenario(path, *required):
+    """A scenario file: a JSON object holding every required key."""
+    spec = load_json(path)
+    if not isinstance(spec, dict):
+        raise InputError("scenario must be a JSON object")
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise InputError(f"scenario lacks {missing}")
+    return spec
+
+
+def scenario_option(spec, key, default):
+    """A non-negative integer from the scenario's options, default if absent;
+    null only where the default is None."""
+    options = spec.get("options", {})
+    if not isinstance(options, dict):
+        raise InputError("scenario options must be an object")
+    value = options.get(key, default)
+    if value is None and default is None:
+        return None
+    if type(value) is not int or value < 0:
+        raise InputError(f"option {key} must be a non-negative integer, not {value!r}")
+    return value
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -352,7 +407,8 @@ def cmd_smooth_check(args) -> int:
         "command": "smooth-check",
         "inputs_digest": digest(spec),
         "smooth": ok,
-        "proper": check_proper(a),
+        # every algebra the CLI builds is finite-dimensional, hence proper
+        "proper": True,
         "diagonal_resolution_length": resolution_length(res) if ok else None,
         "verdict": ok,
     }
@@ -368,12 +424,12 @@ def cmd_serre_check(args) -> int:
         m = random_perfect_complex(a, rng)
         n = random_perfect_complex(a, rng)
         sm = serre(m)
-        h_mn = hom_complex(m, n.to_complex()).homology_dims()
-        h_nsm = hom_complex(n, sm.to_complex()).homology_dims()
+        h_mn = hom_complex(m, n).homology_dims()
+        h_nsm = hom_complex(n, sm).homology_dims()
         degs = sorted(set(h_mn) | {-d for d in h_nsm})
         ok = all(h_mn.get(i, 0) == h_nsm.get(-i, 0) for i in degs)
         checks.append(
-            make_check(
+            check_record(
                 f"serre-duality-degreewise[{trial}]",
                 "dim Hom(M, N shifted by -i) = dim Hom(N, S(M) shifted by i)",
                 True,
@@ -381,11 +437,11 @@ def cmd_serre_check(args) -> int:
             )
         )
         checks.append(
-            make_check(
+            check_record(
                 f"serre-symmetry[{trial}]",
                 "chi(M,N) = chi(N,S(M))",
-                euler_pairing(m, n.to_complex()),
-                euler_pairing(n, sm.to_complex()),
+                euler_pairing(m, n),
+                euler_pairing(n, sm),
             )
         )
     report = {
@@ -421,7 +477,7 @@ def cmd_hochschild(args) -> int:
         )
         report["bar_dims"] = bar.dims
         report["checks"] = [
-            make_check(
+            check_record(
                 "hochschild-vs-bar",
                 "resolution-based dims = bar-complex dims",
                 bar.dims,
@@ -432,18 +488,13 @@ def cmd_hochschild(args) -> int:
     return emit(report, args)
 
 
-def _load_pair_scenario(args, need_y=True):
-    spec = load_json(args.scenario)
+def cmd_intersect(args) -> int:
+    spec = load_scenario(args.scenario, "x", "y")
     src = motive_from_spec(spec.get("source", {}))
     dst = motive_from_spec(spec.get("target", {}))
-    cap = spec.get("options", {}).get("cap", args.cap)
+    cap = scenario_option(spec, "cap", args.cap)
     x = correspondence_from_spec(spec["x"], src, dst, cap)
-    y = correspondence_from_spec(spec["y"], dst, src, cap) if need_y else None
-    return spec, src, dst, x, y, cap
-
-
-def cmd_intersect(args) -> int:
-    spec, src, dst, x, y, cap = _load_pair_scenario(args)
+    y = correspondence_from_spec(spec["y"], dst, src, cap)
     val = intersection_number(x, y, cap)
     sym = intersection_number(y, x, cap)
     report = {
@@ -451,7 +502,7 @@ def cmd_intersect(args) -> int:
         "inputs_digest": digest(spec),
         "intersection_number": scalar_to_json(val),
         "checks": [
-            make_check("symmetry", "<x . y> = <y . x>", scalar_to_json(val), scalar_to_json(sym))
+            check_record("symmetry", "<x . y> = <y . x>", scalar_to_json(val), scalar_to_json(sym))
         ],
         "verdict": val == sym,
     }
@@ -459,9 +510,9 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    spec = load_json(args.scenario)
+    spec = load_scenario(args.scenario, "z")
     src = motive_from_spec(spec.get("source", {}))
-    cap = spec.get("options", {}).get("cap", args.cap)
+    cap = scenario_option(spec, "cap", args.cap)
     z = correspondence_from_spec(spec["z"], src, src, cap)
     val = trace(z, cap)
     report = {
@@ -474,13 +525,14 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = load_json(args.scenario)
+    spec = load_scenario(args.scenario)
     src = motive_from_spec(spec.get("source", {}))
     dst = motive_from_spec(spec.get("target", spec.get("source", {})))
-    options = spec.get("options", {})
-    cap = options.get("cap", args.cap)
+    cap = scenario_option(spec, "cap", args.cap)
+    sample_pairs = scenario_option(spec, "sample_pairs", None)
+    stability_samples = scenario_option(spec, "stability_samples", 10)
     model = build_hom_model(src, dst, cap)
-    rep = verify_equivalence(model, cap, sample_pairs=options.get("sample_pairs"))
+    rep = verify_equivalence(model, cap, sample_pairs=sample_pairs)
     rep["command"] = "verify"
     rep["inputs_digest"] = digest(spec)
     rng = random.Random(args.seed)
@@ -488,7 +540,7 @@ def cmd_verify(args) -> int:
     if kr:
         partners = [
             random_correspondence(dst, NCMotive(dst.algebra), rng)
-            for _ in range(options.get("stability_samples", 10))
+            for _ in range(stability_samples)
         ]
         stable = ideal_stability_samples(model, kr, partners, cap)
         rep["ideal_stability"] = {
@@ -521,7 +573,7 @@ def cmd_corpus(args) -> int:
         ok_det = det in (1, -1)
         add_row("euler", name, ok_det, f"det={scalar_to_json(det)}")
         if name != "Q":
-            oracle = _quiver_euler_oracle(name)
+            oracle = quiver_euler_oracle(name)
             add_row("euler-oracle", name, g.matrix.data == oracle, "matches arrow-count form")
         ok_s, res = check_smooth(a, args.cap)
         length = (res.hi - res.lo) if ok_s and not res.is_zero() else None
@@ -536,8 +588,8 @@ def cmd_corpus(args) -> int:
             m = random_perfect_complex(a, rng)
             n = random_perfect_complex(a, rng)
             sm = serre(m)
-            h_mn = hom_complex(m, n.to_complex()).homology_dims()
-            h_nsm = hom_complex(n, sm.to_complex()).homology_dims()
+            h_mn = hom_complex(m, n).homology_dims()
+            h_nsm = hom_complex(n, sm).homology_dims()
             degs = set(h_mn) | {-d for d in h_nsm}
             if not all(h_mn.get(i, 0) == h_nsm.get(-i, 0) for i in degs):
                 ok_serre = False
@@ -566,19 +618,14 @@ def cmd_corpus(args) -> int:
     return code
 
 
-def _quiver_euler_oracle(name):
-    """Arrow-count Euler form: delta_ij - #arrows(i -> j)."""
-    from .corpus import corpus_quiver
-
-    q = corpus_quiver(name)
-    n = q.vertex_count
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a in q.arrows:
-        mat[a.source][a.target] -= 1
-    return mat
-
-
 # -- entry point --------------------------------------------------------------------
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
 
 
 def build_parser():
@@ -595,7 +642,7 @@ def build_parser():
     )
     common.add_argument(
         "--cap",
-        type=int,
+        type=non_negative_int,
         default=argparse.SUPPRESS,
         help=f"resolution length cap (default {DEFAULT_CAP})",
     )
@@ -622,14 +669,14 @@ def build_parser():
 
     s = sub.add_parser("serre-check", parents=[common], help="degreewise Serre duality on random perfect complexes")
     s.add_argument("algebra")
-    s.add_argument("--samples", type=int, default=10)
+    s.add_argument("--samples", type=non_negative_int, default=10)
     s.set_defaults(func=cmd_serre_check)
 
     s = sub.add_parser("hochschild", parents=[common], help="Hochschild homology dimensions")
     s.add_argument("algebra")
     s.add_argument("--coefficients", help="bimodule JSON (default: diagonal)")
-    s.add_argument("--top", type=int, default=4)
-    s.add_argument("--bar-check", type=int, default=None, dest="bar_check")
+    s.add_argument("--top", type=non_negative_int, default=4)
+    s.add_argument("--bar-check", type=non_negative_int, default=None, dest="bar_check")
     s.set_defaults(func=cmd_hochschild)
 
     s = sub.add_parser("intersect", parents=[common], help="intersection number of two correspondences")
@@ -645,8 +692,8 @@ def build_parser():
     s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("corpus", parents=[common], help="run the built-in corpus and print a pass/fail table")
-    s.add_argument("--samples", type=int, default=6)
-    s.add_argument("--bar-depth", type=int, default=4, dest="bar_depth")
+    s.add_argument("--samples", type=non_negative_int, default=6)
+    s.add_argument("--bar-depth", type=non_negative_int, default=4, dest="bar_depth")
     s.set_defaults(func=cmd_corpus)
 
     return p

@@ -38,6 +38,17 @@ def corpus_quiver(name: str) -> Quiver:
     return Quiver(vertices, arrows)
 
 
+def quiver_euler_oracle(name: str):
+    """Arrow-count Euler form of a corpus quiver: delta_ij - #arrows(i -> j),
+    an independent oracle for euler_matrix on hereditary algebras."""
+    q = corpus_quiver(name)
+    n = q.vertex_count
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a in q.arrows:
+        mat[a.source][a.target] -= 1
+    return mat
+
+
 def corpus_algebra(name: str) -> Algebra:
     """Shared instance of a corpus algebra (caches live on the instance)."""
     if name not in _algebras:

@@ -2,9 +2,12 @@
 
 The Grothendieck group of the derived category of a supported algebra is
 free on the simple classes; a complex lands in it through its alternating
-idempotent-weighted dimension vector.  The Euler pairing of two perfect
-complexes is the Euler characteristic of their Hom complex, an exact
-integer.
+idempotent-weighted dimension vector.  k0_class is the one place that
+computes it: a perfect complex's class is read from its copies (no modules
+are built), any other complex's from the traces of its idempotent actions.
+The Euler pairing of two perfect complexes is the Euler characteristic of
+their Hom complex, an exact integer: the copy weights of the first paired
+with the class of the second.
 
 Which terms must be perfect: the first argument of euler_pairing (and of
 homalg.hom_complex) is a PerfectComplex; the second may be any bounded
@@ -43,49 +46,42 @@ class PairingMatrix(namedtuple("PairingMatrix", "matrix basis")):
 
 
 def k0_class(x) -> K0Class:
-    """Class of a complex in the simple basis: alternating sums of the
-    idempotent-weighted dimensions of its components."""
+    """Class of a complex or module in the simple basis.
+
+    A perfect complex's class is read from its copies: e_i A contributes
+    dim(e_i A e_j) to coordinate j, with the sign of its degree.  Any other
+    complex (or module) gives the alternating sum over its components of the
+    traces of the idempotent actions, which are the dimensions M e_j."""
+    if isinstance(x, PerfectComplex):
+        a = x.algebra
+        n = len(a.idempotents)
+        weights = x.euler_copy_weights()
+        coords = [
+            sum(w * a.peirce_dim(i, j) for i, w in enumerate(weights) if w)
+            for j in range(n)
+        ]
+        return K0Class(a, tuple(coords))
     c = as_complex(x)
     a = c.algebra
-    n = len(a.idempotents)
-    coords = [0] * n
     idem_idx = a.idempotent_basis_indices()
-    for deg in c.degrees():
-        comp = c.components.get(deg)
-        if comp is None:
-            continue
+    coords = [0] * len(idem_idx)
+    for deg, comp in c.components.items():
         s = -1 if deg % 2 else 1
-        for i in range(n):
-            t = comp.action[idem_idx[i]].trace()
+        for j, g in enumerate(idem_idx):
+            t = comp.action[g].trace()
             if not isinstance(t, int):
                 raise ValueError("idempotent action has non-integral trace")
-            coords[i] += s * t
+            coords[j] += s * t
     return K0Class(a, tuple(coords))
 
 
 def euler_pairing(m: PerfectComplex, n) -> int:
-    """chi(M, N): Euler characteristic of the Hom complex, computed as the
-    alternating sum of the Hom-space dimensions (no elimination needed:
-    Hom from e A is the idempotent image, whose dimension is a trace)."""
-    nc = as_complex(n)
-    a = m.algebra
-    if nc.algebra is not a:
+    """chi(M, N): Euler characteristic of the Hom complex.  Hom(e_i A, N) is
+    N e_i, so chi is the copy weights of M paired with the class of N."""
+    k = k0_class(n)
+    if k.algebra is not m.algebra:
         raise ValueError("euler_pairing arguments live over different algebras")
-    idem_idx = a.idempotent_basis_indices()
-    total = 0
-    for p in m.degrees():
-        for i in m.copies_at(p):
-            act = idem_idx[i]
-            for q in nc.degrees():
-                comp = nc.components.get(q)
-                if comp is None:
-                    continue
-                t = comp.action[act].trace()
-                if t:
-                    total += ((-1) ** ((q - p) % 2)) * t
-    if not isinstance(total, int):
-        raise AssertionError("Euler pairing must be an integer")
-    return total
+    return sum(w * c for w, c in zip(m.euler_copy_weights(), k.coords))
 
 
 def simple_resolutions(a: Algebra, cap: int = DEFAULT_CAP):
@@ -144,13 +140,6 @@ def kernel_left(g: PairingMatrix):
 def kernel_right(g: PairingMatrix):
     """Basis of {v : G v = 0}."""
     return g.matrix.kernel_basis()
-
-
-def check_proper(a: Algebra) -> bool:
-    """Total Hom cohomology is finite for every finite-dimensional algebra,
-    so this is constant True on everything the package can construct; kept
-    as an explicit interface."""
-    return True
 
 
 def diagonal_resolution(a: Algebra, cap: int = DEFAULT_CAP) -> PerfectComplex:

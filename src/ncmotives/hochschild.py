@@ -11,7 +11,9 @@ type remains the public contract of the linear algebra layer).
 Intersection numbers of correspondences are alternating sums of Hochschild
 dimensions of composed bimodules.  The Euler characteristic of a bounded
 complex equals the alternating sum of its component dimensions, so these
-need only the idempotent traces of the tensor complexes, never homology.
+need only the Grothendieck class of the coefficients (derived.k0_class, or
+homalg.tensor_class for a composite), paired with the copy weights of the
+diagonal resolution; never homology.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .algebra import (
     tensor,
 )
 from .complexes import Complex, as_complex
-from .derived import diagonal_resolution
-from .homalg import tensor_euler_traces, tensor_over
+from .derived import diagonal_resolution, k0_class
+from .homalg import tensor_class, tensor_over
 from .linalg import as_fraction, matrix_sum, norm_scalar
 from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
@@ -71,55 +73,26 @@ def hochschild(a: Algebra, w, top: int | None = None, cap: int = DEFAULT_CAP) ->
 
 
 def hochschild_euler(a: Algebra, w, cap: int = DEFAULT_CAP) -> int:
-    """Alternating sum of Hochschild dimensions, computed as the Euler
-    characteristic of the tensor complex via idempotent traces only."""
-    wc = as_complex(w)
-    env = tensor(opposite(a), a)
-    if wc.algebra is not env:
+    """Alternating sum of Hochschild dimensions: the Euler characteristic of
+    (diagonal resolution) (x)_{A^e} W, read from the class of W alone."""
+    k = k0_class(w)
+    if k.algebra is not tensor(opposite(a), a):
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
-    return _euler_from_traces(a, euler_idempotent_traces(wc, a), cap)
+    return _pair_with_diagonal(a, k.coords, cap)
 
 
-def _euler_from_traces(a: Algebra, traces: dict, cap: int) -> int:
-    """Pair the alternating copy weights of the diagonal resolution against
-    alternating idempotent traces of the coefficients (with the swap that
-    realizes the left action)."""
-    diag = diagonal_resolution(a, cap)
-    weights = diag.euler_copy_weights()
+def _pair_with_diagonal(a: Algebra, coords, cap: int) -> int:
+    """Pair the copy weights of the diagonal resolution with a class over
+    tensor(op(A), A); the pair (u, v) meets (v, u), since the tensor product
+    reads the coefficients through their left structure."""
+    weights = diagonal_resolution(a, cap).euler_copy_weights()
     n_a = len(a.idempotents)
     total = 0
-    for r, wgt in enumerate(weights):
-        if not wgt:
-            continue
-        u, v = divmod(r, n_a)
-        total += wgt * traces[v * n_a + u]
-    if not isinstance(total, int):
-        raise AssertionError("Hochschild Euler characteristic must be an integer")
+    for r, w in enumerate(weights):
+        if w:
+            u, v = divmod(r, n_a)
+            total += w * coords[v * n_a + u]
     return total
-
-
-def euler_idempotent_traces(c, algebra: Algebra) -> dict:
-    """Alternating idempotent traces of a complex of bimodules over
-    tensor(op(algebra), algebra), keyed by idempotent-pair index."""
-    c = as_complex(c)
-    env = tensor(opposite(algebra), algebra)
-    if c.algebra is not env:
-        raise ValueError("complex does not live over the enveloping algebra")
-    idem_idx = env.idempotent_basis_indices()
-    out = {}
-    for r in range(len(env.idempotents)):
-        s = 0
-        for deg in c.degrees():
-            comp = c.components.get(deg)
-            if comp is None:
-                continue
-            t = comp.action[idem_idx[r]].trace()
-            if t:
-                s += ((-1) ** (deg % 2)) * t
-        if not isinstance(s, int):
-            raise AssertionError("idempotent trace is not integral")
-        out[r] = s
-    return out
 
 
 # -- bar complex oracle ---------------------------------------------------------
@@ -286,7 +259,6 @@ def intersection_number(x, y, cap: int = DEFAULT_CAP) -> Fraction:
     total = Fraction(0)
     for cx, xt in x.terms:
         for cy, yt in y.terms:
-            traces = tensor_euler_traces(xt, as_complex(yt), a, b, a)
-            s = _euler_from_traces(a, traces, cap)
+            s = _pair_with_diagonal(a, tensor_class(xt, yt, a, b, a), cap)
             total += as_fraction(cx) * as_fraction(cy) * s
     return total

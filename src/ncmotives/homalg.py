@@ -14,6 +14,9 @@ instead of large commutant solves.  Conventions:
   Its degree-k cohomology computes morphisms M -> shift(N, k) in the derived
   category; alternating sums of these dimensions form the Euler pairing.
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
+  tensor_over assembles the total complex; tensor_class gives only its
+  Grothendieck class, from the copies of x and the class of y
+  (derived.k0_class), and never assembles.
 * dual() applies Hom(-, ring) summandwise, negating degrees, transporting
   each left-multiplication block z to its image under the canonical
   anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a strict
@@ -351,62 +354,37 @@ def tensor_over(
     return Complex(e_t, components, diffs, check=check)
 
 
-def tensor_euler_traces(x: PerfectComplex, y, left, middle, right) -> dict:
-    """Alternating-sum traces of the idempotent actions on x (x)_middle y,
-    keyed by idempotent index of tensor(opposite(left), right).
+def tensor_class(x: PerfectComplex, y, left, middle, right) -> list:
+    """Class of x (x)_middle y in the simple basis of
+    tensor(opposite(left), right), computed from the classes of the factors
+    without assembling the tensor complex.
 
-    These are the coordinates of the tensor complex's class in the simple
-    basis, computed without assembling the complex: the (i, j) trace on the
-    block for a copy (l, m) in degree p against Y^q factors as
-    dim(e_i L e_l) * trace of the pair action (m, j) on Y^q."""
-    y = as_complex(y)
-    e_y = tensor(opposite(middle), right)
-    if y.algebra is not e_y:
+    A copy (l, m) of x against Y^q is the block (L e_l) (x) (e_m Y^q), whose
+    (i, j) idempotent image has dimension dim(e_i L e_l) * dim(e_m Y^q e_j);
+    with signs, entry (i, j) is the sum over (l, m) of
+    weights(x)_(l, m) * dim(e_i L e_l) * k0(y)_(m, j)."""
+    from .derived import k0_class  # derived imports this module
+
+    if x.algebra is not tensor(opposite(left), middle):
+        raise ValueError("x is not perfect over tensor(op(left), middle)")
+    ky = k0_class(y)
+    if ky.algebra is not tensor(opposite(middle), right):
         raise ValueError("y does not live over tensor(op(middle), right)")
-    mid_idem_idx = middle.idempotent_basis_indices()
-    right_idem_idx = right.idempotent_basis_indices()
     n_l = len(left.idempotents)
     n_r = len(right.idempotents)
-
-    # per degree q and pair (m, j): trace of the (m-left, j-right) projection
-    tr_cache: dict = {}
-
-    def ytrace(q, m_i, j_i):
-        key = (q, m_i, j_i)
-        if key not in tr_cache:
-            yq = y.component(q)
-            t = yq.action[
-                join_pair_basis(
-                    opposite(middle), right, mid_idem_idx[m_i], right_idem_idx[j_i]
-                )
-            ].trace()
-            if not isinstance(t, int):
-                raise AssertionError("idempotent trace is not integral")
-            tr_cache[key] = t
-        return tr_cache[key]
-
-    out = {
-        join_pair_idempotent(opposite(left), right, i, j): 0
-        for i in range(n_l)
-        for j in range(n_r)
-    }
-    for p in x.degrees():
-        for idem in x.copies_at(p):
-            l_i, m_i = split_pair_idempotent(opposite(left), middle, idem)
-            for q in y.degrees():
-                if y.component_dim(q) == 0:
-                    continue
-                s = -1 if (p + q) % 2 else 1
-                for i in range(n_l):
-                    d = left.peirce_dim(i, l_i)
-                    if not d:
-                        continue
-                    for j in range(n_r):
-                        t = ytrace(q, m_i, j)
-                        if t:
-                            out[
-                                join_pair_idempotent(opposite(left), right, i, j)
-                            ] += s * d * t
+    out = [0] * (n_l * n_r)
+    for idem, w in enumerate(x.euler_copy_weights()):
+        if not w:
+            continue
+        l_i, m_i = split_pair_idempotent(opposite(left), middle, idem)
+        for i in range(n_l):
+            d = w * left.peirce_dim(i, l_i)
+            if not d:
+                continue
+            for j in range(n_r):
+                out[join_pair_idempotent(opposite(left), right, i, j)] += d * ky.coords[
+                    join_pair_idempotent(opposite(middle), right, m_i, j)
+                ]
     return out
 
 

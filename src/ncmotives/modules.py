@@ -61,17 +61,6 @@ class Module:
                     out[t] += c * x
         return out
 
-    def idempotent_dims(self):
-        """Dimension vector: dim(M e_i) per idempotent (trace of an
-        idempotent action matrix is its rank, exactly)."""
-        dims = []
-        for e in self.algebra.idempotents:
-            t = self.act_matrix(e).trace()
-            if not isinstance(t, int):
-                raise ValueError("idempotent action has non-integral trace")
-            dims.append(t)
-        return dims
-
     def check(self):
         """Full module axioms: unit acts as identity, action respects the
         structure constants on all basis pairs."""
@@ -221,14 +210,11 @@ def quotient_module(m: Module, sub: RowBasis):
 
 
 def module_radical(m: Module) -> RowBasis:
-    """The subspace m * rad(A) (a submodule)."""
-    rad = m.algebra.radical()
+    """The subspace m * rad(A) (a submodule): the span of the rows of the
+    action matrices of the radical generators."""
     rb = RowBasis(m.dim)
-    for t in range(m.dim):
-        v = [0] * m.dim
-        v[t] = 1
-        for g in rad.rows:
-            rb.add(m.act_vector(v, g))
+    for g in m.algebra.radical().rows:
+        rb.extend(m.act_matrix(g).data)
     return rb
 
 

@@ -18,7 +18,7 @@ from ncmotives.corpus import (
     CORPUS_NAMES,
     corpus_algebra,
     corpus_motive_scenarios,
-    corpus_quiver,
+    quiver_euler_oracle,
     random_correspondence,
     random_perfect_complex,
     restricted_gram_scenarios,
@@ -125,13 +125,8 @@ def test_c01_euler_form_oracle():
     details = []
     for name in ("A2", "A3", "Kronecker"):
         a = corpus_algebra(name)
-        q = corpus_quiver(name)
-        n = q.vertex_count
-        oracle = [[(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for arr in q.arrows:
-            oracle[arr.source][arr.target] -= 1
         g = euler_matrix(a)
-        match = g.matrix.data == oracle
+        match = g.matrix.data == quiver_euler_oracle(name)
         det = g.matrix.det()
         ok = ok and match and det in (1, -1)
         details.append(f"{name}: det={det}{'' if match else ' MISMATCH'}")

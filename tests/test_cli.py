@@ -135,6 +135,14 @@ def test_verify_command_identity_scenario(tmp_path):
     assert report["ideal_stability"]["samples"] == 0
 
 
+def test_verify_command_with_no_sampled_pairs(tmp_path):
+    scenario = {"format": 1, "source": {"algebra": A2_SPEC}, "options": {"sample_pairs": 0}}
+    path = write(tmp_path, "scenario.json", scenario)
+    code, report = run_to_report(tmp_path, ["verify", path])
+    assert code == 0
+    assert not any("[" in c["name"] for c in report["checks"])
+
+
 def test_verify_command_restricted_scenario(tmp_path):
     scenario = {
         "format": 1,
@@ -213,6 +221,74 @@ MALFORMED_TABLES = {
 def test_malformed_table_spec_exit_code(tmp_path, spec):
     path = write(tmp_path, "table.json", spec)
     assert main(["euler-matrix", path]) == 2
+
+
+A2_MOTIVE = {"algebra": A2_SPEC}
+SIMPLE_TERMS = {"terms": [{"bimodule": {"kind": "simple", "index": 0}}]}
+
+
+def _cut(vertices):
+    return {"algebra": A2_SPEC, "idempotent": {"kind": "vertex-cut", "vertices": vertices}}
+
+
+# Command lines in which each non-string item is the contents of an input
+# file.  Each is outside the documented input contract and must end in exit
+# 2: never in a traceback (exit 1), a silent pass, or another exit code.
+ZERO_ACTION = {"dim": 1, "action": {f"{x}|{y}": [[0]] for x in ("e0", "e1", "a") for y in ("e0", "e1", "a")}}
+MALFORMED_INPUTS = {
+    "vertex-cut-out-of-range": ["verify", {"source": _cut([7])}],
+    "vertex-cut-with-a-path": ["verify", {"source": _cut([0, 1])}],
+    "vertex-cut-not-a-list": ["verify", {"source": _cut(0)}],
+    "idempotent-not-an-object": ["verify", {"source": {"algebra": A2_SPEC, "idempotent": "x"}}],
+    "scenario-is-an-array": ["verify", [A2_MOTIVE]],
+    "negative-option": ["verify", {"source": A2_MOTIVE, "options": {"stability_samples": -1}}],
+    "intersect-without-x": ["intersect", {"source": A2_MOTIVE, "target": A2_MOTIVE, "y": SIMPLE_TERMS}],
+    "trace-without-z": ["trace", {"source": A2_MOTIVE}],
+    "term-not-an-object": ["trace", {"source": A2_MOTIVE, "z": {"terms": [1]}}],
+    "simple-index-out-of-range": [
+        "trace",
+        {"source": A2_MOTIVE, "z": {"terms": [{"bimodule": {"kind": "simple", "index": 9}}]}},
+    ],
+    "projective-pair-out-of-range": [
+        "trace",
+        {"source": A2_MOTIVE, "z": {"terms": [{"bimodule": {"kind": "projective", "pair": [0, 2]}}]}},
+    ],
+    "arrow-out-of-range": [
+        "euler-matrix",
+        {"kind": "quiver", "vertices": 2, "arrows": [{"from": 0, "to": 5, "label": "a"}]},
+    ],
+    "negative-vertex-count": ["euler-matrix", {"kind": "quiver", "vertices": -1}],
+    "module-axioms-fail": ["hochschild", A2_SPEC, "--coefficients", ZERO_ACTION],
+    "negative-top": ["hochschild", A2_SPEC, "--top", "-3"],
+    "negative-bar-check": ["hochschild", A2_SPEC, "--bar-check", "-1"],
+    "negative-samples": ["serre-check", A2_SPEC, "--samples", "-1"],
+    "negative-cap": ["--cap", "-1", "euler-matrix", A2_SPEC],
+    "corpus-negative-samples": ["corpus", "--samples", "-1"],
+    "corpus-negative-bar-depth": ["corpus", "--bar-depth", "-2"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exit_code(tmp_path, argv):
+    argv = [
+        a if isinstance(a, str) else write(tmp_path, f"input{k}.json", a)
+        for k, a in enumerate(argv)
+    ]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad option value
+        code = exc.code
+    assert code == 2
+
+
+def test_complement_idempotent_of_a_quiver_spec(tmp_path):
+    """The complement is built over the motive's own algebra, so it needs
+    no named algebra to be idempotent."""
+    target = {"algebra": A2_SPEC, "idempotent": {"kind": "complement", "of": _cut([1])["idempotent"]}}
+    path = write(tmp_path, "scenario.json", {"format": 1, "source": _cut([0]), "target": target})
+    code, report = run_to_report(tmp_path, ["verify", path])
+    assert code == 0
+    assert report["verdict"] is True
 
 
 def test_rational_literals_are_normalized_on_load():

@@ -1,10 +1,9 @@
 import pytest
 
 from ncmotives.complexes import ChainMap, cone, single_module_complex
-from ncmotives.corpus import corpus_quiver, random_perfect_complex
+from ncmotives.corpus import corpus_algebras, quiver_euler_oracle, random_perfect_complex
 from ncmotives.derived import (
     PairingMatrix,
-    check_proper,
     check_smooth,
     euler_matrix,
     euler_pairing,
@@ -18,18 +17,8 @@ from ncmotives.derived import (
 from ncmotives.homalg import hom_complex
 from ncmotives.linalg import Matrix
 from ncmotives.modules import projective_module, simple_modules
+from ncmotives.motives import hom_algebra
 from ncmotives.resolutions import projective_resolution
-
-
-def combinatorial_euler_form(name):
-    """Independent oracle: <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j,
-    as a matrix on the coordinate basis."""
-    q = corpus_quiver(name)
-    n = q.vertex_count
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a in q.arrows:
-        mat[a.source][a.target] -= 1
-    return mat
 
 
 def test_k0_of_simple_resolutions_is_standard_basis(a2, a3):
@@ -39,6 +28,15 @@ def test_k0_of_simple_resolutions_is_standard_basis(a2, a3):
             coords = list(k0_class(r).coords)
             expected = [1 if j == i else 0 for j in range(len(res))]
             assert coords == expected
+
+
+def test_k0_class_from_copies_matches_traces(a2, kronecker, rng):
+    """The copy branch of k0_class (a perfect complex) agrees with the trace
+    branch on the assembled complex of modules."""
+    for alg in corpus_algebras() + [hom_algebra(a2, kronecker)]:
+        for _ in range(8):
+            pc = random_perfect_complex(alg, rng, max_width=2, max_mult=2)
+            assert k0_class(pc) == k0_class(pc.to_complex())
 
 
 def test_k0_additive_on_cones(a2, rng):
@@ -79,7 +77,7 @@ def test_euler_matrix_semisimple_identity(qxq):
 @pytest.mark.parametrize("name", ["A2", "A3", "Kronecker"])
 def test_euler_matrix_matches_combinatorial_form(name, request):
     alg = request.getfixturevalue({"A2": "a2", "A3": "a3", "Kronecker": "kronecker"}[name])
-    assert euler_matrix(alg).matrix.data == combinatorial_euler_form(name)
+    assert euler_matrix(alg).matrix.data == quiver_euler_oracle(name)
 
 
 @pytest.mark.parametrize("name", ["Q", "QxQ", "A2", "A3", "Kronecker"])
@@ -227,10 +225,6 @@ def test_check_smooth_cap_exhaustion_returns_false():
     )
     ok, res = check_smooth(dual_numbers, cap=5)
     assert not ok and res is None
-
-
-def test_check_proper_constant_true(q, a2):
-    assert check_proper(q) and check_proper(a2)
 
 
 def test_quasi_isomorphism_invariance_of_chi(a2, rng):

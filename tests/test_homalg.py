@@ -8,7 +8,7 @@ from ncmotives.derived import k0_class
 from ncmotives.homalg import (
     dual_perfect,
     hom_complex,
-    tensor_euler_traces,
+    tensor_class,
     tensor_over,
 )
 from ncmotives.linalg import Matrix
@@ -218,14 +218,15 @@ def test_tensor_unit_constraint(a2, rng):
             assert t.homology(n)[0] == m.homology(n)[0]
 
 
-def test_tensor_euler_traces_match_assembled(a2, kronecker, rng):
+def test_tensor_class_matches_assembled(a2, kronecker, rng):
     q = scalar_algebra()
     e = tensor(opposite(a2), kronecker)
     e_rev = tensor(opposite(kronecker), a2)
     x = random_perfect_complex(e, rng, max_width=1)
     y = random_perfect_complex(e_rev, rng, max_width=1)
     t = tensor_over(x, y.to_complex(), a2, kronecker, a2)
-    traces = tensor_euler_traces(x, y.to_complex(), a2, kronecker, a2)
+    cls = tensor_class(x, y, a2, kronecker, a2)
+    assert tensor_class(x, y.to_complex(), a2, kronecker, a2) == cls
     env = tensor(opposite(a2), a2)
     idem_idx = env.idempotent_basis_indices()
     for r in range(len(env.idempotents)):
@@ -236,7 +237,7 @@ def test_tensor_euler_traces_match_assembled(a2, kronecker, rng):
                 continue
             tr = comp.action[idem_idx[r]].trace()
             total += (-1 if n % 2 else 1) * tr
-        assert total == traces[r]
+        assert total == cls[r]
 
 
 def test_tensor_over_output_is_a_complex_of_modules(a2, qxq, kronecker, rng):

@@ -2,6 +2,7 @@ import pytest
 
 from ncmotives.algebra import enveloping_algebra, opposite, tensor
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
+from ncmotives.derived import k0_class
 from ncmotives.linalg import Matrix
 from ncmotives.modules import (
     cover_data,
@@ -97,12 +98,12 @@ def test_direct_sum(a2):
     total.check()
 
 
-def test_idempotent_dims_are_dimension_vectors(a2):
+def test_k0_class_of_a_module_is_its_dimension_vector(a2):
     reg = regular_module(a2)
     # dim(A e_i) per idempotent: e0 fixes {e0}, arrow and e1 end at vertex 1
-    assert reg.idempotent_dims() == [1, 2]
+    assert k0_class(reg).coords == (1, 2)
     p0, _ = projective_module(a2, 0)
-    assert p0.idempotent_dims() == [1, 1]
+    assert k0_class(p0).coords == (1, 1)
 
 
 def test_diagonal_bimodule_action(a2):
