@@ -266,9 +266,6 @@ class Algebra:
             self._cache["radical"] = rad
         return rad
 
-    def is_semisimple(self) -> bool:
-        return self.radical().dim == 0
-
 
 # -- constructors -------------------------------------------------------------
 

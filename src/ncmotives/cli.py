@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+import weakref
 from fractions import Fraction
 
 from .algebra import (
@@ -111,10 +112,23 @@ def spec_index(value, bound: int, what: str) -> int:
 # -- algebra specs -----------------------------------------------------------------
 
 
+# Algebras built from specs, keyed by the canonical JSON of the spec.
+_interned_algebras = weakref.WeakValueDictionary()
+
+
 def algebra_from_spec(spec) -> Algebra:
-    """Build an algebra from a JSON spec.
+    """The algebra of a JSON spec.  Equal specs give one Algebra object (and
+    so one set of caches) for as long as it is in use.
 
     Kinds: scalar | named | quiver | opposite | tensor | table."""
+    key = json.dumps(spec, sort_keys=True)
+    a = _interned_algebras.get(key)
+    if a is None:
+        a = _interned_algebras[key] = _build_algebra(spec)
+    return a
+
+
+def _build_algebra(spec) -> Algebra:
     if not isinstance(spec, dict):
         raise InputError("algebra spec must be an object")
     kind = spec.get("kind", "quiver")

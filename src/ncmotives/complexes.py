@@ -79,9 +79,6 @@ class Complex:
     def euler_characteristic(self) -> int:
         return sum((-1 if n % 2 else 1) * m.dim for n, m in self.components.items())
 
-    def total_dim(self) -> int:
-        return sum(m.dim for m in self.components.values())
-
     def homology(self, n):
         """(dimension, representative rows) of H^n = ker d^n / im d^{n-1}."""
         dim_n = self.component_dim(n)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .algebra import Algebra, Quiver, path_algebra, scalar_algebra
 from .complexes import PerfectComplex, assemble_block_matrix
 from .linalg import Matrix
-from .modules import Module, quotient_module, regular_module, span_submodule
 from .motives import (
     Correspondence,
     NCMotive,
@@ -59,10 +58,6 @@ def corpus_algebra(name: str) -> Algebra:
             a.meta["name"] = name
             _algebras[name] = a
     return _algebras[name]
-
-
-def corpus_algebras():
-    return [corpus_algebra(n) for n in CORPUS_NAMES]
 
 
 # -- random generators -----------------------------------------------------------
@@ -142,21 +137,6 @@ def random_perfect_complex(
     return PerfectComplex(e, {0: (0,)}, {})
 
 
-def random_module(a: Algebra, rng: random.Random, copies: int = 1) -> Module:
-    """Random quotient of a free module (always a valid module)."""
-    from .modules import direct_sum_modules
-
-    free, _ = direct_sum_modules(a, [regular_module(a)] * copies)
-    gens = []
-    for _ in range(rng.randint(0, 2)):
-        gens.append([rng.randint(-1, 1) for _ in range(free.dim)])
-    if not gens:
-        return free
-    _, rb, _ = span_submodule(free, gens)
-    quot, _ = quotient_module(free, rb)
-    return quot
-
-
 def random_correspondence(
     src: NCMotive,
     dst: NCMotive,
@@ -222,36 +202,3 @@ def corpus_motive_scenarios():
         ("A3-cut0-to-Kronecker-cut1", cut(a3, [0]), cut(kr, [1])),
     ]
     return scenarios
-
-
-def restricted_gram_scenarios(rng: random.Random, count: int = 20):
-    """At least `count` idempotent-restricted Hom-space scenarios for kernel
-    equality sweeps, drawn deterministically from the corpus combinations."""
-    from .motives import complement_idempotent
-
-    algs = [corpus_algebra(n) for n in ("QxQ", "A2", "A3", "Kronecker")]
-    out = []
-    seen = 0
-    while seen < count:
-        a = rng.choice(algs)
-        b = rng.choice(algs)
-        n_a = len(a.idempotents)
-        n_b = len(b.idempotents)
-
-        def pick_idem(alg, n):
-            mode = rng.random()
-            if mode < 0.4:
-                return NCMotive(alg)
-            verts = [rng.randrange(n)]
-            e = vertex_cut_idempotent(alg, verts)
-            if mode < 0.8:
-                return NCMotive(alg, e)
-            return NCMotive(alg, complement_idempotent(e))
-
-        src = pick_idem(a, n_a)
-        dst = pick_idem(b, n_b)
-        if src.is_identity() and dst.is_identity() and a.dim * b.dim > 12:
-            continue  # keep the big unrestricted pairs out of the sweep
-        out.append((f"sweep-{seen}", src, dst))
-        seen += 1
-    return out

@@ -11,11 +11,19 @@ with the class of the second.
 
 Which terms must be perfect: the first argument of euler_pairing (and of
 homalg.hom_complex) is a PerfectComplex; the second may be any bounded
-complex.  The Serre transform is the derived Nakayama construction
-- (x)_A D(A), returned as the unresolved tensor complex: every consumer
-reads S(M) only as that second argument, so no perfect replacement is
-built.  resolve_complex makes one where a caller needs it.  The defining
-duality of S is verified by the test suite rather than assumed.
+complex.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
+naturally isomorphic to - (x)_A D(A) on perfect complexes.  It is read off
+the copies of M: Hom_A(e_i A, A) = A e_i, so the summandwise dual of M
+(homalg.dual_perfect) transposed into D(A e_i) gives S(M) as an unresolved
+complex of injectives; neither the enveloping algebra of A nor D(A) as a
+bimodule is built.  Every consumer reads S(M) only as the second argument
+above, so no perfect replacement is built either; resolve_complex makes one
+where a caller needs it.  The defining duality of S is verified by the test
+suite rather than assumed.
+
+Simple resolutions over a tensor algebra L (x) R (every Hom algebra is one)
+are the external tensor products of the factors' simple resolutions
+(Kuenneth), not projective resolutions over the product.
 """
 
 from __future__ import annotations
@@ -24,25 +32,19 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Algebra, scalar_algebra
-from .complexes import Complex, PerfectComplex, as_complex
-from .homalg import tensor_over
+from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
+from .homalg import dual_perfect
 from .linalg import Matrix
-from .modules import diagonal_bimodule, dual_bimodule, simple_modules
+from .modules import Module, diagonal_bimodule, simple_modules
 from .resolutions import (
     DEFAULT_CAP,
     ResolutionCapExceeded,
     projective_resolution,
+    resolution_length,
 )
 
 K0Class = namedtuple("K0Class", "algebra coords")
-
-
-class PairingMatrix(namedtuple("PairingMatrix", "matrix basis")):
-    __slots__ = ()
-
-    @property
-    def size(self):
-        return self.matrix.rows
+PairingMatrix = namedtuple("PairingMatrix", "matrix basis")
 
 
 def k0_class(x) -> K0Class:
@@ -85,13 +87,74 @@ def euler_pairing(m: PerfectComplex, n) -> int:
 
 
 def simple_resolutions(a: Algebra, cap: int = DEFAULT_CAP):
-    """Cached minimal resolutions of the simple modules, in idempotent order."""
+    """Cached minimal resolutions of the simple modules, in idempotent order.
+
+    Over a tensor algebra L (x) R the simple S_(i,j) is S_i (x) S_j, and its
+    minimal resolution is the external tensor product res(S_i) (x) res(S_j)
+    of the factors' cached resolutions (Kuenneth over the field), so nothing
+    is resolved over the product itself.  Any other algebra resolves its
+    simples by projective_resolution.  Either way a resolution longer than
+    cap raises ResolutionCapExceeded."""
     key = ("simple_resolutions", cap)
     if key not in a._cache:
-        a._cache[key] = [
-            projective_resolution(s, cap)[0] for s in simple_modules(a)
-        ]
+        factors = a.meta.get("factors")
+        if factors is None:
+            res = [projective_resolution(s, cap)[0] for s in simple_modules(a)]
+        else:
+            left, right = (simple_resolutions(f, cap) for f in factors)
+            longest = sum(
+                max(map(resolution_length, r), default=0) for r in (left, right)
+            )
+            if longest > cap:
+                raise ResolutionCapExceeded(
+                    f"simple resolutions over {a!r} have length {longest} > cap {cap}"
+                )
+            res = [external_tensor(a, x, y) for x in left for y in right]
+        a._cache[key] = res
     return a._cache[key]
+
+
+def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> PerfectComplex:
+    """x (x) y over a = tensor(L, R) for perfect x over L and y over R.
+
+    Copy (i, j) of degree p + q pairs copy i of x^p with copy j of y^q; the
+    copies of a degree are in a's idempotent order.  The block of d from
+    (i, j) to (i', j) is z (x) e_j for the block z of d_x, the block from
+    (i, j) to (i, j') is (-1)^p e_i (x) w for the block w of d_y."""
+    left, right = a.meta["factors"]
+    n_r = len(right.idempotents)
+    e_l = [left.basis_vector(g) for g in left.idempotent_basis_indices()]
+    e_r = [right.basis_vector(g) for g in right.idempotent_basis_indices()]
+    slots: dict = {}
+    for p, cs_x in x.copies.items():
+        for q, cs_y in y.copies.items():
+            for c, i in enumerate(cs_x):
+                for c2, j in enumerate(cs_y):
+                    slots.setdefault(p + q, []).append((i * n_r + j, p, q, c, c2))
+    for entries in slots.values():
+        entries.sort()
+    pos = {key[1:]: k for entries in slots.values() for k, key in enumerate(entries)}
+    copies = {n: tuple(e[0] for e in entries) for n, entries in slots.items()}
+    diffs = {}
+    for n, entries in slots.items():
+        if n + 1 not in slots:
+            continue
+        blocks = {}
+        for k, (idem, p, q, c, c2) in enumerate(entries):
+            i, j = divmod(idem, n_r)
+            for (s, t), z in x.block_elements(p).items():
+                if s == c:
+                    blocks[(k, pos[(p + 1, q, t, c2)])] = [
+                        u * v for u in z for v in e_r[j]
+                    ]
+            sign = -1 if p % 2 else 1
+            for (s, t), w in y.block_elements(q).items():
+                if s == c2:
+                    blocks[(k, pos[(p, q + 1, c, t)])] = [
+                        sign * u * v for u in e_l[i] for v in w
+                    ]
+        diffs[n] = assemble_block_matrix(a, copies[n], copies[n + 1], blocks)
+    return PerfectComplex(a, copies, diffs)
 
 
 def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> PairingMatrix:
@@ -121,15 +184,23 @@ def euler_pairing_classes(a: Algebra, u, v):
 
 
 def serre(m: PerfectComplex) -> Complex:
-    """Serre transform: the tensor complex M (x)_A D(A).
+    """Serre transform S(M) = D(Hom_A(M, A)), naturally isomorphic to
+    M (x)_A D(A) for perfect M (the Nakayama functor).
 
-    M must be perfect, which makes this tensor product the derived one.  The
-    result is not resolved: use it as the second argument of euler_pairing
-    or hom_complex, where any bounded complex is valid, or pass it to
+    Hom_A(M, A) is the summandwise dual of M (copies A e_i, degrees negated);
+    transposing its action matrices and differentials and negating the
+    degrees again gives the complex of injectives D(A e_i).  The result is
+    not resolved: use it as the second argument of euler_pairing or
+    hom_complex, where any bounded complex is valid, or pass it to
     resolve_complex for a perfect replacement."""
     a = m.algebra
-    q = scalar_algebra()
-    return tensor_over(m, as_complex(dual_bimodule(a)), q, a, a, check=False)
+    d = dual_perfect(m, scalar_algebra(), a).to_complex()
+    comps = {
+        -n: Module(a, c.dim, [g.transpose() for g in c.action])
+        for n, c in d.components.items()
+    }
+    diffs = {-n - 1: f.transpose() for n, f in d.differentials.items()}
+    return Complex(a, comps, diffs, check=False)
 
 
 def kernel_left(g: PairingMatrix):
@@ -158,9 +229,3 @@ def check_smooth(a: Algebra, cap: int = DEFAULT_CAP):
         return True, diagonal_resolution(a, cap)
     except ResolutionCapExceeded:
         return False, None
-
-
-def injective_dimension_vector(a: Algebra, i: int):
-    """Dimension vector of the injective dual of the left projective A e_i
-    (independent check target for the Serre transform on projectives)."""
-    return [a.peirce_dim(j, i) for j in range(len(a.idempotents))]

@@ -256,6 +256,23 @@ def tensor_over(
         k: {(e[0], e[1]): e for e in entries} for k, entries in layout.items()
     }
 
+    # block coordinates of the right action of r on the e_m Y^q block
+    yrows_cache: dict = {}
+
+    def yrows(q, m_i, r):
+        key = (q, m_i, r)
+        if key not in yrows_cache:
+            yb = yblock(q, m_i)
+            ymat = yright(q, r)
+            rows = []
+            for v in yb.rows:
+                cs = yb.coords(row_times(v, ymat))
+                if cs is None:
+                    raise AssertionError("right action escaped the block")
+                rows.append(cs)
+            yrows_cache[key] = rows
+        return yrows_cache[key]
+
     # components with their module structure over e_t
     components: dict[int, Module] = {}
     for k, entries in layout.items():
@@ -265,19 +282,11 @@ def tensor_over(
             a_i, r_i = split_pair_basis(opposite(left), right, t)
             big = [[0] * total for _ in range(total)]
             for (p, c, l_i, m_i, lblock, yb, off) in entries:
-                q = k - p
                 # left multiplication of basis a_i on L e_l, in block coords
                 lrows = left.mul[a_i]
                 lpos = {u: s for s, u in enumerate(lblock)}
                 ydim = yb.dim
-                # right action of r_i on the y block
-                ymat = yright(q, r_i)
-                yrows = []
-                for v in yb.rows:
-                    cs = yb.coords(row_times(v, ymat))
-                    if cs is None:
-                        raise AssertionError("right action escaped the block")
-                    yrows.append(cs)
+                yr_block = yrows(k - p, m_i, r_i)
                 for s, u in enumerate(lblock):
                     for u2, cl in lrows[u]:
                         if u2 not in lpos:
@@ -285,7 +294,7 @@ def tensor_over(
                         s2 = lpos[u2]
                         for vi in range(ydim):
                             src = off + s * ydim + vi
-                            yr = yrows[vi]
+                            yr = yr_block[vi]
                             dst_base = off + s2 * ydim
                             row = big[src]
                             for vj, cy in enumerate(yr):

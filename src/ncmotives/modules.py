@@ -306,7 +306,10 @@ def dual_bimodule(a: Algebra) -> Module:
     """The linear dual D(A) as an A-A-bimodule: (x phi y)(c) = phi(y c x).
 
     In dual-basis coordinates the pair (b_i^op, b_j) acts by the transpose
-    of L_j R_i: entry (k, s) is the coefficient of b_k in b_j b_s b_i."""
+    of L_j R_i: entry (k, s) is the coefficient of b_k in b_j b_s b_i.  It
+    needs the enveloping algebra of A.  At runtime only `hochschild` with
+    dual coefficients calls it; derived.serre builds S(M) from the copies of
+    M instead, and the tests use M (x)_A D(A) as its oracle."""
     m = a._cache.get("dual_bimodule")
     if m is None:
         env = enveloping_algebra(a)

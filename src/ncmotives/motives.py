@@ -164,11 +164,6 @@ class Correspondence:
             raise ValueError("cannot add correspondences with different endpoints")
         return Correspondence(self.source, self.target, self.terms + other.terms)
 
-    def is_restricted(self) -> bool:
-        """Whether the class lies in e o K0 o e' for the endpoint idempotents."""
-        cls = self.k0()
-        return project_class(self.source, self.target, cls) == cls
-
     def __repr__(self):
         return f"<Correspondence {self.source.name} -> {self.target.name}, {len(self.terms)} terms>"
 

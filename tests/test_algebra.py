@@ -185,8 +185,8 @@ def test_radical_is_arrow_span():
 
 
 def test_semisimple_detection():
-    assert corpus_algebra("QxQ").is_semisimple()
-    assert not corpus_algebra("A2").is_semisimple()
+    assert corpus_algebra("QxQ").radical().dim == 0
+    assert corpus_algebra("A2").radical().dim != 0
 
 
 def test_peirce_requires_monomial_idempotents():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ncmotives.cli import algebra_from_spec, main, module_from_spec
+from ncmotives.cli import algebra_from_spec, main, module_from_spec, motive_from_spec
 
 A2_SPEC = {
     "format": 1,
@@ -183,6 +183,29 @@ def test_intersect_command(tmp_path):
     assert code == 0  # symmetry check passes
 
 
+def test_equal_specs_share_one_algebra():
+    spec = {"algebra": _line_quiver(3)}
+    assert motive_from_spec(spec).algebra is motive_from_spec(json.loads(json.dumps(spec))).algebra
+    assert algebra_from_spec(A2_SPEC) is algebra_from_spec(dict(reversed(list(A2_SPEC.items()))))
+
+
+def test_intersect_diagonal_terms_on_equal_quiver_specs(tmp_path):
+    """Source and target given by equal (non-named) specs are one algebra,
+    so diagonal terms are accepted."""
+    diagonal = {"terms": [{"bimodule": {"kind": "diagonal"}}]}
+    scenario = {
+        "format": 1,
+        "source": {"algebra": A2_SPEC},
+        "target": {"algebra": A2_SPEC},
+        "x": diagonal,
+        "y": diagonal,
+    }
+    path = write(tmp_path, "scenario.json", scenario)
+    code, report = run_to_report(tmp_path, ["intersect", path])
+    assert code == 0
+    assert report["verdict"] is True
+
+
 def test_malformed_json_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -318,6 +341,14 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert main(["--cap", "4", "euler-matrix", spec]) == 4
 
 
+def test_cap_exceeded_on_a_hom_algebra_exit_code(tmp_path):
+    """The simple resolutions over op(A3) (x) A3 have length 2, so cap 1
+    must refuse them even though each factor's resolutions fit."""
+    a3 = {"algebra": _line_quiver(3)}
+    path = write(tmp_path, "a3.json", {"format": 1, "source": a3, "target": a3})
+    assert main(["--cap", "1", "verify", path]) == 4
+
+
 def test_report_determinism(tmp_path):
     spec = write(tmp_path, "a2.json", A2_SPEC)
     out1 = tmp_path / "r1.json"
@@ -366,6 +397,7 @@ def _line_quiver(n):
 PINNED_VERIFY = {
     (3, 3): "ca66a827db84da1538f5aa85acc98d81f817dfca381a0840e8fae56bf403b382",
     (4, 2): "7904f49a9dd3e440bb156adaa05af9b676619a1bee182106a9fb1f051d3a0229",
+    (5, 3): "ca015bd098424cf466a5665f495a275e77aabad6c0e3f5217b982731e4362a0d",
 }
 PINNED_CORPUS = "1e6fc928f8fa8616796f1da209bf543f21987ae5d21196a1b7c13da0b301461a"
 

@@ -1,24 +1,36 @@
 import pytest
 
+from collections import Counter
+
+from ncmotives.algebra import scalar_algebra
 from ncmotives.complexes import ChainMap, cone, single_module_complex
-from ncmotives.corpus import corpus_algebras, quiver_euler_oracle, random_perfect_complex
+from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, quiver_euler_oracle, random_perfect_complex
 from ncmotives.derived import (
     PairingMatrix,
     check_smooth,
     euler_matrix,
     euler_pairing,
-    injective_dimension_vector,
     k0_class,
     kernel_left,
     kernel_right,
     serre,
     simple_resolutions,
 )
-from ncmotives.homalg import hom_complex
+from ncmotives.homalg import hom_complex, tensor_over
 from ncmotives.linalg import Matrix
-from ncmotives.modules import projective_module, simple_modules
+from ncmotives.modules import dual_bimodule, projective_module, simple_modules
 from ncmotives.motives import hom_algebra
-from ncmotives.resolutions import projective_resolution
+from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution
+
+
+def corpus_algebras():
+    return [corpus_algebra(n) for n in CORPUS_NAMES]
+
+
+def injective_dimension_vector(a, i):
+    """Dimension vector of the injective dual D(A e_i) of the left projective
+    A e_i, read from the Peirce dimensions (the oracle for S(e_i A))."""
+    return [a.peirce_dim(j, i) for j in range(len(a.idempotents))]
 
 
 def test_k0_of_simple_resolutions_is_standard_basis(a2, a3):
@@ -177,6 +189,73 @@ def test_unresolved_serre_matches_its_perfect_replacement(name, request, rng):
         for _ in range(2):
             n = random_perfect_complex(alg, rng)
             assert euler_pairing(n, sm) == euler_pairing(n, res.to_complex())
+
+
+def _serre_oracle_algebras():
+    names = [("A2", "Kronecker"), ("A3", "A3"), ("Kronecker", "A2")]
+    return corpus_algebras() + [
+        hom_algebra(corpus_algebra(x), corpus_algebra(y)) for x, y in names
+    ]
+
+
+def test_serre_matches_tensor_with_the_dual_bimodule():
+    """S(M) = D(Hom_A(M, A)) equals M (x)_A D(A) entry for entry: same
+    components, same action matrices, same differentials, on the simple
+    resolutions of the corpus algebras and of three Hom algebras (27 cases).
+    Action matrices are compared because a wrong transpose keeps traces."""
+    cases = 0
+    for alg in _serre_oracle_algebras():
+        dual = dual_bimodule(alg)
+        for m in simple_resolutions(alg):
+            got = serre(m)
+            want = tensor_over(m, dual, scalar_algebra(), alg, alg, check=False)
+            assert got.algebra is want.algebra is alg
+            assert sorted(got.components) == sorted(want.components)
+            for n, comp in want.components.items():
+                assert got.components[n].action == comp.action
+            assert got.differentials == want.differentials
+            cases += 1
+    assert cases == 27
+
+
+def _euler_gram(res):
+    return [[euler_pairing(x, y) for y in res] for x in res]
+
+
+def _corpus_hom_algebras():
+    names = [n for n in CORPUS_NAMES if n != "Q"]
+    return [
+        hom_algebra(corpus_algebra(x), corpus_algebra(y)) for x in names for y in names
+    ]
+
+
+def test_kunneth_simple_resolutions_match_projective_resolutions():
+    """Over a Hom algebra op(A) (x) B the simple resolutions are external
+    tensor products of the factors' ones; each has the copies, homology and
+    class of the minimal projective resolution over the product, and the
+    Euler matrix is the same."""
+    for e in _corpus_hom_algebras():
+        assert e.meta["factors"]
+        kunneth = simple_resolutions(e)
+        direct = [projective_resolution(s)[0] for s in simple_modules(e)]
+        assert len(kunneth) == len(direct) == len(e.idempotents)
+        for k, d in zip(kunneth, direct):
+            assert {n: Counter(c) for n, c in k.copies.items()} == {
+                n: Counter(c) for n, c in d.copies.items()
+            }
+            assert k.homology_dims() == d.homology_dims()
+            assert k0_class(k) == k0_class(d)
+        assert euler_matrix(e).matrix.data == _euler_gram(direct)
+
+
+def test_kunneth_simple_resolutions_respect_the_cap():
+    """The product of two length-1 resolutions has length 2: cap 1 refuses
+    it, cap 2 accepts it."""
+    e = hom_algebra(corpus_algebra("A3"), corpus_algebra("A3"))
+    with pytest.raises(ResolutionCapExceeded):
+        simple_resolutions(e, cap=1)
+    lengths = [r.hi - r.lo for r in simple_resolutions(e, cap=2)]
+    assert max(lengths) == 2
 
 
 def test_kernels_of_identity_and_zero():

@@ -2,19 +2,33 @@ import pytest
 
 from ncmotives.algebra import Algebra, sparse_table
 from ncmotives.complexes import Complex, PerfectComplex, single_module_complex
-from ncmotives.corpus import random_module, random_perfect_complex
+from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class
 from ncmotives.linalg import Matrix
 from ncmotives.modules import (
     diagonal_bimodule,
+    direct_sum_modules,
     projective_module,
+    quotient_module,
+    regular_module,
     simple_modules,
+    span_submodule,
 )
 from ncmotives.resolutions import (
     ResolutionCapExceeded,
     projective_resolution,
     resolve_complex,
 )
+
+
+def random_module(a, rng, copies=1):
+    """Random quotient of a free module (always a valid module)."""
+    free, _ = direct_sum_modules(a, [regular_module(a)] * copies)
+    gens = [[rng.randint(-1, 1) for _ in range(free.dim)] for _ in range(rng.randint(0, 2))]
+    if not gens:
+        return free
+    _, rb, _ = span_submodule(free, gens)
+    return quotient_module(free, rb)[0]
 
 
 def dual_numbers():
