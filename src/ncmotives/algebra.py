@@ -138,17 +138,6 @@ class Algebra:
         v[i] = 1
         return v
 
-    def left_matrix(self, i) -> Matrix:
-        """L_i with row convention: row(b_i * x) = row(x) * L_i."""
-        mats = self._cache.get("left_matrices")
-        if mats is None:
-            mats = [None] * self.dim
-            self._cache["left_matrices"] = mats
-        if mats[i] is None:
-            # row s of L_i holds the coordinates of b_i * b_s
-            mats[i] = Matrix(self.dim, self.dim, [self._dense(p) for p in self.mul[i]])
-        return mats[i]
-
     def right_matrix(self, j) -> Matrix:
         """R_j with row convention: row(x * b_j) = row(x) * R_j."""
         mats = self._cache.get("right_matrices")
@@ -187,31 +176,38 @@ class Algebra:
         return idx
 
     def peirce(self):
-        """(left, right) idempotent index per basis element: e_l b e_r = b."""
+        """(left, right) idempotent index per basis element: e_l b e_r = b.
+
+        Read from the sparse structure constants: e b_t is the sum of
+        e_k * mul[k][t] over the nonzero coordinates e_k of e."""
         pr = self._cache.get("peirce")
         if pr is None:
-            left = [None] * self.dim
-            right = [None] * self.dim
+            found = {"left": [None] * self.dim, "right": [None] * self.dim}
             for r, e in enumerate(self.idempotents):
+                e_nz = [(k, x) for k, x in enumerate(e) if x]
                 for t in range(self.dim):
-                    b = self.basis_vector(t)
-                    if self.multiply(e, b) == b:
-                        if left[t] is not None:
+                    for side, index in found.items():
+                        if not self._fixes(e_nz, t, side):
+                            continue
+                        if index[t] is not None:
                             raise AlgebraStructureError(
-                                f"basis element {t} has two left idempotents"
+                                f"basis element {t} has two {side} idempotents"
                             )
-                        left[t] = r
-                    if self.multiply(b, e) == b:
-                        if right[t] is not None:
-                            raise AlgebraStructureError(
-                                f"basis element {t} has two right idempotents"
-                            )
-                        right[t] = r
-            if any(x is None for x in left) or any(x is None for x in right):
+                        index[t] = r
+            pr = (found["left"], found["right"])
+            if None in pr[0] or None in pr[1]:
                 raise AlgebraStructureError("basis is not adapted to the idempotents")
-            pr = (left, right)
             self._cache["peirce"] = pr
         return pr
+
+    def _fixes(self, e_nz, t, side) -> bool:
+        """Whether e b_t = b_t (side "left") or b_t e = b_t ("right"), for e
+        given by its nonzero (k, e_k) pairs."""
+        out: dict = {}
+        for k, x in e_nz:
+            for m, c in self.mul[k][t] if side == "left" else self.mul[t][k]:
+                out[m] = out.get(m, 0) + x * c
+        return {m: c for m, c in out.items() if c} == {t: 1}
 
     def projective_basis(self, i):
         """Monomial basis indices of e_i * A (paths starting at i)."""
@@ -239,18 +235,34 @@ class Algebra:
             ]
         return self._cache[key]
 
+    def peirce_dims(self):
+        """The integer table dim(e_i A e_j), built once per algebra."""
+        dims = self._cache.get("peirce_dims")
+        if dims is None:
+            n = len(self.idempotents)
+            dims = [[0] * n for _ in range(n)]
+            for i, j in zip(*self.peirce()):
+                dims[i][j] += 1
+            self._cache["peirce_dims"] = dims
+        return dims
+
     def peirce_dim(self, i, j) -> int:
         """dim(e_i A e_j)."""
-        return len(self.peirce_block(i, j))
+        return self.peirce_dims()[i][j]
 
     # -- radical -------------------------------------------------------------
 
     def radical(self) -> RowBasis:
         """Jacobson radical via the regular trace form (characteristic zero:
-        rad A is the kernel of (x, y) -> trace of left multiplication by xy)."""
+        rad A is the kernel of (x, y) -> trace of left multiplication by xy).
+        tr(L_k) is read from the sparse structure constants: the sum over s
+        of the b_s coefficient of b_k b_s."""
         rad = self._cache.get("radical")
         if rad is None:
-            tl = [self.left_matrix(k).trace() for k in range(self.dim)]
+            tl = [
+                sum(c for s, prod in enumerate(row) for m, c in prod if m == s)
+                for row in self.mul
+            ]
             gram = [
                 [
                     norm_scalar(
@@ -443,38 +455,26 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
 
 
 # -- pair-index helpers for tensor algebras -----------------------------------
+#
+# tensor(Q, a) and tensor(a, Q) are a itself; since the scalar algebra has one
+# basis element and one idempotent, the pair formulas below already give the
+# identity indexing there and need no special case.
 
 
 def split_pair_basis(left: Algebra, right: Algebra, t: int):
     """Decompose a basis index of tensor(left, right) into factor indices."""
-    if left is scalar_algebra():
-        return 0, t
-    if right is scalar_algebra():
-        return t, 0
     return divmod(t, right.dim)
 
 
 def join_pair_basis(left: Algebra, right: Algebra, i: int, j: int) -> int:
-    if left is scalar_algebra():
-        return j
-    if right is scalar_algebra():
-        return i
     return i * right.dim + j
 
 
 def split_pair_idempotent(left: Algebra, right: Algebra, r: int):
-    if left is scalar_algebra():
-        return 0, r
-    if right is scalar_algebra():
-        return r, 0
     return divmod(r, len(right.idempotents))
 
 
 def join_pair_idempotent(left: Algebra, right: Algebra, i: int, j: int) -> int:
-    if left is scalar_algebra():
-        return j
-    if right is scalar_algebra():
-        return i
     return i * len(right.idempotents) + j
 
 

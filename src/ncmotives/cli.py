@@ -6,7 +6,8 @@ output is a JSON report on stdout or --out.  Identical inputs and seed
 produce byte-identical reports (timing is only included with --timing).
 
 Exit codes: 0 all checks passed; 1 some check failed; 2 malformed input;
-3 unsupported input class (e.g. a cyclic quiver); 4 resolution cap exceeded.
+3 unsupported input class (e.g. a cyclic quiver); 4 resolution cap exceeded;
+5 internal error (a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 class InputError(ValueError):
@@ -157,11 +159,13 @@ def _build_algebra(spec) -> Algebra:
             raise InputError(f"bad quiver spec: {exc}") from exc
         return path_algebra(quiver)
     if kind == "opposite":
+        if "of" not in spec:
+            raise InputError("opposite spec needs an 'of' algebra")
         return opposite(algebra_from_spec(spec["of"]))
     if kind == "tensor":
         factors = spec.get("factors", [])
-        if len(factors) != 2:
-            raise InputError("tensor spec needs exactly two factors")
+        if not isinstance(factors, list) or len(factors) != 2:
+            raise InputError("tensor spec needs a list of exactly two factors")
         return tensor(algebra_from_spec(factors[0]), algebra_from_spec(factors[1]))
     if kind == "table":
         try:
@@ -731,6 +735,11 @@ def main(argv=None) -> int:
     except ResolutionCapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP
+    except Exception:
+        import traceback
+
+        sys.stderr.write("internal error:\n" + traceback.format_exc())
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .algebra import Algebra, scalar_algebra
 from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
 from .homalg import dual_perfect
 from .linalg import Matrix
-from .modules import Module, diagonal_bimodule, simple_modules
+from .modules import LazyActions, Module, diagonal_bimodule, simple_modules
 from .resolutions import (
     DEFAULT_CAP,
     ResolutionCapExceeded,
@@ -51,18 +51,22 @@ def k0_class(x) -> K0Class:
     """Class of a complex or module in the simple basis.
 
     A perfect complex's class is read from its copies: e_i A contributes
-    dim(e_i A e_j) to coordinate j, with the sign of its degree.  Any other
-    complex (or module) gives the alternating sum over its components of the
-    traces of the idempotent actions, which are the dimensions M e_j."""
+    dim(e_i A e_j) to coordinate j, with the sign of its degree; it is
+    memoized in the complex's cache.  Any other complex (or module) gives
+    the alternating sum over its components of the traces of the idempotent
+    actions, which are the dimensions M e_j."""
     if isinstance(x, PerfectComplex):
-        a = x.algebra
-        n = len(a.idempotents)
-        weights = x.euler_copy_weights()
-        coords = [
-            sum(w * a.peirce_dim(i, j) for i, w in enumerate(weights) if w)
-            for j in range(n)
-        ]
-        return K0Class(a, tuple(coords))
+        k = x._cache.get("k0_class")
+        if k is None:
+            a = x.algebra
+            dims = a.peirce_dims()
+            weights = x.euler_copy_weights()
+            coords = [
+                sum(w * dims[i][j] for i, w in enumerate(weights) if w)
+                for j in range(len(dims))
+            ]
+            k = x._cache["k0_class"] = K0Class(a, tuple(coords))
+        return k
     c = as_complex(x)
     a = c.algebra
     idem_idx = a.idempotent_basis_indices()
@@ -196,7 +200,7 @@ def serre(m: PerfectComplex) -> Complex:
     a = m.algebra
     d = dual_perfect(m, scalar_algebra(), a).to_complex()
     comps = {
-        -n: Module(a, c.dim, [g.transpose() for g in c.action])
+        -n: Module(a, c.dim, LazyActions(a.dim, c.dim, lambda j, c=c: c.action[j].transpose()))
         for n, c in d.components.items()
     }
     diffs = {-n - 1: f.transpose() for n, f in d.differentials.items()}

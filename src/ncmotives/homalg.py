@@ -14,7 +14,9 @@ instead of large commutant solves.  Conventions:
   Its degree-k cohomology computes morphisms M -> shift(N, k) in the derived
   category; alternating sums of these dimensions form the Euler pairing.
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
-  tensor_over assembles the total complex; tensor_class gives only its
+  tensor_over assembles the total complex: its block layout and
+  differentials at once, each component action matrix on first read (a
+  class reads only the idempotent ones).  tensor_class gives only its
   Grothendieck class, from the copies of x and the class of y
   (derived.k0_class), and never assembles.
 * dual() applies Hom(-, ring) summandwise, negating degrees, transporting
@@ -43,7 +45,7 @@ from .complexes import (
     scalar_complex,
 )
 from .linalg import Matrix, RowBasis, matrix_sum, row_times
-from .modules import Module
+from .modules import LazyActions, Module
 
 
 # -- right idempotent images ----------------------------------------------------
@@ -165,6 +167,11 @@ def tensor_over(
     is the direct sum over p+q = k and copies (l, m) of
 
         (L e_l) (x) (e_m . Y^q).
+
+    The layout and the differentials are built here; each component's
+    action matrix of a basis element of tensor(opposite(left), right) is
+    built on first read and kept (modules.LazyActions), so a reader of the
+    Grothendieck class builds only the idempotent actions.
     """
     y = as_complex(y)
     e_x = tensor(opposite(left), middle)
@@ -273,12 +280,12 @@ def tensor_over(
             yrows_cache[key] = rows
         return yrows_cache[key]
 
-    # components with their module structure over e_t
-    components: dict[int, Module] = {}
-    for k, entries in layout.items():
-        total = dims[k]
-        action = []
-        for t in range(e_t.dim):
+    def component_action(k):
+        """Builder of the action matrix of basis element t of e_t on the
+        degree-k component."""
+        entries, total = layout[k], dims[k]
+
+        def build(t):
             a_i, r_i = split_pair_basis(opposite(left), right, t)
             big = [[0] * total for _ in range(total)]
             for (p, c, l_i, m_i, lblock, yb, off) in entries:
@@ -300,8 +307,16 @@ def tensor_over(
                             for vj, cy in enumerate(yr):
                                 if cy:
                                     row[dst_base + vj] += cl * cy
-            action.append(Matrix(total, total, big))
-        components[k] = Module(e_t, total, action)
+            return Matrix(total, total, big)
+
+        return build
+
+    # components with their module structure over e_t; each action matrix
+    # is built on first read
+    components = {
+        k: Module(e_t, dims[k], LazyActions(e_t.dim, dims[k], component_action(k)))
+        for k in layout
+    }
 
     # differentials
     diffs: dict[int, Matrix] = {}
@@ -379,20 +394,22 @@ def tensor_class(x: PerfectComplex, y, left, middle, right) -> list:
     ky = k0_class(y)
     if ky.algebra is not tensor(opposite(middle), right):
         raise ValueError("y does not live over tensor(op(middle), right)")
+    op_l, op_m = opposite(left), opposite(middle)
     n_l = len(left.idempotents)
     n_r = len(right.idempotents)
+    ldims = left.peirce_dims()
     out = [0] * (n_l * n_r)
     for idem, w in enumerate(x.euler_copy_weights()):
         if not w:
             continue
-        l_i, m_i = split_pair_idempotent(opposite(left), middle, idem)
+        l_i, m_i = split_pair_idempotent(op_l, middle, idem)
         for i in range(n_l):
-            d = w * left.peirce_dim(i, l_i)
+            d = w * ldims[i][l_i]
             if not d:
                 continue
             for j in range(n_r):
-                out[join_pair_idempotent(opposite(left), right, i, j)] += d * ky.coords[
-                    join_pair_idempotent(opposite(middle), right, m_i, j)
+                out[join_pair_idempotent(op_l, right, i, j)] += d * ky.coords[
+                    join_pair_idempotent(op_m, right, m_i, j)
                 ]
     return out
 

@@ -1,7 +1,9 @@
 """Right modules over the algebras of this package.
 
-A module of dimension d stores one d x d action matrix per algebra basis
-element.  Elements are row vectors and act on the right:
+A module of dimension d has one d x d action matrix per algebra basis
+element, in a sequence indexed by basis element: a list, or LazyActions,
+which builds each matrix on first read.  Elements are row vectors and act on
+the right:
 
     row(m * b_j) = row(m) * action[j]
 
@@ -22,18 +24,59 @@ from .algebra import (
 from .linalg import Matrix, RowBasis, matrix_sum, row_times, vec_is_zero
 
 
+class LazyActions:
+    """Action matrices built on first read by build(j) and kept, for modules
+    whose readers need only a few of them (a class reads the idempotent
+    actions alone).  Iteration and comparison build every matrix."""
+
+    __slots__ = ("dim", "_build", "_mats")
+
+    def __init__(self, count: int, dim: int, build):
+        self.dim = dim
+        self._build = build
+        self._mats = [None] * count
+
+    def __len__(self):
+        return len(self._mats)
+
+    def __getitem__(self, j) -> Matrix:
+        j = range(len(self._mats))[j]
+        m = self._mats[j]
+        if m is None:
+            m = self._build(j)
+            if m.rows != self.dim or m.cols != self.dim:
+                raise ValueError("action matrix has wrong shape")
+            self._mats[j] = m
+        return m
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self._mats)))
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+
 class Module:
+    """A right module: action[j] is the matrix of basis element j.  action
+    is a sequence indexed by basis element; a LazyActions fills it on
+    demand, and the shape check here leaves it unbuilt."""
+
     __slots__ = ("algebra", "dim", "action")
 
     def __init__(self, algebra: Algebra, dim: int, action, check=False):
         self.algebra = algebra
         self.dim = dim
-        self.action = list(action)
-        if len(self.action) != algebra.dim:
-            raise ValueError("one action matrix per algebra basis element required")
-        for m in self.action:
-            if m.rows != dim or m.cols != dim:
+        if isinstance(action, LazyActions):
+            if action.dim != dim:
                 raise ValueError("action matrix has wrong shape")
+        else:
+            action = list(action)
+            for m in action:
+                if m.rows != dim or m.cols != dim:
+                    raise ValueError("action matrix has wrong shape")
+        self.action = action
+        if len(action) != algebra.dim:
+            raise ValueError("one action matrix per algebra basis element required")
         if check:
             self.check()
 
@@ -115,7 +158,8 @@ def projective_module(a: Algebra, i: int):
 
 
 def direct_sum_modules(a: Algebra, mods):
-    """(Module, offsets).  The zero-summand case gives the zero module."""
+    """(Module, offsets).  The zero-summand case gives the zero module.
+    Each block-diagonal action matrix is built on first read."""
     dims = [m.dim for m in mods]
     total = sum(dims)
     offsets = []
@@ -123,8 +167,8 @@ def direct_sum_modules(a: Algebra, mods):
     for d in dims:
         offsets.append(off)
         off += d
-    action = []
-    for j in range(a.dim):
+
+    def build(j):
         big = [[0] * total for _ in range(total)]
         for m, o in zip(mods, offsets):
             data = m.action[j].data
@@ -134,8 +178,9 @@ def direct_sum_modules(a: Algebra, mods):
                 for c in range(m.dim):
                     if src[c]:
                         row[o + c] = src[c]
-        action.append(Matrix(total, total, big))
-    return Module(a, total, action), offsets
+        return Matrix(total, total, big)
+
+    return Module(a, total, LazyActions(a.dim, total, build)), offsets
 
 
 def span_submodule(m: Module, generators):

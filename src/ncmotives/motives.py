@@ -120,8 +120,7 @@ class NCMotive:
 def identity_class(a: Algebra):
     """Class of the diagonal bimodule in the simple basis of the enveloping
     algebra: the Peirce dimension vector."""
-    n = len(a.idempotents)
-    return [a.peirce_dim(i, j) for i in range(n) for j in range(n)]
+    return [d for row in a.peirce_dims() for d in row]
 
 
 class Correspondence:

@@ -304,6 +304,26 @@ def test_trace_of_unresolved_composite_matches_perfect_replacement(composable_pa
         assert trace(z) == trace(resolved)
 
 
+
+def test_composite_actions_built_on_first_read_are_module_actions(composable_pairs):
+    """compose builds each component action of its tensor complexes on first
+    read.  Read through the class (idempotent actions only) each term's
+    class equals tensor_class of its factors; read in full, every component
+    satisfies the module axioms."""
+    from ncmotives.derived import k0_class
+    from ncmotives.homalg import tensor_class
+
+    for x, y in composable_pairs:
+        a, b, c = x.source.algebra, x.target.algebra, y.target.algebra
+        z = compose(y, x)
+        factors = [(xt, yt) for _, xt in x.terms for _, yt in y.terms]
+        assert len(factors) == len(z.terms)
+        for (xt, yt), (_, t) in zip(factors, z.terms):
+            assert list(k0_class(t).coords) == tensor_class(xt, yt, a, b, c)
+            for comp in t.components.values():
+                comp.check()
+
+
 def test_c08_commutative_square(parallel_pairs):
     t0 = time.monotonic()
     ok = True

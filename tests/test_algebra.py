@@ -1,15 +1,96 @@
 import pytest
 
+from fractions import Fraction
+
 from ncmotives.algebra import (
+    Algebra,
     AlgebraStructureError,
     CyclicQuiverError,
     Quiver,
+    enveloping_algebra,
     opposite,
     path_algebra,
     scalar_algebra,
+    sparse_table,
     tensor,
 )
-from ncmotives.corpus import corpus_algebra, corpus_quiver
+from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, corpus_quiver
+from ncmotives.linalg import Matrix, RowBasis, span_equal
+
+
+# -- dense oracles: every product through Algebra.multiply on coordinate vectors
+
+
+def left_matrix(a, i) -> Matrix:
+    """L_i with row convention: row(b_i * x) = row(x) * L_i; row s holds the
+    coordinates of b_i * b_s."""
+    b = a.basis_vector(i)
+    return Matrix(a.dim, a.dim, [a.multiply(b, a.basis_vector(s)) for s in range(a.dim)])
+
+
+def dense_peirce(a):
+    """(left, right) idempotent index per basis element, by dense products
+    e * b_t and b_t * e for every idempotent e."""
+    left = [None] * a.dim
+    right = [None] * a.dim
+    for r, e in enumerate(a.idempotents):
+        for t in range(a.dim):
+            b = a.basis_vector(t)
+            for side, prod in ((left, a.multiply(e, b)), (right, a.multiply(b, e))):
+                if prod == b:
+                    if side[t] is not None:
+                        raise AlgebraStructureError(f"basis element {t} has two idempotents")
+                    side[t] = r
+    if None in left or None in right:
+        raise AlgebraStructureError("basis is not adapted to the idempotents")
+    return left, right
+
+
+def dense_radical(a) -> RowBasis:
+    """Kernel of the regular trace form (x, y) -> tr(L_{xy}), with the traces
+    of the dense left multiplication matrices."""
+    tl = [left_matrix(a, k).trace() for k in range(a.dim)]
+    gram = [
+        [
+            sum(c * t for c, t in zip(a.multiply(a.basis_vector(i), a.basis_vector(j)), tl))
+            for j in range(a.dim)
+        ]
+        for i in range(a.dim)
+    ]
+    return RowBasis(a.dim).extend(Matrix(a.dim, a.dim, gram).kernel_basis())
+
+
+def dual_numbers():
+    """Q[x]/(x^2) as a table algebra with basis {1, x}."""
+    return Algebra(
+        2, ["1", "x"], sparse_table([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]), [1, 0], [[1, 0]]
+    )
+
+
+def split_qxq():
+    """QxQ presented with basis {1, u}, u^2 = 1: the idempotents (1 +- u)/2
+    are not basis monomials, so the basis is not adapted to them."""
+    return Algebra(
+        2,
+        ["1", "u"],
+        sparse_table([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+        [1, 0],
+        [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]],
+    )
+
+
+def _oracle_algebras():
+    named = {name: corpus_algebra(name) for name in CORPUS_NAMES}
+    named.update({f"env({name})": enveloping_algebra(a) for name, a in list(named.items())})
+    named["op(A3)xA3"] = tensor(opposite(corpus_algebra("A3")), corpus_algebra("A3"))
+    named["op(Kronecker)xA2"] = tensor(
+        opposite(corpus_algebra("Kronecker")), corpus_algebra("A2")
+    )
+    named["dual-numbers"] = dual_numbers()
+    return named
+
+
+ORACLE_ALGEBRAS = _oracle_algebras()
 
 
 def count_paths_dfs(quiver):
@@ -212,3 +293,29 @@ def test_unit_axiom_enforced():
 
     with pytest.raises(ValueError):
         Algebra(1, ["x"], sparse_table([[[0]]]), [1], [[1]])
+
+
+@pytest.mark.parametrize("a", ORACLE_ALGEBRAS.values(), ids=ORACLE_ALGEBRAS.keys())
+def test_sparse_peirce_and_radical_match_dense_oracles(a):
+    """peirce, the Peirce-dimension table and the radical are read from the
+    sparse structure constants; dense products are the oracle."""
+    left, right = dense_peirce(a)
+    assert a.peirce() == (left, right)
+    n = len(a.idempotents)
+    for i in range(n):
+        for j in range(n):
+            expected = sum(1 for l, r in zip(left, right) if (l, r) == (i, j))
+            assert a.peirce_dim(i, j) == a.peirce_dims()[i][j] == expected
+    assert span_equal(a.radical(), dense_radical(a))
+
+
+def test_non_adapted_basis_is_rejected_by_sparse_peirce():
+    a = split_qxq()
+    with pytest.raises(AlgebraStructureError):
+        dense_peirce(a)
+    with pytest.raises(AlgebraStructureError):
+        a.peirce()
+    with pytest.raises(AlgebraStructureError):
+        a.peirce_dims()
+    assert span_equal(a.radical(), dense_radical(a))
+    assert a.radical().dim == 0

@@ -434,3 +434,35 @@ def test_verify_three_arrow_kronecker_endo(tmp_path):
     assert report["verdict"] is True
     assert report["dim"] == 4
     assert report["kernel_dim"] == 0
+
+
+MALFORMED_COMPOSITE_SPECS = {
+    "opposite-without-of": {"kind": "opposite"},
+    "opposite-of-a-number": {"kind": "opposite", "of": 5},
+    "tensor-factors-a-number": {"kind": "tensor", "factors": 5},
+    "tensor-factors-a-string": {"kind": "tensor", "factors": "ab"},
+    "tensor-one-factor": {"kind": "tensor", "factors": [A2_SPEC]},
+    "tensor-factor-a-number": {"kind": "tensor", "factors": [A2_SPEC, 1]},
+}
+
+
+@pytest.mark.parametrize(
+    "spec", MALFORMED_COMPOSITE_SPECS.values(), ids=MALFORMED_COMPOSITE_SPECS.keys()
+)
+def test_malformed_opposite_and_tensor_specs_exit_code(tmp_path, spec):
+    path = write(tmp_path, "composite.json", spec)
+    assert main(["euler-matrix", path]) == 2
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    """An exception outside the documented classes is a bug: exit 5 with the
+    traceback on stderr, never exit 1 (a failed check)."""
+    import ncmotives.cli as cli
+
+    def broken(args):
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setattr(cli, "cmd_euler_matrix", broken)
+    assert main(["euler-matrix", write(tmp_path, "a2.json", A2_SPEC)]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: deliberate failure" in err

@@ -42,6 +42,18 @@ def test_k0_of_simple_resolutions_is_standard_basis(a2, a3):
             assert coords == expected
 
 
+
+def test_k0_class_of_a_perfect_complex_is_memoized(a2, kronecker, rng):
+    """A perfect complex keeps its class: a second call returns the same
+    object, equal to the trace-branch class of its module view."""
+    for a in (a2, kronecker):
+        for _ in range(5):
+            pc = random_perfect_complex(a, rng)
+            k = k0_class(pc)
+            assert k0_class(pc) is k
+            assert k == k0_class(pc.to_complex())
+
+
 def test_k0_class_from_copies_matches_traces(a2, kronecker, rng):
     """The copy branch of k0_class (a perfect complex) agrees with the trace
     branch on the assembled complex of modules."""

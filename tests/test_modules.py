@@ -17,6 +17,7 @@ from ncmotives.modules import (
     simple_modules,
     span_submodule,
 )
+from test_algebra import left_matrix
 
 
 @pytest.mark.parametrize("name", ["Q", "QxQ", "A2", "A3", "Kronecker"])
@@ -135,8 +136,8 @@ def test_bimodule_actions_match_dense_products(name):
     dual = dual_bimodule(a)
     for t in range(enveloping_algebra(a).dim):
         i, j = divmod(t, a.dim)
-        assert diag.action[t] == a.left_matrix(i) * a.right_matrix(j)
-        assert dual.action[t] == (a.left_matrix(j) * a.right_matrix(i)).transpose()
+        assert diag.action[t] == left_matrix(a, i) * a.right_matrix(j)
+        assert dual.action[t] == (left_matrix(a, j) * a.right_matrix(i)).transpose()
 
 
 def test_left_structure_module_is_valid(a2):

@@ -285,3 +285,28 @@ def test_ideal_stability_machinery_runs(a2, rng):
     partners = [random_correspondence(m, m, rng) for _ in range(2)]
     results = ideal_stability_samples(model, [[0] * model.dim], partners)
     assert all(results)
+
+
+def test_trace_of_a_composite_builds_only_idempotent_actions():
+    """trace reads a composite's class from the traces of its idempotent
+    actions; the other action matrices of the tensor components stay
+    unbuilt (36 basis elements, 9 idempotents on A3 -> A3)."""
+    from ncmotives.corpus import corpus_algebra
+    from ncmotives.derived import simple_resolutions
+
+    m = NCMotive(corpus_algebra("A3"))
+    e = hom_algebra(m.algebra, m.algebra)
+    idem = set(e.idempotent_basis_indices())
+    res = simple_resolutions(e)
+    components = 0
+    for i, j in [(0, 0), (0, 8), (4, 2), (8, 0)]:
+        x = Correspondence(m, m, [(1, res[i])])
+        y = Correspondence(m, m, [(1, res[j])])
+        z = compose(y, dualize(x))
+        trace(z)
+        for _, t in z.terms:
+            for comp in t.components.values():
+                built = {g for g, mat in enumerate(comp.action._mats) if mat is not None}
+                assert built <= idem
+                components += 1
+    assert components
