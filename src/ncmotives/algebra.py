@@ -485,10 +485,15 @@ def enveloping_algebra(a: Algebra) -> Algebra:
 
 def swap_permutation(a: Algebra, b: Algebra):
     """Basis permutation realizing the anti-isomorphism
-    tensor(opposite(a), b) -> tensor(opposite(b), a), (x^op, y) -> (y^op, x)."""
+    tensor(opposite(a), b) -> tensor(opposite(b), a), (x^op, y) -> (y^op, x).
+    Memoized per (a, b) on the source tensor algebra, as a tuple."""
     e_ab = tensor(opposite(a), b)
-    perm = [0] * e_ab.dim
-    for t in range(e_ab.dim):
-        i, j = split_pair_basis(opposite(a), b, t)
-        perm[t] = join_pair_basis(opposite(b), a, j, i)
+    key = ("swap_permutation", a, b)
+    perm = e_ab._cache.get(key)
+    if perm is None:
+        perm = [0] * e_ab.dim
+        for t in range(e_ab.dim):
+            i, j = split_pair_basis(opposite(a), b, t)
+            perm[t] = join_pair_basis(opposite(b), a, j, i)
+        perm = e_ab._cache[key] = tuple(perm)
     return perm

@@ -29,7 +29,6 @@ are the external tensor products of the factors' simple resolutions
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .algebra import Algebra, scalar_algebra
 from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
@@ -176,14 +175,14 @@ def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> PairingMatrix:
 def euler_pairing_classes(a: Algebra, u, v):
     """chi extended bilinearly to rational coordinate vectors."""
     g = euler_matrix(a).matrix
-    total = Fraction(0)
+    total = 0
     for i, x in enumerate(u):
         if not x:
             continue
         row = g.data[i]
         for j, y in enumerate(v):
             if y:
-                total += Fraction(x) * row[j] * Fraction(y)
+                total += x * row[j] * y
     return total
 
 

@@ -248,7 +248,7 @@ def _sparse_rank(rows) -> int:
 # -- intersection numbers ---------------------------------------------------------
 
 
-def intersection_number(x, y, cap: int = DEFAULT_CAP) -> Fraction:
+def intersection_number(x, y, cap: int = DEFAULT_CAP) -> int | Fraction:
     """Intersection pairing of correspondences x: (A,e) -> (B,e') and
     y: (B,e') -> (A,e): the bilinear combination over term pairs of the
     alternating Hochschild dimension sums of X_i (x)_B Y_j."""
@@ -256,9 +256,8 @@ def intersection_number(x, y, cap: int = DEFAULT_CAP) -> Fraction:
         raise ValueError("correspondence endpoints do not chain")
     a = x.source.algebra
     b = x.target.algebra
-    total = Fraction(0)
+    total = 0
     for cx, xt in x.terms:
         for cy, yt in y.terms:
-            s = _pair_with_diagonal(a, tensor_class(xt, yt, a, b, a), cap)
-            total += as_fraction(cx) * as_fraction(cy) * s
+            total += cx * cy * _pair_with_diagonal(a, tensor_class(xt, yt, a, b, a), cap)
     return total

@@ -16,8 +16,13 @@ instead of large commutant solves.  Conventions:
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
   tensor_over assembles the total complex: its block layout and
   differentials at once, each component action matrix on first read (a
-  class reads only the idempotent ones).  tensor_class gives only its
-  Grothendieck class, from the copies of x and the class of y
+  class reads only the idempotent ones).  What it reads of the right
+  factor y alone (the actions of middle and right basis elements on each
+  Y^q, the blocks e_m Y^q and the right action in block coordinates) does
+  not depend on x, so a perfect y keeps it in its cache, keyed by
+  (middle, right): the n left factors D(x_i) that meet one simple
+  resolution y in the trace formula build it once.  tensor_class gives
+  only the Grothendieck class, from the copies of x and the class of y
   (derived.k0_class), and never assembles.
 * dual() applies Hom(-, ring) summandwise, negating degrees, transporting
   each left-multiplication block z to its image under the canonical
@@ -171,8 +176,17 @@ def tensor_over(
     The layout and the differentials are built here; each component's
     action matrix of a basis element of tensor(opposite(left), right) is
     built on first read and kept (modules.LazyActions), so a reader of the
-    Grothendieck class builds only the idempotent actions.
+    Grothendieck class builds only the idempotent actions.  The data read
+    from y alone is memoized per (middle, right) in the cache of a perfect
+    y and shared by every left factor it meets; any other complex gets
+    fresh memos for this call.
     """
+    # yleft, yright, yblock, yrows below depend on y, middle and right only
+    if isinstance(y, PerfectComplex):
+        memos = y._cache.setdefault(("tensor_over", middle, right), ({}, {}, {}, {}))
+    else:
+        memos = ({}, {}, {}, {})
+    yleft_cache, yright_cache, yblock_cache, yrows_cache = memos
     y = as_complex(y)
     e_x = tensor(opposite(left), middle)
     e_y = tensor(opposite(middle), right)
@@ -190,11 +204,8 @@ def tensor_over(
         return Complex(e_t, {}, {}, check=False)
 
     mid_idem_idx = middle.idempotent_basis_indices()
-    right_idem_count = len(right.idempotents)
 
     # left-action matrices of middle basis elements on the components of y
-    yleft_cache: dict = {}
-
     def yleft(q, g_m):
         key = (q, g_m)
         if key not in yleft_cache:
@@ -209,8 +220,6 @@ def tensor_over(
             )
         return yleft_cache[key]
 
-    yright_cache: dict = {}
-
     def yright(q, r):
         key = (q, r)
         if key not in yright_cache:
@@ -224,8 +233,6 @@ def tensor_over(
                 yq.dim,
             )
         return yright_cache[key]
-
-    yblock_cache: dict = {}
 
     def yblock(q, m_idem) -> RowBasis:
         key = (q, m_idem)
@@ -264,8 +271,6 @@ def tensor_over(
     }
 
     # block coordinates of the right action of r on the e_m Y^q block
-    yrows_cache: dict = {}
-
     def yrows(q, m_i, r):
         key = (q, m_i, r)
         if key not in yrows_cache:

@@ -256,9 +256,24 @@ def quotient_module(m: Module, sub: RowBasis):
 
 def module_radical(m: Module) -> RowBasis:
     """The subspace m * rad(A) (a submodule): the span of the rows of the
-    action matrices of the radical generators."""
+    action matrices of the radical generators.
+
+    Over a tensor algebra L (x) R, rad = rad L (x) R + L (x) rad R (in
+    characteristic zero the tensor product of the tops is semisimple), and
+    rad L (x) 1 commutes with 1 (x) R, so m * rad is the span of
+    m * (g (x) 1) and m * (1 (x) h) for the rows g of rad L and h of rad R:
+    the Kuenneth pattern of derived.simple_resolutions.  The trace form of
+    the product itself is never computed."""
+    a = m.algebra
+    factors = a.meta.get("factors")
+    if factors is None:
+        gens = a.radical().rows
+    else:
+        left, right = factors
+        gens = [[x * y for x in g for y in right.unit] for g in left.radical().rows]
+        gens += [[x * y for x in left.unit for y in h] for h in right.radical().rows]
     rb = RowBasis(m.dim)
-    for g in m.algebra.radical().rows:
+    for g in gens:
         rb.extend(m.act_matrix(g).data)
     return rb
 

@@ -31,7 +31,7 @@ from .derived import (
 )
 from .homalg import dual_perfect, tensor_class
 from .hochschild import intersection_number
-from .linalg import Matrix, RowBasis, as_fraction, norm_scalar, span_equal
+from .linalg import Matrix, RowBasis, norm_scalar, span_equal
 from .resolutions import DEFAULT_CAP, resolve_complex
 
 
@@ -63,14 +63,14 @@ def composition_table(a: Algebra, b: Algebra, c: Algebra, cap: int = DEFAULT_CAP
 def compose_classes(u, v, table):
     """Bilinear extension of a composition table to coordinate vectors."""
     n_out = len(table[0][0]) if table and table[0] else 0
-    out = [Fraction(0)] * n_out
+    out = [0] * n_out
     for i, x in enumerate(u):
         if not x:
             continue
         for j, y in enumerate(v):
             if not y:
                 continue
-            coeff = as_fraction(x) * as_fraction(y)
+            coeff = x * y
             for k, t in enumerate(table[i][j]):
                 if t:
                     out[k] += coeff * t
@@ -130,30 +130,38 @@ class Correspondence:
     perfect; compose and serre_correspondence give unresolved tensor
     complexes.  Terms must be perfect in the first argument of chi_hom and
     intersection_number and in dualize; compose resolves a non-perfect x
-    itself; k0 and trace accept any bounded complex."""
+    itself; k0 and trace accept any bounded complex.
+
+    terms is a tuple of (coefficient, complex) with exact coefficients (an
+    int unless the coefficient is a proper fraction), so the class (k0) and
+    the dual (dualize) are computed once and kept."""
 
     def __init__(self, source: NCMotive, target: NCMotive, terms, label: str = ""):
         self.source = source
         self.target = target
-        self.terms = [(as_fraction(c), t) for c, t in terms]
+        self.terms = tuple((norm_scalar(c), t) for c, t in terms)
         self.label = label
+        self._cache: dict = {}
         e = hom_algebra(source.algebra, target.algebra)
         for _, t in self.terms:
             if t.algebra is not e:
                 raise ValueError("term does not live over the Hom algebra")
 
     def k0(self):
-        e = hom_algebra(self.source.algebra, self.target.algebra)
-        n = len(e.idempotents)
-        out = [Fraction(0)] * n
-        for c, t in self.terms:
-            for i, x in enumerate(k0_class(t).coords):
-                if x:
-                    out[i] += c * x
-        return [norm_scalar(x) for x in out]
+        """Class vector in the simple basis of the Hom algebra."""
+        cls = self._cache.get("k0")
+        if cls is None:
+            e = hom_algebra(self.source.algebra, self.target.algebra)
+            out = [0] * len(e.idempotents)
+            for c, t in self.terms:
+                for i, x in enumerate(k0_class(t).coords):
+                    if x:
+                        out[i] += c * x
+            cls = self._cache["k0"] = tuple(norm_scalar(x) for x in out)
+        return list(cls)
 
     def scale(self, c) -> "Correspondence":
-        c = as_fraction(c)
+        c = norm_scalar(c)
         return Correspondence(
             self.source, self.target, [(c * x, t) for x, t in self.terms]
         )
@@ -202,7 +210,7 @@ def complement_idempotent(e: Correspondence) -> Correspondence:
     return Correspondence(
         e.source,
         e.target,
-        ident.terms + [(-c, t) for c, t in e.terms],
+        [*ident.terms, *((-c, t) for c, t in e.terms)],
         label=f"1-({e.label})",
     )
 
@@ -245,18 +253,22 @@ def compose(y: Correspondence, x: Correspondence, cap: int = DEFAULT_CAP) -> Cor
 
 
 def dualize(x: Correspondence) -> Correspondence:
-    """Termwise dual, with the endpoints swapped."""
-    a = x.source.algebra
-    b = x.target.algebra
-    return Correspondence(
-        x.target,
-        x.source,
-        [(c, dual_perfect(t, a, b)) for c, t in x.terms],
-        label=f"D({x.label})" if x.label else "",
-    )
+    """Termwise dual, with the endpoints swapped; computed once per
+    correspondence."""
+    d = x._cache.get("dual")
+    if d is None:
+        a = x.source.algebra
+        b = x.target.algebra
+        d = x._cache["dual"] = Correspondence(
+            x.target,
+            x.source,
+            [(c, dual_perfect(t, a, b)) for c, t in x.terms],
+            label=f"D({x.label})" if x.label else "",
+        )
+    return d
 
 
-def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> Fraction:
+def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> int | Fraction:
     """Categorical trace of an endo-correspondence: the alternating sum of
     Hochschild dimensions of each term, combined by the coefficients."""
     if z.source != z.target:
@@ -264,18 +276,18 @@ def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> Fraction:
     a = z.source.algebra
     from .hochschild import hochschild_euler
 
-    total = Fraction(0)
+    total = 0
     for c, t in z.terms:
         total += c * hochschild_euler(a, t, cap)
     return total
 
 
-def chi_hom(x: Correspondence, y: Correspondence) -> Fraction:
+def chi_hom(x: Correspondence, y: Correspondence) -> int | Fraction:
     """Euler form on a Hom-set: bilinear extension of the Euler pairing of
     the underlying perfect bimodule complexes."""
     if x.source != y.source or x.target != y.target:
         raise ValueError("chi_hom requires parallel correspondences")
-    total = Fraction(0)
+    total = 0
     for cx, xt in x.terms:
         for cy, yt in y.terms:
             total += cx * cy * euler_pairing(xt, yt)

@@ -12,6 +12,7 @@ from ncmotives.algebra import (
     path_algebra,
     scalar_algebra,
     sparse_table,
+    swap_permutation,
     tensor,
 )
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, corpus_quiver
@@ -319,3 +320,11 @@ def test_non_adapted_basis_is_rejected_by_sparse_peirce():
         a.peirce_dims()
     assert span_equal(a.radical(), dense_radical(a))
     assert a.radical().dim == 0
+
+
+def test_swap_permutation_is_memoized_and_inverted_by_the_reverse_swap(a2, kronecker):
+    p = swap_permutation(a2, kronecker)
+    assert p is swap_permutation(a2, kronecker)
+    back = swap_permutation(kronecker, a2)
+    assert sorted(p) == list(range(len(p)))
+    assert [back[t] for t in p] == list(range(len(p)))

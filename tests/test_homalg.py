@@ -296,3 +296,52 @@ def test_dual_k0_naturality(a2, rng):
         kx = k0_class(x).coords
         expected = [sum(cols[i][t] * kx[i] for i in range(n)) for t in range(len(cols[0]))]
         assert list(k0_class(dual_perfect(x, a2, aop)).coords) == expected
+
+
+def _fresh(y: PerfectComplex) -> PerfectComplex:
+    """The same complex with an empty cache."""
+    return PerfectComplex(y.algebra, y.copies, y.differentials)
+
+
+def _assert_same_tensor(t, u):
+    """Entry-for-entry equality: components, every action matrix and the
+    differentials."""
+    assert t.algebra is u.algebra
+    assert sorted(t.components) == sorted(u.components)
+    for k, comp in t.components.items():
+        assert comp.dim == u.components[k].dim
+        assert list(comp.action) == list(u.components[k].action)
+    assert t.differentials == u.differentials
+
+
+def test_shared_right_factor_data_matches_a_cold_build(q):
+    """tensor_over keeps what it reads of a perfect right factor y in y's
+    cache, keyed by (middle, right).  On the trace-formula triples of the
+    corpus Hom models (left factors D(x) over tensor(op(B), A), y over
+    tensor(op(A), B)) a warm build equals a cold one; each y meets two left
+    factors, then serves a second key (Q, tensor(op(A), B)) against a
+    perfect complex over Q."""
+    from ncmotives.corpus import corpus_motive_scenarios
+    from ncmotives.derived import simple_resolutions
+
+    pairs = []
+    for _, src, dst in corpus_motive_scenarios():
+        key = (src.algebra, dst.algebra)
+        if key not in pairs:
+            pairs.append(key)
+    over_q = PerfectComplex(q, {0: (0, 0), 1: (0,)}, {0: Matrix(2, 1, [[1], [2]])})
+    checked = 0
+    for a, b in pairs:
+        e = tensor(opposite(a), b)
+        res = simple_resolutions(e)
+        lefts = [dual_perfect(res[0], a, b), dual_perfect(res[-1], a, b)]
+        for y in res:
+            for x in lefts:
+                warm = tensor_over(x, y, b, a, b, check=False)
+                _assert_same_tensor(warm, tensor_over(x, _fresh(y), b, a, b, check=False))
+            warm = tensor_over(over_q, y, q, q, e, check=False)
+            _assert_same_tensor(warm, tensor_over(over_q, _fresh(y), q, q, e, check=False))
+            assert ("tensor_over", a, b) in y._cache
+            assert ("tensor_over", q, e) in y._cache
+            checked += 1
+    assert checked > 30

@@ -3,7 +3,7 @@ import pytest
 from ncmotives.algebra import enveloping_algebra, opposite, tensor
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
 from ncmotives.derived import k0_class
-from ncmotives.linalg import Matrix
+from ncmotives.linalg import Matrix, RowBasis
 from ncmotives.modules import (
     cover_data,
     diagonal_bimodule,
@@ -145,3 +145,55 @@ def test_left_structure_module_is_valid(a2):
     lm = left_structure_module(w, a2)
     assert lm.algebra is opposite(tensor(opposite(a2), a2))
     lm.check()
+
+
+def dense_module_radical(m):
+    """m * rad(A) from the rows of the trace-form radical of m's algebra
+    itself: the construction module_radical replaces over tensor algebras."""
+    rb = RowBasis(m.dim)
+    for g in m.algebra.radical().rows:
+        rb.extend(m.act_matrix(g).data)
+    return rb
+
+
+def test_kuenneth_module_radical_matches_the_full_radical():
+    """Over every corpus enveloping and Hom algebra (a tensor algebra), the
+    span built from the factors' radicals equals the one built from the
+    radical of the product, on the regular module, the indecomposable
+    projectives and, for enveloping algebras, the diagonal and dual
+    bimodules."""
+    seen = []
+    for na in CORPUS_NAMES:
+        a = corpus_algebra(na)
+        for nb in CORPUS_NAMES:
+            e = tensor(opposite(a), corpus_algebra(nb))
+            if "factors" not in e.meta or any(e is s for s in seen):
+                continue
+            seen.append(e)
+            mods = [regular_module(e)]
+            mods += [projective_module(e, i)[0] for i in range(len(e.idempotents))]
+            if e is enveloping_algebra(a):
+                mods += [diagonal_bimodule(a), dual_bimodule(a)]
+            for m in mods:
+                assert module_radical(m).rows == dense_module_radical(m).rows
+    assert len(seen) == 16
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "Kronecker", "A4"])
+def test_diagonal_resolution_matches_one_built_through_the_dense_radical(name, monkeypatch):
+    from ncmotives import modules
+    from ncmotives.algebra import Quiver, path_algebra
+    from ncmotives.corpus import corpus_quiver
+    from ncmotives.derived import diagonal_resolution
+    from ncmotives.resolutions import projective_resolution
+
+    if name == "A4":
+        quiver = Quiver(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "c")])
+    else:
+        quiver = corpus_quiver(name)
+    a = path_algebra(quiver)
+    res = diagonal_resolution(a)
+    monkeypatch.setattr(modules, "module_radical", dense_module_radical)
+    dense, _ = projective_resolution(diagonal_bimodule(a))
+    assert res.copies == dense.copies
+    assert res.differentials == dense.differentials

@@ -310,3 +310,56 @@ def test_trace_of_a_composite_builds_only_idempotent_actions():
                 assert built <= idem
                 components += 1
     assert components
+
+
+def test_class_arithmetic_is_exact_and_integral_on_integer_inputs(a2):
+    """A coefficient 1/2 gives exact Fractions from chi_hom,
+    intersection_number and compose_classes; integer inputs give int."""
+    from ncmotives.derived import simple_resolutions
+
+    m = NCMotive(a2)
+    res = simple_resolutions(hom_algebra(a2, a2))
+    whole = Correspondence(m, m, [(1, res[0])])
+    half = Correspondence(m, m, [(Fraction(1, 2), res[0])])
+    assert type(chi_hom(whole, whole)) is int and chi_hom(whole, whole) == 1
+    assert type(chi_hom(half, whole)) is Fraction and chi_hom(half, whole) == Fraction(1, 2)
+    n = intersection_number(dualize(whole), whole)
+    assert type(n) is int and n == 1
+    n = intersection_number(dualize(half), whole)
+    assert type(n) is Fraction and n == Fraction(1, 2)
+    tab = composition_table(a2, a2, a2)
+    ident = identity_class(a2)
+    out = compose_classes(ident, [1, 0, 0, 0], tab)
+    assert out == [1, 0, 0, 0] and all(type(x) is int for x in out)
+    out = compose_classes(ident, [Fraction(1, 2), 0, 0, 0], tab)
+    assert out == [Fraction(1, 2), 0, 0, 0] and type(out[0]) is Fraction
+    assert all(type(x) is int for x in out[1:])
+
+
+def test_class_and_dual_of_a_correspondence_are_computed_once(a2, monkeypatch):
+    from ncmotives import motives
+
+    x = identity_correspondence(NCMotive(a2))
+    calls = []
+    k0 = motives.k0_class
+    monkeypatch.setattr(motives, "k0_class", lambda t: calls.append(t) or k0(t))
+    cls = x.k0()
+    cls.append(99)
+    assert x.k0() == identity_class(a2)
+    assert len(calls) == 1
+    assert dualize(x) is dualize(x)
+
+
+def test_verify_dualizes_each_basis_class_once(a3, monkeypatch):
+    """build_hom_model and verify_equivalence share one dual per basis
+    correspondence (the trace formula reads D(x) for every pair (x, y))."""
+    from ncmotives import motives
+
+    calls = []
+    dual = motives.dual_perfect
+    monkeypatch.setattr(motives, "dual_perfect", lambda *a: calls.append(a) or dual(*a))
+    m = NCMotive(a3)
+    model = build_hom_model(m, m)
+    rep = verify_equivalence(model)
+    assert rep["verdict"] is True
+    assert len(calls) == sum(len(r.terms) for r in model.realized) == 9
