@@ -433,6 +433,14 @@ def cmd_smooth_check(args) -> int:
     return emit(report, args)
 
 
+def serre_duality_holds(m, n, sm) -> bool:
+    """Degreewise Serre duality: dim H^i Hom(M, N) = dim H^-i Hom(N, S(M))."""
+    h_mn = hom_complex(m, n).homology_dims()
+    h_nsm = hom_complex(n, sm).homology_dims()
+    degs = set(h_mn) | {-d for d in h_nsm}
+    return all(h_mn.get(i, 0) == h_nsm.get(-i, 0) for i in degs)
+
+
 def cmd_serre_check(args) -> int:
     spec = load_json(args.algebra)
     a = algebra_from_spec(spec)
@@ -442,16 +450,12 @@ def cmd_serre_check(args) -> int:
         m = random_perfect_complex(a, rng)
         n = random_perfect_complex(a, rng)
         sm = serre(m)
-        h_mn = hom_complex(m, n).homology_dims()
-        h_nsm = hom_complex(n, sm).homology_dims()
-        degs = sorted(set(h_mn) | {-d for d in h_nsm})
-        ok = all(h_mn.get(i, 0) == h_nsm.get(-i, 0) for i in degs)
         checks.append(
             check_record(
                 f"serre-duality-degreewise[{trial}]",
                 "dim Hom(M, N shifted by -i) = dim Hom(N, S(M) shifted by i)",
                 True,
-                ok,
+                serre_duality_holds(m, n, sm),
             )
         )
         checks.append(
@@ -605,11 +609,7 @@ def cmd_corpus(args) -> int:
         for _ in range(args.samples):
             m = random_perfect_complex(a, rng)
             n = random_perfect_complex(a, rng)
-            sm = serre(m)
-            h_mn = hom_complex(m, n).homology_dims()
-            h_nsm = hom_complex(n, sm).homology_dims()
-            degs = set(h_mn) | {-d for d in h_nsm}
-            if not all(h_mn.get(i, 0) == h_nsm.get(-i, 0) for i in degs):
+            if not serre_duality_holds(m, n, serre(m)):
                 ok_serre = False
         add_row("serre-duality", name, ok_serre, f"{args.samples} random pairs")
 

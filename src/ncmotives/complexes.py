@@ -20,7 +20,7 @@ exactly right-linearity of the differential.
 
 from __future__ import annotations
 
-from .algebra import Algebra, scalar_algebra
+from .algebra import Algebra
 from .linalg import Matrix, RowBasis
 from .modules import Module, direct_sum_modules, projective_module, zero_module
 
@@ -412,11 +412,3 @@ def single_module_complex(m: Module, degree: int = 0) -> Complex:
 def empty_perfect(a: Algebra) -> PerfectComplex:
     return PerfectComplex(a, {}, {}, check=False)
 
-
-def scalar_complex(dims: dict, differentials: dict) -> Complex:
-    """Complex of plain vector spaces (modules over the scalar algebra)."""
-    q = scalar_algebra()
-    comps = {
-        n: Module(q, d, [Matrix.identity(d)]) for n, d in dims.items() if d > 0
-    }
-    return Complex(q, comps, differentials)

@@ -10,8 +10,8 @@ their Hom complex, an exact integer: the copy weights of the first paired
 with the class of the second.
 
 Which terms must be perfect: the first argument of euler_pairing (and of
-homalg.hom_complex) is a PerfectComplex; the second may be any bounded
-complex.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
+homalg.hom_complex, which tensors its summandwise dual with the second) is
+a PerfectComplex; the second may be any bounded complex.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
 naturally isomorphic to - (x)_A D(A) on perfect complexes.  It is read off
 the copies of M: Hom_A(e_i A, A) = A e_i, so the summandwise dual of M
 (homalg.dual_perfect) transposed into D(A e_i) gives S(M) as an unresolved
@@ -194,8 +194,9 @@ def serre(m: PerfectComplex) -> Complex:
     transposing its action matrices and differentials and negating the
     degrees again gives the complex of injectives D(A e_i).  The result is
     not resolved: use it as the second argument of euler_pairing or
-    hom_complex, where any bounded complex is valid, or pass it to
-    resolve_complex for a perfect replacement."""
+    hom_complex (the right factor of its tensor product), where any bounded
+    complex is valid, or pass it to resolve_complex for a perfect
+    replacement."""
     a = m.algebra
     d = dual_perfect(m, scalar_algebra(), a).to_complex()
     comps = {

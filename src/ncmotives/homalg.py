@@ -3,16 +3,21 @@
 Everything here leans on one structural fact about the supported algebras:
 a perfect complex has components (+) e A for distinguished idempotents e, so
 
-    Hom_A(e A, N)  =  N e          (a hom is determined by the generator image)
     e(L^op (x) M)  restricted to M is projective, hence
     ((l^op, m)-summand) (x)_M Y  =  L e_l (x) (e_m Y)
 
-which turns derived Hom and derived tensor into finite block bookkeeping
-instead of large commutant solves.  Conventions:
+which turns derived tensor into finite block bookkeeping instead of large
+commutant solves.  Derived Hom is the same bookkeeping: Hom_A(e A, A) = A e
+and A e (x)_A N = N e, so Hom_A(M, N) = M^v (x)_A N for the summandwise dual
+M^v = Hom_A(M, A).  Conventions:
 
-* Hom complex: Hom^k = (+)_p Hom(M^p, N^{p+k}),  (df) = d_N f - (-1)^k f d_M.
-  Its degree-k cohomology computes morphisms M -> shift(N, k) in the derived
-  category; alternating sums of these dimensions form the Euler pairing.
+* Hom complex: hom_complex is dual_perfect followed by tensor_over, so
+  Hom^k = (+)_p Hom(M^p, N^{p+k}) (M^v sits in degree -p) and its signs are
+  those of the tensor totalization below, with d_{M^v} precomposition by
+  d_M.  They differ from (df) = d_N f - (-1)^k f d_M only by signs on
+  components, so the cohomology is the same: degree k computes morphisms
+  M -> shift(N, -k) (N moved k degrees down) in the derived category;
+  alternating sums of these dimensions form the Euler pairing.
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
   tensor_over assembles the total complex: its block layout and
   differentials at once, each component action matrix on first read (a
@@ -37,32 +42,15 @@ from .algebra import (
     join_pair_basis,
     join_pair_idempotent,
     opposite,
+    scalar_algebra,
     split_pair_basis,
     split_pair_idempotent,
     swap_permutation,
     tensor,
 )
-from .complexes import (
-    Complex,
-    PerfectComplex,
-    as_complex,
-    assemble_block_matrix,
-    scalar_complex,
-)
+from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
 from .linalg import Matrix, RowBasis, matrix_sum, row_times
 from .modules import LazyActions, Module
-
-
-# -- right idempotent images ----------------------------------------------------
-
-
-def idempotent_image(module: Module, idem_basis_index: int) -> RowBasis:
-    """Row basis of the image of an idempotent basis element acting on the
-    right (the subspace it projects onto)."""
-    rb = RowBasis(module.dim)
-    for r in module.action[idem_basis_index].data:
-        rb.add(r)
-    return rb
 
 
 # -- Hom complexes ---------------------------------------------------------------
@@ -70,85 +58,14 @@ def idempotent_image(module: Module, idem_basis_index: int) -> RowBasis:
 
 def hom_complex(m: PerfectComplex, n) -> Complex:
     """Total Hom complex of a perfect complex into a complex over the same
-    algebra, as a complex of plain vector spaces."""
+    algebra, as a complex of plain vector spaces: Hom_A(M, N) = M^v (x)_A N,
+    with M^v = Hom_A(M, A) the summandwise dual."""
     n = as_complex(n)
     a = m.algebra
     if n.algebra is not a:
         raise ValueError("hom_complex arguments live over different algebras")
-    if m.is_zero() or n.is_zero():
-        return scalar_complex({}, {})
-    idem_idx = a.idempotent_basis_indices()
-
-    images: dict = {}
-
-    def image_at(q, i):
-        key = (q, i)
-        if key not in images:
-            images[key] = idempotent_image(n.component(q), idem_idx[i])
-        return images[key]
-
-    # layout: degree k |-> list of (p, copy, image RowBasis, offset)
-    layout: dict[int, list] = {}
-    dims: dict[int, int] = {}
-    for k in range(n.lo - m.hi, n.hi - m.lo + 1):
-        entries = []
-        off = 0
-        for p in m.degrees():
-            q = p + k
-            if not (n.lo <= q <= n.hi):
-                continue
-            for c, i in enumerate(m.copies_at(p)):
-                img = image_at(q, i)
-                if img.dim:
-                    entries.append((p, c, img, off))
-                    off += img.dim
-        if entries:
-            layout[k] = entries
-            dims[k] = off
-
-    index: dict[int, dict] = {
-        k: {(p, c): (img, off) for (p, c, img, off) in entries}
-        for k, entries in layout.items()
-    }
-
-    diffs: dict[int, Matrix] = {}
-    for k, entries in layout.items():
-        if k + 1 not in layout:
-            continue
-        tgt = index[k + 1]
-        rows = []
-        sign = -1 if k % 2 == 0 else 1  # -(-1)^k
-        for p, c, img, _off in entries:
-            q = p + k
-            d_n = n.differentials.get(q)
-            blocks = m.block_elements(p - 1)
-            nq = n.component(q)
-            for w in img.rows:
-                out = [0] * dims[k + 1]
-                # d_N o f : same copy, target degree q+1
-                if d_n is not None and (p, c) in tgt:
-                    timg, toff = tgt[(p, c)]
-                    cs = timg.coords(row_times(w, d_n))
-                    if cs is None:
-                        raise AssertionError("image escaped its idempotent block")
-                    for t, v in enumerate(cs):
-                        if v:
-                            out[toff + t] += v
-                # -(-1)^k f o d_M : copies one degree down in M
-                for (c2, cc), z in blocks.items():
-                    if cc != c or (p - 1, c2) not in tgt:
-                        continue
-                    timg, toff = tgt[(p - 1, c2)]
-                    val = row_times(w, nq.act_matrix(z))
-                    cs = timg.coords(val)
-                    if cs is None:
-                        raise AssertionError("transport escaped its idempotent block")
-                    for t, v in enumerate(cs):
-                        if v:
-                            out[toff + t] += sign * v
-                rows.append(out)
-        diffs[k] = Matrix(dims[k], dims[k + 1], rows)
-    return scalar_complex(dims, diffs)
+    q = scalar_algebra()
+    return tensor_over(dual_perfect(m, q, a), n, q, opposite(a), q)
 
 
 # -- balanced tensor product -----------------------------------------------------

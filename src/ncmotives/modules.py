@@ -330,18 +330,6 @@ def cover_data(m: Module):
 # -- bimodules ----------------------------------------------------------------
 
 
-def _sandwich_products(a: Algebra, i: int, j: int):
-    """(s, k, c) for every nonzero coefficient c of b_k in b_i b_s b_j."""
-    mul = a.mul
-    right = [row[j] for row in mul]
-    return [
-        (s, k2, c * c2)
-        for s, left in enumerate(mul[i])
-        for k, c in left
-        for k2, c2 in right[k]
-    ]
-
-
 def diagonal_bimodule(a: Algebra) -> Module:
     """A as an A-A-bimodule, i.e. a right module over tensor(op(A), A):
     the pair (x^op, y) sends m to x m y.
@@ -351,11 +339,16 @@ def diagonal_bimodule(a: Algebra) -> Module:
     m = a._cache.get("diagonal_bimodule")
     if m is None:
         env = enveloping_algebra(a)
+        mul = a.mul
         action = []
         for t in range(env.dim):
+            i, j = divmod(t, a.dim)
+            right = [row[j] for row in mul]
             data = [[0] * a.dim for _ in range(a.dim)]
-            for s, k, c in _sandwich_products(a, *divmod(t, a.dim)):
-                data[s][k] += c
+            for s, left in enumerate(mul[i]):
+                for k, c in left:
+                    for k2, c2 in right[k]:
+                        data[s][k2] += c * c2
             action.append(Matrix(a.dim, a.dim, data))
         m = Module(env, a.dim, action)
         a._cache["diagonal_bimodule"] = m
@@ -366,21 +359,16 @@ def dual_bimodule(a: Algebra) -> Module:
     """The linear dual D(A) as an A-A-bimodule: (x phi y)(c) = phi(y c x).
 
     In dual-basis coordinates the pair (b_i^op, b_j) acts by the transpose
-    of L_j R_i: entry (k, s) is the coefficient of b_k in b_j b_s b_i.  It
-    needs the enveloping algebra of A.  At runtime only `hochschild` with
-    dual coefficients calls it; derived.serre builds S(M) from the copies of
-    M instead, and the tests use M (x)_A D(A) as its oracle."""
+    of L_j R_i, the diagonal bimodule's action at the swapped pair
+    (b_j^op, b_i).  It needs the enveloping algebra of A.  At runtime only
+    `hochschild` with dual coefficients calls it; derived.serre builds S(M)
+    from the copies of M instead, and the tests use M (x)_A D(A) as its
+    oracle."""
     m = a._cache.get("dual_bimodule")
     if m is None:
-        env = enveloping_algebra(a)
-        action = []
-        for t in range(env.dim):
-            i, j = divmod(t, a.dim)
-            data = [[0] * a.dim for _ in range(a.dim)]
-            for s, k, c in _sandwich_products(a, j, i):
-                data[k][s] += c
-            action.append(Matrix(a.dim, a.dim, data))
-        m = Module(env, a.dim, action)
+        diag = diagonal_bimodule(a)
+        action = [diag.action[p].transpose() for p in swap_permutation(a, a)]
+        m = Module(diag.algebra, a.dim, action)
         a._cache["dual_bimodule"] = m
     return m
 

@@ -21,7 +21,6 @@ from .complexes import PerfectComplex
 from .derived import (
     PairingMatrix,
     diagonal_resolution,
-    euler_pairing,
     euler_pairing_classes,
     k0_class,
     kernel_left,
@@ -284,13 +283,14 @@ def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> int | Fraction:
 
 def chi_hom(x: Correspondence, y: Correspondence) -> int | Fraction:
     """Euler form on a Hom-set: bilinear extension of the Euler pairing of
-    the underlying perfect bimodule complexes."""
+    the underlying perfect bimodule complexes, i.e. the copy weights of each
+    term of x paired with the memoized class of y."""
     if x.source != y.source or x.target != y.target:
         raise ValueError("chi_hom requires parallel correspondences")
+    ky = y.k0()
     total = 0
     for cx, xt in x.terms:
-        for cy, yt in y.terms:
-            total += cx * cy * euler_pairing(xt, yt)
+        total += cx * sum(w * c for w, c in zip(xt.euler_copy_weights(), ky))
     return total
 
 

@@ -7,7 +7,6 @@ from ncmotives.complexes import (
     PerfectComplex,
     as_complex,
     cone,
-    scalar_complex,
     single_module_complex,
 )
 from ncmotives.corpus import random_perfect_complex
@@ -111,7 +110,9 @@ def test_homology_representatives_are_cycles(a2, rng):
 
 
 def test_scalar_complex_and_as_complex():
-    c = scalar_complex({0: 2, 1: 1}, {0: Matrix.from_rows([[0], [0]])})
+    q = scalar_algebra()
+    comps = {0: Module(q, 2, [Matrix.identity(2)]), 1: Module(q, 1, [Matrix.identity(1)])}
+    c = Complex(q, comps, {0: Matrix.from_rows([[0], [0]])})
     assert c.component_dim(0) == 2
     assert as_complex(c) is c
 

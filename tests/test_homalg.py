@@ -1,6 +1,8 @@
 """Hom complexes, tensor products and duals, cross-checked against a
 commutant-equation solver that never uses the projective shortcut."""
 
+import pytest
+
 from ncmotives.algebra import opposite, scalar_algebra, tensor
 from ncmotives.complexes import Complex, PerfectComplex, single_module_complex
 from ncmotives.corpus import random_perfect_complex
@@ -50,18 +52,23 @@ def test_hom_of_projective_over_scalars(q):
 
 
 def test_hom_component_dims_match_brute_force(a2, a3, kronecker):
-    for alg in (a2, a3, kronecker):
+    algebras = (a2, a3, kronecker, opposite(kronecker), tensor(opposite(a2), kronecker))
+    for alg in algebras:
         mods = simple_modules(alg) + [projective_module(alg, i)[0] for i in range(len(alg.idempotents))]
         for m in mods:
             res, _ = projective_resolution(m)
             for n in mods:
                 h = hom_complex(res, single_module_complex(n))
-                # degree 0 of the Hom complex out of P^0 computes Hom(P^0, n)
-                p0, _ = projective_module(alg, 0)
                 # compare the full Hom-space dimension at each bidegree
                 for p in res.degrees():
                     comp, _ = _component_module(res, alg, p)
                     assert h.component_dim(-p) == brute_hom_dim(comp, n)
+
+
+def test_hom_complex_rejects_different_algebras(a2, kronecker):
+    res, _ = projective_resolution(simple_modules(a2)[0])
+    with pytest.raises(ValueError, match="different algebras"):
+        hom_complex(res, single_module_complex(simple_modules(kronecker)[0]))
 
 
 def _component_module(res, alg, p):

@@ -363,3 +363,30 @@ def test_verify_dualizes_each_basis_class_once(a3, monkeypatch):
     rep = verify_equivalence(model)
     assert rep["verdict"] is True
     assert len(calls) == sum(len(r.terms) for r in model.realized) == 9
+
+
+def test_verify_reads_each_serre_class_once(a3, monkeypatch):
+    """The serre-symmetry check pairs every y with S(x_i); the class of the
+    unresolved Serre complex is read once per i, not once per pair."""
+    from ncmotives import derived, motives
+
+    made, reads = [], []
+    serre, k0_class = motives.serre, derived.k0_class
+
+    def recorded_serre(m):
+        made.append(serre(m))
+        return made[-1]
+
+    def counted_k0_class(x):
+        if any(x is c for c in made):
+            reads.append(x)
+        return k0_class(x)
+
+    monkeypatch.setattr(motives, "serre", recorded_serre)
+    monkeypatch.setattr(derived, "k0_class", counted_k0_class)
+    monkeypatch.setattr(motives, "k0_class", counted_k0_class)
+    m = NCMotive(a3)
+    rep = verify_equivalence(build_hom_model(m, m))
+    assert rep["verdict"] is True
+    assert len(made) == 9
+    assert 0 < len(reads) <= 9
