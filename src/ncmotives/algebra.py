@@ -178,36 +178,29 @@ class Algebra:
     def peirce(self):
         """(left, right) idempotent index per basis element: e_l b e_r = b.
 
-        Read from the sparse structure constants: e b_t is the sum of
-        e_k * mul[k][t] over the nonzero coordinates e_k of e."""
+        Each idempotent is a basis monomial g (idempotent_basis_indices), so
+        g b_t = b_t exactly when mul[g][t] is the single pair (t, 1), and
+        b_t g = b_t when mul[t][g] is."""
         pr = self._cache.get("peirce")
         if pr is None:
-            found = {"left": [None] * self.dim, "right": [None] * self.dim}
-            for r, e in enumerate(self.idempotents):
-                e_nz = [(k, x) for k, x in enumerate(e) if x]
+            pr = ([None] * self.dim, [None] * self.dim)
+            for r, g in enumerate(self.idempotent_basis_indices()):
                 for t in range(self.dim):
-                    for side, index in found.items():
-                        if not self._fixes(e_nz, t, side):
+                    for side, index, prod in (
+                        ("left", pr[0], self.mul[g][t]),
+                        ("right", pr[1], self.mul[t][g]),
+                    ):
+                        if prod != ((t, 1),):
                             continue
                         if index[t] is not None:
                             raise AlgebraStructureError(
                                 f"basis element {t} has two {side} idempotents"
                             )
                         index[t] = r
-            pr = (found["left"], found["right"])
             if None in pr[0] or None in pr[1]:
                 raise AlgebraStructureError("basis is not adapted to the idempotents")
             self._cache["peirce"] = pr
         return pr
-
-    def _fixes(self, e_nz, t, side) -> bool:
-        """Whether e b_t = b_t (side "left") or b_t e = b_t ("right"), for e
-        given by its nonzero (k, e_k) pairs."""
-        out: dict = {}
-        for k, x in e_nz:
-            for m, c in self.mul[k][t] if side == "left" else self.mul[t][k]:
-                out[m] = out.get(m, 0) + x * c
-        return {m: c for m, c in out.items() if c} == {t: 1}
 
     def projective_basis(self, i):
         """Monomial basis indices of e_i * A (paths starting at i)."""

@@ -9,13 +9,14 @@ so shifting by 1 moves content one degree up; with the Hom-complex convention
 of homalg.py this makes H^i Hom(M, N) compute morphisms M -> N shifted down
 by i, matching the indexing used throughout the derived-invariants layer.
 
-A PerfectComplex is a bounded complex whose degree-n component is the direct
-sum of indecomposable projectives e_i A, recorded as the tuple of idempotent
-indices ("copies").  Differentials are stored as raw matrices on the
-underlying coordinates; each block from a copy with idempotent e to a copy
-with idempotent f is left multiplication by an element of f A e, and the
-block decomposition is recomputed and verified at construction, which is
-exactly right-linearity of the differential.
+A PerfectComplex is a Complex whose components are read off its copies:
+the degree-n component is the direct sum of the indecomposable projectives
+e_i A over the tuple of idempotent indices copies[n].  Everything a complex
+does (homology, shapes, the d^2 check) is inherited; the copies add the
+block view.  Each block of a differential from a copy with idempotent e to a
+copy with idempotent f is left multiplication by an element of f A e, and
+the block decomposition is recomputed and verified at construction, which
+is exactly right-linearity of the differential.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .modules import Module, direct_sum_modules, projective_module, zero_module
 
 
 class Complex:
-    __slots__ = ("algebra", "components", "differentials", "lo", "hi")
+    __slots__ = ("algebra", "components", "differentials", "lo", "hi", "_cache")
 
     def __init__(self, algebra: Algebra, components: dict, differentials: dict, check=True):
         self.algebra = algebra
+        self._cache = {}
         self.components = {n: m for n, m in components.items() if m.dim > 0}
         degs = sorted(self.components)
         self.lo = degs[0] if degs else 0
@@ -53,11 +55,6 @@ class Complex:
 
     def is_zero(self) -> bool:
         return not self.components
-
-    def to_complex(self) -> "Complex":
-        """Itself; PerfectComplex.to_complex gives the same view, so callers
-        accept either kind of complex."""
-        return self
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -188,7 +185,7 @@ def cone(f: ChainMap) -> Complex:
 # -- perfect complexes ---------------------------------------------------------
 
 
-class PerfectComplex:
+class PerfectComplex(Complex):
     """Bounded complex of finite direct sums of the projectives e_i A.
 
     copies[n] is the tuple of idempotent indices of the degree-n summands.
@@ -199,78 +196,27 @@ class PerfectComplex:
     map.
     """
 
-    __slots__ = ("algebra", "copies", "differentials", "_cache")
+    __slots__ = ("copies", "_offsets")
 
     def __init__(self, algebra: Algebra, copies: dict, differentials: dict, check=True):
-        self.algebra = algebra
         self.copies = {n: tuple(c) for n, c in copies.items() if c}
-        self.differentials = {}
-        self._cache = {}
-        for n, d in differentials.items():
-            src = self.component_dim(n)
-            tgt = self.component_dim(n + 1)
-            if d.rows != src or d.cols != tgt:
-                raise ValueError(f"differential at degree {n} has wrong shape")
-            if src and tgt and not d.is_zero():
-                self.differentials[n] = d
+        sums = {
+            n: direct_sum_modules(algebra, [projective_module(algebra, i)[0] for i in cs])
+            for n, cs in self.copies.items()
+        }
+        self._offsets = {n: offs for n, (_, offs) in sums.items()}
+        super().__init__(
+            algebra, {n: m for n, (m, _) in sums.items()}, differentials, check=False
+        )
         if check:
             self.check()
-
-    @property
-    def lo(self):
-        return min(self.copies) if self.copies else 0
-
-    @property
-    def hi(self):
-        return max(self.copies) if self.copies else -1
-
-    def is_zero(self):
-        return not self.copies
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1) if self.copies else range(0)
 
     def copies_at(self, n):
         return self.copies.get(n, ())
 
     def copy_offsets(self, n):
-        key = ("offsets", n)
-        if key not in self._cache:
-            offs = []
-            off = 0
-            for i in self.copies_at(n):
-                offs.append(off)
-                off += len(self.algebra.projective_basis(i))
-            self._cache[key] = (offs, off)
-        return self._cache[key]
-
-    def component_dim(self, n) -> int:
-        return self.copy_offsets(n)[1]
-
-    def component(self, n) -> Module:
-        key = ("component", n)
-        if key not in self._cache:
-            mods = [projective_module(self.algebra, i)[0] for i in self.copies_at(n)]
-            self._cache[key] = direct_sum_modules(self.algebra, mods)[0]
-        return self._cache[key]
-
-    def differential(self, n) -> Matrix:
-        d = self.differentials.get(n)
-        if d is None:
-            return Matrix.zeros(self.component_dim(n), self.component_dim(n + 1))
-        return d
-
-    def to_complex(self) -> Complex:
-        c = self._cache.get("as_complex")
-        if c is None:
-            c = Complex(
-                self.algebra,
-                {n: self.component(n) for n in self.copies},
-                dict(self.differentials),
-                check=False,
-            )
-            self._cache["as_complex"] = c
-        return c
+        """Underlying coordinate at which each degree-n copy starts."""
+        return self._offsets.get(n, [])
 
     def generator_position(self, n, c) -> int:
         """Underlying coordinate of the idempotent generator of copy c."""
@@ -278,7 +224,7 @@ class PerfectComplex:
         i = self.copies_at(n)[c]
         basis = a.projective_basis(i)
         gen = a.idempotent_basis_indices()[i]
-        return self.copy_offsets(n)[0][c] + basis.index(gen)
+        return self.copy_offsets(n)[c] + basis.index(gen)
 
     def block_elements(self, n):
         """dict (from_copy, to_copy) -> algebra coordinate vector z with
@@ -290,7 +236,7 @@ class PerfectComplex:
             d = self.differentials.get(n)
             out = {}
             if d is not None:
-                offs_t, _ = self.copy_offsets(n + 1)
+                offs_t = self.copy_offsets(n + 1)
                 tcopies = self.copies_at(n + 1)
                 for c in range(len(self.copies_at(n))):
                     row = d.data[self.generator_position(n, c)]
@@ -312,10 +258,7 @@ class PerfectComplex:
     def check(self):
         """d^2 = 0 and right-linearity of every differential (the latter via
         reassembly from the generator blocks)."""
-        for n, d in self.differentials.items():
-            nxt = self.differentials.get(n + 1)
-            if nxt is not None and not (d * nxt).is_zero():
-                raise ValueError(f"d^2 != 0 at degree {n}")
+        self._check_d_squared()
         for n in list(self.differentials):
             if self._assemble(n) != self.differentials[n]:
                 raise ValueError(f"differential at degree {n} is not a module map")
@@ -347,12 +290,6 @@ class PerfectComplex:
             for i in cs:
                 w[i] += s
         return w
-
-    def homology(self, n):
-        return self.to_complex().homology(n)
-
-    def homology_dims(self):
-        return self.to_complex().homology_dims()
 
     def total_dim(self):
         return sum(self.component_dim(n) for n in self.copies)
@@ -396,8 +333,6 @@ def assemble_block_matrix(a: Algebra, from_copies, to_copies, blocks) -> Matrix:
 
 
 def as_complex(x) -> Complex:
-    if isinstance(x, PerfectComplex):
-        return x.to_complex()
     if isinstance(x, Complex):
         return x
     if isinstance(x, Module):

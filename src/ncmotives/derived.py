@@ -11,7 +11,9 @@ with the class of the second.
 
 Which terms must be perfect: the first argument of euler_pairing (and of
 homalg.hom_complex, which tensors its summandwise dual with the second) is
-a PerfectComplex; the second may be any bounded complex.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
+a PerfectComplex; the second may be any bounded complex, and a
+PerfectComplex is one (a Complex read off its copies), so it is passed as
+it is.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
 naturally isomorphic to - (x)_A D(A) on perfect complexes.  It is read off
 the copies of M: Hom_A(e_i A, A) = A e_i, so the summandwise dual of M
 (homalg.dual_perfect) transposed into D(A e_i) gives S(M) as an unresolved
@@ -198,7 +200,7 @@ def serre(m: PerfectComplex) -> Complex:
     complex is valid, or pass it to resolve_complex for a perfect
     replacement."""
     a = m.algebra
-    d = dual_perfect(m, scalar_algebra(), a).to_complex()
+    d = dual_perfect(m, scalar_algebra(), a)
     comps = {
         -n: Module(a, c.dim, LazyActions(a.dim, c.dim, lambda j, c=c: c.action[j].transpose()))
         for n, c in d.components.items()

@@ -24,15 +24,17 @@ M^v = Hom_A(M, A).  Conventions:
   class reads only the idempotent ones).  What it reads of the right
   factor y alone (the actions of middle and right basis elements on each
   Y^q, the blocks e_m Y^q and the right action in block coordinates) does
-  not depend on x, so a perfect y keeps it in its cache, keyed by
-  (middle, right): the n left factors D(x_i) that meet one simple
-  resolution y in the trace formula build it once.  tensor_class gives
+  not depend on x, so y keeps it in its cache, keyed by (middle, right),
+  whether it is perfect or not: the n left factors D(x_i) that meet one
+  simple resolution y in the trace formula build it once.  tensor_class gives
   only the Grothendieck class, from the copies of x and the class of y
   (derived.k0_class), and never assembles.
-* dual() applies Hom(-, ring) summandwise, negating degrees, transporting
-  each left-multiplication block z to its image under the canonical
-  anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a strict
-  involution on perfect complexes.
+* dual_perfect applies Hom(-, ring) summandwise, negating degrees,
+  transporting each left-multiplication block z to its image under the
+  canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a
+  strict involution on perfect complexes.  The dual is kept on the complex
+  (and the complex on its dual), so hom_complex, serre and dualize share
+  one dual per complex and pair of algebras.
 """
 
 from __future__ import annotations
@@ -94,17 +96,14 @@ def tensor_over(
     action matrix of a basis element of tensor(opposite(left), right) is
     built on first read and kept (modules.LazyActions), so a reader of the
     Grothendieck class builds only the idempotent actions.  The data read
-    from y alone is memoized per (middle, right) in the cache of a perfect
-    y and shared by every left factor it meets; any other complex gets
-    fresh memos for this call.
+    from y alone is memoized per (middle, right) in y's cache and shared by
+    every left factor it meets (a module y is wrapped afresh on each call).
     """
-    # yleft, yright, yblock, yrows below depend on y, middle and right only
-    if isinstance(y, PerfectComplex):
-        memos = y._cache.setdefault(("tensor_over", middle, right), ({}, {}, {}, {}))
-    else:
-        memos = ({}, {}, {}, {})
-    yleft_cache, yright_cache, yblock_cache, yrows_cache = memos
     y = as_complex(y)
+    # yleft, yright, yblock, yrows below depend on y, middle and right only
+    yleft_cache, yright_cache, yblock_cache, yrows_cache = y._cache.setdefault(
+        ("tensor_over", middle, right), ({}, {}, {}, {})
+    )
     e_x = tensor(opposite(left), middle)
     e_y = tensor(opposite(middle), right)
     e_t = tensor(opposite(left), right)
@@ -345,10 +344,20 @@ def dual_perfect(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectCom
 
     Degrees are negated; each left-multiplication block is transported along
     the canonical anti-isomorphism of the two tensor algebras.  Applying the
-    construction twice returns the original complex on the nose."""
+    construction twice returns the original complex on the nose.  The dual
+    is kept in x's cache under ("dual", left, right), and x in the dual's
+    under ("dual", right, left), so D(D(x)) is x."""
     e_ab = tensor(opposite(left), right)
     if x.algebra is not e_ab:
         raise ValueError("x is not perfect over tensor(op(left), right)")
+    d = x._cache.get(("dual", left, right))
+    if d is None:
+        d = x._cache[("dual", left, right)] = _dual(x, left, right)
+        d._cache[("dual", right, left)] = x
+    return d
+
+
+def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
     e_ba = tensor(opposite(right), left)
     if x.is_zero():
         return PerfectComplex(e_ba, {}, {}, check=False)

@@ -138,22 +138,24 @@ def projective_module(a: Algebra, i: int):
     """(Module for e_i A, monomial basis indices into A).
 
     The basis of e_i A is the set of basis monomials with left idempotent i,
-    and the action is the restriction of right multiplication."""
+    and the action is the restriction of right multiplication, each matrix
+    built on first read."""
     key = ("projective_module", i)
     if key not in a._cache:
         basis = a.projective_basis(i)
         pos = {t: r for r, t in enumerate(basis)}
         d = len(basis)
-        action = []
-        for j in range(a.dim):
+
+        def build(j):
             rows = []
             for t in basis:
                 row = [0] * d
                 for k, c in a.mul[t][j]:
                     row[pos[k]] = c
                 rows.append(row)
-            action.append(Matrix(d, d, rows))
-        a._cache[key] = (Module(a, d, action), basis)
+            return Matrix(d, d, rows)
+
+        a._cache[key] = (Module(a, d, LazyActions(a.dim, d, build)), basis)
     return a._cache[key]
 
 

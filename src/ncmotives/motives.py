@@ -132,8 +132,8 @@ class Correspondence:
     itself; k0 and trace accept any bounded complex.
 
     terms is a tuple of (coefficient, complex) with exact coefficients (an
-    int unless the coefficient is a proper fraction), so the class (k0) and
-    the dual (dualize) are computed once and kept."""
+    int unless the coefficient is a proper fraction).  The class (k0) is
+    computed once and kept; dualize reads the dual each term keeps."""
 
     def __init__(self, source: NCMotive, target: NCMotive, terms, label: str = ""):
         self.source = source
@@ -252,19 +252,16 @@ def compose(y: Correspondence, x: Correspondence, cap: int = DEFAULT_CAP) -> Cor
 
 
 def dualize(x: Correspondence) -> Correspondence:
-    """Termwise dual, with the endpoints swapped; computed once per
-    correspondence."""
-    d = x._cache.get("dual")
-    if d is None:
-        a = x.source.algebra
-        b = x.target.algebra
-        d = x._cache["dual"] = Correspondence(
-            x.target,
-            x.source,
-            [(c, dual_perfect(t, a, b)) for c, t in x.terms],
-            label=f"D({x.label})" if x.label else "",
-        )
-    return d
+    """Termwise dual, with the endpoints swapped.  Each term keeps its dual
+    (homalg.dual_perfect), so it is computed once per term."""
+    a = x.source.algebra
+    b = x.target.algebra
+    return Correspondence(
+        x.target,
+        x.source,
+        [(c, dual_perfect(t, a, b)) for c, t in x.terms],
+        label=f"D({x.label})" if x.label else "",
+    )
 
 
 def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> int | Fraction:

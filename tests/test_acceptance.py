@@ -141,8 +141,8 @@ def test_c02_degreewise_serre_duality(perfect_pairs, serre_cache):
     ok = True
     for a, m, n in perfect_pairs:
         sm = serre_cache[id(m)]
-        h1 = hom_complex(m, n.to_complex()).homology_dims()
-        h2 = hom_complex(n, sm.to_complex()).homology_dims()
+        h1 = hom_complex(m, n).homology_dims()
+        h2 = hom_complex(n, sm).homology_dims()
         degs = set(h1) | {-d for d in h2}
         ok = ok and all(h1.get(i, 0) == h2.get(-i, 0) for i in degs)
         checked += 1
@@ -162,10 +162,10 @@ def test_c03_serre_symmetry_of_chi(perfect_pairs, serre_cache):
     for a, m, n in perfect_pairs:
         sm = serre_cache[id(m)]
         sn = serre_cache.setdefault(id(n), serre(n))
-        lhs = euler_pairing(m, n.to_complex())
-        ok = ok and lhs == euler_pairing(n, sm.to_complex())
+        lhs = euler_pairing(m, n)
+        ok = ok and lhs == euler_pairing(n, sm)
         # substituted third form: chi(M, S(N0)) = chi(N0, M)
-        ok = ok and euler_pairing(m, sn.to_complex()) == euler_pairing(n, m.to_complex())
+        ok = ok and euler_pairing(m, sn) == euler_pairing(n, m)
         checked += 1
     elapsed = time.monotonic() - t0
     report(

@@ -6,7 +6,7 @@ import pytest
 from ncmotives.algebra import opposite, scalar_algebra, tensor
 from ncmotives.complexes import Complex, PerfectComplex, single_module_complex
 from ncmotives.corpus import random_perfect_complex
-from ncmotives.derived import k0_class
+from ncmotives.derived import k0_class, serre
 from ncmotives.homalg import (
     dual_perfect,
     hom_complex,
@@ -47,7 +47,7 @@ def brute_hom_dim(m1: Module, m2: Module) -> int:
 def test_hom_of_projective_over_scalars(q):
     p, _ = projective_module(q, 0)
     res, _ = projective_resolution(p)
-    h = hom_complex(res, res.to_complex())
+    h = hom_complex(res, res)
     assert h.homology_dims() == {0: 1}
 
 
@@ -137,8 +137,8 @@ def test_ext_dims_match_arrow_counts(a2, a3, kronecker):
 def test_hom_shift_compatibility(a2, rng):
     m = random_perfect_complex(a2, rng)
     n = random_perfect_complex(a2, rng)
-    h = hom_complex(m, n.to_complex()).homology_dims()
-    h_shift = hom_complex(m, n.shift(1).to_complex()).homology_dims()
+    h = hom_complex(m, n).homology_dims()
+    h_shift = hom_complex(m, n.shift(1)).homology_dims()
     degs = set(h) | {d - 1 for d in h_shift}
     for i in degs:
         assert h.get(i, 0) == h_shift.get(i + 1, 0)
@@ -192,7 +192,7 @@ def test_tensor_over_middle_algebra_mismatch(a2, kronecker, q, rng):
     x = random_perfect_complex(a2, rng)
     y = random_perfect_complex(kronecker, rng)
     try:
-        tensor_over(x, y.to_complex(), q, a2, q)
+        tensor_over(x, y, q, a2, q)
     except ValueError:
         return
     raise AssertionError("algebra mismatch must be rejected")
@@ -201,7 +201,7 @@ def test_tensor_over_middle_algebra_mismatch(a2, kronecker, q, rng):
 def test_tensor_over_scalars_multiplies_dims(q, rng):
     x = random_perfect_complex(q, rng, max_width=1)
     y = random_perfect_complex(q, rng, max_width=1)
-    t = tensor_over(x, y.to_complex(), q, q, q)
+    t = tensor_over(x, y, q, q, q)
     for k in t.degrees():
         expected = sum(
             x.component_dim(p) * y.component_dim(k - p) for p in x.degrees()
@@ -219,7 +219,7 @@ def test_tensor_unit_constraint(a2, rng):
         m = random_perfect_complex(a2, rng)
         # view M as a (Q, A)-bimodule complex and tensor on the left:
         # M (x)_A (diagonal) via the A-A-bimodule resolution
-        t = tensor_over(m, diag.to_complex(), q, a2, a2)
+        t = tensor_over(m, diag, q, a2, a2)
         degs = set(t.components) | set(m.copies)
         for n in degs:
             assert t.homology(n)[0] == m.homology(n)[0]
@@ -231,9 +231,10 @@ def test_tensor_class_matches_assembled(a2, kronecker, rng):
     e_rev = tensor(opposite(kronecker), a2)
     x = random_perfect_complex(e, rng, max_width=1)
     y = random_perfect_complex(e_rev, rng, max_width=1)
-    t = tensor_over(x, y.to_complex(), a2, kronecker, a2)
+    t = tensor_over(x, y, a2, kronecker, a2)
     cls = tensor_class(x, y, a2, kronecker, a2)
-    assert tensor_class(x, y.to_complex(), a2, kronecker, a2) == cls
+    plain_y = Complex(e_rev, y.components, y.differentials)
+    assert tensor_class(x, plain_y, a2, kronecker, a2) == cls
     env = tensor(opposite(a2), a2)
     idem_idx = env.idempotent_basis_indices()
     for r in range(len(env.idempotents)):
@@ -257,7 +258,7 @@ def test_tensor_over_output_is_a_complex_of_modules(a2, qxq, kronecker, rng):
         e_y = tensor(opposite(middle), right)
         x = random_perfect_complex(e_x, rng, max_width=1)
         y = random_perfect_complex(e_y, rng, max_width=1)
-        t = tensor_over(x, y.to_complex(), left, middle, right)
+        t = tensor_over(x, y, left, middle, right)
         for n in t.degrees():
             comp = t.components.get(n)
             if comp is None:
@@ -283,8 +284,12 @@ def test_dual_is_strict_involution(a2, kronecker, rng):
     e = tensor(opposite(a2), kronecker)
     for _ in range(4):
         x = random_perfect_complex(e, rng)
-        dd = dual_perfect(dual_perfect(x, a2, kronecker), kronecker, a2)
-        assert dd.copies == x.copies
+        d = dual_perfect(x, a2, kronecker)
+        assert dual_perfect(x, a2, kronecker) is d
+        assert dual_perfect(d, kronecker, a2) is x
+        # a dual built without the memo
+        dd = dual_perfect(_fresh(d), kronecker, a2)
+        assert dd is not x and dd.copies == x.copies
         assert dd.differentials == x.differentials
 
 
@@ -305,9 +310,11 @@ def test_dual_k0_naturality(a2, rng):
         assert list(k0_class(dual_perfect(x, a2, aop)).coords) == expected
 
 
-def _fresh(y: PerfectComplex) -> PerfectComplex:
+def _fresh(y):
     """The same complex with an empty cache."""
-    return PerfectComplex(y.algebra, y.copies, y.differentials)
+    if isinstance(y, PerfectComplex):
+        return PerfectComplex(y.algebra, y.copies, y.differentials)
+    return Complex(y.algebra, y.components, y.differentials)
 
 
 def _assert_same_tensor(t, u):
@@ -322,12 +329,13 @@ def _assert_same_tensor(t, u):
 
 
 def test_shared_right_factor_data_matches_a_cold_build(q):
-    """tensor_over keeps what it reads of a perfect right factor y in y's
-    cache, keyed by (middle, right).  On the trace-formula triples of the
-    corpus Hom models (left factors D(x) over tensor(op(B), A), y over
+    """tensor_over keeps what it reads of the right factor y in y's cache,
+    keyed by (middle, right).  On the trace-formula triples of the corpus
+    Hom models (left factors D(x) over tensor(op(B), A), y over
     tensor(op(A), B)) a warm build equals a cold one; each y meets two left
     factors, then serves a second key (Q, tensor(op(A), B)) against a
-    perfect complex over Q."""
+    perfect complex over Q.  The unresolved Serre complex S(y), which is not
+    perfect, keeps its memos the same way."""
     from ncmotives.corpus import corpus_motive_scenarios
     from ncmotives.derived import simple_resolutions
 
@@ -350,5 +358,10 @@ def test_shared_right_factor_data_matches_a_cold_build(q):
             _assert_same_tensor(warm, tensor_over(over_q, _fresh(y), q, q, e, check=False))
             assert ("tensor_over", a, b) in y._cache
             assert ("tensor_over", q, e) in y._cache
+            sy = serre(y)
+            for x in lefts:
+                warm = tensor_over(x, sy, b, a, b, check=False)
+                _assert_same_tensor(warm, tensor_over(x, _fresh(sy), b, a, b, check=False))
+            assert ("tensor_over", a, b) in sy._cache
             checked += 1
     assert checked > 30
