@@ -123,6 +123,13 @@ def algebra_from_spec(spec) -> Algebra:
     so one set of caches) for as long as it is in use.
 
     Kinds: scalar | named | quiver | opposite | tensor | table."""
+    try:
+        return _interned_algebra(spec)
+    except RecursionError as exc:
+        raise InputError("algebra spec is nested too deeply") from exc
+
+
+def _interned_algebra(spec) -> Algebra:
     key = json.dumps(spec, sort_keys=True)
     a = _interned_algebras.get(key)
     if a is None:
@@ -161,18 +168,18 @@ def _build_algebra(spec) -> Algebra:
     if kind == "opposite":
         if "of" not in spec:
             raise InputError("opposite spec needs an 'of' algebra")
-        return opposite(algebra_from_spec(spec["of"]))
+        return opposite(_interned_algebra(spec["of"]))
     if kind == "tensor":
         factors = spec.get("factors", [])
         if not isinstance(factors, list) or len(factors) != 2:
             raise InputError("tensor spec needs a list of exactly two factors")
-        return tensor(algebra_from_spec(factors[0]), algebra_from_spec(factors[1]))
+        return tensor(_interned_algebra(factors[0]), _interned_algebra(factors[1]))
     if kind == "table":
         try:
             dim = spec["dim"]
             if type(dim) is not int or dim < 0:
                 raise InputError(f"table dim must be a non-negative integer, not {dim!r}")
-            labels = spec.get("labels") or [f"b{i}" for i in range(dim)]
+            labels = spec.get("labels", [f"b{i}" for i in range(dim)])
             mul = [
                 [[scalar_from_json(x) for x in vec] for vec in row]
                 for row in spec["mul"]
@@ -183,6 +190,12 @@ def _build_algebra(spec) -> Algebra:
             ]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad table spec: {exc}") from exc
+        if not (
+            isinstance(labels, list)
+            and all(isinstance(lab, str) for lab in labels)
+            and len(set(labels)) == len(labels) == dim
+        ):
+            raise InputError(f"table labels must be a list of {dim} distinct strings")
         if len(mul) != dim or any(len(row) != dim for row in mul):
             raise InputError(f"table mul must be {dim} x {dim} product vectors")
         vectors = [v for row in mul for v in row] + [unit, *idems]
@@ -205,8 +218,6 @@ def module_from_spec(spec, algebra: Algebra) -> Module:
     """Module over `algebra` from {"dim": d, "action": {label: matrix}}."""
     if not isinstance(spec, dict):
         raise InputError("module spec must be an object")
-    if "named" in spec:
-        raise InputError("named coefficients are resolved by the caller")
     try:
         dim = spec["dim"]
         pos = {lab: i for i, lab in enumerate(algebra.labels)}
@@ -253,14 +264,23 @@ def complex_from_spec(spec, algebra: Algebra):
 
 
 def coefficients_from_spec(spec, algebra: Algebra):
+    """Hochschild coefficients: a named bimodule, a bimodule, or a complex of
+    bimodules with no component in a positive degree."""
     from .algebra import enveloping_algebra
 
-    if spec is None or (isinstance(spec, dict) and spec.get("named") == "diagonal"):
+    if spec is None:
         return diagonal_bimodule(algebra)
-    if isinstance(spec, dict) and spec.get("named") == "dual":
-        return dual_bimodule(algebra)
+    if isinstance(spec, dict) and "named" in spec:
+        if spec["named"] == "diagonal":
+            return diagonal_bimodule(algebra)
+        if spec["named"] == "dual":
+            return dual_bimodule(algebra)
+        raise InputError(f"named coefficients must be 'diagonal' or 'dual', not {spec['named']!r}")
     if isinstance(spec, dict) and "components" in spec:
-        return complex_from_spec(spec, enveloping_algebra(algebra))
+        w = complex_from_spec(spec, enveloping_algebra(algebra))
+        if w.hi > 0:
+            raise InputError("coefficients must have no component in a positive degree")
+        return w
     return module_from_spec(spec, enveloping_algebra(algebra))
 
 
@@ -268,7 +288,10 @@ def motive_from_spec(spec) -> NCMotive:
     if not isinstance(spec, dict):
         raise InputError("motive spec must be an object")
     a = algebra_from_spec(spec.get("algebra", {"kind": "scalar"}))
-    return NCMotive(a, idempotent_from_spec(spec.get("idempotent"), a))
+    try:
+        return NCMotive(a, idempotent_from_spec(spec.get("idempotent"), a))
+    except RecursionError as exc:
+        raise InputError("idempotent spec is nested too deeply") from exc
 
 
 def idempotent_from_spec(idem, a: Algebra) -> Correspondence | None:
@@ -366,7 +389,7 @@ def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -58,13 +58,17 @@ def hochschild(a: Algebra, w, top: int | None = None, cap: int = DEFAULT_CAP) ->
     (or bounded complex of bimodules) over tensor(op(A), A).
 
     HH_n is the cohomology in degree -n of
-    (diagonal resolution) (x)_{A^e} coefficients."""
+    (diagonal resolution) (x)_{A^e} coefficients.  The coefficients must
+    have no component in a positive degree (ValueError otherwise): the
+    total complex then sits in degrees <= 0, so no homology is dropped."""
     diag = diagonal_resolution(a, cap)
     wc = as_complex(w)
     q = scalar_algebra()
     env = tensor(opposite(a), a)
     if wc.algebra is not env:
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
+    if wc.hi > 0:
+        raise ValueError("coefficients have a component in a positive degree")
     t = tensor_over(diag, _left_structure_complex(wc, a), q, env, q, check=False)
     if top is None:
         top = max(0, -t.lo) if not t.is_zero() else 0

@@ -21,13 +21,14 @@ M^v = Hom_A(M, A).  Conventions:
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
   tensor_over assembles the total complex: its block layout and
   differentials at once, each component action matrix on first read (a
-  class reads only the idempotent ones).  What it reads of the right
-  factor y alone (the actions of middle and right basis elements on each
-  Y^q, the blocks e_m Y^q and the right action in block coordinates) does
-  not depend on x, so y keeps it in its cache, keyed by (middle, right),
+  class reads only the idempotent ones).  Each of these maps is a sum of
+  (multiplication on L e_l) (x) (a map of y between blocks e_m Y^q), written
+  by one kernel.  The maps of y -- the actions of middle and right basis
+  elements and d_Y, in the block coordinates of the e_m Y^q -- do not
+  depend on x, so y keeps them in its cache, keyed by (middle, right),
   whether it is perfect or not: the n left factors D(x_i) that meet one
-  simple resolution y in the trace formula build it once.  tensor_class gives
-  only the Grothendieck class, from the copies of x and the class of y
+  simple resolution y in the trace formula compute them once.  tensor_class
+  gives only the Grothendieck class, from the copies of x and the class of y
   (derived.k0_class), and never assembles.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
   transporting each left-multiplication block z to its image under the
@@ -92,17 +93,20 @@ def tensor_over(
 
         (L e_l) (x) (e_m . Y^q).
 
-    The layout and the differentials are built here; each component's
-    action matrix of a basis element of tensor(opposite(left), right) is
+    Every map written here -- the action of a basis element of
+    tensor(opposite(left), right), 1 (x) d_Y and d_X (x) 1 -- is a sum of
+    (multiplication on L e_l) (x) (map of y in block coordinates), added by
+    one writer, kron.  The maps of y (ymove: a side action or d_Y) are
+    memoized per (middle, right) in y's cache, so every left factor y meets
+    shares them (a module y is wrapped afresh on each call).  The layout
+    and differentials are built here; each component's action matrix is
     built on first read and kept (modules.LazyActions), so a reader of the
-    Grothendieck class builds only the idempotent actions.  The data read
-    from y alone is memoized per (middle, right) in y's cache and shared by
-    every left factor it meets (a module y is wrapped afresh on each call).
+    Grothendieck class builds only the idempotent actions.
     """
     y = as_complex(y)
-    # yleft, yright, yblock, yrows below depend on y, middle and right only
-    yleft_cache, yright_cache, yblock_cache, yrows_cache = y._cache.setdefault(
-        ("tensor_over", middle, right), ({}, {}, {}, {})
+    # yact, yblock and ymove below depend on y, middle and right only
+    yact_cache, yblock_cache, ymove_cache = y._cache.setdefault(
+        ("tensor_over", middle, right), ({}, {}, {})
     )
     e_x = tensor(opposite(left), middle)
     e_y = tensor(opposite(middle), right)
@@ -121,45 +125,48 @@ def tensor_over(
 
     mid_idem_idx = middle.idempotent_basis_indices()
 
-    # left-action matrices of middle basis elements on the components of y
-    def yleft(q, g_m):
-        key = (q, g_m)
-        if key not in yleft_cache:
+    def yact(q, g_m, r):
+        """Action of basis elements g_m of middle and r of right on Y^q; None
+        stands for the unit."""
+        key = (q, g_m, r)
+        if key not in yact_cache:
             yq = y.component(q)
-            yleft_cache[key] = matrix_sum(
+            gs = enumerate(middle.unit) if g_m is None else [(g_m, 1)]
+            rs = list(enumerate(right.unit)) if r is None else [(r, 1)]
+            yact_cache[key] = matrix_sum(
                 (
-                    (yq.action[join_pair_basis(opposite(middle), right, g_m, j)], u)
-                    for j, u in enumerate(right.unit)
+                    (yq.action[join_pair_basis(opposite(middle), right, i, j)], u * v)
+                    for i, u in gs
+                    for j, v in rs
                 ),
                 yq.dim,
                 yq.dim,
             )
-        return yleft_cache[key]
+        return yact_cache[key]
 
-    def yright(q, r):
-        key = (q, r)
-        if key not in yright_cache:
-            yq = y.component(q)
-            yright_cache[key] = matrix_sum(
-                (
-                    (yq.action[join_pair_basis(opposite(middle), right, i, r)], u)
-                    for i, u in enumerate(middle.unit)
-                ),
-                yq.dim,
-                yq.dim,
-            )
-        return yright_cache[key]
-
-    def yblock(q, m_idem) -> RowBasis:
-        key = (q, m_idem)
+    def yblock(q, m) -> RowBasis:
+        key = (q, m)
         if key not in yblock_cache:
             rb = RowBasis(y.component_dim(q))
-            for r in yleft(q, mid_idem_idx[m_idem]).data:
-                rb.add(r)
+            for row in yact(q, mid_idem_idx[m], None).data:
+                rb.add(row)
             yblock_cache[key] = rb
         return yblock_cache[key]
 
-    # block layout per total degree: (p, copy, l, m, lblock, yb, offset)
+    def ymove(q, m, q2, m2, act):
+        """Rows of a map of y in block coordinates, e_m Y^q -> e_m2 Y^q2: the
+        action yact(q, *act) (q2 = q), or d_Y^q (q2 = q + 1) if act is None."""
+        key = (q, m, q2, m2, act)
+        if key not in ymove_cache:
+            mat = y.differentials[q] if act is None else yact(q, *act)
+            dst = yblock(q2, m2)
+            rows = [dst.coords(row_times(v, mat)) for v in yblock(q, m).rows]
+            if None in rows:
+                raise AssertionError("a map of y escaped its block")
+            ymove_cache[key] = rows
+        return ymove_cache[key]
+
+    # block layout per total degree: (p, copy, m, lblock, yb, offset)
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
     for k in range(x.lo + y.lo, x.hi + y.hi + 1):
@@ -174,7 +181,7 @@ def tensor_over(
                 lblock = left.coprojective_basis(l_i)
                 yb = yblock(q, m_i)
                 if lblock and yb.dim:
-                    entries.append((p, c, l_i, m_i, lblock, yb, off))
+                    entries.append((p, c, m_i, lblock, yb, off))
                     off += len(lblock) * yb.dim
         if entries:
             layout[k] = entries
@@ -182,119 +189,67 @@ def tensor_over(
     if not layout:
         return Complex(e_t, {}, {}, check=False)
 
-    index = {
-        k: {(e[0], e[1]): e for e in entries} for k, entries in layout.items()
-    }
+    def kron(out, src, dst, lpairs, ymat):
+        """Add L (x) ymat to out, from the layout entry src to dst: L sends
+        position s of src's L e_l block to c * u2 over (s, u2, c) in lpairs
+        (u2 outside dst's block contributes nothing); ymat is a ymove."""
+        (_, _, _, _, yb, off), (_, _, _, lblock2, yb2, off2) = src, dst
+        pos = {u: s2 for s2, u in enumerate(lblock2)}
+        for s, u2, c in lpairs:
+            if u2 not in pos:
+                continue
+            dst_base = off2 + pos[u2] * yb2.dim
+            for vi, yr in enumerate(ymat):
+                row = out[off + s * yb.dim + vi]
+                for vj, cy in enumerate(yr):
+                    if cy:
+                        row[dst_base + vj] += c * cy
 
-    # block coordinates of the right action of r on the e_m Y^q block
-    def yrows(q, m_i, r):
-        key = (q, m_i, r)
-        if key not in yrows_cache:
-            yb = yblock(q, m_i)
-            ymat = yright(q, r)
-            rows = []
-            for v in yb.rows:
-                cs = yb.coords(row_times(v, ymat))
-                if cs is None:
-                    raise AssertionError("right action escaped the block")
-                rows.append(cs)
-            yrows_cache[key] = rows
-        return yrows_cache[key]
+    def action(k, t):
+        """Action matrix of basis element t of e_t on the degree-k component:
+        left multiplication by its left part (x) the action of its right."""
+        a_i, r_i = split_pair_basis(opposite(left), right, t)
+        big = [[0] * dims[k] for _ in range(dims[k])]
+        for e in layout[k]:
+            p, _, m, lblock, _, _ = e
+            lmul = ((s, u2, cl) for s, u in enumerate(lblock) for u2, cl in left.mul[a_i][u])
+            kron(big, e, e, lmul, ymove(k - p, m, k - p, m, (None, r_i)))
+        return Matrix(dims[k], dims[k], big)
 
-    def component_action(k):
-        """Builder of the action matrix of basis element t of e_t on the
-        degree-k component."""
-        entries, total = layout[k], dims[k]
-
-        def build(t):
-            a_i, r_i = split_pair_basis(opposite(left), right, t)
-            big = [[0] * total for _ in range(total)]
-            for (p, c, l_i, m_i, lblock, yb, off) in entries:
-                # left multiplication of basis a_i on L e_l, in block coords
-                lrows = left.mul[a_i]
-                lpos = {u: s for s, u in enumerate(lblock)}
-                ydim = yb.dim
-                yr_block = yrows(k - p, m_i, r_i)
-                for s, u in enumerate(lblock):
-                    for u2, cl in lrows[u]:
-                        if u2 not in lpos:
-                            continue
-                        s2 = lpos[u2]
-                        for vi in range(ydim):
-                            src = off + s * ydim + vi
-                            yr = yr_block[vi]
-                            dst_base = off + s2 * ydim
-                            row = big[src]
-                            for vj, cy in enumerate(yr):
-                                if cy:
-                                    row[dst_base + vj] += cl * cy
-            return Matrix(total, total, big)
-
-        return build
-
-    # components with their module structure over e_t; each action matrix
-    # is built on first read
     components = {
-        k: Module(e_t, dims[k], LazyActions(e_t.dim, dims[k], component_action(k)))
+        k: Module(e_t, dims[k], LazyActions(e_t.dim, dims[k], lambda t, k=k: action(k, t)))
         for k in layout
     }
 
-    # differentials
     diffs: dict[int, Matrix] = {}
     for k, entries in layout.items():
         if k + 1 not in layout:
             continue
-        tgt = index[k + 1]
-        rows_out = [[0] * dims[k + 1] for _ in range(dims[k])]
-        for (p, c, l_i, m_i, lblock, yb, off) in entries:
+        tgt = {(e[0], e[1]): e for e in layout[k + 1]}
+        out = [[0] * dims[k + 1] for _ in range(dims[k])]
+        for e in entries:
+            p, c, m, lblock, _, _ = e
             q = k - p
-            ydim = yb.dim
-            # (a) identity (x) d_Y with sign (-1)^p
-            d_y = y.differentials.get(q)
-            if d_y is not None and (p, c) in tgt:
-                (_, _, _, _, lblock2, yb2, off2) = tgt[(p, c)]
-                sgn = -1 if p % 2 else 1
-                for vi, v in enumerate(yb.rows):
-                    cs = yb2.coords(row_times(v, d_y))
-                    if cs is None:
-                        raise AssertionError("d_Y escaped the block")
-                    for s in range(len(lblock)):
-                        row = rows_out[off + s * ydim + vi]
-                        dst_base = off2 + s * yb2.dim
-                        for vj, cy in enumerate(cs):
-                            if cy:
-                                row[dst_base + vj] += sgn * cy
-            # (b) d_X (x) identity
-            blocks = x.block_elements(p)
-            for (cc, c2), z in blocks.items():
+            # 1 (x) d_Y with sign (-1)^p
+            if q in y.differentials and (p, c) in tgt:
+                lid = ((s, u, -1 if p % 2 else 1) for s, u in enumerate(lblock))
+                kron(out, e, tgt[(p, c)], lid, ymove(q, m, q + 1, m, None))
+            # d_X (x) 1: each basis element g of a block of d_X multiplies
+            # L e_l by its left part and moves y by its middle part
+            for (cc, c2), z in x.block_elements(p).items():
                 if cc != c or (p + 1, c2) not in tgt:
                     continue
-                (_, _, l2, m2, lblock2, yb2, off2) = tgt[(p + 1, c2)]
-                lpos2 = {u: s for s, u in enumerate(lblock2)}
+                e2 = tgt[(p + 1, c2)]
                 for g, coeff in enumerate(z):
-                    if not coeff:
-                        continue
-                    g_l, g_m = split_pair_basis(opposite(left), middle, g)
-                    ymove = yleft(q, g_m)
-                    ycoords = []
-                    for v in yb.rows:
-                        cs = yb2.coords(row_times(v, ymove))
-                        if cs is None:
-                            raise AssertionError("d_X transport escaped the block")
-                        ycoords.append(cs)
-                    for s, u in enumerate(lblock):
-                        for u2, cl in left.mul[u][g_l]:
-                            if u2 not in lpos2:
-                                continue
-                            s2 = lpos2[u2]
-                            dst_base = off2 + s2 * yb2.dim
-                            cc2 = coeff * cl
-                            for vi in range(ydim):
-                                row = rows_out[off + s * ydim + vi]
-                                for vj, cy in enumerate(ycoords[vi]):
-                                    if cy:
-                                        row[dst_base + vj] += cc2 * cy
-        diffs[k] = Matrix(dims[k], dims[k + 1], rows_out)
+                    if coeff:
+                        g_l, g_m = split_pair_basis(opposite(left), middle, g)
+                        lmul = (
+                            (s, u2, coeff * cl)
+                            for s, u in enumerate(lblock)
+                            for u2, cl in left.mul[u][g_l]
+                        )
+                        kron(out, e, e2, lmul, ymove(q, m, q, e2[2], (g_m, None)))
+        diffs[k] = Matrix(dims[k], dims[k + 1], out)
 
     return Complex(e_t, components, diffs, check=check)
 

@@ -1,11 +1,20 @@
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from ncmotives.cli import algebra_from_spec, main, module_from_spec, motive_from_spec
+from ncmotives.cli import (
+    InputError,
+    algebra_from_spec,
+    main,
+    module_from_spec,
+    motive_from_spec,
+    scalar_to_json,
+)
+from ncmotives.modules import diagonal_bimodule
 
 A2_SPEC = {
     "format": 1,
@@ -33,8 +42,9 @@ DUAL_NUMBERS_SPEC = {
 
 
 def write(tmp_path, name, obj):
+    """Write obj as JSON, or a string as the raw text of the file."""
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(p)
 
 
@@ -237,6 +247,15 @@ MALFORMED_TABLES = {
     "unit-not-a-unit": _table(unit=[0]),
     "idempotent-not-idempotent": _table(idempotents=[["1/2"]]),
     "labels-too-many": _table(labels=["x", "y"]),
+    "labels-not-a-list": _table(labels=5),
+    "labels-not-strings": _table(labels=[1]),
+    "labels-repeated": _table(
+        dim=2,
+        labels=["a", "a"],
+        mul=[[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        unit=[1, 1],
+        idempotents=[[1, 0], [0, 1]],
+    ),
 }
 
 
@@ -258,6 +277,14 @@ def _cut(vertices):
 # file.  Each is outside the documented input contract and must end in exit
 # 2: never in a traceback (exit 1), a silent pass, or another exit code.
 ZERO_ACTION = {"dim": 1, "action": {f"{x}|{y}": [[0]] for x in ("e0", "e1", "a") for y in ("e0", "e1", "a")}}
+A2_DIAGONAL = diagonal_bimodule(algebra_from_spec(A2_SPEC))
+A2_DIAGONAL_SPEC = {
+    "dim": A2_DIAGONAL.dim,
+    "action": {
+        lab: [[scalar_to_json(x) for x in row] for row in m.data]
+        for lab, m in zip(A2_DIAGONAL.algebra.labels, A2_DIAGONAL.action)
+    },
+}
 MALFORMED_INPUTS = {
     "vertex-cut-out-of-range": ["verify", {"source": _cut([7])}],
     "vertex-cut-with-a-path": ["verify", {"source": _cut([0, 1])}],
@@ -282,6 +309,12 @@ MALFORMED_INPUTS = {
     ],
     "negative-vertex-count": ["euler-matrix", {"kind": "quiver", "vertices": -1}],
     "module-axioms-fail": ["hochschild", A2_SPEC, "--coefficients", ZERO_ACTION],
+    "coefficients-in-degree-1": [
+        "hochschild",
+        A2_SPEC,
+        "--coefficients",
+        {"format": 1, "components": {"1": A2_DIAGONAL_SPEC}, "differentials": {}},
+    ],
     "negative-top": ["hochschild", A2_SPEC, "--top", "-3"],
     "negative-bar-check": ["hochschild", A2_SPEC, "--bar-check", "-1"],
     "negative-samples": ["serre-check", A2_SPEC, "--samples", "-1"],
@@ -436,6 +469,12 @@ def test_verify_three_arrow_kronecker_endo(tmp_path):
     assert report["kernel_dim"] == 0
 
 
+def _nested_opposite(spec, depth):
+    for _ in range(depth):
+        spec = {"kind": "opposite", "of": spec}
+    return spec
+
+
 MALFORMED_COMPOSITE_SPECS = {
     "opposite-without-of": {"kind": "opposite"},
     "opposite-of-a-number": {"kind": "opposite", "of": 5},
@@ -443,6 +482,12 @@ MALFORMED_COMPOSITE_SPECS = {
     "tensor-factors-a-string": {"kind": "tensor", "factors": "ab"},
     "tensor-one-factor": {"kind": "tensor", "factors": [A2_SPEC]},
     "tensor-factor-a-number": {"kind": "tensor", "factors": [A2_SPEC, 1]},
+    # valid JSON, but nested past what the recursive spec builder can follow
+    "opposite-nested-700-deep": _nested_opposite(A2_SPEC, 700),
+    # too deep for json.load itself; json.dumps cannot write it, so raw text
+    "opposite-nested-5000-deep": '{"kind": "opposite", "of": ' * 5000
+    + json.dumps(A2_SPEC)
+    + "}" * 5000,
 }
 
 
@@ -466,3 +511,21 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["euler-matrix", write(tmp_path, "a2.json", A2_SPEC)]) == cli.EXIT_INTERNAL == 5
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: deliberate failure" in err
+
+
+def test_unknown_named_coefficients_name_the_allowed_values(tmp_path, capsys):
+    spec = write(tmp_path, "a2.json", A2_SPEC)
+    coeff = write(tmp_path, "coeff.json", {"named": "foo"})
+    assert main(["hochschild", spec, "--coefficients", coeff]) == 2
+    err = capsys.readouterr().err
+    assert "'diagonal'" in err and "'dual'" in err and "'foo'" in err
+
+
+def test_deeply_nested_idempotent_spec_is_malformed():
+    """A complement nested past the recursion limit is malformed input, not
+    an internal error."""
+    idem = {"kind": "vertex-cut", "vertices": [0]}
+    for _ in range(sys.getrecursionlimit()):
+        idem = {"kind": "complement", "of": idem}
+    with pytest.raises(InputError, match="nested too deeply"):
+        motive_from_spec({"algebra": A2_SPEC, "idempotent": idem})

@@ -142,3 +142,40 @@ def test_endpoint_mismatch_rejected(a2, qxq):
     x = identity_correspondence(ma)
     with pytest.raises(ValueError):
         intersection_number(x, identity_correspondence(mb))
+
+
+def test_coefficients_in_a_positive_degree_are_rejected(a2):
+    """HH_n is read in degree -n, so a component in a positive degree would
+    be dropped without a word; hochschild refuses it instead."""
+    from ncmotives.complexes import Complex
+
+    w = diagonal_bimodule(a2)
+    with pytest.raises(ValueError, match="positive degree"):
+        hochschild(a2, Complex(w.algebra, {1: w}, {}))
+    with pytest.raises(ValueError, match="positive degree"):
+        hochschild(a2, Complex(w.algebra, {0: w, 1: w}, {}))
+
+
+def test_profile_euler_matches_class_pairing_on_random_complexes(a2, a3, kronecker, rng):
+    """HHProfile.euler() (alternating sum of homology dimensions) equals
+    hochschild_euler (the class of the coefficients paired with the
+    diagonal resolution) on seeded bounded complexes of bimodules in
+    degrees <= 0: random perfect complexes moved down to end in degree 0 or
+    below, and sums of the diagonal and dual bimodules in random degrees."""
+    from ncmotives.complexes import Complex
+    from ncmotives.corpus import random_perfect_complex
+
+    checked = 0
+    for alg in (a2, a3, kronecker):
+        env = enveloping_algebra(alg)
+        for _ in range(4):
+            x = random_perfect_complex(env, rng, max_shift=2)
+            w = x.shift(-x.hi - rng.randint(0, 1)) if x.hi >= 0 else x
+            assert w.hi <= 0
+            assert hochschild(alg, w).euler() == hochschild_euler(alg, w)
+            checked += not w.is_zero()
+        for _ in range(2):
+            degs = (-rng.randint(0, 1), -rng.randint(2, 3))
+            w = Complex(env, dict(zip(degs, (diagonal_bimodule(alg), dual_bimodule(alg)))), {})
+            assert hochschild(alg, w).euler() == hochschild_euler(alg, w)
+    assert checked >= 8

@@ -365,3 +365,27 @@ def test_shared_right_factor_data_matches_a_cold_build(q):
             assert ("tensor_over", a, b) in sy._cache
             checked += 1
     assert checked > 30
+
+
+def test_second_build_against_one_y_reads_only_memos(a2, kronecker, monkeypatch):
+    """Every map of y that tensor_over writes is memoized in y's cache, so
+    building the same tensors again against one y computes no block
+    coordinates: the duals of every simple resolution over
+    tensor(op(A2), Kronecker), each tensored with one resolution y."""
+    from ncmotives.derived import simple_resolutions
+    from ncmotives.linalg import RowBasis
+
+    e = tensor(opposite(a2), kronecker)
+    res = simple_resolutions(e)
+    xs = [dual_perfect(r, a2, kronecker) for r in res]
+    y = _fresh(res[-1])
+    calls = []
+    coords = RowBasis.coords
+    monkeypatch.setattr(RowBasis, "coords", lambda rb, v: calls.append(1) or coords(rb, v))
+    first = [tensor_over(x, y, kronecker, a2, kronecker) for x in xs]
+    assert calls
+    calls.clear()
+    second = [tensor_over(x, y, kronecker, a2, kronecker) for x in xs]
+    assert not calls
+    for t, u in zip(first, second):
+        _assert_same_tensor(t, u)
