@@ -49,7 +49,7 @@ from .derived import (
     euler_pairing,
     simple_resolutions,
 )
-from .hochschild import bar_oracle, hochschild, intersection_number
+from .hochschild import bar_oracle, hochschild, hochschild_euler, intersection_number
 from .homalg import hom_complex
 from .linalg import Matrix, norm_scalar
 from .modules import Module, diagonal_bimodule, dual_bimodule
@@ -505,31 +505,30 @@ def cmd_hochschild(args) -> int:
     coeff_spec = load_json(args.coefficients) if args.coefficients else None
     w = coefficients_from_spec(coeff_spec, a)
     top = args.top
-    profile = hochschild(a, w, top=top, cap=args.cap)
+    depth = top if args.bar_check is None else max(top, args.bar_check)
+    profile = hochschild(a, w, top=depth, cap=args.cap)
     report = {
         "command": "hochschild",
         "inputs_digest": digest([spec, coeff_spec, top, args.bar_check]),
-        "dims": profile.dims,
-        "euler_characteristic": profile.euler(),
+        "dims": profile.dims[: top + 1],
+        "euler_characteristic": hochschild_euler(a, w, args.cap),
         "verdict": True,
     }
     if args.bar_check is not None:
         if not isinstance(w, Module):
             raise InputError("--bar-check needs a single bimodule, not a complex")
         bar = bar_oracle(a, w, top=args.bar_check)
-        agree = bar.dims == profile.dims[: args.bar_check + 1] + [0] * max(
-            0, args.bar_check + 1 - len(profile.dims)
-        )
+        dims = profile.dims[: args.bar_check + 1]
         report["bar_dims"] = bar.dims
         report["checks"] = [
             check_record(
                 "hochschild-vs-bar",
                 "resolution-based dims = bar-complex dims",
                 bar.dims,
-                (profile.dims + [0] * (args.bar_check + 1))[: args.bar_check + 1],
+                dims,
             )
         ]
-        report["verdict"] = agree
+        report["verdict"] = bar.dims == dims
     return emit(report, args)
 
 

@@ -9,6 +9,10 @@ so shifting by 1 moves content one degree up; with the Hom-complex convention
 of homalg.py this makes H^i Hom(M, N) compute morphisms M -> N shifted down
 by i, matching the indexing used throughout the derived-invariants layer.
 
+Differentials are a dict, or a LazyDifferentials that builds each one on
+first read (the tensor products of homalg make theirs so, since a class
+reads none of them).
+
 A PerfectComplex is a Complex whose components are read off its copies:
 the degree-n component is the direct sum of the indecomposable projectives
 e_i A over the tuple of idempotent indices copies[n].  Everything a complex
@@ -21,21 +25,56 @@ is exactly right-linearity of the differential.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .algebra import Algebra
 from .linalg import Matrix, RowBasis
 from .modules import Module, direct_sum_modules, projective_module, zero_module
 
 
+class LazyDifferentials(Mapping):
+    """Differentials built on first read by build(n) and kept, for complexes
+    whose readers may need none of them (a class reads only the component
+    actions).  The keys are the degrees n with nonzero components in n and
+    n + 1; a built differential may be zero.  Comparison builds them all."""
+
+    __slots__ = ("_build", "_mats")
+
+    def __init__(self, degrees, build):
+        self._build = build
+        self._mats = dict.fromkeys(degrees)
+
+    def __getitem__(self, n) -> Matrix:
+        m = self._mats[n]
+        if m is None:
+            m = self._mats[n] = self._build(n)
+        return m
+
+    def __contains__(self, n):
+        return n in self._mats
+
+    def __iter__(self):
+        return iter(self._mats)
+
+    def __len__(self):
+        return len(self._mats)
+
+
 class Complex:
     __slots__ = ("algebra", "components", "differentials", "lo", "hi", "_cache")
 
-    def __init__(self, algebra: Algebra, components: dict, differentials: dict, check=True):
+    def __init__(self, algebra: Algebra, components: dict, differentials, check=True):
         self.algebra = algebra
         self._cache = {}
         self.components = {n: m for n, m in components.items() if m.dim > 0}
         degs = sorted(self.components)
         self.lo = degs[0] if degs else 0
         self.hi = degs[-1] if degs else -1
+        if isinstance(differentials, LazyDifferentials):
+            self.differentials = differentials
+            if check:
+                self._check_d_squared()
+            return
         self.differentials = {}
         for n, d in differentials.items():
             src = self.component_dim(n)

@@ -4,7 +4,8 @@ The Grothendieck group of the derived category of a supported algebra is
 free on the simple classes; a complex lands in it through its alternating
 idempotent-weighted dimension vector.  k0_class is the one place that
 computes it: a perfect complex's class is read from its copies (no modules
-are built), any other complex's from the traces of its idempotent actions.
+are built), any other complex's from the traces of its idempotent actions
+(a tensor product answers them from its block layout).
 The Euler pairing of two perfect complexes is the Euler characteristic of
 their Hom complex, an exact integer: the copy weights of the first paired
 with the class of the second.
@@ -55,7 +56,9 @@ def k0_class(x) -> K0Class:
     dim(e_i A e_j) to coordinate j, with the sign of its degree; it is
     memoized in the complex's cache.  Any other complex (or module) gives
     the alternating sum over its components of the traces of the idempotent
-    actions, which are the dimensions M e_j."""
+    actions, which are the dimensions M e_j.  A trace is read through
+    LazyActions.trace where the component has one, so a tensor_over output
+    answers from its block layout and builds no action matrix."""
     if isinstance(x, PerfectComplex):
         k = x._cache.get("k0_class")
         if k is None:
@@ -74,8 +77,9 @@ def k0_class(x) -> K0Class:
     coords = [0] * len(idem_idx)
     for deg, comp in c.components.items():
         s = -1 if deg % 2 else 1
+        acts = comp.action
         for j, g in enumerate(idem_idx):
-            t = comp.action[g].trace()
+            t = acts.trace(g) if isinstance(acts, LazyActions) else acts[g].trace()
             if not isinstance(t, int):
                 raise ValueError("idempotent action has non-integral trace")
             coords[j] += s * t

@@ -2,11 +2,13 @@
 
 The production computation tensors the (short) minimal resolution of the
 diagonal bimodule against the coefficients over the enveloping algebra;
-HH_n is the cohomology of that complex in degree -n.  The bar complex
-W (x) A^{(x) n} with the standard face-map differential is retained as an
-independent oracle up to a degree cap: its terms grow like dim(W) dim(A)^n,
-so its ranks are taken by a private sparse elimination (the dense Matrix
-type remains the public contract of the linear algebra layer).
+HH_n is the cohomology of that complex in degree -n.  bar_oracle is an
+independent oracle up to a degree cap: the normalized bar complex relative
+to the vertex idempotents, whose degree-n term has one block e_r W e_l per
+composable n-tuple of non-idempotent basis monomials (Cibils' complex for a
+path algebra), so it grows with the number of such tuples rather than like
+dim(W) dim(A)^n.  Its ranks are taken by a private sparse elimination (the
+dense Matrix type remains the public contract of the linear algebra layer).
 
 Intersection numbers of correspondences are alternating sums of Hochschild
 dimensions of composed bimodules.  The Euler characteristic of a bounded
@@ -31,7 +33,7 @@ from .algebra import (
 from .complexes import Complex, as_complex
 from .derived import diagonal_resolution, k0_class
 from .homalg import tensor_class, tensor_over
-from .linalg import as_fraction, matrix_sum, norm_scalar
+from .linalg import RowBasis, as_fraction, norm_scalar, row_times
 from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
 
@@ -103,81 +105,112 @@ def _pair_with_diagonal(a: Algebra, coords, cap: int) -> int:
 
 
 def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
-    """Hochschild homology of A with coefficients in a single bimodule via
-    the standard bar complex W (x) A^{(x) n}, n <= top.
+    """Hochschild homology of A with coefficients in a single bimodule W via
+    the normalized bar complex relative to E = (+) k e_i, the span of the
+    vertex idempotents, in degrees n <= top:
+
+        C_n = W (x)_{E^e} (A/E)^{(x)_E n}.
+
+    E is a product of copies of the field, hence separable: every
+    E-relative projective A-bimodule is projective, so the relative
+    normalized bar resolution A (x)_E (A/E)^{(x)_E n} (x)_E A of the diagonal
+    is a projective resolution, and tensoring it with W over A^e gives C_n.
+    The basis of A/E is the non-idempotent basis monomials, which needs the
+    Peirce-adapted basis of Algebra.peirce (e_l b e_r = b for each monomial
+    b).  C_n has one block e_r W e_l per tuple (t_1..t_n) of such monomials
+    with right(t_i) = left(t_{i+1}), l = left(t_1) and r = right(t_n), in
+    the coordinates of the row space of the action of (e_r^op, e_l); C_0
+    has the blocks e_i W e_i.  The differential is
+
+        d(w, t_1..t_n) = (w t_1, t_2..t_n)
+                         + sum_i (-1)^i (w, .., t_i t_{i+1}, ..)
+                         + (-1)^n (t_n w, t_1..t_{n-1}),
+
+    with the idempotent components of t_i t_{i+1} dropped (it is read in
+    A/E).  For a path algebra this is Cibils' complex, and its tuples are
+    the composable paths of positive length.
 
     dims[n] = dim C_n - rank d_n - rank d_{n+1}."""
     env = tensor(opposite(a), a)
     if w.algebra is not env:
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
-    dim_w = w.dim
-    dim_a = a.dim
-
-    right_rows = []
-    left_rows = []
+    left, right = a.peirce()
+    idem = a.idempotent_basis_indices()
+    monomials = [t for t in range(a.dim) if t not in idem]
     op_a = opposite(a)
-    for t in range(dim_a):
-        rterms = [(w.action[join_pair_basis(op_a, a, i, t)], u) for i, u in enumerate(a.unit)]
-        lterms = [(w.action[join_pair_basis(op_a, a, t, i)], u) for i, u in enumerate(a.unit)]
-        racc = matrix_sum(rterms, dim_w, dim_w)
-        lacc = matrix_sum(lterms, dim_w, dim_w)
-        right_rows.append([_sparse_row(r) for r in racc.data])
-        left_rows.append([_sparse_row(r) for r in lacc.data])
+    blocks: dict = {}
+    faces: dict = {}
 
-    def comp_dim(n):
-        return dim_w * dim_a**n
+    def block(r, l) -> RowBasis:
+        """e_r W e_l."""
+        if (r, l) not in blocks:
+            g = join_pair_basis(op_a, a, idem[r], idem[l])
+            blocks[(r, l)] = RowBasis(w.dim).extend(w.action[g].data)
+        return blocks[(r, l)]
+
+    def face(r, l, g, r2, l2):
+        """Sparse block coordinates of the action of basis element g of A^e,
+        e_r W e_l -> e_r2 W e_l2."""
+        key = (r, l, g)
+        if key not in faces:
+            dst = block(r2, l2)
+            faces[key] = [
+                _sparse_row(dst.coords(row_times(v, w.action[g]))) for v in block(r, l).rows
+            ]
+        return faces[key]
+
+    # cells[n]: (tuple, r, l) for each block of C_n, and its first coordinate
+    cells = [[((), i, i) for i in range(len(idem))]]
+    for _ in range(top + 1):
+        cells.append(
+            [(ts + (t,), right[t], l) for ts, r, l in cells[-1] for t in monomials if left[t] == r]
+        )
+    offsets = []
+    dims_c = []
+    for cs in cells:
+        offs = {}
+        off = 0
+        for cell in cs:
+            offs[cell] = off
+            off += block(cell[1], cell[2]).dim
+        offsets.append(offs)
+        dims_c.append(off)
 
     ranks = [0] * (top + 2)  # ranks[n] = rank of d_n : C_n -> C_{n-1}
     for n in range(1, top + 2):
-        rows = _bar_differential_rows(a, dim_w, right_rows, left_rows, n)
+        prev = offsets[n - 1]
+        sign_n = -1 if n % 2 else 1
+        rows = []
+        for ts, r, l in cells[n]:
+            t1, tn = ts[0], ts[-1]
+            first = face(r, l, join_pair_basis(op_a, a, idem[r], t1), r, right[t1])
+            last = face(r, l, join_pair_basis(op_a, a, tn, idem[l]), left[tn], l)
+            first_off = prev[(ts[1:], r, right[t1])]
+            last_off = prev[(ts[:-1], left[tn], l)]
+            inner = []
+            for i in range(n - 1):
+                sign = -1 if i % 2 == 0 else 1
+                for m, c in a.mul[ts[i]][ts[i + 1]]:
+                    if m not in idem:
+                        inner.append((prev[(ts[:i] + (m,) + ts[i + 2 :], r, l)], sign * c))
+            for k in range(block(r, l).dim):
+                row: dict = {}
+                for k2, c in first[k].items():
+                    row[first_off + k2] = row.get(first_off + k2, 0) + c
+                for off, c in inner:
+                    row[off + k] = row.get(off + k, 0) + c
+                for k2, c in last[k].items():
+                    row[last_off + k2] = row.get(last_off + k2, 0) + sign_n * c
+                row = {j: norm_scalar(v) for j, v in row.items() if v}
+                if row:
+                    rows.append(row)
         ranks[n] = _sparse_rank(rows)
-    dims = [comp_dim(n) - ranks[n] - ranks[n + 1] for n in range(top + 1)]
+    dims = [dims_c[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
     return HHProfile(a, dims, coefficients="bar")
 
 
 def _sparse_row(dense):
     return {j: v for j, v in enumerate(dense) if v}
-
-
-def _bar_differential_rows(a: Algebra, dim_w, right_rows, left_rows, n):
-    """Rows of d_n : W (x) A^{(x)n} -> W (x) A^{(x)n-1} as sparse dicts.
-
-    d(w, t1..tn) = (w t1, t2..) + sum_i (-1)^i (w, .., t_i t_{i+1}, ..)
-                   + (-1)^n (t_n w, t1..t_{n-1}).
-    Basis index of (w, t1..tn) is w + dim_w * (t1 + dim_a * (t2 + ...))."""
-    dim_a = a.dim
-    mul = a.mul
-    rows = []
-    tuples = [()]
-    for _ in range(n):
-        tuples = [t + (x,) for t in tuples for x in range(dim_a)]
-
-    def enc(widx, ts):
-        idx = 0
-        for t in reversed(ts):
-            idx = idx * dim_a + t
-        return widx + dim_w * idx
-
-    sign_n = -1 if n % 2 else 1
-    for ts in tuples:
-        for widx in range(dim_w):
-            row: dict = {}
-            for w2, c in right_rows[ts[0]][widx].items():
-                key = enc(w2, ts[1:])
-                row[key] = row.get(key, 0) + c
-            sign = 1
-            for i in range(n - 1):
-                sign = -sign
-                for k, c in mul[ts[i]][ts[i + 1]]:
-                    key = enc(widx, ts[:i] + (k,) + ts[i + 2 :])
-                    row[key] = row.get(key, 0) + sign * c
-            for w2, c in left_rows[ts[-1]][widx].items():
-                key = enc(w2, ts[:-1])
-                row[key] = row.get(key, 0) + sign_n * c
-            row = {k: norm_scalar(v) for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return rows
 
 
 def _sparse_rank(rows) -> int:

@@ -19,9 +19,11 @@ M^v = Hom_A(M, A).  Conventions:
   M -> shift(N, -k) (N moved k degrees down) in the derived category;
   alternating sums of these dimensions form the Euler pairing.
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
-  tensor_over assembles the total complex: its block layout and
-  differentials at once, each component action matrix on first read (a
-  class reads only the idempotent ones).  Each of these maps is a sum of
+  tensor_over lays out the blocks of the total complex at once, and builds
+  each differential and each component action matrix on first read.  A
+  class reads neither: the trace of an action is read from the layout, a
+  product of a trace on L e_l and a trace on e_m Y^q per block.  Each map
+  it builds is a sum of
   (multiplication on L e_l) (x) (a map of y between blocks e_m Y^q), written
   by one kernel.  The maps of y -- the actions of middle and right basis
   elements and d_Y, in the block coordinates of the e_m Y^q -- do not
@@ -40,6 +42,8 @@ M^v = Hom_A(M, A).  Conventions:
 
 from __future__ import annotations
 
+from functools import partial
+
 from .algebra import (
     Algebra,
     join_pair_basis,
@@ -51,8 +55,14 @@ from .algebra import (
     swap_permutation,
     tensor,
 )
-from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
-from .linalg import Matrix, RowBasis, matrix_sum, row_times
+from .complexes import (
+    Complex,
+    LazyDifferentials,
+    PerfectComplex,
+    as_complex,
+    assemble_block_matrix,
+)
+from .linalg import Matrix, RowBasis, matrix_sum, norm_scalar, row_times
 from .modules import LazyActions, Module
 
 
@@ -98,10 +108,14 @@ def tensor_over(
     (multiplication on L e_l) (x) (map of y in block coordinates), added by
     one writer, kron.  The maps of y (ymove: a side action or d_Y) are
     memoized per (middle, right) in y's cache, so every left factor y meets
-    shares them (a module y is wrapped afresh on each call).  The layout
-    and differentials are built here; each component's action matrix is
-    built on first read and kept (modules.LazyActions), so a reader of the
-    Grothendieck class builds only the idempotent actions.
+    shares them (a module y is wrapped afresh on each call).  Only the
+    layout is built here.  Each differential is built on first read and
+    kept (complexes.LazyDifferentials), or at once when check is true, for
+    the d^2 check.  Each component's action matrix is built on first read
+    and kept (modules.LazyActions); its trace is read from the layout
+    without building it: on the block (L e_l) (x) (e_m Y^q), the basis
+    element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q).  So a
+    reader of the Grothendieck class builds no matrix of the output.
     """
     y = as_complex(y)
     # yact, yblock and ymove below depend on y, middle and right only
@@ -216,18 +230,24 @@ def tensor_over(
             kron(big, e, e, lmul, ymove(k - p, m, k - p, m, (None, r_i)))
         return Matrix(dims[k], dims[k], big)
 
-    components = {
-        k: Module(e_t, dims[k], LazyActions(e_t.dim, dims[k], lambda t, k=k: action(k, t)))
-        for k in layout
-    }
+    def action_trace(k, t):
+        """Trace of action(k, t) read from the layout: on each block, the
+        trace of left multiplication by t's left part on L e_l times the
+        trace of the action of its right part on e_m Y^q."""
+        a_i, r_i = split_pair_basis(opposite(left), right, t)
+        total = 0
+        for p, _, m, lblock, _, _ in layout[k]:
+            tl = sum(c for u in lblock for u2, c in left.mul[a_i][u] if u2 == u)
+            if tl:
+                ym = ymove(k - p, m, k - p, m, (None, r_i))
+                total += tl * sum(row[v] for v, row in enumerate(ym))
+        return norm_scalar(total)
 
-    diffs: dict[int, Matrix] = {}
-    for k, entries in layout.items():
-        if k + 1 not in layout:
-            continue
+    def differential(k):
+        """The matrix of d^k, from degree k to k + 1."""
         tgt = {(e[0], e[1]): e for e in layout[k + 1]}
         out = [[0] * dims[k + 1] for _ in range(dims[k])]
-        for e in entries:
+        for e in layout[k]:
             p, c, m, lblock, _, _ = e
             q = k - p
             # 1 (x) d_Y with sign (-1)^p
@@ -249,8 +269,13 @@ def tensor_over(
                             for u2, cl in left.mul[u][g_l]
                         )
                         kron(out, e, e2, lmul, ymove(q, m, q, e2[2], (g_m, None)))
-        diffs[k] = Matrix(dims[k], dims[k + 1], out)
+        return Matrix(dims[k], dims[k + 1], out)
 
+    components = {}
+    for k in layout:
+        acts = LazyActions(e_t.dim, dims[k], partial(action, k), partial(action_trace, k))
+        components[k] = Module(e_t, dims[k], acts)
+    diffs = LazyDifferentials([k for k in layout if k + 1 in layout], differential)
     return Complex(e_t, components, diffs, check=check)
 
 

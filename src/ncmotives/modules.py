@@ -27,13 +27,15 @@ from .linalg import Matrix, RowBasis, matrix_sum, row_times, vec_is_zero
 class LazyActions:
     """Action matrices built on first read by build(j) and kept, for modules
     whose readers need only a few of them (a class reads the idempotent
-    actions alone).  Iteration and comparison build every matrix."""
+    actions alone).  trace(j), if given, gives the trace of action j without
+    building it.  Iteration and comparison build every matrix."""
 
-    __slots__ = ("dim", "_build", "_mats")
+    __slots__ = ("dim", "_build", "_trace", "_mats")
 
-    def __init__(self, count: int, dim: int, build):
+    def __init__(self, count: int, dim: int, build, trace=None):
         self.dim = dim
         self._build = build
+        self._trace = trace
         self._mats = [None] * count
 
     def __len__(self):
@@ -48,6 +50,13 @@ class LazyActions:
                 raise ValueError("action matrix has wrong shape")
             self._mats[j] = m
         return m
+
+    def trace(self, j):
+        """Trace of action j: from the trace function while the matrix is
+        unbuilt, else from the matrix."""
+        if self._mats[j] is None and self._trace is not None:
+            return self._trace(j)
+        return self[j].trace()
 
     def __iter__(self):
         return (self[j] for j in range(len(self._mats)))

@@ -100,6 +100,43 @@ def test_hochschild_dual_coefficients(tmp_path):
     assert report["dims"] == [1, 0, 0, 0]
 
 
+def test_hochschild_euler_characteristic_counts_every_degree(tmp_path):
+    """--top truncates dims, not the Euler characteristic: with the diagonal
+    bimodule of A2 in degree -5, HH_5 = 2 lies past the default top 4."""
+    spec = write(tmp_path, "a2.json", A2_SPEC)
+    coeff = write(
+        tmp_path,
+        "deep.json",
+        {"format": 1, "components": {"-5": A2_DIAGONAL_SPEC}, "differentials": {}},
+    )
+    code, report = run_to_report(tmp_path, ["hochschild", spec, "--coefficients", coeff])
+    assert code == 0
+    assert report["dims"] == [0, 0, 0, 0, 0]
+    assert report["euler_characteristic"] == -2
+
+
+def test_hochschild_bar_check_deeper_than_top(tmp_path):
+    """--bar-check past --top compares the bar dims with a profile computed
+    to the bar depth, not with the truncated dims padded by zeros: the
+    Kronecker quiver with dual coefficients has HH_1 = 3."""
+    kronecker = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 2,
+        "arrows": [{"from": 0, "to": 1, "label": x} for x in "ab"],
+    }
+    spec = write(tmp_path, "kronecker.json", kronecker)
+    coeff = write(tmp_path, "dual.json", {"named": "dual"})
+    argv = ["hochschild", spec, "--coefficients", coeff, "--top", "0", "--bar-check", "1"]
+    code, report = run_to_report(tmp_path, argv)
+    assert code == 0
+    assert report["verdict"] is True
+    assert report["dims"] == [1]
+    assert report["bar_dims"] == [1, 3]
+    assert report["checks"][0]["actual"] == "[1, 3]"
+    assert report["euler_characteristic"] == -2
+
+
 def test_hochschild_explicit_module_and_complex_coefficients(tmp_path):
     # the diagonal bimodule of QxQ written out as an explicit module over
     # the enveloping algebra, then the same thing as a one-term complex

@@ -1,6 +1,7 @@
 import pytest
 
-from ncmotives.algebra import enveloping_algebra
+from bar_reference import absolute_bar_dims
+from ncmotives.algebra import Algebra, enveloping_algebra, opposite, sparse_table, tensor
 from ncmotives.corpus import random_correspondence
 from ncmotives.derived import diagonal_resolution
 from ncmotives.hochschild import (
@@ -179,3 +180,65 @@ def test_profile_euler_matches_class_pairing_on_random_complexes(a2, a3, kroneck
             w = Complex(env, dict(zip(degs, (diagonal_bimodule(alg), dual_bimodule(alg)))), {})
             assert hochschild(alg, w).euler() == hochschild_euler(alg, w)
     assert checked >= 8
+
+
+def _truncated_polynomials(m):
+    """Q[x]/x^m on the basis 1, x, .., x^(m-1), with the unit as its one
+    idempotent: not hereditary, and HH_n is nonzero in every degree."""
+    mul = [[[1 if k == i + j else 0 for k in range(m)] for j in range(m)] for i in range(m)]
+    unit = [1] + [0] * (m - 1)
+    return Algebra(m, [f"x^{i}" for i in range(m)], sparse_table(mul), unit, [unit], meta={"name": f"Q[x]/x^{m}"})
+
+
+def _split_pair():
+    """Q[x]/(x^2 - 1) = Q x Q on the basis 1, x, with the unit as its one
+    idempotent: x x = 1, so the relative bar complex drops an idempotent
+    component of a product."""
+    mul = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    return Algebra(2, ["1", "x"], sparse_table(mul), [1, 0], [[1, 0]], meta={"name": "Q[x]/(x^2-1)"})
+
+
+def _bar_reference_cases():
+    from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
+
+    algs = {name: corpus_algebra(name) for name in CORPUS_NAMES}
+    algs["op(A3)"] = opposite(algs["A3"])
+    algs["QxQ (x) A2"] = tensor(algs["QxQ"], algs["A2"])
+    for name, a in algs.items():
+        coeffs = [("diagonal", diagonal_bimodule(a)), ("dual", dual_bimodule(a))]
+        coeffs += [(f"simple {i}", s) for i, s in enumerate(simple_modules(enveloping_algebra(a)))]
+        for cname, w in coeffs:
+            yield name, cname, a, w
+    for name, a in (("Q[x]/x^2", _truncated_polynomials(2)), ("Q[x]/x^3", _truncated_polynomials(3)), ("Q[x]/(x^2-1)", _split_pair())):
+        yield name, "diagonal", a, diagonal_bimodule(a)
+        yield name, "dual", a, dual_bimodule(a)
+
+
+def test_relative_bar_complex_matches_the_absolute_one():
+    """bar_oracle (relative to the vertex idempotents) against the absolute
+    bar complex W (x) A^{(x) n} of tests/bar_reference.py, up to degree 3:
+    the corpus algebras, op(A3) and QxQ (x) A2 with diagonal, dual and
+    every simple bimodule as coefficients, and three algebras given by
+    structure constants, two of them with HH nonzero in every degree."""
+    cases = 0
+    for name, cname, a, w in _bar_reference_cases():
+        assert bar_oracle(a, w, top=3).dims == absolute_bar_dims(a, w, 3).dims, (name, cname)
+        cases += 1
+    assert cases > 60
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_bar_oracle_on_truncated_polynomials(m):
+    """HH_0(Q[x]/x^m) = m and HH_n = m - 1 for n >= 1 (characteristic 0),
+    with diagonal coefficients; with the dual bimodule, which is isomorphic
+    to the diagonal for this Frobenius algebra, the same."""
+    a = _truncated_polynomials(m)
+    expected = [m] + [m - 1] * 4
+    assert bar_oracle(a, diagonal_bimodule(a), top=4).dims == expected
+    assert bar_oracle(a, dual_bimodule(a), top=4).dims == expected
+
+
+def test_bar_oracle_on_a_split_algebra_with_one_idempotent():
+    """Q[x]/(x^2 - 1) is Q x Q, separable: only HH_0 = 2 survives."""
+    a = _split_pair()
+    assert bar_oracle(a, diagonal_bimodule(a), top=3).dims == [2, 0, 0, 0]

@@ -389,3 +389,158 @@ def test_second_build_against_one_y_reads_only_memos(a2, kronecker, monkeypatch)
     assert not calls
     for t, u in zip(first, second):
         _assert_same_tensor(t, u)
+
+
+def _trace_formula_factors(names=None):
+    """(D(x_t), y_t, B, A, B) for every term pair of y o D(x) over the basis
+    pairs x, y of the corpus Hom models A -> B (or of the named ones): the
+    tensor products the trace-formula check reads."""
+    from ncmotives.corpus import corpus_motive_scenarios
+    from ncmotives.motives import build_hom_model, dualize
+
+    for name, src, dst in corpus_motive_scenarios():
+        if names is not None and name not in names:
+            continue
+        model = build_hom_model(src, dst, with_int=False)
+        a, b = src.algebra, dst.algebra
+        for x in model.realized:
+            for _, dx in dualize(x).terms:
+                for y in model.realized:
+                    for _, yt in y.terms:
+                        yield dx, yt, b, a, b
+
+
+def _count_builds(monkeypatch):
+    """Count the action matrices and differentials of tensor_over outputs
+    built from here on, and the outputs made."""
+    import ncmotives.homalg as homalg
+    from ncmotives.complexes import LazyDifferentials
+    from ncmotives.modules import LazyActions
+
+    built = {"actions": 0, "differentials": 0, "complexes": 0}
+
+    def counted(kind, build):
+        def run(j):
+            built[kind] += 1
+            return build(j)
+
+        return run
+
+    class Actions(LazyActions):
+        def __init__(self, count, dim, build, trace=None):
+            super().__init__(count, dim, counted("actions", build), trace)
+
+    class Differentials(LazyDifferentials):
+        def __init__(self, degrees, build):
+            built["complexes"] += 1
+            super().__init__(degrees, counted("differentials", build))
+
+    monkeypatch.setattr(homalg, "LazyActions", Actions)
+    monkeypatch.setattr(homalg, "LazyDifferentials", Differentials)
+    return built
+
+
+def test_layout_traces_match_built_actions():
+    """tensor_over answers the trace of a component action from its block
+    layout while the matrix is unbuilt (LazyActions.trace); Matrix.trace()
+    of the dense built action is the oracle.  Every trace-formula composite
+    of the corpus Hom models, every idempotent of the output algebra, every
+    degree; every basis element where the output algebra has dimension at
+    most 9 (the endo-composites over Q, QxQ and A2)."""
+    checked = 0
+    for x, y, left, middle, right in _trace_formula_factors():
+        t = tensor_over(x, y, left, middle, right, check=False)
+        ts = range(t.algebra.dim) if t.algebra.dim <= 9 else t.algebra.idempotent_basis_indices()
+        for comp in t.components.values():
+            for g in ts:
+                from_layout = comp.action.trace(g)
+                assert from_layout == comp.action[g].trace()
+                checked += 1
+    assert checked > 1500
+
+
+def test_class_of_a_composite_builds_no_action_matrix(monkeypatch):
+    """k0_class of a tensor_over output reads every idempotent trace from
+    the layout, so it builds no action matrix and no differential; the
+    class equals tensor_class's formula."""
+    built = _count_builds(monkeypatch)
+    classes = 0
+    for x, y, left, middle, right in _trace_formula_factors({"A2-id", "Kronecker-id"}):
+        t = tensor_over(x, y, left, middle, right, check=False)
+        assert list(k0_class(t).coords) == tensor_class(x, y, left, middle, right)
+        classes += 1
+    assert classes > 10 and built["complexes"] == classes
+    assert built["actions"] == 0 and built["differentials"] == 0
+
+
+def test_verify_builds_no_composite_differential(tmp_path, monkeypatch):
+    """verify A3 -> A3 reads the composites of the trace-formula check only
+    through their classes: tensor_over makes them, and neither one of their
+    differentials nor one of their action matrices is built."""
+    import json
+
+    from ncmotives.cli import main
+
+    a3 = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 3,
+        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
+    }
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}))
+    built = _count_builds(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert sum(c["name"].startswith("trace-formula") for c in report["checks"]) == 81
+    assert built["complexes"] > 0
+    assert built["differentials"] == 0 and built["actions"] == 0
+
+
+def test_differentials_on_first_read_equal_a_checked_build(monkeypatch):
+    """A tensor_over output builds no differential until one is read; the
+    differentials it then builds equal, entry for entry, those of a
+    check=True build, which builds all of them at once for the d^2 check."""
+    built = _count_builds(monkeypatch)
+    compared = 0
+    for x, y, left, middle, right in _trace_formula_factors({"A2-id", "Kronecker-id", "A2-to-Kronecker"}):
+        lazy = tensor_over(x, y, left, middle, right, check=False)
+        assert built["differentials"] == 0
+        checked = tensor_over(x, y, left, middle, right, check=True)
+        assert built["differentials"] == len(checked.differentials)
+        for n in checked.differentials:
+            assert lazy.differentials[n] == checked.differentials[n]
+            assert lazy.differential(n) == checked.differential(n)
+        assert lazy.differentials == checked.differentials
+        compared += len(checked.differentials)
+        built["differentials"] = 0
+    assert compared > 20
+
+
+def test_hochschild_of_trace_formula_composites():
+    """hochschild() reads the differentials of a composite as tensor_over
+    builds them on first read.  On the trace-formula composites of three
+    corpus Hom models, each moved down to end in degree <= 0 if it does
+    not, the dims equal those of the same complex with the differentials of
+    a check=True build, the Euler characteristic equals hochschild_euler
+    (read from the layout traces), and the dims summed per model are
+    pinned (computed before differentials were built lazily)."""
+    from ncmotives.hochschild import hochschild, hochschild_euler
+
+    names = {"A2-id", "Kronecker-id", "A2-to-Kronecker"}
+    sums = {}
+    for x, y, left, middle, right in _trace_formula_factors(names):
+        t = tensor_over(x, y, left, middle, right, check=False)
+        if t.is_zero():
+            continue
+        checked = tensor_over(x, y, left, middle, right, check=True)
+        eager = Complex(t.algebra, t.components, dict(checked.differentials.items()))
+        if t.hi > 0:
+            t, eager = t.shift(-t.hi), eager.shift(-t.hi)
+        prof = hochschild(right, t, top=3)
+        assert prof.dims == hochschild(right, eager, top=3).dims
+        assert prof.euler() == hochschild_euler(right, t)
+        key = (left.dim, middle.dim)
+        sums[key] = [s + d for s, d in zip(sums.get(key, [0] * 4), prof.dims)]
+    assert sums == {(3, 3): [4, 4, 1, 0], (4, 4): [9, 6, 1, 0], (4, 3): [6, 5, 1, 0]}
