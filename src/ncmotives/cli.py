@@ -220,6 +220,8 @@ def module_from_spec(spec, algebra: Algebra) -> Module:
         raise InputError("module spec must be an object")
     try:
         dim = spec["dim"]
+        if type(dim) is not int or dim < 0:
+            raise InputError(f"module dim must be a non-negative integer, not {dim!r}")
         pos = {lab: i for i, lab in enumerate(algebra.labels)}
         action = [None] * algebra.dim
         for lab, rows in spec["action"].items():

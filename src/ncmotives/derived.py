@@ -5,7 +5,8 @@ free on the simple classes; a complex lands in it through its alternating
 idempotent-weighted dimension vector.  k0_class is the one place that
 computes it: a perfect complex's class is read from its copies (no modules
 are built), any other complex's from the traces of its idempotent actions
-(a tensor product answers them from its block layout).
+(a tensor product answers them from its block layout, a Serre transform
+from the copies of the dual it transposes).
 The Euler pairing of two perfect complexes is the Euler characteristic of
 their Hom complex, an exact integer: the copy weights of the first paired
 with the class of the second.
@@ -57,8 +58,9 @@ def k0_class(x) -> K0Class:
     memoized in the complex's cache.  Any other complex (or module) gives
     the alternating sum over its components of the traces of the idempotent
     actions, which are the dimensions M e_j.  A trace is read through
-    LazyActions.trace where the component has one, so a tensor_over output
-    answers from its block layout and builds no action matrix."""
+    Module.trace, so a tensor_over output answers from its block layout, a
+    Serre component from its dual's copies, and neither builds an action
+    matrix."""
     if isinstance(x, PerfectComplex):
         k = x._cache.get("k0_class")
         if k is None:
@@ -77,9 +79,8 @@ def k0_class(x) -> K0Class:
     coords = [0] * len(idem_idx)
     for deg, comp in c.components.items():
         s = -1 if deg % 2 else 1
-        acts = comp.action
         for j, g in enumerate(idem_idx):
-            t = acts.trace(g) if isinstance(acts, LazyActions) else acts[g].trace()
+            t = comp.trace(g)
             if not isinstance(t, int):
                 raise ValueError("idempotent action has non-integral trace")
             coords[j] += s * t
@@ -198,15 +199,18 @@ def serre(m: PerfectComplex) -> Complex:
 
     Hom_A(M, A) is the summandwise dual of M (copies A e_i, degrees negated);
     transposing its action matrices and differentials and negating the
-    degrees again gives the complex of injectives D(A e_i).  The result is
-    not resolved: use it as the second argument of euler_pairing or
-    hom_complex (the right factor of its tensor product), where any bounded
-    complex is valid, or pass it to resolve_complex for a perfect
+    degrees again gives the complex of injectives D(A e_i); a transpose keeps
+    its trace, so a class reads the dual's traces and builds no matrix.  The
+    result is not resolved: use it as the second argument of euler_pairing
+    or hom_complex (the right factor of its tensor product), where any
+    bounded complex is valid, or pass it to resolve_complex for a perfect
     replacement."""
     a = m.algebra
     d = dual_perfect(m, scalar_algebra(), a)
     comps = {
-        -n: Module(a, c.dim, LazyActions(a.dim, c.dim, lambda j, c=c: c.action[j].transpose()))
+        -n: Module(
+            a, c.dim, LazyActions(a.dim, c.dim, lambda j, c=c: c.action[j].transpose(), c.trace)
+        )
         for n, c in d.components.items()
     }
     diffs = {-n - 1: f.transpose() for n, f in d.differentials.items()}

@@ -7,8 +7,8 @@ independent oracle up to a degree cap: the normalized bar complex relative
 to the vertex idempotents, whose degree-n term has one block e_r W e_l per
 composable n-tuple of non-idempotent basis monomials (Cibils' complex for a
 path algebra), so it grows with the number of such tuples rather than like
-dim(W) dim(A)^n.  Its ranks are taken by a private sparse elimination (the
-dense Matrix type remains the public contract of the linear algebra layer).
+dim(W) dim(A)^n.  The rank of each differential is the dimension of the
+RowBasis spanned by its rows, the package's one elimination engine.
 
 Intersection numbers of correspondences are alternating sums of Hochschild
 dimensions of composed bimodules.  The Euler characteristic of a bounded
@@ -33,7 +33,7 @@ from .algebra import (
 from .complexes import Complex, as_complex
 from .derived import diagonal_resolution, k0_class
 from .homalg import tensor_class, tensor_over
-from .linalg import RowBasis, as_fraction, norm_scalar, row_times
+from .linalg import RowBasis, row_times
 from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
 
@@ -149,14 +149,12 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
         return blocks[(r, l)]
 
     def face(r, l, g, r2, l2):
-        """Sparse block coordinates of the action of basis element g of A^e,
+        """Block coordinates of the action of basis element g of A^e,
         e_r W e_l -> e_r2 W e_l2."""
         key = (r, l, g)
         if key not in faces:
             dst = block(r2, l2)
-            faces[key] = [
-                _sparse_row(dst.coords(row_times(v, w.action[g]))) for v in block(r, l).rows
-            ]
+            faces[key] = [dst.coords(row_times(v, w.action[g])) for v in block(r, l).rows]
         return faces[key]
 
     # cells[n]: (tuple, r, l) for each block of C_n, and its first coordinate
@@ -180,7 +178,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
     for n in range(1, top + 2):
         prev = offsets[n - 1]
         sign_n = -1 if n % 2 else 1
-        rows = []
+        image = RowBasis(dims_c[n - 1])
         for ts, r, l in cells[n]:
             t1, tn = ts[0], ts[-1]
             first = face(r, l, join_pair_basis(op_a, a, idem[r], t1), r, right[t1])
@@ -194,92 +192,16 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
                     if m not in idem:
                         inner.append((prev[(ts[:i] + (m,) + ts[i + 2 :], r, l)], sign * c))
             for k in range(block(r, l).dim):
-                row: dict = {}
-                for k2, c in first[k].items():
-                    row[first_off + k2] = row.get(first_off + k2, 0) + c
+                row = [0] * dims_c[n - 1]
+                row[first_off : first_off + len(first[k])] = first[k]
                 for off, c in inner:
-                    row[off + k] = row.get(off + k, 0) + c
-                for k2, c in last[k].items():
-                    row[last_off + k2] = row.get(last_off + k2, 0) + sign_n * c
-                row = {j: norm_scalar(v) for j, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        ranks[n] = _sparse_rank(rows)
+                    row[off + k] += c
+                for k2, c in enumerate(last[k]):
+                    row[last_off + k2] += sign_n * c
+                image.add(row)
+        ranks[n] = image.dim
     dims = [dims_c[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
     return HHProfile(a, dims, coefficients="bar")
-
-
-def _sparse_row(dense):
-    return {j: v for j, v in enumerate(dense) if v}
-
-
-def _sparse_rank(rows) -> int:
-    """Exact rank of a sparse matrix given as row dicts.
-
-    Greedy pivoting prefers short rows with a unit entry, which keeps the
-    elimination integral for the incidence-like matrices the bar complex
-    produces; other pivots fall back to exact fractions."""
-    import heapq
-
-    rows = [dict(r) for r in rows if r]
-    col_to_rows: dict = {}
-    for ri, r in enumerate(rows):
-        for c in r:
-            col_to_rows.setdefault(c, set()).add(ri)
-    alive = set(range(len(rows)))
-    heap = [(len(r), ri) for ri, r in enumerate(rows)]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        sz, ri = heapq.heappop(heap)
-        if ri not in alive:
-            continue
-        row = rows[ri]
-        if not row:
-            alive.discard(ri)
-            continue
-        if len(row) != sz:
-            heapq.heappush(heap, (len(row), ri))
-            continue
-        best = None
-        for c, v in row.items():
-            cand = (0 if v == 1 or v == -1 else 1, len(col_to_rows.get(c, ())), c)
-            if best is None or cand < best[0]:
-                best = (cand, c)
-        piv_col = best[1]
-        piv_val = row[piv_col]
-        rank += 1
-        alive.discard(ri)
-        sharing = col_to_rows.pop(piv_col, set())
-        for c in row:
-            if c != piv_col and c in col_to_rows:
-                col_to_rows[c].discard(ri)
-        for rj in sharing:
-            if rj not in alive:
-                continue
-            other = rows[rj]
-            val = other.get(piv_col)
-            if not val:
-                continue
-            if piv_val == 1:
-                factor = val
-            elif piv_val == -1:
-                factor = -val
-            else:
-                factor = norm_scalar(as_fraction(val) / as_fraction(piv_val))
-            for c, v in row.items():
-                nv = norm_scalar(other.get(c, 0) - factor * v)
-                if nv:
-                    if c not in other:
-                        col_to_rows.setdefault(c, set()).add(rj)
-                    other[c] = nv
-                else:
-                    if c in other:
-                        del other[c]
-                        if c in col_to_rows:
-                            col_to_rows[c].discard(rj)
-            heapq.heappush(heap, (len(other), rj))
-    return rank
 
 
 # -- intersection numbers ---------------------------------------------------------

@@ -2,16 +2,21 @@
 
 Scalars are python ints or ``fractions.Fraction``; every operation is exact.
 Vectors are plain lists of scalars (row vectors unless stated otherwise),
-matrices are dense and immutable by convention.  Pivoting is always "first
-nonzero entry", so echelon forms, kernel bases and coordinates are
-deterministic.
+matrices are dense and immutable by convention.
+
+RowBasis, the canonical reduced row echelon form of a span, is the one
+elimination engine: Matrix.rref, rank, kernel_basis and solve read it, and
+so do the package's subspaces and bar-complex ranks.  The canonical form
+does not depend on the order of the rows, so echelon forms, kernel bases
+and coordinates are deterministic.  Matrix.det is the one other
+elimination, since it needs the pivot values that the RREF scales to 1.
 
 Scalars are not kept in a canonical type: sums and products are stored as
 they come, so an integral ``Fraction`` such as ``Fraction(4, 2)`` may sit
 where an int would.  Comparison and hashing treat the two alike.
 ``norm_scalar`` collapses integral Fractions to int only where division
-happens (elimination, ``det``, ``RowBasis``) and where a scalar leaves
-(``trace``, ``vec_dot``, and the JSON writer).
+happens (``RowBasis``, ``det``) and where a scalar leaves (``trace``,
+``kernel_basis``, ``solve`` and the JSON writer).
 """
 
 from __future__ import annotations
@@ -55,14 +60,6 @@ def vec_scale(c, v):
     if c == 0:
         return [0] * len(v)
     return [c * x if x else 0 for x in v]
-
-
-def vec_dot(u, v):
-    s = 0
-    for a, b in zip(u, v):
-        if a and b:
-            s += a * b
-    return norm_scalar(s)
 
 
 class Matrix:
@@ -188,8 +185,10 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        return _rref(self.copy_data(), self.cols)
+        """Reduced row echelon form: (the nonzero rows, their pivot columns),
+        as kept by a RowBasis of the rows."""
+        rb = RowBasis(self.cols).extend(self.data)
+        return rb.rows, rb.pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -220,13 +219,12 @@ class Matrix:
         """Any exact solution x of M x = b (b of length rows), or None."""
         if len(b) != self.rows:
             raise ValueError("right-hand side has wrong length")
-        aug = [self.data[i][:] + [b[i]] for i in range(self.rows)]
-        rows, pivots = _rref(aug, self.cols + 1)
-        if self.cols in pivots:
+        rb = RowBasis(self.cols + 1).extend(row + [c] for row, c in zip(self.data, b))
+        if self.cols in rb.pivots:
             return None
         x = [0] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = norm_scalar(rows[r][self.cols])
+        for row, p in zip(rb.rows, rb.pivots):
+            x[p] = norm_scalar(row[self.cols])
         return x
 
     def det(self):
@@ -285,40 +283,9 @@ def row_times(v, m: Matrix):
     return out
 
 
-def _rref(rows, width):
-    """In-place reduced row echelon form with first-nonzero pivoting."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for col in range(width):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        if pv != 1:
-            inv = Fraction(1) / as_fraction(pv)
-            rows[r] = [norm_scalar(x * inv) if x else 0 for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [
-                    norm_scalar(x - f * y) if y else x
-                    for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r] + rows[r:], pivots
-
-
 class RowBasis:
-    """A subspace of Q^n kept in reduced row echelon form.
+    """A subspace of Q^n kept in reduced row echelon form: the package's one
+    elimination engine (see the module docstring).
 
     The stored rows are the canonical RREF basis of the span, so two
     RowBasis objects for the same subspace hold identical rows no matter

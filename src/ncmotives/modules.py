@@ -21,7 +21,7 @@ from .algebra import (
     swap_permutation,
     tensor,
 )
-from .linalg import Matrix, RowBasis, matrix_sum, row_times, vec_is_zero
+from .linalg import Matrix, RowBasis, matrix_sum, norm_scalar, row_times, vec_is_zero
 
 
 class LazyActions:
@@ -92,6 +92,12 @@ class Module:
     def __repr__(self):
         return f"<Module dim={self.dim} over {self.algebra!r}>"
 
+    def trace(self, j):
+        """Trace of the action of basis element j, built only where a lazy
+        action has no trace function."""
+        acts = self.action
+        return acts.trace(j) if isinstance(acts, LazyActions) else acts[j].trace()
+
     def act_matrix(self, coeffs) -> Matrix:
         """Action matrix of the algebra element with the given coordinates."""
         return self._act_pairs((k, c) for k, c in enumerate(coeffs) if c)
@@ -148,7 +154,7 @@ def projective_module(a: Algebra, i: int):
 
     The basis of e_i A is the set of basis monomials with left idempotent i,
     and the action is the restriction of right multiplication, each matrix
-    built on first read."""
+    built on first read; its trace is read from the structure constants."""
     key = ("projective_module", i)
     if key not in a._cache:
         basis = a.projective_basis(i)
@@ -164,13 +170,17 @@ def projective_module(a: Algebra, i: int):
                 rows.append(row)
             return Matrix(d, d, rows)
 
-        a._cache[key] = (Module(a, d, LazyActions(a.dim, d, build)), basis)
+        def trace(j):
+            return norm_scalar(sum(c for t in basis for k, c in a.mul[t][j] if k == t))
+
+        a._cache[key] = (Module(a, d, LazyActions(a.dim, d, build, trace)), basis)
     return a._cache[key]
 
 
 def direct_sum_modules(a: Algebra, mods):
     """(Module, offsets).  The zero-summand case gives the zero module.
-    Each block-diagonal action matrix is built on first read."""
+    Each block-diagonal action matrix is built on first read; its trace is
+    the sum of the summands' traces."""
     dims = [m.dim for m in mods]
     total = sum(dims)
     offsets = []
@@ -191,7 +201,10 @@ def direct_sum_modules(a: Algebra, mods):
                         row[o + c] = src[c]
         return Matrix(total, total, big)
 
-    return Module(a, total, LazyActions(a.dim, total, build)), offsets
+    def trace(j):
+        return norm_scalar(sum(m.trace(j) for m in mods))
+
+    return Module(a, total, LazyActions(a.dim, total, build, trace)), offsets
 
 
 def span_submodule(m: Module, generators):

@@ -3,11 +3,13 @@ hochschild.bar_oracle (which works relative to the vertex idempotents).
 
 It needs no Peirce structure, only the structure constants and the action
 of W, so it checks the relative complex from outside; its terms grow like
-dim(W) dim(A)^n, so it is meant for small algebras and low degrees.
+dim(W) dim(A)^n, so it is meant for small algebras and low degrees.  Its
+ranks come from sympy's sparse DomainMatrix over QQ, an elimination
+independent of the package's RowBasis.
 """
 
 from ncmotives.algebra import join_pair_basis, opposite, tensor
-from ncmotives.hochschild import HHProfile, _sparse_rank
+from ncmotives.hochschild import HHProfile
 from ncmotives.linalg import matrix_sum, norm_scalar
 
 
@@ -27,9 +29,22 @@ def absolute_bar_dims(a, w, top):
         left_rows.append([_sparse(r) for r in matrix_sum(lterms, w.dim, w.dim).data])
     ranks = [0] * (top + 2)  # ranks[n] = rank of d_n : C_n -> C_{n-1}
     for n in range(1, top + 2):
-        ranks[n] = _sparse_rank(bar_differential_rows(a, w.dim, right_rows, left_rows, n))
+        rows = bar_differential_rows(a, w.dim, right_rows, left_rows, n)
+        ranks[n] = _rank(rows, w.dim * a.dim ** (n - 1))
     dims = [w.dim * a.dim**n - ranks[n] - ranks[n + 1] for n in range(top + 1)]
     return HHProfile(a, dims, coefficients="bar")
+
+
+def _rank(rows, cols):
+    """Rank over QQ of the matrix with the given sparse row dicts."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    data = {
+        i: {j: QQ(v.numerator, v.denominator) for j, v in row.items()}
+        for i, row in enumerate(rows)
+    }
+    return DomainMatrix(data, (len(rows), cols), QQ).rank()
 
 
 def _sparse(dense):

@@ -346,6 +346,12 @@ MALFORMED_INPUTS = {
     ],
     "negative-vertex-count": ["euler-matrix", {"kind": "quiver", "vertices": -1}],
     "module-axioms-fail": ["hochschild", A2_SPEC, "--coefficients", ZERO_ACTION],
+    "module-dim-is-a-boolean": [
+        "hochschild",
+        A2_SPEC,
+        "--coefficients",
+        {"dim": True, "action": {lab: [[int(lab == "e0|e0")]] for lab in ZERO_ACTION["action"]}},
+    ],
     "coefficients-in-degree-1": [
         "hochschild",
         A2_SPEC,

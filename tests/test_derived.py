@@ -333,3 +333,62 @@ def test_quasi_isomorphism_invariance_of_chi(a2, rng):
     m = random_perfect_complex(a2, rng)
     assert euler_pairing(res, m) == euler_pairing(other, m)
     assert euler_pairing(m, res) == euler_pairing(m, other)
+
+
+def test_serre_classes_in_verify_build_no_transpose(tmp_path, monkeypatch):
+    """verify A3 -> A3 reads each Serre complex through its class, and each
+    idempotent trace of a Serre component comes from the dual component it
+    transposes: no transposed action matrix is built."""
+    import json
+
+    import ncmotives.derived as derived
+    from ncmotives.cli import main
+    from ncmotives.modules import LazyActions
+
+    built = {"components": 0, "actions": 0}
+
+    class Actions(LazyActions):
+        def __init__(self, count, dim, build, trace=None):
+            built["components"] += 1
+
+            def counted(j):
+                built["actions"] += 1
+                return build(j)
+
+            super().__init__(count, dim, counted, trace)
+
+    monkeypatch.setattr(derived, "LazyActions", Actions)
+    a3 = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 3,
+        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
+    }
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}))
+    assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert built["components"] > 0
+    assert built["actions"] == 0
+
+
+def test_serre_class_is_read_from_the_copies():
+    """k0(S(x))_j = sum_i w_i(x) dim(e_j A e_i), with w the copy weights of
+    x, on every simple resolution of the corpus Hom algebras; the class
+    k0_class reads equals it and the one read from the built transposes."""
+    cases = 0
+    for e in _corpus_hom_algebras():
+        idem = e.idempotent_basis_indices()
+        for x in simple_resolutions(e):
+            s = serre(x)
+            got = list(k0_class(s).coords)
+            w = x.euler_copy_weights()
+            closed = [
+                sum(wi * e.peirce_dim(j, i) for i, wi in enumerate(w)) for j in range(len(idem))
+            ]
+            built = [
+                sum((-1 if n % 2 else 1) * c.action[g].trace() for n, c in s.components.items())
+                for g in idem
+            ]
+            assert got == closed == built
+            cases += 1
+    assert cases == sum(len(e.idempotents) for e in _corpus_hom_algebras())

@@ -1,9 +1,11 @@
 """Exact elimination against sympy on unnormalized input.
 
 Matrix keeps its entries as given, so ints, proper Fractions and integral
-Fractions such as Fraction(4, 2) meet in one matrix.  Rank, determinant and
-kernel dimension must agree with sympy, and what elimination returns must
-be normalized: no integral Fraction comes out of kernel_basis, solve or det.
+Fractions such as Fraction(4, 2) meet in one matrix.  The reduced row
+echelon form (RowBasis, whatever the order of its rows), rank, determinant,
+kernel dimension and solvability must agree with sympy, and what
+elimination returns must be normalized: no integral Fraction comes out of
+kernel_basis, solve or det.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ncmotives.linalg import Matrix  # noqa: E402
+from ncmotives.linalg import Matrix, RowBasis  # noqa: E402
 
 SCALARS = st.one_of(
     st.integers(-4, 4),
@@ -84,3 +86,46 @@ def test_solve_agrees_with_sympy(system):
     if x is not None:
         assert all(is_normalized(c) for c in x)
         assert [sum(a * c for a, c in zip(row, x)) for row in m.data] == b
+
+
+def sympy_echelon_form(m: Matrix):
+    """(nonzero rows as Fractions, pivot columns) of sympy's rref of m."""
+    r, pivots = to_sympy(m).rref()
+    rows = [[Fraction(int(x.p), int(x.q)) for x in r.row(i)] for i in range(len(pivots))]
+    return rows, list(pivots)
+
+
+@SETTINGS
+@given(matrices())
+def test_echelon_form_agrees_with_sympy(m):
+    assert m.rref() == sympy_echelon_form(m)
+
+
+@st.composite
+def shuffled(draw):
+    m = draw(matrices())
+    return m, draw(st.permutations(m.data))
+
+
+@SETTINGS
+@given(shuffled())
+def test_row_basis_in_any_order_is_the_echelon_form(case):
+    m, rows = case
+    rb = RowBasis(m.cols).extend(rows)
+    assert (rb.rows, rb.pivots) == sympy_echelon_form(m)
+
+
+@SETTINGS
+@given(systems())
+@example((Matrix(2, 1, [[1], [Fraction(4, 2)]]), [1, 3]))
+@example((Matrix(1, 2, [[0, 0]]), [Fraction(1, 3)]))
+def test_solve_is_none_exactly_on_inconsistent_systems(system):
+    m, b = system
+    rhs = sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in b])
+    try:
+        to_sympy(m).gauss_jordan_solve(rhs)
+    except ValueError:
+        consistent = False
+    else:
+        consistent = True
+    assert (m.solve(b) is not None) == consistent
