@@ -296,7 +296,8 @@ def path_algebra(q: Quiver) -> Algebra:
 
     Basis: all paths, the length-0 path at vertex v labelled "e{v}" first,
     then longer paths ordered by (length, label).  Product is concatenation,
-    zero when the endpoints do not match."""
+    zero when the endpoints do not match.  meta["arrow_basis"] holds the
+    basis index of each arrow, in the quiver's order."""
     paths = [((), v, v, f"e{v}") for v in range(q.vertex_count)]
     frontier = list(paths)
     while frontier:
@@ -336,7 +337,11 @@ def path_algebra(q: Quiver) -> Algebra:
         _monomial_mul_table(table),
         unit,
         idems,
-        meta={"name": "path algebra", "quiver": q},
+        meta={
+            "name": "path algebra",
+            "quiver": q,
+            "arrow_basis": [index[("a", k)] for k in range(len(q.arrows))],
+        },
     )
 
 

@@ -19,6 +19,7 @@ import sys
 import time
 import weakref
 from fractions import Fraction
+from importlib import import_module
 
 from .algebra import (
     Algebra,
@@ -367,11 +368,22 @@ def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Co
 
 
 def digest(obj) -> str:
-    import hashlib
+    """First 16 hex digits of the SHA-256 of obj's canonical JSON.
 
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
+    The hash comes from CPython's own SHA-256 module (`_sha2` from 3.12,
+    `_sha256` before), as `random` takes `_sha512`: `hashlib` loads
+    OpenSSL's libcrypto, which adds about 3.5 MB to the peak memory of
+    every command for one hash of a few hundred bytes.  `hashlib` is the
+    fallback where neither module exists; the digest is the same."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            sha256 = import_module(name).sha256
+            break
+        except ImportError:
+            continue
+    else:
+        from hashlib import sha256
+    return sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
 def emit(report, args) -> int:

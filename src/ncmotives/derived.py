@@ -27,14 +27,22 @@ suite rather than assumed.
 
 Simple resolutions over a tensor algebra L (x) R (every Hom algebra is one)
 are the external tensor products of the factors' simple resolutions
-(Kuenneth), not projective resolutions over the product.
+(Kuenneth), not projective resolutions over the product.  The diagonal
+resolution is written in closed form for a path algebra; only the other
+algebras resolve a bimodule over their enveloping algebra.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import Algebra, scalar_algebra
+from .algebra import (
+    Algebra,
+    enveloping_algebra,
+    join_pair_basis,
+    opposite,
+    scalar_algebra,
+)
 from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
 from .homalg import dual_perfect
 from .linalg import Matrix
@@ -229,11 +237,61 @@ def kernel_right(g: PairingMatrix):
 
 def diagonal_resolution(a: Algebra, cap: int = DEFAULT_CAP) -> PerfectComplex:
     """Minimal resolution of the diagonal bimodule over tensor(op(A), A).
-    Raises ResolutionCapExceeded when no resolution is found within the cap."""
+
+    - A path algebra kQ takes the standard resolution in closed form
+      (Happel, LNM 1404): one copy A e_v (x) e_v A per vertex in degree 0,
+      one copy A e_s (x) e_t A per arrow a: s -> t in degree -1, and
+      d(1 (x) 1) = +-(e_s (x) a - a (x) e_t), with the sign that gives the
+      copy of the smaller vertex +1.  Copies, order and signs are those
+      projective_resolution finds.  Bardzell's resolution of a monomial
+      algebra continues the same pattern (paths in degree 0 and -1, then
+      one copy per associated sequence of relations).
+    - Any other algebra (a `table` spec, an opposite, a tensor algebra)
+      resolves the diagonal bimodule by projective_resolution, which the
+      tests also use as the oracle of the closed form.
+
+    Raises ResolutionCapExceeded when the resolution is longer than cap."""
     key = ("diagonal_resolution", cap)
     if key not in a._cache:
-        a._cache[key] = projective_resolution(diagonal_bimodule(a), cap)[0]
+        if "quiver" in a.meta:
+            res = _path_algebra_diagonal(a)
+            if resolution_length(res) > cap:
+                raise ResolutionCapExceeded(
+                    f"diagonal resolution over {a!r} has length {resolution_length(res)} > cap {cap}"
+                )
+        else:
+            res = projective_resolution(diagonal_bimodule(a), cap)[0]
+        a._cache[key] = res
     return a._cache[key]
+
+
+def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
+    """The standard resolution of a path algebra (see diagonal_resolution):
+    degree 0 has the vertex copies (v, v) in vertex order, degree -1 the
+    arrow copies (s, t) in idempotent order, parallel arrows in basis
+    order."""
+    q = a.meta["quiver"]
+    n = q.vertex_count
+    env = enveloping_algebra(a)
+    g = a.idempotent_basis_indices()
+    copies = {0: tuple(v * n + v for v in range(n))}
+    arrows = sorted(
+        (arrow.source * n + arrow.target, b, arrow.source, arrow.target)
+        for arrow, b in zip(q.arrows, a.meta["arrow_basis"])
+    )
+    if not arrows:
+        return PerfectComplex(env, copies, {})
+    copies[-1] = tuple(r for r, _, _, _ in arrows)
+    blocks = {}
+    for c, (_, b, s, t) in enumerate(arrows):
+        sign = 1 if s < t else -1
+        # e_s (x) a in the copy of s, a (x) e_t in the copy of t
+        for v, (x, y), coeff in ((s, (g[s], b), sign), (t, (b, g[t]), -sign)):
+            z = [0] * env.dim
+            z[join_pair_basis(opposite(a), a, x, y)] = coeff
+            blocks[(c, v)] = z
+    d = assemble_block_matrix(env, copies[-1], copies[0], blocks)
+    return PerfectComplex(env, copies, {-1: d})
 
 
 def check_smooth(a: Algebra, cap: int = DEFAULT_CAP):

@@ -29,7 +29,11 @@ M^v = Hom_A(M, A).  Conventions:
   elements and d_Y, in the block coordinates of the e_m Y^q -- do not
   depend on x, so y keeps them in its cache, keyed by (middle, right),
   whether it is perfect or not: the n left factors D(x_i) that meet one
-  simple resolution y in the trace formula compute them once.  tensor_class
+  simple resolution y in the trace formula compute them once.  They are
+  read sparse: the blocks and actions of y through the sparse right action
+  of its components (modules.Module.row), which a sum of projectives
+  answers from the structure constants, and the traces through
+  Module.trace; no dense action matrix of y is built.  tensor_class
   gives only the Grothendieck class, from the copies of x and the class of y
   (derived.k0_class), and never assembles.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
@@ -62,7 +66,7 @@ from .complexes import (
     as_complex,
     assemble_block_matrix,
 )
-from .linalg import Matrix, RowBasis, matrix_sum, norm_scalar, row_times
+from .linalg import Matrix, RowBasis, norm_scalar, row_times
 from .modules import LazyActions, Module
 
 
@@ -108,18 +112,21 @@ def tensor_over(
     (multiplication on L e_l) (x) (map of y in block coordinates), added by
     one writer, kron.  The maps of y (ymove: a side action or d_Y) are
     memoized per (middle, right) in y's cache, so every left factor y meets
-    shares them (a module y is wrapped afresh on each call).  Only the
-    layout is built here.  Each differential is built on first read and
-    kept (complexes.LazyDifferentials), or at once when check is true, for
-    the d^2 check.  Each component's action matrix is built on first read
+    shares them (a module y is wrapped afresh on each call).  They are read
+    through Module.row of y's components, in sparse rows, so no dense
+    action matrix of y is built.  Only the layout is built here.  Each
+    differential is built on first read and kept
+    (complexes.LazyDifferentials), or at once when check is true, for the
+    d^2 check.  Each component's action matrix is built on first read
     and kept (modules.LazyActions); its trace is read from the layout
     without building it: on the block (L e_l) (x) (e_m Y^q), the basis
-    element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q).  So a
-    reader of the Grothendieck class builds no matrix of the output.
+    element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q), and the
+    second factor is Module.trace of g_m (x) r on Y^q.  So a reader of the
+    Grothendieck class builds no matrix of the output, and no matrix of y.
     """
     y = as_complex(y)
-    # yact, yblock and ymove below depend on y, middle and right only
-    yact_cache, yblock_cache, ymove_cache = y._cache.setdefault(
+    # ytrace, yblock and ymove below depend on y, middle and right only
+    ytrace_cache, yblock_cache, ymove_cache = y._cache.setdefault(
         ("tensor_over", middle, right), ({}, {}, {})
     )
     e_x = tensor(opposite(left), middle)
@@ -137,48 +144,59 @@ def tensor_over(
     if x.is_zero() or y.is_zero():
         return Complex(e_t, {}, {}, check=False)
 
+    op_m = opposite(middle)
     mid_idem_idx = middle.idempotent_basis_indices()
 
-    def yact(q, g_m, r):
-        """Action of basis elements g_m of middle and r of right on Y^q; None
-        stands for the unit."""
-        key = (q, g_m, r)
-        if key not in yact_cache:
-            yq = y.component(q)
-            gs = enumerate(middle.unit) if g_m is None else [(g_m, 1)]
-            rs = list(enumerate(right.unit)) if r is None else [(r, 1)]
-            yact_cache[key] = matrix_sum(
-                (
-                    (yq.action[join_pair_basis(opposite(middle), right, i, j)], u * v)
-                    for i, u in gs
-                    for j, v in rs
-                ),
-                yq.dim,
-                yq.dim,
-            )
-        return yact_cache[key]
+    def yelement(g_m, r):
+        """The element g_m (x) r of tensor(opposite(middle), right) as (basis
+        index, coefficient) pairs; None stands for the unit."""
+        gs = enumerate(middle.unit) if g_m is None else [(g_m, 1)]
+        rs = list(enumerate(right.unit)) if r is None else [(r, 1)]
+        return [
+            (join_pair_basis(op_m, right, i, j), u * v) for i, u in gs for j, v in rs if u * v
+        ]
 
     def yblock(q, m) -> RowBasis:
+        """The block e_m Y^q: the span of the rows of g_m (x) 1 on Y^q."""
         key = (q, m)
         if key not in yblock_cache:
-            rb = RowBasis(y.component_dim(q))
-            for row in yact(q, mid_idem_idx[m], None).data:
-                rb.add(row)
+            yq = y.component(q)
+            pairs = yelement(mid_idem_idx[m], None)
+            rb = RowBasis(yq.dim)
+            for s in range(yq.dim):
+                unit = [0] * yq.dim
+                unit[s] = 1
+                rb.add(yq.times(unit, pairs))
             yblock_cache[key] = rb
         return yblock_cache[key]
 
     def ymove(q, m, q2, m2, act):
-        """Rows of a map of y in block coordinates, e_m Y^q -> e_m2 Y^q2: the
-        action yact(q, *act) (q2 = q), or d_Y^q (q2 = q + 1) if act is None."""
+        """Sparse rows, as (position, coefficient) pairs, of a map of y in
+        block coordinates, e_m Y^q -> e_m2 Y^q2: the action of
+        yelement(*act) (q2 = q), or d_Y^q (q2 = q + 1) if act is None."""
         key = (q, m, q2, m2, act)
         if key not in ymove_cache:
-            mat = y.differentials[q] if act is None else yact(q, *act)
             dst = yblock(q2, m2)
-            rows = [dst.coords(row_times(v, mat)) for v in yblock(q, m).rows]
+            if act is None:
+                images = (row_times(v, y.differentials[q]) for v in yblock(q, m).rows)
+            else:
+                pairs = yelement(*act)
+                images = (y.component(q).times(v, pairs) for v in yblock(q, m).rows)
+            rows = [dst.coords(w) for w in images]
             if None in rows:
                 raise AssertionError("a map of y escaped its block")
-            ymove_cache[key] = rows
+            ymove_cache[key] = [[(j, c) for j, c in enumerate(r) if c] for r in rows]
         return ymove_cache[key]
+
+    def ytrace(q, m, r):
+        """Trace of basis element r of right on e_m Y^q: the trace of
+        g_m (x) r on Y^q, since g_m (x) 1 is an idempotent commuting with
+        1 (x) r whose image is the block."""
+        key = (q, m, r)
+        if key not in ytrace_cache:
+            g = join_pair_basis(op_m, right, mid_idem_idx[m], r)
+            ytrace_cache[key] = y.component(q).trace(g)
+        return ytrace_cache[key]
 
     # block layout per total degree: (p, copy, m, lblock, yb, offset)
     layout: dict[int, list] = {}
@@ -215,9 +233,8 @@ def tensor_over(
             dst_base = off2 + pos[u2] * yb2.dim
             for vi, yr in enumerate(ymat):
                 row = out[off + s * yb.dim + vi]
-                for vj, cy in enumerate(yr):
-                    if cy:
-                        row[dst_base + vj] += c * cy
+                for vj, cy in yr:
+                    row[dst_base + vj] += c * cy
 
     def action(k, t):
         """Action matrix of basis element t of e_t on the degree-k component:
@@ -239,8 +256,7 @@ def tensor_over(
         for p, _, m, lblock, _, _ in layout[k]:
             tl = sum(c for u in lblock for u2, c in left.mul[a_i][u] if u2 == u)
             if tl:
-                ym = ymove(k - p, m, k - p, m, (None, r_i))
-                total += tl * sum(row[v] for v, row in enumerate(ym))
+                total += tl * ytrace(k - p, m, r_i)
         return norm_scalar(total)
 
     def differential(k):

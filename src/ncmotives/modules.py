@@ -10,9 +10,20 @@ the right:
 so action(x * y) = action(x) * action(y) as matrix products.  Bimodules are
 right modules over tensor(opposite(A), B): the pair (a^op, b) acts as
 "a on the left, b on the right".
+
+Beside the dense builder, every module has one sparse right action on a
+basis vector, Module.row(s, j): row s of action[j] as its nonzero (k, c)
+pairs.  A projective e_i A reads it from the structure constants, a direct
+sum from its summands, and any other module from a row of its matrix.
+Everything that multiplies vectors (Module.times, act_vector, act_matrix,
+submodules, quotients, covers, and the y side of homalg.tensor_over) reads
+through it, so a sum of projectives never builds an action matrix; the
+dense matrices stay for Module.check, iteration and the tests.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .algebra import (
     Algebra,
@@ -21,21 +32,23 @@ from .algebra import (
     swap_permutation,
     tensor,
 )
-from .linalg import Matrix, RowBasis, matrix_sum, norm_scalar, row_times, vec_is_zero
+from .linalg import Matrix, RowBasis, norm_scalar, vec_is_zero
 
 
 class LazyActions:
     """Action matrices built on first read by build(j) and kept, for modules
     whose readers need only a few of them (a class reads the idempotent
     actions alone).  trace(j), if given, gives the trace of action j without
-    building it.  Iteration and comparison build every matrix."""
+    building it, and row(s, j) its row s (see Module.row).  Iteration and
+    comparison build every matrix."""
 
-    __slots__ = ("dim", "_build", "_trace", "_mats")
+    __slots__ = ("dim", "_build", "_trace", "_row", "_mats")
 
-    def __init__(self, count: int, dim: int, build, trace=None):
+    def __init__(self, count: int, dim: int, build, trace=None, row=None):
         self.dim = dim
         self._build = build
         self._trace = trace
+        self._row = row
         self._mats = [None] * count
 
     def __len__(self):
@@ -98,26 +111,37 @@ class Module:
         acts = self.action
         return acts.trace(j) if isinstance(acts, LazyActions) else acts[j].trace()
 
+    def row(self, s, j):
+        """The sparse right action: basis vector s times basis element j, as
+        the nonzero (k, c) pairs of row s of action[j], from a lazy action's
+        row function if it has one, else from the matrix."""
+        acts = self.action
+        if isinstance(acts, LazyActions) and acts._row is not None:
+            return acts._row(s, j)
+        return tuple((k, c) for k, c in enumerate(acts[j].data[s]) if c)
+
+    def times(self, v, pairs):
+        """The row vector v times the element sum c * b_k over the (k, c) in
+        pairs, read through row."""
+        out = [0] * self.dim
+        for s, x in enumerate(v):
+            if x:
+                for k, c in pairs:
+                    for t, y in self.row(s, k):
+                        out[t] += x * c * y
+        return out
+
     def act_matrix(self, coeffs) -> Matrix:
         """Action matrix of the algebra element with the given coordinates."""
-        return self._act_pairs((k, c) for k, c in enumerate(coeffs) if c)
+        return self._act_pairs([(k, c) for k, c in enumerate(coeffs) if c])
 
     def _act_pairs(self, pairs) -> Matrix:
-        """Action matrix of the element sum c * b_k over nonzero (k, c)."""
-        return matrix_sum(
-            ((self.action[k], c) for k, c in pairs), self.dim, self.dim
-        )
+        """Action matrix of the element sum c * b_k over (k, c) in pairs."""
+        n = self.dim
+        return Matrix(n, n, [self.times(_unit(n, s), pairs) for s in range(n)])
 
     def act_vector(self, v, coeffs):
-        out = [0] * self.dim
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            w = row_times(v, self.action[k])
-            for t, x in enumerate(w):
-                if x:
-                    out[t] += c * x
-        return out
+        return self.times(v, [(k, c) for k, c in enumerate(coeffs) if c])
 
     def check(self):
         """Full module axioms: unit acts as identity, action respects the
@@ -134,6 +158,12 @@ class Module:
                         f"action incompatible with product of basis {i},{j}"
                     )
         return True
+
+
+def _unit(n, s):
+    v = [0] * n
+    v[s] = 1
+    return v
 
 
 def zero_module(a: Algebra) -> Module:
@@ -153,8 +183,9 @@ def projective_module(a: Algebra, i: int):
     """(Module for e_i A, monomial basis indices into A).
 
     The basis of e_i A is the set of basis monomials with left idempotent i,
-    and the action is the restriction of right multiplication, each matrix
-    built on first read; its trace is read from the structure constants."""
+    and the action is the restriction of right multiplication: its rows and
+    traces are read from the structure constants, and each matrix is built
+    on first read."""
     key = ("projective_module", i)
     if key not in a._cache:
         basis = a.projective_basis(i)
@@ -173,14 +204,18 @@ def projective_module(a: Algebra, i: int):
         def trace(j):
             return norm_scalar(sum(c for t in basis for k, c in a.mul[t][j] if k == t))
 
-        a._cache[key] = (Module(a, d, LazyActions(a.dim, d, build, trace)), basis)
+        def row(s, j):
+            return tuple((pos[k], c) for k, c in a.mul[basis[s]][j])
+
+        a._cache[key] = (Module(a, d, LazyActions(a.dim, d, build, trace, row)), basis)
     return a._cache[key]
 
 
 def direct_sum_modules(a: Algebra, mods):
     """(Module, offsets).  The zero-summand case gives the zero module.
     Each block-diagonal action matrix is built on first read; its trace is
-    the sum of the summands' traces."""
+    the sum of the summands' traces, and its row s is the summand's row,
+    moved to the summand's offset."""
     dims = [m.dim for m in mods]
     total = sum(dims)
     offsets = []
@@ -204,7 +239,12 @@ def direct_sum_modules(a: Algebra, mods):
     def trace(j):
         return norm_scalar(sum(m.trace(j) for m in mods))
 
-    return Module(a, total, LazyActions(a.dim, total, build, trace)), offsets
+    def row(s, j):
+        i = bisect_right(offsets, s) - 1
+        o = offsets[i]
+        return tuple((k + o, c) for k, c in mods[i].row(s - o, j))
+
+    return Module(a, total, LazyActions(a.dim, total, build, trace, row)), offsets
 
 
 def span_submodule(m: Module, generators):
@@ -219,7 +259,7 @@ def span_submodule(m: Module, generators):
     while work:
         v = work.pop()
         for j in range(m.algebra.dim):
-            w = row_times(v, m.action[j])
+            w = m.times(v, ((j, 1),))
             if rb.add(w):
                 work.append(w)
     return _submodule_from_rowbasis(m, rb)
@@ -231,8 +271,7 @@ def _submodule_from_rowbasis(m: Module, rb: RowBasis):
     for j in range(m.algebra.dim):
         rows = []
         for r in rb.rows:
-            w = row_times(r, m.action[j])
-            cs = rb.coords(w)
+            cs = rb.coords(m.times(r, ((j, 1),)))
             if cs is None:
                 raise ValueError("span is not action-closed")
             rows.append(cs)
@@ -269,10 +308,7 @@ def quotient_module(m: Module, sub: RowBasis):
     for j in range(m.algebra.dim):
         rows = []
         for c in free:
-            v = [0] * m.dim
-            v[c] = 1
-            w = row_times(v, m.action[j])
-            red = sub.reduce(w)
+            red = sub.reduce(m.times(_unit(m.dim, c), ((j, 1),)))
             rows.append([red[x] for x in free])
         action.append(Matrix(qdim, qdim, rows))
     return Module(m.algebra, qdim, action), proj

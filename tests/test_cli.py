@@ -572,3 +572,78 @@ def test_deeply_nested_idempotent_spec_is_malformed():
         idem = {"kind": "complement", "of": idem}
     with pytest.raises(InputError, match="nested too deeply"):
         motive_from_spec({"algebra": A2_SPEC, "idempotent": idem})
+
+
+def test_commands_load_no_openssl(tmp_path):
+    """verify and corpus never load hashlib's OpenSSL backend: the report
+    digest comes from CPython's own SHA-256 module.  This runs in a fresh
+    interpreter, since pytest itself may import hashlib."""
+    import subprocess
+
+    import ncmotives
+
+    a3 = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 3,
+        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
+    }
+    path = write(tmp_path, "a3.json", {"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}})
+    script = (
+        "import sys\n"
+        "from ncmotives.cli import main\n"
+        f"assert main(['verify', {path!r}, '--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
+        "argv = ['corpus', '--samples', '1', '--bar-depth', '1']\n"
+        f"assert main(argv + ['--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
+        "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+    )
+    src = str(Path(ncmotives.__file__).resolve().parents[1])
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    p = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip().splitlines()[-1] == "[]"
+
+
+DIGEST_INPUTS = [
+    A2_SPEC,
+    {"format": 1, "kind": "quiver", "vertices": 2, "arrows": [{"from": 0, "to": 1, "label": "α→β"}]},
+    [DUAL_NUMBERS_SPEC, 7, 20],
+    {"seed": 1, "samples": 2},
+]
+
+
+def _hashlib_digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "present",
+    [None, "_sha2", "_sha256", "hashlib"],
+    ids=["this-interpreter", "sha2-branch", "sha256-branch", "hashlib-fallback"],
+)
+def test_digest_is_sha256_on_every_import_branch(monkeypatch, present):
+    """digest takes sha256 from `_sha2`, else `_sha256`, else hashlib.  Each
+    branch is forced by blocking the modules before it (None in sys.modules
+    makes an import fail) and standing in a counting wrapper for the module
+    it should take; on each, the digest is hashlib's SHA-256, also of a spec
+    with non-ASCII labels."""
+    import types
+
+    from ncmotives.cli import digest
+
+    expected = [_hashlib_digest(obj) for obj in DIGEST_INPUTS]
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counted(data):
+        calls.append(data)
+        return sha256(data)
+
+    if present is not None:
+        for name in ("_sha2", "_sha256"):
+            stand_in = types.SimpleNamespace(sha256=counted) if name == present else None
+            monkeypatch.setitem(sys.modules, name, stand_in)
+    if present == "hashlib":
+        monkeypatch.setattr(hashlib, "sha256", counted)
+    assert [digest(obj) for obj in DIGEST_INPUTS] == expected
+    assert len(calls) == (0 if present is None else len(DIGEST_INPUTS))

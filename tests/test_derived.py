@@ -8,6 +8,7 @@ from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, quiver_euler_oracle, 
 from ncmotives.derived import (
     PairingMatrix,
     check_smooth,
+    diagonal_resolution,
     euler_matrix,
     euler_pairing,
     k0_class,
@@ -20,7 +21,7 @@ from ncmotives.homalg import hom_complex, tensor_over
 from ncmotives.linalg import Matrix
 from ncmotives.modules import dual_bimodule, projective_module, simple_modules
 from ncmotives.motives import hom_algebra
-from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution
+from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution, resolution_length
 
 
 def corpus_algebras():
@@ -392,3 +393,144 @@ def test_serre_class_is_read_from_the_copies():
             assert got == closed == built
             cases += 1
     assert cases == sum(len(e.idempotents) for e in _corpus_hom_algebras())
+
+
+def _line(n):
+    from ncmotives.algebra import Quiver, path_algebra
+
+    return path_algebra(Quiver(n, [(i, i + 1, f"a{i}") for i in range(n - 1)]))
+
+
+def _kronecker(n):
+    from ncmotives.algebra import Quiver, path_algebra
+
+    return path_algebra(Quiver(2, [(0, 1, chr(97 + i)) for i in range(n)]))
+
+
+# Quivers with an arrow from a larger to a smaller vertex, whose copy in
+# the diagonal resolution takes the sign -1 on the target's side.
+DESCENDING_QUIVERS = {
+    "1->0": (2, [(1, 0, "a")]),
+    "0->2->1": (3, [(0, 2, "a"), (2, 1, "b")]),
+    "0->1<-2": (3, [(0, 1, "a"), (2, 1, "b")]),
+}
+
+
+def _named_algebra(name):
+    """The corpus algebras, the line quivers A4..A7, the Kronecker quivers
+    K3, K4, the descending quivers, op(A3) and A2 (x) Kronecker, by name."""
+    from ncmotives.algebra import Quiver, opposite, path_algebra, tensor
+
+    if name in CORPUS_NAMES:
+        return corpus_algebra(name)
+    if name in DESCENDING_QUIVERS:
+        return path_algebra(Quiver(*DESCENDING_QUIVERS[name]))
+    if name == "op(A3)":
+        return opposite(corpus_algebra("A3"))
+    if name == "A2xKronecker":
+        return tensor(corpus_algebra("A2"), corpus_algebra("Kronecker"))
+    return (_line if name[0] == "A" else _kronecker)(int(name[1:]))
+
+
+def _cartan(a):
+    n = len(a.idempotents)
+    return Matrix(n, n, [[a.peirce_dim(i, j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "name", [*CORPUS_NAMES, "A4", "A5", "A6", "A7", "op(A3)", "A2xKronecker"]
+)
+def test_euler_matrix_inverts_the_cartan_matrix(name):
+    """The Euler matrix on the simple basis is the inverse of the Cartan
+    matrix C_ij = dim(e_i A e_j): chi(S_i, -) pairs the resolution of S_i
+    with dimension vectors, and the classes of the projectives are the rows
+    of C.  Where C is not symmetric (on every algebra here with an arrow)
+    its transpose is not inverted, so the order of the indices is tested
+    too."""
+    a = _named_algebra(name)
+    n = len(a.idempotents)
+    g, c = euler_matrix(a).matrix, _cartan(a)
+    assert g * c == Matrix.identity(n)
+    if c != c.transpose():
+        assert g * c.transpose() != Matrix.identity(n)
+
+
+DIAGONAL_CASES = [n for n in CORPUS_NAMES if n != "Q"] + ["A4", "A5", "A6", "A7", "K3", "K4", *DESCENDING_QUIVERS]
+
+
+@pytest.mark.parametrize("name", DIAGONAL_CASES)
+def test_closed_form_diagonal_resolution_matches_projective_resolution(name):
+    """diagonal_resolution writes the standard resolution of a path algebra;
+    the minimal projective resolution of the diagonal bimodule over the
+    enveloping algebra is the oracle.  The two have the same copies per
+    degree, in the same order, the same differential and the same class;
+    the closed form squares to zero, resolves A, and gives the same
+    Hochschild homology with coefficients in the diagonal bimodule."""
+    from ncmotives.algebra import opposite, scalar_algebra, tensor
+    from ncmotives.hochschild import _left_structure_complex, hochschild
+    from ncmotives.modules import diagonal_bimodule
+
+    a = _named_algebra(name)
+    closed = diagonal_resolution(a)
+    oracle, _ = projective_resolution(diagonal_bimodule(a))
+    assert "quiver" in a.meta
+    assert closed.copies == oracle.copies
+    assert closed.differentials == oracle.differentials
+    assert k0_class(closed) == k0_class(oracle)
+    for n, d in closed.differentials.items():
+        if n + 1 in closed.differentials:
+            assert (d * closed.differentials[n + 1]).is_zero()
+    assert {n: h for n, h in closed.homology_dims().items() if h} == {0: a.dim}
+    q, env = scalar_algebra(), tensor(opposite(a), a)
+    coeffs = _left_structure_complex(diagonal_bimodule(a), a)
+    through_oracle = tensor_over(oracle, coeffs, q, env, q, check=False)
+    top = max(0, -through_oracle.lo)
+    assert hochschild(a, diagonal_bimodule(a), top=top).dims == [
+        through_oracle.homology(-n)[0] for n in range(top + 1)
+    ]
+
+
+def test_closed_form_diagonal_resolution_respects_the_cap():
+    """A path algebra with an arrow has a diagonal resolution of length 1
+    (closed form), a tensor of two such has length 2 (projective_resolution):
+    a cap below the length raises, through check_smooth it reads as not
+    smooth, and a semisimple quiver algebra passes cap 0."""
+    for name, length in (("A3", 1), ("A2xKronecker", 2)):
+        a = _named_algebra(name)
+        with pytest.raises(ResolutionCapExceeded):
+            diagonal_resolution(a, cap=length - 1)
+        assert check_smooth(a, cap=length - 1) == (False, None)
+        assert resolution_length(diagonal_resolution(a, cap=length)) == length
+    assert resolution_length(diagonal_resolution(corpus_algebra("QxQ"), cap=0)) == 0
+
+
+def test_verify_resolves_over_no_enveloping_algebra_of_a_quiver_algebra(tmp_path, monkeypatch):
+    """verify A3 -> A3 takes the diagonal resolutions of its quiver algebras
+    in closed form: projective_resolution runs, for the simple modules of
+    the path algebras, but never over an enveloping algebra."""
+    import json
+
+    import ncmotives.derived as derived
+    from ncmotives.algebra import opposite
+    from ncmotives.cli import main
+
+    resolved = []
+
+    def spy(m, cap):
+        resolved.append(m.algebra)
+        return projective_resolution(m, cap)
+
+    monkeypatch.setattr(derived, "projective_resolution", spy)
+    a3 = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 3,
+        "arrows": [{"from": i, "to": i + 1, "label": f"r{i}"} for i in range(2)],
+    }
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}))
+    assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert resolved
+    for alg in resolved:
+        factors = alg.meta.get("factors")
+        assert not (factors and factors[0] is opposite(factors[1]) and "quiver" in factors[1].meta)

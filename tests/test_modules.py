@@ -197,3 +197,82 @@ def test_diagonal_resolution_matches_one_built_through_the_dense_radical(name, m
     dense, _ = projective_resolution(diagonal_bimodule(a))
     assert res.copies == dense.copies
     assert res.differentials == dense.differentials
+
+
+def _sparse_action_modules(a):
+    """Each kind of module that answers Module.row its own way: the
+    projectives (structure constants), direct sums of them with a zero
+    summand inside (their summands), and the simples (explicit matrices)."""
+    from ncmotives.modules import zero_module
+
+    projectives = [projective_module(a, i)[0] for i in range(len(a.idempotents))]
+    total, _ = direct_sum_modules(a, [projectives[-1], zero_module(a), *projectives])
+    return [*projectives, total, *simple_modules(a)]
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "env(A2)", "op(A3)xA3"])
+def test_sparse_right_action_matches_the_dense_builder(name, rng):
+    """Module.row(s, j) is row s of the dense action matrix, as its nonzero
+    (k, c) pairs, on every module kind and basis element; act_matrix and
+    act_vector, which read through it, equal the dense sums of action
+    matrices (linalg.matrix_sum and row_times) on random elements."""
+    from ncmotives.linalg import matrix_sum, row_times
+
+    if name == "env(A2)":
+        a = enveloping_algebra(corpus_algebra("A2"))
+    elif name == "op(A3)xA3":
+        a = tensor(opposite(corpus_algebra("A3")), corpus_algebra("A3"))
+    else:
+        a = corpus_algebra(name)
+    for m in _sparse_action_modules(a):
+        for j in range(a.dim):
+            dense = [tuple((k, c) for k, c in enumerate(r) if c) for r in m.action[j].data]
+            assert [m.row(s, j) for s in range(m.dim)] == dense
+        for _ in range(3):
+            coeffs = [rng.choice([0, 0, 1, -2]) for _ in range(a.dim)]
+            v = [rng.choice([0, 1, 3]) for _ in range(m.dim)]
+            terms = [(m.action[k], c) for k, c in enumerate(coeffs) if c]
+            assert m.act_matrix(coeffs) == matrix_sum(terms, m.dim, m.dim)
+            assert m.act_vector(v, coeffs) == [
+                sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(row_times(v, m.action[k]) for k in range(a.dim)))
+            ]
+
+
+def test_verify_builds_no_direct_sum_action_matrix(tmp_path, monkeypatch):
+    """verify A3 -> A3 reads every direct sum of projectives (the components
+    of its perfect complexes, the covers of its resolutions) through the
+    sparse right action: not one block-diagonal action matrix is built."""
+    import json
+
+    import ncmotives.complexes as complexes
+    import ncmotives.modules as modules
+    import ncmotives.resolutions as resolutions
+    from ncmotives.cli import main
+
+    built = {"sums": 0, "matrices": 0}
+
+    def counted(a, mods):
+        m, offsets = direct_sum_modules(a, mods)
+        build = m.action._build
+
+        def run(j):
+            built["matrices"] += 1
+            return build(j)
+
+        m.action._build = run
+        built["sums"] += 1
+        return m, offsets
+
+    for mod in (modules, complexes, resolutions):
+        monkeypatch.setattr(mod, "direct_sum_modules", counted)
+    a3 = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 3,
+        "arrows": [{"from": i, "to": i + 1, "label": f"s{i}"} for i in range(2)],
+    }
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}))
+    assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert built["sums"] > 50
+    assert built["matrices"] == 0
