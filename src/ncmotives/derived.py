@@ -9,7 +9,10 @@ are built), any other complex's from the traces of its idempotent actions
 from the copies of the dual it transposes).
 The Euler pairing of two perfect complexes is the Euler characteristic of
 their Hom complex, an exact integer: the copy weights of the first paired
-with the class of the second.
+with the class of the second.  Its matrix on the simple basis is the
+inverse of the Cartan matrix, so the class of a derived tensor product
+X (x)_B Y is [X] chi_B [Y] (compose_classes): correspondence classes
+compose without building a tensor complex.
 
 Which terms must be perfect: the first argument of euler_pairing (and of
 homalg.hom_complex, which tensors its summandwise dual with the second) is
@@ -45,7 +48,7 @@ from .algebra import (
 )
 from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
 from .homalg import dual_perfect
-from .linalg import Matrix
+from .linalg import Matrix, norm_scalar
 from .modules import LazyActions, Module, diagonal_bimodule, simple_modules
 from .resolutions import (
     DEFAULT_CAP,
@@ -185,6 +188,38 @@ def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> PairingMatrix:
         data = [[euler_pairing(res[i], res[j]) for j in range(n)] for i in range(n)]
         a._cache[key] = PairingMatrix(Matrix(n, n, data), basis="simple classes")
     return a._cache[key]
+
+
+def compose_classes(u, v, middle: Algebra, cap: int = DEFAULT_CAP) -> list:
+    """Class of X (x)_middle Y from the class u of X over
+    tensor(op(L), middle) and the class v of Y over tensor(op(middle), R):
+    read as an n_L x n_middle matrix U and an n_middle x n_R matrix V (row
+    index the first factor's idempotent), it is U chi V, flattened the same
+    way, with chi = euler_matrix(middle).  Entries are exact (norm_scalar).
+
+    Why chi: if X is perfect with copy weights W (copy (l, m) is
+    L e_l (x) e_m middle), then U = C_L W C, with C_L and C the Cartan
+    matrices dim(e_i A e_j) of L and middle (see k0_class); the copy meets
+    Y in L e_l (x) e_m Y, so the class of the product is C_L W V =
+    U C^-1 V.  C^-1 is the Euler matrix: chi(e_i A, S_j) = delta_ij and
+    [e_i A] = sum_k C_ik [S_k]."""
+    chi = euler_matrix(middle, cap).matrix.data
+    n = len(chi)
+    n_r = len(v) // n
+    vrows = [v[r * n_r : (r + 1) * n_r] for r in range(n)]
+    out = []
+    for p in range(0, len(u), n):
+        acc = [0] * n_r
+        for q, x in enumerate(u[p : p + n]):
+            if not x:
+                continue
+            for r, c in enumerate(chi[q]):
+                if c:
+                    for s, y in enumerate(vrows[r]):
+                        if y:
+                            acc[s] += x * c * y
+        out.extend(norm_scalar(z) for z in acc)
+    return out
 
 
 def euler_pairing_classes(a: Algebra, u, v):

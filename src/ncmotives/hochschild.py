@@ -14,8 +14,8 @@ Intersection numbers of correspondences are alternating sums of Hochschild
 dimensions of composed bimodules.  The Euler characteristic of a bounded
 complex equals the alternating sum of its component dimensions, so these
 need only the Grothendieck class of the coefficients (derived.k0_class, or
-homalg.tensor_class for a composite), paired with the copy weights of the
-diagonal resolution; never homology.
+derived.compose_classes for a composite), paired with the copy weights of
+the diagonal resolution; never homology.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .algebra import (
     tensor,
 )
 from .complexes import Complex, as_complex
-from .derived import diagonal_resolution, k0_class
-from .homalg import tensor_class, tensor_over
+from .derived import compose_classes, diagonal_resolution, k0_class
+from .homalg import tensor_over
 from .linalg import RowBasis, row_times
 from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
@@ -210,7 +210,8 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
 def intersection_number(x, y, cap: int = DEFAULT_CAP) -> int | Fraction:
     """Intersection pairing of correspondences x: (A,e) -> (B,e') and
     y: (B,e') -> (A,e): the bilinear combination over term pairs of the
-    alternating Hochschild dimension sums of X_i (x)_B Y_j."""
+    alternating Hochschild dimension sums of X_i (x)_B Y_j, each read from
+    the classes of X_i and Y_j (derived.compose_classes)."""
     if x.source.algebra is not y.target.algebra or x.target.algebra is not y.source.algebra:
         raise ValueError("correspondence endpoints do not chain")
     a = x.source.algebra
@@ -218,5 +219,6 @@ def intersection_number(x, y, cap: int = DEFAULT_CAP) -> int | Fraction:
     total = 0
     for cx, xt in x.terms:
         for cy, yt in y.terms:
-            total += cx * cy * _pair_with_diagonal(a, tensor_class(xt, yt, a, b, a), cap)
+            cls = compose_classes(k0_class(xt).coords, k0_class(yt).coords, b, cap)
+            total += cx * cy * _pair_with_diagonal(a, cls, cap)
     return total

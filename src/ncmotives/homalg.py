@@ -33,9 +33,9 @@ M^v = Hom_A(M, A).  Conventions:
   read sparse: the blocks and actions of y through the sparse right action
   of its components (modules.Module.row), which a sum of projectives
   answers from the structure constants, and the traces through
-  Module.trace; no dense action matrix of y is built.  tensor_class
-  gives only the Grothendieck class, from the copies of x and the class of y
-  (derived.k0_class), and never assembles.
+  Module.trace; no dense action matrix of y is built.  The class of
+  x (x)_middle y alone needs no layout: derived.compose_classes reads it
+  from the classes of x and y through the Euler matrix of middle.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
   transporting each left-multiplication block z to its image under the
   canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a
@@ -120,8 +120,9 @@ def tensor_over(
     d^2 check.  Each component's action matrix is built on first read
     and kept (modules.LazyActions); its trace is read from the layout
     without building it: on the block (L e_l) (x) (e_m Y^q), the basis
-    element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q), and the
-    second factor is Module.trace of g_m (x) r on Y^q.  So a reader of the
+    element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q); the
+    first factor is kept per (a, l) in left's cache, the second is
+    Module.trace of g_m (x) r on Y^q.  So a reader of the
     Grothendieck class builds no matrix of the output, and no matrix of y.
     """
     y = as_complex(y)
@@ -198,7 +199,7 @@ def tensor_over(
             ytrace_cache[key] = y.component(q).trace(g)
         return ytrace_cache[key]
 
-    # block layout per total degree: (p, copy, m, lblock, yb, offset)
+    # block layout per total degree: (p, copy, m, l, lblock, yb, offset)
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
     for k in range(x.lo + y.lo, x.hi + y.hi + 1):
@@ -213,7 +214,7 @@ def tensor_over(
                 lblock = left.coprojective_basis(l_i)
                 yb = yblock(q, m_i)
                 if lblock and yb.dim:
-                    entries.append((p, c, m_i, lblock, yb, off))
+                    entries.append((p, c, m_i, l_i, lblock, yb, off))
                     off += len(lblock) * yb.dim
         if entries:
             layout[k] = entries
@@ -225,7 +226,7 @@ def tensor_over(
         """Add L (x) ymat to out, from the layout entry src to dst: L sends
         position s of src's L e_l block to c * u2 over (s, u2, c) in lpairs
         (u2 outside dst's block contributes nothing); ymat is a ymove."""
-        (_, _, _, _, yb, off), (_, _, _, lblock2, yb2, off2) = src, dst
+        (_, _, _, _, _, yb, off), (_, _, _, _, lblock2, yb2, off2) = src, dst
         pos = {u: s2 for s2, u in enumerate(lblock2)}
         for s, u2, c in lpairs:
             if u2 not in pos:
@@ -242,10 +243,13 @@ def tensor_over(
         a_i, r_i = split_pair_basis(opposite(left), right, t)
         big = [[0] * dims[k] for _ in range(dims[k])]
         for e in layout[k]:
-            p, _, m, lblock, _, _ = e
+            p, _, m, _, lblock, _, _ = e
             lmul = ((s, u2, cl) for s, u in enumerate(lblock) for u2, cl in left.mul[a_i][u])
             kron(big, e, e, lmul, ymove(k - p, m, k - p, m, (None, r_i)))
         return Matrix(dims[k], dims[k], big)
+
+    # trace of left multiplication by a basis element a on L e_l, by (a, l)
+    ltrace_cache = left._cache.setdefault("coprojective_traces", {})
 
     def action_trace(k, t):
         """Trace of action(k, t) read from the layout: on each block, the
@@ -253,8 +257,12 @@ def tensor_over(
         trace of the action of its right part on e_m Y^q."""
         a_i, r_i = split_pair_basis(opposite(left), right, t)
         total = 0
-        for p, _, m, lblock, _, _ in layout[k]:
-            tl = sum(c for u in lblock for u2, c in left.mul[a_i][u] if u2 == u)
+        for p, _, m, l, lblock, _, _ in layout[k]:
+            tl = ltrace_cache.get((a_i, l))
+            if tl is None:
+                tl = ltrace_cache[(a_i, l)] = sum(
+                    c for u in lblock for u2, c in left.mul[a_i][u] if u2 == u
+                )
             if tl:
                 total += tl * ytrace(k - p, m, r_i)
         return norm_scalar(total)
@@ -264,7 +272,7 @@ def tensor_over(
         tgt = {(e[0], e[1]): e for e in layout[k + 1]}
         out = [[0] * dims[k + 1] for _ in range(dims[k])]
         for e in layout[k]:
-            p, c, m, lblock, _, _ = e
+            p, c, m, _, lblock, _, _ = e
             q = k - p
             # 1 (x) d_Y with sign (-1)^p
             if q in y.differentials and (p, c) in tgt:
@@ -293,42 +301,6 @@ def tensor_over(
         components[k] = Module(e_t, dims[k], acts)
     diffs = LazyDifferentials([k for k in layout if k + 1 in layout], differential)
     return Complex(e_t, components, diffs, check=check)
-
-
-def tensor_class(x: PerfectComplex, y, left, middle, right) -> list:
-    """Class of x (x)_middle y in the simple basis of
-    tensor(opposite(left), right), computed from the classes of the factors
-    without assembling the tensor complex.
-
-    A copy (l, m) of x against Y^q is the block (L e_l) (x) (e_m Y^q), whose
-    (i, j) idempotent image has dimension dim(e_i L e_l) * dim(e_m Y^q e_j);
-    with signs, entry (i, j) is the sum over (l, m) of
-    weights(x)_(l, m) * dim(e_i L e_l) * k0(y)_(m, j)."""
-    from .derived import k0_class  # derived imports this module
-
-    if x.algebra is not tensor(opposite(left), middle):
-        raise ValueError("x is not perfect over tensor(op(left), middle)")
-    ky = k0_class(y)
-    if ky.algebra is not tensor(opposite(middle), right):
-        raise ValueError("y does not live over tensor(op(middle), right)")
-    op_l, op_m = opposite(left), opposite(middle)
-    n_l = len(left.idempotents)
-    n_r = len(right.idempotents)
-    ldims = left.peirce_dims()
-    out = [0] * (n_l * n_r)
-    for idem, w in enumerate(x.euler_copy_weights()):
-        if not w:
-            continue
-        l_i, m_i = split_pair_idempotent(op_l, middle, idem)
-        for i in range(n_l):
-            d = w * ldims[i][l_i]
-            if not d:
-                continue
-            for j in range(n_r):
-                out[join_pair_idempotent(op_l, right, i, j)] += d * ky.coords[
-                    join_pair_idempotent(op_m, right, m_i, j)
-                ]
-    return out
 
 
 # -- duals ------------------------------------------------------------------------

@@ -7,8 +7,10 @@ identity motive carries the class of the diagonal bimodule.  Correspondences
 are rational combinations of perfect bimodule complexes, composed by the
 derived tensor product over the middle algebra and compared at the level of
 Grothendieck classes (the morphisms of the category are exactly those
-classes).  Restricted Hom-sets are images of the projector e o - o e',
-computed through cached composition tables on the simple bases.
+classes).  On classes, composition over a middle algebra B is
+[X] chi_B [Y] (derived.compose_classes, chi_B the Euler matrix of B), so
+restricted Hom-sets, the images of the projector e o - o e', need no
+composite to be built.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .algebra import Algebra, opposite, tensor
 from .complexes import PerfectComplex
 from .derived import (
     PairingMatrix,
+    compose_classes,
     diagonal_resolution,
     euler_pairing_classes,
     k0_class,
@@ -28,7 +31,7 @@ from .derived import (
     serre,
     simple_resolutions,
 )
-from .homalg import dual_perfect, tensor_class
+from .homalg import dual_perfect
 from .hochschild import intersection_number
 from .linalg import Matrix, RowBasis, norm_scalar, span_equal
 from .resolutions import DEFAULT_CAP, resolve_complex
@@ -37,43 +40,6 @@ from .resolutions import DEFAULT_CAP, resolve_complex
 def hom_algebra(a: Algebra, b: Algebra) -> Algebra:
     """The algebra whose module classes are correspondences a -> b."""
     return tensor(opposite(a), b)
-
-
-# -- composition tables ---------------------------------------------------------
-
-
-def composition_table(a: Algebra, b: Algebra, c: Algebra, cap: int = DEFAULT_CAP):
-    """Classes of res(S_i) (x)_b res(S_j) over hom_algebra(a, c), for the
-    simple bases of hom_algebra(a, b) and hom_algebra(b, c).  Composition of
-    correspondence classes is the bilinear extension of this table."""
-    e_ab = hom_algebra(a, b)
-    e_bc = hom_algebra(b, c)
-    cache = e_ab._cache.setdefault("composition_tables", [])
-    for (bb, cc, tab) in cache:
-        if bb is b and cc is c:
-            return tab
-    left = simple_resolutions(e_ab, cap)
-    right = simple_resolutions(e_bc, cap)
-    tab = [[tensor_class(x, y, a, b, c) for y in right] for x in left]
-    cache.append((b, c, tab))
-    return tab
-
-
-def compose_classes(u, v, table):
-    """Bilinear extension of a composition table to coordinate vectors."""
-    n_out = len(table[0][0]) if table and table[0] else 0
-    out = [0] * n_out
-    for i, x in enumerate(u):
-        if not x:
-            continue
-        for j, y in enumerate(v):
-            if not y:
-                continue
-            coeff = x * y
-            for k, t in enumerate(table[i][j]):
-                if t:
-                    out[k] += coeff * t
-    return [norm_scalar(x) for x in out]
 
 
 # -- motives and correspondences --------------------------------------------------
@@ -93,8 +59,7 @@ class NCMotive:
             if idem.source.algebra is not algebra or idem.target.algebra is not algebra:
                 raise ValueError("idempotent must be an endo-correspondence of the algebra")
             cls = idem.k0()
-            table = composition_table(algebra, algebra, algebra)
-            if compose_classes(cls, cls, table) != list(cls):
+            if compose_classes(cls, cls, algebra) != list(cls):
                 raise ValueError("correspondence class is not idempotent")
 
     def idem_class(self):
@@ -128,8 +93,8 @@ class Correspondence:
     Terms built from specs, simple resolutions, duals and vertex cuts are
     perfect; compose and serre_correspondence give unresolved tensor
     complexes.  Terms must be perfect in the first argument of chi_hom and
-    intersection_number and in dualize; compose resolves a non-perfect x
-    itself; k0 and trace accept any bounded complex.
+    in dualize; compose resolves a non-perfect x itself; k0, trace and
+    intersection_number (which reads classes) accept any bounded complex.
 
     terms is a tuple of (coefficient, complex) with exact coefficients (an
     int unless the coefficient is a proper fraction).  The class (k0) is
@@ -216,13 +181,8 @@ def complement_idempotent(e: Correspondence) -> Correspondence:
 
 def project_class(src: NCMotive, dst: NCMotive, cls, cap: int = DEFAULT_CAP):
     """The projector e o - o e' on classes over the Hom algebra."""
-    a, b = src.algebra, dst.algebra
-    left = compose_classes(
-        src.idem_class(), cls, composition_table(a, a, b, cap)
-    )
-    return compose_classes(
-        left, dst.idem_class(), composition_table(a, b, b, cap)
-    )
+    left = compose_classes(src.idem_class(), cls, src.algebra, cap)
+    return compose_classes(left, dst.idem_class(), dst.algebra, cap)
 
 
 # -- operations --------------------------------------------------------------------
@@ -422,12 +382,11 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
     # idempotent law
     for motive, tag in ((m.source, "source"), (m.target, "target")):
         cls = motive.idem_class()
-        tab = composition_table(motive.algebra, motive.algebra, motive.algebra, cap)
         checks.append(check_record(
             f"idempotent-law-{tag}",
             "e o e = e on classes",
             list(cls),
-            compose_classes(cls, cls, tab),
+            compose_classes(cls, cls, motive.algebra, cap),
         ))
 
     # pairwise identities

@@ -311,7 +311,7 @@ def test_composite_actions_built_on_first_read_are_module_actions(composable_pai
     class equals tensor_class of its factors; read in full, every component
     satisfies the module axioms."""
     from ncmotives.derived import k0_class
-    from ncmotives.homalg import tensor_class
+    from class_reference import tensor_class
 
     for x, y in composable_pairs:
         a, b, c = x.source.algebra, x.target.algebra, y.target.algebra

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from collections import Counter
@@ -8,6 +10,7 @@ from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, quiver_euler_oracle, 
 from ncmotives.derived import (
     PairingMatrix,
     check_smooth,
+    compose_classes,
     diagonal_resolution,
     euler_matrix,
     euler_pairing,
@@ -455,6 +458,49 @@ def test_euler_matrix_inverts_the_cartan_matrix(name):
         assert g * c.transpose() != Matrix.identity(n)
 
 
+CLASS_ALGEBRAS = ["Q", "QxQ", "A2", "A3", "Kronecker", "op(A3)", "A2xKronecker"]
+
+
+def test_compose_classes_matches_the_block_count_on_simple_resolutions():
+    """compose_classes (U chi_B V) against the block count of
+    tests/class_reference.py, which never reads an Euler matrix, on every
+    pair res(S_i) over hom(A, B), res(S_j) over hom(B, C): A and B range
+    over CLASS_ALGEBRAS, C over its first five (7990 pairs)."""
+    from class_reference import tensor_class
+
+    algs = [_named_algebra(n) for n in CLASS_ALGEBRAS]
+    pairs = 0
+    for a in algs:
+        for b in algs:
+            left = [(x, k0_class(x).coords) for x in simple_resolutions(hom_algebra(a, b))]
+            for c in algs[:5]:
+                for y in simple_resolutions(hom_algebra(b, c)):
+                    v = k0_class(y).coords
+                    for x, u in left:
+                        assert compose_classes(u, v, b) == tensor_class(x, y, a, b, c)
+                        pairs += 1
+    assert pairs == 7990
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_classes_matches_the_block_count_on_random_and_serre_pairs(seed):
+    """The same comparison on seeded random perfect complexes x over
+    hom(A, B) against y over hom(B, C) and against its unresolved Serre
+    transform, whose class is read from traces, not copies."""
+    from class_reference import tensor_class
+
+    rng = random.Random(seed)
+    algs = [_named_algebra(n) for n in CLASS_ALGEBRAS]
+    for _ in range(20):
+        a, b = rng.choice(algs), rng.choice(algs)
+        c = rng.choice(algs[:5])
+        x = random_perfect_complex(hom_algebra(a, b), rng)
+        y = random_perfect_complex(hom_algebra(b, c), rng)
+        u = k0_class(x).coords
+        for z in (y, serre(y)):
+            assert compose_classes(u, k0_class(z).coords, b) == tensor_class(x, z, a, b, c)
+
+
 DIAGONAL_CASES = [n for n in CORPUS_NAMES if n != "Q"] + ["A4", "A5", "A6", "A7", "K3", "K4", *DESCENDING_QUIVERS]
 
 
@@ -534,3 +580,39 @@ def test_verify_resolves_over_no_enveloping_algebra_of_a_quiver_algebra(tmp_path
     for alg in resolved:
         factors = alg.meta.get("factors")
         assert not (factors and factors[0] is opposite(factors[1]) and "quiver" in factors[1].meta)
+
+
+def test_verify_resolves_simples_only_over_its_algebras_and_hom_algebras(tmp_path, monkeypatch):
+    """verify A4 -> A2 through the command line resolves the simple modules
+    of A4, A2, their opposites, hom(A4, A2) and hom(A2, A4), each once:
+    classes compose through the Euler matrices of A4 and A2, so neither
+    hom(A4, A4) (dimension 100) nor hom(A2, A2) is resolved."""
+    import json
+
+    from ncmotives import cli, derived, motives
+    from ncmotives.algebra import opposite
+    from ncmotives.cli import main
+
+    resolved = []
+    resolve = derived.simple_resolutions
+
+    def spy(a, cap=derived.DEFAULT_CAP):
+        if ("simple_resolutions", cap) not in a._cache:
+            resolved.append(a)
+        return resolve(a, cap)
+
+    for module in (derived, motives, cli):
+        monkeypatch.setattr(module, "simple_resolutions", spy)
+
+    def line(n):
+        arrows = [{"from": i, "to": i + 1, "label": f"r{i}"} for i in range(n - 1)]
+        return {"format": 1, "kind": "quiver", "vertices": n, "arrows": arrows}
+
+    path = tmp_path / "a4_a2.json"
+    path.write_text(json.dumps({"format": 1, "source": {"algebra": line(4)}, "target": {"algebra": line(2)}}))
+    argv = ["--seed", "1", "verify", str(path), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    a4, a2 = sorted((a for a in resolved if "quiver" in a.meta), key=lambda a: -a.dim)
+    expected = [a4, a2, opposite(a4), opposite(a2), hom_algebra(a4, a2), hom_algebra(a2, a4)]
+    assert len(resolved) == 6
+    assert all(any(r is e for r in resolved) for e in expected)

@@ -7,10 +7,10 @@ from ncmotives.algebra import opposite, scalar_algebra, tensor
 from ncmotives.complexes import Complex, PerfectComplex, single_module_complex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class, serre
+from class_reference import tensor_class
 from ncmotives.homalg import (
     dual_perfect,
     hom_complex,
-    tensor_class,
     tensor_over,
 )
 from ncmotives.linalg import Matrix
