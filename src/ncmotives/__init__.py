@@ -12,7 +12,7 @@ from .algebra import (
     scalar_algebra,
     tensor,
 )
-from .complexes import ChainMap, Complex, PerfectComplex, as_complex, cone
+from .complexes import Complex, PerfectComplex, as_complex
 from .derived import (
     K0Class,
     PairingMatrix,
@@ -53,7 +53,6 @@ from .resolutions import (
     DEFAULT_CAP,
     ResolutionCapExceeded,
     projective_resolution,
-    resolve_complex,
 )
 
 __version__ = "0.1.0"

@@ -18,9 +18,11 @@ the degree-n component is the direct sum of the indecomposable projectives
 e_i A over the tuple of idempotent indices copies[n].  Everything a complex
 does (homology, shapes, the d^2 check) is inherited; the copies add the
 block view.  Each block of a differential from a copy with idempotent e to a
-copy with idempotent f is left multiplication by an element of f A e, and
-the block decomposition is recomputed and verified at construction, which
-is exactly right-linearity of the differential.
+copy with idempotent f is left multiplication by an element of f A e, which
+is exactly right-linearity of the differential.  A complex built from its
+blocks (PerfectComplex.from_blocks) checks that each lies in its corner
+f A e; one built from matrices has its blocks recomputed and reassembled at
+construction.
 """
 
 from __future__ import annotations
@@ -150,77 +152,6 @@ class Complex:
         return f"<Complex {dims} over {self.algebra!r}>"
 
 
-def homology_dims_equal(c1, c2) -> bool:
-    c1 = as_complex(c1)
-    c2 = as_complex(c2)
-    degs = set(c1.components) | set(c2.components)
-    return all(c1.homology(n)[0] == c2.homology(n)[0] for n in degs)
-
-
-class ChainMap:
-    """Degreewise map of complexes commuting with the differentials."""
-
-    __slots__ = ("source", "target", "maps")
-
-    def __init__(self, source, target, maps: dict, check=True):
-        self.source = source
-        self.target = target
-        self.maps = {}
-        for n, f in maps.items():
-            if f.rows != source.component_dim(n) or f.cols != target.component_dim(n):
-                raise ValueError(f"chain map component at degree {n} has wrong shape")
-            if f.rows and f.cols and not f.is_zero():
-                self.maps[n] = f
-        if check:
-            self.check()
-
-    def map_at(self, n) -> Matrix:
-        f = self.maps.get(n)
-        if f is None:
-            return Matrix.zeros(self.source.component_dim(n), self.target.component_dim(n))
-        return f
-
-    def check(self):
-        degs = set(self.source.components) | set(self.target.components)
-        for n in degs:
-            lhs = self.source.differential(n) * self.map_at(n + 1)
-            rhs = self.map_at(n) * self.target.differential(n)
-            if lhs != rhs:
-                raise ValueError(f"not a chain map at degree {n}")
-        return True
-
-
-def cone(f: ChainMap) -> Complex:
-    """Mapping cone: cone(f)^n = X^{n+1} (+) Y^n with d(x, y) =
-    (-d x, f x + d y)."""
-    x, y = f.source, f.target
-    a = x.algebra
-    degs = {n - 1 for n in x.components} | set(y.components)
-    comps = {}
-    for n in degs:
-        total, _ = direct_sum_modules(a, [x.component(n + 1), y.component(n)])
-        if total.dim:
-            comps[n] = total
-    diffs = {}
-    for n in comps:
-        sx = x.component_dim(n + 1)
-        sy = y.component_dim(n)
-        tx = x.component_dim(n + 2)
-        ty = y.component_dim(n + 1)
-        if tx + ty == 0:
-            continue
-        dx = x.differential(n + 1)
-        fx = f.map_at(n + 1)
-        dy = y.differential(n)
-        rows = []
-        for r in range(sx):
-            rows.append([-v for v in dx.data[r]] + fx.data[r][:])
-        for r in range(sy):
-            rows.append([0] * tx + dy.data[r][:])
-        diffs[n] = Matrix(sx + sy, tx + ty, rows)
-    return Complex(a, comps, diffs)
-
-
 # -- perfect complexes ---------------------------------------------------------
 
 
@@ -229,10 +160,12 @@ class PerfectComplex(Complex):
 
     copies[n] is the tuple of idempotent indices of the degree-n summands.
     Underlying coordinates concatenate the monomial bases of the summands in
-    order.  block_elements(n) recovers, for every pair of copies, the algebra
-    element whose left multiplication is the corresponding block of d^n; the
-    reassembly check at construction certifies the differential is a module
-    map.
+    order.  block_elements(n) gives, for every pair of copies, the algebra
+    element whose left multiplication is the corresponding block of d^n.
+    A complex given by its blocks (from_blocks) assembles each differential
+    once and keeps the blocks; one given by matrices recovers the blocks
+    from the generator rows, and the reassembly check at construction
+    certifies each differential is a module map.
     """
 
     __slots__ = ("copies", "_offsets")
@@ -249,6 +182,33 @@ class PerfectComplex(Complex):
         )
         if check:
             self.check()
+
+    @classmethod
+    def from_blocks(cls, algebra: Algebra, copies: dict, blocks: dict) -> "PerfectComplex":
+        """The perfect complex whose d^n has the block elements blocks[n]
+        (a dict (from_copy, to_copy) -> coordinates of z, as block_elements
+        returns them).  Each differential is assembled once and its nonzero
+        blocks are kept as block_elements.  Raises ValueError unless every
+        block lies in its Peirce corner e_to A e_from (which makes the
+        assembled matrix a module map) and d^2 = 0."""
+        left, right = algebra.peirce()
+        kept = {}
+        diffs = {}
+        for n, bl in blocks.items():
+            src, tgt = copies.get(n, ()), copies.get(n + 1, ())
+            kept[n] = {}
+            for (c, c2), z in sorted(bl.items()):
+                if any(x and (left[g], right[g]) != (tgt[c2], src[c]) for g, x in enumerate(z)):
+                    raise ValueError(f"block {(c, c2)} of d^{n} is outside its Peirce corner")
+                if any(z):
+                    kept[n][(c, c2)] = z
+            if kept[n]:
+                diffs[n] = assemble_block_matrix(algebra, src, tgt, kept[n])
+        pc = cls(algebra, copies, diffs, check=False)
+        pc._check_d_squared()
+        for n, bl in kept.items():
+            pc._cache[("blocks", n)] = bl
+        return pc
 
     def copies_at(self, n):
         return self.copies.get(n, ())

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Algebra, Quiver, path_algebra, scalar_algebra
-from .complexes import PerfectComplex, assemble_block_matrix
+from .complexes import PerfectComplex
 from .linalg import Matrix
 from .motives import (
     Correspondence,
@@ -88,9 +88,8 @@ def random_perfect_complex(
                 copies[d] = tuple(sorted(cs))
         if not copies:
             continue
-        diffs = {}
-        degs = sorted(copies, reverse=True)
-        for d in degs:
+        blocks = {}
+        for d in sorted(copies, reverse=True):
             src = copies.get(d)
             tgt = copies.get(d + 1)
             if not src or not tgt:
@@ -103,19 +102,28 @@ def random_perfect_complex(
             ]
             if not cands:
                 continue
-            dnext = diffs.get(d + 1)
-            if dnext is None:
+            nxt = blocks.get(d + 1)
+            if nxt is None:
                 weights = [rng.randint(-2, 2) for _ in cands]
             else:
+                # d^2 = 0 block by block: the block g from copy ci to cj
+                # followed by the block w from cj to ck is left
+                # multiplication by w * g from ci to ck
                 rows = []
                 for (ci, cj, g) in cands:
-                    z = [0] * e.dim
-                    z[g] = 1
-                    mat = assemble_block_matrix(e, src, tgt, {(ci, cj): z})
-                    prod = mat * dnext
-                    rows.append([x for row in prod.data for x in row])
-                flat = len(rows[0])
-                kern = Matrix(len(cands), flat, rows).left_kernel_basis()
+                    row = {}
+                    for (c, ck), w in nxt.items():
+                        if c != cj:
+                            continue
+                        for u, x in enumerate(w):
+                            if x:
+                                for k, s in e.mul[u][g]:
+                                    row[(ci, ck, k)] = row.get((ci, ck, k), 0) + x * s
+                    rows.append(row)
+                cols = sorted(set().union(*rows))
+                kern = Matrix(
+                    len(cands), len(cols), [[r.get(k, 0) for k in cols] for r in rows]
+                ).left_kernel_basis()
                 if not kern:
                     continue
                 weights = [0] * len(cands)
@@ -123,16 +131,16 @@ def random_perfect_complex(
                     c = rng.randint(-2, 2)
                     if c:
                         weights = [w + c * x for w, x in zip(weights, v)]
-            blocks: dict = {}
+            d_blocks: dict = {}
             for (ci, cj, g), w in zip(cands, weights):
                 if not w:
                     continue
-                z = blocks.setdefault((ci, cj), [0] * e.dim)
+                z = d_blocks.setdefault((ci, cj), [0] * e.dim)
                 z[g] += w
-            blocks = {k: z for k, z in blocks.items() if any(z)}
-            if blocks:
-                diffs[d] = assemble_block_matrix(e, src, tgt, blocks)
-        return PerfectComplex(e, copies, diffs)
+            d_blocks = {k: z for k, z in d_blocks.items() if any(z)}
+            if d_blocks:
+                blocks[d] = d_blocks
+        return PerfectComplex.from_blocks(e, copies, blocks)
     # all attempts produced nothing: fall back to one projective in degree 0
     return PerfectComplex(e, {0: (0,)}, {})
 

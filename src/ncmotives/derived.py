@@ -24,9 +24,9 @@ the copies of M: Hom_A(e_i A, A) = A e_i, so the summandwise dual of M
 (homalg.dual_perfect) transposed into D(A e_i) gives S(M) as an unresolved
 complex of injectives; neither the enveloping algebra of A nor D(A) as a
 bimodule is built.  Every consumer reads S(M) only as the second argument
-above, so no perfect replacement is built either; resolve_complex makes one
-where a caller needs it.  The defining duality of S is verified by the test
-suite rather than assumed.
+above, so no perfect replacement is built either (the package has none; the
+tests compare S(M) with one built by their reference module).  The defining
+duality of S is verified by the test suite rather than assumed.
 
 Simple resolutions over a tensor algebra L (x) R (every Hom algebra is one)
 are the external tensor products of the factors' simple resolutions
@@ -46,7 +46,7 @@ from .algebra import (
     opposite,
     scalar_algebra,
 )
-from .complexes import Complex, PerfectComplex, as_complex, assemble_block_matrix
+from .complexes import Complex, PerfectComplex, as_complex
 from .homalg import dual_perfect
 from .linalg import Matrix, norm_scalar
 from .modules import LazyActions, Module, diagonal_bimodule, simple_modules
@@ -156,26 +156,25 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
         entries.sort()
     pos = {key[1:]: k for entries in slots.values() for k, key in enumerate(entries)}
     copies = {n: tuple(e[0] for e in entries) for n, entries in slots.items()}
-    diffs = {}
+    blocks = {}
     for n, entries in slots.items():
         if n + 1 not in slots:
             continue
-        blocks = {}
+        d_blocks = blocks[n] = {}
         for k, (idem, p, q, c, c2) in enumerate(entries):
             i, j = divmod(idem, n_r)
             for (s, t), z in x.block_elements(p).items():
                 if s == c:
-                    blocks[(k, pos[(p + 1, q, t, c2)])] = [
+                    d_blocks[(k, pos[(p + 1, q, t, c2)])] = [
                         u * v for u in z for v in e_r[j]
                     ]
             sign = -1 if p % 2 else 1
             for (s, t), w in y.block_elements(q).items():
                 if s == c2:
-                    blocks[(k, pos[(p, q + 1, c, t)])] = [
+                    d_blocks[(k, pos[(p, q + 1, c, t)])] = [
                         sign * u * v for u in e_l[i] for v in w
                     ]
-        diffs[n] = assemble_block_matrix(a, copies[n], copies[n + 1], blocks)
-    return PerfectComplex(a, copies, diffs)
+    return PerfectComplex.from_blocks(a, copies, blocks)
 
 
 def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> PairingMatrix:
@@ -244,10 +243,9 @@ def serre(m: PerfectComplex) -> Complex:
     transposing its action matrices and differentials and negating the
     degrees again gives the complex of injectives D(A e_i); a transpose keeps
     its trace, so a class reads the dual's traces and builds no matrix.  The
-    result is not resolved: use it as the second argument of euler_pairing
-    or hom_complex (the right factor of its tensor product), where any
-    bounded complex is valid, or pass it to resolve_complex for a perfect
-    replacement."""
+    result is not resolved and not perfect: use it as the second argument
+    of euler_pairing or hom_complex, or as the right factor y of
+    motives.compose, where any bounded complex is valid."""
     a = m.algebra
     d = dual_perfect(m, scalar_algebra(), a)
     comps = {
@@ -325,8 +323,7 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
             z = [0] * env.dim
             z[join_pair_basis(opposite(a), a, x, y)] = coeff
             blocks[(c, v)] = z
-    d = assemble_block_matrix(env, copies[-1], copies[0], blocks)
-    return PerfectComplex(env, copies, {-1: d})
+    return PerfectComplex.from_blocks(env, copies, {-1: blocks})
 
 
 def check_smooth(a: Algebra, cap: int = DEFAULT_CAP):

@@ -64,7 +64,6 @@ from .complexes import (
     LazyDifferentials,
     PerfectComplex,
     as_complex,
-    assemble_block_matrix,
 )
 from .linalg import Matrix, RowBasis, norm_scalar, row_times
 from .modules import LazyActions, Module
@@ -136,7 +135,7 @@ def tensor_over(
     if not isinstance(x, PerfectComplex):
         raise ValueError(
             "the left tensor factor must be a perfect complex "
-            "(resolve it over the middle algebra first)"
+            "(any bounded complex may be the right factor)"
         )
     if x.algebra is not e_x:
         raise ValueError("x is not perfect over tensor(op(left), middle)")
@@ -338,19 +337,13 @@ def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
     copies = {
         -n: tuple(sigma_idem(i) for i in cs) for n, cs in x.copies.items()
     }
-    diffs: dict[int, Matrix] = {}
+    blocks = {}
     for n in x.copies:
-        blocks = x.block_elements(n)
-        if not blocks:
-            continue
-        dual_blocks = {}
-        for (c, c2), z in blocks.items():
+        dual_blocks = blocks[-n - 1] = {}
+        for (c, c2), z in x.block_elements(n).items():
             sz = [0] * e_ba.dim
             for g, coeff in enumerate(z):
                 if coeff:
                     sz[perm[g]] = coeff
             dual_blocks[(c2, c)] = sz
-        diffs[-n - 1] = assemble_block_matrix(
-            e_ba, copies[-n - 1], copies[-n], dual_blocks
-        )
-    return PerfectComplex(e_ba, copies, diffs)
+    return PerfectComplex.from_blocks(e_ba, copies, blocks)

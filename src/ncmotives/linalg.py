@@ -52,10 +52,6 @@ def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def vec_scale(c, v):
     if c == 0:
         return [0] * len(v)
@@ -133,17 +129,6 @@ class Matrix:
             self.cols,
             [vec_add(a, b) for a, b in zip(self.data, other.data)],
         )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [vec_sub(a, b) for a, b in zip(self.data, other.data)],
-        )
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.rows, self.cols, [vec_scale(c, r) for r in self.data])

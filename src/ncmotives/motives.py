@@ -34,7 +34,7 @@ from .derived import (
 from .homalg import dual_perfect
 from .hochschild import intersection_number
 from .linalg import Matrix, RowBasis, norm_scalar, span_equal
-from .resolutions import DEFAULT_CAP, resolve_complex
+from .resolutions import DEFAULT_CAP
 
 
 def hom_algebra(a: Algebra, b: Algebra) -> Algebra:
@@ -92,9 +92,10 @@ class Correspondence:
 
     Terms built from specs, simple resolutions, duals and vertex cuts are
     perfect; compose and serre_correspondence give unresolved tensor
-    complexes.  Terms must be perfect in the first argument of chi_hom and
-    in dualize; compose resolves a non-perfect x itself; k0, trace and
-    intersection_number (which reads classes) accept any bounded complex.
+    complexes.  Terms must be perfect in the first argument of chi_hom, in
+    dualize and in the x of compose (its right factor y may be any bounded
+    complex); k0, trace and intersection_number (which reads classes)
+    accept any bounded complex.
 
     terms is a tuple of (coefficient, complex) with exact coefficients (an
     int unless the coefficient is a proper fraction).  The class (k0) is
@@ -188,13 +189,15 @@ def project_class(src: NCMotive, dst: NCMotive, cls, cap: int = DEFAULT_CAP):
 # -- operations --------------------------------------------------------------------
 
 
-def compose(y: Correspondence, x: Correspondence, cap: int = DEFAULT_CAP) -> Correspondence:
+def compose(y: Correspondence, x: Correspondence) -> Correspondence:
     """Composite y o x of x: L -> M and y: M -> N: termwise derived tensor
     X (x)_M Y over the middle algebra.
 
-    The tensor complexes are returned unresolved.  tensor_over needs each
-    left factor X perfect, so a non-perfect term of x is resolved first
-    (within cap); perfect terms are used as they are."""
+    Every term of x must be a PerfectComplex (tensor_over reads the left
+    factor off its copies and raises ValueError otherwise); the terms of y
+    may be any bounded complexes.  The tensor complexes are returned
+    unresolved, so a composite is not perfect and cannot be the x of a
+    further compose."""
     if x.target != y.source:
         raise ValueError("correspondence endpoints do not chain")
     a = x.source.algebra
@@ -204,8 +207,6 @@ def compose(y: Correspondence, x: Correspondence, cap: int = DEFAULT_CAP) -> Cor
 
     terms = []
     for cx, xt in x.terms:
-        if not isinstance(xt, PerfectComplex):
-            xt = resolve_complex(xt, cap)
         for cy, yt in y.terms:
             terms.append((cx * cy, tensor_over(xt, yt, a, b, c, check=False)))
     return Correspondence(x.source, y.target, terms)
@@ -406,7 +407,7 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
             f"trace-formula[{i},{j}]",
             "chi(x,y) = trace(y o D(x))",
             lhs,
-            trace(compose(y, dualize(x), cap), cap),
+            trace(compose(y, dualize(x)), cap),
         ))
         checks.append(check_record(
             f"commutative-square[{i},{j}]",
@@ -484,7 +485,7 @@ def ideal_stability_samples(
     for v in kernel_vectors:
         xv = realize_class(v, m.source, m.target, cap)
         for w in partners:
-            comp = compose(w, xv, cap)
+            comp = compose(w, xv)
             model = build_hom_model(comp.source, comp.target, cap, with_int=False)
             nk, _ = numerical_kernel(model, cap=cap)
             span = RowBasis(model.dim).extend(nk)

@@ -1,42 +1,23 @@
-"""Projective resolutions of modules and perfect replacements of complexes.
+"""Minimal projective resolutions of modules.
 
 projective_resolution builds a minimal resolution by iterated projective
 covers (tops computed through the radical), producing a PerfectComplex in
-degrees <= 0 quasi-isomorphic to the module placed in degree 0.
-
-resolve_complex walks a bounded complex from its top degree downwards.  At
-degree n it forms the module of relative cycles
-
-    Z = {(p, v) in P^{n+1} (+) C^n : p d_P = 0,  p phi + v d_C = 0},
-
-quotients out the boundaries (0, d_C C^{n-1}), and takes a projective cover
-of the result; generator lifts define the next differential (P-part, with a
-sign) and the next comparison component phi (C-part), extended right-linearly
-from the generators so both are module maps.  This keeps the mapping cone of
-phi exact at every stage, i.e. phi is a quasi-isomorphism.  For an algebra of
-finite global dimension the recursion terminates; the cap turns a runaway
-recursion (an input outside the supported class) into an error rather than a
-silent truncation.
+degrees <= 0 quasi-isomorphic to the module placed in degree 0.  For an
+algebra of finite global dimension the iteration terminates; the cap turns
+a runaway resolution (an input outside the supported class) into an error
+rather than a silent truncation.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra
-from .complexes import (
-    Complex,
-    PerfectComplex,
-    empty_perfect,
-    homology_dims_equal,
-)
-from .linalg import Matrix, RowBasis, row_times
+from .complexes import PerfectComplex, empty_perfect
+from .linalg import Matrix
 from .modules import (
     Module,
-    _submodule_from_rowbasis,
     cover_data,
     direct_sum_modules,
     kernel_submodule,
     projective_module,
-    quotient_module,
 )
 
 DEFAULT_CAP = 16
@@ -81,124 +62,3 @@ def projective_resolution(m: Module, cap: int = DEFAULT_CAP):
 
 def resolution_length(pc: PerfectComplex) -> int:
     return 0 if pc.is_zero() else pc.hi - pc.lo
-
-
-def resolve_complex(c, cap: int = DEFAULT_CAP) -> PerfectComplex:
-    """Perfect complex quasi-isomorphic to a bounded complex.
-
-    Already-perfect inputs are returned unchanged; plain modules are
-    resolved in degree 0.  Equality of homology dimensions in every degree
-    is checked before returning."""
-    if isinstance(c, PerfectComplex):
-        return c
-    if isinstance(c, Module):
-        return projective_resolution(c, cap)[0]
-    if c.is_zero():
-        return empty_perfect(c.algebra)
-    pc = _resolve_complex_inner(c, cap)
-    if not homology_dims_equal(pc, c):
-        raise AssertionError("perfect replacement changed homology")
-    return pc
-
-
-def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
-    a = c.algebra
-    copies: dict[int, tuple] = {}
-    diffs: dict[int, Matrix] = {}
-    phi: dict[int, Matrix] = {}
-
-    n = c.hi
-    floor = c.lo - cap
-    while True:
-        dim_p_next = _copies_dim(a, copies.get(n + 1, ()))
-        dim_c_here = c.component_dim(n)
-        if dim_p_next == 0 and dim_c_here == 0:
-            if n <= c.lo:
-                break
-            n -= 1
-            continue
-        if n < floor:
-            raise ResolutionCapExceeded(
-                f"perfect replacement over {a!r} exceeded cap {cap}"
-            )
-
-        p_next, _ = direct_sum_modules(
-            a, [projective_module(a, i)[0] for i in copies.get(n + 1, ())]
-        )
-        amb, _ = direct_sum_modules(a, [p_next, c.component(n)])
-        dim_p_next2 = _copies_dim(a, copies.get(n + 2, ()))
-        dim_c_next = c.component_dim(n + 1)
-
-        # constraint matrix for (p, v) |-> (p d_P, p phi + v d_C)
-        big_rows = dim_p_next + dim_c_here
-        big_cols = dim_p_next2 + dim_c_next
-        big = [[0] * big_cols for _ in range(big_rows)]
-        d_p = diffs.get(n + 1)
-        if d_p is not None:
-            for r in range(dim_p_next):
-                big[r][:dim_p_next2] = d_p.data[r]
-        phi_next = phi.get(n + 1)
-        if phi_next is not None and dim_c_next:
-            for r in range(dim_p_next):
-                row = big[r]
-                src = phi_next.data[r]
-                for j in range(dim_c_next):
-                    row[dim_p_next2 + j] += src[j]
-        d_c = c.differentials.get(n)
-        if d_c is not None:
-            for r in range(dim_c_here):
-                row = big[dim_p_next + r]
-                src = d_c.data[r]
-                for j in range(dim_c_next):
-                    row[dim_p_next2 + j] += src[j]
-
-        zbasis = RowBasis(big_rows)
-        for v in Matrix(big_rows, big_cols, big).left_kernel_basis():
-            zbasis.add(v)
-        zmod, zrb, zincl = _submodule_from_rowbasis(amb, zbasis)
-
-        # boundaries of C^{n-1} sit inside Z as (0, v d_C)
-        sub = RowBasis(zmod.dim)
-        d_prev = c.differentials.get(n - 1)
-        if d_prev is not None:
-            for r in d_prev.data:
-                vec = [0] * dim_p_next + list(r)
-                cs = zrb.coords(vec)
-                if cs is None:
-                    raise AssertionError("boundary escaped the cycle module")
-                sub.add(cs)
-        vmod, proj = quotient_module(zmod, sub)
-        if vmod.dim == 0:
-            if n <= c.lo:
-                break
-            n -= 1
-            continue
-
-        cs, gens, _ = cover_data(vmod)
-        copies[n] = tuple(cs)
-        # lift each generator to the ambient sum and extend right-linearly
-        proj_t = proj.transpose()
-        d_out_rows = []
-        phi_out_rows = []
-        for i, g in zip(cs, gens):
-            zcoords = proj_t.solve(g)
-            if zcoords is None:
-                raise AssertionError("generator failed to lift through the quotient")
-            lift = row_times(zcoords, zincl) if zmod.dim else [0] * amb.dim
-            lift = amb.act_vector(lift, a.idempotents[i])
-            for t in a.projective_basis(i):
-                w = amb.act_vector(lift, a.basis_vector(t))
-                d_out_rows.append([-x for x in w[:dim_p_next]])
-                phi_out_rows.append(w[dim_p_next:])
-        rows_n = len(d_out_rows)
-        if dim_p_next:
-            diffs[n] = Matrix(rows_n, dim_p_next, d_out_rows)
-        if dim_c_here:
-            phi[n] = Matrix(rows_n, dim_c_here, phi_out_rows)
-        n -= 1
-
-    return PerfectComplex(a, copies, diffs)
-
-
-def _copies_dim(a: Algebra, copies) -> int:
-    return sum(len(a.projective_basis(i)) for i in copies)

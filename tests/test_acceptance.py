@@ -293,15 +293,11 @@ def test_c07_trace_formula(parallel_pairs):
 def test_trace_of_unresolved_composite_matches_perfect_replacement(composable_pairs):
     """compose returns its tensor complexes unresolved; the trace must not
     see the difference from a termwise perfect replacement."""
-    from ncmotives.motives import Correspondence
-    from ncmotives.resolutions import resolve_complex
+    from resolve_reference import resolve_terms
 
     for x, y in composable_pairs:
         z = compose(y, x)
-        resolved = Correspondence(
-            z.source, z.target, [(c, resolve_complex(t)) for c, t in z.terms]
-        )
-        assert trace(z) == trace(resolved)
+        assert trace(z) == trace(resolve_terms(z))
 
 
 

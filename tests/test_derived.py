@@ -5,7 +5,7 @@ import pytest
 from collections import Counter
 
 from ncmotives.algebra import scalar_algebra
-from ncmotives.complexes import ChainMap, Complex, cone, single_module_complex
+from ncmotives.complexes import Complex, single_module_complex
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, quiver_euler_oracle, random_perfect_complex
 from ncmotives.derived import (
     PairingMatrix,
@@ -25,6 +25,7 @@ from ncmotives.linalg import Matrix
 from ncmotives.modules import dual_bimodule, projective_module, simple_modules
 from ncmotives.motives import hom_algebra
 from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution, resolution_length
+from resolve_reference import ChainMap, cone, resolve_complex
 
 
 def corpus_algebras():
@@ -139,8 +140,6 @@ def test_euler_pairing_respects_cones(a2, rng):
     x = random_perfect_complex(a2, rng)
     y = random_perfect_complex(a2, rng)
     n = random_perfect_complex(a2, rng)
-    from ncmotives.resolutions import resolve_complex
-
     f = ChainMap(x, y, {})
     c = resolve_complex(cone(f))
     assert euler_pairing(c, n) == euler_pairing(y, n) - euler_pairing(x, n)
@@ -196,8 +195,6 @@ def test_unresolved_serre_matches_its_perfect_replacement(name, request, rng):
     """serre returns the tensor complex M (x)_A D(A) unresolved; resolving
     it must change neither homology, class, nor pairings into it."""
     from ncmotives.corpus import corpus_algebra
-    from ncmotives.resolutions import resolve_complex
-
     alg = corpus_algebra(name)
     for _ in range(3):
         m = random_perfect_complex(alg, rng)
@@ -329,8 +326,6 @@ def test_check_smooth_cap_exhaustion_returns_false():
 def test_quasi_isomorphism_invariance_of_chi(a2, rng):
     """Replacing either argument by a padded resolution with the same
     homology leaves the pairing unchanged."""
-    from ncmotives.resolutions import resolve_complex
-
     s0 = simple_modules(a2)[0]
     res, _ = projective_resolution(s0)
     other = resolve_complex(single_module_complex(s0))
