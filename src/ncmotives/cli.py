@@ -346,7 +346,7 @@ def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Co
             i = spec_index(pair[0], len(src.algebra.idempotents), "projective pair entry")
             n_b = len(dst.algebra.idempotents)
             j = spec_index(pair[1], n_b, "projective pair entry")
-            pc = PerfectComplex(e, {0: (i * n_b + j,)}, {})
+            pc = PerfectComplex(e, {0: (i * n_b + j,)})
         elif kind == "diagonal":
             if src.algebra is not dst.algebra:
                 raise InputError("diagonal terms need equal source and target algebras")

@@ -10,19 +10,19 @@ of homalg.py this makes H^i Hom(M, N) compute morphisms M -> N shifted down
 by i, matching the indexing used throughout the derived-invariants layer.
 
 Differentials are a dict, or a LazyDifferentials that builds each one on
-first read (the tensor products of homalg make theirs so, since a class
-reads none of them).
+first read (perfect complexes and the tensor products of homalg make theirs
+so, since a class reads none of them).
 
 A PerfectComplex is a Complex whose components are read off its copies:
 the degree-n component is the direct sum of the indecomposable projectives
-e_i A over the tuple of idempotent indices copies[n].  Everything a complex
-does (homology, shapes, the d^2 check) is inherited; the copies add the
-block view.  Each block of a differential from a copy with idempotent e to a
-copy with idempotent f is left multiplication by an element of f A e, which
-is exactly right-linearity of the differential.  A complex built from its
-blocks (PerfectComplex.from_blocks) checks that each lies in its corner
-f A e; one built from matrices has its blocks recomputed and reassembled at
-construction.
+e_i A over the tuple of idempotent indices copies[n].  Its one constructor
+takes the copies and the blocks of the differentials: each block from a
+copy with idempotent e to a copy with idempotent f is left multiplication
+by an element of f A e, which is exactly right-linearity of the
+differential.  The constructor checks each block against its corner and
+d^2 = 0 on the blocks; a dense differential is assembled from its blocks
+only when it is read.  Everything else a complex does (homology, shapes)
+is inherited.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from .modules import Module, direct_sum_modules, projective_module, zero_module
 class LazyDifferentials(Mapping):
     """Differentials built on first read by build(n) and kept, for complexes
     whose readers may need none of them (a class reads only the component
-    actions).  The keys are the degrees n with nonzero components in n and
-    n + 1; a built differential may be zero.  Comparison builds them all."""
+    actions).  The keys are the degrees whose differential may be nonzero
+    (a perfect complex's: those with a nonzero block); a built differential
+    may still be zero.  Comparison builds them all."""
 
     __slots__ = ("_build", "_mats")
 
@@ -136,7 +137,7 @@ class Complex:
         return len(reps), reps
 
     def homology_dims(self) -> dict:
-        return {n: self.homology(n)[0] for n in self.degrees() if self.component_dim(n)}
+        return {n: self.homology(n)[0] for n in sorted(self.components)}
 
     def shift(self, k: int) -> "Complex":
         comps = {n + k: m for n, m in self.components.items()}
@@ -158,127 +159,84 @@ class Complex:
 class PerfectComplex(Complex):
     """Bounded complex of finite direct sums of the projectives e_i A.
 
-    copies[n] is the tuple of idempotent indices of the degree-n summands.
-    Underlying coordinates concatenate the monomial bases of the summands in
-    order.  block_elements(n) gives, for every pair of copies, the algebra
-    element whose left multiplication is the corresponding block of d^n.
-    A complex given by its blocks (from_blocks) assembles each differential
-    once and keeps the blocks; one given by matrices recovers the blocks
-    from the generator rows, and the reassembly check at construction
-    certifies each differential is a module map.
-    """
+    copies[n] is the tuple of idempotent indices of the degree-n summands;
+    underlying coordinates concatenate the monomial bases of the summands in
+    order.  blocks[n] maps (from_copy, to_copy) to the coordinates of the
+    algebra element z whose left multiplication is that block of d^n.  Zero
+    blocks are dropped.  Raises ValueError unless every block lies in its
+    Peirce corner e_to A e_from (which makes d^n a module map) and d^2 = 0
+    on the blocks.  Each differential is assembled on first read."""
 
-    __slots__ = ("copies", "_offsets")
+    __slots__ = ("copies", "_blocks")
 
-    def __init__(self, algebra: Algebra, copies: dict, differentials: dict, check=True):
+    def __init__(self, algebra: Algebra, copies: dict, blocks=None):
         self.copies = {n: tuple(c) for n, c in copies.items() if c}
-        sums = {
-            n: direct_sum_modules(algebra, [projective_module(algebra, i)[0] for i in cs])
-            for n, cs in self.copies.items()
-        }
-        self._offsets = {n: offs for n, (_, offs) in sums.items()}
-        super().__init__(
-            algebra, {n: m for n, (m, _) in sums.items()}, differentials, check=False
-        )
-        if check:
-            self.check()
-
-    @classmethod
-    def from_blocks(cls, algebra: Algebra, copies: dict, blocks: dict) -> "PerfectComplex":
-        """The perfect complex whose d^n has the block elements blocks[n]
-        (a dict (from_copy, to_copy) -> coordinates of z, as block_elements
-        returns them).  Each differential is assembled once and its nonzero
-        blocks are kept as block_elements.  Raises ValueError unless every
-        block lies in its Peirce corner e_to A e_from (which makes the
-        assembled matrix a module map) and d^2 = 0."""
         left, right = algebra.peirce()
-        kept = {}
-        diffs = {}
-        for n, bl in blocks.items():
-            src, tgt = copies.get(n, ()), copies.get(n + 1, ())
-            kept[n] = {}
+        self._blocks = {}
+        for n, bl in (blocks or {}).items():
+            src, tgt = self.copies_at(n), self.copies_at(n + 1)
+            kept = {}
             for (c, c2), z in sorted(bl.items()):
                 if any(x and (left[g], right[g]) != (tgt[c2], src[c]) for g, x in enumerate(z)):
                     raise ValueError(f"block {(c, c2)} of d^{n} is outside its Peirce corner")
                 if any(z):
-                    kept[n][(c, c2)] = z
-            if kept[n]:
-                diffs[n] = assemble_block_matrix(algebra, src, tgt, kept[n])
-        pc = cls(algebra, copies, diffs, check=False)
-        pc._check_d_squared()
-        for n, bl in kept.items():
-            pc._cache[("blocks", n)] = bl
-        return pc
+                    kept[(c, c2)] = z
+            if kept:
+                self._blocks[n] = kept
+        comps = {
+            n: direct_sum_modules(algebra, [projective_module(algebra, i)[0] for i in cs])[0]
+            for n, cs in self.copies.items()
+        }
+        # the build reads these two dicts, so the complex holds no cycle
+        own, cs = self._blocks, self.copies
+        diffs = LazyDifferentials(
+            own, lambda n: assemble_block_matrix(algebra, cs[n], cs[n + 1], own[n])
+        )
+        # the d^2 check of Complex is _check_d_squared below, on the blocks
+        super().__init__(algebra, comps, diffs)
+
+    def _check_d_squared(self):
+        """d^2 = 0 on the blocks: the block z from copy c to c2 followed by
+        w from c2 to c3 is left multiplication by w z, so for each (c, c3)
+        the sum over c2 of w z must vanish.  Only nonzero entries are read."""
+        mul = self.algebra.mul
+        for n, bl in self._blocks.items():
+            nxt = self._blocks.get(n + 1)
+            if nxt is None:
+                continue
+            out_of = {}
+            for (c2, c3), w in nxt.items():
+                out_of.setdefault(c2, []).append((c3, [(g, x) for g, x in enumerate(w) if x]))
+            sums = {}
+            for (c, c2), z in bl.items():
+                zs = [(h, y) for h, y in enumerate(z) if y]
+                for c3, ws in out_of.get(c2, ()):
+                    acc = sums.setdefault((c, c3), {})
+                    for g, x in ws:
+                        for h, y in zs:
+                            for k, s in mul[g][h]:
+                                acc[k] = acc.get(k, 0) + x * y * s
+            if any(v for acc in sums.values() for v in acc.values()):
+                raise ValueError(f"d^2 != 0 at degree {n}")
 
     def copies_at(self, n):
         return self.copies.get(n, ())
 
-    def copy_offsets(self, n):
-        """Underlying coordinate at which each degree-n copy starts."""
-        return self._offsets.get(n, [])
-
-    def generator_position(self, n, c) -> int:
-        """Underlying coordinate of the idempotent generator of copy c."""
-        a = self.algebra
-        i = self.copies_at(n)[c]
-        basis = a.projective_basis(i)
-        gen = a.idempotent_basis_indices()[i]
-        return self.copy_offsets(n)[c] + basis.index(gen)
-
     def block_elements(self, n):
         """dict (from_copy, to_copy) -> algebra coordinate vector z with
         z in e_{to} A e_{from}; the block of d^n from copy c to copy c' is
-        left multiplication by z."""
-        key = ("blocks", n)
-        if key not in self._cache:
-            a = self.algebra
-            d = self.differentials.get(n)
-            out = {}
-            if d is not None:
-                offs_t = self.copy_offsets(n + 1)
-                tcopies = self.copies_at(n + 1)
-                for c in range(len(self.copies_at(n))):
-                    row = d.data[self.generator_position(n, c)]
-                    for c2, i2 in enumerate(tcopies):
-                        basis2 = a.projective_basis(i2)
-                        off = offs_t[c2]
-                        z = [0] * a.dim
-                        nonzero = False
-                        for r, t in enumerate(basis2):
-                            v = row[off + r]
-                            if v:
-                                z[t] = v
-                                nonzero = True
-                        if nonzero:
-                            out[(c, c2)] = z
-            self._cache[key] = out
-        return self._cache[key]
-
-    def check(self):
-        """d^2 = 0 and right-linearity of every differential (the latter via
-        reassembly from the generator blocks)."""
-        self._check_d_squared()
-        for n in list(self.differentials):
-            if self._assemble(n) != self.differentials[n]:
-                raise ValueError(f"differential at degree {n} is not a module map")
-        return True
-
-    def _assemble(self, n) -> Matrix:
-        blocks = self.block_elements(n)
-        return assemble_block_matrix(
-            self.algebra, self.copies_at(n), self.copies_at(n + 1), blocks
-        )
+        left multiplication by z.  Only nonzero blocks are present."""
+        return self._blocks.get(n, {})
 
     def shift(self, k: int) -> "PerfectComplex":
-        sign = -1 if k % 2 else 1
+        negate = k % 2
         return PerfectComplex(
             self.algebra,
             {n + k: c for n, c in self.copies.items()},
             {
-                n + k: (d if sign == 1 else d.scale(-1))
-                for n, d in self.differentials.items()
+                n + k: {key: [-x for x in z] for key, z in bl.items()} if negate else bl
+                for n, bl in self._blocks.items()
             },
-            check=False,
         )
 
     def euler_copy_weights(self):
@@ -341,8 +299,4 @@ def as_complex(x) -> Complex:
 
 def single_module_complex(m: Module, degree: int = 0) -> Complex:
     return Complex(m.algebra, {degree: m}, {}, check=False)
-
-
-def empty_perfect(a: Algebra) -> PerfectComplex:
-    return PerfectComplex(a, {}, {}, check=False)
 

@@ -140,9 +140,9 @@ def random_perfect_complex(
             d_blocks = {k: z for k, z in d_blocks.items() if any(z)}
             if d_blocks:
                 blocks[d] = d_blocks
-        return PerfectComplex.from_blocks(e, copies, blocks)
+        return PerfectComplex(e, copies, blocks)
     # all attempts produced nothing: fall back to one projective in degree 0
-    return PerfectComplex(e, {0: (0,)}, {})
+    return PerfectComplex(e, {0: (0,)})
 
 
 def random_correspondence(
@@ -162,7 +162,7 @@ def random_correspondence(
         if not t.is_zero():
             terms.append((rng.choice(coeff_pool), t))
     if not terms:
-        terms = [(1, PerfectComplex(e, {0: (0,)}, {}))]
+        terms = [(1, PerfectComplex(e, {0: (0,)}))]
     return Correspondence(src, dst, terms)
 
 

@@ -46,7 +46,7 @@ from .algebra import (
     opposite,
     scalar_algebra,
 )
-from .complexes import Complex, PerfectComplex, as_complex
+from .complexes import Complex, LazyDifferentials, PerfectComplex, as_complex
 from .homalg import dual_perfect
 from .linalg import Matrix, norm_scalar
 from .modules import LazyActions, Module, diagonal_bimodule, simple_modules
@@ -174,7 +174,7 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
                     d_blocks[(k, pos[(p, q + 1, c, t)])] = [
                         sign * u * v for u in e_l[i] for v in w
                     ]
-    return PerfectComplex.from_blocks(a, copies, blocks)
+    return PerfectComplex(a, copies, blocks)
 
 
 def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> PairingMatrix:
@@ -241,8 +241,10 @@ def serre(m: PerfectComplex) -> Complex:
 
     Hom_A(M, A) is the summandwise dual of M (copies A e_i, degrees negated);
     transposing its action matrices and differentials and negating the
-    degrees again gives the complex of injectives D(A e_i); a transpose keeps
-    its trace, so a class reads the dual's traces and builds no matrix.  The
+    degrees again gives the complex of injectives D(A e_i).  Each transpose
+    is taken on first read (modules.LazyActions, complexes.LazyDifferentials),
+    and a transpose keeps its trace, so a class reads the dual's traces and
+    builds no matrix, not even a differential of the dual.  The
     result is not resolved and not perfect: use it as the second argument
     of euler_pairing or hom_complex, or as the right factor y of
     motives.compose, where any bounded complex is valid."""
@@ -254,7 +256,9 @@ def serre(m: PerfectComplex) -> Complex:
         )
         for n, c in d.components.items()
     }
-    diffs = {-n - 1: f.transpose() for n, f in d.differentials.items()}
+    diffs = LazyDifferentials(
+        [-n - 1 for n in d.differentials], lambda k: d.differentials[-k - 1].transpose()
+    )
     return Complex(a, comps, diffs, check=False)
 
 
@@ -313,7 +317,7 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
         for arrow, b in zip(q.arrows, a.meta["arrow_basis"])
     )
     if not arrows:
-        return PerfectComplex(env, copies, {})
+        return PerfectComplex(env, copies)
     copies[-1] = tuple(r for r, _, _, _ in arrows)
     blocks = {}
     for c, (_, b, s, t) in enumerate(arrows):
@@ -323,7 +327,7 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
             z = [0] * env.dim
             z[join_pair_basis(opposite(a), a, x, y)] = coeff
             blocks[(c, v)] = z
-    return PerfectComplex.from_blocks(env, copies, {-1: blocks})
+    return PerfectComplex(env, copies, {-1: blocks})
 
 
 def check_smooth(a: Algebra, cap: int = DEFAULT_CAP):

@@ -201,12 +201,12 @@ def tensor_over(
     # block layout per total degree: (p, copy, m, l, lblock, yb, offset)
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
-    for k in range(x.lo + y.lo, x.hi + y.hi + 1):
+    for k in sorted({p + q for p in x.components for q in y.components}):
         entries = []
         off = 0
-        for p in x.degrees():
+        for p in sorted(x.components):
             q = k - p
-            if not (y.lo <= q <= y.hi):
+            if q not in y.components:
                 continue
             for c, idem in enumerate(x.copies_at(p)):
                 l_i, m_i = split_pair_idempotent(opposite(left), middle, idem)
@@ -327,7 +327,7 @@ def dual_perfect(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectCom
 def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
     e_ba = tensor(opposite(right), left)
     if x.is_zero():
-        return PerfectComplex(e_ba, {}, {}, check=False)
+        return PerfectComplex(e_ba, {})
     perm = swap_permutation(left, right)
 
     def sigma_idem(r):
@@ -346,4 +346,4 @@ def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
                 if coeff:
                     sz[perm[g]] = coeff
             dual_blocks[(c2, c)] = sz
-    return PerfectComplex.from_blocks(e_ba, copies, blocks)
+    return PerfectComplex(e_ba, copies, blocks)

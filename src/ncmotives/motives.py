@@ -165,7 +165,7 @@ def vertex_cut_idempotent(a: Algebra, vertices, cap: int = DEFAULT_CAP) -> Corre
     e = hom_algebra(a, a)
     ident = NCMotive(a)
     copies = tuple(v * n + v for v in vertices)
-    term = PerfectComplex(e, {0: copies}, {}, check=False)
+    term = PerfectComplex(e, {0: copies})
     return Correspondence(ident, ident, [(1, term)], label=f"cut{vertices}")
 
 
@@ -489,18 +489,11 @@ def ideal_stability_samples(
             model = build_hom_model(comp.source, comp.target, cap, with_int=False)
             nk, _ = numerical_kernel(model, cap=cap)
             span = RowBasis(model.dim).extend(nk)
-            coords = _coords_in_basis(model.basis, comp.k0())
+            cls = comp.k0()
+            coords = RowBasis(len(cls)).extend(model.basis).coords(cls)
             if coords is None:
                 results.append(False)
                 continue
             results.append(span.contains(coords))
     return results
 
-
-def _coords_in_basis(basis, cls):
-    if not basis:
-        return None if any(cls) else []
-    rb = RowBasis(len(cls))
-    for b in basis:
-        rb.add(b)
-    return rb.coords(cls)

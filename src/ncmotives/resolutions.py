@@ -2,16 +2,18 @@
 
 projective_resolution builds a minimal resolution by iterated projective
 covers (tops computed through the radical), producing a PerfectComplex in
-degrees <= 0 quasi-isomorphic to the module placed in degree 0.  For an
-algebra of finite global dimension the iteration terminates; the cap turns
-a runaway resolution (an input outside the supported class) into an error
-rather than a silent truncation.
+degrees <= 0 quasi-isomorphic to the module placed in degree 0.  Each block
+of a differential is read off a cover generator's image in the previous
+cover, so no differential matrix is formed.  For an algebra of finite
+global dimension the iteration terminates; the cap turns a runaway
+resolution (an input outside the supported class) into an error rather
+than a silent truncation.
 """
 
 from __future__ import annotations
 
-from .complexes import PerfectComplex, empty_perfect
-from .linalg import Matrix
+from .complexes import PerfectComplex
+from .linalg import Matrix, row_times
 from .modules import (
     Module,
     cover_data,
@@ -32,12 +34,14 @@ def projective_resolution(m: Module, cap: int = DEFAULT_CAP):
 
     Returns (PerfectComplex in degrees -length..0, augmentation matrix
     P^0 -> m).  The kernel of each cover is resolved in turn until it
-    vanishes."""
+    vanishes.  The block of d from copy c of a cover to copy c2 of the
+    previous one is the image of the generator of c in the previous P,
+    restricted to copy c2."""
     a = m.algebra
     if m.dim == 0:
-        return empty_perfect(a), Matrix.zeros(0, 0)
+        return PerfectComplex(a, {}), Matrix.zeros(0, 0)
     copies: dict[int, tuple] = {}
-    diffs: dict[int, Matrix] = {}
+    blocks: dict[int, dict] = {}
     augmentation = None
     include_prev = None  # inclusion of ker(previous cover) into previous P
     current = m
@@ -47,17 +51,26 @@ def projective_resolution(m: Module, cap: int = DEFAULT_CAP):
             raise ResolutionCapExceeded(
                 f"resolution of a module over {a!r} exceeded cap {cap}"
             )
-        cs, _, cover = cover_data(current)
+        cs, gens, cover = cover_data(current)
         copies[-step] = tuple(cs)
         if step == 0:
             augmentation = cover
         else:
-            diffs[-step] = cover * include_prev
+            bl = blocks[-step] = {}
+            for c, g in enumerate(gens):
+                image = row_times(g, include_prev)
+                off = 0
+                for c2, i2 in enumerate(copies[1 - step]):
+                    z = [0] * a.dim
+                    for t in a.projective_basis(i2):
+                        z[t] = image[off]
+                        off += 1
+                    bl[(c, c2)] = z
         p_mods = [projective_module(a, i)[0] for i in cs]
         p, _ = direct_sum_modules(a, p_mods)
         current, _, include_prev = kernel_submodule(p, cover)
         step += 1
-    return PerfectComplex(a, copies, diffs), augmentation
+    return PerfectComplex(a, copies, blocks), augmentation
 
 
 def resolution_length(pc: PerfectComplex) -> int:

@@ -5,7 +5,9 @@ never replaces a complex by a perfect one; the tests use this module to
 build such replacements and check that unresolved complexes (a composite,
 a Serre transform, a cone) give the same homology, classes, pairings and
 traces as their replacements.  It also holds the chain maps and mapping
-cones the tests build acyclic and split complexes from.
+cones the tests build acyclic and split complexes from, and the recovery of
+a perfect complex from differential matrices (perfect_from_matrices), which
+the package, building every perfect complex from its blocks, does not need.
 
 resolve_complex walks a bounded complex from its top degree downwards.  At
 degree n it forms the module of relative cycles
@@ -22,7 +24,12 @@ recursion into ResolutionCapExceeded rather than a silent truncation.
 """
 
 from ncmotives.algebra import Algebra
-from ncmotives.complexes import Complex, PerfectComplex, as_complex, empty_perfect
+from ncmotives.complexes import (
+    Complex,
+    PerfectComplex,
+    as_complex,
+    assemble_block_matrix,
+)
 from ncmotives.linalg import Matrix, RowBasis, row_times
 from ncmotives.modules import (
     Module,
@@ -122,7 +129,7 @@ def resolve_complex(c, cap: int = DEFAULT_CAP) -> PerfectComplex:
     if isinstance(c, Module):
         return projective_resolution(c, cap)[0]
     if c.is_zero():
-        return empty_perfect(c.algebra)
+        return PerfectComplex(c.algebra, {})
     pc = _resolve_complex_inner(c, cap)
     if not homology_dims_equal(pc, c):
         raise AssertionError("perfect replacement changed homology")
@@ -225,11 +232,41 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
             phi[n] = Matrix(rows_n, dim_c_here, phi_out_rows)
         n -= 1
 
-    return PerfectComplex(a, copies, diffs)
+    return perfect_from_matrices(a, copies, diffs)
 
 
 def _copies_dim(a: Algebra, copies) -> int:
     return sum(len(a.projective_basis(i)) for i in copies)
+
+
+def perfect_from_matrices(a: Algebra, copies: dict, diffs: dict) -> PerfectComplex:
+    """The perfect complex with the given copies whose d^n is the matrix
+    diffs[n].  The block from copy c to copy c2 is read off the row of the
+    idempotent generator of copy c, restricted to copy c2; raises ValueError
+    unless the blocks reassemble to diffs[n], i.e. unless d^n is a module
+    map."""
+    gens = a.idempotent_basis_indices()
+    blocks = {}
+    for n, d in diffs.items():
+        src, tgt = copies.get(n, ()), copies.get(n + 1, ())
+        if (d.rows, d.cols) != (_copies_dim(a, src), _copies_dim(a, tgt)):
+            raise ValueError(f"differential at degree {n} has wrong shape")
+        bl = blocks[n] = {}
+        off = 0
+        for c, i in enumerate(src):
+            basis = a.projective_basis(i)
+            row = d.data[off + basis.index(gens[i])]
+            off += len(basis)
+            off2 = 0
+            for c2, i2 in enumerate(tgt):
+                z = [0] * a.dim
+                for t in a.projective_basis(i2):
+                    z[t] = row[off2]
+                    off2 += 1
+                bl[(c, c2)] = z
+        if assemble_block_matrix(a, src, tgt, bl) != d:
+            raise ValueError(f"differential at degree {n} is not a module map")
+    return PerfectComplex(a, copies, blocks)
 
 
 def resolve_terms(z):

@@ -647,3 +647,70 @@ def test_digest_is_sha256_on_every_import_branch(monkeypatch, present):
         monkeypatch.setattr(hashlib, "sha256", counted)
     assert [digest(obj) for obj in DIGEST_INPUTS] == expected
     assert len(calls) == (0 if present is None else len(DIGEST_INPUTS))
+
+
+def _run_fresh(script, timeout):
+    """Run a Python script in a fresh interpreter on this checkout's package
+    and return its last line of output; a hang fails the test at timeout."""
+    import subprocess
+
+    import ncmotives
+
+    src = str(Path(ncmotives.__file__).resolve().parents[1])
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    p = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
+    assert p.returncode == 0, p.stderr
+    return p.stdout.strip().splitlines()[-1]
+
+
+def test_hochschild_coefficients_with_a_wide_degree_gap(tmp_path):
+    """Coefficients in degrees 0 and -300000000 take as long as any other
+    two-term complex: the tensor layout and the homology walk the occupied
+    degrees, not every integer between them."""
+    scalar = write(tmp_path, "scalar.json", {"format": 1, "kind": "scalar"})
+    m = {"format": 1, "dim": 1, "action": {"1": [[1]]}}
+    coeff = write(
+        tmp_path,
+        "gap.json",
+        {"format": 1, "components": {"0": m, "-300000000": m}, "differentials": {}},
+    )
+    out = str(tmp_path / "hh.json")
+    script = (
+        "import json\n"
+        "from ncmotives.cli import main\n"
+        f"assert main(['hochschild', {scalar!r}, '--coefficients', {coeff!r}, '--out', {out!r}]) == 0\n"
+        f"r = json.load(open({out!r}))\n"
+        "print(r['dims'], r['euler_characteristic'])\n"
+    )
+    assert _run_fresh(script, timeout=30) == "[1, 0, 0, 0, 0] 2"
+
+
+def test_verify_assembles_no_differential_matrix(tmp_path):
+    """verify reads perfect complexes through their copies and blocks: on
+    A3->A3 and A4->A2 it assembles no dense differential.  A fresh
+    interpreter keeps complexes cached by other tests from hiding a read."""
+    paths = []
+    for m, n in ((3, 3), (4, 2)):
+        scenario = {
+            "format": 1,
+            "source": {"algebra": _line_quiver(m)},
+            "target": {"algebra": _line_quiver(n)},
+        }
+        paths.append(write(tmp_path, f"A{m}_A{n}.json", scenario))
+    out = str(tmp_path / "v.json")
+    script = (
+        "from ncmotives import complexes\n"
+        "from ncmotives.cli import main\n"
+        "calls = []\n"
+        "assemble = complexes.assemble_block_matrix\n"
+        "def counted(*args):\n"
+        "    calls.append(args)\n"
+        "    return assemble(*args)\n"
+        "complexes.assemble_block_matrix = counted\n"
+        f"for path in {paths!r}:\n"
+        f"    assert main(['--seed', '1', 'verify', path, '--out', {out!r}]) == 0\n"
+        "print(len(calls))\n"
+    )
+    assert _run_fresh(script, timeout=120) == "0"

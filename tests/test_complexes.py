@@ -10,7 +10,22 @@ from ncmotives.complexes import (
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.linalg import Matrix
 from ncmotives.modules import Module, simple_modules
-from resolve_reference import ChainMap, cone
+from resolve_reference import ChainMap, cone, perfect_from_matrices
+
+
+# A2 written as structure constants: basis e0, e1, a with e0 a = a = a e1
+TABLE_A2 = {
+    "kind": "table",
+    "dim": 3,
+    "labels": ["e0", "e1", "a"],
+    "mul": [
+        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+    ],
+    "unit": [1, 1, 0],
+    "idempotents": [[1, 0, 0], [0, 1, 0]],
+}
 
 
 def one_dim_complex():
@@ -82,7 +97,8 @@ def test_euler_characteristic_is_homology_invariant(a2, a3, kronecker, rng):
 
 def test_perfect_complex_block_roundtrip(a2, rng):
     pc = random_perfect_complex(a2, rng)
-    pc.check()
+    # every assembled differential is a module map
+    perfect_from_matrices(a2, pc.copies, dict(pc.differentials))
     # a perfect complex is a complex: its homology is that of its plain view
     plain = Complex(a2, pc.components, pc.differentials)
     assert isinstance(pc, Complex) and pc.homology_dims() == plain.homology_dims()
@@ -91,40 +107,54 @@ def test_perfect_complex_block_roundtrip(a2, rng):
 def test_perfect_rejects_non_module_map(a2):
     # P_0 -> P_0 sending e0 |-> e0 but a |-> 0 is not right-linear
     bad = Matrix.from_rows([[1, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        PerfectComplex(a2, {0: (0,), 1: (0,)}, {0: bad})
+    with pytest.raises(ValueError, match="module map"):
+        perfect_from_matrices(a2, {0: (0,), 1: (0,)}, {0: bad})
 
 
-def test_from_blocks_rejects_a_block_outside_its_corner(a2):
+def test_perfect_rejects_a_block_outside_its_corner(a2):
     # the arrow a lies in e0 A e1, not in the corner e0 A e0 of a block
     # from a copy of e0 A to a copy of e0 A
     a = a2.basis_vector(a2.labels.index("a"))
     with pytest.raises(ValueError, match="Peirce corner"):
-        PerfectComplex.from_blocks(a2, {0: (0,), 1: (0,)}, {0: {(0, 0): a}})
+        PerfectComplex(a2, {0: (0,), 1: (0,)}, {0: {(0, 0): a}})
 
 
-def test_from_blocks_rejects_d_squared_nonzero(a2):
-    e0 = a2.basis_vector(a2.idempotent_basis_indices()[0])
+def test_perfect_rejects_d_squared_nonzero_on_the_blocks(a2):
+    e0, e1 = (a2.basis_vector(g) for g in a2.idempotent_basis_indices())
+    a = a2.basis_vector(a2.labels.index("a"))
     with pytest.raises(ValueError, match="d\\^2"):
-        PerfectComplex.from_blocks(
-            a2, {0: (0,), 1: (0,), 2: (0,)}, {0: {(0, 0): e0}, 1: {(0, 0): e0}}
-        )
+        PerfectComplex(a2, {0: (0,), 1: (0,), 2: (0,)}, {0: {(0, 0): e0}, 1: {(0, 0): e0}})
+    # e1 A -> e1 A -> e0 A by e1, then a in e0 A e1: the composite is left
+    # multiplication by a e1 = a, although e1 a = 0
+    with pytest.raises(ValueError, match="d\\^2"):
+        PerfectComplex(a2, {0: (1,), 1: (1,), 2: (0,)}, {0: {(0, 0): e1}, 1: {(0, 0): a}})
 
 
-def test_from_blocks_keeps_the_blocks_the_dense_recovery_reads(a2, kronecker, rng):
-    """Every builder that gives its differentials as blocks (random complexes,
-    duals, external tensors, the closed-form diagonal resolution) keeps the
-    blocks the generator rows of its assembled matrices give back."""
+def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rng):
+    """Every perfect complex the package builds (random complexes, duals,
+    external tensors, the closed-form diagonal resolution, projective
+    resolutions) keeps the blocks that the generator rows of its assembled
+    differentials give back."""
+    from ncmotives.cli import algebra_from_spec
+    from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
     from ncmotives.derived import diagonal_resolution, simple_resolutions
     from ncmotives.homalg import dual_perfect
+    from ncmotives.modules import diagonal_bimodule
     from ncmotives.motives import hom_algebra
+    from ncmotives.resolutions import projective_resolution
 
+    table_a2 = algebra_from_spec(TABLE_A2)
     e = hom_algebra(a2, kronecker)
     built = [random_perfect_complex(alg, rng) for alg in (a2, kronecker, e) for _ in range(4)]
     built += [dual_perfect(pc, a2, kronecker) for pc in built[-4:]]
     built += simple_resolutions(e) + [diagonal_resolution(kronecker)]
+    for alg in [*map(corpus_algebra, CORPUS_NAMES), table_a2]:
+        built += [projective_resolution(s)[0] for s in simple_modules(alg)]
+    built.append(projective_resolution(diagonal_bimodule(table_a2))[0])
+    # the table A2 has a simple and a diagonal resolution of length 1
+    assert built[-1].block_elements(-1) and any(pc.block_elements(-1) for pc in built[-3:-1])
     for pc in built:
-        dense = PerfectComplex(pc.algebra, pc.copies, pc.differentials)
+        dense = perfect_from_matrices(pc.algebra, pc.copies, dict(pc.differentials))
         for n in pc.copies:
             assert list(pc.block_elements(n).items()) == list(dense.block_elements(n).items())
 
