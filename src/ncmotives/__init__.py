@@ -20,8 +20,6 @@ from .derived import (
     euler_matrix,
     euler_pairing,
     k0_class,
-    kernel_left,
-    kernel_right,
     serre,
 )
 from .hochschild import HHProfile, bar_oracle, hochschild, intersection_number
@@ -32,7 +30,6 @@ from .modules import (
     diagonal_bimodule,
     dual_bimodule,
     projective_module,
-    regular_module,
     simple_modules,
 )
 from .motives import (

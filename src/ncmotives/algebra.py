@@ -1,9 +1,11 @@
 """Finite-dimensional associative algebras with a distinguished idempotent set.
 
-The constructors here produce exactly the inputs the rest of the package
-supports: path algebras of finite acyclic quivers, their opposites, and
-tensor products of such.  All of these come with a monomial basis in which
-every basis element b satisfies e b f = b for a unique pair (e, f) of the
+The constructors here build path algebras of finite acyclic quivers, their
+opposites, and tensor products of such; the command line also loads
+algebras from explicit structure constants (a `table` spec), which
+check_table tests for associativity and primitive idempotents.  Every
+algebra the package resolves over has a monomial basis in which every
+basis element b satisfies e b f = b for a unique pair (e, f) of the
 distinguished idempotents; the Peirce bookkeeping below depends on that.
 
 Path composition convention: paths are read left to right, so for an arrow
@@ -77,8 +79,9 @@ class Algebra:
     over the nonzeros.  Dense coordinate vectors, as in the JSON `table`
     format, are converted once by sparse_table.  The unit and the complete
     orthogonal idempotent list are dense coordinate vectors.  Unit and
-    idempotent axioms are checked at construction; associativity is cheap to
-    check for the generated corpus and is exercised by the test suite.
+    idempotent axioms are checked at construction; the algebras built here
+    are associative by construction, and a `table` spec is checked by
+    check_table.
     """
 
     def __init__(self, dim, labels, mul, unit, idempotents, meta=None, check=True):
@@ -136,22 +139,6 @@ class Algebra:
     def basis_vector(self, i):
         v = [0] * self.dim
         v[i] = 1
-        return v
-
-    def right_matrix(self, j) -> Matrix:
-        """R_j with row convention: row(x * b_j) = row(x) * R_j."""
-        mats = self._cache.get("right_matrices")
-        if mats is None:
-            mats = [None] * self.dim
-            self._cache["right_matrices"] = mats
-        if mats[j] is None:
-            mats[j] = Matrix(self.dim, self.dim, [self._dense(r[j]) for r in self.mul])
-        return mats[j]
-
-    def _dense(self, pairs):
-        v = [0] * self.dim
-        for k, c in pairs:
-            v[k] = c
         return v
 
     # -- Peirce structure ---------------------------------------------------
@@ -282,6 +269,39 @@ def sparse_table(mul):
         [tuple((k, norm_scalar(c)) for k, c in enumerate(vec) if c) for vec in row]
         for row in mul
     ]
+
+
+def check_table(a: Algebra) -> None:
+    """The axioms of a `table` spec beyond those Algebra checks.
+
+    Associativity, (b_i b_j) b_k = b_i (b_j b_k), is read from the nonzero
+    products: a triple can fail only if b_i b_j or b_j b_k is nonzero.  It
+    raises ValueError.  Each idempotent e_i must be a basis element and
+    primitive: e_i A e_i / e_i (rad A) e_i is one-dimensional.  In the
+    Peirce-adapted basis e_i v e_i keeps the coordinates of v in the corner
+    e_i A e_i, so the quotient's dimension is the corner's less the rank
+    of the radical on it.  That raises AlgebraStructureError, since the
+    package supports neither a non-monomial nor a non-primitive idempotent."""
+    mul = a.mul
+    for j in range(a.dim):
+        rights = [k for k in range(a.dim) if mul[j][k]]
+        for i in range(a.dim):
+            for k in range(a.dim) if mul[i][j] else rights:
+                lhs, rhs = {}, {}
+                for m, c in mul[i][j]:
+                    for t, s in mul[m][k]:
+                        lhs[t] = lhs.get(t, 0) + c * s
+                for m, c in mul[j][k]:
+                    for t, s in mul[i][m]:
+                        rhs[t] = rhs.get(t, 0) + c * s
+                if {t: x for t, x in lhs.items() if x} != {t: x for t, x in rhs.items() if x}:
+                    raise ValueError(f"product is not associative on basis elements {i}, {j}, {k}")
+    rad = a.radical().rows
+    for i in range(len(a.idempotents)):
+        corner = a.peirce_block(i, i)
+        rank = RowBasis(len(corner)).extend([v[t] for t in corner] for v in rad).dim
+        if len(corner) - rank != 1:
+            raise AlgebraStructureError(f"idempotent {i} is not primitive")
 
 
 def _monomial_mul_table(table):
@@ -459,39 +479,42 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
 # identity indexing there and need no special case.
 
 
-def split_pair_basis(left: Algebra, right: Algebra, t: int):
-    """Decompose a basis index of tensor(left, right) into factor indices."""
+def split_pair_basis(right: Algebra, t: int):
+    """Decompose a basis index of tensor(left, right) into factor indices;
+    the pair indexing depends on the right factor alone."""
     return divmod(t, right.dim)
 
 
-def join_pair_basis(left: Algebra, right: Algebra, i: int, j: int) -> int:
+def join_pair_basis(right: Algebra, i: int, j: int) -> int:
     return i * right.dim + j
 
 
-def split_pair_idempotent(left: Algebra, right: Algebra, r: int):
+def split_pair_idempotent(right: Algebra, r: int):
     return divmod(r, len(right.idempotents))
 
 
-def join_pair_idempotent(left: Algebra, right: Algebra, i: int, j: int) -> int:
+def join_pair_idempotent(right: Algebra, i: int, j: int) -> int:
     return i * len(right.idempotents) + j
 
 
-def enveloping_algebra(a: Algebra) -> Algebra:
-    """tensor(opposite(a), a); bimodules over a are right modules over this."""
-    return tensor(opposite(a), a)
+def hom_algebra(a: Algebra, b: Algebra) -> Algebra:
+    """tensor(opposite(a), b): a-b-bimodules, and so the correspondences
+    a -> b, are right modules over it; hom_algebra(a, a) is the enveloping
+    algebra of a."""
+    return tensor(opposite(a), b)
 
 
 def swap_permutation(a: Algebra, b: Algebra):
     """Basis permutation realizing the anti-isomorphism
     tensor(opposite(a), b) -> tensor(opposite(b), a), (x^op, y) -> (y^op, x).
     Memoized per (a, b) on the source tensor algebra, as a tuple."""
-    e_ab = tensor(opposite(a), b)
+    e_ab = hom_algebra(a, b)
     key = ("swap_permutation", a, b)
     perm = e_ab._cache.get(key)
     if perm is None:
         perm = [0] * e_ab.dim
         for t in range(e_ab.dim):
-            i, j = split_pair_basis(opposite(a), b, t)
-            perm[t] = join_pair_basis(opposite(b), a, j, i)
+            i, j = split_pair_basis(b, t)
+            perm[t] = join_pair_basis(a, j, i)
         perm = e_ab._cache[key] = tuple(perm)
     return perm

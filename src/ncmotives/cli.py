@@ -26,6 +26,8 @@ from .algebra import (
     AlgebraStructureError,
     CyclicQuiverError,
     Quiver,
+    check_table,
+    hom_algebra,
     opposite,
     path_algebra,
     scalar_algebra,
@@ -44,8 +46,6 @@ from .corpus import (
 from .derived import (
     check_smooth,
     euler_matrix,
-    kernel_left,
-    kernel_right,
     serre,
     euler_pairing,
     simple_resolutions,
@@ -60,7 +60,6 @@ from .motives import (
     build_hom_model,
     check_record,
     complement_idempotent,
-    hom_algebra,
     ideal_stability_samples,
     trace,
     verify_equivalence,
@@ -180,7 +179,6 @@ def _build_algebra(spec) -> Algebra:
             dim = spec["dim"]
             if type(dim) is not int or dim < 0:
                 raise InputError(f"table dim must be a non-negative integer, not {dim!r}")
-            labels = spec.get("labels", [f"b{i}" for i in range(dim)])
             mul = [
                 [[scalar_from_json(x) for x in vec] for vec in row]
                 for row in spec["mul"]
@@ -191,23 +189,25 @@ def _build_algebra(spec) -> Algebra:
             ]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad table spec: {exc}") from exc
+        # dim is bounded by the size of the file only once mul has dim rows
+        if len(mul) != dim or any(len(row) != dim for row in mul):
+            raise InputError(f"table mul must be {dim} x {dim} product vectors")
+        labels = spec["labels"] if "labels" in spec else [f"b{i}" for i in range(dim)]
         if not (
             isinstance(labels, list)
             and all(isinstance(lab, str) for lab in labels)
             and len(set(labels)) == len(labels) == dim
         ):
             raise InputError(f"table labels must be a list of {dim} distinct strings")
-        if len(mul) != dim or any(len(row) != dim for row in mul):
-            raise InputError(f"table mul must be {dim} x {dim} product vectors")
         vectors = [v for row in mul for v in row] + [unit, *idems]
         if any(len(v) != dim for v in vectors):
             raise InputError(
                 f"table product, unit and idempotent vectors must have length {dim}"
             )
         try:
-            return Algebra(
-                dim, labels, sparse_table(mul), unit, idems, meta={"name": "table"}
-            )
+            a = Algebra(dim, labels, sparse_table(mul), unit, idems, meta={"name": "table"})
+            check_table(a)
+            return a
         except AlgebraStructureError:
             raise
         except ValueError as exc:
@@ -269,8 +269,6 @@ def complex_from_spec(spec, algebra: Algebra):
 def coefficients_from_spec(spec, algebra: Algebra):
     """Hochschild coefficients: a named bimodule, a bimodule, or a complex of
     bimodules with no component in a positive degree."""
-    from .algebra import enveloping_algebra
-
     if spec is None:
         return diagonal_bimodule(algebra)
     if isinstance(spec, dict) and "named" in spec:
@@ -280,11 +278,11 @@ def coefficients_from_spec(spec, algebra: Algebra):
             return dual_bimodule(algebra)
         raise InputError(f"named coefficients must be 'diagonal' or 'dual', not {spec['named']!r}")
     if isinstance(spec, dict) and "components" in spec:
-        w = complex_from_spec(spec, enveloping_algebra(algebra))
+        w = complex_from_spec(spec, hom_algebra(algebra, algebra))
         if w.hi > 0:
             raise InputError("coefficients must have no component in a positive degree")
         return w
-    return module_from_spec(spec, enveloping_algebra(algebra))
+    return module_from_spec(spec, hom_algebra(algebra, algebra))
 
 
 def motive_from_spec(spec) -> NCMotive:
@@ -447,8 +445,8 @@ def cmd_euler_matrix(args) -> int:
         "basis": g.basis,
         "matrix": matrix_to_json(g.matrix),
         "determinant": scalar_to_json(det),
-        "kernel_left": [[scalar_to_json(x) for x in v] for v in kernel_left(g)],
-        "kernel_right": [[scalar_to_json(x) for x in v] for v in kernel_right(g)],
+        "kernel_left": [[scalar_to_json(x) for x in v] for v in g.matrix.left_kernel_basis()],
+        "kernel_right": [[scalar_to_json(x) for x in v] for v in g.matrix.kernel_basis()],
         "verdict": True,
     }
     return emit(report, args)
@@ -594,7 +592,7 @@ def cmd_verify(args) -> int:
     rep["command"] = "verify"
     rep["inputs_digest"] = digest(spec)
     rng = random.Random(args.seed)
-    kr = kernel_right(model.gram_chi)
+    kr = model.gram_chi.matrix.kernel_basis()
     if kr:
         partners = [
             random_correspondence(dst, NCMotive(dst.algebra), rng)

@@ -1,7 +1,8 @@
 """Bounded cochain complexes of modules and perfect complexes.
 
 Grading is cohomological: d^n maps degree n to degree n+1 and d^n d^{n+1} = 0
-as matrices in the row convention.  The shift is defined by
+as matrices in the row convention.  The shift of a perfect complex (the
+`shift` of a correspondence term) is defined by
 
     shift(C, k)^n = C^{n-k},   d_{shift} = (-1)^k d,
 
@@ -98,9 +99,6 @@ class Complex:
     def is_zero(self) -> bool:
         return not self.components
 
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
     def component(self, n) -> Module:
         m = self.components.get(n)
         return m if m is not None else zero_module(self.algebra)
@@ -114,9 +112,6 @@ class Complex:
         if d is None:
             return Matrix.zeros(self.component_dim(n), self.component_dim(n + 1))
         return d
-
-    def euler_characteristic(self) -> int:
-        return sum((-1 if n % 2 else 1) * m.dim for n, m in self.components.items())
 
     def homology(self, n):
         """(dimension, representative rows) of H^n = ker d^n / im d^{n-1}."""
@@ -138,15 +133,6 @@ class Complex:
 
     def homology_dims(self) -> dict:
         return {n: self.homology(n)[0] for n in sorted(self.components)}
-
-    def shift(self, k: int) -> "Complex":
-        comps = {n + k: m for n, m in self.components.items()}
-        sign = -1 if k % 2 else 1
-        diffs = {
-            n + k: (d if sign == 1 else d.scale(-1))
-            for n, d in self.differentials.items()
-        }
-        return Complex(self.algebra, comps, diffs, check=False)
 
     def __repr__(self):
         dims = {n: m.dim for n, m in sorted(self.components.items())}
@@ -248,9 +234,6 @@ class PerfectComplex(Complex):
                 w[i] += s
         return w
 
-    def total_dim(self):
-        return sum(self.component_dim(n) for n in self.copies)
-
     def __repr__(self):
         shape = {n: self.copies[n] for n in sorted(self.copies)}
         return f"<PerfectComplex {shape} over {self.algebra!r}>"
@@ -295,8 +278,3 @@ def as_complex(x) -> Complex:
     if isinstance(x, Module):
         return Complex(x.algebra, {0: x}, {}, check=False)
     raise TypeError(f"cannot view {x!r} as a complex")
-
-
-def single_module_complex(m: Module, degree: int = 0) -> Complex:
-    return Complex(m.algebra, {degree: m}, {}, check=False)
-

@@ -11,15 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Algebra, Quiver, path_algebra, scalar_algebra
+from .algebra import Algebra, Quiver, hom_algebra, path_algebra, scalar_algebra
 from .complexes import PerfectComplex
 from .linalg import Matrix
-from .motives import (
-    Correspondence,
-    NCMotive,
-    hom_algebra,
-    vertex_cut_idempotent,
-)
+from .motives import Correspondence, NCMotive, vertex_cut_idempotent
 CORPUS_NAMES = ("Q", "QxQ", "A2", "A3", "Kronecker")
 
 _QUIVERS = {

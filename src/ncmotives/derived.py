@@ -1,4 +1,4 @@
-"""Euler form, Grothendieck classes, Serre transform, kernels, smoothness.
+"""Euler form, Grothendieck classes, Serre transform, smoothness.
 
 The Grothendieck group of the derived category of a supported algebra is
 free on the simple classes; a complex lands in it through its alternating
@@ -39,13 +39,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import (
-    Algebra,
-    enveloping_algebra,
-    join_pair_basis,
-    opposite,
-    scalar_algebra,
-)
+from .algebra import Algebra, hom_algebra, join_pair_basis, scalar_algebra
 from .complexes import Complex, LazyDifferentials, PerfectComplex, as_complex
 from .homalg import dual_perfect
 from .linalg import Matrix, norm_scalar
@@ -262,16 +256,6 @@ def serre(m: PerfectComplex) -> Complex:
     return Complex(a, comps, diffs, check=False)
 
 
-def kernel_left(g: PairingMatrix):
-    """Basis of {v : v^T G = 0}."""
-    return g.matrix.left_kernel_basis()
-
-
-def kernel_right(g: PairingMatrix):
-    """Basis of {v : G v = 0}."""
-    return g.matrix.kernel_basis()
-
-
 def diagonal_resolution(a: Algebra, cap: int = DEFAULT_CAP) -> PerfectComplex:
     """Minimal resolution of the diagonal bimodule over tensor(op(A), A).
 
@@ -309,7 +293,7 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
     order."""
     q = a.meta["quiver"]
     n = q.vertex_count
-    env = enveloping_algebra(a)
+    env = hom_algebra(a, a)
     g = a.idempotent_basis_indices()
     copies = {0: tuple(v * n + v for v in range(n))}
     arrows = sorted(
@@ -325,7 +309,7 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
         # e_s (x) a in the copy of s, a (x) e_t in the copy of t
         for v, (x, y), coeff in ((s, (g[s], b), sign), (t, (b, g[t]), -sign)):
             z = [0] * env.dim
-            z[join_pair_basis(opposite(a), a, x, y)] = coeff
+            z[join_pair_basis(a, x, y)] = coeff
             blocks[(c, v)] = z
     return PerfectComplex(env, copies, {-1: blocks})
 

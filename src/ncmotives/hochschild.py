@@ -23,13 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import (
-    Algebra,
-    join_pair_basis,
-    opposite,
-    scalar_algebra,
-    tensor,
-)
+from .algebra import Algebra, hom_algebra, join_pair_basis, opposite, scalar_algebra
 from .complexes import Complex, as_complex
 from .derived import compose_classes, diagonal_resolution, k0_class
 from .homalg import tensor_over
@@ -38,26 +32,20 @@ from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
 
 
-class HHProfile(
-    namedtuple("HHProfile", "algebra dims coefficients", defaults=("",))
-):
-    __slots__ = ()
-
-    def euler(self) -> int:
-        return sum((-1) ** n * d for n, d in enumerate(self.dims))
+HHProfile = namedtuple("HHProfile", "algebra dims coefficients", defaults=("",))
 
 
 def _left_structure_complex(w, a: Algebra) -> Complex:
     """Componentwise left-module structure of a complex of A-A-bimodules."""
     w = as_complex(w)
     comps = {n: left_structure_module(m, a) for n, m in w.components.items()}
-    alg = opposite(tensor(opposite(a), a))
+    alg = opposite(hom_algebra(a, a))
     return Complex(alg, comps, dict(w.differentials), check=False)
 
 
-def hochschild(a: Algebra, w, top: int | None = None, cap: int = DEFAULT_CAP) -> HHProfile:
-    """Hochschild homology dimensions of A with coefficients in a bimodule
-    (or bounded complex of bimodules) over tensor(op(A), A).
+def hochschild(a: Algebra, w, top: int, cap: int = DEFAULT_CAP) -> HHProfile:
+    """Hochschild homology dimensions HH_0 .. HH_top of A with coefficients
+    in a bimodule (or bounded complex of bimodules) over tensor(op(A), A).
 
     HH_n is the cohomology in degree -n of
     (diagonal resolution) (x)_{A^e} coefficients.  The coefficients must
@@ -66,14 +54,12 @@ def hochschild(a: Algebra, w, top: int | None = None, cap: int = DEFAULT_CAP) ->
     diag = diagonal_resolution(a, cap)
     wc = as_complex(w)
     q = scalar_algebra()
-    env = tensor(opposite(a), a)
+    env = hom_algebra(a, a)
     if wc.algebra is not env:
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
     if wc.hi > 0:
         raise ValueError("coefficients have a component in a positive degree")
     t = tensor_over(diag, _left_structure_complex(wc, a), q, env, q, check=False)
-    if top is None:
-        top = max(0, -t.lo) if not t.is_zero() else 0
     dims = [t.homology(-n)[0] for n in range(top + 1)]
     return HHProfile(a, dims, coefficients="bimodule")
 
@@ -82,7 +68,7 @@ def hochschild_euler(a: Algebra, w, cap: int = DEFAULT_CAP) -> int:
     """Alternating sum of Hochschild dimensions: the Euler characteristic of
     (diagonal resolution) (x)_{A^e} W, read from the class of W alone."""
     k = k0_class(w)
-    if k.algebra is not tensor(opposite(a), a):
+    if k.algebra is not hom_algebra(a, a):
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
     return _pair_with_diagonal(a, k.coords, cap)
 
@@ -131,20 +117,19 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
     the composable paths of positive length.
 
     dims[n] = dim C_n - rank d_n - rank d_{n+1}."""
-    env = tensor(opposite(a), a)
+    env = hom_algebra(a, a)
     if w.algebra is not env:
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
     left, right = a.peirce()
     idem = a.idempotent_basis_indices()
     monomials = [t for t in range(a.dim) if t not in idem]
-    op_a = opposite(a)
     blocks: dict = {}
     faces: dict = {}
 
     def block(r, l) -> RowBasis:
         """e_r W e_l."""
         if (r, l) not in blocks:
-            g = join_pair_basis(op_a, a, idem[r], idem[l])
+            g = join_pair_basis(a, idem[r], idem[l])
             blocks[(r, l)] = RowBasis(w.dim).extend(w.action[g].data)
         return blocks[(r, l)]
 
@@ -181,8 +166,8 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
         image = RowBasis(dims_c[n - 1])
         for ts, r, l in cells[n]:
             t1, tn = ts[0], ts[-1]
-            first = face(r, l, join_pair_basis(op_a, a, idem[r], t1), r, right[t1])
-            last = face(r, l, join_pair_basis(op_a, a, tn, idem[l]), left[tn], l)
+            first = face(r, l, join_pair_basis(a, idem[r], t1), r, right[t1])
+            last = face(r, l, join_pair_basis(a, tn, idem[l]), left[tn], l)
             first_off = prev[(ts[1:], r, right[t1])]
             last_off = prev[(ts[:-1], left[tn], l)]
             inner = []

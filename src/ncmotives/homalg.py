@@ -50,6 +50,7 @@ from functools import partial
 
 from .algebra import (
     Algebra,
+    hom_algebra,
     join_pair_basis,
     join_pair_idempotent,
     opposite,
@@ -57,7 +58,6 @@ from .algebra import (
     split_pair_basis,
     split_pair_idempotent,
     swap_permutation,
-    tensor,
 )
 from .complexes import (
     Complex,
@@ -129,9 +129,9 @@ def tensor_over(
     ytrace_cache, yblock_cache, ymove_cache = y._cache.setdefault(
         ("tensor_over", middle, right), ({}, {}, {})
     )
-    e_x = tensor(opposite(left), middle)
-    e_y = tensor(opposite(middle), right)
-    e_t = tensor(opposite(left), right)
+    e_x = hom_algebra(left, middle)
+    e_y = hom_algebra(middle, right)
+    e_t = hom_algebra(left, right)
     if not isinstance(x, PerfectComplex):
         raise ValueError(
             "the left tensor factor must be a perfect complex "
@@ -144,7 +144,6 @@ def tensor_over(
     if x.is_zero() or y.is_zero():
         return Complex(e_t, {}, {}, check=False)
 
-    op_m = opposite(middle)
     mid_idem_idx = middle.idempotent_basis_indices()
 
     def yelement(g_m, r):
@@ -153,7 +152,7 @@ def tensor_over(
         gs = enumerate(middle.unit) if g_m is None else [(g_m, 1)]
         rs = list(enumerate(right.unit)) if r is None else [(r, 1)]
         return [
-            (join_pair_basis(op_m, right, i, j), u * v) for i, u in gs for j, v in rs if u * v
+            (join_pair_basis(right, i, j), u * v) for i, u in gs for j, v in rs if u * v
         ]
 
     def yblock(q, m) -> RowBasis:
@@ -194,7 +193,7 @@ def tensor_over(
         1 (x) r whose image is the block."""
         key = (q, m, r)
         if key not in ytrace_cache:
-            g = join_pair_basis(op_m, right, mid_idem_idx[m], r)
+            g = join_pair_basis(right, mid_idem_idx[m], r)
             ytrace_cache[key] = y.component(q).trace(g)
         return ytrace_cache[key]
 
@@ -209,7 +208,7 @@ def tensor_over(
             if q not in y.components:
                 continue
             for c, idem in enumerate(x.copies_at(p)):
-                l_i, m_i = split_pair_idempotent(opposite(left), middle, idem)
+                l_i, m_i = split_pair_idempotent(middle, idem)
                 lblock = left.coprojective_basis(l_i)
                 yb = yblock(q, m_i)
                 if lblock and yb.dim:
@@ -239,7 +238,7 @@ def tensor_over(
     def action(k, t):
         """Action matrix of basis element t of e_t on the degree-k component:
         left multiplication by its left part (x) the action of its right."""
-        a_i, r_i = split_pair_basis(opposite(left), right, t)
+        a_i, r_i = split_pair_basis(right, t)
         big = [[0] * dims[k] for _ in range(dims[k])]
         for e in layout[k]:
             p, _, m, _, lblock, _, _ = e
@@ -254,7 +253,7 @@ def tensor_over(
         """Trace of action(k, t) read from the layout: on each block, the
         trace of left multiplication by t's left part on L e_l times the
         trace of the action of its right part on e_m Y^q."""
-        a_i, r_i = split_pair_basis(opposite(left), right, t)
+        a_i, r_i = split_pair_basis(right, t)
         total = 0
         for p, _, m, l, lblock, _, _ in layout[k]:
             tl = ltrace_cache.get((a_i, l))
@@ -285,7 +284,7 @@ def tensor_over(
                 e2 = tgt[(p + 1, c2)]
                 for g, coeff in enumerate(z):
                     if coeff:
-                        g_l, g_m = split_pair_basis(opposite(left), middle, g)
+                        g_l, g_m = split_pair_basis(middle, g)
                         lmul = (
                             (s, u2, coeff * cl)
                             for s, u in enumerate(lblock)
@@ -314,7 +313,7 @@ def dual_perfect(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectCom
     construction twice returns the original complex on the nose.  The dual
     is kept in x's cache under ("dual", left, right), and x in the dual's
     under ("dual", right, left), so D(D(x)) is x."""
-    e_ab = tensor(opposite(left), right)
+    e_ab = hom_algebra(left, right)
     if x.algebra is not e_ab:
         raise ValueError("x is not perfect over tensor(op(left), right)")
     d = x._cache.get(("dual", left, right))
@@ -325,14 +324,14 @@ def dual_perfect(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectCom
 
 
 def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
-    e_ba = tensor(opposite(right), left)
+    e_ba = hom_algebra(right, left)
     if x.is_zero():
         return PerfectComplex(e_ba, {})
     perm = swap_permutation(left, right)
 
     def sigma_idem(r):
-        i, j = split_pair_idempotent(opposite(left), right, r)
-        return join_pair_idempotent(opposite(right), left, j, i)
+        i, j = split_pair_idempotent(right, r)
+        return join_pair_idempotent(left, j, i)
 
     copies = {
         -n: tuple(sigma_idem(i) for i in cs) for n, cs in x.copies.items()

@@ -5,8 +5,8 @@ Vectors are plain lists of scalars (row vectors unless stated otherwise),
 matrices are dense and immutable by convention.
 
 RowBasis, the canonical reduced row echelon form of a span, is the one
-elimination engine: Matrix.rref, rank, kernel_basis and solve read it, and
-so do the package's subspaces and bar-complex ranks.  The canonical form
+elimination engine: Matrix.rref, rank and kernel_basis read it, and so do
+the package's subspaces and bar-complex ranks.  The canonical form
 does not depend on the order of the rows, so echelon forms, kernel bases
 and coordinates are deterministic.  Matrix.det is the one other
 elimination, since it needs the pivot values that the RREF scales to 1.
@@ -16,7 +16,7 @@ they come, so an integral ``Fraction`` such as ``Fraction(4, 2)`` may sit
 where an int would.  Comparison and hashing treat the two alike.
 ``norm_scalar`` collapses integral Fractions to int only where division
 happens (``RowBasis``, ``det``) and where a scalar leaves (``trace``,
-``kernel_basis``, ``solve`` and the JSON writer).
+``kernel_basis`` and the JSON writer).
 """
 
 from __future__ import annotations
@@ -48,25 +48,15 @@ def vec_is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    if c == 0:
-        return [0] * len(v)
-    return [c * x if x else 0 for x in v]
-
-
 class Matrix:
     """Dense rows x cols matrix of exact scalars.
 
     Entries must be ints or Fractions (anything else raises TypeError) and
-    are kept as given, so an integral Fraction may appear; ``det``,
-    ``kernel_basis`` and ``solve`` return normalized scalars.  Rows act on
-    the left of column vectors in ``solve``/``kernel_basis``; the rest of
-    the package multiplies row vectors on the right (``row_times``), which
-    composes maps left to right.
+    are kept as given, so an integral Fraction may appear; ``det`` and
+    ``kernel_basis`` return normalized scalars.  Rows act on the left of
+    column vectors in ``kernel_basis``; the rest of the package multiplies
+    row vectors on the right (``row_times``), which composes maps left to
+    right.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -122,17 +112,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.data)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [vec_add(a, b) for a, b in zip(self.data, other.data)],
-        )
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, [vec_scale(c, r) for r in self.data])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -162,10 +141,6 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         return norm_scalar(sum(self.data[i][i] for i in range(self.rows)))
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     # -- elimination ------------------------------------------------------
 
@@ -200,18 +175,6 @@ class Matrix:
         """Basis of {v : v M = 0} (row vectors)."""
         return self.transpose().kernel_basis()
 
-    def solve(self, b):
-        """Any exact solution x of M x = b (b of length rows), or None."""
-        if len(b) != self.rows:
-            raise ValueError("right-hand side has wrong length")
-        rb = RowBasis(self.cols + 1).extend(row + [c] for row, c in zip(self.data, b))
-        if self.cols in rb.pivots:
-            return None
-        x = [0] * self.cols
-        for row, p in zip(rb.rows, rb.pivots):
-            x[p] = norm_scalar(row[self.cols])
-        return x
-
     def det(self):
         """Determinant by fraction-free-ish Gaussian elimination."""
         if self.rows != self.cols:
@@ -237,22 +200,6 @@ class Matrix:
                 if f:
                     m[r] = [norm_scalar(x - f * y) for x, y in zip(m[r], m[col])]
         return norm_scalar(det)
-
-
-def matrix_sum(terms, rows: int, cols: int) -> Matrix:
-    """The rows x cols matrix sum of c * m over (m, c) terms, accumulated in
-    one pass over the entries; a lone term with c == 1 is returned as is."""
-    terms = [(m, c) for m, c in terms if c]
-    if len(terms) == 1 and terms[0][1] == 1:
-        return terms[0][0]
-    out = [[0] * cols for _ in range(rows)]
-    for m, c in terms:
-        for acc, row in zip(out, m.data):
-            if any(row):
-                for j, x in enumerate(row):
-                    if x:
-                        acc[j] += c * x
-    return Matrix(rows, cols, out)
 
 
 def row_times(v, m: Matrix):

@@ -25,13 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .algebra import (
-    Algebra,
-    enveloping_algebra,
-    opposite,
-    swap_permutation,
-    tensor,
-)
+from .algebra import Algebra, hom_algebra, opposite, swap_permutation
 from .linalg import Matrix, RowBasis, norm_scalar, vec_is_zero
 
 
@@ -85,7 +79,7 @@ class Module:
 
     __slots__ = ("algebra", "dim", "action")
 
-    def __init__(self, algebra: Algebra, dim: int, action, check=False):
+    def __init__(self, algebra: Algebra, dim: int, action):
         self.algebra = algebra
         self.dim = dim
         if isinstance(action, LazyActions):
@@ -99,8 +93,6 @@ class Module:
         self.action = action
         if len(action) != algebra.dim:
             raise ValueError("one action matrix per algebra basis element required")
-        if check:
-            self.check()
 
     def __repr__(self):
         return f"<Module dim={self.dim} over {self.algebra!r}>"
@@ -170,15 +162,6 @@ def zero_module(a: Algebra) -> Module:
     return Module(a, 0, [Matrix.zeros(0, 0)] * a.dim)
 
 
-def regular_module(a: Algebra) -> Module:
-    """A as a right module over itself."""
-    m = a._cache.get("regular_module")
-    if m is None:
-        m = Module(a, a.dim, [a.right_matrix(j) for j in range(a.dim)])
-        a._cache["regular_module"] = m
-    return m
-
-
 def projective_module(a: Algebra, i: int):
     """(Module for e_i A, monomial basis indices into A).
 
@@ -245,24 +228,6 @@ def direct_sum_modules(a: Algebra, mods):
         return tuple((k + o, c) for k, c in mods[i].row(s - o, j))
 
     return Module(a, total, LazyActions(a.dim, total, build, trace, row)), offsets
-
-
-def span_submodule(m: Module, generators):
-    """Smallest submodule containing the generators.
-
-    Returns (Module, RowBasis, inclusion matrix sub -> m)."""
-    rb = RowBasis(m.dim)
-    work = []
-    for g in generators:
-        if rb.add(g):
-            work.append(list(g))
-    while work:
-        v = work.pop()
-        for j in range(m.algebra.dim):
-            w = m.times(v, ((j, 1),))
-            if rb.add(w):
-                work.append(w)
-    return _submodule_from_rowbasis(m, rb)
 
 
 def _submodule_from_rowbasis(m: Module, rb: RowBasis):
@@ -398,7 +363,7 @@ def diagonal_bimodule(a: Algebra) -> Module:
     coordinates of b_i b_s b_j; it is filled from the structure constants."""
     m = a._cache.get("diagonal_bimodule")
     if m is None:
-        env = enveloping_algebra(a)
+        env = hom_algebra(a, a)
         mul = a.mul
         action = []
         for t in range(env.dim):
@@ -442,7 +407,7 @@ def left_structure_module(m: Module, a: Algebra) -> Module:
     against right E-modules sends (x^op, y) to y m x, which is the right
     action of the swapped pair.  Index-permuting the action list therefore
     yields a right module over opposite(E)."""
-    env = enveloping_algebra(a)
+    env = hom_algebra(a, a)
     if m.algebra is not env:
         raise ValueError("module is not a bimodule over tensor(op(A), A)")
     perm = swap_permutation(a, a)

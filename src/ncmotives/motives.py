@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import Algebra, opposite, tensor
+from .algebra import Algebra, hom_algebra
 from .complexes import PerfectComplex
 from .derived import (
     PairingMatrix,
@@ -26,8 +26,6 @@ from .derived import (
     diagonal_resolution,
     euler_pairing_classes,
     k0_class,
-    kernel_left,
-    kernel_right,
     serre,
     simple_resolutions,
 )
@@ -35,11 +33,6 @@ from .homalg import dual_perfect
 from .hochschild import intersection_number
 from .linalg import Matrix, RowBasis, norm_scalar, span_equal
 from .resolutions import DEFAULT_CAP
-
-
-def hom_algebra(a: Algebra, b: Algebra) -> Algebra:
-    """The algebra whose module classes are correspondences a -> b."""
-    return tensor(opposite(a), b)
 
 
 # -- motives and correspondences --------------------------------------------------
@@ -124,17 +117,6 @@ class Correspondence:
                         out[i] += c * x
             cls = self._cache["k0"] = tuple(norm_scalar(x) for x in out)
         return list(cls)
-
-    def scale(self, c) -> "Correspondence":
-        c = norm_scalar(c)
-        return Correspondence(
-            self.source, self.target, [(c * x, t) for x, t in self.terms]
-        )
-
-    def add(self, other: "Correspondence") -> "Correspondence":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("cannot add correspondences with different endpoints")
-        return Correspondence(self.source, self.target, self.terms + other.terms)
 
     def __repr__(self):
         return f"<Correspondence {self.source.name} -> {self.target.name}, {len(self.terms)} terms>"
@@ -417,8 +399,8 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
         ))
 
     # kernels
-    kl = kernel_left(m.gram_chi)
-    kr = kernel_right(m.gram_chi)
+    kl = m.gram_chi.matrix.left_kernel_basis()
+    kr = m.gram_chi.matrix.kernel_basis()
     span_l = RowBasis(n).extend(kl)
     span_r = RowBasis(n).extend(kr)
     checks.append(check_record(
@@ -428,7 +410,7 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
         span_equal(span_l, span_r),
     ))
 
-    ki = kernel_right(m.gram_int)
+    ki = m.gram_int.matrix.kernel_basis()
     span_i = RowBasis(n).extend(ki)
     checks.append(check_record(
         "gram-int-kernel",

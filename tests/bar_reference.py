@@ -8,23 +8,23 @@ ranks come from sympy's sparse DomainMatrix over QQ, an elimination
 independent of the package's RowBasis.
 """
 
-from ncmotives.algebra import join_pair_basis, opposite, tensor
+from dense_reference import matrix_sum
+from ncmotives.algebra import hom_algebra, join_pair_basis
 from ncmotives.hochschild import HHProfile
-from ncmotives.linalg import matrix_sum, norm_scalar
+from ncmotives.linalg import norm_scalar
 
 
 def absolute_bar_dims(a, w, top):
     """Hochschild dimensions of A with coefficients in the bimodule w, in
     degrees n <= top: dims[n] = dim C_n - rank d_n - rank d_{n+1}."""
-    env = tensor(opposite(a), a)
+    env = hom_algebra(a, a)
     if w.algebra is not env:
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
-    op_a = opposite(a)
     right_rows = []
     left_rows = []
     for t in range(a.dim):
-        rterms = [(w.action[join_pair_basis(op_a, a, i, t)], u) for i, u in enumerate(a.unit)]
-        lterms = [(w.action[join_pair_basis(op_a, a, t, i)], u) for i, u in enumerate(a.unit)]
+        rterms = [(w.action[join_pair_basis(a, i, t)], u) for i, u in enumerate(a.unit)]
+        lterms = [(w.action[join_pair_basis(a, t, i)], u) for i, u in enumerate(a.unit)]
         right_rows.append([_sparse(r) for r in matrix_sum(rterms, w.dim, w.dim).data])
         left_rows.append([_sparse(r) for r in matrix_sum(lterms, w.dim, w.dim).data])
     ranks = [0] * (top + 2)  # ranks[n] = rank of d_n : C_n -> C_{n-1}

@@ -7,12 +7,7 @@ their idempotent images, so it checks the Euler-matrix formula from outside:
 it never reads an Euler matrix or a Cartan inverse.
 """
 
-from ncmotives.algebra import (
-    join_pair_idempotent,
-    opposite,
-    split_pair_idempotent,
-    tensor,
-)
+from ncmotives.algebra import hom_algebra, join_pair_idempotent, split_pair_idempotent
 from ncmotives.complexes import PerfectComplex
 from ncmotives.derived import k0_class
 
@@ -26,12 +21,11 @@ def tensor_class(x: PerfectComplex, y, left, middle, right) -> list:
     (i, j) idempotent image has dimension dim(e_i L e_l) * dim(e_m Y^q e_j);
     with signs, entry (i, j) is the sum over (l, m) of
     weights(x)_(l, m) * dim(e_i L e_l) * k0(y)_(m, j)."""
-    if x.algebra is not tensor(opposite(left), middle):
+    if x.algebra is not hom_algebra(left, middle):
         raise ValueError("x is not perfect over tensor(op(left), middle)")
     ky = k0_class(y)
-    if ky.algebra is not tensor(opposite(middle), right):
+    if ky.algebra is not hom_algebra(middle, right):
         raise ValueError("y does not live over tensor(op(middle), right)")
-    op_l, op_m = opposite(left), opposite(middle)
     n_l = len(left.idempotents)
     n_r = len(right.idempotents)
     ldims = left.peirce_dims()
@@ -39,13 +33,13 @@ def tensor_class(x: PerfectComplex, y, left, middle, right) -> list:
     for idem, w in enumerate(x.euler_copy_weights()):
         if not w:
             continue
-        l_i, m_i = split_pair_idempotent(op_l, middle, idem)
+        l_i, m_i = split_pair_idempotent(middle, idem)
         for i in range(n_l):
             d = w * ldims[i][l_i]
             if not d:
                 continue
             for j in range(n_r):
-                out[join_pair_idempotent(op_l, right, i, j)] += d * ky.coords[
-                    join_pair_idempotent(op_m, right, m_i, j)
+                out[join_pair_idempotent(right, i, j)] += d * ky.coords[
+                    join_pair_idempotent(right, m_i, j)
                 ]
     return out

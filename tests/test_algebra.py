@@ -7,7 +7,7 @@ from ncmotives.algebra import (
     AlgebraStructureError,
     CyclicQuiverError,
     Quiver,
-    enveloping_algebra,
+    hom_algebra,
     opposite,
     path_algebra,
     scalar_algebra,
@@ -82,7 +82,7 @@ def split_qxq():
 
 def _oracle_algebras():
     named = {name: corpus_algebra(name) for name in CORPUS_NAMES}
-    named.update({f"env({name})": enveloping_algebra(a) for name, a in list(named.items())})
+    named.update({f"env({name})": hom_algebra(a, a) for name, a in list(named.items())})
     named["op(A3)xA3"] = tensor(opposite(corpus_algebra("A3")), corpus_algebra("A3"))
     named["op(Kronecker)xA2"] = tensor(
         opposite(corpus_algebra("Kronecker")), corpus_algebra("A2")

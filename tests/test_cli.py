@@ -293,6 +293,17 @@ MALFORMED_TABLES = {
         unit=[1, 1],
         idempotents=[[1, 0], [0, 1]],
     ),
+    # basis 1, x, y with x x = y, y x = y and x y = 0: (x x) x = y but x (x x) = 0
+    "not-associative": _table(
+        dim=3,
+        mul=[
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 1], [0, 0, 0]],
+        ],
+        unit=[1, 0, 0],
+        idempotents=[[1, 0, 0]],
+    ),
 }
 
 
@@ -300,6 +311,56 @@ MALFORMED_TABLES = {
 def test_malformed_table_spec_exit_code(tmp_path, spec):
     path = write(tmp_path, "table.json", spec)
     assert main(["euler-matrix", path]) == 2
+
+
+def test_table_dim_is_checked_before_anything_of_that_size_is_built(tmp_path):
+    """A table's dim is compared with its mul before default labels are
+    made, so a dim of a million on an empty table costs nothing."""
+    import tracemalloc
+
+    path = write(tmp_path, "table.json", _table(dim=10**6, mul=[], unit=[], idempotents=[]))
+    tracemalloc.start()
+    try:
+        assert main(["euler-matrix", path]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+# Q[x]/(x^2 - x) on the basis 1, x: the unit is its one idempotent, but
+# x and 1 - x split it, so e A e / e (rad A) e = A is two-dimensional.
+NON_PRIMITIVE_TABLE = _table(
+    dim=2,
+    mul=[[[1, 0], [0, 1]], [[0, 1], [0, 1]]],
+    unit=[1, 0],
+    idempotents=[[1, 0]],
+)
+
+
+def test_non_primitive_table_idempotent_is_unsupported(tmp_path, capsys):
+    path = write(tmp_path, "table.json", NON_PRIMITIVE_TABLE)
+    assert main(["euler-matrix", path]) == 3
+    assert "idempotent 0 is not primitive" in capsys.readouterr().err
+
+
+def test_the_same_algebra_on_its_primitive_idempotents_loads(tmp_path):
+    """Q[x]/(x^2 - x) on the basis x, 1 - x with both as idempotents is
+    Q x Q: its Euler matrix is the identity and HH = [2, 0, 0]."""
+    path = write(
+        tmp_path,
+        "table.json",
+        _table(
+            dim=2,
+            mul=[[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            unit=[1, 1],
+            idempotents=[[1, 0], [0, 1]],
+        ),
+    )
+    code, report = run_to_report(tmp_path, ["euler-matrix", path])
+    assert code == 0 and report["matrix"] == [[1, 0], [0, 1]]
+    code, report = run_to_report(tmp_path, ["hochschild", path, "--top", "2"])
+    assert code == 0 and report["dims"] == [2, 0, 0]
 
 
 A2_MOTIVE = {"algebra": A2_SPEC}

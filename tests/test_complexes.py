@@ -1,12 +1,8 @@
 import pytest
 
+from dense_reference import degrees, euler_characteristic, shift, single_module_complex
 from ncmotives.algebra import scalar_algebra
-from ncmotives.complexes import (
-    Complex,
-    PerfectComplex,
-    as_complex,
-    single_module_complex,
-)
+from ncmotives.complexes import Complex, PerfectComplex, as_complex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.linalg import Matrix
 from ncmotives.modules import Module, simple_modules
@@ -47,7 +43,7 @@ def test_cone_of_identity_is_acyclic(a2):
     f = ChainMap(x, x, {0: Matrix.identity(1)})
     c = cone(f)
     assert all(d == 0 for d in c.homology_dims().values())
-    assert c.euler_characteristic() == 0
+    assert euler_characteristic(c) == 0
 
 
 def test_cone_of_zero_map_splits(a2):
@@ -60,17 +56,20 @@ def test_cone_of_zero_map_splits(a2):
 
 
 def test_shift_moves_degrees_and_signs(a2, rng):
+    """PerfectComplex.shift and the reference shift of any complex follow
+    one convention."""
     pc = random_perfect_complex(a2, rng)
-    for c in (pc, Complex(a2, pc.components, pc.differentials)):
-        s = c.shift(1)
+    plain = Complex(a2, pc.components, pc.differentials)
+    for c, shifted in ((pc, pc.shift), (plain, lambda k: shift(plain, k))):
+        s = shifted(1)
         assert type(s) is type(c)
         assert {n + 1 for n in c.components} == set(s.components)
         for n in c.components:
             assert s.component_dim(n + 1) == c.component_dim(n)
         for n, d in c.differentials.items():
-            assert s.differential(n + 1) == d.scale(-1)
+            assert s.differential(n + 1) == Matrix(d.rows, d.cols, [[-x for x in r] for r in d.data])
         # shifting twice restores the signs
-        s2 = c.shift(2)
+        s2 = shifted(2)
         for n, d in c.differentials.items():
             assert s2.differential(n + 2) == d
 
@@ -88,9 +87,9 @@ def test_euler_characteristic_is_homology_invariant(a2, a3, kronecker, rng):
     for alg in (a2, a3, kronecker):
         for _ in range(6):
             c = random_perfect_complex(alg, rng)
-            chi_components = c.euler_characteristic()
+            chi_components = euler_characteristic(c)
             chi_homology = sum(
-                (-1 if n % 2 else 1) * c.homology(n)[0] for n in c.degrees()
+                (-1 if n % 2 else 1) * c.homology(n)[0] for n in degrees(c)
             )
             assert chi_components == chi_homology
 
@@ -140,7 +139,7 @@ def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rn
     from ncmotives.derived import diagonal_resolution, simple_resolutions
     from ncmotives.homalg import dual_perfect
     from ncmotives.modules import diagonal_bimodule
-    from ncmotives.motives import hom_algebra
+    from ncmotives.algebra import hom_algebra
     from ncmotives.resolutions import projective_resolution
 
     table_a2 = algebra_from_spec(TABLE_A2)
@@ -162,7 +161,7 @@ def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rn
 def test_homology_representatives_are_cycles(a2, rng):
     for _ in range(4):
         c = random_perfect_complex(a2, rng)
-        for n in c.degrees():
+        for n in degrees(c):
             dim, reps = c.homology(n)
             assert dim == len(reps)
             d = c.differential(n)

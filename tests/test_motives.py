@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from ncmotives.algebra import hom_algebra
 from ncmotives.complexes import PerfectComplex
 from ncmotives.corpus import random_correspondence
 from ncmotives.derived import euler_matrix
@@ -15,7 +16,6 @@ from ncmotives.motives import (
     compose,
     compose_classes,
     dualize,
-    hom_algebra,
     ideal_stability_samples,
     identity_class,
     identity_correspondence,
@@ -38,10 +38,15 @@ def test_compose_with_identity_preserves_class(a2, kronecker, rng):
     assert compose(x, ida).k0() == x.k0()
 
 
+def _scaled(x, c):
+    """c times the correspondence x."""
+    return Correspondence(x.source, x.target, [(c * k, t) for k, t in x.terms])
+
+
 def test_compose_over_scalars_multiplies_classes(q):
     m = NCMotive(q)
-    x = identity_correspondence(m).scale(2)
-    y = identity_correspondence(m).scale(3)
+    x = _scaled(identity_correspondence(m), 2)
+    y = _scaled(identity_correspondence(m), 3)
     assert compose(y, x).k0() == [6]
 
 
@@ -100,7 +105,7 @@ def test_trace_is_linear(a2):
     m = NCMotive(a2)
     ident = identity_correspondence(m)
     c = Fraction(5, 3)
-    assert trace(ident.scale(c)) == c * trace(ident)
+    assert trace(_scaled(ident, c)) == c * trace(ident)
 
 
 def test_trace_of_identity_a2(a2):
@@ -183,7 +188,7 @@ def test_idempotent_law_enforced(a2):
     cls = e.k0()
     assert compose_classes(cls, cls, a2) == cls
     # a non-idempotent class is rejected
-    bad = e.scale(2)
+    bad = _scaled(e, 2)
     with pytest.raises(ValueError):
         NCMotive(a2, bad)
 
@@ -247,7 +252,7 @@ def test_numerical_kernel_full_for_zero_pairing(a2):
     """Numerically trivial correspondences pair to zero against everything:
     a model whose basis classes are realized by acyclic complexes has full
     numerical kernel."""
-    from ncmotives.complexes import single_module_complex
+    from dense_reference import single_module_complex
     from ncmotives.derived import PairingMatrix
     from ncmotives.modules import simple_modules as sm
     from ncmotives.motives import HomSpaceModel

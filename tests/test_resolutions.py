@@ -1,7 +1,8 @@
 import pytest
 
+from dense_reference import regular_module, single_module_complex, span_submodule
 from ncmotives.algebra import Algebra, sparse_table
-from ncmotives.complexes import Complex, PerfectComplex, single_module_complex
+from ncmotives.complexes import Complex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class
 from ncmotives.linalg import Matrix
@@ -10,9 +11,7 @@ from ncmotives.modules import (
     direct_sum_modules,
     projective_module,
     quotient_module,
-    regular_module,
     simple_modules,
-    span_submodule,
 )
 from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution
 from resolve_reference import ChainMap, cone, resolve_complex
