@@ -151,20 +151,26 @@ def _build_algebra(spec) -> Algebra:
     if kind == "quiver":
         try:
             vertices = spec["vertices"]
-            if type(vertices) is not int or vertices < 0:
-                raise InputError(f"vertices must be a non-negative integer, not {vertices!r}")
+            if type(vertices) is not int or vertices < 1:
+                raise InputError(f"vertices must be a positive integer, not {vertices!r}")
             arrows = [
                 (a["from"], a["to"], a["label"]) for a in spec.get("arrows", [])
             ]
-            for source, target, _ in arrows:
+            for source, target, label in arrows:
                 spec_index(source, vertices, "arrow endpoint")
                 spec_index(target, vertices, "arrow endpoint")
+                if not isinstance(label, str):
+                    raise InputError(f"arrow labels must be strings, not {label!r}")
             quiver = Quiver(vertices, arrows)
         except CyclicQuiverError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad quiver spec: {exc}") from exc
-        return path_algebra(quiver)
+        a = path_algebra(quiver)
+        if len(set(a.labels)) != a.dim:
+            dup = next(lab for k, lab in enumerate(a.labels) if lab in a.labels[:k])
+            raise InputError(f"two basis elements of the quiver are labelled {dup!r}")
+        return a
     if kind == "opposite":
         if "of" not in spec:
             raise InputError("opposite spec needs an 'of' algebra")
@@ -177,8 +183,8 @@ def _build_algebra(spec) -> Algebra:
     if kind == "table":
         try:
             dim = spec["dim"]
-            if type(dim) is not int or dim < 0:
-                raise InputError(f"table dim must be a non-negative integer, not {dim!r}")
+            if type(dim) is not int or dim < 1:
+                raise InputError(f"table dim must be a positive integer, not {dim!r}")
             mul = [
                 [[scalar_from_json(x) for x in vec] for vec in row]
                 for row in spec["mul"]
@@ -244,7 +250,9 @@ def module_from_spec(spec, algebra: Algebra) -> Module:
 def complex_from_spec(spec, algebra: Algebra):
     """Bounded complex from degree-indexed module specs plus differentials:
     {"components": {"0": <module>, "-1": <module>}, "differentials":
-    {"-1": [[...]]}} where the matrix at degree n maps degree n to n+1."""
+    {"-1": [[...]]}} where the matrix at degree n maps degree n to n+1.
+    Each differential must be a module map: it commutes with the action of
+    every basis element."""
     from .complexes import Complex
 
     try:
@@ -261,9 +269,14 @@ def complex_from_spec(spec, algebra: Algebra):
                 [[scalar_from_json(x) for x in r] for r in rows],
             )
             diffs[n] = mat
-        return Complex(algebra, comps, diffs)
+        c = Complex(algebra, comps, diffs)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad complex spec: {exc}") from exc
+    for n, d in c.differentials.items():
+        src, tgt = c.components[n].action, c.components[n + 1].action
+        if any(x * d != d * y for x, y in zip(src, tgt)):
+            raise InputError(f"differential at degree {n} is not a module map")
+    return c
 
 
 def coefficients_from_spec(spec, algebra: Algebra):
@@ -398,10 +411,13 @@ def emit(report, args) -> int:
 
 
 def load_json(path):
+    """The JSON value in the file at path.  Bytes that do not decode as
+    text, text that is not JSON, and an integer literal past CPython's digit
+    limit all raise ValueError."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -215,9 +215,9 @@ def compose_classes(u, v, middle: Algebra, cap: int = DEFAULT_CAP) -> list:
     return out
 
 
-def euler_pairing_classes(a: Algebra, u, v):
+def euler_pairing_classes(a: Algebra, u, v, cap: int = DEFAULT_CAP):
     """chi extended bilinearly to rational coordinate vectors."""
-    g = euler_matrix(a).matrix
+    g = euler_matrix(a, cap).matrix
     total = 0
     for i, x in enumerate(u):
         if not x:

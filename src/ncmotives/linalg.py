@@ -83,15 +83,6 @@ class Matrix:
             m.data[i][i] = 1
         return m
 
-    @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer width of an empty matrix")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
     def copy_data(self):
         return [row[:] for row in self.data]
 
@@ -230,6 +221,14 @@ class RowBasis:
         self.ambient = ambient
         self.rows: list[list] = []
         self.pivots: list[int] = []
+
+    @classmethod
+    def full(cls, n: int) -> "RowBasis":
+        """All of Q^n, spanned by its unit vectors."""
+        rb = cls(n)
+        rb.rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rb.pivots = list(range(n))
+        return rb
 
     def __len__(self):
         return len(self.rows)

@@ -16,9 +16,14 @@ basis vector, Module.row(s, j): row s of action[j] as its nonzero (k, c)
 pairs.  A projective e_i A reads it from the structure constants, a direct
 sum from its summands, and any other module from a row of its matrix.
 Everything that multiplies vectors (Module.times, act_vector, act_matrix,
-submodules, quotients, covers, and the y side of homalg.tensor_over) reads
+quotients, radicals, covers, and the y side of homalg.tensor_over) reads
 through it, so a sum of projectives never builds an action matrix; the
 dense matrices stay for Module.check, iteration and the tests.
+
+A submodule is a RowBasis in the coordinates of the module it sits in, not
+a Module of its own: module_radical and cover_data take one and multiply
+its rows through Module.times, so the syzygies of a resolution stay
+subspaces of their projectives.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .algebra import Algebra, hom_algebra, opposite, swap_permutation
-from .linalg import Matrix, RowBasis, norm_scalar, vec_is_zero
+from .linalg import Matrix, RowBasis, norm_scalar
 
 
 class LazyActions:
@@ -230,31 +235,6 @@ def direct_sum_modules(a: Algebra, mods):
     return Module(a, total, LazyActions(a.dim, total, build, trace, row)), offsets
 
 
-def _submodule_from_rowbasis(m: Module, rb: RowBasis):
-    d = rb.dim
-    action = []
-    for j in range(m.algebra.dim):
-        rows = []
-        for r in rb.rows:
-            cs = rb.coords(m.times(r, ((j, 1),)))
-            if cs is None:
-                raise ValueError("span is not action-closed")
-            rows.append(cs)
-        action.append(Matrix(d, d, rows))
-    incl = Matrix.from_rows([r[:] for r in rb.rows], m.dim) if d else Matrix.zeros(0, m.dim)
-    return Module(m.algebra, d, action), rb, incl
-
-
-def kernel_submodule(m: Module, f: Matrix):
-    """Kernel of a module map given by a matrix (rows of m mapping somewhere).
-
-    Returns (Module, RowBasis, inclusion)."""
-    rb = RowBasis(m.dim)
-    for v in f.left_kernel_basis():
-        rb.add(v)
-    return _submodule_from_rowbasis(m, rb)
-
-
 def quotient_module(m: Module, sub: RowBasis):
     """Quotient of m by an action-closed subspace.
 
@@ -279,14 +259,15 @@ def quotient_module(m: Module, sub: RowBasis):
     return Module(m.algebra, qdim, action), proj
 
 
-def module_radical(m: Module) -> RowBasis:
-    """The subspace m * rad(A) (a submodule): the span of the rows of the
-    action matrices of the radical generators.
+def module_radical(m: Module, sub: RowBasis) -> RowBasis:
+    """The subspace N * rad(A) of the submodule N of m spanned by sub, in m's
+    coordinates: the span of the products of sub's rows with the radical
+    generators, each checked to lie in N (ValueError otherwise).
 
     Over a tensor algebra L (x) R, rad = rad L (x) R + L (x) rad R (in
     characteristic zero the tensor product of the tops is semisimple), and
-    rad L (x) 1 commutes with 1 (x) R, so m * rad is the span of
-    m * (g (x) 1) and m * (1 (x) h) for the rows g of rad L and h of rad R:
+    rad L (x) 1 commutes with 1 (x) R, so N * rad is the span of
+    N * (g (x) 1) and N * (1 (x) h) for the rows g of rad L and h of rad R:
     the Kuenneth pattern of derived.simple_resolutions.  The trace form of
     the product itself is never computed."""
     a = m.algebra
@@ -299,8 +280,19 @@ def module_radical(m: Module) -> RowBasis:
         gens += [[x * y for x in left.unit for y in h] for h in right.radical().rows]
     rb = RowBasis(m.dim)
     for g in gens:
-        rb.extend(m.act_matrix(g).data)
+        pairs = [(k, c) for k, c in enumerate(g) if c]
+        for r in sub.rows:
+            rb.add(_product_in_span(m, sub, r, pairs))
     return rb
+
+
+def _product_in_span(m: Module, sub: RowBasis, r, pairs):
+    """The row r of sub times the element sum c * b_k over pairs, which must
+    lie in the span of sub."""
+    v = m.times(r, pairs)
+    if not sub.contains(v):
+        raise ValueError("span is not action-closed")
+    return v
 
 
 def simple_modules(a: Algebra):
@@ -310,44 +302,45 @@ def simple_modules(a: Algebra):
         ms = []
         for i in range(len(a.idempotents)):
             p, _ = projective_module(a, i)
-            s, _ = quotient_module(p, module_radical(p))
+            s, _ = quotient_module(p, module_radical(p, RowBasis.full(p.dim)))
             ms.append(s)
         a._cache["simple_modules"] = ms
     return ms
 
 
-def cover_data(m: Module):
-    """Projective cover of m.
+def cover_data(m: Module, sub: RowBasis):
+    """Projective cover of the submodule N of m spanned by sub; a whole
+    module is the span of its unit vectors, RowBasis.full(m.dim).
 
-    Returns (copies, gens, cover): copies is the list of idempotent indices
-    of the cover's indecomposable summands, gens the corresponding generator
-    images in m (each lying in m e_i), and cover the matrix of the
-    surjection, one block of rows per summand indexed by the monomial basis
-    of e_i A.  Generators are found deterministically: candidate vectors
-    basis_t * e_i are scanned in order and kept when they are new modulo the
-    radical and the lifts already chosen."""
+    Returns (copies, gens, cover), all in m's coordinates: copies is the
+    list of idempotent indices of the cover's indecomposable summands, gens
+    the corresponding generator images in N (each lying in N e_i), and cover
+    the matrix of the surjection onto N, one block of rows per summand
+    indexed by the monomial basis of e_i A.  Generators are found
+    deterministically: the products r * e_i of the rows r of sub are scanned
+    in order and kept when they are new modulo the radical and the lifts
+    already chosen.
+
+    The idempotents and the radical generate A (every algebra of the
+    package is basic, with primitive idempotents), so the products with
+    them, which the cover computes anyway, check that N is a submodule:
+    ValueError("span is not action-closed") if one leaves N."""
     a = m.algebra
-    w = module_radical(m)
+    w = module_radical(m, sub)
     copies = []
     gens = []
-    for i in range(len(a.idempotents)):
-        e = a.idempotents[i]
-        img = m.act_matrix(e)
-        for t in range(m.dim):
-            v = img.data[t]
-            if vec_is_zero(v):
-                continue
+    for i, e in enumerate(a.idempotents):
+        pairs = [(k, c) for k, c in enumerate(e) if c]
+        for r in sub.rows:
+            v = _product_in_span(m, sub, r, pairs)
             if w.add(v):
                 copies.append(i)
-                gens.append(list(v))
-    rows = []
-    for i, v in zip(copies, gens):
-        _, basis = projective_module(a, i)
-        for t in basis:
-            rows.append(m.act_vector(v, a.basis_vector(t)))
-    total = len(rows)
-    cover = Matrix(total, m.dim, rows) if total else Matrix.zeros(0, m.dim)
-    if m.dim and cover.rank() != m.dim:
+                gens.append(v)
+    rows = [
+        m.act_vector(v, a.basis_vector(t)) for i, v in zip(copies, gens) for t in a.projective_basis(i)
+    ]
+    cover = Matrix(len(rows), m.dim, rows)
+    if cover.rank() != sub.dim:
         raise ValueError("projective cover is not surjective")
     return copies, gens, cover
 

@@ -44,10 +44,10 @@ class NCMotive:
     idem=None means the identity motive (class of the diagonal bimodule).
     Idempotency e o e = e is verified at the class level on construction."""
 
-    def __init__(self, algebra: Algebra, idem: "Correspondence | None" = None, name: str = ""):
+    def __init__(self, algebra: Algebra, idem: "Correspondence | None" = None):
         self.algebra = algebra
         self.idem = idem
-        self.name = name or (f"({algebra.meta.get('name', '?')}, id)" if idem is None else f"({algebra.meta.get('name', '?')}, e)")
+        self.name = f"({algebra.meta.get('name', '?')}, {'id' if idem is None else 'e'})"
         if idem is not None:
             if idem.source.algebra is not algebra or idem.target.algebra is not algebra:
                 raise ValueError("idempotent must be an endo-correspondence of the algebra")
@@ -94,11 +94,10 @@ class Correspondence:
     int unless the coefficient is a proper fraction).  The class (k0) is
     computed once and kept; dualize reads the dual each term keeps."""
 
-    def __init__(self, source: NCMotive, target: NCMotive, terms, label: str = ""):
+    def __init__(self, source: NCMotive, target: NCMotive, terms):
         self.source = source
         self.target = target
         self.terms = tuple((norm_scalar(c), t) for c, t in terms)
-        self.label = label
         self._cache: dict = {}
         e = hom_algebra(source.algebra, target.algebra)
         for _, t in self.terms:
@@ -127,10 +126,10 @@ def identity_correspondence(m: NCMotive, cap: int = DEFAULT_CAP) -> Corresponden
     represented by its minimal resolution."""
     if not m.is_identity():
         raise ValueError("identity correspondence is attached to identity motives")
-    return Correspondence(m, m, [(1, diagonal_resolution(m.algebra, cap))], label="id")
+    return Correspondence(m, m, [(1, diagonal_resolution(m.algebra, cap))])
 
 
-def vertex_cut_idempotent(a: Algebra, vertices, cap: int = DEFAULT_CAP) -> Correspondence:
+def vertex_cut_idempotent(a: Algebra, vertices) -> Correspondence:
     """Idempotent correspondence class cutting out the summands at the given
     idempotent indices: the projective bimodule (+)_{v} (A e_v (x) e_v A).
 
@@ -148,18 +147,13 @@ def vertex_cut_idempotent(a: Algebra, vertices, cap: int = DEFAULT_CAP) -> Corre
     ident = NCMotive(a)
     copies = tuple(v * n + v for v in vertices)
     term = PerfectComplex(e, {0: copies})
-    return Correspondence(ident, ident, [(1, term)], label=f"cut{vertices}")
+    return Correspondence(ident, ident, [(1, term)])
 
 
 def complement_idempotent(e: Correspondence) -> Correspondence:
     """1 - e for an idempotent endo-correspondence of an identity motive."""
     ident = identity_correspondence(e.source)
-    return Correspondence(
-        e.source,
-        e.target,
-        [*ident.terms, *((-c, t) for c, t in e.terms)],
-        label=f"1-({e.label})",
-    )
+    return Correspondence(e.source, e.target, [*ident.terms, *((-c, t) for c, t in e.terms)])
 
 
 def project_class(src: NCMotive, dst: NCMotive, cls, cap: int = DEFAULT_CAP):
@@ -199,12 +193,7 @@ def dualize(x: Correspondence) -> Correspondence:
     (homalg.dual_perfect), so it is computed once per term."""
     a = x.source.algebra
     b = x.target.algebra
-    return Correspondence(
-        x.target,
-        x.source,
-        [(c, dual_perfect(t, a, b)) for c, t in x.terms],
-        label=f"D({x.label})" if x.label else "",
-    )
+    return Correspondence(x.target, x.source, [(c, dual_perfect(t, a, b)) for c, t in x.terms])
 
 
 def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> int | Fraction:
@@ -285,7 +274,7 @@ def build_hom_model(src: NCMotive, dst: NCMotive, cap: int = DEFAULT_CAP, with_i
     realized = [realize_class(v, src, dst, cap) for v in basis]
     m = len(basis)
     gram_chi = Matrix(
-        m, m, [[euler_pairing_classes(e, u, v) for v in basis] for u in basis]
+        m, m, [[euler_pairing_classes(e, u, v, cap) for v in basis] for u in basis]
     )
     if with_int:
         duals = [dualize(r) for r in realized]
@@ -307,15 +296,14 @@ def build_hom_model(src: NCMotive, dst: NCMotive, cap: int = DEFAULT_CAP, with_i
     )
 
 
-def numerical_kernel(m: HomSpaceModel, reverse: HomSpaceModel | None = None, cap: int = DEFAULT_CAP):
+def numerical_kernel(m: HomSpaceModel, cap: int = DEFAULT_CAP):
     """Classes pairing to zero against the whole reversed Hom-space model,
     via the rectangular intersection matrix; coordinates over m.basis."""
-    if reverse is None:
-        reverse = build_hom_model(m.target, m.source, cap, with_int=False)
+    reverse = build_hom_model(m.target, m.source, cap, with_int=False)
     if m.dim == 0:
-        return [], reverse
+        return []
     if reverse.dim == 0:
-        return [list(v) for v in Matrix.identity(m.dim).data], reverse
+        return [list(v) for v in Matrix.identity(m.dim).data]
     rect = Matrix(
         m.dim,
         reverse.dim,
@@ -324,7 +312,7 @@ def numerical_kernel(m: HomSpaceModel, reverse: HomSpaceModel | None = None, cap
             for i in range(m.dim)
         ],
     )
-    return rect.left_kernel_basis(), reverse
+    return rect.left_kernel_basis()
 
 
 # -- the full verdict ------------------------------------------------------------------
@@ -419,7 +407,7 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
         span_equal(span_r, span_i),
     ))
 
-    nk, reverse = numerical_kernel(m, cap=cap)
+    nk = numerical_kernel(m, cap)
     span_n = RowBasis(n).extend(nk)
     checks.append(check_record(
         "numerical-kernel",
@@ -469,7 +457,7 @@ def ideal_stability_samples(
         for w in partners:
             comp = compose(w, xv)
             model = build_hom_model(comp.source, comp.target, cap, with_int=False)
-            nk, _ = numerical_kernel(model, cap=cap)
+            nk = numerical_kernel(model, cap)
             span = RowBasis(model.dim).extend(nk)
             cls = comp.k0()
             coords = RowBasis(len(cls)).extend(model.basis).coords(cls)

@@ -13,14 +13,8 @@ than a silent truncation.
 from __future__ import annotations
 
 from .complexes import PerfectComplex
-from .linalg import Matrix, row_times
-from .modules import (
-    Module,
-    cover_data,
-    direct_sum_modules,
-    kernel_submodule,
-    projective_module,
-)
+from .linalg import Matrix, RowBasis
+from .modules import Module, cover_data, direct_sum_modules, projective_module
 
 DEFAULT_CAP = 16
 
@@ -34,41 +28,37 @@ def projective_resolution(m: Module, cap: int = DEFAULT_CAP):
 
     Returns (PerfectComplex in degrees -length..0, augmentation matrix
     P^0 -> m).  The kernel of each cover is resolved in turn until it
-    vanishes.  The block of d from copy c of a cover to copy c2 of the
-    previous one is the image of the generator of c in the previous P,
-    restricted to copy c2."""
+    vanishes.  Each kernel stays a subspace of the cover's sum of
+    projectives, so the next cover's generators come in that sum's
+    coordinates, and the block of d from copy c of a cover to copy c2 of
+    the previous one is the generator of c, restricted to copy c2."""
     a = m.algebra
-    if m.dim == 0:
-        return PerfectComplex(a, {}), Matrix.zeros(0, 0)
     copies: dict[int, tuple] = {}
     blocks: dict[int, dict] = {}
-    augmentation = None
-    include_prev = None  # inclusion of ker(previous cover) into previous P
-    current = m
+    augmentation = Matrix.zeros(0, 0)
+    current, sub = m, RowBasis.full(m.dim)
     step = 0
-    while current.dim > 0:
+    while sub.dim > 0:
         if step > cap:
             raise ResolutionCapExceeded(
                 f"resolution of a module over {a!r} exceeded cap {cap}"
             )
-        cs, gens, cover = cover_data(current)
+        cs, gens, cover = cover_data(current, sub)
         copies[-step] = tuple(cs)
         if step == 0:
             augmentation = cover
         else:
             bl = blocks[-step] = {}
             for c, g in enumerate(gens):
-                image = row_times(g, include_prev)
                 off = 0
                 for c2, i2 in enumerate(copies[1 - step]):
                     z = [0] * a.dim
                     for t in a.projective_basis(i2):
-                        z[t] = image[off]
+                        z[t] = g[off]
                         off += 1
                     bl[(c, c2)] = z
-        p_mods = [projective_module(a, i)[0] for i in cs]
-        p, _ = direct_sum_modules(a, p_mods)
-        current, _, include_prev = kernel_submodule(p, cover)
+        current, _ = direct_sum_modules(a, [projective_module(a, i)[0] for i in cs])
+        sub = RowBasis(current.dim).extend(cover.left_kernel_basis())
         step += 1
     return PerfectComplex(a, copies, blocks), augmentation
 

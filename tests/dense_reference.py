@@ -1,14 +1,25 @@
 """Dense helpers and small constructions, kept as test-side references.
 
 The package reads module actions sparsely; it never solves a system, sums
-matrices, builds a regular module or shifts a complex that is not perfect.
-The tests check the package against the dense forms here (solve,
-matrix_sum, right_matrix) and build their cases from the rest.
+matrices, builds a regular module, turns a submodule into a Module of its
+own or shifts a complex that is not perfect.  The tests check the package
+against the dense forms here (solve, matrix_sum, right_matrix,
+submodule_from_rowbasis) and build their cases from the rest.
 """
 
 from ncmotives.complexes import Complex
 from ncmotives.linalg import Matrix, RowBasis, norm_scalar
-from ncmotives.modules import Module, _submodule_from_rowbasis
+from ncmotives.modules import Module
+
+
+def from_rows(rows, cols: int | None = None) -> Matrix:
+    """The matrix with the given rows; cols is needed only when there are none."""
+    rows = [list(r) for r in rows]
+    if cols is None:
+        if not rows:
+            raise ValueError("cannot infer width of an empty matrix")
+        cols = len(rows[0])
+    return Matrix(len(rows), cols, rows)
 
 
 def solve(m: Matrix, b):
@@ -57,6 +68,25 @@ def regular_module(a) -> Module:
     return Module(a, a.dim, [right_matrix(a, j) for j in range(a.dim)])
 
 
+def submodule_from_rowbasis(m: Module, rb: RowBasis):
+    """The action-closed span rb of m as a module of its own, with one dense
+    action matrix per algebra basis element.
+
+    Returns (Module, RowBasis, inclusion matrix sub -> m)."""
+    d = rb.dim
+    action = []
+    for j in range(m.algebra.dim):
+        rows = []
+        for r in rb.rows:
+            cs = rb.coords(m.times(r, ((j, 1),)))
+            if cs is None:
+                raise ValueError("span is not action-closed")
+            rows.append(cs)
+        action.append(Matrix(d, d, rows))
+    incl = Matrix(d, m.dim, [r[:] for r in rb.rows])
+    return Module(m.algebra, d, action), rb, incl
+
+
 def span_submodule(m: Module, generators):
     """Smallest submodule containing the generators.
 
@@ -72,7 +102,7 @@ def span_submodule(m: Module, generators):
             w = m.times(v, ((j, 1),))
             if rb.add(w):
                 work.append(w)
-    return _submodule_from_rowbasis(m, rb)
+    return submodule_from_rowbasis(m, rb)
 
 
 def single_module_complex(m: Module, degree: int = 0) -> Complex:

@@ -23,7 +23,7 @@ finite global dimension the recursion terminates; the cap turns a runaway
 recursion into ResolutionCapExceeded rather than a silent truncation.
 """
 
-from dense_reference import solve
+from dense_reference import solve, submodule_from_rowbasis
 from ncmotives.algebra import Algebra
 from ncmotives.complexes import (
     Complex,
@@ -34,7 +34,6 @@ from ncmotives.complexes import (
 from ncmotives.linalg import Matrix, RowBasis, row_times
 from ncmotives.modules import (
     Module,
-    _submodule_from_rowbasis,
     cover_data,
     direct_sum_modules,
     projective_module,
@@ -191,7 +190,7 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
         zbasis = RowBasis(big_rows)
         for v in Matrix(big_rows, big_cols, big).left_kernel_basis():
             zbasis.add(v)
-        zmod, zrb, zincl = _submodule_from_rowbasis(amb, zbasis)
+        zmod, zrb, zincl = submodule_from_rowbasis(amb, zbasis)
 
         # boundaries of C^{n-1} sit inside Z as (0, v d_C)
         sub = RowBasis(zmod.dim)
@@ -210,7 +209,7 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
             n -= 1
             continue
 
-        cs, gens, _ = cover_data(vmod)
+        cs, gens, _ = cover_data(vmod, RowBasis.full(vmod.dim))
         copies[n] = tuple(cs)
         # lift each generator to the ambient sum and extend right-linearly
         proj_t = proj.transpose()

@@ -42,9 +42,13 @@ DUAL_NUMBERS_SPEC = {
 
 
 def write(tmp_path, name, obj):
-    """Write obj as JSON, or a string as the raw text of the file."""
+    """Write obj as JSON, a string as the raw text of the file, or bytes as
+    its raw contents."""
     p = tmp_path / name
-    p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    if isinstance(obj, bytes):
+        p.write_bytes(obj)
+    else:
+        p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(p)
 
 
@@ -281,6 +285,7 @@ MALFORMED_TABLES = {
     "dim-larger-than-table": _table(dim=2),
     "dim-not-an-integer": _table(dim="1"),
     "dim-negative": _table(dim=-1),
+    "dim-zero": _table(dim=0, mul=[], unit=[], idempotents=[]),
     "unit-not-a-unit": _table(unit=[0]),
     "idempotent-not-idempotent": _table(idempotents=[["1/2"]]),
     "labels-too-many": _table(labels=["x", "y"]),
@@ -383,6 +388,23 @@ A2_DIAGONAL_SPEC = {
         for lab, m in zip(A2_DIAGONAL.algebra.labels, A2_DIAGONAL.action)
     },
 }
+NO_VERTICES = {"kind": "quiver", "vertices": 0}
+
+
+def _quiver(vertices, arrows):
+    arrows = [{"from": s, "to": t, "label": lab} for s, t, lab in arrows]
+    return {"kind": "quiver", "vertices": vertices, "arrows": arrows}
+
+
+def _diagonal_pair(d):
+    """The diagonal bimodule of A2 (basis e0, e1, a) in degrees -1 and 0,
+    with d from degree -1 to 0.  A d that is not a bimodule map either moves
+    a Peirce block (e0 to e1) or keeps its blocks (e0 to e0, which fails
+    e0 * a = a)."""
+    comps = {"-1": A2_DIAGONAL_SPEC, "0": A2_DIAGONAL_SPEC}
+    return {"format": 1, "components": comps, "differentials": {"-1": d}}
+
+
 MALFORMED_INPUTS = {
     "vertex-cut-out-of-range": ["verify", {"source": _cut([7])}],
     "vertex-cut-with-a-path": ["verify", {"source": _cut([0, 1])}],
@@ -406,12 +428,30 @@ MALFORMED_INPUTS = {
         {"kind": "quiver", "vertices": 2, "arrows": [{"from": 0, "to": 5, "label": "a"}]},
     ],
     "negative-vertex-count": ["euler-matrix", {"kind": "quiver", "vertices": -1}],
+    "no-vertices-serre-check": ["serre-check", NO_VERTICES],
+    "no-vertices-verify": ["verify", {"source": {"algebra": NO_VERTICES}}],
+    "arrow-labels-integers": ["euler-matrix", _quiver(3, [(0, 1, 1), (1, 2, 2)])],
+    "arrow-labelled-as-a-vertex": ["euler-matrix", _quiver(2, [(0, 1, "e0")])],
+    "arrow-labelled-as-a-path": [
+        "euler-matrix",
+        _quiver(3, [(0, 1, "a"), (1, 2, "b"), (0, 2, "a*b")]),
+    ],
+    # raw file contents: bytes that are not UTF-8, and an integer literal
+    # past CPython's limit of 4300 digits for converting text to int
+    "file-not-utf-8": ["euler-matrix", b"\xff\xfe"],
+    "integer-literal-too-long": ["euler-matrix", b'{"kind":"quiver","vertices":' + b"1" * 5000 + b"}"],
     "module-axioms-fail": ["hochschild", A2_SPEC, "--coefficients", ZERO_ACTION],
     "module-dim-is-a-boolean": [
         "hochschild",
         A2_SPEC,
         "--coefficients",
         {"dim": True, "action": {lab: [[int(lab == "e0|e0")]] for lab in ZERO_ACTION["action"]}},
+    ],
+    "coefficient-differential-moves-a-block": [
+        "hochschild", A2_SPEC, "--coefficients", _diagonal_pair([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    ],
+    "coefficient-differential-keeps-its-blocks": [
+        "hochschild", A2_SPEC, "--coefficients", _diagonal_pair([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
     ],
     "coefficients-in-degree-1": [
         "hochschild",
@@ -775,3 +815,25 @@ def test_verify_assembles_no_differential_matrix(tmp_path):
         "print(len(calls))\n"
     )
     assert _run_fresh(script, timeout=120) == "0"
+
+
+def test_a_scenario_cap_reaches_every_resolution(tmp_path):
+    """verify A3 -> A3 with "cap": 5 resolves the simples of A3, of its
+    opposite and of the Hom algebra, and builds their Euler matrices, at
+    cap 5 alone: no cache of those algebras holds an entry at another cap."""
+    a3 = _line_quiver(3)
+    scenario = {"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}, "options": {"cap": 5}}
+    path = write(tmp_path, "A3_A3.json", scenario)
+    out = str(tmp_path / "v.json")
+    script = (
+        "from ncmotives.algebra import hom_algebra, opposite\n"
+        "from ncmotives.cli import algebra_from_spec, main\n"
+        f"a = algebra_from_spec({a3!r})\n"
+        f"assert main(['--seed', '1', 'verify', {path!r}, '--out', {out!r}]) == 0\n"
+        "names = ('simple_resolutions', 'euler_matrix', 'diagonal_resolution')\n"
+        "caches = [b._cache for b in (a, opposite(a), hom_algebra(a, a))]\n"
+        "print(sorted({k for c in caches for k in c if isinstance(k, tuple) and k[0] in names}))\n"
+    )
+    assert _run_fresh(script, timeout=60) == (
+        "[('diagonal_resolution', 5), ('euler_matrix', 5), ('simple_resolutions', 5)]"
+    )

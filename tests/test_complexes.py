@@ -1,6 +1,6 @@
 import pytest
 
-from dense_reference import degrees, euler_characteristic, shift, single_module_complex
+from dense_reference import degrees, euler_characteristic, from_rows, shift, single_module_complex
 from ncmotives.algebra import scalar_algebra
 from ncmotives.complexes import Complex, PerfectComplex, as_complex
 from ncmotives.corpus import random_perfect_complex
@@ -105,7 +105,7 @@ def test_perfect_complex_block_roundtrip(a2, rng):
 
 def test_perfect_rejects_non_module_map(a2):
     # P_0 -> P_0 sending e0 |-> e0 but a |-> 0 is not right-linear
-    bad = Matrix.from_rows([[1, 0], [0, 0]])
+    bad = from_rows([[1, 0], [0, 0]])
     with pytest.raises(ValueError, match="module map"):
         perfect_from_matrices(a2, {0: (0,), 1: (0,)}, {0: bad})
 
@@ -174,7 +174,7 @@ def test_homology_representatives_are_cycles(a2, rng):
 def test_scalar_complex_and_as_complex():
     q = scalar_algebra()
     comps = {0: Module(q, 2, [Matrix.identity(2)]), 1: Module(q, 1, [Matrix.identity(1)])}
-    c = Complex(q, comps, {0: Matrix.from_rows([[0], [0]])})
+    c = Complex(q, comps, {0: from_rows([[0], [0]])})
     assert c.component_dim(0) == 2
     assert as_complex(c) is c
 

@@ -5,7 +5,7 @@ import pytest
 from collections import Counter
 
 from ncmotives.algebra import hom_algebra, scalar_algebra
-from dense_reference import degrees, euler_characteristic, single_module_complex
+from dense_reference import degrees, euler_characteristic, from_rows, single_module_complex
 from ncmotives.complexes import Complex
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, quiver_euler_oracle, random_perfect_complex
 from ncmotives.derived import (
@@ -279,7 +279,7 @@ def test_kernels_of_identity_and_zero():
 
 
 def test_kernels_of_nilpotent_matrix_differ():
-    g = Matrix.from_rows([[0, 1], [0, 0]])
+    g = from_rows([[0, 1], [0, 0]])
     left = g.left_kernel_basis()
     right = g.kernel_basis()
     # v G = 0 forces v_0 = 0; G v = 0 forces v_1 = 0: the two null spaces

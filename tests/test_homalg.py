@@ -8,7 +8,7 @@ from ncmotives.complexes import Complex, PerfectComplex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class, serre
 from class_reference import tensor_class
-from dense_reference import degrees, hh_euler, shift, single_module_complex
+from dense_reference import degrees, from_rows, hh_euler, shift, single_module_complex
 from ncmotives.homalg import (
     dual_perfect,
     hom_complex,
@@ -87,7 +87,7 @@ def test_a2_ext_table_against_explicit_resolution(a2):
     p0, basis0 = projective_module(a2, 0)
     p1, basis1 = projective_module(a2, 1)
     # map e1 |-> a, expressed on the monomial bases {e1} -> {e0, a}
-    d = Matrix.from_rows([[0, 1]])
+    d = from_rows([[0, 1]])
     # Hom(P0, S_j) and Hom(P1, S_j) and the induced map give Ext^0/Ext^1
     expected = {}
     for j, s in enumerate((s0, s1)):

@@ -61,17 +61,36 @@ def test_projective_module_bases(a2):
 
 def test_module_radical_of_projective(a2):
     p0, _ = projective_module(a2, 0)
-    rad = module_radical(p0)
+    rad = module_radical(p0, RowBasis.full(p0.dim))
     assert rad.dim == 1  # the arrow spans rad(e0 A)
 
 
 def test_cover_of_projective_is_identity_length(a2):
     p0, _ = projective_module(a2, 0)
-    copies, gens, cover = cover_data(p0)
+    copies, gens, cover = cover_data(p0, RowBasis.full(p0.dim))
     assert copies == [0]
     assert cover.rank() == p0.dim
     # kernel of the cover vanishes: the projective is its own cover
     assert cover.left_kernel_basis() == []
+
+
+def test_cover_of_a_submodule_is_read_in_the_ambient_coordinates(a2):
+    """rad(e0 A) = span{a} inside e0 A (basis e0, a) is the simple top of
+    e1 A: one copy at vertex 1, generated by the arrow itself, with the
+    generator and the cover rows in e0 A's coordinates."""
+    p0, _ = projective_module(a2, 0)
+    copies, gens, cover = cover_data(p0, RowBasis(2).extend([[0, 1]]))
+    assert (copies, gens, cover.data) == ([1], [[0, 1]], [[0, 1]])
+
+
+@pytest.mark.parametrize("build", [cover_data, module_radical])
+def test_a_span_that_is_not_action_closed_is_refused(a2, build):
+    """span{e0} inside e0 A is not a submodule (e0 * a = a leaves it): its
+    product with the radical generator a, which the cover and the radical
+    compute anyway, raises."""
+    p0, _ = projective_module(a2, 0)
+    with pytest.raises(ValueError, match="span is not action-closed"):
+        build(p0, RowBasis(2).extend([[1, 0]]))
 
 
 def test_span_submodule_closure(a2):
@@ -146,12 +165,13 @@ def test_left_structure_module_is_valid(a2):
     lm.check()
 
 
-def dense_module_radical(m):
-    """m * rad(A) from the rows of the trace-form radical of m's algebra
-    itself: the construction module_radical replaces over tensor algebras."""
+def dense_module_radical(m, sub):
+    """N * rad(A), N the span of sub, from the rows of the trace-form radical
+    of m's algebra itself: the construction module_radical replaces over
+    tensor algebras."""
     rb = RowBasis(m.dim)
     for g in m.algebra.radical().rows:
-        rb.extend(m.act_matrix(g).data)
+        rb.extend(m.act_vector(r, g) for r in sub.rows)
     return rb
 
 
@@ -174,7 +194,8 @@ def test_kuenneth_module_radical_matches_the_full_radical():
             if e is hom_algebra(a, a):
                 mods += [diagonal_bimodule(a), dual_bimodule(a)]
             for m in mods:
-                assert module_radical(m).rows == dense_module_radical(m).rows
+                whole = RowBasis.full(m.dim)
+                assert module_radical(m, whole).rows == dense_module_radical(m, whole).rows
     assert len(seen) == 16
 
 

@@ -244,7 +244,7 @@ def test_correspondence_restriction_validation(a2):
 def test_numerical_kernel_unimodular_model_is_zero(a2):
     m = NCMotive(a2)
     model = build_hom_model(m, m)
-    nk, _ = numerical_kernel(model)
+    nk = numerical_kernel(model)
     assert nk == []
 
 
@@ -273,7 +273,7 @@ def test_numerical_kernel_full_for_zero_pairing(a2):
         gram_chi=PairingMatrix(Matrix.zeros(2, 2), basis="synthetic"),
         gram_int=PairingMatrix(Matrix.zeros(2, 2), basis="synthetic"),
     )
-    nk, _ = numerical_kernel(model)
+    nk = numerical_kernel(model)
     assert len(nk) == 2
 
 
@@ -281,7 +281,7 @@ def test_numerical_kernel_matches_gram_int_kernel(a2, qxq):
     for src_alg, dst_alg in ((a2, a2), (qxq, a2)):
         src, dst = NCMotive(src_alg), NCMotive(dst_alg)
         model = build_hom_model(src, dst)
-        nk, _ = numerical_kernel(model)
+        nk = numerical_kernel(model)
         gk = model.gram_int.matrix.kernel_basis()
         left = RowBasis(model.dim).extend(nk)
         right = RowBasis(model.dim).extend(gk)

@@ -135,3 +135,33 @@ def test_diagonal_resolution_shapes(a2, kronecker):
         res, _ = projective_resolution(diagonal_bimodule(alg))
         assert res.hi - res.lo == 1
         assert res.homology_dims() == {-1: 0, 0: alg.dim} or res.homology_dims() == {0: alg.dim}
+
+
+def test_syzygies_stay_subspaces_of_their_projectives():
+    """projective_resolution builds no Module but direct sums of projectives
+    (and the projectives themselves): each kernel is resolved as a span in
+    the coordinates of the cover it sits in.  Run on the simples and the
+    diagonal bimodule of A3 and the Kronecker quiver, whose resolutions have
+    nonzero syzygies.  A fresh interpreter keeps modules cached by other
+    tests from hiding a build."""
+    from test_cli import _run_fresh
+
+    script = (
+        "import sys\n"
+        "from ncmotives import modules\n"
+        "from ncmotives.corpus import corpus_algebra\n"
+        "from ncmotives.resolutions import projective_resolution, resolution_length\n"
+        "algebras = [corpus_algebra(n) for n in ('A3', 'Kronecker')]\n"
+        "inputs = [m for a in algebras for m in (*modules.simple_modules(a), modules.diagonal_bimodule(a))]\n"
+        "builders = set()\n"
+        "init = modules.Module.__init__\n"
+        "def counted(self, *args):\n"
+        "    builders.add(sys._getframe(1).f_code.co_name)\n"
+        "    init(self, *args)\n"
+        "modules.Module.__init__ = counted\n"
+        "lengths = [resolution_length(projective_resolution(m)[0]) for m in inputs]\n"
+        "print(sorted(builders), lengths)\n"
+    )
+    assert _run_fresh(script, timeout=60) == (
+        "['direct_sum_modules', 'projective_module'] [1, 1, 0, 1, 1, 0, 1]"
+    )
