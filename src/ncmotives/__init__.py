@@ -15,7 +15,6 @@ from .algebra import (
 from .complexes import Complex, PerfectComplex, as_complex
 from .derived import (
     K0Class,
-    PairingMatrix,
     check_smooth,
     euler_matrix,
     euler_pairing,

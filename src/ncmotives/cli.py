@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 import weakref
@@ -52,7 +53,7 @@ from .derived import (
 )
 from .hochschild import bar_oracle, hochschild, hochschild_euler, intersection_number
 from .homalg import hom_complex
-from .linalg import Matrix, norm_scalar
+from .linalg import Matrix, exact_text, norm_scalar, unbounded_int_text
 from .modules import Module, diagonal_bimodule, dual_bimodule
 from .motives import (
     Correspondence,
@@ -60,6 +61,7 @@ from .motives import (
     build_hom_model,
     check_record,
     complement_idempotent,
+    euler_gram,
     ideal_stability_samples,
     trace,
     verify_equivalence,
@@ -82,9 +84,13 @@ class InputError(ValueError):
 # -- scalar / matrix (de)serialization ------------------------------------------
 
 
+# The one text form of a rational scalar: an integer or "p/q".
+SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def scalar_to_json(x):
     if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
+        return exact_text(x)
     return int(x)
 
 
@@ -94,6 +100,8 @@ def scalar_from_json(v):
     if isinstance(v, int):
         return v
     if isinstance(v, str):
+        if not SCALAR_TEXT.fullmatch(v):
+            raise InputError(f"bad rational literal {v!r}: write an integer or 'p/q'")
         try:
             return norm_scalar(Fraction(v))
         except (ValueError, ZeroDivisionError) as exc:
@@ -159,8 +167,8 @@ def _build_algebra(spec) -> Algebra:
             for source, target, label in arrows:
                 spec_index(source, vertices, "arrow endpoint")
                 spec_index(target, vertices, "arrow endpoint")
-                if not isinstance(label, str):
-                    raise InputError(f"arrow labels must be strings, not {label!r}")
+                if not isinstance(label, str) or "|" in label:
+                    raise InputError(f"arrow labels must be strings without '|', not {label!r}")
             quiver = Quiver(vertices, arrows)
         except CyclicQuiverError:
             raise
@@ -201,10 +209,10 @@ def _build_algebra(spec) -> Algebra:
         labels = spec["labels"] if "labels" in spec else [f"b{i}" for i in range(dim)]
         if not (
             isinstance(labels, list)
-            and all(isinstance(lab, str) for lab in labels)
+            and all(isinstance(lab, str) and "|" not in lab for lab in labels)
             and len(set(labels)) == len(labels) == dim
         ):
-            raise InputError(f"table labels must be a list of {dim} distinct strings")
+            raise InputError(f"table labels must be a list of {dim} distinct strings without '|'")
         vectors = [v for row in mul for v in row] + [unit, *idems]
         if any(len(v) != dim for v in vectors):
             raise InputError(
@@ -298,17 +306,19 @@ def coefficients_from_spec(spec, algebra: Algebra):
     return module_from_spec(spec, hom_algebra(algebra, algebra))
 
 
-def motive_from_spec(spec) -> NCMotive:
+def motive_from_spec(spec, cap: int = DEFAULT_CAP) -> NCMotive:
+    """The motive of a JSON spec; its idempotent is resolved and checked at
+    cap."""
     if not isinstance(spec, dict):
         raise InputError("motive spec must be an object")
     a = algebra_from_spec(spec.get("algebra", {"kind": "scalar"}))
     try:
-        return NCMotive(a, idempotent_from_spec(spec.get("idempotent"), a))
+        return NCMotive(a, idempotent_from_spec(spec.get("idempotent"), a, cap), cap)
     except RecursionError as exc:
         raise InputError("idempotent spec is nested too deeply") from exc
 
 
-def idempotent_from_spec(idem, a: Algebra) -> Correspondence | None:
+def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspondence | None:
     """The idempotent correspondence of a motive over a; None for the identity."""
     if idem is None:
         return None
@@ -328,10 +338,10 @@ def idempotent_from_spec(idem, a: Algebra) -> Correspondence | None:
         except ValueError as exc:
             raise InputError(f"bad vertex cut: {exc}") from exc
     if kind == "complement":
-        inner = idempotent_from_spec(idem.get("of"), a)
+        inner = idempotent_from_spec(idem.get("of"), a, cap)
         if inner is None:
             raise InputError("complement of the identity is the zero class")
-        return complement_idempotent(inner)
+        return complement_idempotent(inner, cap)
     raise InputError(f"unknown idempotent kind {kind!r}")
 
 
@@ -401,7 +411,8 @@ def emit(report, args) -> int:
     report["format"] = 1
     if getattr(args, "timing", False):
         report["elapsed_seconds"] = round(time.monotonic() - args._t0, 3)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    with unbounded_int_text():
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -453,16 +464,16 @@ def cmd_euler_matrix(args) -> int:
     spec = load_json(args.algebra)
     a = algebra_from_spec(spec)
     g = euler_matrix(a, args.cap)
-    det = g.matrix.det()
+    det = g.det()
     report = {
         "command": "euler-matrix",
         "inputs_digest": digest(spec),
         "algebra_dim": a.dim,
-        "basis": g.basis,
-        "matrix": matrix_to_json(g.matrix),
+        "basis": "simple classes",
+        "matrix": matrix_to_json(g),
         "determinant": scalar_to_json(det),
-        "kernel_left": [[scalar_to_json(x) for x in v] for v in g.matrix.left_kernel_basis()],
-        "kernel_right": [[scalar_to_json(x) for x in v] for v in g.matrix.kernel_basis()],
+        "kernel_left": [[scalar_to_json(x) for x in v] for v in g.left_kernel_basis()],
+        "kernel_right": [[scalar_to_json(x) for x in v] for v in g.kernel_basis()],
         "verdict": True,
     }
     return emit(report, args)
@@ -562,9 +573,9 @@ def cmd_hochschild(args) -> int:
 
 def cmd_intersect(args) -> int:
     spec = load_scenario(args.scenario, "x", "y")
-    src = motive_from_spec(spec.get("source", {}))
-    dst = motive_from_spec(spec.get("target", {}))
     cap = scenario_option(spec, "cap", args.cap)
+    src = motive_from_spec(spec.get("source", {}), cap)
+    dst = motive_from_spec(spec.get("target", {}), cap)
     x = correspondence_from_spec(spec["x"], src, dst, cap)
     y = correspondence_from_spec(spec["y"], dst, src, cap)
     val = intersection_number(x, y, cap)
@@ -583,8 +594,8 @@ def cmd_intersect(args) -> int:
 
 def cmd_trace(args) -> int:
     spec = load_scenario(args.scenario, "z")
-    src = motive_from_spec(spec.get("source", {}))
     cap = scenario_option(spec, "cap", args.cap)
+    src = motive_from_spec(spec.get("source", {}), cap)
     z = correspondence_from_spec(spec["z"], src, src, cap)
     val = trace(z, cap)
     report = {
@@ -598,9 +609,9 @@ def cmd_trace(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_scenario(args.scenario)
-    src = motive_from_spec(spec.get("source", {}))
-    dst = motive_from_spec(spec.get("target", spec.get("source", {})))
     cap = scenario_option(spec, "cap", args.cap)
+    src = motive_from_spec(spec.get("source", {}), cap)
+    dst = motive_from_spec(spec.get("target", spec.get("source", {})), cap)
     sample_pairs = scenario_option(spec, "sample_pairs", None)
     stability_samples = scenario_option(spec, "stability_samples", 10)
     model = build_hom_model(src, dst, cap)
@@ -608,8 +619,8 @@ def cmd_verify(args) -> int:
     rep["command"] = "verify"
     rep["inputs_digest"] = digest(spec)
     rng = random.Random(args.seed)
-    kr = model.gram_chi.matrix.kernel_basis()
-    if kr:
+    if rep["kernel_dim"]:
+        kr = euler_gram(model).kernel_basis()
         partners = [
             random_correspondence(dst, NCMotive(dst.algebra), rng)
             for _ in range(stability_samples)
@@ -641,12 +652,12 @@ def cmd_corpus(args) -> int:
     for name in CORPUS_NAMES:
         a = corpus_algebra(name)
         g = euler_matrix(a, args.cap)
-        det = g.matrix.det()
+        det = g.det()
         ok_det = det in (1, -1)
         add_row("euler", name, ok_det, f"det={scalar_to_json(det)}")
         if name != "Q":
             oracle = quiver_euler_oracle(name)
-            add_row("euler-oracle", name, g.matrix.data == oracle, "matches arrow-count form")
+            add_row("euler-oracle", name, g.data == oracle, "matches arrow-count form")
         ok_s, res = check_smooth(a, args.cap)
         length = (res.hi - res.lo) if ok_s and not res.is_zero() else None
         add_row("smooth", name, ok_s, f"diagonal resolution length {length}")

@@ -52,7 +52,6 @@ from .resolutions import (
 )
 
 K0Class = namedtuple("K0Class", "algebra coords")
-PairingMatrix = namedtuple("PairingMatrix", "matrix basis")
 
 
 def k0_class(x) -> K0Class:
@@ -171,7 +170,7 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
     return PerfectComplex(a, copies, blocks)
 
 
-def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> PairingMatrix:
+def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> Matrix:
     """Gram matrix of the Euler form on the simple basis; by bilinearity it
     determines the form on the whole rationalized Grothendieck group."""
     key = ("euler_matrix", cap)
@@ -179,7 +178,7 @@ def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> PairingMatrix:
         res = simple_resolutions(a, cap)
         n = len(res)
         data = [[euler_pairing(res[i], res[j]) for j in range(n)] for i in range(n)]
-        a._cache[key] = PairingMatrix(Matrix(n, n, data), basis="simple classes")
+        a._cache[key] = Matrix(n, n, data)
     return a._cache[key]
 
 
@@ -196,7 +195,7 @@ def compose_classes(u, v, middle: Algebra, cap: int = DEFAULT_CAP) -> list:
     Y in L e_l (x) e_m Y, so the class of the product is C_L W V =
     U C^-1 V.  C^-1 is the Euler matrix: chi(e_i A, S_j) = delta_ij and
     [e_i A] = sum_k C_ik [S_k]."""
-    chi = euler_matrix(middle, cap).matrix.data
+    chi = euler_matrix(middle, cap).data
     n = len(chi)
     n_r = len(v) // n
     vrows = [v[r * n_r : (r + 1) * n_r] for r in range(n)]
@@ -213,20 +212,6 @@ def compose_classes(u, v, middle: Algebra, cap: int = DEFAULT_CAP) -> list:
                             acc[s] += x * c * y
         out.extend(norm_scalar(z) for z in acc)
     return out
-
-
-def euler_pairing_classes(a: Algebra, u, v, cap: int = DEFAULT_CAP):
-    """chi extended bilinearly to rational coordinate vectors."""
-    g = euler_matrix(a, cap).matrix
-    total = 0
-    for i, x in enumerate(u):
-        if not x:
-            continue
-        row = g.data[i]
-        for j, y in enumerate(v):
-            if y:
-                total += x * row[j] * y
-    return total
 
 
 def serre(m: PerfectComplex) -> Complex:

@@ -21,6 +21,8 @@ happens (``RowBasis``, ``det``) and where a scalar leaves (``trace``,
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 
@@ -38,6 +40,28 @@ def norm_scalar(x):
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+@contextmanager
+def unbounded_int_text():
+    """Lift CPython's limit on the digits of an int written as text
+    (sys.set_int_max_str_digits, 4300 by default) inside the block.  Input
+    is read under the limit; exact results are written without it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def exact_text(x) -> str:
+    """str(x) for an exact scalar, or a list of them, of any length."""
+    with unbounded_int_text():
+        return str(x)
 
 
 def as_fraction(x) -> Fraction:

@@ -372,6 +372,15 @@ A2_MOTIVE = {"algebra": A2_SPEC}
 SIMPLE_TERMS = {"terms": [{"bimodule": {"kind": "simple", "index": 0}}]}
 
 
+def _simple_times(coefficient):
+    """The first simple class with a coefficient, as a correspondence spec."""
+    return {"terms": [{"coefficient": coefficient, "bimodule": {"kind": "simple", "index": 0}}]}
+
+
+def _trace_of_simple_times(coefficient):
+    return ["trace", {"source": A2_MOTIVE, "z": _simple_times(coefficient)}]
+
+
 def _cut(vertices):
     return {"algebra": A2_SPEC, "idempotent": {"kind": "vertex-cut", "vertices": vertices}}
 
@@ -440,6 +449,23 @@ MALFORMED_INPUTS = {
     # past CPython's limit of 4300 digits for converting text to int
     "file-not-utf-8": ["euler-matrix", b"\xff\xfe"],
     "integer-literal-too-long": ["euler-matrix", b'{"kind":"quiver","vertices":' + b"1" * 5000 + b"}"],
+    "coefficient-literal-too-long": [
+        "trace",
+        b'{"source": {"algebra": {"vertices": 2}}, "z": {"terms": [{"coefficient": '
+        + b"1" * 5000
+        + b', "bimodule": {"kind": "simple", "index": 0}}]}}',
+    ],
+    # a scalar string is an integer or "p/q": no other form Fraction reads
+    "scalar-string-too-long": _trace_of_simple_times("1" * 5000),
+    "scalar-exponent": _trace_of_simple_times("1e5000"),
+    "scalar-negative-exponent": _trace_of_simple_times("1e-5000"),
+    "scalar-decimal": _trace_of_simple_times("0.5"),
+    "scalar-underscore": _trace_of_simple_times("1_000"),
+    "scalar-spaces": _trace_of_simple_times(" 1/2 "),
+    "scalar-zero-denominator": _trace_of_simple_times("1/0"),
+    # tensor labels are `la|lb`, so a label holding `|` can collide
+    "arrow-label-with-a-bar": ["euler-matrix", _quiver(3, [(0, 1, "e1|e2"), (1, 2, "e0|e1")])],
+    "table-label-with-a-bar": ["euler-matrix", {**DUAL_NUMBERS_SPEC, "labels": ["1", "x|y"]}],
     "module-axioms-fail": ["hochschild", A2_SPEC, "--coefficients", ZERO_ACTION],
     "module-dim-is-a-boolean": [
         "hochschild",
@@ -506,6 +532,27 @@ def test_rational_literals_are_normalized_on_load():
     entries = [x for mat in m.action for row in mat.data for x in row]
     assert all(type(x) is int for x in entries)
     assert m.action[a2.labels.index("a")].data[0][1] == 2
+
+
+def test_exact_results_of_any_length_are_written(tmp_path):
+    """Each 4000-digit coefficient is within the input limit of 4300 digits,
+    and their 8000-digit product is written in full."""
+    c = 10**4000 - 1
+    one = {"format": 1, "source": A2_MOTIVE, "target": A2_MOTIVE, "x": SIMPLE_TERMS, "y": SIMPLE_TERMS}
+    big = {**one, "x": _simple_times(c), "y": _simple_times(c)}
+    code, report = run_to_report(tmp_path, ["intersect", write(tmp_path, "one.json", one)])
+    assert code == 0
+    unit = report["intersection_number"]
+    out = tmp_path / "big.json"
+    assert main(["intersect", write(tmp_path, "big.json", big), "--out", str(out)]) == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out.read_text())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["intersection_number"] == unit * c * c != 0
+    assert report["verdict"] is True
 
 
 def test_cyclic_quiver_exit_code(tmp_path):
@@ -598,6 +645,45 @@ def test_benchmark_reports_are_pinned(tmp_path):
     assert _report_sha256(tmp_path, corpus) == PINNED_CORPUS
 
 
+def _plus_one_on_first_call(f):
+    calls = []
+
+    def mutated(*args):
+        calls.append(args)
+        return f(*args) + (len(calls) == 1)
+
+    return mutated
+
+
+# (function in motives, its mutation, the check family that must catch it)
+VERIFY_MUTATIONS = {
+    "one-trace-plus-one": ("trace", _plus_one_on_first_call, "trace-formula"),
+    "one-intersection-number-plus-one": (
+        "intersection_number",
+        _plus_one_on_first_call,
+        "commutative-square",
+    ),
+    "serre-is-the-identity": ("serre_correspondence", lambda f: lambda x: x, "serre-symmetry"),
+}
+
+
+@pytest.mark.parametrize("mutation", VERIFY_MUTATIONS.values(), ids=VERIFY_MUTATIONS.keys())
+def test_each_pairwise_check_can_fail(tmp_path, monkeypatch, mutation):
+    """The pairwise checks share their left side chi(x, y) with the Euler
+    Gram of the report, so a wrong right side must still flip the verdict
+    of verify A3 -> A3."""
+    from ncmotives import motives
+
+    name, mutate, family = mutation
+    monkeypatch.setattr(motives, name, mutate(getattr(motives, name)))
+    a3 = {"algebra": _line_quiver(3)}
+    path = write(tmp_path, "a3.json", {"format": 1, "source": a3, "target": a3})
+    code, report = run_to_report(tmp_path, ["--seed", "1", "verify", path])
+    assert code == 1 and report["verdict"] is False
+    failed = {c["name"].split("[")[0] for c in report["checks"] if not c["pass"]}
+    assert family in failed
+
+
 def test_verify_three_arrow_kronecker_endo(tmp_path):
     k3 = {
         "format": 1,
@@ -679,10 +765,6 @@ def test_commands_load_no_openssl(tmp_path):
     """verify and corpus never load hashlib's OpenSSL backend: the report
     digest comes from CPython's own SHA-256 module.  This runs in a fresh
     interpreter, since pytest itself may import hashlib."""
-    import subprocess
-
-    import ncmotives
-
     a3 = {
         "format": 1,
         "kind": "quiver",
@@ -698,11 +780,7 @@ def test_commands_load_no_openssl(tmp_path):
         f"assert main(argv + ['--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
         "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
     )
-    src = str(Path(ncmotives.__file__).resolve().parents[1])
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
-    p = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.strip().splitlines()[-1] == "[]"
+    assert _run_fresh(script, timeout=120) == "[]"
 
 
 DIGEST_INPUTS = [
@@ -752,7 +830,8 @@ def test_digest_is_sha256_on_every_import_branch(monkeypatch, present):
 
 def _run_fresh(script, timeout):
     """Run a Python script in a fresh interpreter on this checkout's package
-    and return its last line of output; a hang fails the test at timeout."""
+    and return its last line of output; a hang fails the test at timeout.
+    The interpreter runs with -B, so it leaves no bytecode in the checkout."""
     import subprocess
 
     import ncmotives
@@ -760,10 +839,14 @@ def _run_fresh(script, timeout):
     src = str(Path(ncmotives.__file__).resolve().parents[1])
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
     p = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-B", "-c", script], env=env, capture_output=True, text=True, timeout=timeout
     )
     assert p.returncode == 0, p.stderr
     return p.stdout.strip().splitlines()[-1]
+
+
+def test_fresh_interpreters_write_no_bytecode():
+    assert _run_fresh("import sys\nprint(sys.flags.dont_write_bytecode)", timeout=30) == "1"
 
 
 def test_hochschild_coefficients_with_a_wide_degree_gap(tmp_path):
@@ -820,16 +903,23 @@ def test_verify_assembles_no_differential_matrix(tmp_path):
 def test_a_scenario_cap_reaches_every_resolution(tmp_path):
     """verify A3 -> A3 with "cap": 5 resolves the simples of A3, of its
     opposite and of the Hom algebra, and builds their Euler matrices, at
-    cap 5 alone: no cache of those algebras holds an entry at another cap."""
+    cap 5 alone: no cache of those algebras holds an entry at another cap.
+    So does a source with a vertex cut or its complement, whose law
+    e o e = e (and the complement's diagonal resolution) is read on load."""
     a3 = _line_quiver(3)
-    scenario = {"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}, "options": {"cap": 5}}
-    path = write(tmp_path, "A3_A3.json", scenario)
+    cut = {"kind": "vertex-cut", "vertices": [1]}
+    paths = []
+    for k, idem in enumerate([None, cut, {"kind": "complement", "of": cut}]):
+        source = {"algebra": a3} if idem is None else {"algebra": a3, "idempotent": idem}
+        scenario = {"format": 1, "source": source, "target": {"algebra": a3}, "options": {"cap": 5}}
+        paths.append(write(tmp_path, f"A3_A3_{k}.json", scenario))
     out = str(tmp_path / "v.json")
     script = (
         "from ncmotives.algebra import hom_algebra, opposite\n"
         "from ncmotives.cli import algebra_from_spec, main\n"
         f"a = algebra_from_spec({a3!r})\n"
-        f"assert main(['--seed', '1', 'verify', {path!r}, '--out', {out!r}]) == 0\n"
+        f"for path in {paths!r}:\n"
+        f"    assert main(['--seed', '1', 'verify', path, '--out', {out!r}]) == 0\n"
         "names = ('simple_resolutions', 'euler_matrix', 'diagonal_resolution')\n"
         "caches = [b._cache for b in (a, opposite(a), hom_algebra(a, a))]\n"
         "print(sorted({k for c in caches for k in c if isinstance(k, tuple) and k[0] in names}))\n"
@@ -837,3 +927,48 @@ def test_a_scenario_cap_reaches_every_resolution(tmp_path):
     assert _run_fresh(script, timeout=60) == (
         "[('diagonal_resolution', 5), ('euler_matrix', 5), ('simple_resolutions', 5)]"
     )
+
+
+def _radical_square_zero_line(n):
+    """The line quiver on n vertices with every product of two arrows zero,
+    as a `table` spec (dimension 2n - 1, global dimension n - 1)."""
+    dim = 2 * n - 1
+    labels = [f"e{i}" for i in range(n)] + [f"a{i}" for i in range(n - 1)]
+
+    def product(i, j):
+        if i == j < n:
+            return i
+        if i < n <= j and j - n == i:  # e_i a_i = a_i
+            return j
+        if j < n <= i and i - n + 1 == j:  # a_i e_(i+1) = a_i
+            return i
+        return None
+
+    def unit_vector(k):
+        return [int(t == k) for t in range(dim)]
+
+    return {
+        "format": 1,
+        "kind": "table",
+        "dim": dim,
+        "labels": labels,
+        "mul": [[unit_vector(product(i, j)) for j in range(dim)] for i in range(dim)],
+        "unit": [int(t < n) for t in range(dim)],
+        "idempotents": [unit_vector(i) for i in range(n)],
+    }
+
+
+def test_an_idempotent_motive_is_checked_at_the_scenario_cap(tmp_path):
+    """A source of global dimension 18 needs "cap": 20.  Its vertex cut is
+    checked idempotent at that cap, not at the default 16, so verify
+    passes instead of exiting 4."""
+    cut = {"kind": "vertex-cut", "vertices": [0]}
+    scenario = {
+        "format": 1,
+        "source": {"algebra": _radical_square_zero_line(19), "idempotent": cut},
+        "target": {"algebra": {"kind": "scalar"}},
+        "options": {"cap": 20},
+    }
+    code, report = run_to_report(tmp_path, ["verify", write(tmp_path, "cut.json", scenario)])
+    assert code == 0
+    assert report["dim"] == 1 and report["verdict"] is True

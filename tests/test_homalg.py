@@ -398,7 +398,7 @@ def _trace_formula_factors(names=None):
     for name, src, dst in corpus_motive_scenarios():
         if names is not None and name not in names:
             continue
-        model = build_hom_model(src, dst, with_int=False)
+        model = build_hom_model(src, dst)
         a, b = src.algebra, dst.algebra
         for x in model.realized:
             for _, dx in dualize(x).terms:

@@ -16,6 +16,7 @@ from ncmotives.motives import (
     compose,
     compose_classes,
     dualize,
+    euler_gram,
     ideal_stability_samples,
     identity_class,
     identity_correspondence,
@@ -128,7 +129,7 @@ def test_chi_hom_on_simple_classes_matches_euler_matrix(qxq, a2):
     for alg in (qxq, a2):
         m = NCMotive(alg)
         e = hom_algebra(alg, alg)
-        g = euler_matrix(e).matrix
+        g = euler_matrix(e)
         n = g.rows
         for i in range(n):
             for j in range(n):
@@ -175,7 +176,7 @@ def test_dualize_identity_semisimple(q, qxq):
 
 def test_dualize_preserves_rank_of_hom_basis(a2):
     m = NCMotive(a2)
-    model = build_hom_model(m, m, with_int=False)
+    model = build_hom_model(m, m)
     duals = [dualize(r).k0() for r in model.realized]
     rb = RowBasis(len(duals[0]))
     for v in duals:
@@ -215,26 +216,44 @@ def test_hom_model_scalars(q):
     m = NCMotive(q)
     model = build_hom_model(m, m)
     assert model.dim == 1
-    assert model.gram_chi.matrix.data == [[1]]
+    assert euler_gram(model).data == [[1]]
 
 
 def test_hom_model_a2_identity(a2):
     m = NCMotive(a2)
-    model = build_hom_model(m, m, with_int=False)
+    model = build_hom_model(m, m)
     assert model.dim == 4
-    assert model.gram_chi.matrix.det() in (1, -1)
+    assert euler_gram(model).det() in (1, -1)
+
+
+def test_hom_model_is_its_basis_and_its_realization():
+    from ncmotives.motives import HomSpaceModel
+
+    assert HomSpaceModel._fields == ("source", "target", "basis", "realized")
+
+
+def test_euler_gram_is_the_euler_matrix_on_the_basis_classes(a2, kronecker):
+    """chi_hom on the realized basis equals B chi B^T, with B the basis
+    classes and chi the Euler matrix of the Hom algebra, on a full and on
+    a cut Hom-space."""
+    cut = NCMotive(a2, vertex_cut_idempotent(a2, [0]))
+    for src, dst in ((NCMotive(a2), NCMotive(kronecker)), (cut, NCMotive(a2))):
+        model = build_hom_model(src, dst)
+        chi = euler_matrix(hom_algebra(src.algebra, dst.algebra))
+        b = Matrix(model.dim, chi.rows, model.basis)
+        assert euler_gram(model) == b * chi * b.transpose()
 
 
 def test_idempotent_cuts_reduce_model_dimension(a2):
-    full = build_hom_model(NCMotive(a2), NCMotive(a2), with_int=False)
+    full = build_hom_model(NCMotive(a2), NCMotive(a2))
     cut = NCMotive(a2, vertex_cut_idempotent(a2, [0]))
-    restricted = build_hom_model(cut, NCMotive(a2), with_int=False)
+    restricted = build_hom_model(cut, NCMotive(a2))
     assert 0 < restricted.dim < full.dim
 
 
 def test_correspondence_restriction_validation(a2):
     cut = NCMotive(a2, vertex_cut_idempotent(a2, [0]))
-    model = build_hom_model(cut, NCMotive(a2), with_int=False)
+    model = build_hom_model(cut, NCMotive(a2))
     for v, r in zip(model.basis, model.realized):
         # the class lies in e o K0 o e' for the endpoint idempotents
         cls = r.k0()
@@ -253,7 +272,6 @@ def test_numerical_kernel_full_for_zero_pairing(a2):
     a model whose basis classes are realized by acyclic complexes has full
     numerical kernel."""
     from dense_reference import single_module_complex
-    from ncmotives.derived import PairingMatrix
     from ncmotives.modules import simple_modules as sm
     from ncmotives.motives import HomSpaceModel
     from resolve_reference import ChainMap, cone, resolve_complex
@@ -270,8 +288,6 @@ def test_numerical_kernel_full_for_zero_pairing(a2):
         target=m,
         basis=[[1, 0, 0, 0], [0, 1, 0, 0]],
         realized=[zero_corr, zero_corr],
-        gram_chi=PairingMatrix(Matrix.zeros(2, 2), basis="synthetic"),
-        gram_int=PairingMatrix(Matrix.zeros(2, 2), basis="synthetic"),
     )
     nk = numerical_kernel(model)
     assert len(nk) == 2
@@ -282,7 +298,12 @@ def test_numerical_kernel_matches_gram_int_kernel(a2, qxq):
         src, dst = NCMotive(src_alg), NCMotive(dst_alg)
         model = build_hom_model(src, dst)
         nk = numerical_kernel(model)
-        gk = model.gram_int.matrix.kernel_basis()
+        gram_int = Matrix(
+            model.dim,
+            model.dim,
+            [[intersection_number(dualize(x), y) for y in model.realized] for x in model.realized],
+        )
+        gk = gram_int.kernel_basis()
         left = RowBasis(model.dim).extend(nk)
         right = RowBasis(model.dim).extend(gk)
         assert span_equal(left, right)
@@ -310,7 +331,7 @@ def test_verify_equivalence_restricted(a2, kronecker):
 
 def test_ideal_stability_machinery_runs(a2, rng):
     m = NCMotive(a2)
-    model = build_hom_model(m, m, with_int=False)
+    model = build_hom_model(m, m)
     # the kernel is zero, so feed a synthetic vector through the machinery
     # to exercise the composition path: the zero class is trivially stable
     partners = [random_correspondence(m, m, rng) for _ in range(2)]
@@ -383,9 +404,9 @@ def test_class_and_dual_of_a_correspondence_are_computed_once(a2, monkeypatch):
 
 
 def test_verify_dualizes_each_basis_class_once(monkeypatch):
-    """build_hom_model and verify_equivalence share one dual per basis term:
-    the trace formula reads D(x) for every pair (x, y) and serre dualizes
-    each x over Q, yet each of these duals is built once.  A fresh A3 keeps
+    """verify_equivalence builds one dual per basis term: the intersection
+    Gram and the trace formula read D(x) for every pair (x, y) and serre
+    dualizes each x over Q, yet each of these duals is built once.  A fresh A3 keeps
     duals kept by earlier tests (simple resolutions live in the algebra's
     cache) out of the count."""
     from ncmotives import derived, motives
