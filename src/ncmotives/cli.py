@@ -13,6 +13,8 @@ Exit codes: 0 all checks passed; 1 some check failed; 2 malformed input;
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import random
 import re
@@ -423,13 +425,19 @@ def emit(report, args) -> int:
 
 def load_json(path):
     """The JSON value in the file at path.  Bytes that do not decode as
-    text, text that is not JSON, and an integer literal past CPython's digit
-    limit all raise ValueError."""
+    text, text that is not JSON, an integer literal past CPython's digit
+    limit, and a top-level object whose format is present and not 1 all
+    raise ValueError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            value = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+    if isinstance(value, dict):
+        fmt = value.get("format", 1)
+        if type(fmt) is not int or fmt != 1:
+            raise InputError(f"{path} has format {fmt!r}; only format 1 is read")
+    return value
 
 
 def load_scenario(path, *required):
@@ -572,10 +580,10 @@ def cmd_hochschild(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    spec = load_scenario(args.scenario, "x", "y")
+    spec = load_scenario(args.scenario, "source", "x", "y")
     cap = scenario_option(spec, "cap", args.cap)
-    src = motive_from_spec(spec.get("source", {}), cap)
-    dst = motive_from_spec(spec.get("target", {}), cap)
+    src = motive_from_spec(spec["source"], cap)
+    dst = motive_from_spec(spec.get("target", spec["source"]), cap)
     x = correspondence_from_spec(spec["x"], src, dst, cap)
     y = correspondence_from_spec(spec["y"], dst, src, cap)
     val = intersection_number(x, y, cap)
@@ -593,9 +601,9 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    spec = load_scenario(args.scenario, "z")
+    spec = load_scenario(args.scenario, "source", "z")
     cap = scenario_option(spec, "cap", args.cap)
-    src = motive_from_spec(spec.get("source", {}), cap)
+    src = motive_from_spec(spec["source"], cap)
     z = correspondence_from_spec(spec["z"], src, src, cap)
     val = trace(z, cap)
     report = {
@@ -608,10 +616,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = load_scenario(args.scenario)
+    spec = load_scenario(args.scenario, "source")
     cap = scenario_option(spec, "cap", args.cap)
-    src = motive_from_spec(spec.get("source", {}), cap)
-    dst = motive_from_spec(spec.get("target", spec.get("source", {})), cap)
+    src = motive_from_spec(spec["source"], cap)
+    dst = motive_from_spec(spec.get("target", spec["source"]), cap)
     sample_pairs = scenario_option(spec, "sample_pairs", None)
     stability_samples = scenario_option(spec, "stability_samples", 10)
     model = build_hom_model(src, dst, cap)
@@ -779,13 +787,30 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.out = getattr(args, "out", None)
-    args.seed = getattr(args, "seed", 0)
-    args.cap = getattr(args, "cap", DEFAULT_CAP)
-    args.timing = getattr(args, "timing", False)
-    args._t0 = time.monotonic()
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector off: the package
+    makes no reference cycle per operation (a dual holds its complex
+    weakly), so reference counting frees what a run drops.  One young pass
+    right after parsing frees the argument parser, which argparse links
+    both ways.  On return the collector's state is restored for in-process
+    callers, after moving what the run built to the oldest generation
+    (freeze then unfreeze, unless the caller has frozen objects) so that
+    re-enabling does not start with a young pass over all of it.  gc.freeze
+    is registered once as an exit hook, here rather than at import, so the
+    final collections of shutdown skip what the process frees anyway."""
+    enabled = gc.isenabled()
+    gc.disable()
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
+        args = build_parser().parse_args(argv)
+        gc.collect(0)
+        args.out = getattr(args, "out", None)
+        args.seed = getattr(args, "seed", 0)
+        args.cap = getattr(args, "cap", DEFAULT_CAP)
+        args.timing = getattr(args, "timing", False)
+        args._t0 = time.monotonic()
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
@@ -801,6 +826,12 @@ def main(argv=None) -> int:
 
         sys.stderr.write("internal error:\n" + traceback.format_exc())
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ class LazyDifferentials(Mapping):
 
 
 class Complex:
-    __slots__ = ("algebra", "components", "differentials", "lo", "hi", "_cache")
+    __slots__ = ("algebra", "components", "differentials", "lo", "hi", "_cache", "__weakref__")
 
     def __init__(self, algebra: Algebra, components: dict, differentials, check=True):
         self.algebra = algebra

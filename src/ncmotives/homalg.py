@@ -39,13 +39,15 @@ M^v = Hom_A(M, A).  Conventions:
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
   transporting each left-multiplication block z to its image under the
   canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a
-  strict involution on perfect complexes.  The dual is kept on the complex
-  (and the complex on its dual), so hom_complex, serre and dualize share
-  one dual per complex and pair of algebras.
+  strict involution on perfect complexes.  The dual is kept on the complex,
+  so hom_complex, serre and dualize share one dual per complex and pair of
+  algebras; the dual points back at the complex only weakly, so the pair
+  is no reference cycle and is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 
 from .algebra import (
@@ -311,15 +313,18 @@ def dual_perfect(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectCom
     Degrees are negated; each left-multiplication block is transported along
     the canonical anti-isomorphism of the two tensor algebras.  Applying the
     construction twice returns the original complex on the nose.  The dual
-    is kept in x's cache under ("dual", left, right), and x in the dual's
-    under ("dual", right, left), so D(D(x)) is x."""
+    is kept in x's cache under ("dual", left, right), and a weak reference
+    to x in the dual's under ("dual", right, left), so D(D(x)) is x while x
+    lives, and dropping x frees both without the cycle collector."""
     e_ab = hom_algebra(left, right)
     if x.algebra is not e_ab:
         raise ValueError("x is not perfect over tensor(op(left), right)")
     d = x._cache.get(("dual", left, right))
+    if isinstance(d, weakref.ref):
+        d = d()
     if d is None:
         d = x._cache[("dual", left, right)] = _dual(x, left, right)
-        d._cache[("dual", right, left)] = x
+        d._cache[("dual", right, left)] = weakref.ref(x)
     return d
 
 

@@ -423,6 +423,16 @@ MALFORMED_INPUTS = {
     "negative-option": ["verify", {"source": A2_MOTIVE, "options": {"stability_samples": -1}}],
     "intersect-without-x": ["intersect", {"source": A2_MOTIVE, "target": A2_MOTIVE, "y": SIMPLE_TERMS}],
     "trace-without-z": ["trace", {"source": A2_MOTIVE}],
+    # a scenario names its source: none of these may default to Q
+    "verify-without-source": ["verify", {"format": 1}],
+    "trace-without-source": ["trace", {"format": 1, "z": {"terms": []}}],
+    "intersect-without-source": ["intersect", {"format": 1, "x": {"terms": []}, "y": {"terms": []}}],
+    # a file is read only in format 1
+    "format-7": ["euler-matrix", {"format": 7, "kind": "named", "name": "A2"}],
+    "format-a-string": ["euler-matrix", {"format": "1", "kind": "named", "name": "A2"}],
+    "format-a-boolean": ["euler-matrix", {"format": True, "kind": "named", "name": "A2"}],
+    "scenario-format-2": ["verify", {"format": 2, "source": A2_MOTIVE}],
+    "coefficients-format-2": ["hochschild", A2_SPEC, "--coefficients", {"format": 2, "named": "dual"}],
     "term-not-an-object": ["trace", {"source": A2_MOTIVE, "z": {"terms": [1]}}],
     "simple-index-out-of-range": [
         "trace",
@@ -505,6 +515,15 @@ def test_malformed_input_exit_code(tmp_path, argv):
     except SystemExit as exc:  # argparse rejects a bad option value
         code = exc.code
     assert code == 2
+
+
+def test_files_without_a_format_are_read_as_format_1(tmp_path):
+    a2 = write(tmp_path, "a2.json", {k: v for k, v in A2_SPEC.items() if k != "format"})
+    assert main(["euler-matrix", a2, "--out", str(tmp_path / "e.json")]) == 0
+    dual = write(tmp_path, "dual.json", {"named": "dual"})
+    assert main(["hochschild", a2, "--coefficients", dual, "--out", str(tmp_path / "h.json")]) == 0
+    scenario = write(tmp_path, "s.json", {"source": {"algebra": A2_SPEC}})
+    assert main(["verify", scenario, "--out", str(tmp_path / "v.json")]) == 0
 
 
 def test_complement_idempotent_of_a_quiver_spec(tmp_path):
@@ -847,6 +866,82 @@ def _run_fresh(script, timeout):
 
 def test_fresh_interpreters_write_no_bytecode():
     assert _run_fresh("import sys\nprint(sys.flags.dont_write_bytecode)", timeout=30) == "1"
+
+
+def test_a_run_makes_no_reference_cycle_per_sample(tmp_path):
+    """main runs without the cycle collector, which is safe only while the
+    package makes no reference cycle per operation.  With collection off
+    and every unreachable object saved, the garbage left by a run must not
+    grow with its number of samples (a strong complex <-> dual pair made
+    serre-check A3 leave 696 objects at 2 samples and 9851 at 40)."""
+    a3 = write(tmp_path, "a3.json", {"format": 1, "kind": "named", "name": "A3"})
+    out = str(tmp_path / "out.json")
+    script = (
+        "import gc\n"
+        "from ncmotives.cli import main\n"
+        "gc.disable()\n"
+        "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+        "counts = []\n"
+        f"for argv in (['serre-check', {a3!r}, '--samples', '2'], ['serre-check', {a3!r}, '--samples', '40'],\n"
+        "             ['corpus', '--samples', '2', '--bar-depth', '1'], ['corpus', '--samples', '6', '--bar-depth', '1']):\n"
+        f"    assert main(argv + ['--out', {out!r}]) == 0\n"
+        "    counts.append(gc.collect())\n"
+        "print(counts)\n"
+    )
+    serre2, serre40, corpus2, corpus6 = json.loads(_run_fresh(script, timeout=120))
+    assert serre40 - serre2 < 5 * 38
+    assert corpus6 - corpus2 < 5 * 4
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    """main restores the collector's state, and the one collector pass it
+    runs is the young pass that frees the argument parser: none during the
+    command, and none on re-enabling, which would walk every object the
+    command built."""
+    import gc
+
+    a2 = write(tmp_path, "a2.json", A2_SPEC)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    passes = []
+    gc.callbacks.append(lambda phase, info: passes.append((phase, info["generation"])))
+    try:
+        scenario = write(tmp_path, "s.json", {"source": A2_MOTIVE})
+        assert main(["verify", scenario, "--out", str(tmp_path / "v.json")]) == 0
+        # fewer new containers than the young generation's threshold
+        kept = [[] for _ in range(gc.get_threshold()[0] // 2)]
+        assert kept and passes == [("start", 0), ("stop", 0)]
+        assert main(["euler-matrix", a2, "--out", str(tmp_path / "out.json")]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["euler-matrix", str(tmp_path / "missing.json")]) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["--cap", "-1", "euler-matrix", a2])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.pop()
+        (gc.enable if before else gc.disable)()
+
+
+def test_main_registers_one_exit_hook(tmp_path):
+    """Three calls to main leave gc.freeze to run once at exit.  The hook is
+    counted by running the exit functions with gc.freeze wrapped
+    (atexit._ncallbacks() also counts the slots that unregister clears)."""
+    a2 = write(tmp_path, "a2.json", A2_SPEC)
+    script = (
+        "import atexit, gc\n"
+        "from ncmotives.cli import main\n"
+        "calls, exiting = [], []\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: calls.append(bool(exiting)) or freeze()\n"
+        "for _ in range(3):\n"
+        f"    assert main(['euler-matrix', {a2!r}, '--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+        "exiting.append(True)\n"
+        "atexit._run_exitfuncs()\n"
+        "print(calls.count(True))\n"
+    )
+    assert _run_fresh(script, timeout=60) == "1"
 
 
 def test_hochschild_coefficients_with_a_wide_degree_gap(tmp_path):

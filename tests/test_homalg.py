@@ -290,6 +290,37 @@ def test_dual_is_strict_involution(a2, kronecker, rng):
         assert dd.differentials == x.differentials
 
 
+def test_a_complex_and_its_dual_are_freed_by_reference_counting(a2, kronecker, rng):
+    """The dual holds its complex only weakly, so a complex and its dual are
+    no reference cycle: dropping both frees both with the collector off.
+    A dual whose complex is gone dualizes to a new complex."""
+    import gc
+    import weakref
+
+    e = tensor(opposite(a2), kronecker)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(4):
+            x = random_perfect_complex(e, rng)
+            d = dual_perfect(x, a2, kronecker)
+            assert dual_perfect(d, kronecker, a2) is x
+            for n in d.differentials:  # the lazily built maps hold no cycle either
+                d.differentials[n]
+            refs = weakref.ref(x), weakref.ref(d)
+            copies = x.copies
+            del x
+            assert refs[0]() is None
+            x2 = dual_perfect(d, kronecker, a2)
+            assert x2.copies == copies and dual_perfect(d, kronecker, a2) is x2
+            assert dual_perfect(x2, a2, kronecker) is d
+            del d, x2
+            assert refs[1]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_dual_k0_naturality(a2, rng):
     """The class of the dual is the image of the class under the duality
     matrix computed on the simple basis."""
