@@ -16,6 +16,7 @@ a: i -> j the products satisfy e_i * a = a = a * e_j, and p * q is "p then q"
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import wraps
 
 from .linalg import Matrix, RowBasis, norm_scalar, vec_is_zero
 
@@ -29,6 +30,37 @@ class AlgebraStructureError(ValueError):
 
 
 Arrow = namedtuple("Arrow", "source target label")
+
+
+def cached(fn):
+    """Memoize fn(obj, *args) in obj._cache under (fn.__qualname__, *args).
+
+    Every memo of the package goes through here, so it lives on the object
+    it derives from and is freed with it.  Keyword and default arguments
+    are filled in by position: f(a), f(a, 16) and f(a, cap=16) share one
+    entry.  A call that raises stores nothing."""
+    name = fn.__qualname__
+    params = fn.__code__.co_varnames[1 : fn.__code__.co_argcount]
+    values = fn.__defaults__ or ()
+    defaults = dict(zip(params[len(params) - len(values) :], values))
+    arity = len(params)
+
+    @wraps(fn)
+    def memo(obj, *args, **kwargs):
+        if kwargs or len(args) < arity:
+            rest = params[len(args) :]
+            if kwargs.keys() - set(rest) or set(rest) - kwargs.keys() - defaults.keys():
+                return fn(obj, *args, **kwargs)  # a bad call: Python raises its TypeError
+            args += tuple(kwargs[p] if p in kwargs else defaults[p] for p in rest)
+        key = (name,) + args
+        try:
+            return obj._cache[key]
+        except KeyError:
+            pass
+        value = obj._cache[key] = fn(obj, *args)
+        return value
+
+    return memo
 
 
 class Quiver:
@@ -143,87 +175,81 @@ class Algebra:
 
     # -- Peirce structure ---------------------------------------------------
 
+    @cached
     def idempotent_basis_indices(self):
         """Index of each distinguished idempotent inside the basis.
 
         The projective-module machinery requires each idempotent to be a
         basis monomial; path algebras and their opposites/tensors always
         satisfy this."""
-        idx = self._cache.get("idem_indices")
-        if idx is None:
-            idx = []
-            for r, e in enumerate(self.idempotents):
-                nz = [k for k, x in enumerate(e) if x != 0]
-                if len(nz) != 1 or e[nz[0]] != 1:
-                    raise AlgebraStructureError(
-                        f"idempotent {r} is not a basis monomial"
-                    )
-                idx.append(nz[0])
-            self._cache["idem_indices"] = idx
+        idx = []
+        for r, e in enumerate(self.idempotents):
+            nz = [k for k, x in enumerate(e) if x != 0]
+            if len(nz) != 1 or e[nz[0]] != 1:
+                raise AlgebraStructureError(f"idempotent {r} is not a basis monomial")
+            idx.append(nz[0])
         return idx
 
+    @cached
     def peirce(self):
         """(left, right) idempotent index per basis element: e_l b e_r = b.
 
         Each idempotent is a basis monomial g (idempotent_basis_indices), so
         g b_t = b_t exactly when mul[g][t] is the single pair (t, 1), and
         b_t g = b_t when mul[t][g] is."""
-        pr = self._cache.get("peirce")
-        if pr is None:
-            pr = ([None] * self.dim, [None] * self.dim)
-            for r, g in enumerate(self.idempotent_basis_indices()):
-                for t in range(self.dim):
-                    for side, index, prod in (
-                        ("left", pr[0], self.mul[g][t]),
-                        ("right", pr[1], self.mul[t][g]),
-                    ):
-                        if prod != ((t, 1),):
-                            continue
-                        if index[t] is not None:
-                            raise AlgebraStructureError(
-                                f"basis element {t} has two {side} idempotents"
-                            )
-                        index[t] = r
-            if None in pr[0] or None in pr[1]:
-                raise AlgebraStructureError("basis is not adapted to the idempotents")
-            self._cache["peirce"] = pr
+        pr = ([None] * self.dim, [None] * self.dim)
+        for r, g in enumerate(self.idempotent_basis_indices()):
+            for t in range(self.dim):
+                for side, index, prod in (
+                    ("left", pr[0], self.mul[g][t]),
+                    ("right", pr[1], self.mul[t][g]),
+                ):
+                    if prod != ((t, 1),):
+                        continue
+                    if index[t] is not None:
+                        raise AlgebraStructureError(
+                            f"basis element {t} has two {side} idempotents"
+                        )
+                    index[t] = r
+        if None in pr[0] or None in pr[1]:
+            raise AlgebraStructureError("basis is not adapted to the idempotents")
         return pr
 
+    @cached
     def projective_basis(self, i):
         """Monomial basis indices of e_i * A (paths starting at i)."""
-        key = ("proj_basis", i)
-        if key not in self._cache:
-            left, _ = self.peirce()
-            self._cache[key] = [t for t in range(self.dim) if left[t] == i]
-        return self._cache[key]
+        left, _ = self.peirce()
+        return [t for t in range(self.dim) if left[t] == i]
 
+    @cached
     def coprojective_basis(self, j):
         """Monomial basis indices of A * e_j (paths ending at j)."""
-        key = ("coproj_basis", j)
-        if key not in self._cache:
-            _, right = self.peirce()
-            self._cache[key] = [t for t in range(self.dim) if right[t] == j]
-        return self._cache[key]
+        _, right = self.peirce()
+        return [t for t in range(self.dim) if right[t] == j]
 
+    @cached
+    def coprojective_traces(self, j):
+        """The trace of left multiplication by each basis element on A * e_j,
+        as a list indexed by basis element."""
+        traces = [0] * self.dim
+        for u in self.coprojective_basis(j):
+            for a, row in enumerate(self.mul):
+                traces[a] += sum(c for u2, c in row[u] if u2 == u)
+        return traces
+
+    @cached
     def peirce_block(self, i, j):
         """Monomial basis indices of e_i A e_j."""
-        key = ("peirce_block", i, j)
-        if key not in self._cache:
-            left, right = self.peirce()
-            self._cache[key] = [
-                t for t in range(self.dim) if left[t] == i and right[t] == j
-            ]
-        return self._cache[key]
+        left, right = self.peirce()
+        return [t for t in range(self.dim) if left[t] == i and right[t] == j]
 
+    @cached
     def peirce_dims(self):
         """The integer table dim(e_i A e_j), built once per algebra."""
-        dims = self._cache.get("peirce_dims")
-        if dims is None:
-            n = len(self.idempotents)
-            dims = [[0] * n for _ in range(n)]
-            for i, j in zip(*self.peirce()):
-                dims[i][j] += 1
-            self._cache["peirce_dims"] = dims
+        n = len(self.idempotents)
+        dims = [[0] * n for _ in range(n)]
+        for i, j in zip(*self.peirce()):
+            dims[i][j] += 1
         return dims
 
     def peirce_dim(self, i, j) -> int:
@@ -232,30 +258,23 @@ class Algebra:
 
     # -- radical -------------------------------------------------------------
 
+    @cached
     def radical(self) -> RowBasis:
         """Jacobson radical via the regular trace form (characteristic zero:
         rad A is the kernel of (x, y) -> trace of left multiplication by xy).
         tr(L_k) is read from the sparse structure constants: the sum over s
         of the b_s coefficient of b_k b_s."""
-        rad = self._cache.get("radical")
-        if rad is None:
-            tl = [
-                sum(c for s, prod in enumerate(row) for m, c in prod if m == s)
-                for row in self.mul
-            ]
-            gram = [
-                [
-                    norm_scalar(
-                        sum(c * tl[k] for k, c in self.mul[i][j])
-                    )
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
-            rad = RowBasis(self.dim)
-            for v in Matrix(self.dim, self.dim, gram).kernel_basis():
-                rad.add(v)
-            self._cache["radical"] = rad
+        tl = [
+            sum(c for s, prod in enumerate(row) for m, c in prod if m == s)
+            for row in self.mul
+        ]
+        gram = [
+            [norm_scalar(sum(c * tl[k] for k, c in self.mul[i][j])) for j in range(self.dim)]
+            for i in range(self.dim)
+        ]
+        rad = RowBasis(self.dim)
+        for v in Matrix(self.dim, self.dim, gram).kernel_basis():
+            rad.add(v)
         return rad
 
 
@@ -365,14 +384,17 @@ def path_algebra(q: Quiver) -> Algebra:
     )
 
 
+@cached
 def opposite(a: Algebra) -> Algebra:
-    """Opposite algebra: same basis, reversed multiplication.  Involutive,
-    and memoized so opposite(opposite(a)) is a itself."""
-    cached = a._cache.get("opposite")
-    if cached is not None:
-        return cached
+    """Opposite algebra: same basis, reversed multiplication.  Memoized and
+    involutive: op(a) keeps a as meta["of"], so opposite(opposite(a)) is a
+    itself, and the scalar algebra is its own opposite."""
+    if a is _SCALAR:
+        return a
+    if "of" in a.meta:
+        return a.meta["of"]
     mul = [[a.mul[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    op = Algebra(
+    return Algebra(
         a.dim,
         a.labels,
         mul,
@@ -381,9 +403,6 @@ def opposite(a: Algebra) -> Algebra:
         meta={"name": f"op({a.meta.get('name', '?')})", "of": a},
         check=False,
     )
-    a._cache["opposite"] = op
-    op._cache["opposite"] = a
-    return op
 
 
 _SCALAR = None
@@ -401,7 +420,6 @@ def scalar_algebra() -> Algebra:
             [[1]],
             meta={"name": "Q"},
         )
-        _SCALAR._cache["opposite"] = _SCALAR
     return _SCALAR
 
 
@@ -411,15 +429,16 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
     Both factors sit in degree zero so no sign is involved.  Tensoring with
     the scalar singleton returns the other factor unchanged (the pair
     indexing then degenerates to the identity, so no relabelling is needed).
-    Memoized per operand pair."""
+    Any other pair is built once, memoized on a."""
     if a is scalar_algebra():
         return b
     if b is scalar_algebra():
         return a
-    cache = a._cache.setdefault("tensor_with", [])
-    for other, result in cache:
-        if other is b:
-            return result
+    return _tensor(a, b)
+
+
+@cached
+def _tensor(a: Algebra, b: Algebra) -> Algebra:
     dim = a.dim * b.dim
     labels = [f"{la}|{lb}" for la in a.labels for lb in b.labels]
     b_dim = b.dim
@@ -456,7 +475,7 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
                         if y:
                             v[i * b.dim + j] = norm_scalar(x * y)
             idems.append(v)
-    t = Algebra(
+    return Algebra(
         dim,
         labels,
         mul,
@@ -468,8 +487,6 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
         },
         check=False,
     )
-    cache.append((b, t))
-    return t
 
 
 # -- pair-index helpers for tensor algebras -----------------------------------
@@ -506,15 +523,12 @@ def hom_algebra(a: Algebra, b: Algebra) -> Algebra:
 
 def swap_permutation(a: Algebra, b: Algebra):
     """Basis permutation realizing the anti-isomorphism
-    tensor(opposite(a), b) -> tensor(opposite(b), a), (x^op, y) -> (y^op, x).
-    Memoized per (a, b) on the source tensor algebra, as a tuple."""
-    e_ab = hom_algebra(a, b)
-    key = ("swap_permutation", a, b)
-    perm = e_ab._cache.get(key)
-    if perm is None:
-        perm = [0] * e_ab.dim
-        for t in range(e_ab.dim):
-            i, j = split_pair_basis(b, t)
-            perm[t] = join_pair_basis(a, j, i)
-        perm = e_ab._cache[key] = tuple(perm)
-    return perm
+    tensor(opposite(a), b) -> tensor(opposite(b), a), (x^op, y) -> (y^op, x),
+    as a tuple.  Memoized on the source tensor algebra: a memo keyed by an
+    algebra on the scalar singleton (a or b may be it) would never be freed."""
+    return _swap_permutation(hom_algebra(a, b), a, b)
+
+
+@cached
+def _swap_permutation(e_ab: Algebra, a: Algebra, b: Algebra):
+    return tuple(join_pair_basis(a, j, i) for i in range(a.dim) for j in range(b.dim))

@@ -65,6 +65,7 @@ from .motives import (
     complement_idempotent,
     euler_gram,
     ideal_stability_samples,
+    identity_correspondence,
     trace,
     verify_equivalence,
     vertex_cut_idempotent,
@@ -310,14 +311,19 @@ def coefficients_from_spec(spec, algebra: Algebra):
 
 def motive_from_spec(spec, cap: int = DEFAULT_CAP) -> NCMotive:
     """The motive of a JSON spec; its idempotent is resolved and checked at
-    cap."""
+    cap.  An idempotent whose class is zero (an empty vertex cut, the
+    complement of the identity or of a cut of every vertex) is malformed:
+    its motive is zero, so a check on it would compare empty spaces."""
     if not isinstance(spec, dict):
         raise InputError("motive spec must be an object")
     a = algebra_from_spec(spec.get("algebra", {"kind": "scalar"}))
     try:
-        return NCMotive(a, idempotent_from_spec(spec.get("idempotent"), a, cap), cap)
+        idem = idempotent_from_spec(spec.get("idempotent"), a, cap)
     except RecursionError as exc:
         raise InputError("idempotent spec is nested too deeply") from exc
+    if idem is not None and not any(idem.k0()):
+        raise InputError("the idempotent is the zero class")
+    return NCMotive(a, idem, cap)
 
 
 def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspondence | None:
@@ -342,7 +348,7 @@ def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspond
     if kind == "complement":
         inner = idempotent_from_spec(idem.get("of"), a, cap)
         if inner is None:
-            raise InputError("complement of the identity is the zero class")
+            inner = identity_correspondence(NCMotive(a), cap)
         return complement_idempotent(inner, cap)
     raise InputError(f"unknown idempotent kind {kind!r}")
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import Algebra, hom_algebra, join_pair_basis, scalar_algebra
+from .algebra import Algebra, cached, hom_algebra, join_pair_basis, scalar_algebra
 from .complexes import Complex, LazyDifferentials, PerfectComplex, as_complex
 from .homalg import dual_perfect
 from .linalg import Matrix, norm_scalar
@@ -66,17 +66,7 @@ def k0_class(x) -> K0Class:
     Serre component from its dual's copies, and neither builds an action
     matrix."""
     if isinstance(x, PerfectComplex):
-        k = x._cache.get("k0_class")
-        if k is None:
-            a = x.algebra
-            dims = a.peirce_dims()
-            weights = x.euler_copy_weights()
-            coords = [
-                sum(w * dims[i][j] for i, w in enumerate(weights) if w)
-                for j in range(len(dims))
-            ]
-            k = x._cache["k0_class"] = K0Class(a, tuple(coords))
-        return k
+        return _perfect_class(x)
     c = as_complex(x)
     a = c.algebra
     idem_idx = a.idempotent_basis_indices()
@@ -91,6 +81,14 @@ def k0_class(x) -> K0Class:
     return K0Class(a, tuple(coords))
 
 
+@cached
+def _perfect_class(x: PerfectComplex) -> K0Class:
+    dims = x.algebra.peirce_dims()
+    weights = x.euler_copy_weights()
+    coords = [sum(w * dims[i][j] for i, w in enumerate(weights) if w) for j in range(len(dims))]
+    return K0Class(x.algebra, tuple(coords))
+
+
 def euler_pairing(m: PerfectComplex, n) -> int:
     """chi(M, N): Euler characteristic of the Hom complex.  Hom(e_i A, N) is
     N e_i, so chi is the copy weights of M paired with the class of N."""
@@ -100,6 +98,7 @@ def euler_pairing(m: PerfectComplex, n) -> int:
     return sum(w * c for w, c in zip(m.euler_copy_weights(), k.coords))
 
 
+@cached
 def simple_resolutions(a: Algebra, cap: int = DEFAULT_CAP):
     """Cached minimal resolutions of the simple modules, in idempotent order.
 
@@ -109,23 +108,16 @@ def simple_resolutions(a: Algebra, cap: int = DEFAULT_CAP):
     is resolved over the product itself.  Any other algebra resolves its
     simples by projective_resolution.  Either way a resolution longer than
     cap raises ResolutionCapExceeded."""
-    key = ("simple_resolutions", cap)
-    if key not in a._cache:
-        factors = a.meta.get("factors")
-        if factors is None:
-            res = [projective_resolution(s, cap)[0] for s in simple_modules(a)]
-        else:
-            left, right = (simple_resolutions(f, cap) for f in factors)
-            longest = sum(
-                max(map(resolution_length, r), default=0) for r in (left, right)
-            )
-            if longest > cap:
-                raise ResolutionCapExceeded(
-                    f"simple resolutions over {a!r} have length {longest} > cap {cap}"
-                )
-            res = [external_tensor(a, x, y) for x in left for y in right]
-        a._cache[key] = res
-    return a._cache[key]
+    factors = a.meta.get("factors")
+    if factors is None:
+        return [projective_resolution(s, cap)[0] for s in simple_modules(a)]
+    left, right = (simple_resolutions(f, cap) for f in factors)
+    longest = sum(max(map(resolution_length, r), default=0) for r in (left, right))
+    if longest > cap:
+        raise ResolutionCapExceeded(
+            f"simple resolutions over {a!r} have length {longest} > cap {cap}"
+        )
+    return [external_tensor(a, x, y) for x in left for y in right]
 
 
 def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> PerfectComplex:
@@ -170,16 +162,13 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
     return PerfectComplex(a, copies, blocks)
 
 
+@cached
 def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> Matrix:
     """Gram matrix of the Euler form on the simple basis; by bilinearity it
     determines the form on the whole rationalized Grothendieck group."""
-    key = ("euler_matrix", cap)
-    if key not in a._cache:
-        res = simple_resolutions(a, cap)
-        n = len(res)
-        data = [[euler_pairing(res[i], res[j]) for j in range(n)] for i in range(n)]
-        a._cache[key] = Matrix(n, n, data)
-    return a._cache[key]
+    res = simple_resolutions(a, cap)
+    n = len(res)
+    return Matrix(n, n, [[euler_pairing(res[i], res[j]) for j in range(n)] for i in range(n)])
 
 
 def compose_classes(u, v, middle: Algebra, cap: int = DEFAULT_CAP) -> list:
@@ -241,6 +230,7 @@ def serre(m: PerfectComplex) -> Complex:
     return Complex(a, comps, diffs, check=False)
 
 
+@cached
 def diagonal_resolution(a: Algebra, cap: int = DEFAULT_CAP) -> PerfectComplex:
     """Minimal resolution of the diagonal bimodule over tensor(op(A), A).
 
@@ -257,18 +247,14 @@ def diagonal_resolution(a: Algebra, cap: int = DEFAULT_CAP) -> PerfectComplex:
       tests also use as the oracle of the closed form.
 
     Raises ResolutionCapExceeded when the resolution is longer than cap."""
-    key = ("diagonal_resolution", cap)
-    if key not in a._cache:
-        if "quiver" in a.meta:
-            res = _path_algebra_diagonal(a)
-            if resolution_length(res) > cap:
-                raise ResolutionCapExceeded(
-                    f"diagonal resolution over {a!r} has length {resolution_length(res)} > cap {cap}"
-                )
-        else:
-            res = projective_resolution(diagonal_bimodule(a), cap)[0]
-        a._cache[key] = res
-    return a._cache[key]
+    if "quiver" not in a.meta:
+        return projective_resolution(diagonal_bimodule(a), cap)[0]
+    res = _path_algebra_diagonal(a)
+    if resolution_length(res) > cap:
+        raise ResolutionCapExceeded(
+            f"diagonal resolution over {a!r} has length {resolution_length(res)} > cap {cap}"
+        )
+    return res
 
 
 def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:

@@ -27,22 +27,23 @@ M^v = Hom_A(M, A).  Conventions:
   (multiplication on L e_l) (x) (a map of y between blocks e_m Y^q), written
   by one kernel.  The maps of y -- the actions of middle and right basis
   elements and d_Y, in the block coordinates of the e_m Y^q -- do not
-  depend on x, so y keeps them in its cache, keyed by (middle, right),
-  whether it is perfect or not: the n left factors D(x_i) that meet one
-  simple resolution y in the trace formula compute them once.  They are
-  read sparse: the blocks and actions of y through the sparse right action
-  of its components (modules.Module.row), which a sum of projectives
-  answers from the structure constants, and the traces through
-  Module.trace; no dense action matrix of y is built.  The class of
+  depend on x, so they are memos on y (_yblock, _ymove, _ytrace), keyed
+  by (middle, right, ...), whether y is perfect or not: the n left factors
+  D(x_i) that meet one simple resolution y in the trace formula compute
+  them once.  They are read sparse: the blocks and actions of y through
+  the sparse right action of its components (modules.Module.row), which a
+  sum of projectives answers from the structure constants, and the traces
+  through Module.trace; no dense action matrix of y is built.  The class of
   x (x)_middle y alone needs no layout: derived.compose_classes reads it
   from the classes of x and y through the Euler matrix of middle.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
   transporting each left-multiplication block z to its image under the
   canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a
-  strict involution on perfect complexes.  The dual is kept on the complex,
-  so hom_complex, serre and dualize share one dual per complex and pair of
-  algebras; the dual points back at the complex only weakly, so the pair
-  is no reference cycle and is freed by reference counting alone.
+  strict involution on perfect complexes.  The dual is a memo on the
+  complex, so hom_complex, serre and dualize share one dual per complex
+  and pair of algebras; the dual points back at the complex only weakly
+  (PerfectComplex.dual_of), so the pair is no reference cycle and is freed
+  by reference counting alone.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from functools import partial
 
 from .algebra import (
     Algebra,
+    cached,
     hom_algebra,
     join_pair_basis,
     join_pair_idempotent,
@@ -111,8 +113,8 @@ def tensor_over(
     Every map written here -- the action of a basis element of
     tensor(opposite(left), right), 1 (x) d_Y and d_X (x) 1 -- is a sum of
     (multiplication on L e_l) (x) (map of y in block coordinates), added by
-    one writer, kron.  The maps of y (ymove: a side action or d_Y) are
-    memoized per (middle, right) in y's cache, so every left factor y meets
+    one writer, kron.  The maps of y (_ymove: a side action or d_Y) are
+    memos on y keyed by (middle, right, ...), so every left factor y meets
     shares them (a module y is wrapped afresh on each call).  They are read
     through Module.row of y's components, in sparse rows, so no dense
     action matrix of y is built.  Only the layout is built here.  Each
@@ -122,15 +124,11 @@ def tensor_over(
     and kept (modules.LazyActions); its trace is read from the layout
     without building it: on the block (L e_l) (x) (e_m Y^q), the basis
     element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q); the
-    first factor is kept per (a, l) in left's cache, the second is
-    Module.trace of g_m (x) r on Y^q.  So a reader of the
+    first factor is left.coprojective_traces(l)[a], the second is
+    Module.trace of g_m (x) r on Y^q (_ytrace).  So a reader of the
     Grothendieck class builds no matrix of the output, and no matrix of y.
     """
     y = as_complex(y)
-    # ytrace, yblock and ymove below depend on y, middle and right only
-    ytrace_cache, yblock_cache, ymove_cache = y._cache.setdefault(
-        ("tensor_over", middle, right), ({}, {}, {})
-    )
     e_x = hom_algebra(left, middle)
     e_y = hom_algebra(middle, right)
     e_t = hom_algebra(left, right)
@@ -146,60 +144,10 @@ def tensor_over(
     if x.is_zero() or y.is_zero():
         return Complex(e_t, {}, {}, check=False)
 
-    mid_idem_idx = middle.idempotent_basis_indices()
+    yblock, ymove = partial(_yblock, y, middle, right), partial(_ymove, y, middle, right)
 
-    def yelement(g_m, r):
-        """The element g_m (x) r of tensor(opposite(middle), right) as (basis
-        index, coefficient) pairs; None stands for the unit."""
-        gs = enumerate(middle.unit) if g_m is None else [(g_m, 1)]
-        rs = list(enumerate(right.unit)) if r is None else [(r, 1)]
-        return [
-            (join_pair_basis(right, i, j), u * v) for i, u in gs for j, v in rs if u * v
-        ]
-
-    def yblock(q, m) -> RowBasis:
-        """The block e_m Y^q: the span of the rows of g_m (x) 1 on Y^q."""
-        key = (q, m)
-        if key not in yblock_cache:
-            yq = y.component(q)
-            pairs = yelement(mid_idem_idx[m], None)
-            rb = RowBasis(yq.dim)
-            for s in range(yq.dim):
-                unit = [0] * yq.dim
-                unit[s] = 1
-                rb.add(yq.times(unit, pairs))
-            yblock_cache[key] = rb
-        return yblock_cache[key]
-
-    def ymove(q, m, q2, m2, act):
-        """Sparse rows, as (position, coefficient) pairs, of a map of y in
-        block coordinates, e_m Y^q -> e_m2 Y^q2: the action of
-        yelement(*act) (q2 = q), or d_Y^q (q2 = q + 1) if act is None."""
-        key = (q, m, q2, m2, act)
-        if key not in ymove_cache:
-            dst = yblock(q2, m2)
-            if act is None:
-                images = (row_times(v, y.differentials[q]) for v in yblock(q, m).rows)
-            else:
-                pairs = yelement(*act)
-                images = (y.component(q).times(v, pairs) for v in yblock(q, m).rows)
-            rows = [dst.coords(w) for w in images]
-            if None in rows:
-                raise AssertionError("a map of y escaped its block")
-            ymove_cache[key] = [[(j, c) for j, c in enumerate(r) if c] for r in rows]
-        return ymove_cache[key]
-
-    def ytrace(q, m, r):
-        """Trace of basis element r of right on e_m Y^q: the trace of
-        g_m (x) r on Y^q, since g_m (x) 1 is an idempotent commuting with
-        1 (x) r whose image is the block."""
-        key = (q, m, r)
-        if key not in ytrace_cache:
-            g = join_pair_basis(right, mid_idem_idx[m], r)
-            ytrace_cache[key] = y.component(q).trace(g)
-        return ytrace_cache[key]
-
-    # block layout per total degree: (p, copy, m, l, lblock, yb, offset)
+    # block layout per total degree: (p, copy, m, ltraces, lblock, yb, offset),
+    # with ltraces the traces of left multiplication on L e_l
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
     for k in sorted({p + q for p in x.components for q in y.components}):
@@ -214,7 +162,7 @@ def tensor_over(
                 lblock = left.coprojective_basis(l_i)
                 yb = yblock(q, m_i)
                 if lblock and yb.dim:
-                    entries.append((p, c, m_i, l_i, lblock, yb, off))
+                    entries.append((p, c, m_i, left.coprojective_traces(l_i), lblock, yb, off))
                     off += len(lblock) * yb.dim
         if entries:
             layout[k] = entries
@@ -248,23 +196,16 @@ def tensor_over(
             kron(big, e, e, lmul, ymove(k - p, m, k - p, m, (None, r_i)))
         return Matrix(dims[k], dims[k], big)
 
-    # trace of left multiplication by a basis element a on L e_l, by (a, l)
-    ltrace_cache = left._cache.setdefault("coprojective_traces", {})
-
     def action_trace(k, t):
         """Trace of action(k, t) read from the layout: on each block, the
         trace of left multiplication by t's left part on L e_l times the
         trace of the action of its right part on e_m Y^q."""
         a_i, r_i = split_pair_basis(right, t)
         total = 0
-        for p, _, m, l, lblock, _, _ in layout[k]:
-            tl = ltrace_cache.get((a_i, l))
-            if tl is None:
-                tl = ltrace_cache[(a_i, l)] = sum(
-                    c for u in lblock for u2, c in left.mul[a_i][u] if u2 == u
-                )
+        for p, _, m, ltraces, _, _, _ in layout[k]:
+            tl = ltraces[a_i]
             if tl:
-                total += tl * ytrace(k - p, m, r_i)
+                total += tl * _ytrace(y, middle, right, k - p, m, r_i)
         return norm_scalar(total)
 
     def differential(k):
@@ -303,6 +244,58 @@ def tensor_over(
     return Complex(e_t, components, diffs, check=check)
 
 
+# -- the maps of y that tensor_over reads, memos on y --------------------------------
+
+
+def _yelement(middle: Algebra, right: Algebra, g_m, r):
+    """The element g_m (x) r of tensor(opposite(middle), right) as (basis
+    index, coefficient) pairs; None stands for the unit."""
+    gs = enumerate(middle.unit) if g_m is None else [(g_m, 1)]
+    rs = list(enumerate(right.unit)) if r is None else [(r, 1)]
+    return [(join_pair_basis(right, i, j), u * v) for i, u in gs for j, v in rs if u * v]
+
+
+@cached
+def _yblock(y: Complex, middle: Algebra, right: Algebra, q, m) -> RowBasis:
+    """The block e_m Y^q: the span of the rows of g_m (x) 1 on Y^q."""
+    yq = y.component(q)
+    pairs = _yelement(middle, right, middle.idempotent_basis_indices()[m], None)
+    rb = RowBasis(yq.dim)
+    for s in range(yq.dim):
+        unit = [0] * yq.dim
+        unit[s] = 1
+        rb.add(yq.times(unit, pairs))
+    return rb
+
+
+@cached
+def _ymove(y: Complex, middle: Algebra, right: Algebra, q, m, q2, m2, act):
+    """Sparse rows, as (position, coefficient) pairs, of a map of y in
+    block coordinates, e_m Y^q -> e_m2 Y^q2: the action of
+    _yelement(middle, right, *act) (q2 = q), or d_Y^q (q2 = q + 1) if act
+    is None."""
+    dst = _yblock(y, middle, right, q2, m2)
+    src = _yblock(y, middle, right, q, m).rows
+    if act is None:
+        images = (row_times(v, y.differentials[q]) for v in src)
+    else:
+        pairs = _yelement(middle, right, *act)
+        images = (y.component(q).times(v, pairs) for v in src)
+    rows = [dst.coords(w) for w in images]
+    if None in rows:
+        raise AssertionError("a map of y escaped its block")
+    return [[(j, c) for j, c in enumerate(r) if c] for r in rows]
+
+
+@cached
+def _ytrace(y: Complex, middle: Algebra, right: Algebra, q, m, r):
+    """Trace of basis element r of right on e_m Y^q: the trace of
+    g_m (x) r on Y^q, since g_m (x) 1 is an idempotent commuting with
+    1 (x) r whose image is the block."""
+    g = join_pair_basis(right, middle.idempotent_basis_indices()[m], r)
+    return y.component(q).trace(g)
+
+
 # -- duals ------------------------------------------------------------------------
 
 
@@ -313,25 +306,21 @@ def dual_perfect(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectCom
     Degrees are negated; each left-multiplication block is transported along
     the canonical anti-isomorphism of the two tensor algebras.  Applying the
     construction twice returns the original complex on the nose.  The dual
-    is kept in x's cache under ("dual", left, right), and a weak reference
-    to x in the dual's under ("dual", right, left), so D(D(x)) is x while x
-    lives, and dropping x frees both without the cycle collector."""
-    e_ab = hom_algebra(left, right)
-    if x.algebra is not e_ab:
+    is a memo on x, and it keeps a weak reference to x in dual_of, so
+    D(D(x)) is x while x lives, and dropping x frees both without the cycle
+    collector."""
+    if x.algebra is not hom_algebra(left, right):
         raise ValueError("x is not perfect over tensor(op(left), right)")
-    d = x._cache.get(("dual", left, right))
-    if isinstance(d, weakref.ref):
-        d = d()
-    if d is None:
-        d = x._cache[("dual", left, right)] = _dual(x, left, right)
-        d._cache[("dual", right, left)] = weakref.ref(x)
-    return d
+    if x.dual_of is not None and x.dual_of[:2] == (left, right):
+        origin = x.dual_of[2]()
+        if origin is not None:
+            return origin
+    return _dual(x, left, right)
 
 
+@cached
 def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
     e_ba = hom_algebra(right, left)
-    if x.is_zero():
-        return PerfectComplex(e_ba, {})
     perm = swap_permutation(left, right)
 
     def sigma_idem(r):
@@ -350,4 +339,6 @@ def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
                 if coeff:
                     sz[perm[g]] = coeff
             dual_blocks[(c2, c)] = sz
-    return PerfectComplex(e_ba, copies, blocks)
+    d = PerfectComplex(e_ba, copies, blocks)
+    d.dual_of = (right, left, weakref.ref(x))
+    return d

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .algebra import Algebra, hom_algebra, opposite, swap_permutation
+from .algebra import Algebra, cached, hom_algebra, opposite, swap_permutation
 from .linalg import Matrix, RowBasis, norm_scalar
 
 
@@ -167,6 +167,7 @@ def zero_module(a: Algebra) -> Module:
     return Module(a, 0, [Matrix.zeros(0, 0)] * a.dim)
 
 
+@cached
 def projective_module(a: Algebra, i: int):
     """(Module for e_i A, monomial basis indices into A).
 
@@ -174,29 +175,26 @@ def projective_module(a: Algebra, i: int):
     and the action is the restriction of right multiplication: its rows and
     traces are read from the structure constants, and each matrix is built
     on first read."""
-    key = ("projective_module", i)
-    if key not in a._cache:
-        basis = a.projective_basis(i)
-        pos = {t: r for r, t in enumerate(basis)}
-        d = len(basis)
+    basis = a.projective_basis(i)
+    pos = {t: r for r, t in enumerate(basis)}
+    d = len(basis)
 
-        def build(j):
-            rows = []
-            for t in basis:
-                row = [0] * d
-                for k, c in a.mul[t][j]:
-                    row[pos[k]] = c
-                rows.append(row)
-            return Matrix(d, d, rows)
+    def build(j):
+        rows = []
+        for t in basis:
+            row = [0] * d
+            for k, c in a.mul[t][j]:
+                row[pos[k]] = c
+            rows.append(row)
+        return Matrix(d, d, rows)
 
-        def trace(j):
-            return norm_scalar(sum(c for t in basis for k, c in a.mul[t][j] if k == t))
+    def trace(j):
+        return norm_scalar(sum(c for t in basis for k, c in a.mul[t][j] if k == t))
 
-        def row(s, j):
-            return tuple((pos[k], c) for k, c in a.mul[basis[s]][j])
+    def row(s, j):
+        return tuple((pos[k], c) for k, c in a.mul[basis[s]][j])
 
-        a._cache[key] = (Module(a, d, LazyActions(a.dim, d, build, trace, row)), basis)
-    return a._cache[key]
+    return Module(a, d, LazyActions(a.dim, d, build, trace, row)), basis
 
 
 def direct_sum_modules(a: Algebra, mods):
@@ -295,16 +293,14 @@ def _product_in_span(m: Module, sub: RowBasis, r, pairs):
     return v
 
 
+@cached
 def simple_modules(a: Algebra):
     """One simple right module per idempotent: S_i = top of e_i A."""
-    ms = a._cache.get("simple_modules")
-    if ms is None:
-        ms = []
-        for i in range(len(a.idempotents)):
-            p, _ = projective_module(a, i)
-            s, _ = quotient_module(p, module_radical(p, RowBasis.full(p.dim)))
-            ms.append(s)
-        a._cache["simple_modules"] = ms
+    ms = []
+    for i in range(len(a.idempotents)):
+        p, _ = projective_module(a, i)
+        s, _ = quotient_module(p, module_radical(p, RowBasis.full(p.dim)))
+        ms.append(s)
     return ms
 
 
@@ -348,31 +344,29 @@ def cover_data(m: Module, sub: RowBasis):
 # -- bimodules ----------------------------------------------------------------
 
 
+@cached
 def diagonal_bimodule(a: Algebra) -> Module:
     """A as an A-A-bimodule, i.e. a right module over tensor(op(A), A):
     the pair (x^op, y) sends m to x m y.
 
     The pair (b_i^op, b_j) acts by L_i R_j, whose row s holds the
     coordinates of b_i b_s b_j; it is filled from the structure constants."""
-    m = a._cache.get("diagonal_bimodule")
-    if m is None:
-        env = hom_algebra(a, a)
-        mul = a.mul
-        action = []
-        for t in range(env.dim):
-            i, j = divmod(t, a.dim)
-            right = [row[j] for row in mul]
-            data = [[0] * a.dim for _ in range(a.dim)]
-            for s, left in enumerate(mul[i]):
-                for k, c in left:
-                    for k2, c2 in right[k]:
-                        data[s][k2] += c * c2
-            action.append(Matrix(a.dim, a.dim, data))
-        m = Module(env, a.dim, action)
-        a._cache["diagonal_bimodule"] = m
-    return m
+    env = hom_algebra(a, a)
+    mul = a.mul
+    action = []
+    for t in range(env.dim):
+        i, j = divmod(t, a.dim)
+        right = [row[j] for row in mul]
+        data = [[0] * a.dim for _ in range(a.dim)]
+        for s, left in enumerate(mul[i]):
+            for k, c in left:
+                for k2, c2 in right[k]:
+                    data[s][k2] += c * c2
+        action.append(Matrix(a.dim, a.dim, data))
+    return Module(env, a.dim, action)
 
 
+@cached
 def dual_bimodule(a: Algebra) -> Module:
     """The linear dual D(A) as an A-A-bimodule: (x phi y)(c) = phi(y c x).
 
@@ -382,13 +376,9 @@ def dual_bimodule(a: Algebra) -> Module:
     `hochschild` with dual coefficients calls it; derived.serre builds S(M)
     from the copies of M instead, and the tests use M (x)_A D(A) as its
     oracle."""
-    m = a._cache.get("dual_bimodule")
-    if m is None:
-        diag = diagonal_bimodule(a)
-        action = [diag.action[p].transpose() for p in swap_permutation(a, a)]
-        m = Module(diag.algebra, a.dim, action)
-        a._cache["dual_bimodule"] = m
-    return m
+    diag = diagonal_bimodule(a)
+    action = [diag.action[p].transpose() for p in swap_permutation(a, a)]
+    return Module(diag.algebra, a.dim, action)
 
 
 def left_structure_module(m: Module, a: Algebra) -> Module:

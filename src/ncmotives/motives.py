@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import Algebra, hom_algebra
+from .algebra import Algebra, cached, hom_algebra
 from .complexes import PerfectComplex
 from .derived import (
     compose_classes,
@@ -105,16 +105,17 @@ class Correspondence:
 
     def k0(self):
         """Class vector in the simple basis of the Hom algebra."""
-        cls = self._cache.get("k0")
-        if cls is None:
-            e = hom_algebra(self.source.algebra, self.target.algebra)
-            out = [0] * len(e.idempotents)
-            for c, t in self.terms:
-                for i, x in enumerate(k0_class(t).coords):
-                    if x:
-                        out[i] += c * x
-            cls = self._cache["k0"] = tuple(norm_scalar(x) for x in out)
-        return list(cls)
+        return list(self._class())
+
+    @cached
+    def _class(self):
+        e = hom_algebra(self.source.algebra, self.target.algebra)
+        out = [0] * len(e.idempotents)
+        for c, t in self.terms:
+            for i, x in enumerate(k0_class(t).coords):
+                if x:
+                    out[i] += c * x
+        return tuple(norm_scalar(x) for x in out)
 
     def __repr__(self):
         return f"<Correspondence {self.source.name} -> {self.target.name}, {len(self.terms)} terms>"

@@ -1,11 +1,12 @@
 """Reach probe: the functions of the package that a set of commands never enters.
 
-Runs sixteen commands of the command line in this interpreter under
-sys.setprofile, records every function of the package that is entered, and
-prints those never entered with their line counts, then a summary line.
-Nested functions count; lambdas and comprehensions do not.  The inputs are
-written to a temporary directory and the reports are discarded.  Run from
-the root of a checkout:
+Imports the package and runs sixteen commands of the command line in this
+interpreter under sys.setprofile, records every function of the package
+that is entered, and prints those never entered with their line counts,
+then a summary line.  The import is traced too, so a decorator, which runs
+only then, counts as entered.  Nested functions count; lambdas and
+comprehensions do not.  The inputs are written to a temporary directory
+and the reports are discarded.  Run from the root of a checkout:
 
     PYTHONPATH=src python tests/reach_probe.py
 
@@ -21,12 +22,11 @@ import json
 import os
 import sys
 import tempfile
+from importlib.util import find_spec
 from pathlib import Path
 
-import ncmotives
-from ncmotives.cli import main
-
-SRC = Path(ncmotives.__file__).resolve().parent
+# found without importing the package, so that probe() traces its import
+SRC = Path(find_spec("ncmotives").origin).resolve().parent
 
 
 def line_quiver(n):
@@ -161,6 +161,11 @@ def probe():
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno))
 
+    sys.setprofile(record)
+    try:
+        from ncmotives.cli import main
+    finally:
+        sys.setprofile(None)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in commands(Path(tmp)).items():
             sink = io.StringIO()

@@ -328,3 +328,75 @@ def test_swap_permutation_is_memoized_and_inverted_by_the_reverse_swap(a2, krone
     back = swap_permutation(kronecker, a2)
     assert sorted(p) == list(range(len(p)))
     assert [back[t] for t in p] == list(range(len(p)))
+
+
+# -- the memo helper ----------------------------------------------------------
+
+
+def test_cached_fills_keyword_and_default_arguments_by_position():
+    """f(x, 1), f(x, 1, 16), f(x, 1, cap=16) and f(x, x=1) share one entry,
+    keyed by the qualified name and the positional arguments; a call that
+    raises stores nothing."""
+    from ncmotives.algebra import cached
+
+    class Box:
+        def __init__(self):
+            self._cache = {}
+
+    calls = []
+
+    @cached
+    def f(obj, x, cap=16):
+        calls.append((x, cap))
+        if x < 0:
+            raise ValueError(x)
+        return [x, cap]
+
+    box = Box()
+    first = f(box, 1)
+    assert f(box, 1, 16) is first and f(box, 1, cap=16) is first and f(box, x=1) is first
+    assert f(box, 1, 5) is not first
+    assert calls == [(1, 16), (1, 5)]
+    assert sorted(box._cache) == [(f.__qualname__, 1, 5), (f.__qualname__, 1, 16)]
+    with pytest.raises(ValueError):
+        f(box, -1)
+    assert len(box._cache) == 2
+    with pytest.raises(TypeError):
+        f(box)
+    with pytest.raises(TypeError):
+        f(box, 1, size=2)
+
+
+def test_no_cache_access_outside_the_memo_helper():
+    """Every memo of the package goes through algebra.cached.  Outside it,
+    `_cache` is only created empty (`self._cache = {}` in an __init__) and
+    named in __slots__: no read, write, `in` or setdefault."""
+    import ast
+    from pathlib import Path
+
+    import ncmotives
+
+    found = []
+    for path in sorted(Path(ncmotives.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "cached" and path.name == "algebra.py":
+                allowed.update(id(n) for n in ast.walk(node))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for stmt in ast.walk(node):
+                    if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+                        if isinstance(stmt.value, ast.Dict) and not stmt.value.keys:
+                            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                            allowed.update(id(t) for t in targets)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                allowed.update(id(n) for n in ast.walk(node.value))
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Attribute) and node.attr == "_cache") or (
+                isinstance(node, ast.Constant) and node.value == "_cache"
+            )
+            if named and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

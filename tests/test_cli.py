@@ -418,6 +418,20 @@ MALFORMED_INPUTS = {
     "vertex-cut-out-of-range": ["verify", {"source": _cut([7])}],
     "vertex-cut-with-a-path": ["verify", {"source": _cut([0, 1])}],
     "vertex-cut-not-a-list": ["verify", {"source": _cut(0)}],
+    # an idempotent whose class is zero gives the zero motive
+    "vertex-cut-empty": ["verify", {"source": _cut([])}],
+    "complement-of-the-identity": [
+        "verify", {"source": {"algebra": A2_SPEC, "idempotent": {"kind": "complement"}}},
+    ],
+    "complement-of-every-vertex": [
+        "verify",
+        {
+            "source": {
+                "algebra": _quiver(2, []),
+                "idempotent": {"kind": "complement", "of": {"kind": "vertex-cut", "vertices": [0, 1]}},
+            }
+        },
+    ],
     "idempotent-not-an-object": ["verify", {"source": {"algebra": A2_SPEC, "idempotent": "x"}}],
     "scenario-is-an-array": ["verify", [A2_MOTIVE]],
     "negative-option": ["verify", {"source": A2_MOTIVE, "options": {"stability_samples": -1}}],
@@ -891,6 +905,22 @@ def test_a_run_makes_no_reference_cycle_per_sample(tmp_path):
     serre2, serre40, corpus2, corpus6 = json.loads(_run_fresh(script, timeout=120))
     assert serre40 - serre2 < 5 * 38
     assert corpus6 - corpus2 < 5 * 4
+
+
+def test_a_run_leaves_none_of_its_algebras_alive(tmp_path):
+    """A memo lives on the object it derives from, so no algebra a run
+    builds outlives it: no memo on the shared scalar algebra may hold one.
+    After verify and one full collection (an algebra and its opposite point
+    at each other), the interned algebra of the scenario is gone."""
+    import gc
+
+    from ncmotives import cli
+
+    algebra = _quiver(3, [(0, 1, "lone0"), (1, 2, "lone1")])
+    scenario = write(tmp_path, "s.json", {"format": 1, "source": {"algebra": algebra}})
+    assert main(["verify", scenario, "--out", str(tmp_path / "v.json")]) == 0
+    gc.collect()
+    assert not [a for a in cli._interned_algebras.values() if "lone0" in a.labels]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -607,3 +607,18 @@ def test_verify_resolves_simples_only_over_its_algebras_and_hom_algebras(tmp_pat
     expected = [a4, a2, opposite(a4), opposite(a2), hom_algebra(a4, a2), hom_algebra(a2, a4)]
     assert len(resolved) == 6
     assert all(any(r is e for r in resolved) for e in expected)
+
+
+@pytest.mark.parametrize("f", [simple_resolutions, euler_matrix, diagonal_resolution])
+def test_default_cap_calls_share_one_memo(f):
+    """f(a), f(a, DEFAULT_CAP) and f(a, cap=DEFAULT_CAP) return one object,
+    kept under the one key (name, DEFAULT_CAP), whichever form comes first."""
+    from ncmotives.algebra import Quiver, path_algebra
+    from ncmotives.resolutions import DEFAULT_CAP
+
+    forms = [lambda a: f(a), lambda a: f(a, DEFAULT_CAP), lambda a: f(a, cap=DEFAULT_CAP)]
+    for first in range(3):
+        a = path_algebra(Quiver(3, [(0, 1, "a"), (1, 2, "b")]))
+        value = forms[first](a)
+        assert all(form(a) is value for form in forms)
+        assert [k for k in a._cache if k[0] == f.__name__] == [(f.__name__, DEFAULT_CAP)]
