@@ -144,7 +144,7 @@ def tensor_over(
     if x.is_zero() or y.is_zero():
         return Complex(e_t, {}, {}, check=False)
 
-    yblock, ymove = partial(_yblock, y, middle, right), partial(_ymove, y, middle, right)
+    ymove = partial(_ymove, y, middle, right)
 
     # block layout per total degree: (p, copy, m, ltraces, lblock, yb, offset),
     # with ltraces the traces of left multiplication on L e_l
@@ -160,7 +160,7 @@ def tensor_over(
             for c, idem in enumerate(x.copies_at(p)):
                 l_i, m_i = split_pair_idempotent(middle, idem)
                 lblock = left.coprojective_basis(l_i)
-                yb = yblock(q, m_i)
+                yb = _yblock(y, middle, right, q, m_i)
                 if lblock and yb.dim:
                     entries.append((p, c, m_i, left.coprojective_traces(l_i), lblock, yb, off))
                     off += len(lblock) * yb.dim
