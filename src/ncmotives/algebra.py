@@ -168,11 +168,6 @@ class Algebra:
                     out[k] += c * s
         return out
 
-    def basis_vector(self, i):
-        v = [0] * self.dim
-        v[i] = 1
-        return v
-
     # -- Peirce structure ---------------------------------------------------
 
     @cached

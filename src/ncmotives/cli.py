@@ -37,7 +37,7 @@ from .algebra import (
     sparse_table,
     tensor,
 )
-from .complexes import PerfectComplex
+from .complexes import Complex, PerfectComplex
 from .corpus import (
     CORPUS_NAMES,
     corpus_algebra,
@@ -48,6 +48,7 @@ from .corpus import (
 )
 from .derived import (
     check_smooth,
+    diagonal_resolution,
     euler_matrix,
     serre,
     euler_pairing,
@@ -264,8 +265,6 @@ def complex_from_spec(spec, algebra: Algebra):
     {"-1": [[...]]}} where the matrix at degree n maps degree n to n+1.
     Each differential must be a module map: it commutes with the action of
     every basis element."""
-    from .complexes import Complex
-
     try:
         comps = {
             int(k): module_from_spec(v, algebra)
@@ -311,9 +310,9 @@ def coefficients_from_spec(spec, algebra: Algebra):
 
 def motive_from_spec(spec, cap: int = DEFAULT_CAP) -> NCMotive:
     """The motive of a JSON spec; its idempotent is resolved and checked at
-    cap.  An idempotent whose class is zero (an empty vertex cut, the
-    complement of the identity or of a cut of every vertex) is malformed:
-    its motive is zero, so a check on it would compare empty spaces."""
+    cap.  An idempotent that NCMotive refuses, such as one whose class is
+    zero (an empty vertex cut, the complement of the identity or of a cut of
+    every vertex), is malformed input."""
     if not isinstance(spec, dict):
         raise InputError("motive spec must be an object")
     a = algebra_from_spec(spec.get("algebra", {"kind": "scalar"}))
@@ -321,9 +320,10 @@ def motive_from_spec(spec, cap: int = DEFAULT_CAP) -> NCMotive:
         idem = idempotent_from_spec(spec.get("idempotent"), a, cap)
     except RecursionError as exc:
         raise InputError("idempotent spec is nested too deeply") from exc
-    if idem is not None and not any(idem.k0()):
-        raise InputError("the idempotent is the zero class")
-    return NCMotive(a, idem, cap)
+    try:
+        return NCMotive(a, idem, cap)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspondence | None:
@@ -379,8 +379,6 @@ def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Co
         elif kind == "diagonal":
             if src.algebra is not dst.algebra:
                 raise InputError("diagonal terms need equal source and target algebras")
-            from .derived import diagonal_resolution
-
             pc = diagonal_resolution(src.algebra, cap)
         else:
             raise InputError(f"unknown bimodule kind {kind!r}")

@@ -20,10 +20,12 @@ e_i A over the tuple of idempotent indices copies[n].  Its one constructor
 takes the copies and the blocks of the differentials: each block from a
 copy with idempotent e to a copy with idempotent f is left multiplication
 by an element of f A e, which is exactly right-linearity of the
-differential.  The constructor checks each block against its corner and
-d^2 = 0 on the blocks; a dense differential is assembled from its blocks
-only when it is read.  Everything else a complex does (homology, shapes)
-is inherited.
+differential.  A block is that element as its nonzero (basis index,
+coefficient) pairs in index order, the form of Algebra.mul and of
+Module.times.  The constructor makes each block so, and checks it against
+its corner and d^2 = 0 on the blocks; a dense differential is assembled
+from its blocks only when it is read.  Everything else a complex does
+(homology, shapes) is inherited.
 """
 
 from __future__ import annotations
@@ -147,11 +149,13 @@ class PerfectComplex(Complex):
 
     copies[n] is the tuple of idempotent indices of the degree-n summands;
     underlying coordinates concatenate the monomial bases of the summands in
-    order.  blocks[n] maps (from_copy, to_copy) to the coordinates of the
-    algebra element z whose left multiplication is that block of d^n.  Zero
-    blocks are dropped.  Raises ValueError unless every block lies in its
-    Peirce corner e_to A e_from (which makes d^n a module map) and d^2 = 0
-    on the blocks.  Each differential is assembled on first read.
+    order.  blocks[n] maps (from_copy, to_copy) to the (basis index,
+    coefficient) pairs of the algebra element z whose left multiplication is
+    that block of d^n.  The constructor keeps each block as the tuple of its
+    nonzero pairs in index order, and drops zero blocks.  Raises ValueError
+    unless every block lies in its Peirce corner e_to A e_from (which makes
+    d^n a module map) and d^2 = 0 on the blocks.  Each differential is
+    assembled on first read.
 
     dual_of is None, or (left, right, weak reference to x) when this complex
     is the dual of x built by homalg.dual_perfect: its dual over (left,
@@ -168,9 +172,10 @@ class PerfectComplex(Complex):
             src, tgt = self.copies_at(n), self.copies_at(n + 1)
             kept = {}
             for (c, c2), z in sorted(bl.items()):
-                if any(x and (left[g], right[g]) != (tgt[c2], src[c]) for g, x in enumerate(z)):
+                z = tuple(sorted((g, x) for g, x in z if x))
+                if any((left[g], right[g]) != (tgt[c2], src[c]) for g, _ in z):
                     raise ValueError(f"block {(c, c2)} of d^{n} is outside its Peirce corner")
-                if any(z):
+                if z:
                     kept[(c, c2)] = z
             if kept:
                 self._blocks[n] = kept
@@ -189,7 +194,7 @@ class PerfectComplex(Complex):
     def _check_d_squared(self):
         """d^2 = 0 on the blocks: the block z from copy c to c2 followed by
         w from c2 to c3 is left multiplication by w z, so for each (c, c3)
-        the sum over c2 of w z must vanish.  Only nonzero entries are read."""
+        the sum over c2 of w z must vanish."""
         mul = self.algebra.mul
         for n, bl in self._blocks.items():
             nxt = self._blocks.get(n + 1)
@@ -197,14 +202,13 @@ class PerfectComplex(Complex):
                 continue
             out_of = {}
             for (c2, c3), w in nxt.items():
-                out_of.setdefault(c2, []).append((c3, [(g, x) for g, x in enumerate(w) if x]))
+                out_of.setdefault(c2, []).append((c3, w))
             sums = {}
             for (c, c2), z in bl.items():
-                zs = [(h, y) for h, y in enumerate(z) if y]
-                for c3, ws in out_of.get(c2, ()):
+                for c3, w in out_of.get(c2, ()):
                     acc = sums.setdefault((c, c3), {})
-                    for g, x in ws:
-                        for h, y in zs:
+                    for g, x in w:
+                        for h, y in z:
                             for k, s in mul[g][h]:
                                 acc[k] = acc.get(k, 0) + x * y * s
             if any(v for acc in sums.values() for v in acc.values()):
@@ -214,9 +218,10 @@ class PerfectComplex(Complex):
         return self.copies.get(n, ())
 
     def block_elements(self, n):
-        """dict (from_copy, to_copy) -> algebra coordinate vector z with
-        z in e_{to} A e_{from}; the block of d^n from copy c to copy c' is
-        left multiplication by z.  Only nonzero blocks are present."""
+        """dict (from_copy, to_copy) -> the nonzero (basis index,
+        coefficient) pairs, in index order, of z in e_{to} A e_{from}; the
+        block of d^n from copy c to copy c' is left multiplication by z.
+        Only nonzero blocks are present."""
         return self._blocks.get(n, {})
 
     def shift(self, k: int) -> "PerfectComplex":
@@ -225,7 +230,7 @@ class PerfectComplex(Complex):
             self.algebra,
             {n + k: c for n, c in self.copies.items()},
             {
-                n + k: {key: [-x for x in z] for key, z in bl.items()} if negate else bl
+                n + k: {key: [(g, -x) for g, x in z] for key, z in bl.items()} if negate else bl
                 for n, bl in self._blocks.items()
             },
         )
@@ -247,9 +252,9 @@ class PerfectComplex(Complex):
 def assemble_block_matrix(a: Algebra, from_copies, to_copies, blocks) -> Matrix:
     """Matrix of a copy-indexed family of left multiplications.
 
-    blocks maps (from_copy, to_copy) to the coordinates of z in e_to A e_from;
-    the block sends a monomial h of e_from A to z * h expanded in the
-    monomial basis of e_to A."""
+    blocks maps (from_copy, to_copy) to the nonzero (basis index,
+    coefficient) pairs of z in e_to A e_from; the block sends a monomial h
+    of e_from A to z * h expanded in the monomial basis of e_to A."""
     offs_s = []
     off = 0
     for i in from_copies:
@@ -269,9 +274,7 @@ def assemble_block_matrix(a: Algebra, from_copies, to_copies, blocks) -> Matrix:
         pos_t = {t: r for r, t in enumerate(basis_t)}
         for r, h in enumerate(basis_s):
             out = data[offs_s[c] + r]
-            for g, coeff in enumerate(z):
-                if not coeff:
-                    continue
+            for g, coeff in z:
                 for k, s in a.mul[g][h]:
                     out[offs_t[c2] + pos_t[k]] += coeff * s
     return Matrix(rows_total, cols_total, data)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import Algebra, Quiver, hom_algebra, path_algebra, scalar_algebra
 from .complexes import PerfectComplex
 from .linalg import Matrix
-from .motives import Correspondence, NCMotive, vertex_cut_idempotent
+from .motives import Correspondence, NCMotive, complement_idempotent, vertex_cut_idempotent
 CORPUS_NAMES = ("Q", "QxQ", "A2", "A3", "Kronecker")
 
 _QUIVERS = {
@@ -110,10 +110,9 @@ def random_perfect_complex(
                     for (c, ck), w in nxt.items():
                         if c != cj:
                             continue
-                        for u, x in enumerate(w):
-                            if x:
-                                for k, s in e.mul[u][g]:
-                                    row[(ci, ck, k)] = row.get((ci, ck, k), 0) + x * s
+                        for u, x in w:
+                            for k, s in e.mul[u][g]:
+                                row[(ci, ck, k)] = row.get((ci, ck, k), 0) + x * s
                     rows.append(row)
                 cols = sorted(set().union(*rows))
                 kern = Matrix(
@@ -128,11 +127,8 @@ def random_perfect_complex(
                         weights = [w + c * x for w, x in zip(weights, v)]
             d_blocks: dict = {}
             for (ci, cj, g), w in zip(cands, weights):
-                if not w:
-                    continue
-                z = d_blocks.setdefault((ci, cj), [0] * e.dim)
-                z[g] += w
-            d_blocks = {k: z for k, z in d_blocks.items() if any(z)}
+                if w:
+                    d_blocks.setdefault((ci, cj), []).append((g, w))
             if d_blocks:
                 blocks[d] = d_blocks
         return PerfectComplex(e, copies, blocks)
@@ -170,8 +166,6 @@ def corpus_motive_scenarios():
     Mixes identity motives with vertex-cut idempotents and complements on
     small algebra pairs; the larger A3 pairs are cut down by idempotents so
     model dimensions stay at desk scale."""
-    from .motives import complement_idempotent
-
     q = corpus_algebra("Q")
     qq = corpus_algebra("QxQ")
     a2 = corpus_algebra("A2")

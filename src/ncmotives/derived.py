@@ -129,8 +129,8 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
     (i, j) to (i, j') is (-1)^p e_i (x) w for the block w of d_y."""
     left, right = a.meta["factors"]
     n_r = len(right.idempotents)
-    e_l = [left.basis_vector(g) for g in left.idempotent_basis_indices()]
-    e_r = [right.basis_vector(g) for g in right.idempotent_basis_indices()]
+    g_l = left.idempotent_basis_indices()
+    g_r = right.idempotent_basis_indices()
     slots: dict = {}
     for p, cs_x in x.copies.items():
         for q, cs_y in y.copies.items():
@@ -151,13 +151,13 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
             for (s, t), z in x.block_elements(p).items():
                 if s == c:
                     d_blocks[(k, pos[(p + 1, q, t, c2)])] = [
-                        u * v for u in z for v in e_r[j]
+                        (join_pair_basis(right, u, g_r[j]), coeff) for u, coeff in z
                     ]
             sign = -1 if p % 2 else 1
             for (s, t), w in y.block_elements(q).items():
                 if s == c2:
                     d_blocks[(k, pos[(p, q + 1, c, t)])] = [
-                        sign * u * v for u in e_l[i] for v in w
+                        (join_pair_basis(right, g_l[i], v), sign * coeff) for v, coeff in w
                     ]
     return PerfectComplex(a, copies, blocks)
 
@@ -279,9 +279,7 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
         sign = 1 if s < t else -1
         # e_s (x) a in the copy of s, a (x) e_t in the copy of t
         for v, (x, y), coeff in ((s, (g[s], b), sign), (t, (b, g[t]), -sign)):
-            z = [0] * env.dim
-            z[join_pair_basis(a, x, y)] = coeff
-            blocks[(c, v)] = z
+            blocks[(c, v)] = [(join_pair_basis(a, x, y), coeff)]
     return PerfectComplex(env, copies, {-1: blocks})
 
 

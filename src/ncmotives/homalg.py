@@ -225,15 +225,14 @@ def tensor_over(
                 if cc != c or (p + 1, c2) not in tgt:
                     continue
                 e2 = tgt[(p + 1, c2)]
-                for g, coeff in enumerate(z):
-                    if coeff:
-                        g_l, g_m = split_pair_basis(middle, g)
-                        lmul = (
-                            (s, u2, coeff * cl)
-                            for s, u in enumerate(lblock)
-                            for u2, cl in left.mul[u][g_l]
-                        )
-                        kron(out, e, e2, lmul, ymove(q, m, q, e2[2], (g_m, None)))
+                for g, coeff in z:
+                    g_l, g_m = split_pair_basis(middle, g)
+                    lmul = (
+                        (s, u2, coeff * cl)
+                        for s, u in enumerate(lblock)
+                        for u2, cl in left.mul[u][g_l]
+                    )
+                    kron(out, e, e2, lmul, ymove(q, m, q, e2[2], (g_m, None)))
         return Matrix(dims[k], dims[k + 1], out)
 
     components = {}
@@ -332,13 +331,10 @@ def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
     }
     blocks = {}
     for n in x.copies:
-        dual_blocks = blocks[-n - 1] = {}
-        for (c, c2), z in x.block_elements(n).items():
-            sz = [0] * e_ba.dim
-            for g, coeff in enumerate(z):
-                if coeff:
-                    sz[perm[g]] = coeff
-            dual_blocks[(c2, c)] = sz
+        blocks[-n - 1] = {
+            (c2, c): [(perm[g], coeff) for g, coeff in z]
+            for (c, c2), z in x.block_elements(n).items()
+        }
     d = PerfectComplex(e_ba, copies, blocks)
     d.dual_of = (right, left, weakref.ref(x))
     return d

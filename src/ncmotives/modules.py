@@ -15,10 +15,12 @@ Beside the dense builder, every module has one sparse right action on a
 basis vector, Module.row(s, j): row s of action[j] as its nonzero (k, c)
 pairs.  A projective e_i A reads it from the structure constants, a direct
 sum from its summands, and any other module from a row of its matrix.
-Everything that multiplies vectors (Module.times, act_vector, act_matrix,
-quotients, radicals, covers, and the y side of homalg.tensor_over) reads
-through it, so a sum of projectives never builds an action matrix; the
-dense matrices stay for Module.check, iteration and the tests.
+Everything that multiplies vectors (Module.times, act_matrix, quotients,
+radicals, covers, and the y side of homalg.tensor_over) reads through it,
+so a sum of projectives never builds an action matrix; the dense matrices
+stay for Module.check, iteration and the tests.  Module.times takes the
+algebra element as its nonzero (basis index, coefficient) pairs, the form
+of a structure-constant product and of a block of a perfect complex.
 
 A submodule is a RowBasis in the coordinates of the module it sits in, not
 a Module of its own: module_radical and cover_data take one and multiply
@@ -136,9 +138,6 @@ class Module:
         """Action matrix of the element sum c * b_k over (k, c) in pairs."""
         n = self.dim
         return Matrix(n, n, [self.times(_unit(n, s), pairs) for s in range(n)])
-
-    def act_vector(self, v, coeffs):
-        return self.times(v, [(k, c) for k, c in enumerate(coeffs) if c])
 
     def check(self):
         """Full module axioms: unit acts as identity, action respects the
@@ -332,9 +331,7 @@ def cover_data(m: Module, sub: RowBasis):
             if w.add(v):
                 copies.append(i)
                 gens.append(v)
-    rows = [
-        m.act_vector(v, a.basis_vector(t)) for i, v in zip(copies, gens) for t in a.projective_basis(i)
-    ]
+    rows = [m.times(v, ((t, 1),)) for i, v in zip(copies, gens) for t in a.projective_basis(i)]
     cover = Matrix(len(rows), m.dim, rows)
     if cover.rank() != sub.dim:
         raise ValueError("projective cover is not surjective")

@@ -27,8 +27,8 @@ from .derived import (
     serre,
     simple_resolutions,
 )
-from .homalg import dual_perfect
-from .hochschild import intersection_number
+from .homalg import dual_perfect, tensor_over
+from .hochschild import hochschild_euler, intersection_number
 from .linalg import Matrix, RowBasis, exact_text, norm_scalar, span_equal
 from .resolutions import DEFAULT_CAP
 
@@ -41,7 +41,9 @@ class NCMotive:
 
     idem=None means the identity motive (class of the diagonal bimodule).
     Idempotency e o e = e is verified at the class level on construction,
-    through the Euler matrix of the algebra at the given cap."""
+    through the Euler matrix of the algebra at the given cap.  An idempotent
+    whose class is zero is refused (ValueError): its motive is zero, so every
+    check on it would compare empty spaces."""
 
     def __init__(self, algebra: Algebra, idem: "Correspondence | None" = None, cap: int = DEFAULT_CAP):
         self.algebra = algebra
@@ -51,6 +53,8 @@ class NCMotive:
             if idem.source.algebra is not algebra or idem.target.algebra is not algebra:
                 raise ValueError("idempotent must be an endo-correspondence of the algebra")
             cls = idem.k0()
+            if not any(cls):
+                raise ValueError("the idempotent is the zero class")
             if compose_classes(cls, cls, algebra, cap) != list(cls):
                 raise ValueError("correspondence class is not idempotent")
 
@@ -179,8 +183,6 @@ def compose(y: Correspondence, x: Correspondence) -> Correspondence:
     a = x.source.algebra
     b = x.target.algebra
     c = y.target.algebra
-    from .homalg import tensor_over
-
     terms = []
     for cx, xt in x.terms:
         for cy, yt in y.terms:
@@ -202,8 +204,6 @@ def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> int | Fraction:
     if z.source != z.target:
         raise ValueError("trace requires an endo-correspondence")
     a = z.source.algebra
-    from .hochschild import hochschild_euler
-
     total = 0
     for c, t in z.terms:
         total += c * hochschild_euler(a, t, cap)

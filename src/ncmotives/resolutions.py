@@ -50,13 +50,9 @@ def projective_resolution(m: Module, cap: int = DEFAULT_CAP):
         else:
             bl = blocks[-step] = {}
             for c, g in enumerate(gens):
-                off = 0
+                coords = iter(g)
                 for c2, i2 in enumerate(copies[1 - step]):
-                    z = [0] * a.dim
-                    for t in a.projective_basis(i2):
-                        z[t] = g[off]
-                        off += 1
-                    bl[(c, c2)] = z
+                    bl[(c, c2)] = list(zip(a.projective_basis(i2), coords))
         current, _ = direct_sum_modules(a, [projective_module(a, i)[0] for i in cs])
         sub = RowBasis(current.dim).extend(cover.left_kernel_basis())
         step += 1

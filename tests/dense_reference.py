@@ -4,7 +4,9 @@ The package reads module actions sparsely; it never solves a system, sums
 matrices, builds a regular module, turns a submodule into a Module of its
 own or shifts a complex that is not perfect.  The tests check the package
 against the dense forms here (solve, matrix_sum, right_matrix,
-submodule_from_rowbasis) and build their cases from the rest.
+submodule_from_rowbasis) and build their cases from the rest.  The package
+writes an algebra element as its nonzero (index, coefficient) pairs;
+basis_vector and act_vector are the dense coordinate forms the tests use.
 """
 
 from ncmotives.complexes import Complex
@@ -49,6 +51,19 @@ def matrix_sum(terms, rows: int, cols: int) -> Matrix:
                 if x:
                     acc[j] += c * x
     return Matrix(rows, cols, out)
+
+
+def basis_vector(a, i):
+    """The coordinate vector of basis element i of the algebra a."""
+    v = [0] * a.dim
+    v[i] = 1
+    return v
+
+
+def act_vector(m: Module, v, coeffs):
+    """The row vector v times the algebra element with coordinates coeffs,
+    through Module.times."""
+    return m.times(v, [(k, c) for k, c in enumerate(coeffs) if c])
 
 
 def right_matrix(a, j) -> Matrix:

@@ -23,7 +23,7 @@ finite global dimension the recursion terminates; the cap turns a runaway
 recursion into ResolutionCapExceeded rather than a silent truncation.
 """
 
-from dense_reference import solve, submodule_from_rowbasis
+from dense_reference import act_vector, solve, submodule_from_rowbasis
 from ncmotives.algebra import Algebra
 from ncmotives.complexes import (
     Complex,
@@ -220,9 +220,9 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
             if zcoords is None:
                 raise AssertionError("generator failed to lift through the quotient")
             lift = row_times(zcoords, zincl) if zmod.dim else [0] * amb.dim
-            lift = amb.act_vector(lift, a.idempotents[i])
+            lift = act_vector(amb, lift, a.idempotents[i])
             for t in a.projective_basis(i):
-                w = amb.act_vector(lift, a.basis_vector(t))
+                w = amb.times(lift, ((t, 1),))
                 d_out_rows.append([-x for x in w[:dim_p_next]])
                 phi_out_rows.append(w[dim_p_next:])
         rows_n = len(d_out_rows)
@@ -255,15 +255,10 @@ def perfect_from_matrices(a: Algebra, copies: dict, diffs: dict) -> PerfectCompl
         off = 0
         for c, i in enumerate(src):
             basis = a.projective_basis(i)
-            row = d.data[off + basis.index(gens[i])]
+            coords = iter(d.data[off + basis.index(gens[i])])
             off += len(basis)
-            off2 = 0
             for c2, i2 in enumerate(tgt):
-                z = [0] * a.dim
-                for t in a.projective_basis(i2):
-                    z[t] = row[off2]
-                    off2 += 1
-                bl[(c, c2)] = z
+                bl[(c, c2)] = list(zip(a.projective_basis(i2), coords))
         if assemble_block_matrix(a, src, tgt, bl) != d:
             raise ValueError(f"differential at degree {n} is not a module map")
     return PerfectComplex(a, copies, blocks)

@@ -113,14 +113,21 @@ def test_perfect_rejects_non_module_map(a2):
 def test_perfect_rejects_a_block_outside_its_corner(a2):
     # the arrow a lies in e0 A e1, not in the corner e0 A e0 of a block
     # from a copy of e0 A to a copy of e0 A
-    a = a2.basis_vector(a2.labels.index("a"))
+    a = a2.labels.index("a")
     with pytest.raises(ValueError, match="Peirce corner"):
-        PerfectComplex(a2, {0: (0,), 1: (0,)}, {0: {(0, 0): a}})
+        PerfectComplex(a2, {0: (0,), 1: (0,)}, {0: {(0, 0): [(a, 1)]}})
+    # a zero pair is dropped, not refused, and a block of zero pairs with it
+    e0 = a2.idempotent_basis_indices()[0]
+    pc = PerfectComplex(
+        a2, {0: (0,), 1: (0,), 2: (0,)}, {0: {(0, 0): [(a, 0), (e0, 2)]}, 1: {(0, 0): [(a, 0)]}}
+    )
+    assert pc.block_elements(0) == {(0, 0): ((e0, 2),)}
+    assert pc.block_elements(1) == {} and 1 not in pc.differentials
 
 
 def test_perfect_rejects_d_squared_nonzero_on_the_blocks(a2):
-    e0, e1 = (a2.basis_vector(g) for g in a2.idempotent_basis_indices())
-    a = a2.basis_vector(a2.labels.index("a"))
+    e0, e1 = ([(g, 1)] for g in a2.idempotent_basis_indices())
+    a = [(a2.labels.index("a"), 1)]
     with pytest.raises(ValueError, match="d\\^2"):
         PerfectComplex(a2, {0: (0,), 1: (0,), 2: (0,)}, {0: {(0, 0): e0}, 1: {(0, 0): e0}})
     # e1 A -> e1 A -> e0 A by e1, then a in e0 A e1: the composite is left
@@ -130,10 +137,12 @@ def test_perfect_rejects_d_squared_nonzero_on_the_blocks(a2):
 
 
 def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rng):
-    """Every perfect complex the package builds (random complexes, duals,
-    external tensors, the closed-form diagonal resolution, projective
-    resolutions) keeps the blocks that the generator rows of its assembled
-    differentials give back."""
+    """Every perfect complex the package builds (random complexes, shifts,
+    duals, external tensors, the closed-form diagonal resolution, projective
+    resolutions) holds each block as a tuple of nonzero (basis index,
+    coefficient) pairs in strictly increasing index order, and keeps the
+    blocks that the generator rows of its assembled differentials give
+    back."""
     from ncmotives.cli import algebra_from_spec
     from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
     from ncmotives.derived import diagonal_resolution, simple_resolutions
@@ -146,6 +155,7 @@ def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rn
     e = hom_algebra(a2, kronecker)
     built = [random_perfect_complex(alg, rng) for alg in (a2, kronecker, e) for _ in range(4)]
     built += [dual_perfect(pc, a2, kronecker) for pc in built[-4:]]
+    built += [pc.shift(1) for pc in built[:4]]
     built += simple_resolutions(e) + [diagonal_resolution(kronecker)]
     for alg in [*map(corpus_algebra, CORPUS_NAMES), table_a2]:
         built += [projective_resolution(s)[0] for s in simple_modules(alg)]
@@ -153,6 +163,10 @@ def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rn
     # the table A2 has a simple and a diagonal resolution of length 1
     assert built[-1].block_elements(-1) and any(pc.block_elements(-1) for pc in built[-3:-1])
     for pc in built:
+        for z in (z for n in pc.copies for z in pc.block_elements(n).values()):
+            assert type(z) is tuple and z
+            assert all(type(g) is int and x for g, x in z)
+            assert all(g < h for (g, _), (h, _) in zip(z, z[1:]))
         dense = perfect_from_matrices(pc.algebra, pc.copies, dict(pc.differentials))
         for n in pc.copies:
             assert list(pc.block_elements(n).items()) == list(dense.block_elements(n).items())

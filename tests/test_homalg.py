@@ -167,8 +167,7 @@ def test_hom_dims_independent_of_resolution(a2, rng):
 def _padded_blocks(a2, res):
     # copies at -1: res(-1) + (1,); copies at 0: res(0) + (1,)
     blocks = dict(res.block_elements(-1))
-    e1 = [0] * a2.dim
-    e1[a2.idempotent_basis_indices()[1]] = 1
+    e1 = [(a2.idempotent_basis_indices()[1], 1)]
     blocks[(len(res.copies_at(-1)), len(res.copies_at(0)))] = e1
     return {-1: blocks}
 
@@ -377,7 +376,7 @@ def test_shared_right_factor_data_matches_a_cold_build(q):
         key = (src.algebra, dst.algebra)
         if key not in pairs:
             pairs.append(key)
-    over_q = PerfectComplex(q, {0: (0, 0), 1: (0,)}, {0: {(0, 0): [1], (1, 0): [2]}})
+    over_q = PerfectComplex(q, {0: (0, 0), 1: (0,)}, {0: {(0, 0): [(0, 1)], (1, 0): [(0, 2)]}})
     checked = 0
     for a, b in pairs:
         e = tensor(opposite(a), b)

@@ -1,6 +1,13 @@
 import pytest
 
-from dense_reference import matrix_sum, regular_module, right_matrix, span_submodule
+from dense_reference import (
+    act_vector,
+    basis_vector,
+    matrix_sum,
+    regular_module,
+    right_matrix,
+    span_submodule,
+)
 from ncmotives.algebra import hom_algebra, opposite, tensor
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
 from ncmotives.derived import k0_class
@@ -96,14 +103,14 @@ def test_a_span_that_is_not_action_closed_is_refused(a2, build):
 def test_span_submodule_closure(a2):
     reg = regular_module(a2)
     # the span of e0 inside A is e0 A (closed under the action)
-    sub, rb, incl = span_submodule(reg, [a2.basis_vector(0)])
+    sub, rb, incl = span_submodule(reg, [basis_vector(a2, 0)])
     assert sub.dim == 2
     sub.check()
 
 
 def test_quotient_module_dims(a2):
     reg = regular_module(a2)
-    _, rb, _ = span_submodule(reg, [a2.basis_vector(2)])  # the arrow ideal
+    _, rb, _ = span_submodule(reg, [basis_vector(a2, 2)])  # the arrow ideal
     quot, proj = quotient_module(reg, rb)
     assert quot.dim == 2
     quot.check()
@@ -171,7 +178,7 @@ def dense_module_radical(m, sub):
     tensor algebras."""
     rb = RowBasis(m.dim)
     for g in m.algebra.radical().rows:
-        rb.extend(m.act_vector(r, g) for r in sub.rows)
+        rb.extend(act_vector(m, r, g) for r in sub.rows)
     return rb
 
 
@@ -234,8 +241,9 @@ def _sparse_action_modules(a):
 def test_sparse_right_action_matches_the_dense_builder(name, rng):
     """Module.row(s, j) is row s of the dense action matrix, as its nonzero
     (k, c) pairs, on every module kind and basis element; act_matrix and
-    act_vector, which read through it, equal the dense sums of action
-    matrices (dense_reference.matrix_sum and row_times) on random elements."""
+    Module.times (through dense_reference.act_vector), which read through
+    it, equal the dense sums of action matrices (dense_reference.matrix_sum
+    and row_times) on random elements."""
     from ncmotives.linalg import row_times
 
     if name == "env(A2)":
@@ -253,7 +261,7 @@ def test_sparse_right_action_matches_the_dense_builder(name, rng):
             v = [rng.choice([0, 1, 3]) for _ in range(m.dim)]
             terms = [(m.action[k], c) for k, c in enumerate(coeffs) if c]
             assert m.act_matrix(coeffs) == matrix_sum(terms, m.dim, m.dim)
-            assert m.act_vector(v, coeffs) == [
+            assert act_vector(m, v, coeffs) == [
                 sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(row_times(v, m.action[k]) for k in range(a.dim)))
             ]
 

@@ -208,6 +208,16 @@ def test_complement_idempotent_is_idempotent(a2):
     assert [a + b for a, b in zip(e.k0(), ce.k0())] == identity_class(a2)
 
 
+def test_motive_refuses_an_idempotent_of_zero_class(a2):
+    """The zero class is idempotent, but its motive is zero: a Hom model on
+    it would be 0-dimensional and its verdict a comparison of empty spaces."""
+    identity = identity_correspondence(NCMotive(a2))
+    for idem in (vertex_cut_idempotent(a2, []), complement_idempotent(identity)):
+        assert not any(idem.k0())
+        with pytest.raises(ValueError, match="the idempotent is the zero class"):
+            NCMotive(a2, idem)
+
+
 def test_identity_class_is_peirce_vector(a2):
     assert identity_class(a2) == [1, 1, 0, 1]
 
