@@ -10,6 +10,7 @@ from .algebra import (
     opposite,
     path_algebra,
     scalar_algebra,
+    table_algebra,
     tensor,
 )
 from .complexes import Complex, PerfectComplex, as_complex

@@ -3,10 +3,13 @@
 The constructors here build path algebras of finite acyclic quivers, their
 opposites, and tensor products of such; the command line also loads
 algebras from explicit structure constants (a `table` spec), which
-check_table tests for associativity and primitive idempotents.  Every
-algebra the package resolves over has a monomial basis in which every
-basis element b satisfies e b f = b for a unique pair (e, f) of the
-distinguished idempotents; the Peirce bookkeeping below depends on that.
+table_algebra converts from dense vectors and checks for associativity and
+primitive idempotents.  Every algebra of the package has a monomial basis
+in which each distinguished idempotent is a basis element, named by its
+index, and every basis element b satisfies e b f = b for a unique pair
+(e, f) of them; the Peirce bookkeeping below depends on that.  Elements,
+products and the unit are tuples of nonzero (basis index, coefficient)
+pairs.
 
 Path composition convention: paths are read left to right, so for an arrow
 a: i -> j the products satisfy e_i * a = a = a * e_j, and p * q is "p then q"
@@ -18,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import wraps
 
-from .linalg import Matrix, RowBasis, norm_scalar, vec_is_zero
+from .linalg import Matrix, RowBasis, norm_scalar
 
 
 class CyclicQuiverError(ValueError):
@@ -108,92 +111,47 @@ class Algebra:
     mul[i][j] is the product basis_i * basis_j as a tuple of its nonzero
     (k, c) pairs, ordered by k, with () for a zero product; the algebras
     built here have about one nonzero per product, so every reader iterates
-    over the nonzeros.  Dense coordinate vectors, as in the JSON `table`
-    format, are converted once by sparse_table.  The unit and the complete
-    orthogonal idempotent list are dense coordinate vectors.  Unit and
-    idempotent axioms are checked at construction; the algebras built here
-    are associative by construction, and a `table` spec is checked by
-    check_table.
+    over the nonzeros.  An algebra element is written the same way, as its
+    nonzero pairs.  The distinguished idempotents form a complete
+    orthogonal set of basis elements, listed by basis index, and the unit
+    is their sum, kept as its (g, 1) pairs.  With check, the unit and
+    idempotent axioms are verified at construction; the algebras built
+    here are associative by construction, and table_algebra checks a
+    `table` spec, whose dense vectors it converts once.
     """
 
-    def __init__(self, dim, labels, mul, unit, idempotents, meta=None, check=True):
+    def __init__(self, dim, labels, mul, idempotents, meta=None, check=True):
         self.dim = dim
         self.labels = list(labels)
         self.mul = mul
-        self.unit = [norm_scalar(x) for x in unit]
-        self.idempotents = [[norm_scalar(x) for x in e] for e in idempotents]
+        self.idempotents = list(idempotents)
+        self.unit = tuple((g, 1) for g in sorted(self.idempotents))
         self.meta = meta or {}
         self._cache: dict = {}
-        if check:
-            self._check_basic()
-
-    # -- construction-time sanity ----------------------------------------
-
-    def _check_basic(self):
-        if len(self.labels) != self.dim or len(self.unit) != self.dim:
+        if len(self.labels) != dim:
             raise ValueError("inconsistent dimensions")
-        if len(self.mul) != self.dim or any(len(r) != self.dim for r in self.mul):
+        if len(mul) != dim or any(len(r) != dim for r in mul):
             raise ValueError("structure constants have wrong shape")
-        for i in range(self.dim):
-            b = [1 if k == i else 0 for k in range(self.dim)]
-            if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
-                raise ValueError(f"unit axiom fails on basis element {i}")
-        tot = [0] * self.dim
-        for r, e in enumerate(self.idempotents):
-            if self.multiply(e, e) != e:
-                raise ValueError(f"idempotent {r} is not idempotent")
-            for s, f in enumerate(self.idempotents):
-                if s != r and not vec_is_zero(self.multiply(e, f)):
-                    raise ValueError(f"idempotents {r},{s} are not orthogonal")
-            tot = [a + b for a, b in zip(tot, e)]
-        if tot != self.unit:
-            raise ValueError("idempotents do not sum to the unit")
+        if any(g not in range(dim) for g in self.idempotents):
+            raise ValueError("idempotent index out of range")
+        if check:
+            check_unit_and_idempotents(mul, self.unit, [((g, 1),) for g in self.idempotents])
 
     def __repr__(self):
         name = self.meta.get("name", "Algebra")
         return f"<{name} dim={self.dim}>"
 
-    # -- multiplication ----------------------------------------------------
-
-    def multiply(self, x, y):
-        out = [0] * self.dim
-        y_nz = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            row = self.mul[i]
-            for j, b in y_nz:
-                c = a * b
-                for k, s in row[j]:
-                    out[k] += c * s
-        return out
-
     # -- Peirce structure ---------------------------------------------------
-
-    @cached
-    def idempotent_basis_indices(self):
-        """Index of each distinguished idempotent inside the basis.
-
-        The projective-module machinery requires each idempotent to be a
-        basis monomial; path algebras and their opposites/tensors always
-        satisfy this."""
-        idx = []
-        for r, e in enumerate(self.idempotents):
-            nz = [k for k, x in enumerate(e) if x != 0]
-            if len(nz) != 1 or e[nz[0]] != 1:
-                raise AlgebraStructureError(f"idempotent {r} is not a basis monomial")
-            idx.append(nz[0])
-        return idx
 
     @cached
     def peirce(self):
         """(left, right) idempotent index per basis element: e_l b e_r = b.
 
-        Each idempotent is a basis monomial g (idempotent_basis_indices), so
-        g b_t = b_t exactly when mul[g][t] is the single pair (t, 1), and
-        b_t g = b_t when mul[t][g] is."""
+        Each idempotent is a basis element g, so g b_t = b_t exactly when
+        mul[g][t] is the single pair (t, 1), and b_t g = b_t when mul[t][g]
+        is."""
         pr = ([None] * self.dim, [None] * self.dim)
-        for r, g in enumerate(self.idempotent_basis_indices()):
+        for r, g in enumerate(self.idempotents):
             for t in range(self.dim):
                 for side, index, prod in (
                     ("left", pr[0], self.mul[g][t]),
@@ -247,10 +205,6 @@ class Algebra:
             dims[i][j] += 1
         return dims
 
-    def peirce_dim(self, i, j) -> int:
-        """dim(e_i A e_j)."""
-        return self.peirce_dims()[i][j]
-
     # -- radical -------------------------------------------------------------
 
     @cached
@@ -276,46 +230,87 @@ class Algebra:
 # -- constructors -------------------------------------------------------------
 
 
-def sparse_table(mul):
-    """Structure constants from dense coordinate vectors (the JSON `table`
-    format) to the (k, c) pairs Algebra stores."""
-    return [
-        [tuple((k, norm_scalar(c)) for k, c in enumerate(vec) if c) for vec in row]
-        for row in mul
-    ]
+def _product(mul, x, y):
+    """The product x y of two elements given as (basis index, coefficient)
+    pairs, as its nonzero pairs in index order."""
+    out = {}
+    for i, a in x:
+        row = mul[i]
+        for j, b in y:
+            for k, c in row[j]:
+                out[k] = out.get(k, 0) + a * b * c
+    return tuple((k, c) for k, c in sorted(out.items()) if c)
 
 
-def check_table(a: Algebra) -> None:
-    """The axioms of a `table` spec beyond those Algebra checks.
+def check_unit_and_idempotents(mul, unit, idempotents) -> None:
+    """The unit and idempotent axioms on elements given as pairs: unit b =
+    b = b unit for every basis element b, each idempotent is idempotent,
+    distinct ones are orthogonal, and together they sum to the unit.
+    ValueError on the first that fails."""
+    for i in range(len(mul)):
+        b = ((i, 1),)
+        if _product(mul, unit, b) != b or _product(mul, b, unit) != b:
+            raise ValueError(f"unit axiom fails on basis element {i}")
+    total = {}
+    for r, e in enumerate(idempotents):
+        if _product(mul, e, e) != e:
+            raise ValueError(f"idempotent {r} is not idempotent")
+        for s, f in enumerate(idempotents):
+            if s != r and _product(mul, e, f):
+                raise ValueError(f"idempotents {r},{s} are not orthogonal")
+        for k, c in e:
+            total[k] = total.get(k, 0) + c
+    if tuple((k, c) for k, c in sorted(total.items()) if c) != unit:
+        raise ValueError("idempotents do not sum to the unit")
 
-    Associativity, (b_i b_j) b_k = b_i (b_j b_k), is read from the nonzero
-    products: a triple can fail only if b_i b_j or b_j b_k is nonzero.  It
-    raises ValueError.  Each idempotent e_i must be a basis element and
-    primitive: e_i A e_i / e_i (rad A) e_i is one-dimensional.  In the
-    Peirce-adapted basis e_i v e_i keeps the coordinates of v in the corner
-    e_i A e_i, so the quotient's dimension is the corner's less the rank
-    of the radical on it.  That raises AlgebraStructureError, since the
-    package supports neither a non-monomial nor a non-primitive idempotent."""
-    mul = a.mul
-    for j in range(a.dim):
-        rights = [k for k in range(a.dim) if mul[j][k]]
-        for i in range(a.dim):
-            for k in range(a.dim) if mul[i][j] else rights:
-                lhs, rhs = {}, {}
-                for m, c in mul[i][j]:
-                    for t, s in mul[m][k]:
-                        lhs[t] = lhs.get(t, 0) + c * s
-                for m, c in mul[j][k]:
-                    for t, s in mul[i][m]:
-                        rhs[t] = rhs.get(t, 0) + c * s
-                if {t: x for t, x in lhs.items() if x} != {t: x for t, x in rhs.items() if x}:
+
+def table_algebra(dim, labels, mul, unit, idempotents) -> Algebra:
+    """The algebra of a `table` spec, from its dense coordinate vectors:
+    products mul[i][j], the unit and the idempotents, each of length dim.
+    They become (index, coefficient) pairs here and nowhere else.
+
+    The checks run in this order:
+      1. the unit and idempotent axioms (check_unit_and_idempotents);
+      2. associativity, (b_i b_j) b_k = b_i (b_j b_k), read from the nonzero
+         products: a triple can fail only if b_i b_j or b_j b_k is nonzero;
+      3. each idempotent is a basis element;
+      4. the basis is adapted to the idempotents (Algebra.peirce);
+      5. each idempotent e_i is primitive: e_i A e_i / e_i (rad A) e_i is
+         one-dimensional.  In the Peirce-adapted basis e_i v e_i keeps the
+         coordinates of v in the corner e_i A e_i, so the quotient's
+         dimension is the corner's less the rank of the radical on it.
+    The first two raise ValueError; the last three AlgebraStructureError,
+    since the package supports neither a non-monomial nor a non-primitive
+    idempotent."""
+    if any(len(v) != dim for v in (labels, mul, unit, *idempotents, *mul)) or any(
+        len(v) != dim for row in mul for v in row
+    ):
+        raise ValueError("inconsistent dimensions")
+
+    def pairs(vec):
+        return tuple((k, norm_scalar(c)) for k, c in enumerate(vec) if c)
+
+    mul = [[pairs(vec) for vec in row] for row in mul]
+    idems = [pairs(e) for e in idempotents]
+    check_unit_and_idempotents(mul, pairs(unit), idems)
+    for j in range(dim):
+        rights = [k for k in range(dim) if mul[j][k]]
+        for i in range(dim):
+            for k in range(dim) if mul[i][j] else rights:
+                if _product(mul, mul[i][j], ((k, 1),)) != _product(mul, ((i, 1),), mul[j][k]):
                     raise ValueError(f"product is not associative on basis elements {i}, {j}, {k}")
+    for r, e in enumerate(idems):
+        if len(e) != 1 or e[0][1] != 1:
+            raise AlgebraStructureError(f"idempotent {r} is not a basis monomial")
+    a = Algebra(dim, labels, mul, [e[0][0] for e in idems], meta={"name": "table"}, check=False)
+    a.peirce()
     rad = a.radical().rows
-    for i in range(len(a.idempotents)):
+    for i in range(len(idems)):
         corner = a.peirce_block(i, i)
         rank = RowBasis(len(corner)).extend([v[t] for t in corner] for v in rad).dim
         if len(corner) - rank != 1:
             raise AlgebraStructureError(f"idempotent {i} is not primitive")
+    return a
 
 
 def _monomial_mul_table(table):
@@ -358,19 +353,11 @@ def path_algebra(q: Quiver) -> Algebra:
             joined = ar1 + ar2
             k = index[("v", s1)] if not joined else index[("a",) + joined]
             table[i][j] = k
-    unit = [0] * dim
-    idems = []
-    for v in range(q.vertex_count):
-        e = [0] * dim
-        e[v] = 1
-        idems.append(e)
-        unit[v] = 1
     return Algebra(
         dim,
         [p[3] for p in paths],
         _monomial_mul_table(table),
-        unit,
-        idems,
+        range(q.vertex_count),
         meta={
             "name": "path algebra",
             "quiver": q,
@@ -393,7 +380,6 @@ def opposite(a: Algebra) -> Algebra:
         a.dim,
         a.labels,
         mul,
-        a.unit,
         a.idempotents,
         meta={"name": f"op({a.meta.get('name', '?')})", "of": a},
         check=False,
@@ -411,8 +397,7 @@ def scalar_algebra() -> Algebra:
             1,
             ["1"],
             [[((0, 1),)]],
-            [1],
-            [[1]],
+            [0],
             meta={"name": "Q"},
         )
     return _SCALAR
@@ -454,28 +439,11 @@ def _tensor(a: Algebra, b: Algebra) -> Algebra:
                         for kb, csb in cb
                     )
             mul.append(row)
-    unit = [0] * dim
-    for i, x in enumerate(a.unit):
-        if x:
-            for j, y in enumerate(b.unit):
-                if y:
-                    unit[i * b.dim + j] = norm_scalar(x * y)
-    idems = []
-    for e in a.idempotents:
-        for f in b.idempotents:
-            v = [0] * dim
-            for i, x in enumerate(e):
-                if x:
-                    for j, y in enumerate(f):
-                        if y:
-                            v[i * b.dim + j] = norm_scalar(x * y)
-            idems.append(v)
     return Algebra(
         dim,
         labels,
         mul,
-        unit,
-        idems,
+        [g * b_dim + h for g in a.idempotents for h in b.idempotents],
         meta={
             "name": f"{a.meta.get('name', '?')} (x) {b.meta.get('name', '?')}",
             "factors": (a, b),

@@ -29,12 +29,11 @@ from .algebra import (
     AlgebraStructureError,
     CyclicQuiverError,
     Quiver,
-    check_table,
     hom_algebra,
     opposite,
     path_algebra,
     scalar_algebra,
-    sparse_table,
+    table_algebra,
     tensor,
 )
 from .complexes import Complex, PerfectComplex
@@ -223,9 +222,7 @@ def _build_algebra(spec) -> Algebra:
                 f"table product, unit and idempotent vectors must have length {dim}"
             )
         try:
-            a = Algebra(dim, labels, sparse_table(mul), unit, idems, meta={"name": "table"})
-            check_table(a)
-            return a
+            return table_algebra(dim, labels, mul, unit, idems)
         except AlgebraStructureError:
             raise
         except ValueError as exc:

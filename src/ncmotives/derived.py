@@ -69,11 +69,10 @@ def k0_class(x) -> K0Class:
         return _perfect_class(x)
     c = as_complex(x)
     a = c.algebra
-    idem_idx = a.idempotent_basis_indices()
-    coords = [0] * len(idem_idx)
+    coords = [0] * len(a.idempotents)
     for deg, comp in c.components.items():
         s = -1 if deg % 2 else 1
-        for j, g in enumerate(idem_idx):
+        for j, g in enumerate(a.idempotents):
             t = comp.trace(g)
             if not isinstance(t, int):
                 raise ValueError("idempotent action has non-integral trace")
@@ -129,8 +128,8 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
     (i, j) to (i, j') is (-1)^p e_i (x) w for the block w of d_y."""
     left, right = a.meta["factors"]
     n_r = len(right.idempotents)
-    g_l = left.idempotent_basis_indices()
-    g_r = right.idempotent_basis_indices()
+    g_l = left.idempotents
+    g_r = right.idempotents
     slots: dict = {}
     for p, cs_x in x.copies.items():
         for q, cs_y in y.copies.items():
@@ -265,7 +264,7 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
     q = a.meta["quiver"]
     n = q.vertex_count
     env = hom_algebra(a, a)
-    g = a.idempotent_basis_indices()
+    g = a.idempotents
     copies = {0: tuple(v * n + v for v in range(n))}
     arrows = sorted(
         (arrow.source * n + arrow.target, b, arrow.source, arrow.target)

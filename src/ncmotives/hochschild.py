@@ -32,7 +32,7 @@ from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
 
 
-HHProfile = namedtuple("HHProfile", "algebra dims coefficients", defaults=("",))
+HHProfile = namedtuple("HHProfile", "algebra dims")
 
 
 def _left_structure_complex(w, a: Algebra) -> Complex:
@@ -61,7 +61,7 @@ def hochschild(a: Algebra, w, top: int, cap: int = DEFAULT_CAP) -> HHProfile:
         raise ValueError("coefficients have a component in a positive degree")
     t = tensor_over(diag, _left_structure_complex(wc, a), q, env, q, check=False)
     dims = [t.homology(-n)[0] for n in range(top + 1)]
-    return HHProfile(a, dims, coefficients="bimodule")
+    return HHProfile(a, dims)
 
 
 def hochschild_euler(a: Algebra, w, cap: int = DEFAULT_CAP) -> int:
@@ -121,7 +121,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
     if w.algebra is not env:
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
     left, right = a.peirce()
-    idem = a.idempotent_basis_indices()
+    idem = a.idempotents
     monomials = [t for t in range(a.dim) if t not in idem]
     blocks: dict = {}
     faces: dict = {}
@@ -186,7 +186,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
                 image.add(row)
         ranks[n] = image.dim
     dims = [dims_c[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    return HHProfile(a, dims, coefficients="bar")
+    return HHProfile(a, dims)
 
 
 # -- intersection numbers ---------------------------------------------------------

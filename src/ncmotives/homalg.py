@@ -249,16 +249,16 @@ def tensor_over(
 def _yelement(middle: Algebra, right: Algebra, g_m, r):
     """The element g_m (x) r of tensor(opposite(middle), right) as (basis
     index, coefficient) pairs; None stands for the unit."""
-    gs = enumerate(middle.unit) if g_m is None else [(g_m, 1)]
-    rs = list(enumerate(right.unit)) if r is None else [(r, 1)]
-    return [(join_pair_basis(right, i, j), u * v) for i, u in gs for j, v in rs if u * v]
+    gs = middle.unit if g_m is None else [(g_m, 1)]
+    rs = right.unit if r is None else [(r, 1)]
+    return [(join_pair_basis(right, i, j), u * v) for i, u in gs for j, v in rs]
 
 
 @cached
 def _yblock(y: Complex, middle: Algebra, right: Algebra, q, m) -> RowBasis:
     """The block e_m Y^q: the span of the rows of g_m (x) 1 on Y^q."""
     yq = y.component(q)
-    pairs = _yelement(middle, right, middle.idempotent_basis_indices()[m], None)
+    pairs = _yelement(middle, right, middle.idempotents[m], None)
     rb = RowBasis(yq.dim)
     for s in range(yq.dim):
         unit = [0] * yq.dim
@@ -291,7 +291,7 @@ def _ytrace(y: Complex, middle: Algebra, right: Algebra, q, m, r):
     """Trace of basis element r of right on e_m Y^q: the trace of
     g_m (x) r on Y^q, since g_m (x) 1 is an idempotent commuting with
     1 (x) r whose image is the block."""
-    g = join_pair_basis(right, middle.idempotent_basis_indices()[m], r)
+    g = join_pair_basis(right, middle.idempotents[m], r)
     return y.component(q).trace(g)
 
 

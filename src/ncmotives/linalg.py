@@ -28,8 +28,6 @@ from itertools import chain
 
 EXACT_TYPES = frozenset((int, Fraction))
 
-Scalar = int | Fraction
-
 
 def norm_scalar(x):
     """Collapse integral Fractions back to int (keeps arithmetic fast)."""

@@ -18,9 +18,11 @@ sum from its summands, and any other module from a row of its matrix.
 Everything that multiplies vectors (Module.times, act_matrix, quotients,
 radicals, covers, and the y side of homalg.tensor_over) reads through it,
 so a sum of projectives never builds an action matrix; the dense matrices
-stay for Module.check, iteration and the tests.  Module.times takes the
-algebra element as its nonzero (basis index, coefficient) pairs, the form
-of a structure-constant product and of a block of a perfect complex.
+stay for Module.check, iteration and the tests.  Module.times and
+act_matrix take the algebra element as its nonzero (basis index,
+coefficient) pairs, the form of a structure-constant product, of the
+algebra's unit and of a block of a perfect complex; an idempotent g acts
+as ((g, 1),).
 
 A submodule is a RowBasis in the coordinates of the module it sits in, not
 a Module of its own: module_radical and cover_data take one and multiply
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .algebra import Algebra, cached, hom_algebra, opposite, swap_permutation
+from .algebra import Algebra, cached, hom_algebra, join_pair_basis, opposite, swap_permutation
 from .linalg import Matrix, RowBasis, norm_scalar
 
 
@@ -130,11 +132,7 @@ class Module:
                         out[t] += x * c * y
         return out
 
-    def act_matrix(self, coeffs) -> Matrix:
-        """Action matrix of the algebra element with the given coordinates."""
-        return self._act_pairs([(k, c) for k, c in enumerate(coeffs) if c])
-
-    def _act_pairs(self, pairs) -> Matrix:
+    def act_matrix(self, pairs) -> Matrix:
         """Action matrix of the element sum c * b_k over (k, c) in pairs."""
         n = self.dim
         return Matrix(n, n, [self.times(_unit(n, s), pairs) for s in range(n)])
@@ -148,7 +146,7 @@ class Module:
         for i in range(a.dim):
             for j in range(a.dim):
                 lhs = self.action[i] * self.action[j]
-                rhs = self._act_pairs(a.mul[i][j])
+                rhs = self.act_matrix(a.mul[i][j])
                 if lhs != rhs:
                     raise ValueError(
                         f"action incompatible with product of basis {i},{j}"
@@ -265,19 +263,25 @@ def module_radical(m: Module, sub: RowBasis) -> RowBasis:
     characteristic zero the tensor product of the tops is semisimple), and
     rad L (x) 1 commutes with 1 (x) R, so N * rad is the span of
     N * (g (x) 1) and N * (1 (x) h) for the rows g of rad L and h of rad R:
-    the Kuenneth pattern of derived.simple_resolutions.  The trace form of
-    the product itself is never computed."""
+    the Kuenneth pattern of derived.simple_resolutions, with g (x) 1 the
+    pairs of g against those of R's unit.  The trace form of the product
+    itself is never computed."""
     a = m.algebra
     factors = a.meta.get("factors")
     if factors is None:
-        gens = a.radical().rows
+        gens = [[(k, c) for k, c in enumerate(g) if c] for g in a.radical().rows]
     else:
         left, right = factors
-        gens = [[x * y for x in g for y in right.unit] for g in left.radical().rows]
-        gens += [[x * y for x in left.unit for y in h] for h in right.radical().rows]
+        gens = [
+            [(join_pair_basis(right, i, j), x) for i, x in enumerate(g) if x for j, _ in right.unit]
+            for g in left.radical().rows
+        ]
+        gens += [
+            [(join_pair_basis(right, i, j), y) for i, _ in left.unit for j, y in enumerate(h) if y]
+            for h in right.radical().rows
+        ]
     rb = RowBasis(m.dim)
-    for g in gens:
-        pairs = [(k, c) for k, c in enumerate(g) if c]
+    for pairs in gens:
         for r in sub.rows:
             rb.add(_product_in_span(m, sub, r, pairs))
     return rb
@@ -324,10 +328,9 @@ def cover_data(m: Module, sub: RowBasis):
     w = module_radical(m, sub)
     copies = []
     gens = []
-    for i, e in enumerate(a.idempotents):
-        pairs = [(k, c) for k, c in enumerate(e) if c]
+    for i, g in enumerate(a.idempotents):
         for r in sub.rows:
-            v = _product_in_span(m, sub, r, pairs)
+            v = _product_in_span(m, sub, r, ((g, 1),))
             if w.add(v):
                 copies.append(i)
                 gens.append(v)

@@ -143,7 +143,7 @@ def vertex_cut_idempotent(a: Algebra, vertices) -> Correspondence:
     n = len(a.idempotents)
     for v in vertices:
         for w in vertices:
-            if v != w and a.peirce_dim(v, w):
+            if v != w and a.peirce_dims()[v][w]:
                 raise ValueError(
                     "vertex set admits a path between distinct members; class would not be idempotent"
                 )

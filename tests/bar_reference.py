@@ -23,8 +23,8 @@ def absolute_bar_dims(a, w, top):
     right_rows = []
     left_rows = []
     for t in range(a.dim):
-        rterms = [(w.action[join_pair_basis(a, i, t)], u) for i, u in enumerate(a.unit)]
-        lterms = [(w.action[join_pair_basis(a, t, i)], u) for i, u in enumerate(a.unit)]
+        rterms = [(w.action[join_pair_basis(a, i, t)], u) for i, u in a.unit]
+        lterms = [(w.action[join_pair_basis(a, t, i)], u) for i, u in a.unit]
         right_rows.append([_sparse(r) for r in matrix_sum(rterms, w.dim, w.dim).data])
         left_rows.append([_sparse(r) for r in matrix_sum(lterms, w.dim, w.dim).data])
     ranks = [0] * (top + 2)  # ranks[n] = rank of d_n : C_n -> C_{n-1}
@@ -32,7 +32,7 @@ def absolute_bar_dims(a, w, top):
         rows = bar_differential_rows(a, w.dim, right_rows, left_rows, n)
         ranks[n] = _rank(rows, w.dim * a.dim ** (n - 1))
     dims = [w.dim * a.dim**n - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    return HHProfile(a, dims, coefficients="bar")
+    return HHProfile(a, dims)
 
 
 def _rank(rows, cols):

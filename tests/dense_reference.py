@@ -6,7 +6,8 @@ own or shifts a complex that is not perfect.  The tests check the package
 against the dense forms here (solve, matrix_sum, right_matrix,
 submodule_from_rowbasis) and build their cases from the rest.  The package
 writes an algebra element as its nonzero (index, coefficient) pairs;
-basis_vector and act_vector are the dense coordinate forms the tests use.
+basis_vector, multiply and act_vector are the dense coordinate forms the
+tests use, and as_pairs turns a coordinate vector into pairs.
 """
 
 from ncmotives.complexes import Complex
@@ -60,10 +61,29 @@ def basis_vector(a, i):
     return v
 
 
+def as_pairs(vec):
+    """The nonzero (index, coefficient) pairs of a coordinate vector, the
+    package's form of an algebra element."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
+def multiply(a, x, y):
+    """The product of two algebra elements given as coordinate vectors, as
+    a coordinate vector, from the sparse structure constants."""
+    out = [0] * a.dim
+    y_nz = as_pairs(y)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in y_nz:
+                for k, c in a.mul[i][j]:
+                    out[k] += u * v * c
+    return out
+
+
 def act_vector(m: Module, v, coeffs):
     """The row vector v times the algebra element with coordinates coeffs,
     through Module.times."""
-    return m.times(v, [(k, c) for k, c in enumerate(coeffs) if c])
+    return m.times(v, as_pairs(coeffs))
 
 
 def right_matrix(a, j) -> Matrix:

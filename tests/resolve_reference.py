@@ -23,7 +23,7 @@ finite global dimension the recursion terminates; the cap turns a runaway
 recursion into ResolutionCapExceeded rather than a silent truncation.
 """
 
-from dense_reference import act_vector, solve, submodule_from_rowbasis
+from dense_reference import solve, submodule_from_rowbasis
 from ncmotives.algebra import Algebra
 from ncmotives.complexes import (
     Complex,
@@ -220,7 +220,7 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
             if zcoords is None:
                 raise AssertionError("generator failed to lift through the quotient")
             lift = row_times(zcoords, zincl) if zmod.dim else [0] * amb.dim
-            lift = act_vector(amb, lift, a.idempotents[i])
+            lift = amb.times(lift, ((a.idempotents[i], 1),))
             for t in a.projective_basis(i):
                 w = amb.times(lift, ((t, 1),))
                 d_out_rows.append([-x for x in w[:dim_p_next]])
@@ -245,7 +245,7 @@ def perfect_from_matrices(a: Algebra, copies: dict, diffs: dict) -> PerfectCompl
     idempotent generator of copy c, restricted to copy c2; raises ValueError
     unless the blocks reassemble to diffs[n], i.e. unless d^n is a module
     map."""
-    gens = a.idempotent_basis_indices()
+    gens = a.idempotents
     blocks = {}
     for n, d in diffs.items():
         src, tgt = copies.get(n, ()), copies.get(n + 1, ())

@@ -2,7 +2,7 @@ import pytest
 
 from fractions import Fraction
 
-from dense_reference import basis_vector
+from dense_reference import as_pairs, basis_vector, multiply
 from ncmotives.algebra import (
     Algebra,
     AlgebraStructureError,
@@ -12,22 +12,22 @@ from ncmotives.algebra import (
     opposite,
     path_algebra,
     scalar_algebra,
-    sparse_table,
     swap_permutation,
+    table_algebra,
     tensor,
 )
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, corpus_quiver
 from ncmotives.linalg import Matrix, RowBasis, span_equal
 
 
-# -- dense oracles: every product through Algebra.multiply on coordinate vectors
+# -- dense oracles: every product through dense_reference.multiply on coordinate vectors
 
 
 def left_matrix(a, i) -> Matrix:
     """L_i with row convention: row(b_i * x) = row(x) * L_i; row s holds the
     coordinates of b_i * b_s."""
     b = basis_vector(a, i)
-    return Matrix(a.dim, a.dim, [a.multiply(b, basis_vector(a, s)) for s in range(a.dim)])
+    return Matrix(a.dim, a.dim, [multiply(a, b, basis_vector(a, s)) for s in range(a.dim)])
 
 
 def dense_peirce(a):
@@ -35,10 +35,11 @@ def dense_peirce(a):
     e * b_t and b_t * e for every idempotent e."""
     left = [None] * a.dim
     right = [None] * a.dim
-    for r, e in enumerate(a.idempotents):
+    for r, g in enumerate(a.idempotents):
+        e = basis_vector(a, g)
         for t in range(a.dim):
             b = basis_vector(a, t)
-            for side, prod in ((left, a.multiply(e, b)), (right, a.multiply(b, e))):
+            for side, prod in ((left, multiply(a, e, b)), (right, multiply(a, b, e))):
                 if prod == b:
                     if side[t] is not None:
                         raise AlgebraStructureError(f"basis element {t} has two idempotents")
@@ -54,7 +55,7 @@ def dense_radical(a) -> RowBasis:
     tl = [left_matrix(a, k).trace() for k in range(a.dim)]
     gram = [
         [
-            sum(c * t for c, t in zip(a.multiply(basis_vector(a, i), basis_vector(a, j)), tl))
+            sum(c * t for c, t in zip(multiply(a, basis_vector(a, i), basis_vector(a, j)), tl))
             for j in range(a.dim)
         ]
         for i in range(a.dim)
@@ -64,27 +65,48 @@ def dense_radical(a) -> RowBasis:
 
 def dual_numbers():
     """Q[x]/(x^2) as a table algebra with basis {1, x}."""
-    return Algebra(
-        2, ["1", "x"], sparse_table([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]), [1, 0], [[1, 0]]
-    )
+    return table_algebra(2, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0], [[1, 0]])
 
 
-def split_qxq():
-    """QxQ presented with basis {1, u}, u^2 = 1: the idempotents (1 +- u)/2
-    are not basis monomials, so the basis is not adapted to them."""
-    return Algebra(
-        2,
-        ["1", "u"],
-        sparse_table([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
-        [1, 0],
-        [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]],
-    )
+# QxQ presented with basis {1, u}, u^2 = 1: the idempotents (1 +- u)/2 are
+# not basis elements
+SPLIT_QXQ = (
+    2,
+    ["1", "u"],
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+    [1, 0],
+    [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]],
+)
+
+# M_2(Q) on the basis e11, e22, s = e12 + e21, d = e12 - e21: the
+# idempotents e11 and e22 are basis elements, but e11 s = (s + d) / 2, so
+# the basis is not adapted to them
+_H = Fraction(1, 2)
+M2_NON_ADAPTED = (
+    4,
+    ["e11", "e22", "s", "d"],
+    [
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, _H, _H], [0, 0, _H, _H]],
+        [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, _H, -_H], [0, 0, -_H, _H]],
+        [[0, 0, _H, -_H], [0, 0, _H, _H], [1, 1, 0, 0], [-1, 1, 0, 0]],
+        [[0, 0, -_H, _H], [0, 0, _H, _H], [1, -1, 0, 0], [-1, -1, 0, 0]],
+    ],
+    [1, 1, 0, 0],
+    [[1, 0, 0, 0], [0, 1, 0, 0]],
+)
+
+
+def m2_non_adapted():
+    """M2_NON_ADAPTED built past table_algebra, which refuses it."""
+    dim, labels, mul, _, _ = M2_NON_ADAPTED
+    return Algebra(dim, labels, [[as_pairs(v) for v in row] for row in mul], [0, 1])
 
 
 def _oracle_algebras():
     named = {name: corpus_algebra(name) for name in CORPUS_NAMES}
     named.update({f"env({name})": hom_algebra(a, a) for name, a in list(named.items())})
     named["op(A3)xA3"] = tensor(opposite(corpus_algebra("A3")), corpus_algebra("A3"))
+    named["op(Kronecker)"] = opposite(corpus_algebra("Kronecker"))
     named["op(Kronecker)xA2"] = tensor(
         opposite(corpus_algebra("Kronecker")), corpus_algebra("A2")
     )
@@ -116,7 +138,7 @@ def count_paths_dfs(quiver):
 def test_single_vertex_is_scalars():
     a = path_algebra(Quiver(1, []))
     assert a.dim == 1
-    assert a.multiply([1], [1]) == [1]
+    assert multiply(a, [1], [1]) == [1]
 
 
 def test_a2_basis():
@@ -151,9 +173,9 @@ def test_associativity_all_triples(name):
     basis = [basis_vector(a, i) for i in range(a.dim)]
     for x in basis:
         for y in basis:
-            xy = a.multiply(x, y)
+            xy = multiply(a, x, y)
             for z in basis:
-                assert a.multiply(xy, z) == a.multiply(x, a.multiply(y, z))
+                assert multiply(a, xy, z) == multiply(a, x, multiply(a, y, z))
 
 
 def test_associativity_tensor_algebra():
@@ -162,9 +184,9 @@ def test_associativity_tensor_algebra():
     basis = [basis_vector(e, i) for i in range(e.dim)]
     for x in basis[:4]:
         for y in basis:
-            xy = e.multiply(x, y)
+            xy = multiply(e, x, y)
             for z in basis:
-                assert e.multiply(xy, z) == e.multiply(x, e.multiply(y, z))
+                assert multiply(e, xy, z) == multiply(e, x, multiply(e, y, z))
 
 
 def test_opposite_of_scalars_is_scalars():
@@ -189,9 +211,9 @@ def test_opposite_reverses_path_composition():
     arrow = basis_vector(a, a.labels.index("a"))
     # in A2 the arrow starts at vertex 0: e0 * a = a; in the opposite algebra
     # the same product reads a * e0 = a
-    assert a.multiply(e0, arrow) == arrow
-    assert op.multiply(arrow, e0) == arrow
-    assert op.multiply(e0, arrow) == [0, 0, 0]
+    assert multiply(a, e0, arrow) == arrow
+    assert multiply(op, arrow, e0) == arrow
+    assert multiply(op, e0, arrow) == [0, 0, 0]
 
 
 def test_tensor_unit_collapse():
@@ -239,8 +261,6 @@ def test_tensor_associative_on_dims():
 def test_tensor_structure_constants_match_dense_oracle(left, right, op_left):
     """tensor builds only the nonzero products; compare every product with
     the Kronecker product of the factor products computed by multiply."""
-    from ncmotives.algebra import sparse_table
-
     a, b = corpus_algebra(left), corpus_algebra(right)
     if op_left:
         a = opposite(a)
@@ -249,10 +269,9 @@ def test_tensor_structure_constants_match_dense_oracle(left, right, op_left):
         i1, j1 = divmod(i, b.dim)
         for j in range(t.dim):
             i2, j2 = divmod(j, b.dim)
-            pa = a.multiply(basis_vector(a, i1), basis_vector(a, i2))
-            pb = b.multiply(basis_vector(b, j1), basis_vector(b, j2))
-            dense = [x * y for x in pa for y in pb]
-            assert t.mul[i][j] == sparse_table([[dense]])[0][0]
+            pa = multiply(a, basis_vector(a, i1), basis_vector(a, i2))
+            pb = multiply(b, basis_vector(b, j1), basis_vector(b, j2))
+            assert t.mul[i][j] == as_pairs([x * y for x in pa for y in pb])
 
 
 def test_radical_is_arrow_span():
@@ -273,46 +292,44 @@ def test_semisimple_detection():
 
 
 def test_peirce_requires_monomial_idempotents():
-    from ncmotives.algebra import Algebra, sparse_table
-
-    # QxQ presented with basis {1, u}, u^2 = 1: idempotents (1 +- u)/2 are
-    # not basis monomials, so the projective machinery must refuse
-    from fractions import Fraction
-
-    a = Algebra(
-        2,
-        ["1", "u"],
-        sparse_table([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
-        [1, 0],
-        [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]],
-    )
-    with pytest.raises(AlgebraStructureError):
-        a.idempotent_basis_indices()
+    """The projective machinery needs each idempotent to be a basis element;
+    table_algebra refuses split QxQ, whose idempotents are not."""
+    with pytest.raises(AlgebraStructureError, match="idempotent 0 is not a basis monomial"):
+        table_algebra(*SPLIT_QXQ)
 
 
 def test_unit_axiom_enforced():
-    from ncmotives.algebra import Algebra, sparse_table
+    with pytest.raises(ValueError, match="unit axiom fails"):
+        Algebra(1, ["x"], [[()]], [0])
+    with pytest.raises(ValueError, match="unit axiom fails"):
+        table_algebra(1, ["x"], [[[0]]], [1], [[1]])
 
-    with pytest.raises(ValueError):
-        Algebra(1, ["x"], sparse_table([[[0]]]), [1], [[1]])
+
+def test_idempotent_index_out_of_range_is_refused():
+    with pytest.raises(ValueError, match="idempotent index out of range"):
+        Algebra(1, ["x"], [[((0, 1),)]], [1])
 
 
 @pytest.mark.parametrize("a", ORACLE_ALGEBRAS.values(), ids=ORACLE_ALGEBRAS.keys())
 def test_sparse_peirce_and_radical_match_dense_oracles(a):
     """peirce, the Peirce-dimension table and the radical are read from the
     sparse structure constants; dense products are the oracle."""
+    assert all(type(g) is int and a.mul[g][g] == ((g, 1),) for g in a.idempotents)
+    assert a.unit == as_pairs([sum(g == k for g in a.idempotents) for k in range(a.dim)])
     left, right = dense_peirce(a)
     assert a.peirce() == (left, right)
     n = len(a.idempotents)
     for i in range(n):
         for j in range(n):
             expected = sum(1 for l, r in zip(left, right) if (l, r) == (i, j))
-            assert a.peirce_dim(i, j) == a.peirce_dims()[i][j] == expected
+            assert a.peirce_dims()[i][j] == expected
     assert span_equal(a.radical(), dense_radical(a))
 
 
 def test_non_adapted_basis_is_rejected_by_sparse_peirce():
-    a = split_qxq()
+    with pytest.raises(AlgebraStructureError, match="basis is not adapted"):
+        table_algebra(*M2_NON_ADAPTED)
+    a = m2_non_adapted()
     with pytest.raises(AlgebraStructureError):
         dense_peirce(a)
     with pytest.raises(AlgebraStructureError):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dense_reference import basis_vector
+from dense_reference import basis_vector, multiply
 from ncmotives.cli import (
     InputError,
     algebra_from_spec,
@@ -15,7 +15,9 @@ from ncmotives.cli import (
     motive_from_spec,
     scalar_to_json,
 )
+from ncmotives.algebra import check_unit_and_idempotents
 from ncmotives.modules import diagonal_bimodule
+from test_algebra import M2_NON_ADAPTED, SPLIT_QXQ
 
 A2_SPEC = {
     "format": 1,
@@ -310,6 +312,20 @@ MALFORMED_TABLES = {
         unit=[1, 0, 0],
         idempotents=[[1, 0, 0]],
     ),
+    # Q[x]/(x^2 - x) on the basis 1, x: both are idempotent, but 1 x = x
+    "idempotents-not-orthogonal": _table(
+        dim=2,
+        mul=[[[1, 0], [0, 1]], [[0, 1], [0, 1]]],
+        unit=[1, 0],
+        idempotents=[[1, 0], [0, 1]],
+    ),
+    # Q x Q on its idempotent basis, with one of the two idempotents listed
+    "idempotents-not-summing-to-the-unit": _table(
+        dim=2,
+        mul=[[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        unit=[1, 1],
+        idempotents=[[1, 0]],
+    ),
 }
 
 
@@ -342,6 +358,27 @@ NON_PRIMITIVE_TABLE = _table(
     unit=[1, 0],
     idempotents=[[1, 0]],
 )
+
+
+def _table_spec(args):
+    """The `table` spec of table_algebra's arguments, fractions as strings."""
+    dim, labels, mul, unit, idempotents = json.loads(json.dumps(args, default=str))
+    return _table(dim=dim, labels=labels, mul=mul, unit=unit, idempotents=idempotents)
+
+
+# tables that pass the axioms and associativity and then fail a structure
+# check (exit 3), with the message of the check that refuses them
+UNSUPPORTED_TABLES = {
+    "split-qxq": (SPLIT_QXQ, "idempotent 0 is not a basis monomial"),
+    "m2-non-adapted": (M2_NON_ADAPTED, "basis is not adapted to the idempotents"),
+}
+
+
+@pytest.mark.parametrize("args, message", UNSUPPORTED_TABLES.values(), ids=UNSUPPORTED_TABLES.keys())
+def test_unsupported_table_spec_exit_code_and_message(tmp_path, capsys, args, message):
+    path = write(tmp_path, "table.json", _table_spec(args))
+    assert main(["euler-matrix", path]) == 3
+    assert capsys.readouterr().err == f"unsupported input: {message}\n"
 
 
 def test_non_primitive_table_idempotent_is_unsupported(tmp_path, capsys):
@@ -637,10 +674,10 @@ def test_dense_table_specs_load_and_multiply():
     structure constants and the basis products read back as in the file."""
     for spec in (_table_example_from_docs(), DUAL_NUMBERS_SPEC):
         a = algebra_from_spec(spec)
-        a._check_basic()
+        check_unit_and_idempotents(a.mul, a.unit, [((g, 1),) for g in a.idempotents])
         for i in range(a.dim):
             for j in range(a.dim):
-                product = a.multiply(basis_vector(a, i), basis_vector(a, j))
+                product = multiply(a, basis_vector(a, i), basis_vector(a, j))
                 assert product == spec["mul"][i][j]
 
 

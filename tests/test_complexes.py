@@ -117,7 +117,7 @@ def test_perfect_rejects_a_block_outside_its_corner(a2):
     with pytest.raises(ValueError, match="Peirce corner"):
         PerfectComplex(a2, {0: (0,), 1: (0,)}, {0: {(0, 0): [(a, 1)]}})
     # a zero pair is dropped, not refused, and a block of zero pairs with it
-    e0 = a2.idempotent_basis_indices()[0]
+    e0 = a2.idempotents[0]
     pc = PerfectComplex(
         a2, {0: (0,), 1: (0,), 2: (0,)}, {0: {(0, 0): [(a, 0), (e0, 2)]}, 1: {(0, 0): [(a, 0)]}}
     )
@@ -126,7 +126,7 @@ def test_perfect_rejects_a_block_outside_its_corner(a2):
 
 
 def test_perfect_rejects_d_squared_nonzero_on_the_blocks(a2):
-    e0, e1 = ([(g, 1)] for g in a2.idempotent_basis_indices())
+    e0, e1 = ([(g, 1)] for g in a2.idempotents)
     a = [(a2.labels.index("a"), 1)]
     with pytest.raises(ValueError, match="d\\^2"):
         PerfectComplex(a2, {0: (0,), 1: (0,), 2: (0,)}, {0: {(0, 0): e0}, 1: {(0, 0): e0}})

@@ -32,7 +32,7 @@ def corpus_algebras():
 def injective_dimension_vector(a, i):
     """Dimension vector of the injective dual D(A e_i) of the left projective
     A e_i, read from the Peirce dimensions (the oracle for S(e_i A))."""
-    return [a.peirce_dim(j, i) for j in range(len(a.idempotents))]
+    return [a.peirce_dims()[j][i] for j in range(len(a.idempotents))]
 
 
 def test_k0_of_simple_resolutions_is_standard_basis(a2, a3):
@@ -306,14 +306,10 @@ def test_check_smooth_lengths(name, length, request):
 
 
 def test_check_smooth_cap_exhaustion_returns_false():
-    from ncmotives.algebra import Algebra, sparse_table
+    from ncmotives.algebra import table_algebra
 
-    dual_numbers = Algebra(
-        2,
-        ["1", "x"],
-        sparse_table([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]),
-        [1, 0],
-        [[1, 0]],
+    dual_numbers = table_algebra(
+        2, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0], [[1, 0]]
     )
     ok, res = check_smooth(dual_numbers, cap=5)
     assert not ok and res is None
@@ -372,13 +368,13 @@ def test_serre_class_is_read_from_the_copies():
     k0_class reads equals it and the one read from the built transposes."""
     cases = 0
     for e in _corpus_hom_algebras():
-        idem = e.idempotent_basis_indices()
+        idem = e.idempotents
         for x in simple_resolutions(e):
             s = serre(x)
             got = list(k0_class(s).coords)
             w = x.euler_copy_weights()
             closed = [
-                sum(wi * e.peirce_dim(j, i) for i, wi in enumerate(w)) for j in range(len(idem))
+                sum(wi * e.peirce_dims()[j][i] for i, wi in enumerate(w)) for j in range(len(idem))
             ]
             built = [
                 sum((-1 if n % 2 else 1) * c.action[g].trace() for n, c in s.components.items())
@@ -428,7 +424,7 @@ def _named_algebra(name):
 
 def _cartan(a):
     n = len(a.idempotents)
-    return Matrix(n, n, [[a.peirce_dim(i, j) for j in range(n)] for i in range(n)])
+    return Matrix(n, n, [[a.peirce_dims()[i][j] for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import pytest
 
 from bar_reference import absolute_bar_dims
 from dense_reference import hh_euler, regular_module
-from ncmotives.algebra import Algebra, hom_algebra, opposite, sparse_table, tensor
+from ncmotives.algebra import Algebra, hom_algebra, opposite, table_algebra, tensor
 from ncmotives.corpus import random_correspondence
 from ncmotives.derived import diagonal_resolution
 from ncmotives.hochschild import (
@@ -208,15 +208,16 @@ def _truncated_polynomials(m):
     idempotent: not hereditary, and HH_n is nonzero in every degree."""
     mul = [[[1 if k == i + j else 0 for k in range(m)] for j in range(m)] for i in range(m)]
     unit = [1] + [0] * (m - 1)
-    return Algebra(m, [f"x^{i}" for i in range(m)], sparse_table(mul), unit, [unit], meta={"name": f"Q[x]/x^{m}"})
+    return table_algebra(m, [f"x^{i}" for i in range(m)], mul, unit, [unit])
 
 
 def _split_pair():
     """Q[x]/(x^2 - 1) = Q x Q on the basis 1, x, with the unit as its one
     idempotent: x x = 1, so the relative bar complex drops an idempotent
-    component of a product."""
-    mul = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
-    return Algebra(2, ["1", "x"], sparse_table(mul), [1, 0], [[1, 0]], meta={"name": "Q[x]/(x^2-1)"})
+    component of a product.  The unit is not primitive, so table_algebra
+    would refuse it."""
+    mul = [[((0, 1),), ((1, 1),)], [((1, 1),), ((0, 1),)]]
+    return Algebra(2, ["1", "x"], mul, [0], meta={"name": "Q[x]/(x^2-1)"})
 
 
 def _bar_reference_cases():

@@ -167,7 +167,7 @@ def test_hom_dims_independent_of_resolution(a2, rng):
 def _padded_blocks(a2, res):
     # copies at -1: res(-1) + (1,); copies at 0: res(0) + (1,)
     blocks = dict(res.block_elements(-1))
-    e1 = [(a2.idempotent_basis_indices()[1], 1)]
+    e1 = [(a2.idempotents[1], 1)]
     blocks[(len(res.copies_at(-1)), len(res.copies_at(0)))] = e1
     return {-1: blocks}
 
@@ -232,7 +232,7 @@ def test_tensor_class_matches_assembled(a2, kronecker, rng):
     plain_y = Complex(e_rev, y.components, y.differentials)
     assert tensor_class(x, plain_y, a2, kronecker, a2) == cls
     env = tensor(opposite(a2), a2)
-    idem_idx = env.idempotent_basis_indices()
+    idem_idx = env.idempotents
     for r in range(len(env.idempotents)):
         total = 0
         for n in degrees(t):
@@ -481,7 +481,7 @@ def test_layout_traces_match_built_actions():
     checked = 0
     for x, y, left, middle, right in _trace_formula_factors():
         t = tensor_over(x, y, left, middle, right, check=False)
-        ts = range(t.algebra.dim) if t.algebra.dim <= 9 else t.algebra.idempotent_basis_indices()
+        ts = range(t.algebra.dim) if t.algebra.dim <= 9 else t.algebra.idempotents
         for comp in t.components.values():
             for g in ts:
                 from_layout = comp.action.trace(g)

@@ -50,7 +50,7 @@ def test_simples_of_a2_explicit_actions(a2):
     # S_i: e_i acts as 1, every other basis element acts as 0
     for i, s in enumerate(simples):
         for t in range(a2.dim):
-            expected = 1 if t == a2.idempotent_basis_indices()[i] else 0
+            expected = 1 if t == a2.idempotents[i] else 0
             assert s.action[t].data == [[expected]]
 
 
@@ -136,7 +136,7 @@ def test_diagonal_bimodule_action(a2):
     diag = diagonal_bimodule(a2)
     env = hom_algebra(a2, a2)
     # (e0^op, e0) projects onto e0 A e0 = span{e0}
-    t = diag.act_matrix(env.idempotents[0]).trace()
+    t = diag.act_matrix(((env.idempotents[0], 1),)).trace()
     assert t == 1
 
 
@@ -147,8 +147,8 @@ def test_dual_bimodule_dimension_vector(a2):
     for i in range(2):
         for j in range(2):
             idx = i * 2 + j
-            t = da.act_matrix(env.idempotents[idx]).trace()
-            assert t == a2.peirce_dim(j, i)
+            t = da.act_matrix(((env.idempotents[idx], 1),)).trace()
+            assert t == a2.peirce_dims()[j][i]
 
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, "env(A2)"])
@@ -260,7 +260,8 @@ def test_sparse_right_action_matches_the_dense_builder(name, rng):
             coeffs = [rng.choice([0, 0, 1, -2]) for _ in range(a.dim)]
             v = [rng.choice([0, 1, 3]) for _ in range(m.dim)]
             terms = [(m.action[k], c) for k, c in enumerate(coeffs) if c]
-            assert m.act_matrix(coeffs) == matrix_sum(terms, m.dim, m.dim)
+            pairs = [(k, c) for k, c in enumerate(coeffs) if c]
+            assert m.act_matrix(pairs) == matrix_sum(terms, m.dim, m.dim)
             assert act_vector(m, v, coeffs) == [
                 sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(row_times(v, m.action[k]) for k in range(a.dim)))
             ]

@@ -358,7 +358,7 @@ def test_trace_of_a_composite_builds_only_idempotent_actions():
 
     m = NCMotive(corpus_algebra("A3"))
     e = hom_algebra(m.algebra, m.algebra)
-    idem = set(e.idempotent_basis_indices())
+    idem = set(e.idempotents)
     res = simple_resolutions(e)
     components = 0
     for i, j in [(0, 0), (0, 8), (4, 2), (8, 0)]:

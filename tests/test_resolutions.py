@@ -1,7 +1,7 @@
 import pytest
 
 from dense_reference import regular_module, single_module_complex, span_submodule
-from ncmotives.algebra import Algebra, sparse_table
+from ncmotives.algebra import table_algebra
 from ncmotives.complexes import Complex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class
@@ -29,14 +29,7 @@ def random_module(a, rng, copies=1):
 
 def dual_numbers():
     """Q[x]/(x^2): finite-dimensional but of infinite global dimension."""
-    return Algebra(
-        2,
-        ["1", "x"],
-        sparse_table([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]),
-        [1, 0],
-        [[1, 0]],
-        meta={"name": "dual numbers"},
-    )
+    return table_algebra(2, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0], [[1, 0]])
 
 
 def test_projective_resolves_to_itself(a2):
