@@ -97,23 +97,31 @@ def scalar_to_json(x):
     return int(x)
 
 
-def scalar_from_json(v):
-    if isinstance(v, bool):
-        raise InputError("booleans are not scalars")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        if not SCALAR_TEXT.fullmatch(v):
-            raise InputError(f"bad rational literal {v!r}: write an integer or 'p/q'")
-        try:
-            return norm_scalar(Fraction(v))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {v!r}") from exc
-    raise InputError(f"bad scalar {v!r}")
-
-
 def matrix_to_json(m: Matrix):
     return [[scalar_to_json(x) for x in row] for row in m.data]
+
+
+# -- spec fields -------------------------------------------------------------------
+#
+# Every field of an input spec (docs/formats.md) is read by one of these
+# readers, which refuse a value of the wrong shape with an InputError naming
+# the field.  So the builders only get well-shaped values, and the only
+# ValueErrors read from them are their documented checks (module axioms,
+# d^2 = 0, a vertex cut with a path, the table checks, a zero class).
+
+
+def spec_object(value, what) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be an object")
+    return value
+
+
+def spec_int(value, what, lo=None) -> int:
+    """An integer field, at least lo if lo is given; a boolean is no integer."""
+    if type(value) is not int or lo is not None and value < lo:
+        bound = "" if lo is None else f" >= {lo}"
+        raise InputError(f"{what} must be an integer{bound}, not {value!r}")
+    return value
 
 
 def spec_index(value, bound: int, what: str) -> int:
@@ -121,6 +129,50 @@ def spec_index(value, bound: int, what: str) -> int:
     if type(value) is not int or not 0 <= value < bound:
         raise InputError(f"{what} must be an integer in [0, {bound}), not {value!r}")
     return value
+
+
+def spec_label(value, what) -> str:
+    """A basis label: a string without '|', which joins tensor labels."""
+    if not isinstance(value, str) or "|" in value:
+        raise InputError(f"{what} must be a string without '|', not {value!r}")
+    return value
+
+
+def spec_list(value, what, length=None) -> list:
+    """A list field, of the given length if one is given."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = "" if length is None else f" of length {length}"
+        raise InputError(f"{what} must be a list{size}")
+    return value
+
+
+def spec_scalar(value, what):
+    """A scalar field: an integer, or a string "p/q" in the grammar of
+    SCALAR_TEXT, normalized; no other form Fraction reads, no zero
+    denominator, and no more digits than CPython converts."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and SCALAR_TEXT.fullmatch(value):
+        try:
+            return norm_scalar(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"{what} must be an integer or a string 'p/q', not {value!r}")
+
+
+def spec_vector(value, length, what) -> list:
+    return [spec_scalar(x, what) for x in spec_list(value, what, length)]
+
+
+def spec_matrix(value, rows, cols, what) -> Matrix:
+    data = spec_list(value, what, rows)
+    return Matrix(rows, cols, [spec_vector(r, cols, f"{what}[{i}]") for i, r in enumerate(data)])
+
+
+def spec_degree(key, what) -> int:
+    """A degree, written as an object key: a scalar string of an integer."""
+    return spec_int(spec_scalar(key, what), what)
+
 
 # -- algebra specs -----------------------------------------------------------------
 
@@ -144,13 +196,11 @@ def _interned_algebra(spec) -> Algebra:
     key = json.dumps(spec, sort_keys=True)
     a = _interned_algebras.get(key)
     if a is None:
-        a = _interned_algebras[key] = _build_algebra(spec)
+        a = _interned_algebras[key] = _build_algebra(spec_object(spec, "algebra spec"))
     return a
 
 
-def _build_algebra(spec) -> Algebra:
-    if not isinstance(spec, dict):
-        raise InputError("algebra spec must be an object")
+def _build_algebra(spec: dict) -> Algebra:
     kind = spec.get("kind", "quiver")
     if kind == "scalar":
         return scalar_algebra()
@@ -160,99 +210,68 @@ def _build_algebra(spec) -> Algebra:
             raise InputError(f"unknown named algebra {name!r}")
         return corpus_algebra(name)
     if kind == "quiver":
-        try:
-            vertices = spec["vertices"]
-            if type(vertices) is not int or vertices < 1:
-                raise InputError(f"vertices must be a positive integer, not {vertices!r}")
-            arrows = [
-                (a["from"], a["to"], a["label"]) for a in spec.get("arrows", [])
-            ]
-            for source, target, label in arrows:
-                spec_index(source, vertices, "arrow endpoint")
-                spec_index(target, vertices, "arrow endpoint")
-                if not isinstance(label, str) or "|" in label:
-                    raise InputError(f"arrow labels must be strings without '|', not {label!r}")
-            quiver = Quiver(vertices, arrows)
-        except CyclicQuiverError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad quiver spec: {exc}") from exc
-        a = path_algebra(quiver)
+        n = spec_int(spec.get("vertices"), "quiver vertices", 1)
+        arrows = []
+        for k, arrow in enumerate(spec_list(spec.get("arrows", []), "arrows")):
+            arrow = spec_object(arrow, f"arrows[{k}]")
+            arrows.append((
+                spec_index(arrow.get("from"), n, f"arrows[{k}].from"),
+                spec_index(arrow.get("to"), n, f"arrows[{k}].to"),
+                spec_label(arrow.get("label"), f"arrows[{k}].label"),
+            ))
+        if len({label for _, _, label in arrows}) != len(arrows):
+            raise InputError("arrow labels must be distinct")
+        a = path_algebra(Quiver(n, arrows))
         if len(set(a.labels)) != a.dim:
             dup = next(lab for k, lab in enumerate(a.labels) if lab in a.labels[:k])
             raise InputError(f"two basis elements of the quiver are labelled {dup!r}")
         return a
     if kind == "opposite":
-        if "of" not in spec:
-            raise InputError("opposite spec needs an 'of' algebra")
-        return opposite(_interned_algebra(spec["of"]))
+        return opposite(_interned_algebra(spec_object(spec.get("of"), "opposite of")))
     if kind == "tensor":
-        factors = spec.get("factors", [])
-        if not isinstance(factors, list) or len(factors) != 2:
-            raise InputError("tensor spec needs a list of exactly two factors")
-        return tensor(_interned_algebra(factors[0]), _interned_algebra(factors[1]))
+        left, right = spec_list(spec.get("factors"), "tensor factors", 2)
+        return tensor(_interned_algebra(left), _interned_algebra(right))
     if kind == "table":
-        try:
-            dim = spec["dim"]
-            if type(dim) is not int or dim < 1:
-                raise InputError(f"table dim must be a positive integer, not {dim!r}")
-            mul = [
-                [[scalar_from_json(x) for x in vec] for vec in row]
-                for row in spec["mul"]
-            ]
-            unit = [scalar_from_json(x) for x in spec["unit"]]
-            idems = [
-                [scalar_from_json(x) for x in e] for e in spec["idempotents"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad table spec: {exc}") from exc
+        dim = spec_int(spec.get("dim"), "table dim", 1)
         # dim is bounded by the size of the file only once mul has dim rows
-        if len(mul) != dim or any(len(row) != dim for row in mul):
-            raise InputError(f"table mul must be {dim} x {dim} product vectors")
-        labels = spec["labels"] if "labels" in spec else [f"b{i}" for i in range(dim)]
-        if not (
-            isinstance(labels, list)
-            and all(isinstance(lab, str) and "|" not in lab for lab in labels)
-            and len(set(labels)) == len(labels) == dim
-        ):
-            raise InputError(f"table labels must be a list of {dim} distinct strings without '|'")
-        vectors = [v for row in mul for v in row] + [unit, *idems]
-        if any(len(v) != dim for v in vectors):
-            raise InputError(
-                f"table product, unit and idempotent vectors must have length {dim}"
-            )
+        mul = [
+            [spec_vector(v, dim, f"mul[{i}][{j}]") for j, v in enumerate(spec_list(r, f"mul[{i}]", dim))]
+            for i, r in enumerate(spec_list(spec.get("mul"), "mul", dim))
+        ]
+        unit = spec_vector(spec.get("unit"), dim, "unit")
+        idems = [
+            spec_vector(e, dim, f"idempotents[{r}]")
+            for r, e in enumerate(spec_list(spec.get("idempotents"), "idempotents"))
+        ]
+        labels = spec_list(spec.get("labels", [f"b{i}" for i in range(dim)]), "labels", dim)
+        if len({spec_label(lab, f"labels[{k}]") for k, lab in enumerate(labels)}) != dim:
+            raise InputError("table labels must be distinct")
         try:
             return table_algebra(dim, labels, mul, unit, idems)
         except AlgebraStructureError:
             raise
-        except ValueError as exc:
+        except ValueError as exc:  # the unit and idempotent axioms, associativity
             raise InputError(f"bad table spec: {exc}") from exc
     raise InputError(f"unknown algebra kind {kind!r}")
 
 
 def module_from_spec(spec, algebra: Algebra) -> Module:
     """Module over `algebra` from {"dim": d, "action": {label: matrix}}."""
-    if not isinstance(spec, dict):
-        raise InputError("module spec must be an object")
+    spec = spec_object(spec, "module spec")
+    dim = spec_int(spec.get("dim"), "module dim", 0)
+    action = spec_object(spec.get("action"), "module action")
+    unknown = sorted(set(action) - set(algebra.labels))
+    if unknown:
+        raise InputError(f"module action names unknown basis labels {unknown}")
+    missing = [lab for lab in algebra.labels if lab not in action]
+    if missing:
+        raise InputError(f"module action missing for basis elements {missing}")
+    acts = [spec_matrix(action[lab], dim, dim, f"action[{lab!r}]") for lab in algebra.labels]
+    m = Module(algebra, dim, acts)
     try:
-        dim = spec["dim"]
-        if type(dim) is not int or dim < 0:
-            raise InputError(f"module dim must be a non-negative integer, not {dim!r}")
-        pos = {lab: i for i, lab in enumerate(algebra.labels)}
-        action = [None] * algebra.dim
-        for lab, rows in spec["action"].items():
-            if lab not in pos:
-                raise InputError(f"unknown basis label {lab!r}")
-            action[pos[lab]] = Matrix(
-                dim, dim, [[scalar_from_json(x) for x in r] for r in rows]
-            )
-        if any(m is None for m in action):
-            missing = [l for l, m in zip(algebra.labels, action) if m is None]
-            raise InputError(f"action missing for basis elements {missing}")
-        m = Module(algebra, dim, action)
         m.check()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad module spec: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"module axioms fail: {exc}") from exc
     return m
 
 
@@ -262,22 +281,19 @@ def complex_from_spec(spec, algebra: Algebra):
     {"-1": [[...]]}} where the matrix at degree n maps degree n to n+1.
     Each differential must be a module map: it commutes with the action of
     every basis element."""
+    spec = spec_object(spec, "complex spec")
+    comps = {
+        spec_degree(k, f"components key {k!r}"): module_from_spec(v, algebra)
+        for k, v in spec_object(spec.get("components", {}), "components").items()
+    }
+    dims = {n: m.dim for n, m in comps.items()}
+    diffs = {}
+    for k, rows in spec_object(spec.get("differentials", {}), "differentials").items():
+        n = spec_degree(k, f"differentials key {k!r}")
+        diffs[n] = spec_matrix(rows, dims.get(n, 0), dims.get(n + 1, 0), f"differentials[{k!r}]")
     try:
-        comps = {
-            int(k): module_from_spec(v, algebra)
-            for k, v in spec.get("components", {}).items()
-        }
-        diffs = {}
-        for k, rows in spec.get("differentials", {}).items():
-            n = int(k)
-            mat = Matrix(
-                comps[n].dim,
-                comps[n + 1].dim if (n + 1) in comps else 0,
-                [[scalar_from_json(x) for x in r] for r in rows],
-            )
-            diffs[n] = mat
         c = Complex(algebra, comps, diffs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # d^2 != 0
         raise InputError(f"bad complex spec: {exc}") from exc
     for n, d in c.differentials.items():
         src, tgt = c.components[n].action, c.components[n + 1].action
@@ -291,13 +307,14 @@ def coefficients_from_spec(spec, algebra: Algebra):
     bimodules with no component in a positive degree."""
     if spec is None:
         return diagonal_bimodule(algebra)
-    if isinstance(spec, dict) and "named" in spec:
+    spec = spec_object(spec, "coefficients")
+    if "named" in spec:
         if spec["named"] == "diagonal":
             return diagonal_bimodule(algebra)
         if spec["named"] == "dual":
             return dual_bimodule(algebra)
         raise InputError(f"named coefficients must be 'diagonal' or 'dual', not {spec['named']!r}")
-    if isinstance(spec, dict) and "components" in spec:
+    if "components" in spec:
         w = complex_from_spec(spec, hom_algebra(algebra, algebra))
         if w.hi > 0:
             raise InputError("coefficients must have no component in a positive degree")
@@ -310,8 +327,7 @@ def motive_from_spec(spec, cap: int = DEFAULT_CAP) -> NCMotive:
     cap.  An idempotent that NCMotive refuses, such as one whose class is
     zero (an empty vertex cut, the complement of the identity or of a cut of
     every vertex), is malformed input."""
-    if not isinstance(spec, dict):
-        raise InputError("motive spec must be an object")
+    spec = spec_object(spec, "motive spec")
     a = algebra_from_spec(spec.get("algebra", {"kind": "scalar"}))
     try:
         idem = idempotent_from_spec(spec.get("idempotent"), a, cap)
@@ -319,7 +335,7 @@ def motive_from_spec(spec, cap: int = DEFAULT_CAP) -> NCMotive:
         raise InputError("idempotent spec is nested too deeply") from exc
     try:
         return NCMotive(a, idem, cap)
-    except ValueError as exc:
+    except ValueError as exc:  # a zero class, or one that is not idempotent
         raise InputError(str(exc)) from exc
 
 
@@ -327,20 +343,16 @@ def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspond
     """The idempotent correspondence of a motive over a; None for the identity."""
     if idem is None:
         return None
-    if not isinstance(idem, dict):
-        raise InputError("idempotent spec must be an object")
-    kind = idem.get("kind", "identity")
+    kind = spec_object(idem, "idempotent spec").get("kind", "identity")
     if kind == "identity":
         return None
     if kind == "vertex-cut":
-        vertices = idem.get("vertices", [])
-        if not isinstance(vertices, list):
-            raise InputError("vertex-cut vertices must be a list")
-        for v in vertices:
-            spec_index(v, len(a.idempotents), "vertex-cut vertex")
+        n = len(a.idempotents)
+        vertices = spec_list(idem.get("vertices", []), "vertex-cut vertices")
+        vertices = [spec_index(v, n, f"vertex-cut vertices[{k}]") for k, v in enumerate(vertices)]
         try:
             return vertex_cut_idempotent(a, vertices)
-        except ValueError as exc:
+        except ValueError as exc:  # a path between two of the vertices
             raise InputError(f"bad vertex cut: {exc}") from exc
     if kind == "complement":
         inner = idempotent_from_spec(idem.get("of"), a, cap)
@@ -351,27 +363,22 @@ def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspond
 
 
 def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Correspondence:
-    if not isinstance(spec, dict) or not isinstance(spec.get("terms"), list):
-        raise InputError("correspondence spec must have a terms list")
     e = hom_algebra(src.algebra, dst.algebra)
     terms = []
-    for t in spec["terms"]:
-        b = t.get("bimodule") if isinstance(t, dict) else None
-        if not isinstance(b, dict):
-            raise InputError("correspondence term must be an object with a bimodule object")
-        coeff = scalar_from_json(t.get("coefficient", 1))
+    spec = spec_object(spec, "correspondence spec")
+    for k, t in enumerate(spec_list(spec.get("terms"), "terms")):
+        t = spec_object(t, f"terms[{k}]")
+        b = spec_object(t.get("bimodule"), f"terms[{k}].bimodule")
+        coeff = spec_scalar(t.get("coefficient", 1), f"terms[{k}].coefficient")
         kind = b.get("kind")
         if kind == "simple":
-            pc = simple_resolutions(e, cap)[
-                spec_index(b.get("index"), len(e.idempotents), "simple index")
-            ]
+            index = spec_index(b.get("index"), len(e.idempotents), f"terms[{k}].bimodule.index")
+            pc = simple_resolutions(e, cap)[index]
         elif kind == "projective":
-            pair = b.get("pair")
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InputError("projective pair must be a list [i, j]")
-            i = spec_index(pair[0], len(src.algebra.idempotents), "projective pair entry")
+            i, j = spec_list(b.get("pair"), f"terms[{k}].bimodule.pair", 2)
+            i = spec_index(i, len(src.algebra.idempotents), f"terms[{k}].bimodule.pair[0]")
             n_b = len(dst.algebra.idempotents)
-            j = spec_index(pair[1], n_b, "projective pair entry")
+            j = spec_index(j, n_b, f"terms[{k}].bimodule.pair[1]")
             pc = PerfectComplex(e, {0: (i * n_b + j,)})
         elif kind == "diagonal":
             if src.algebra is not dst.algebra:
@@ -379,9 +386,7 @@ def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Co
             pc = diagonal_resolution(src.algebra, cap)
         else:
             raise InputError(f"unknown bimodule kind {kind!r}")
-        shift = t.get("shift", 0)
-        if type(shift) is not int:
-            raise InputError(f"term shift must be an integer, not {shift!r}")
+        shift = spec_int(t.get("shift", 0), f"terms[{k}].shift")
         if shift:
             pc = pc.shift(shift)
         terms.append((coeff, pc))
@@ -412,13 +417,16 @@ def digest(obj) -> str:
 
 def emit(report, args) -> int:
     report["format"] = 1
-    if getattr(args, "timing", False):
+    if args.timing:
         report["elapsed_seconds"] = round(time.monotonic() - args._t0, 3)
     with unbounded_int_text():
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write report to {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK if report.get("verdict", True) else EXIT_FAIL
@@ -441,29 +449,25 @@ def load_json(path):
     return value
 
 
-def load_scenario(path, *required):
-    """A scenario file: a JSON object holding every required key."""
-    spec = load_json(path)
-    if not isinstance(spec, dict):
-        raise InputError("scenario must be a JSON object")
-    missing = [k for k in required if k not in spec]
+def load_scenario(args, *required):
+    """The scenario file of a command: a JSON object holding `source` and
+    every required key, with its cap (options.cap, default --cap) and its
+    source motive."""
+    spec = spec_object(load_json(args.scenario), "scenario")
+    missing = [k for k in ("source", *required) if k not in spec]
     if missing:
         raise InputError(f"scenario lacks {missing}")
-    return spec
+    cap = scenario_option(spec, "cap", args.cap)
+    return spec, cap, motive_from_spec(spec["source"], cap)
 
 
 def scenario_option(spec, key, default):
     """A non-negative integer from the scenario's options, default if absent;
     null only where the default is None."""
-    options = spec.get("options", {})
-    if not isinstance(options, dict):
-        raise InputError("scenario options must be an object")
-    value = options.get(key, default)
+    value = spec_object(spec.get("options", {}), "scenario options").get(key, default)
     if value is None and default is None:
         return None
-    if type(value) is not int or value < 0:
-        raise InputError(f"option {key} must be a non-negative integer, not {value!r}")
-    return value
+    return spec_int(value, f"option {key}", 0)
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -581,9 +585,7 @@ def cmd_hochschild(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    spec = load_scenario(args.scenario, "source", "x", "y")
-    cap = scenario_option(spec, "cap", args.cap)
-    src = motive_from_spec(spec["source"], cap)
+    spec, cap, src = load_scenario(args, "x", "y")
     dst = motive_from_spec(spec.get("target", spec["source"]), cap)
     x = correspondence_from_spec(spec["x"], src, dst, cap)
     y = correspondence_from_spec(spec["y"], dst, src, cap)
@@ -602,9 +604,7 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    spec = load_scenario(args.scenario, "source", "z")
-    cap = scenario_option(spec, "cap", args.cap)
-    src = motive_from_spec(spec["source"], cap)
+    spec, cap, src = load_scenario(args, "z")
     z = correspondence_from_spec(spec["z"], src, src, cap)
     val = trace(z, cap)
     report = {
@@ -617,9 +617,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = load_scenario(args.scenario, "source")
-    cap = scenario_option(spec, "cap", args.cap)
-    src = motive_from_spec(spec["source"], cap)
+    spec, cap, src = load_scenario(args)
     dst = motive_from_spec(spec.get("target", spec["source"]), cap)
     sample_pairs = scenario_option(spec, "sample_pairs", None)
     stability_samples = scenario_option(spec, "stability_samples", 10)
@@ -652,7 +650,6 @@ def cmd_verify(args) -> int:
 def cmd_corpus(args) -> int:
     rng = random.Random(args.seed)
     rows = []
-    checks_total = []
 
     def add_row(section, name, ok, detail=""):
         rows.append({"section": section, "name": name, "pass": ok, "detail": detail})
@@ -689,7 +686,6 @@ def cmd_corpus(args) -> int:
         rep = verify_equivalence(model, args.cap)
         detail = rep["kernel_statement"]
         add_row("verify", name, rep["verdict"], detail)
-        checks_total.extend(rep["checks"])
 
     rows.sort(key=lambda r: (r["section"], r["name"]))
     verdict = all(r["pass"] for r in rows)

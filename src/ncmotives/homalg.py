@@ -21,19 +21,20 @@ M^v = Hom_A(M, A).  Conventions:
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
   tensor_over lays out the blocks of the total complex at once, and builds
   each differential and each component action matrix on first read.  A
-  class reads neither: the trace of an action is read from the layout, a
-  product of a trace on L e_l and a trace on e_m Y^q per block.  Each map
-  it builds is a sum of
+  class reads neither: it reads traces from the layout, a trace on L e_l
+  times a trace on e_m Y^q per block, and the layout reads dim e_m Y^q as
+  the trace of g_m (x) 1.  Each map it builds is a sum of
   (multiplication on L e_l) (x) (a map of y between blocks e_m Y^q), written
-  by one kernel.  The maps of y -- the actions of middle and right basis
-  elements and d_Y, in the block coordinates of the e_m Y^q -- do not
-  depend on x, so they are memos on y (_yblock, _ymove, _ytrace), keyed
-  by (middle, right, ...), whether y is perfect or not: the n left factors
-  D(x_i) that meet one simple resolution y in the trace formula compute
-  them once.  They are read sparse: the blocks and actions of y through
-  the sparse right action of its components (modules.Module.row), which a
-  sum of projectives answers from the structure constants, and the traces
-  through Module.trace; no dense action matrix of y is built.  The class of
+  by one kernel.  The traces and maps of y -- the actions of middle and
+  right basis elements and d_Y, in the block coordinates of the e_m Y^q --
+  do not depend on x, so they are memos on y (_ytrace, _ymove and the block
+  bases _yblock that only _ymove builds), keyed by (middle, right, ...),
+  whether y is perfect or not: the n left factors D(x_i) that meet one
+  simple resolution y in the trace formula compute them once.  They are
+  read sparse: the blocks and actions of y through the sparse right action
+  of its components (modules.Module.row), which a sum of projectives
+  answers from the structure constants, and the traces through
+  Module.trace; no dense action matrix of y is built.  The class of
   x (x)_middle y alone needs no layout: derived.compose_classes reads it
   from the classes of x and y through the Euler matrix of middle.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
@@ -117,7 +118,8 @@ def tensor_over(
     memos on y keyed by (middle, right, ...), so every left factor y meets
     shares them (a module y is wrapped afresh on each call).  They are read
     through Module.row of y's components, in sparse rows, so no dense
-    action matrix of y is built.  Only the layout is built here.  Each
+    action matrix of y is built.  Only the layout is built here, with
+    dim e_m Y^q the sum of _ytrace over the idempotents of right.  Each
     differential is built on first read and kept
     (complexes.LazyDifferentials), or at once when check is true, for the
     d^2 check.  Each component's action matrix is built on first read
@@ -146,7 +148,7 @@ def tensor_over(
 
     ymove = partial(_ymove, y, middle, right)
 
-    # block layout per total degree: (p, copy, m, ltraces, lblock, yb, offset),
+    # block layout per total degree: (p, copy, m, ltraces, lblock, ydim, offset),
     # with ltraces the traces of left multiplication on L e_l
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
@@ -160,10 +162,10 @@ def tensor_over(
             for c, idem in enumerate(x.copies_at(p)):
                 l_i, m_i = split_pair_idempotent(middle, idem)
                 lblock = left.coprojective_basis(l_i)
-                yb = _yblock(y, middle, right, q, m_i)
-                if lblock and yb.dim:
-                    entries.append((p, c, m_i, left.coprojective_traces(l_i), lblock, yb, off))
-                    off += len(lblock) * yb.dim
+                ydim = sum(_ytrace(y, middle, right, q, m_i, h) for h in right.idempotents)
+                if lblock and ydim:
+                    entries.append((p, c, m_i, left.coprojective_traces(l_i), lblock, ydim, off))
+                    off += len(lblock) * ydim
         if entries:
             layout[k] = entries
             dims[k] = off
@@ -174,14 +176,14 @@ def tensor_over(
         """Add L (x) ymat to out, from the layout entry src to dst: L sends
         position s of src's L e_l block to c * u2 over (s, u2, c) in lpairs
         (u2 outside dst's block contributes nothing); ymat is a ymove."""
-        (_, _, _, _, _, yb, off), (_, _, _, _, lblock2, yb2, off2) = src, dst
+        (_, _, _, _, _, ydim, off), (_, _, _, _, lblock2, ydim2, off2) = src, dst
         pos = {u: s2 for s2, u in enumerate(lblock2)}
         for s, u2, c in lpairs:
             if u2 not in pos:
                 continue
-            dst_base = off2 + pos[u2] * yb2.dim
+            dst_base = off2 + pos[u2] * ydim2
             for vi, yr in enumerate(ymat):
-                row = out[off + s * yb.dim + vi]
+                row = out[off + s * ydim + vi]
                 for vj, cy in yr:
                     row[dst_base + vj] += c * cy
 

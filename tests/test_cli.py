@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -553,6 +554,8 @@ MALFORMED_INPUTS = {
     "negative-cap": ["--cap", "-1", "euler-matrix", A2_SPEC],
     "corpus-negative-samples": ["corpus", "--samples", "-1"],
     "corpus-negative-bar-depth": ["corpus", "--bar-depth", "-2"],
+    # a report that cannot be written is a bad --out, not a bug
+    "out-in-a-missing-directory": ["euler-matrix", A2_SPEC, "--out", os.path.join(os.devnull, "r.json")],
 }
 
 
@@ -567,6 +570,21 @@ def test_malformed_input_exit_code(tmp_path, argv):
     except SystemExit as exc:  # argparse rejects a bad option value
         code = exc.code
     assert code == 2
+
+
+# specs of the wrong shape, with the field their message must name
+NAMED_FIELD_ERRORS = {
+    "arrows-null": ({"kind": "quiver", "vertices": 2, "arrows": None}, "arrows"),
+    "arrow-a-list": ({"kind": "quiver", "vertices": 2, "arrows": [[0, 1, "a"]]}, "arrows"),
+    "mul-a-string": (_table(mul="x"), "mul"),
+}
+
+
+@pytest.mark.parametrize("spec, field", NAMED_FIELD_ERRORS.values(), ids=NAMED_FIELD_ERRORS.keys())
+def test_malformed_fields_are_named(tmp_path, spec, field):
+    with pytest.raises(InputError, match=field):
+        algebra_from_spec(spec)
+    assert main(["euler-matrix", write(tmp_path, "spec.json", spec)]) == 2
 
 
 def test_files_without_a_format_are_read_as_format_1(tmp_path):

@@ -529,6 +529,39 @@ def test_verify_builds_no_composite_differential(tmp_path, monkeypatch):
     assert built["differentials"] == 0 and built["actions"] == 0
 
 
+def test_verify_builds_no_block_basis():
+    """tensor_over reads dim e_m Y^q from traces, so verify A3 -> A3, whose
+    composites are read only for their classes, builds no block basis
+    (_yblock), which only a map of y needs.  A fresh interpreter keeps
+    bases cached by other tests from hiding a build."""
+    from test_cli import _run_fresh
+
+    a3 = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 3,
+        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
+    }
+    scenario = {"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}
+    script = (
+        "import json, os, tempfile\n"
+        "from ncmotives import homalg\n"
+        "from ncmotives.cli import main\n"
+        "calls = []\n"
+        "yblock = homalg._yblock\n"
+        "def counted(*args):\n"
+        "    calls.append(args)\n"
+        "    return yblock(*args)\n"
+        "homalg._yblock = counted\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path, out = os.path.join(tmp, 'a3.json'), os.path.join(tmp, 'report.json')\n"
+        f"    json.dump({scenario!r}, open(path, 'w'))\n"
+        "    assert main(['--seed', '1', 'verify', path, '--out', out]) == 0\n"
+        "print(len(calls))\n"
+    )
+    assert _run_fresh(script, timeout=120) == "0"
+
+
 def test_differentials_on_first_read_equal_a_checked_build(monkeypatch):
     """A tensor_over output builds no differential until one is read; the
     differentials it then builds equal, entry for entry, those of a
