@@ -28,6 +28,18 @@ class CyclicQuiverError(ValueError):
     """Raised for quivers whose path algebra would be infinite-dimensional."""
 
 
+class QuiverTooLargeError(ValueError):
+    """Raised for quivers whose path algebra would have more than MAX_PATHS
+    basis elements."""
+
+
+MAX_PATHS = 2000
+"""The most paths, trivial ones included, that a quiver may have: the
+dimension of its path algebra.  The line quiver A62 (1953 paths) builds its
+path algebra in under a second; the corpus and ladder quivers have at most
+36 paths."""
+
+
 class AlgebraStructureError(ValueError):
     """Raised when an algebra lacks the monomial structure an operation needs."""
 
@@ -67,9 +79,16 @@ def cached(fn):
 
 
 class Quiver:
-    """A finite quiver; acyclicity is checked at construction."""
+    """A finite quiver.  Acyclicity and the path count (at most MAX_PATHS)
+    are checked at construction, the vertex count first, since the checks
+    allocate per vertex."""
 
     def __init__(self, vertex_count: int, arrows):
+        if vertex_count > MAX_PATHS:
+            raise QuiverTooLargeError(
+                f"the quiver has at least {vertex_count} paths (one per vertex), "
+                f"more than {MAX_PATHS}"
+            )
         self.vertex_count = vertex_count
         self.arrows = [
             a if isinstance(a, Arrow) else Arrow(*a) for a in arrows
@@ -81,25 +100,27 @@ class Quiver:
             if a.label in labels:
                 raise ValueError(f"duplicate arrow label {a.label!r}")
             labels.add(a.label)
-        if self._has_cycle():
-            raise CyclicQuiverError("quiver has a directed cycle")
-
-    def _has_cycle(self) -> bool:
-        out = [[] for _ in range(self.vertex_count)]
-        indeg = [0] * self.vertex_count
+        out = [[] for _ in range(vertex_count)]
+        indeg = [0] * vertex_count
         for a in self.arrows:
             out[a.source].append(a.target)
             indeg[a.target] += 1
-        stack = [v for v in range(self.vertex_count) if indeg[v] == 0]
-        seen = 0
-        while stack:
-            v = stack.pop()
-            seen += 1
+        order = [v for v in range(vertex_count) if indeg[v] == 0]
+        for v in order:
             for w in out[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    stack.append(w)
-        return seen != self.vertex_count
+                    order.append(w)
+        if len(order) != vertex_count:
+            raise CyclicQuiverError("quiver has a directed cycle")
+        # paths from v: the trivial one, then those through each arrow out of v
+        paths = [1] * vertex_count
+        for v in reversed(order):
+            paths[v] += sum(paths[w] for w in out[v])
+        if sum(paths) > MAX_PATHS:
+            raise QuiverTooLargeError(
+                f"the quiver has {sum(paths)} paths, more than {MAX_PATHS}"
+            )
 
     def __repr__(self):
         return f"Quiver({self.vertex_count}, {self.arrows!r})"
@@ -230,7 +251,7 @@ class Algebra:
 # -- constructors -------------------------------------------------------------
 
 
-def _product(mul, x, y):
+def product(mul, x, y):
     """The product x y of two elements given as (basis index, coefficient)
     pairs, as its nonzero pairs in index order."""
     out = {}
@@ -249,14 +270,14 @@ def check_unit_and_idempotents(mul, unit, idempotents) -> None:
     ValueError on the first that fails."""
     for i in range(len(mul)):
         b = ((i, 1),)
-        if _product(mul, unit, b) != b or _product(mul, b, unit) != b:
+        if product(mul, unit, b) != b or product(mul, b, unit) != b:
             raise ValueError(f"unit axiom fails on basis element {i}")
     total = {}
     for r, e in enumerate(idempotents):
-        if _product(mul, e, e) != e:
+        if product(mul, e, e) != e:
             raise ValueError(f"idempotent {r} is not idempotent")
         for s, f in enumerate(idempotents):
-            if s != r and _product(mul, e, f):
+            if s != r and product(mul, e, f):
                 raise ValueError(f"idempotents {r},{s} are not orthogonal")
         for k, c in e:
             total[k] = total.get(k, 0) + c
@@ -297,7 +318,7 @@ def table_algebra(dim, labels, mul, unit, idempotents) -> Algebra:
         rights = [k for k in range(dim) if mul[j][k]]
         for i in range(dim):
             for k in range(dim) if mul[i][j] else rights:
-                if _product(mul, mul[i][j], ((k, 1),)) != _product(mul, ((i, 1),), mul[j][k]):
+                if product(mul, mul[i][j], ((k, 1),)) != product(mul, ((i, 1),), mul[j][k]):
                     raise ValueError(f"product is not associative on basis elements {i}, {j}, {k}")
     for r, e in enumerate(idems):
         if len(e) != 1 or e[0][1] != 1:

@@ -29,6 +29,7 @@ from .algebra import (
     AlgebraStructureError,
     CyclicQuiverError,
     Quiver,
+    QuiverTooLargeError,
     hom_algebra,
     opposite,
     path_algebra,
@@ -55,8 +56,8 @@ from .derived import (
 )
 from .hochschild import bar_oracle, hochschild, hochschild_euler, intersection_number
 from .homalg import hom_complex
-from .linalg import Matrix, exact_text, norm_scalar, unbounded_int_text
-from .modules import Module, diagonal_bimodule, dual_bimodule
+from .linalg import Matrix, exact_text, nonzero_pairs, norm_scalar, unbounded_int_text
+from .modules import Module, diagonal_bimodule, dual_bimodule, table_module
 from .motives import (
     Correspondence,
     NCMotive,
@@ -256,7 +257,8 @@ def _build_algebra(spec: dict) -> Algebra:
 
 
 def module_from_spec(spec, algebra: Algebra) -> Module:
-    """Module over `algebra` from {"dim": d, "action": {label: matrix}}."""
+    """Module over `algebra` from {"dim": d, "action": {label: matrix}};
+    each action matrix is read into its sparse rows on load."""
     spec = spec_object(spec, "module spec")
     dim = spec_int(spec.get("dim"), "module dim", 0)
     action = spec_object(spec.get("action"), "module action")
@@ -266,8 +268,11 @@ def module_from_spec(spec, algebra: Algebra) -> Module:
     missing = [lab for lab in algebra.labels if lab not in action]
     if missing:
         raise InputError(f"module action missing for basis elements {missing}")
-    acts = [spec_matrix(action[lab], dim, dim, f"action[{lab!r}]") for lab in algebra.labels]
-    m = Module(algebra, dim, acts)
+    table = [
+        [nonzero_pairs(r) for r in spec_matrix(action[lab], dim, dim, f"action[{lab!r}]").data]
+        for lab in algebra.labels
+    ]
+    m = table_module(algebra, dim, table)
     try:
         m.check()
     except ValueError as exc:
@@ -296,8 +301,11 @@ def complex_from_spec(spec, algebra: Algebra):
     except ValueError as exc:  # d^2 != 0
         raise InputError(f"bad complex spec: {exc}") from exc
     for n, d in c.differentials.items():
-        src, tgt = c.components[n].action, c.components[n + 1].action
-        if any(x * d != d * y for x, y in zip(src, tgt)):
+        src, tgt = c.components[n], c.components[n + 1]
+        if any(
+            src.act_matrix(((j, 1),)) * d != d * tgt.act_matrix(((j, 1),))
+            for j in range(algebra.dim)
+        ):
             raise InputError(f"differential at degree {n} is not a module map")
     return c
 
@@ -665,7 +673,7 @@ def cmd_corpus(args) -> int:
             oracle = quiver_euler_oracle(name)
             add_row("euler-oracle", name, g.data == oracle, "matches arrow-count form")
         ok_s, res = check_smooth(a, args.cap)
-        length = (res.hi - res.lo) if ok_s and not res.is_zero() else None
+        length = resolution_length(res) if ok_s else None
         add_row("smooth", name, ok_s, f"diagonal resolution length {length}")
         w = diagonal_bimodule(a)
         top = args.bar_depth
@@ -812,7 +820,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_BAD_INPUT
-    except (CyclicQuiverError, AlgebraStructureError) as exc:
+    except (CyclicQuiverError, QuiverTooLargeError, AlgebraStructureError) as exc:
         sys.stderr.write(f"unsupported input: {exc}\n")
         return EXIT_UNSUPPORTED
     except ResolutionCapExceeded as exc:

@@ -6,7 +6,7 @@ idempotent-weighted dimension vector.  k0_class is the one place that
 computes it: a perfect complex's class is read from its copies (no modules
 are built), any other complex's from the traces of its idempotent actions
 (a tensor product answers them from its block layout, a Serre transform
-from the copies of the dual it transposes).
+from its injectives).
 The Euler pairing of two perfect complexes is the Euler characteristic of
 their Hom complex, an exact integer: the copy weights of the first paired
 with the class of the second.  Its matrix on the simple basis is the
@@ -20,13 +20,14 @@ a PerfectComplex; the second may be any bounded complex, and a
 PerfectComplex is one (a Complex read off its copies), so it is passed as
 it is.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
 naturally isomorphic to - (x)_A D(A) on perfect complexes.  It is read off
-the copies of M: Hom_A(e_i A, A) = A e_i, so the summandwise dual of M
-(homalg.dual_perfect) transposed into D(A e_i) gives S(M) as an unresolved
-complex of injectives; neither the enveloping algebra of A nor D(A) as a
-bimodule is built.  Every consumer reads S(M) only as the second argument
-above, so no perfect replacement is built either (the package has none; the
-tests compare S(M) with one built by their reference module).  The defining
-duality of S is verified by the test suite rather than assumed.
+the copies of M: Hom_A(e_i A, A) = A e_i, so S(M) is the unresolved
+complex of injectives D(A e_i) over the copies of M, with the transposed
+differentials of the summandwise dual (homalg.dual_perfect); neither the
+enveloping algebra of A nor D(A) as a bimodule is built.  Every consumer
+reads S(M) only as the second argument above, so no perfect replacement is
+built either (the package has none; the tests compare S(M) with one built
+by their reference module).  The defining duality of S is verified by the
+test suite rather than assumed.
 
 Simple resolutions over a tensor algebra L (x) R (every Hom algebra is one)
 are the external tensor products of the factors' simple resolutions
@@ -43,7 +44,7 @@ from .algebra import Algebra, cached, hom_algebra, join_pair_basis, scalar_algeb
 from .complexes import Complex, LazyDifferentials, PerfectComplex, as_complex
 from .homalg import dual_perfect
 from .linalg import Matrix, norm_scalar
-from .modules import LazyActions, Module, diagonal_bimodule, simple_modules
+from .modules import diagonal_bimodule, direct_sum_modules, injective_module, simple_modules
 from .resolutions import (
     DEFAULT_CAP,
     ResolutionCapExceeded,
@@ -63,7 +64,7 @@ def k0_class(x) -> K0Class:
     the alternating sum over its components of the traces of the idempotent
     actions, which are the dimensions M e_j.  A trace is read through
     Module.trace, so a tensor_over output answers from its block layout, a
-    Serre component from its dual's copies, and neither builds an action
+    Serre component from its injectives, and neither builds an action
     matrix."""
     if isinstance(x, PerfectComplex):
         return _perfect_class(x)
@@ -206,22 +207,22 @@ def serre(m: PerfectComplex) -> Complex:
     """Serre transform S(M) = D(Hom_A(M, A)), naturally isomorphic to
     M (x)_A D(A) for perfect M (the Nakayama functor).
 
-    Hom_A(M, A) is the summandwise dual of M (copies A e_i, degrees negated);
-    transposing its action matrices and differentials and negating the
-    degrees again gives the complex of injectives D(A e_i).  Each transpose
-    is taken on first read (modules.LazyActions, complexes.LazyDifferentials),
-    and a transpose keeps its trace, so a class reads the dual's traces and
-    builds no matrix, not even a differential of the dual.  The
-    result is not resolved and not perfect: use it as the second argument
-    of euler_pairing or hom_complex, or as the right factor y of
-    motives.compose, where any bounded complex is valid."""
+    Hom_A(M, A) is the summandwise dual of M: each copy e_i A in degree n
+    becomes A e_i in degree -n.  D sends A e_i to the injective D(A e_i)
+    and negates the degrees again, so the component of S(M) in degree n is
+    the direct sum of modules.injective_module(a, i) over the copies i of M
+    in degree n, whose rows and traces are read from the structure
+    constants.  Each differential is the transpose of the dual's, taken on
+    first read (complexes.LazyDifferentials), so a class reads the
+    injectives' traces and builds no matrix.  The result is not resolved
+    and not perfect: use it as the second argument of euler_pairing or
+    hom_complex, or as the right factor y of motives.compose, where any
+    bounded complex is valid."""
     a = m.algebra
     d = dual_perfect(m, scalar_algebra(), a)
     comps = {
-        -n: Module(
-            a, c.dim, LazyActions(a.dim, c.dim, lambda j, c=c: c.action[j].transpose(), c.trace)
-        )
-        for n, c in d.components.items()
+        n: direct_sum_modules(a, [injective_module(a, i) for i in cs])[0]
+        for n, cs in m.copies.items()
     }
     diffs = LazyDifferentials(
         [-n - 1 for n in d.differentials], lambda k: d.differentials[-k - 1].transpose()

@@ -27,7 +27,7 @@ from .algebra import Algebra, hom_algebra, join_pair_basis, opposite, scalar_alg
 from .complexes import Complex, as_complex
 from .derived import compose_classes, diagonal_resolution, k0_class
 from .homalg import tensor_over
-from .linalg import RowBasis, row_times
+from .linalg import RowBasis
 from .modules import Module, left_structure_module
 from .resolutions import DEFAULT_CAP
 
@@ -130,7 +130,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
         """e_r W e_l."""
         if (r, l) not in blocks:
             g = join_pair_basis(a, idem[r], idem[l])
-            blocks[(r, l)] = RowBasis(w.dim).extend(w.action[g].data)
+            blocks[(r, l)] = RowBasis(w.dim).extend(w.act_matrix(((g, 1),)).data)
         return blocks[(r, l)]
 
     def face(r, l, g, r2, l2):
@@ -139,7 +139,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
         key = (r, l, g)
         if key not in faces:
             dst = block(r2, l2)
-            faces[key] = [dst.coords(row_times(v, w.action[g])) for v in block(r, l).rows]
+            faces[key] = [dst.coords(w.times(v, ((g, 1),))) for v in block(r, l).rows]
         return faces[key]
 
     # cells[n]: (tuple, r, l) for each block of C_n, and its first coordinate

@@ -19,22 +19,21 @@ M^v = Hom_A(M, A).  Conventions:
   M -> shift(N, -k) (N moved k degrees down) in the derived category;
   alternating sums of these dimensions form the Euler pairing.
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
-  tensor_over lays out the blocks of the total complex at once, and builds
-  each differential and each component action matrix on first read.  A
-  class reads neither: it reads traces from the layout, a trace on L e_l
-  times a trace on e_m Y^q per block, and the layout reads dim e_m Y^q as
-  the trace of g_m (x) 1.  Each map it builds is a sum of
-  (multiplication on L e_l) (x) (a map of y between blocks e_m Y^q), written
-  by one kernel.  The traces and maps of y -- the actions of middle and
+  tensor_over lays out the blocks of the total complex at once, builds
+  each differential on first read, and reads each component's action a
+  row at a time.  A class reads neither: it reads traces from the layout,
+  a trace on L e_l times a trace on e_m Y^q per block, and the layout
+  reads dim e_m Y^q as the trace of g_m (x) 1.  Each map it reads is a sum
+  of (multiplication on L e_l) (x) (a map of y between blocks e_m Y^q).  The traces and maps of y -- the actions of middle and
   right basis elements and d_Y, in the block coordinates of the e_m Y^q --
   do not depend on x, so they are memos on y (_ytrace, _ymove and the block
   bases _yblock that only _ymove builds), keyed by (middle, right, ...),
   whether y is perfect or not: the n left factors D(x_i) that meet one
   simple resolution y in the trace formula compute them once.  They are
   read sparse: the blocks and actions of y through the sparse right action
-  of its components (modules.Module.row), which a sum of projectives
-  answers from the structure constants, and the traces through
-  Module.trace; no dense action matrix of y is built.  The class of
+  of its components (modules.Module.row), which a sum of projectives or
+  of injectives answers from the structure constants, and the traces
+  through Module.trace; no dense action matrix of y is built.  The class of
   x (x)_middle y alone needs no layout: derived.compose_classes reads it
   from the classes of x and y through the Euler matrix of middle.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
@@ -50,6 +49,7 @@ M^v = Hom_A(M, A).  Conventions:
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from functools import partial
 
 from .algebra import (
@@ -70,8 +70,8 @@ from .complexes import (
     PerfectComplex,
     as_complex,
 )
-from .linalg import Matrix, RowBasis, norm_scalar, row_times
-from .modules import LazyActions, Module
+from .linalg import Matrix, RowBasis, nonzero_pairs, norm_scalar, row_times
+from .modules import Module
 
 
 # -- Hom complexes ---------------------------------------------------------------
@@ -111,10 +111,11 @@ def tensor_over(
 
         (L e_l) (x) (e_m . Y^q).
 
-    Every map written here -- the action of a basis element of
+    Every map here -- the action of a basis element of
     tensor(opposite(left), right), 1 (x) d_Y and d_X (x) 1 -- is a sum of
-    (multiplication on L e_l) (x) (map of y in block coordinates), added by
-    one writer, kron.  The maps of y (_ymove: a side action or d_Y) are
+    (multiplication on L e_l) (x) (map of y in block coordinates): the
+    differentials are added by one writer, kron, and the action is read a
+    row at a time.  The maps of y (_ymove: a side action or d_Y) are
     memos on y keyed by (middle, right, ...), so every left factor y meets
     shares them (a module y is wrapped afresh on each call).  They are read
     through Module.row of y's components, in sparse rows, so no dense
@@ -122,9 +123,10 @@ def tensor_over(
     dim e_m Y^q the sum of _ytrace over the idempotents of right.  Each
     differential is built on first read and kept
     (complexes.LazyDifferentials), or at once when check is true, for the
-    d^2 check.  Each component's action matrix is built on first read
-    and kept (modules.LazyActions); its trace is read from the layout
-    without building it: on the block (L e_l) (x) (e_m Y^q), the basis
+    d^2 check.  Each component is a sparse right action (Module.row),
+    whose rows no command reads: its trace is read from the layout,
+    and the tests check the two against each other through
+    Module.act_matrix.  On the block (L e_l) (x) (e_m Y^q), the basis
     element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q); the
     first factor is left.coprojective_traces(l)[a], the second is
     Module.trace of g_m (x) r on Y^q (_ytrace).  So a reader of the
@@ -187,21 +189,28 @@ def tensor_over(
                 for vj, cy in yr:
                     row[dst_base + vj] += c * cy
 
-    def action(k, t):
-        """Action matrix of basis element t of e_t on the degree-k component:
-        left multiplication by its left part (x) the action of its right."""
+    def row(k, s, t):
+        """Row s of the action of basis element t of e_t on the degree-k
+        component: left multiplication by its left part on the L e_l
+        position of s, (x) the row of the action of its right part on y."""
+        i = bisect_right([e[6] for e in layout[k]], s) - 1
+        p, _, m, _, lblock, ydim, off = layout[k][i]
         a_i, r_i = split_pair_basis(right, t)
-        big = [[0] * dims[k] for _ in range(dims[k])]
-        for e in layout[k]:
-            p, _, m, _, lblock, _, _ = e
-            lmul = ((s, u2, cl) for s, u in enumerate(lblock) for u2, cl in left.mul[a_i][u])
-            kron(big, e, e, lmul, ymove(k - p, m, k - p, m, (None, r_i)))
-        return Matrix(dims[k], dims[k], big)
+        x, vi = divmod(s - off, ydim)
+        pos = {u: s2 for s2, u in enumerate(lblock)}
+        yrow = ymove(k - p, m, k - p, m, (None, r_i))[vi]
+        return tuple(
+            (off + pos[u2] * ydim + vj, cl * cy)
+            for u2, cl in left.mul[a_i][lblock[x]]
+            if u2 in pos
+            for vj, cy in yrow
+        )
 
     def action_trace(k, t):
-        """Trace of action(k, t) read from the layout: on each block, the
-        trace of left multiplication by t's left part on L e_l times the
-        trace of the action of its right part on e_m Y^q."""
+        """Trace of the action of t on the degree-k component, read from
+        the layout: on each block, the trace of left multiplication by t's
+        left part on L e_l times the trace of the action of its right part
+        on e_m Y^q."""
         a_i, r_i = split_pair_basis(right, t)
         total = 0
         for p, _, m, ltraces, _, _, _ in layout[k]:
@@ -237,10 +246,9 @@ def tensor_over(
                     kron(out, e, e2, lmul, ymove(q, m, q, e2[2], (g_m, None)))
         return Matrix(dims[k], dims[k + 1], out)
 
-    components = {}
-    for k in layout:
-        acts = LazyActions(e_t.dim, dims[k], partial(action, k), partial(action_trace, k))
-        components[k] = Module(e_t, dims[k], acts)
+    components = {
+        k: Module(e_t, dims[k], partial(row, k), partial(action_trace, k)) for k in layout
+    }
     diffs = LazyDifferentials([k for k in layout if k + 1 in layout], differential)
     return Complex(e_t, components, diffs, check=check)
 
@@ -285,7 +293,7 @@ def _ymove(y: Complex, middle: Algebra, right: Algebra, q, m, q2, m2, act):
     rows = [dst.coords(w) for w in images]
     if None in rows:
         raise AssertionError("a map of y escaped its block")
-    return [[(j, c) for j, c in enumerate(r) if c] for r in rows]
+    return [nonzero_pairs(r) for r in rows]
 
 
 @cached

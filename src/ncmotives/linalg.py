@@ -150,11 +150,6 @@ class Matrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return norm_scalar(sum(self.data[i][i] for i in range(self.rows)))
-
     # -- elimination ------------------------------------------------------
 
     def rref(self):
@@ -213,6 +208,12 @@ class Matrix:
                 if f:
                     m[r] = [norm_scalar(x - f * y) for x, y in zip(m[r], m[col])]
         return norm_scalar(det)
+
+
+def nonzero_pairs(v):
+    """The nonzero (index, entry) pairs of a dense vector, in index order:
+    the form of a sparse row and of an algebra element."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 def row_times(v, m: Matrix):

@@ -1,24 +1,22 @@
 """Right modules over the algebras of this package.
 
-A module of dimension d has one d x d action matrix per algebra basis
-element, in a sequence indexed by basis element: a list, or LazyActions,
-which builds each matrix on first read.  Elements are row vectors and act on
-the right:
+A module is its dimension and its sparse right action, Module.row(s, j):
+basis vector s times basis element j, as its nonzero (k, c) pairs.
+Elements are row vectors and act on the right, so row s of the action
+matrix of b_j is row(s, j), and act(x * y) = act(x) * act(y) as matrix
+products.  Bimodules are right modules over tensor(opposite(A), B): the
+pair (a^op, b) acts as "a on the left, b on the right".
 
-    row(m * b_j) = row(m) * action[j]
-
-so action(x * y) = action(x) * action(y) as matrix products.  Bimodules are
-right modules over tensor(opposite(A), B): the pair (a^op, b) acts as
-"a on the left, b on the right".
-
-Beside the dense builder, every module has one sparse right action on a
-basis vector, Module.row(s, j): row s of action[j] as its nonzero (k, c)
-pairs.  A projective e_i A reads it from the structure constants, a direct
-sum from its summands, and any other module from a row of its matrix.
+Each kind of module reads its rows its own way: a projective e_i A and the
+diagonal bimodule from the structure constants, an injective D(A e_i) and
+the dual bimodule by transposing them, a direct sum from its summands, and
+a quotient or a module spec from a table of rows (table_module).
 Everything that multiplies vectors (Module.times, act_matrix, quotients,
-radicals, covers, and the y side of homalg.tensor_over) reads through it,
-so a sum of projectives never builds an action matrix; the dense matrices
-stay for Module.check, iteration and the tests.  Module.times and
+radicals, covers, and the y side of homalg.tensor_over) reads through row,
+and a class reads Module.trace, which a projective, an injective, a sum
+and a tensor product answer without a matrix.  A dense action matrix is
+built only by Module.act_matrix: for Module.check, the module-map check of
+a complex spec, the bar-complex oracle and the tests.  Module.times and
 act_matrix take the algebra element as its nonzero (basis index,
 coefficient) pairs, the form of a structure-constant product, of the
 algebra's unit and of a block of a perfect complex; an idempotent g acts
@@ -33,93 +31,38 @@ subspaces of their projectives.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 
-from .algebra import Algebra, cached, hom_algebra, join_pair_basis, opposite, swap_permutation
-from .linalg import Matrix, RowBasis, norm_scalar
-
-
-class LazyActions:
-    """Action matrices built on first read by build(j) and kept, for modules
-    whose readers need only a few of them (a class reads the idempotent
-    actions alone).  trace(j), if given, gives the trace of action j without
-    building it, and row(s, j) its row s (see Module.row).  Iteration and
-    comparison build every matrix."""
-
-    __slots__ = ("dim", "_build", "_trace", "_row", "_mats")
-
-    def __init__(self, count: int, dim: int, build, trace=None, row=None):
-        self.dim = dim
-        self._build = build
-        self._trace = trace
-        self._row = row
-        self._mats = [None] * count
-
-    def __len__(self):
-        return len(self._mats)
-
-    def __getitem__(self, j) -> Matrix:
-        j = range(len(self._mats))[j]
-        m = self._mats[j]
-        if m is None:
-            m = self._build(j)
-            if m.rows != self.dim or m.cols != self.dim:
-                raise ValueError("action matrix has wrong shape")
-            self._mats[j] = m
-        return m
-
-    def trace(self, j):
-        """Trace of action j: from the trace function while the matrix is
-        unbuilt, else from the matrix."""
-        if self._mats[j] is None and self._trace is not None:
-            return self._trace(j)
-        return self[j].trace()
-
-    def __iter__(self):
-        return (self[j] for j in range(len(self._mats)))
-
-    def __eq__(self, other):
-        return list(self) == list(other)
+from .algebra import (
+    Algebra,
+    cached,
+    hom_algebra,
+    join_pair_basis,
+    opposite,
+    product,
+    swap_permutation,
+)
+from .linalg import Matrix, RowBasis, nonzero_pairs, norm_scalar
 
 
 class Module:
-    """A right module: action[j] is the matrix of basis element j.  action
-    is a sequence indexed by basis element; a LazyActions fills it on
-    demand, and the shape check here leaves it unbuilt."""
+    """A right module: its dimension and its sparse right action.
 
-    __slots__ = ("algebra", "dim", "action")
+    row(s, j) is basis vector s times basis element j, as its nonzero (k, c)
+    pairs, and trace(j) the trace of the action of basis element j; without
+    a trace function it is summed from the diagonal entries of the rows.
+    Both are the callables given here, kept as attributes."""
 
-    def __init__(self, algebra: Algebra, dim: int, action):
+    __slots__ = ("algebra", "dim", "row", "trace")
+
+    def __init__(self, algebra: Algebra, dim: int, row, trace=None):
         self.algebra = algebra
         self.dim = dim
-        if isinstance(action, LazyActions):
-            if action.dim != dim:
-                raise ValueError("action matrix has wrong shape")
-        else:
-            action = list(action)
-            for m in action:
-                if m.rows != dim or m.cols != dim:
-                    raise ValueError("action matrix has wrong shape")
-        self.action = action
-        if len(action) != algebra.dim:
-            raise ValueError("one action matrix per algebra basis element required")
+        self.row = row
+        self.trace = trace or partial(_row_trace, row, dim)
 
     def __repr__(self):
         return f"<Module dim={self.dim} over {self.algebra!r}>"
-
-    def trace(self, j):
-        """Trace of the action of basis element j, built only where a lazy
-        action has no trace function."""
-        acts = self.action
-        return acts.trace(j) if isinstance(acts, LazyActions) else acts[j].trace()
-
-    def row(self, s, j):
-        """The sparse right action: basis vector s times basis element j, as
-        the nonzero (k, c) pairs of row s of action[j], from a lazy action's
-        row function if it has one, else from the matrix."""
-        acts = self.action
-        if isinstance(acts, LazyActions) and acts._row is not None:
-            return acts._row(s, j)
-        return tuple((k, c) for k, c in enumerate(acts[j].data[s]) if c)
 
     def times(self, v, pairs):
         """The row vector v times the element sum c * b_k over the (k, c) in
@@ -133,7 +76,8 @@ class Module:
         return out
 
     def act_matrix(self, pairs) -> Matrix:
-        """Action matrix of the element sum c * b_k over (k, c) in pairs."""
+        """Action matrix of the element sum c * b_k over (k, c) in pairs: the
+        one place a dense action matrix is built."""
         n = self.dim
         return Matrix(n, n, [self.times(_unit(n, s), pairs) for s in range(n)])
 
@@ -143,15 +87,20 @@ class Module:
         a = self.algebra
         if self.act_matrix(a.unit) != Matrix.identity(self.dim):
             raise ValueError("unit does not act as the identity")
+        acts = [self.act_matrix(((j, 1),)) for j in range(a.dim)]
         for i in range(a.dim):
             for j in range(a.dim):
-                lhs = self.action[i] * self.action[j]
-                rhs = self.act_matrix(a.mul[i][j])
-                if lhs != rhs:
+                if acts[i] * acts[j] != self.act_matrix(a.mul[i][j]):
                     raise ValueError(
                         f"action incompatible with product of basis {i},{j}"
                     )
         return True
+
+
+def _row_trace(row, dim, j):
+    """The trace of basis element j: the sum of the diagonal entries of its
+    rows."""
+    return norm_scalar(sum(c for s in range(dim) for k, c in row(s, j) if k == s))
 
 
 def _unit(n, s):
@@ -160,8 +109,14 @@ def _unit(n, s):
     return v
 
 
+def table_module(a: Algebra, dim: int, table) -> Module:
+    """The module whose row(s, j) is table[j][s]."""
+    return Module(a, dim, lambda s, j: table[j][s])
+
+
 def zero_module(a: Algebra) -> Module:
-    return Module(a, 0, [Matrix.zeros(0, 0)] * a.dim)
+    """The module with no basis vector, so no row to read."""
+    return Module(a, 0, None)
 
 
 @cached
@@ -169,55 +124,42 @@ def projective_module(a: Algebra, i: int):
     """(Module for e_i A, monomial basis indices into A).
 
     The basis of e_i A is the set of basis monomials with left idempotent i,
-    and the action is the restriction of right multiplication: its rows and
-    traces are read from the structure constants, and each matrix is built
-    on first read."""
+    and the action is the restriction of right multiplication: its rows are
+    read from the structure constants."""
     basis = a.projective_basis(i)
     pos = {t: r for r, t in enumerate(basis)}
-    d = len(basis)
-
-    def build(j):
-        rows = []
-        for t in basis:
-            row = [0] * d
-            for k, c in a.mul[t][j]:
-                row[pos[k]] = c
-            rows.append(row)
-        return Matrix(d, d, rows)
-
-    def trace(j):
-        return norm_scalar(sum(c for t in basis for k, c in a.mul[t][j] if k == t))
 
     def row(s, j):
         return tuple((pos[k], c) for k, c in a.mul[basis[s]][j])
 
-    return Module(a, d, LazyActions(a.dim, d, build, trace, row)), basis
+    return Module(a, len(basis), row), basis
+
+
+@cached
+def injective_module(a: Algebra, i: int) -> Module:
+    """D(A e_i), the linear dual of A e_i, in the basis dual to
+    a.coprojective_basis(i): (phi b_j)(x) = phi(b_j x), so row u of b_j
+    holds, at each position r of that basis, the coefficient of its u-th
+    element in b_j times its r-th.  The trace of b_j is that of left
+    multiplication by b_j on A e_i."""
+    basis = a.coprojective_basis(i)
+
+    def row(s, j):
+        u = basis[s]
+        return tuple((r, c) for r, t in enumerate(basis) for k, c in a.mul[j][t] if k == u)
+
+    return Module(a, len(basis), row, lambda j: a.coprojective_traces(i)[j])
 
 
 def direct_sum_modules(a: Algebra, mods):
     """(Module, offsets).  The zero-summand case gives the zero module.
-    Each block-diagonal action matrix is built on first read; its trace is
-    the sum of the summands' traces, and its row s is the summand's row,
-    moved to the summand's offset."""
-    dims = [m.dim for m in mods]
-    total = sum(dims)
+    Row s of the sum is the summand's row, moved to the summand's offset,
+    and a trace is the sum of the summands' traces."""
     offsets = []
-    off = 0
-    for d in dims:
-        offsets.append(off)
-        off += d
-
-    def build(j):
-        big = [[0] * total for _ in range(total)]
-        for m, o in zip(mods, offsets):
-            data = m.action[j].data
-            for r in range(m.dim):
-                row = big[o + r]
-                src = data[r]
-                for c in range(m.dim):
-                    if src[c]:
-                        row[o + c] = src[c]
-        return Matrix(total, total, big)
+    total = 0
+    for m in mods:
+        offsets.append(total)
+        total += m.dim
 
     def trace(j):
         return norm_scalar(sum(m.trace(j) for m in mods))
@@ -227,7 +169,7 @@ def direct_sum_modules(a: Algebra, mods):
         o = offsets[i]
         return tuple((k + o, c) for k, c in mods[i].row(s - o, j))
 
-    return Module(a, total, LazyActions(a.dim, total, build, trace, row)), offsets
+    return Module(a, total, row, trace), offsets
 
 
 def quotient_module(m: Module, sub: RowBasis):
@@ -244,14 +186,14 @@ def quotient_module(m: Module, sub: RowBasis):
         red = sub.reduce(v)
         proj_rows.append([red[c] for c in free])
     proj = Matrix(m.dim, qdim, proj_rows)
-    action = []
+    table = []
     for j in range(m.algebra.dim):
         rows = []
         for c in free:
             red = sub.reduce(m.times(_unit(m.dim, c), ((j, 1),)))
-            rows.append([red[x] for x in free])
-        action.append(Matrix(qdim, qdim, rows))
-    return Module(m.algebra, qdim, action), proj
+            rows.append(nonzero_pairs(red[x] for x in free))
+        table.append(rows)
+    return table_module(m.algebra, qdim, table), proj
 
 
 def module_radical(m: Module, sub: RowBasis) -> RowBasis:
@@ -269,7 +211,7 @@ def module_radical(m: Module, sub: RowBasis) -> RowBasis:
     a = m.algebra
     factors = a.meta.get("factors")
     if factors is None:
-        gens = [[(k, c) for k, c in enumerate(g) if c] for g in a.radical().rows]
+        gens = [nonzero_pairs(g) for g in a.radical().rows]
     else:
         left, right = factors
         gens = [
@@ -349,21 +291,14 @@ def diagonal_bimodule(a: Algebra) -> Module:
     """A as an A-A-bimodule, i.e. a right module over tensor(op(A), A):
     the pair (x^op, y) sends m to x m y.
 
-    The pair (b_i^op, b_j) acts by L_i R_j, whose row s holds the
-    coordinates of b_i b_s b_j; it is filled from the structure constants."""
-    env = hom_algebra(a, a)
-    mul = a.mul
-    action = []
-    for t in range(env.dim):
+    Row s of the pair (b_i^op, b_j) is b_i b_s b_j, read from the structure
+    constants."""
+
+    def row(s, t):
         i, j = divmod(t, a.dim)
-        right = [row[j] for row in mul]
-        data = [[0] * a.dim for _ in range(a.dim)]
-        for s, left in enumerate(mul[i]):
-            for k, c in left:
-                for k2, c2 in right[k]:
-                    data[s][k2] += c * c2
-        action.append(Matrix(a.dim, a.dim, data))
-    return Module(env, a.dim, action)
+        return product(a.mul, a.mul[i][s], ((j, 1),))
+
+    return Module(hom_algebra(a, a), a.dim, row)
 
 
 @cached
@@ -372,13 +307,18 @@ def dual_bimodule(a: Algebra) -> Module:
 
     In dual-basis coordinates the pair (b_i^op, b_j) acts by the transpose
     of L_j R_i, the diagonal bimodule's action at the swapped pair
-    (b_j^op, b_i).  It needs the enveloping algebra of A.  At runtime only
+    (b_j^op, b_i): row u holds the coefficient of b_u in row s of that
+    action, at each s, and the trace is that action's.  At runtime only
     `hochschild` with dual coefficients calls it; derived.serre builds S(M)
     from the copies of M instead, and the tests use M (x)_A D(A) as its
     oracle."""
     diag = diagonal_bimodule(a)
-    action = [diag.action[p].transpose() for p in swap_permutation(a, a)]
-    return Module(diag.algebra, a.dim, action)
+    perm = swap_permutation(a, a)
+
+    def row(u, t):
+        return tuple((s, c) for s in range(a.dim) for k, c in diag.row(s, perm[t]) if k == u)
+
+    return Module(diag.algebra, a.dim, row, lambda t: diag.trace(perm[t]))
 
 
 def left_structure_module(m: Module, a: Algebra) -> Module:
@@ -388,11 +328,10 @@ def left_structure_module(m: Module, a: Algebra) -> Module:
     For a right module over E = tensor(op(A), A) the basis pair (x^op, y)
     acts as x m y; the left E-structure needed for balanced tensor products
     against right E-modules sends (x^op, y) to y m x, which is the right
-    action of the swapped pair.  Index-permuting the action list therefore
-    yields a right module over opposite(E)."""
+    action of the swapped pair.  Permuting the basis indices of the rows and
+    traces therefore yields a right module over opposite(E)."""
     env = hom_algebra(a, a)
     if m.algebra is not env:
         raise ValueError("module is not a bimodule over tensor(op(A), A)")
     perm = swap_permutation(a, a)
-    action = [m.action[perm[g]] for g in range(env.dim)]
-    return Module(opposite(env), m.dim, action)
+    return Module(opposite(env), m.dim, lambda s, g: m.row(s, perm[g]), lambda g: m.trace(perm[g]))

@@ -23,8 +23,8 @@ def absolute_bar_dims(a, w, top):
     right_rows = []
     left_rows = []
     for t in range(a.dim):
-        rterms = [(w.action[join_pair_basis(a, i, t)], u) for i, u in a.unit]
-        lterms = [(w.action[join_pair_basis(a, t, i)], u) for i, u in a.unit]
+        rterms = [(w.act_matrix(((join_pair_basis(a, i, t), 1),)), u) for i, u in a.unit]
+        lterms = [(w.act_matrix(((join_pair_basis(a, t, i), 1),)), u) for i, u in a.unit]
         right_rows.append([_sparse(r) for r in matrix_sum(rterms, w.dim, w.dim).data])
         left_rows.append([_sparse(r) for r in matrix_sum(lterms, w.dim, w.dim).data])
     ranks = [0] * (top + 2)  # ranks[n] = rank of d_n : C_n -> C_{n-1}

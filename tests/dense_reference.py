@@ -12,7 +12,7 @@ tests use, and as_pairs turns a coordinate vector into pairs.
 
 from ncmotives.complexes import Complex
 from ncmotives.linalg import Matrix, RowBasis, norm_scalar
-from ncmotives.modules import Module
+from ncmotives.modules import Module, table_module
 
 
 def from_rows(rows, cols: int | None = None) -> Matrix:
@@ -52,6 +52,11 @@ def matrix_sum(terms, rows: int, cols: int) -> Matrix:
                 if x:
                     acc[j] += c * x
     return Matrix(rows, cols, out)
+
+
+def matrix_trace(m: Matrix):
+    """The trace of a square matrix, as a normalized scalar."""
+    return norm_scalar(sum(m.data[i][i] for i in range(m.rows)))
 
 
 def basis_vector(a, i):
@@ -98,9 +103,15 @@ def right_matrix(a, j) -> Matrix:
     return Matrix(a.dim, a.dim, rows)
 
 
+def dense_module(a, mats) -> Module:
+    """The module whose basis element j acts by the matrix mats[j], stored
+    as its sparse rows."""
+    return table_module(a, mats[0].rows, [[as_pairs(r) for r in m.data] for m in mats])
+
+
 def regular_module(a) -> Module:
     """A as a right module over itself."""
-    return Module(a, a.dim, [right_matrix(a, j) for j in range(a.dim)])
+    return dense_module(a, [right_matrix(a, j) for j in range(a.dim)])
 
 
 def submodule_from_rowbasis(m: Module, rb: RowBasis):
@@ -119,7 +130,7 @@ def submodule_from_rowbasis(m: Module, rb: RowBasis):
             rows.append(cs)
         action.append(Matrix(d, d, rows))
     incl = Matrix(d, m.dim, [r[:] for r in rb.rows])
-    return Module(m.algebra, d, action), rb, incl
+    return dense_module(m.algebra, action), rb, incl
 
 
 def span_submodule(m: Module, generators):

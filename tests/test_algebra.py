@@ -2,7 +2,7 @@ import pytest
 
 from fractions import Fraction
 
-from dense_reference import as_pairs, basis_vector, multiply
+from dense_reference import as_pairs, basis_vector, matrix_trace, multiply
 from ncmotives.algebra import (
     Algebra,
     AlgebraStructureError,
@@ -52,7 +52,7 @@ def dense_peirce(a):
 def dense_radical(a) -> RowBasis:
     """Kernel of the regular trace form (x, y) -> tr(L_{xy}), with the traces
     of the dense left multiplication matrices."""
-    tl = [left_matrix(a, k).trace() for k in range(a.dim)]
+    tl = [matrix_trace(left_matrix(a, k)) for k in range(a.dim)]
     gram = [
         [
             sum(c * t for c, t in zip(multiply(a, basis_vector(a, i), basis_vector(a, j)), tl))

@@ -433,7 +433,8 @@ A2_DIAGONAL_SPEC = {
     "dim": A2_DIAGONAL.dim,
     "action": {
         lab: [[scalar_to_json(x) for x in row] for row in m.data]
-        for lab, m in zip(A2_DIAGONAL.algebra.labels, A2_DIAGONAL.action)
+        for j, lab in enumerate(A2_DIAGONAL.algebra.labels)
+        for m in [A2_DIAGONAL.act_matrix(((j, 1),))]
     },
 }
 NO_VERTICES = {"kind": "quiver", "vertices": 0}
@@ -618,9 +619,9 @@ def test_rational_literals_are_normalized_on_load():
         },
     }
     m = module_from_spec(spec, a2)
-    entries = [x for mat in m.action for row in mat.data for x in row]
+    entries = [x for j in range(a2.dim) for row in m.act_matrix(((j, 1),)).data for x in row]
     assert all(type(x) is int for x in entries)
-    assert m.action[a2.labels.index("a")].data[0][1] == 2
+    assert m.act_matrix(((a2.labels.index("a"), 1),)).data[0][1] == 2
 
 
 def test_exact_results_of_any_length_are_written(tmp_path):
@@ -647,6 +648,67 @@ def test_exact_results_of_any_length_are_written(tmp_path):
 def test_cyclic_quiver_exit_code(tmp_path):
     spec = write(tmp_path, "cyclic.json", CYCLIC_SPEC)
     assert main(["euler-matrix", spec]) == 3
+
+
+# quivers whose path algebra would exhaust memory, with the path count their
+# refusal names: 10^8 vertices, and a line of 30 vertices with two parallel
+# arrows per step (a 2321-byte file)
+OVERSIZED_QUIVERS = {
+    "many-vertices": (
+        {"format": 1, "kind": "quiver", "vertices": 10**8},
+        "at least 100000000 paths (one per vertex)",
+    ),
+    "doubled-line": (
+        {
+            "format": 1,
+            "kind": "quiver",
+            "vertices": 30,
+            "arrows": [{"from": i, "to": i + 1, "label": f"{x}{i}"} for i in range(29) for x in "ab"],
+        },
+        "2147483616 paths",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, count", OVERSIZED_QUIVERS.values(), ids=OVERSIZED_QUIVERS.keys())
+def test_oversized_quiver_is_refused_before_it_is_built(spec, count):
+    """A quiver with more than MAX_PATHS paths is unsupported input (exit 3),
+    and the message gives the count and the limit.  It runs in a fresh
+    interpreter limited to 1 GB of address space, so a quiver that is built
+    after all fails with MemoryError (exit 5) instead of exhausting the
+    machine."""
+    from ncmotives.algebra import MAX_PATHS
+
+    script = (
+        "import contextlib, io, json, os, resource, tempfile\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ncmotives.cli import main\n"
+        "err = io.StringIO()\n"
+        "with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):\n"
+        "    path = os.path.join(tmp, 'quiver.json')\n"
+        f"    json.dump({spec!r}, open(path, 'w'))\n"
+        "    code = main(['euler-matrix', path])\n"
+        "print(json.dumps([code, err.getvalue()]))\n"
+    )
+    code, err = json.loads(_run_fresh(script, timeout=120))
+    assert (code, err) == (3, f"unsupported input: the quiver has {count}, more than {MAX_PATHS}\n")
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_timing_adds_only_elapsed_seconds(tmp_path, where):
+    """--timing, placed before or after the subcommand, adds a non-negative
+    elapsed_seconds to the report; every other key equals the report
+    without the flag."""
+    spec = write(tmp_path, "a2.json", A2_SPEC)
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(["--seed", "2", "serre-check", spec, "--out", str(plain)]) == 0
+    argv = ["--seed", "2", "serre-check", spec, "--out", str(timed)]
+    argv.insert(0 if where == "before" else len(argv), "--timing")
+    assert main(argv) == 0
+    report = json.loads(timed.read_text())
+    elapsed = report.pop("elapsed_seconds")
+    assert isinstance(elapsed, float) and elapsed >= 0
+    assert report == json.loads(plain.read_text())
 
 
 def test_cap_exceeded_exit_code(tmp_path):

@@ -1,11 +1,11 @@
 import pytest
 
-from dense_reference import degrees, euler_characteristic, from_rows, shift, single_module_complex
+from dense_reference import degrees, dense_module, euler_characteristic, from_rows, shift, single_module_complex
 from ncmotives.algebra import scalar_algebra
 from ncmotives.complexes import Complex, PerfectComplex, as_complex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.linalg import Matrix
-from ncmotives.modules import Module, simple_modules
+from ncmotives.modules import simple_modules
 from resolve_reference import ChainMap, cone, perfect_from_matrices
 
 
@@ -26,7 +26,7 @@ TABLE_A2 = {
 
 def one_dim_complex():
     q = scalar_algebra()
-    m = Module(q, 1, [Matrix.identity(1)])
+    m = dense_module(q, [Matrix.identity(1)])
     return single_module_complex(m, degree=2)
 
 
@@ -76,7 +76,7 @@ def test_shift_moves_degrees_and_signs(a2, rng):
 
 def test_d_squared_enforced():
     q = scalar_algebra()
-    m = Module(q, 1, [Matrix.identity(1)])
+    m = dense_module(q, [Matrix.identity(1)])
     comps = {0: m, 1: m, 2: m}
     diffs = {0: Matrix.identity(1), 1: Matrix.identity(1)}
     with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ def test_homology_representatives_are_cycles(a2, rng):
 
 def test_scalar_complex_and_as_complex():
     q = scalar_algebra()
-    comps = {0: Module(q, 2, [Matrix.identity(2)]), 1: Module(q, 1, [Matrix.identity(1)])}
+    comps = {0: dense_module(q, [Matrix.identity(2)]), 1: dense_module(q, [Matrix.identity(1)])}
     c = Complex(q, comps, {0: from_rows([[0], [0]])})
     assert c.component_dim(0) == 2
     assert as_complex(c) is c

@@ -5,7 +5,14 @@ import pytest
 from collections import Counter
 
 from ncmotives.algebra import hom_algebra, scalar_algebra
-from dense_reference import degrees, euler_characteristic, from_rows, single_module_complex
+from dense_reference import (
+    as_pairs,
+    degrees,
+    euler_characteristic,
+    from_rows,
+    matrix_trace,
+    single_module_complex,
+)
 from ncmotives.complexes import Complex
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, quiver_euler_oracle, random_perfect_complex
 from ncmotives.derived import (
@@ -18,7 +25,7 @@ from ncmotives.derived import (
     serre,
     simple_resolutions,
 )
-from ncmotives.homalg import hom_complex, tensor_over
+from ncmotives.homalg import dual_perfect, hom_complex, tensor_over
 from ncmotives.linalg import Matrix
 from ncmotives.modules import dual_bimodule, projective_module, simple_modules
 from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution, resolution_length
@@ -226,10 +233,36 @@ def test_serre_matches_tensor_with_the_dual_bimodule():
             assert got.algebra is want.algebra is alg
             assert sorted(got.components) == sorted(want.components)
             for n, comp in want.components.items():
-                assert got.components[n].action == comp.action
+                for j in range(alg.dim):
+                    assert got.components[n].act_matrix(((j, 1),)) == comp.act_matrix(((j, 1),))
             assert got.differentials == want.differentials
             cases += 1
     assert cases == 27
+
+
+def test_serre_components_are_the_transposed_dual_components(rng):
+    """The component of S(M) in degree n is a sum of injectives D(A e_i)
+    whose rows and traces are those of the transpose of the dual's
+    component in degree -n: row u of b_j is column u of the dual's action
+    matrix of b_j (Module.act_matrix, the dense oracle), and the traces
+    agree.  On the simple resolutions and two random perfect complexes over
+    every corpus algebra and its enveloping algebra.  Rows are compared
+    because reading b_j t as t b_j keeps some traces."""
+    q = scalar_algebra()
+    checked = 0
+    for a in corpus_algebras():
+        for alg in (a, hom_algebra(a, a)):
+            for m in simple_resolutions(alg) + [random_perfect_complex(alg, rng) for _ in range(2)]:
+                d = dual_perfect(m, q, alg)
+                s = serre(m)
+                assert sorted(s.components) == sorted(-n for n in d.components)
+                for n, comp in s.components.items():
+                    for j in range(alg.dim):
+                        oracle = d.components[-n].act_matrix(((j, 1),)).transpose()
+                        assert [comp.row(u, j) for u in range(comp.dim)] == [as_pairs(r) for r in oracle.data]
+                        assert comp.trace(j) == matrix_trace(oracle)
+                        checked += 1
+    assert checked > 1000
 
 
 def _euler_gram(res):
@@ -328,27 +361,27 @@ def test_quasi_isomorphism_invariance_of_chi(a2, rng):
 
 def test_serre_classes_in_verify_build_no_transpose(tmp_path, monkeypatch):
     """verify A3 -> A3 reads each Serre complex through its class, and each
-    idempotent trace of a Serre component comes from the dual component it
-    transposes: no transposed action matrix is built."""
+    idempotent trace of a Serre component comes from its injectives: no
+    action matrix is built (Module.act_matrix)."""
     import json
 
     import ncmotives.derived as derived
     from ncmotives.cli import main
-    from ncmotives.modules import LazyActions
+    from ncmotives.modules import Module, direct_sum_modules
 
     built = {"components": 0, "actions": 0}
+    act_matrix = Module.act_matrix
 
-    class Actions(LazyActions):
-        def __init__(self, count, dim, build, trace=None):
-            built["components"] += 1
+    def counted_sum(a, mods):
+        built["components"] += 1
+        return direct_sum_modules(a, mods)
 
-            def counted(j):
-                built["actions"] += 1
-                return build(j)
+    def counted_matrix(m, pairs):
+        built["actions"] += 1
+        return act_matrix(m, pairs)
 
-            super().__init__(count, dim, counted, trace)
-
-    monkeypatch.setattr(derived, "LazyActions", Actions)
+    monkeypatch.setattr(derived, "direct_sum_modules", counted_sum)
+    monkeypatch.setattr(Module, "act_matrix", counted_matrix)
     a3 = {
         "format": 1,
         "kind": "quiver",
@@ -360,6 +393,39 @@ def test_serre_classes_in_verify_build_no_transpose(tmp_path, monkeypatch):
     assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 0
     assert built["components"] > 0
     assert built["actions"] == 0
+
+
+def test_serre_check_builds_no_action_matrix():
+    """serre-check on the Kronecker quiver (--seed 3 --samples 5) reads the
+    Serre transforms through their rows and traces: Module.act_matrix, the
+    one builder of a dense action matrix, is never called.  A fresh
+    interpreter keeps modules cached by other tests from hiding a build."""
+    from test_cli import _run_fresh
+
+    kronecker = {
+        "format": 1,
+        "kind": "quiver",
+        "vertices": 2,
+        "arrows": [{"from": 0, "to": 1, "label": x} for x in "ab"],
+    }
+    script = (
+        "import json, os, tempfile\n"
+        "from ncmotives.cli import main\n"
+        "from ncmotives.modules import Module\n"
+        "calls = []\n"
+        "act_matrix = Module.act_matrix\n"
+        "def counted(m, pairs):\n"
+        "    calls.append(pairs)\n"
+        "    return act_matrix(m, pairs)\n"
+        "Module.act_matrix = counted\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path, out = os.path.join(tmp, 'kronecker.json'), os.path.join(tmp, 'report.json')\n"
+        f"    json.dump({kronecker!r}, open(path, 'w'))\n"
+        "    argv = ['--seed', '3', 'serre-check', path, '--samples', '5', '--out', out]\n"
+        "    assert main(argv) == 0\n"
+        "print(len(calls))\n"
+    )
+    assert _run_fresh(script, timeout=120) == "0"
 
 
 def test_serre_class_is_read_from_the_copies():
@@ -377,7 +443,7 @@ def test_serre_class_is_read_from_the_copies():
                 sum(wi * e.peirce_dims()[j][i] for i, wi in enumerate(w)) for j in range(len(idem))
             ]
             built = [
-                sum((-1 if n % 2 else 1) * c.action[g].trace() for n, c in s.components.items())
+                sum((-1 if n % 2 else 1) * matrix_trace(c.act_matrix(((g, 1),))) for n, c in s.components.items())
                 for g in idem
             ]
             assert got == closed == built

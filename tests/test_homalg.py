@@ -8,7 +8,7 @@ from ncmotives.complexes import Complex, PerfectComplex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class, serre
 from class_reference import tensor_class
-from dense_reference import degrees, from_rows, hh_euler, shift, single_module_complex
+from dense_reference import degrees, from_rows, hh_euler, matrix_trace, shift, single_module_complex
 from ncmotives.homalg import (
     dual_perfect,
     hom_complex,
@@ -30,8 +30,8 @@ def brute_hom_dim(m1: Module, m2: Module) -> int:
         return 0
     rows = []
     for b in range(m1.algebra.dim):
-        a1 = m1.action[b]
-        a2 = m2.action[b]
+        a1 = m1.act_matrix(((b, 1),))
+        a2 = m2.act_matrix(((b, 1),))
         for r in range(d1):
             for c in range(d2):
                 row = [0] * (d1 * d2)
@@ -239,7 +239,7 @@ def test_tensor_class_matches_assembled(a2, kronecker, rng):
             comp = t.components.get(n)
             if comp is None:
                 continue
-            tr = comp.action[idem_idx[r]].trace()
+            tr = matrix_trace(comp.act_matrix(((idem_idx[r], 1),)))
             total += (-1 if n % 2 else 1) * tr
         assert total == cls[r]
 
@@ -265,7 +265,7 @@ def test_tensor_over_output_is_a_complex_of_modules(a2, qxq, kronecker, rng):
                 continue
             nxt = t.components.get(n + 1)
             for b in range(comp.algebra.dim):
-                assert comp.action[b] * d == d * nxt.action[b]
+                assert comp.act_matrix(((b, 1),)) * d == d * nxt.act_matrix(((b, 1),))
 
 
 def test_dual_of_free_rank_one(a2):
@@ -351,7 +351,8 @@ def _assert_same_tensor(t, u):
     assert sorted(t.components) == sorted(u.components)
     for k, comp in t.components.items():
         assert comp.dim == u.components[k].dim
-        assert list(comp.action) == list(u.components[k].action)
+        for j in range(t.algebra.dim):
+            assert comp.act_matrix(((j, 1),)) == u.components[k].act_matrix(((j, 1),))
     assert t.differentials == u.differentials
 
 
@@ -442,39 +443,41 @@ def _trace_formula_factors(names=None):
 
 
 def _count_builds(monkeypatch):
-    """Count the action matrices and differentials of tensor_over outputs
-    built from here on, and the outputs made."""
+    """Count the action matrices built from here on (Module.act_matrix, of
+    any module), and the differentials of tensor_over outputs built and the
+    outputs made."""
     import ncmotives.homalg as homalg
     from ncmotives.complexes import LazyDifferentials
-    from ncmotives.modules import LazyActions
+    from ncmotives.modules import Module
 
     built = {"actions": 0, "differentials": 0, "complexes": 0}
+    act_matrix = Module.act_matrix
 
-    def counted(kind, build):
+    def counted_matrix(m, pairs):
+        built["actions"] += 1
+        return act_matrix(m, pairs)
+
+    def counted(build):
         def run(j):
-            built[kind] += 1
+            built["differentials"] += 1
             return build(j)
 
         return run
 
-    class Actions(LazyActions):
-        def __init__(self, count, dim, build, trace=None):
-            super().__init__(count, dim, counted("actions", build), trace)
-
     class Differentials(LazyDifferentials):
         def __init__(self, degrees, build):
             built["complexes"] += 1
-            super().__init__(degrees, counted("differentials", build))
+            super().__init__(degrees, counted(build))
 
-    monkeypatch.setattr(homalg, "LazyActions", Actions)
+    monkeypatch.setattr(Module, "act_matrix", counted_matrix)
     monkeypatch.setattr(homalg, "LazyDifferentials", Differentials)
     return built
 
 
 def test_layout_traces_match_built_actions():
     """tensor_over answers the trace of a component action from its block
-    layout while the matrix is unbuilt (LazyActions.trace); Matrix.trace()
-    of the dense built action is the oracle.  Every trace-formula composite
+    layout (Module.trace); the trace of the dense matrix of its rows
+    (Module.act_matrix) is the oracle.  Every trace-formula composite
     of the corpus Hom models, every idempotent of the output algebra, every
     degree; every basis element where the output algebra has dimension at
     most 9 (the endo-composites over Q, QxQ and A2)."""
@@ -484,8 +487,8 @@ def test_layout_traces_match_built_actions():
         ts = range(t.algebra.dim) if t.algebra.dim <= 9 else t.algebra.idempotents
         for comp in t.components.values():
             for g in ts:
-                from_layout = comp.action.trace(g)
-                assert from_layout == comp.action[g].trace()
+                from_layout = comp.trace(g)
+                assert from_layout == matrix_trace(comp.act_matrix(((g, 1),)))
                 checked += 1
     assert checked > 1500
 

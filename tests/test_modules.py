@@ -2,8 +2,10 @@ import pytest
 
 from dense_reference import (
     act_vector,
+    as_pairs,
     basis_vector,
     matrix_sum,
+    matrix_trace,
     regular_module,
     right_matrix,
     span_submodule,
@@ -41,7 +43,7 @@ def test_module_axioms_on_corpus(name, request):
 def test_simples_of_scalars(q):
     (s,) = simple_modules(q)
     assert s.dim == 1
-    assert s.action[0] == Matrix.identity(1)
+    assert s.act_matrix(((0, 1),)) == Matrix.identity(1)
 
 
 def test_simples_of_a2_explicit_actions(a2):
@@ -51,7 +53,7 @@ def test_simples_of_a2_explicit_actions(a2):
     for i, s in enumerate(simples):
         for t in range(a2.dim):
             expected = 1 if t == a2.idempotents[i] else 0
-            assert s.action[t].data == [[expected]]
+            assert s.act_matrix(((t, 1),)).data == [[expected]]
 
 
 def test_simples_of_kronecker(kronecker):
@@ -136,7 +138,7 @@ def test_diagonal_bimodule_action(a2):
     diag = diagonal_bimodule(a2)
     env = hom_algebra(a2, a2)
     # (e0^op, e0) projects onto e0 A e0 = span{e0}
-    t = diag.act_matrix(((env.idempotents[0], 1),)).trace()
+    t = matrix_trace(diag.act_matrix(((env.idempotents[0], 1),)))
     assert t == 1
 
 
@@ -147,13 +149,13 @@ def test_dual_bimodule_dimension_vector(a2):
     for i in range(2):
         for j in range(2):
             idx = i * 2 + j
-            t = da.act_matrix(((env.idempotents[idx], 1),)).trace()
+            t = matrix_trace(da.act_matrix(((env.idempotents[idx], 1),)))
             assert t == a2.peirce_dims()[j][i]
 
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, "env(A2)"])
 def test_bimodule_actions_match_dense_products(name):
-    """diagonal_bimodule and dual_bimodule fill their actions from the
+    """diagonal_bimodule and dual_bimodule read their rows from the
     structure constants; the dense products L_i R_j and (L_j R_i)^T are the
     oracle."""
     a = hom_algebra(corpus_algebra("A2"), corpus_algebra("A2")) if name == "env(A2)" else corpus_algebra(name)
@@ -161,8 +163,8 @@ def test_bimodule_actions_match_dense_products(name):
     dual = dual_bimodule(a)
     for t in range(hom_algebra(a, a).dim):
         i, j = divmod(t, a.dim)
-        assert diag.action[t] == left_matrix(a, i) * right_matrix(a, j)
-        assert dual.action[t] == (left_matrix(a, j) * right_matrix(a, i)).transpose()
+        assert diag.act_matrix(((t, 1),)) == left_matrix(a, i) * right_matrix(a, j)
+        assert dual.act_matrix(((t, 1),)) == (left_matrix(a, j) * right_matrix(a, i)).transpose()
 
 
 def test_left_structure_module_is_valid(a2):
@@ -226,24 +228,57 @@ def test_diagonal_resolution_matches_one_built_through_the_dense_radical(name, m
     assert res.differentials == dense.differentials
 
 
-def _sparse_action_modules(a):
-    """Each kind of module that answers Module.row its own way: the
-    projectives (structure constants), direct sums of them with a zero
-    summand inside (their summands), and the simples (explicit matrices)."""
-    from ncmotives.modules import zero_module
+def _restrict(m: Matrix, basis) -> Matrix:
+    """The square submatrix of m on the rows and columns in basis."""
+    return Matrix(len(basis), len(basis), [[m.data[s][t] for t in basis] for s in basis])
 
-    projectives = [projective_module(a, i)[0] for i in range(len(a.idempotents))]
-    total, _ = direct_sum_modules(a, [projectives[-1], zero_module(a), *projectives])
-    return [*projectives, total, *simple_modules(a)]
+
+def _block_diagonal(mats) -> Matrix:
+    n = sum(m.rows for m in mats)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for m in mats:
+        for r, row in enumerate(m.data):
+            out[off + r][off : off + m.cols] = row
+        off += m.rows
+    return Matrix(n, n, out)
+
+
+def _sparse_action_modules(a):
+    """Each kind of module that answers Module.row its own way, with a dense
+    oracle of its action, oracle(j): the projectives (R_j restricted to
+    e_i A), the injectives (L_j restricted to A e_i, transposed), direct
+    sums of both with a zero summand inside (block-diagonal), and the
+    simples (e_i acts as 1, every other basis element as 0)."""
+    from ncmotives.modules import injective_module, zero_module
+
+    n = len(a.idempotents)
+    cases = []
+    for i in range(n):
+        basis = a.projective_basis(i)
+        cases.append((projective_module(a, i)[0], lambda j, b=basis: _restrict(right_matrix(a, j), b)))
+    for i in range(n):
+        basis = a.coprojective_basis(i)
+        cases.append(
+            (injective_module(a, i), lambda j, b=basis: _restrict(left_matrix(a, j), b).transpose())
+        )
+    zero = (zero_module(a), lambda j: Matrix.zeros(0, 0))
+    summands = [cases[n - 1], zero, *cases[:n], cases[-1]]
+    total, _ = direct_sum_modules(a, [m for m, _ in summands])
+    cases.append((total, lambda j: _block_diagonal([oracle(j) for _, oracle in summands])))
+    for i, s in enumerate(simple_modules(a)):
+        cases.append((s, lambda j, g=a.idempotents[i]: Matrix(1, 1, [[1 if j == g else 0]])))
+    return cases
 
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, "env(A2)", "op(A3)xA3"])
 def test_sparse_right_action_matches_the_dense_builder(name, rng):
-    """Module.row(s, j) is row s of the dense action matrix, as its nonzero
-    (k, c) pairs, on every module kind and basis element; act_matrix and
-    Module.times (through dense_reference.act_vector), which read through
-    it, equal the dense sums of action matrices (dense_reference.matrix_sum
-    and row_times) on random elements."""
+    """Module.row(s, j) is row s of a dense oracle of the action, as its
+    nonzero (k, c) pairs, and Module.trace(j) its trace, on every module
+    kind and basis element; act_matrix and Module.times (through
+    dense_reference.act_vector), which read through row, equal the dense
+    sums of the oracle matrices (dense_reference.matrix_sum and row_times)
+    on random elements."""
     from ncmotives.linalg import row_times
 
     if name == "env(A2)":
@@ -252,28 +287,31 @@ def test_sparse_right_action_matches_the_dense_builder(name, rng):
         a = tensor(opposite(corpus_algebra("A3")), corpus_algebra("A3"))
     else:
         a = corpus_algebra(name)
-    for m in _sparse_action_modules(a):
+    for m, oracle in _sparse_action_modules(a):
+        dense = [oracle(j) for j in range(a.dim)]
         for j in range(a.dim):
-            dense = [tuple((k, c) for k, c in enumerate(r) if c) for r in m.action[j].data]
-            assert [m.row(s, j) for s in range(m.dim)] == dense
+            assert [m.row(s, j) for s in range(m.dim)] == [as_pairs(r) for r in dense[j].data]
+            assert m.trace(j) == matrix_trace(dense[j])
         for _ in range(3):
             coeffs = [rng.choice([0, 0, 1, -2]) for _ in range(a.dim)]
             v = [rng.choice([0, 1, 3]) for _ in range(m.dim)]
-            terms = [(m.action[k], c) for k, c in enumerate(coeffs) if c]
+            terms = [(dense[k], c) for k, c in enumerate(coeffs) if c]
             pairs = [(k, c) for k, c in enumerate(coeffs) if c]
             assert m.act_matrix(pairs) == matrix_sum(terms, m.dim, m.dim)
             assert act_vector(m, v, coeffs) == [
-                sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(row_times(v, m.action[k]) for k in range(a.dim)))
+                sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(row_times(v, dense[k]) for k in range(a.dim)))
             ]
 
 
 def test_verify_builds_no_direct_sum_action_matrix(tmp_path, monkeypatch):
-    """verify A3 -> A3 reads every direct sum of projectives (the components
-    of its perfect complexes, the covers of its resolutions) through the
-    sparse right action: not one block-diagonal action matrix is built."""
+    """verify A3 -> A3 reads every direct sum (the components of its perfect
+    complexes and Serre transforms, the covers of its resolutions) through
+    the sparse right action: not one action matrix is built
+    (Module.act_matrix)."""
     import json
 
     import ncmotives.complexes as complexes
+    import ncmotives.derived as derived
     import ncmotives.modules as modules
     import ncmotives.resolutions as resolutions
     from ncmotives.cli import main
@@ -281,19 +319,18 @@ def test_verify_builds_no_direct_sum_action_matrix(tmp_path, monkeypatch):
     built = {"sums": 0, "matrices": 0}
 
     def counted(a, mods):
-        m, offsets = direct_sum_modules(a, mods)
-        build = m.action._build
-
-        def run(j):
-            built["matrices"] += 1
-            return build(j)
-
-        m.action._build = run
         built["sums"] += 1
-        return m, offsets
+        return direct_sum_modules(a, mods)
 
-    for mod in (modules, complexes, resolutions):
+    act_matrix = modules.Module.act_matrix
+
+    def counted_matrix(m, pairs):
+        built["matrices"] += 1
+        return act_matrix(m, pairs)
+
+    for mod in (modules, complexes, resolutions, derived):
         monkeypatch.setattr(mod, "direct_sum_modules", counted)
+    monkeypatch.setattr(modules.Module, "act_matrix", counted_matrix)
     a3 = {
         "format": 1,
         "kind": "quiver",

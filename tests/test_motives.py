@@ -349,28 +349,35 @@ def test_ideal_stability_machinery_runs(a2, rng):
     assert all(results)
 
 
-def test_trace_of_a_composite_builds_only_idempotent_actions():
+def test_trace_of_a_composite_builds_only_idempotent_actions(monkeypatch):
     """trace reads a composite's class from the traces of its idempotent
-    actions; the other action matrices of the tensor components stay
-    unbuilt (36 basis elements, 9 idempotents on A3 -> A3)."""
+    actions; no action matrix of another basis element is built
+    (Module.act_matrix; 36 basis elements, 9 idempotents on A3 -> A3)."""
     from ncmotives.corpus import corpus_algebra
     from ncmotives.derived import simple_resolutions
+
+    from ncmotives.modules import Module
 
     m = NCMotive(corpus_algebra("A3"))
     e = hom_algebra(m.algebra, m.algebra)
     idem = set(e.idempotents)
     res = simple_resolutions(e)
+    built = set()
+    act_matrix = Module.act_matrix
+
+    def recorded(mod, pairs):
+        built.update(k for k, _ in pairs)
+        return act_matrix(mod, pairs)
+
+    monkeypatch.setattr(Module, "act_matrix", recorded)
     components = 0
     for i, j in [(0, 0), (0, 8), (4, 2), (8, 0)]:
         x = Correspondence(m, m, [(1, res[i])])
         y = Correspondence(m, m, [(1, res[j])])
         z = compose(y, dualize(x))
         trace(z)
-        for _, t in z.terms:
-            for comp in t.components.values():
-                built = {g for g, mat in enumerate(comp.action._mats) if mat is not None}
-                assert built <= idem
-                components += 1
+        components += sum(len(t.components) for _, t in z.terms)
+    assert built <= idem
     assert components
 
 
