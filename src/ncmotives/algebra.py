@@ -40,6 +40,21 @@ path algebra in under a second; the corpus and ladder quivers have at most
 36 paths."""
 
 
+class TensorTooLargeError(RuntimeError):
+    """Raised for a tensor product algebra of more than MAX_TENSOR_DIM basis
+    elements.  Not a ValueError, so that no handler of malformed input
+    takes it for one."""
+
+
+MAX_TENSOR_DIM = 4096
+"""The largest dimension of a tensor product algebra, checked before its
+table is built.  A table has dim^2 entries; the Hom algebra of the
+Beilinson algebra of P^3 to itself (dimension 3136, the largest the
+ladder builds) costs about 157 MB with its opposite, and one of
+dimension 4096 about 270 MB.  The Hom algebra of A11 to itself (4356) and
+the enveloping algebra of A40 (672400) are refused."""
+
+
 class AlgebraStructureError(ValueError):
     """Raised when an algebra lacks the monomial structure an operation needs."""
 
@@ -430,11 +445,17 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
     Both factors sit in degree zero so no sign is involved.  Tensoring with
     the scalar singleton returns the other factor unchanged (the pair
     indexing then degenerates to the identity, so no relabelling is needed).
-    Any other pair is built once, memoized on a."""
+    Any other pair is built once, memoized on a, if its dimension is at
+    most MAX_TENSOR_DIM; past that TensorTooLargeError is raised."""
     if a is scalar_algebra():
         return b
     if b is scalar_algebra():
         return a
+    if a.dim * b.dim > MAX_TENSOR_DIM:
+        raise TensorTooLargeError(
+            f"the tensor product of algebras of dimensions {a.dim} and {b.dim} "
+            f"has dimension {a.dim * b.dim}, more than {MAX_TENSOR_DIM}"
+        )
     return _tensor(a, b)
 
 

@@ -6,8 +6,8 @@ output is a JSON report on stdout or --out.  Identical inputs and seed
 produce byte-identical reports (timing is only included with --timing).
 
 Exit codes: 0 all checks passed; 1 some check failed; 2 malformed input;
-3 unsupported input class (e.g. a cyclic quiver); 4 resolution cap exceeded;
-5 internal error (a traceback on stderr).
+3 unsupported input class (e.g. a cyclic quiver, or an algebra past a size
+bound); 4 resolution cap exceeded; 5 internal error (a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .algebra import (
     CyclicQuiverError,
     Quiver,
     QuiverTooLargeError,
+    TensorTooLargeError,
     hom_algebra,
     opposite,
     path_algebra,
@@ -43,7 +44,6 @@ from .corpus import (
     corpus_algebra,
     corpus_motive_scenarios,
     quiver_euler_oracle,
-    random_correspondence,
     random_perfect_complex,
 )
 from .derived import (
@@ -64,8 +64,6 @@ from .motives import (
     build_hom_model,
     check_record,
     complement_idempotent,
-    euler_gram,
-    ideal_stability_samples,
     identity_correspondence,
     trace,
     verify_equivalence,
@@ -628,30 +626,10 @@ def cmd_verify(args) -> int:
     spec, cap, src = load_scenario(args)
     dst = motive_from_spec(spec.get("target", spec["source"]), cap)
     sample_pairs = scenario_option(spec, "sample_pairs", None)
-    stability_samples = scenario_option(spec, "stability_samples", 10)
     model = build_hom_model(src, dst, cap)
     rep = verify_equivalence(model, cap, sample_pairs=sample_pairs)
     rep["command"] = "verify"
     rep["inputs_digest"] = digest(spec)
-    rng = random.Random(args.seed)
-    if rep["kernel_dim"]:
-        kr = euler_gram(model).kernel_basis()
-        partners = [
-            random_correspondence(dst, NCMotive(dst.algebra), rng)
-            for _ in range(stability_samples)
-        ]
-        stable = ideal_stability_samples(model, kr, partners, cap)
-        rep["ideal_stability"] = {
-            "samples": len(stable),
-            "all_stable": all(stable),
-        }
-        rep["verdict"] = rep["verdict"] and all(stable)
-    else:
-        rep["ideal_stability"] = {
-            "samples": 0,
-            "all_stable": True,
-            "note": "kernel is zero; stability premise is empty",
-        }
     return emit(rep, args)
 
 
@@ -820,7 +798,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_BAD_INPUT
-    except (CyclicQuiverError, QuiverTooLargeError, AlgebraStructureError) as exc:
+    except (CyclicQuiverError, QuiverTooLargeError, TensorTooLargeError, AlgebraStructureError) as exc:
         sys.stderr.write(f"unsupported input: {exc}\n")
         return EXIT_UNSUPPORTED
     except ResolutionCapExceeded as exc:

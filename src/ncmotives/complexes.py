@@ -33,8 +33,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .algebra import Algebra
-from .linalg import Matrix, RowBasis
-from .modules import Module, direct_sum_modules, projective_module, zero_module
+from .linalg import Matrix
+from .modules import Module, direct_sum_modules, projective_module
 
 
 class LazyDifferentials(Mapping):
@@ -101,40 +101,21 @@ class Complex:
     def is_zero(self) -> bool:
         return not self.components
 
-    def component(self, n) -> Module:
-        m = self.components.get(n)
-        return m if m is not None else zero_module(self.algebra)
-
     def component_dim(self, n) -> int:
         m = self.components.get(n)
         return m.dim if m is not None else 0
 
-    def differential(self, n) -> Matrix:
-        d = self.differentials.get(n)
-        if d is None:
-            return Matrix.zeros(self.component_dim(n), self.component_dim(n + 1))
-        return d
-
-    def homology(self, n):
-        """(dimension, representative rows) of H^n = ker d^n / im d^{n-1}."""
+    def homology(self, n) -> int:
+        """dim H^n = dim C^n - rank d^n - rank d^{n-1}.  This relies on
+        d^2 = 0, which puts the image of d^{n-1} inside the kernel of d^n."""
         dim_n = self.component_dim(n)
         if dim_n == 0:
-            return 0, []
-        cycles = self.differential(n).left_kernel_basis()
-        boundaries = RowBasis(dim_n)
-        prev = self.differentials.get(n - 1)
-        if prev is not None:
-            for r in prev.data:
-                boundaries.add(r)
-        reps = []
-        w = boundaries.copy()
-        for v in cycles:
-            if w.add(v):
-                reps.append(v)
-        return len(reps), reps
+            return 0
+        ranks = (self.differentials[k].rank() for k in (n, n - 1) if k in self.differentials)
+        return dim_n - sum(ranks)
 
     def homology_dims(self) -> dict:
-        return {n: self.homology(n)[0] for n in sorted(self.components)}
+        return {n: self.homology(n) for n in sorted(self.components)}
 
     def __repr__(self):
         dims = {n: m.dim for n, m in sorted(self.components.items())}

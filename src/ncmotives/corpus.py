@@ -9,12 +9,11 @@ random.Random so identical seeds reproduce identical objects.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .algebra import Algebra, Quiver, hom_algebra, path_algebra, scalar_algebra
+from .algebra import Algebra, Quiver, path_algebra, scalar_algebra
 from .complexes import PerfectComplex
 from .linalg import Matrix
-from .motives import Correspondence, NCMotive, complement_idempotent, vertex_cut_idempotent
+from .motives import NCMotive, complement_idempotent, vertex_cut_idempotent
 CORPUS_NAMES = ("Q", "QxQ", "A2", "A3", "Kronecker")
 
 _QUIVERS = {
@@ -134,27 +133,6 @@ def random_perfect_complex(
         return PerfectComplex(e, copies, blocks)
     # all attempts produced nothing: fall back to one projective in degree 0
     return PerfectComplex(e, {0: (0,)})
-
-
-def random_correspondence(
-    src: NCMotive,
-    dst: NCMotive,
-    rng: random.Random,
-    max_terms: int = 2,
-    max_width: int = 1,
-) -> Correspondence:
-    """Random correspondence between identity motives: a short rational
-    combination of random perfect complexes over the Hom algebra."""
-    e = hom_algebra(src.algebra, dst.algebra)
-    coeff_pool = [1, -1, 2, Fraction(1, 2), 1, -1]
-    terms = []
-    for _ in range(rng.randint(1, max_terms)):
-        t = random_perfect_complex(e, rng, max_width=max_width, max_mult=1)
-        if not t.is_zero():
-            terms.append((rng.choice(coeff_pool), t))
-    if not terms:
-        terms = [(1, PerfectComplex(e, {0: (0,)}))]
-    return Correspondence(src, dst, terms)
 
 
 # -- motive scenarios -------------------------------------------------------------

@@ -60,7 +60,7 @@ def hochschild(a: Algebra, w, top: int, cap: int = DEFAULT_CAP) -> HHProfile:
     if wc.hi > 0:
         raise ValueError("coefficients have a component in a positive degree")
     t = tensor_over(diag, _left_structure_complex(wc, a), q, env, q, check=False)
-    dims = [t.homology(-n)[0] for n in range(top + 1)]
+    dims = [t.homology(-n) for n in range(top + 1)]
     return HHProfile(a, dims)
 
 

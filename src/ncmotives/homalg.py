@@ -267,7 +267,7 @@ def _yelement(middle: Algebra, right: Algebra, g_m, r):
 @cached
 def _yblock(y: Complex, middle: Algebra, right: Algebra, q, m) -> RowBasis:
     """The block e_m Y^q: the span of the rows of g_m (x) 1 on Y^q."""
-    yq = y.component(q)
+    yq = y.components[q]
     pairs = _yelement(middle, right, middle.idempotents[m], None)
     rb = RowBasis(yq.dim)
     for s in range(yq.dim):
@@ -289,7 +289,7 @@ def _ymove(y: Complex, middle: Algebra, right: Algebra, q, m, q2, m2, act):
         images = (row_times(v, y.differentials[q]) for v in src)
     else:
         pairs = _yelement(middle, right, *act)
-        images = (y.component(q).times(v, pairs) for v in src)
+        images = (y.components[q].times(v, pairs) for v in src)
     rows = [dst.coords(w) for w in images]
     if None in rows:
         raise AssertionError("a map of y escaped its block")
@@ -302,7 +302,7 @@ def _ytrace(y: Complex, middle: Algebra, right: Algebra, q, m, r):
     g_m (x) r on Y^q, since g_m (x) 1 is an idempotent commuting with
     1 (x) r whose image is the block."""
     g = join_pair_basis(right, middle.idempotents[m], r)
-    return y.component(q).trace(g)
+    return y.components[q].trace(g)
 
 
 # -- duals ------------------------------------------------------------------------

@@ -260,12 +260,6 @@ class RowBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "RowBasis":
-        new = RowBasis(self.ambient)
-        new.rows = [r[:] for r in self.rows]
-        new.pivots = self.pivots[:]
-        return new
-
     def reduce(self, v):
         """Residual of v after reduction modulo the span."""
         v = list(v)

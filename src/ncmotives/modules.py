@@ -114,11 +114,6 @@ def table_module(a: Algebra, dim: int, table) -> Module:
     return Module(a, dim, lambda s, j: table[j][s])
 
 
-def zero_module(a: Algebra) -> Module:
-    """The module with no basis vector, so no row to read."""
-    return Module(a, 0, None)
-
-
 @cached
 def projective_module(a: Algebra, i: int):
     """(Module for e_i A, monomial basis indices into A).

@@ -423,34 +423,3 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
         "verdict": all(c["pass"] for c in checks),
     }
     return report
-
-
-def ideal_stability_samples(
-    m: HomSpaceModel,
-    kernel_vectors,
-    partners,
-    cap: int = DEFAULT_CAP,
-):
-    """Compositions of kernel classes with arbitrary correspondences stay in
-    the respective kernels (sampled ideal stability).
-
-    partners: list of correspondences composable on the target side
-    (w: target -> anything).  Returns a list of booleans, one per
-    (kernel vector, partner) pair, each True when the composite's class is
-    numerically trivial in its own Hom-space."""
-    results = []
-    for v in kernel_vectors:
-        xv = realize_class(v, m.source, m.target, cap)
-        for w in partners:
-            comp = compose(w, xv)
-            model = build_hom_model(comp.source, comp.target, cap)
-            nk = numerical_kernel(model, cap)
-            span = RowBasis(model.dim).extend(nk)
-            cls = comp.k0()
-            coords = RowBasis(len(cls)).extend(model.basis).coords(cls)
-            if coords is None:
-                results.append(False)
-                continue
-            results.append(span.contains(coords))
-    return results
-

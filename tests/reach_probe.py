@@ -6,13 +6,14 @@ that is entered, and prints those never entered with their line counts,
 then a summary line.  The import is traced too, so a decorator, which runs
 only then, counts as entered.  Nested functions count; lambdas and
 comprehensions do not.  The inputs are written to a temporary directory
-and the reports are discarded.  Run from the root of a checkout:
+and the reports are discarded.  Run it as
 
-    PYTHONPATH=src python tests/reach_probe.py
+    python3 tests/reach_probe.py
 
 The package is the one on the import path, so pointing PYTHONPATH at
-another checkout's src probes that checkout.  pytest does not collect this
-file (its name does not start with test_).
+another checkout's src probes that checkout; with no package on the path,
+the src of the checkout holding this file is probed.  pytest does not
+collect this file (its name does not start with test_).
 """
 
 import ast
@@ -26,6 +27,8 @@ from importlib.util import find_spec
 from pathlib import Path
 
 # found without importing the package, so that probe() traces its import
+if find_spec("ncmotives") is None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 SRC = Path(find_spec("ncmotives").origin).resolve().parent
 
 

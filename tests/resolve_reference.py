@@ -47,11 +47,25 @@ from ncmotives.resolutions import (
 )
 
 
+def component(c: Complex, n) -> Module:
+    """The degree-n component of c, a zero module where c has none."""
+    m = c.components.get(n)
+    return m if m is not None else Module(c.algebra, 0, None)
+
+
+def differential(c: Complex, n) -> Matrix:
+    """d^n of c as a matrix, a zero one where c stores none."""
+    d = c.differentials.get(n)
+    if d is None:
+        return Matrix.zeros(c.component_dim(n), c.component_dim(n + 1))
+    return d
+
+
 def homology_dims_equal(c1, c2) -> bool:
     c1 = as_complex(c1)
     c2 = as_complex(c2)
     degs = set(c1.components) | set(c2.components)
-    return all(c1.homology(n)[0] == c2.homology(n)[0] for n in degs)
+    return all(c1.homology(n) == c2.homology(n) for n in degs)
 
 
 class ChainMap:
@@ -80,8 +94,8 @@ class ChainMap:
     def check(self):
         degs = set(self.source.components) | set(self.target.components)
         for n in degs:
-            lhs = self.source.differential(n) * self.map_at(n + 1)
-            rhs = self.map_at(n) * self.target.differential(n)
+            lhs = differential(self.source, n) * self.map_at(n + 1)
+            rhs = self.map_at(n) * differential(self.target, n)
             if lhs != rhs:
                 raise ValueError(f"not a chain map at degree {n}")
         return True
@@ -95,7 +109,7 @@ def cone(f: ChainMap) -> Complex:
     degs = {n - 1 for n in x.components} | set(y.components)
     comps = {}
     for n in degs:
-        total, _ = direct_sum_modules(a, [x.component(n + 1), y.component(n)])
+        total, _ = direct_sum_modules(a, [component(x, n + 1), component(y, n)])
         if total.dim:
             comps[n] = total
     diffs = {}
@@ -106,9 +120,9 @@ def cone(f: ChainMap) -> Complex:
         ty = y.component_dim(n + 1)
         if tx + ty == 0:
             continue
-        dx = x.differential(n + 1)
+        dx = differential(x, n + 1)
         fx = f.map_at(n + 1)
-        dy = y.differential(n)
+        dy = differential(y, n)
         rows = []
         for r in range(sx):
             rows.append([-v for v in dx.data[r]] + fx.data[r][:])
@@ -160,7 +174,7 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
         p_next, _ = direct_sum_modules(
             a, [projective_module(a, i)[0] for i in copies.get(n + 1, ())]
         )
-        amb, _ = direct_sum_modules(a, [p_next, c.component(n)])
+        amb, _ = direct_sum_modules(a, [p_next, component(c, n)])
         dim_p_next2 = _copies_dim(a, copies.get(n + 2, ()))
         dim_c_next = c.component_dim(n + 1)
 

@@ -19,7 +19,6 @@ from ncmotives.corpus import (
     corpus_algebra,
     corpus_motive_scenarios,
     quiver_euler_oracle,
-    random_correspondence,
     random_perfect_complex,
 )
 from ncmotives.derived import (
@@ -30,6 +29,7 @@ from ncmotives.derived import (
 from ncmotives.hochschild import bar_oracle, hochschild, intersection_number
 from ncmotives.homalg import hom_complex
 from ncmotives.linalg import RowBasis, span_equal
+from correspondence_reference import random_correspondence
 from dense_reference import regular_module
 from ncmotives.modules import diagonal_bimodule, dual_bimodule, simple_modules
 from ncmotives.motives import (
@@ -40,7 +40,6 @@ from ncmotives.motives import (
     compose,
     dualize,
     euler_gram,
-    ideal_stability_samples,
     numerical_kernel,
     trace,
     verify_equivalence,
@@ -364,43 +363,3 @@ def test_c09_kernel_equivalence_verdict(corpus_reports):
         f"({unimodular_stated} unimodular, stated explicitly); corpus command end-to-end",
         elapsed,
     )
-
-
-def test_c10_ideal_stability(corpus_reports):
-    t0 = time.monotonic()
-    rng = random.Random(SEED + 4)
-    ok = True
-    vectors_found = 0
-    samples_run = 0
-    for name, model, rep in corpus_reports:
-        kr = euler_gram(model).kernel_basis()
-        if not kr:
-            continue
-        vectors_found += len(kr)
-        partners = [
-            random_correspondence(model.target, NCMotive(model.target.algebra), rng)
-            for _ in range(10)
-        ]
-        results = ideal_stability_samples(model, kr, partners)
-        samples_run += len(results)
-        ok = ok and all(results)
-    if vectors_found == 0:
-        # every corpus gram is nondegenerate, as criterion 9 reported
-        # explicitly; the stability premise is empty, and the machinery is
-        # exercised on the zero class to keep the path covered
-        model = corpus_reports[2][1]
-        partners = [
-            random_correspondence(model.target, NCMotive(model.target.algebra), rng)
-            for _ in range(10)
-        ]
-        results = ideal_stability_samples(model, [[0] * model.dim], partners)
-        samples_run = len(results)
-        ok = ok and all(results)
-        detail = (
-            "no kernel vectors exist on the corpus (all grams nondegenerate, "
-            f"stated explicitly in criterion 9); machinery exercised on {samples_run} zero-class compositions"
-        )
-    else:
-        detail = f"{vectors_found} kernel vectors stayed in the kernel under {samples_run} sampled compositions"
-    elapsed = time.monotonic() - t0
-    report(10, ok, detail, elapsed)

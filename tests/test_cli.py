@@ -187,7 +187,7 @@ def test_verify_command_identity_scenario(tmp_path):
     assert code == 0
     assert report["verdict"]
     assert report["unimodular"]
-    assert report["ideal_stability"]["samples"] == 0
+    assert report["kernel_dim"] == report["numerical_kernel_dim"] == 0
 
 
 def test_verify_command_with_no_sampled_pairs(tmp_path):
@@ -474,7 +474,7 @@ MALFORMED_INPUTS = {
     ],
     "idempotent-not-an-object": ["verify", {"source": {"algebra": A2_SPEC, "idempotent": "x"}}],
     "scenario-is-an-array": ["verify", [A2_MOTIVE]],
-    "negative-option": ["verify", {"source": A2_MOTIVE, "options": {"stability_samples": -1}}],
+    "negative-option": ["verify", {"source": A2_MOTIVE, "options": {"sample_pairs": -1}}],
     "intersect-without-x": ["intersect", {"source": A2_MOTIVE, "target": A2_MOTIVE, "y": SIMPLE_TERMS}],
     "trace-without-z": ["trace", {"source": A2_MOTIVE}],
     # a scenario names its source: none of these may default to Q
@@ -694,6 +694,61 @@ def test_oversized_quiver_is_refused_before_it_is_built(spec, count):
     assert (code, err) == (3, f"unsupported input: the quiver has {count}, more than {MAX_PATHS}\n")
 
 
+def test_oversized_tensor_algebra_is_refused_before_it_is_built():
+    """A40 has 820 paths, so its enveloping algebra would have 672400 basis
+    elements, more than MAX_TENSOR_DIM: verify, smooth-check and hochschild
+    on it are unsupported input (exit 3), also through a vertex cut, whose
+    idempotent lives over that algebra.  They run in a fresh interpreter
+    limited to 1 GB of address space, where building that algebra fails
+    with MemoryError (exit 5)."""
+    from ncmotives.algebra import MAX_TENSOR_DIM
+
+    a40 = _line_quiver(40)
+    cut = {"algebra": a40, "idempotent": {"kind": "vertex-cut", "vertices": [0]}}
+    runs = [
+        ("verify", {"format": 1, "source": {"algebra": a40}, "target": {"algebra": a40}}),
+        ("verify", {"format": 1, "source": cut}),
+        ("smooth-check", a40),
+        ("hochschild", a40),
+    ]
+    script = (
+        "import contextlib, io, json, os, resource, tempfile\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ncmotives.cli import main\n"
+        "results = []\n"
+        f"for command, spec in {runs!r}:\n"
+        "    err = io.StringIO()\n"
+        "    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):\n"
+        "        path = os.path.join(tmp, 'input.json')\n"
+        "        json.dump(spec, open(path, 'w'))\n"
+        "        results.append([main([command, path]), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    message = (
+        "unsupported input: the tensor product of algebras of dimensions 820 and 820 "
+        f"has dimension 672400, more than {MAX_TENSOR_DIM}\n"
+    )
+    assert json.loads(_run_fresh(script, timeout=120)) == [[3, message]] * len(runs)
+
+
+@pytest.mark.parametrize("command", ["verify", "smooth-check"])
+def test_tensor_algebra_bound_admits_its_own_dimension(tmp_path, monkeypatch, command):
+    """The enveloping algebra of A3 has 36 basis elements: at MAX_TENSOR_DIM
+    = 35 the command is unsupported input (exit 3), at 36 it passes.  The
+    refusal runs first, since a passing run leaves memos on A3 that a
+    later run reads instead of building anything, and the arrow labels
+    name the command, so that no other run's A3 is interned under the spec."""
+    from ncmotives import algebra
+
+    a3 = {"format": 1, "kind": "quiver", "vertices": 3}
+    a3["arrows"] = [{"from": i, "to": i + 1, "label": f"{command}{i}"} for i in range(2)]
+    spec = {"format": 1, "source": {"algebra": a3}} if command == "verify" else a3
+    path = write(tmp_path, "input.json", spec)
+    for bound, expected in ((35, 3), (36, 0)):
+        monkeypatch.setattr(algebra, "MAX_TENSOR_DIM", bound)
+        assert main([command, path, "--out", str(tmp_path / "report.json")]) == expected
+
+
 @pytest.mark.parametrize("where", ["before", "after"])
 def test_timing_adds_only_elapsed_seconds(tmp_path, where):
     """--timing, placed before or after the subcommand, adds a non-negative
@@ -770,9 +825,9 @@ def _line_quiver(n):
 # the mathematics, so a change of representation or of how much
 # intermediate work is built must leave them byte-identical.
 PINNED_VERIFY = {
-    (3, 3): "ca66a827db84da1538f5aa85acc98d81f817dfca381a0840e8fae56bf403b382",
-    (4, 2): "7904f49a9dd3e440bb156adaa05af9b676619a1bee182106a9fb1f051d3a0229",
-    (5, 3): "ca015bd098424cf466a5665f495a275e77aabad6c0e3f5217b982731e4362a0d",
+    (3, 3): "5314248470f5201e3175fc56fb138b56143ca825afa73209fcfce117d0239d4b",
+    (4, 2): "15e5e5966c0dc951c94ba7a944fa5e37ce3c63777445268d30c566c89ee3ff59",
+    (5, 3): "0e589bcd6915a7ecdc7497b8cd3e696a5a2b2a9e3f033ad972ceada880ee036e",
 }
 PINNED_CORPUS = "1e6fc928f8fa8616796f1da209bf543f21987ae5d21196a1b7c13da0b301461a"
 

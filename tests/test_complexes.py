@@ -32,8 +32,8 @@ def one_dim_complex():
 
 def test_homology_of_single_module():
     c = one_dim_complex()
-    assert c.homology(2)[0] == 1
-    assert c.homology(1)[0] == 0
+    assert c.homology(2) == 1
+    assert c.homology(1) == 0
     assert c.homology_dims() == {2: 1}
 
 
@@ -67,11 +67,11 @@ def test_shift_moves_degrees_and_signs(a2, rng):
         for n in c.components:
             assert s.component_dim(n + 1) == c.component_dim(n)
         for n, d in c.differentials.items():
-            assert s.differential(n + 1) == Matrix(d.rows, d.cols, [[-x for x in r] for r in d.data])
+            assert s.differentials[n + 1] == Matrix(d.rows, d.cols, [[-x for x in r] for r in d.data])
         # shifting twice restores the signs
         s2 = shifted(2)
         for n, d in c.differentials.items():
-            assert s2.differential(n + 2) == d
+            assert s2.differentials[n + 2] == d
 
 
 def test_d_squared_enforced():
@@ -89,7 +89,7 @@ def test_euler_characteristic_is_homology_invariant(a2, a3, kronecker, rng):
             c = random_perfect_complex(alg, rng)
             chi_components = euler_characteristic(c)
             chi_homology = sum(
-                (-1 if n % 2 else 1) * c.homology(n)[0] for n in degrees(c)
+                (-1 if n % 2 else 1) * c.homology(n) for n in degrees(c)
             )
             assert chi_components == chi_homology
 
@@ -170,19 +170,6 @@ def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rn
         dense = perfect_from_matrices(pc.algebra, pc.copies, dict(pc.differentials))
         for n in pc.copies:
             assert list(pc.block_elements(n).items()) == list(dense.block_elements(n).items())
-
-
-def test_homology_representatives_are_cycles(a2, rng):
-    for _ in range(4):
-        c = random_perfect_complex(a2, rng)
-        for n in degrees(c):
-            dim, reps = c.homology(n)
-            assert dim == len(reps)
-            d = c.differential(n)
-            for v in reps:
-                from ncmotives.linalg import row_times
-
-                assert all(x == 0 for x in row_times(v, d))
 
 
 def test_scalar_complex_and_as_complex():

@@ -35,8 +35,8 @@ def test_euler_matrix_of_the_beilinson_algebra_inverts_its_cartan_matrix(tmp_pat
 # Beilinson algebras; like the pinned benchmark reports, they depend only on
 # the mathematics.
 PINNED_BEILINSON_VERIFY = {
-    (1, 2): "ae5c3db805f6ffdc52d68cacc892b4eca28f7bd5a90e4c90177c2bf39ade6158",
-    (2, 2): "6849cb4033eedd7690db36ea80452fac402825e3faaa276def6a2a3fbc22c92c",
+    (1, 2): "551be28c0fde06dc00a33153a43a268db12059237e3568f49ec8ea82a396b889",
+    (2, 2): "ffafbbba217815b0a8e8c5645f6d3e2caa3053e8e685018392e1437e68d85403",
 }
 
 

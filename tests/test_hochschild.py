@@ -3,7 +3,7 @@ import pytest
 from bar_reference import absolute_bar_dims
 from dense_reference import hh_euler, regular_module
 from ncmotives.algebra import Algebra, hom_algebra, opposite, table_algebra, tensor
-from ncmotives.corpus import random_correspondence
+from correspondence_reference import random_correspondence
 from ncmotives.derived import diagonal_resolution
 from ncmotives.hochschild import (
     bar_oracle,

@@ -15,6 +15,7 @@ from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
 from ncmotives.derived import k0_class
 from ncmotives.linalg import Matrix, RowBasis
 from ncmotives.modules import (
+    Module,
     cover_data,
     diagonal_bimodule,
     direct_sum_modules,
@@ -250,7 +251,7 @@ def _sparse_action_modules(a):
     e_i A), the injectives (L_j restricted to A e_i, transposed), direct
     sums of both with a zero summand inside (block-diagonal), and the
     simples (e_i acts as 1, every other basis element as 0)."""
-    from ncmotives.modules import injective_module, zero_module
+    from ncmotives.modules import injective_module
 
     n = len(a.idempotents)
     cases = []
@@ -262,7 +263,7 @@ def _sparse_action_modules(a):
         cases.append(
             (injective_module(a, i), lambda j, b=basis: _restrict(left_matrix(a, j), b).transpose())
         )
-    zero = (zero_module(a), lambda j: Matrix.zeros(0, 0))
+    zero = (Module(a, 0, None), lambda j: Matrix.zeros(0, 0))
     summands = [cases[n - 1], zero, *cases[:n], cases[-1]]
     total, _ = direct_sum_modules(a, [m for m, _ in summands])
     cases.append((total, lambda j: _block_diagonal([oracle(j) for _, oracle in summands])))

@@ -23,10 +23,7 @@ ALLOWED = {
     "complexes.LazyDifferentials.__len__": "part of the Mapping protocol LazyDifferentials implements",
     "linalg.Matrix.__hash__": "Matrix defines __eq__, so it needs __hash__ to stay hashable",
     "linalg.RowBasis.__len__": "container protocol, the dimension of the span",
-    "modules.zero_module": "Complex.component of a degree with no component",
     "homalg.tensor_over.row": "sparse action of a tensor product, the oracle of its layout traces",
-    "motives.ideal_stability_samples": "the ideal-stability check of verify, run when the Euler kernel is nonzero",
-    "corpus.random_correspondence": "the partners of the ideal-stability check",
 }
 
 
