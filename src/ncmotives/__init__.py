@@ -47,7 +47,7 @@ from .motives import (
     vertex_cut_idempotent,
 )
 from .resolutions import (
-    DEFAULT_CAP,
+    MAX_RESOLUTION_LENGTH,
     ResolutionCapExceeded,
     projective_resolution,
 )

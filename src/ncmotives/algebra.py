@@ -66,22 +66,16 @@ def cached(fn):
     """Memoize fn(obj, *args) in obj._cache under (fn.__qualname__, *args).
 
     Every memo of the package goes through here, so it lives on the object
-    it derives from and is freed with it.  Keyword and default arguments
-    are filled in by position: f(a), f(a, 16) and f(a, cap=16) share one
-    entry.  A call that raises stores nothing."""
+    it derives from and is freed with it.  Arguments are keyed as they are
+    passed, so fn may take no default or keyword-only argument (TypeError
+    at decoration): f(a) and f(a, 16) would be two entries.  A call that
+    raises stores nothing."""
+    if fn.__defaults__ or fn.__code__.co_kwonlyargcount:
+        raise TypeError(f"cached {fn.__qualname__} takes a default or keyword-only argument")
     name = fn.__qualname__
-    params = fn.__code__.co_varnames[1 : fn.__code__.co_argcount]
-    values = fn.__defaults__ or ()
-    defaults = dict(zip(params[len(params) - len(values) :], values))
-    arity = len(params)
 
     @wraps(fn)
-    def memo(obj, *args, **kwargs):
-        if kwargs or len(args) < arity:
-            rest = params[len(args) :]
-            if kwargs.keys() - set(rest) or set(rest) - kwargs.keys() - defaults.keys():
-                return fn(obj, *args, **kwargs)  # a bad call: Python raises its TypeError
-            args += tuple(kwargs[p] if p in kwargs else defaults[p] for p in rest)
+    def memo(obj, *args):
         key = (name,) + args
         try:
             return obj._cache[key]
@@ -219,7 +213,15 @@ class Algebra:
     @cached
     def coprojective_traces(self, j):
         """The trace of left multiplication by each basis element on A * e_j,
-        as a list indexed by basis element."""
+        as a list indexed by basis element.  On tensor(L, R), A e_(i,k) is
+        L e_i (x) R e_k, so the trace of g (x) h is the product of the
+        factors' traces (Kuenneth), and no table row is scanned."""
+        factors = self.meta.get("factors")
+        if factors is not None:
+            left, right = factors
+            i, k = divmod(j, len(right.idempotents))
+            tr = right.coprojective_traces(k)
+            return [x * y for x in left.coprojective_traces(i) for y in tr]
         traces = [0] * self.dim
         for u in self.coprojective_basis(j):
             for a, row in enumerate(self.mul):

@@ -7,7 +7,8 @@ produce byte-identical reports (timing is only included with --timing).
 
 Exit codes: 0 all checks passed; 1 some check failed; 2 malformed input;
 3 unsupported input class (e.g. a cyclic quiver, or an algebra past a size
-bound); 4 resolution cap exceeded; 5 internal error (a traceback on stderr).
+bound); 4 a resolution longer than MAX_RESOLUTION_LENGTH (16); 5 internal
+error (a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .motives import (
     verify_equivalence,
     vertex_cut_idempotent,
 )
-from .resolutions import DEFAULT_CAP, ResolutionCapExceeded, resolution_length
+from .resolutions import ResolutionCapExceeded, resolution_length
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,9 +110,16 @@ def matrix_to_json(m: Matrix):
 # d^2 = 0, a vertex cut with a path, the table checks, a zero class).
 
 
-def spec_object(value, what) -> dict:
+def spec_object(value, what, keys=None) -> dict:
+    """An object field.  With keys, a spec object, which may hold only
+    those keys and `format`: a misspelled key is refused, not read as an
+    absent one."""
     if not isinstance(value, dict):
         raise InputError(f"{what} must be an object")
+    if keys is not None:
+        unknown = sorted(value.keys() - {"format", *keys})
+        if unknown:
+            raise InputError(f"{what} has unknown keys {unknown}")
     return value
 
 
@@ -168,6 +176,16 @@ def spec_matrix(value, rows, cols, what) -> Matrix:
     return Matrix(rows, cols, [spec_vector(r, cols, f"{what}[{i}]") for i, r in enumerate(data)])
 
 
+def spec_kind(spec: dict, what: str, kinds: dict, default=None) -> str:
+    """The `kind` of a spec object, a key of kinds; the object may hold only
+    `kind`, `format` and the keys kinds[kind]."""
+    kind = spec.get("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InputError(f"unknown {what} kind {kind!r}")
+    spec_object(spec, f"{kind} {what} spec", ("kind", *kinds[kind]))
+    return kind
+
+
 def spec_degree(key, what) -> int:
     """A degree, written as an object key: a scalar string of an integer."""
     return spec_int(spec_scalar(key, what), what)
@@ -178,6 +196,18 @@ def spec_degree(key, what) -> int:
 
 # Algebras built from specs, keyed by the canonical JSON of the spec.
 _interned_algebras = weakref.WeakValueDictionary()
+
+# The keys of each kind of spec besides `kind`.
+ALGEBRA_KEYS = {
+    "scalar": (),
+    "named": ("name",),
+    "quiver": ("vertices", "arrows"),
+    "opposite": ("of",),
+    "tensor": ("factors",),
+    "table": ("dim", "mul", "unit", "idempotents", "labels"),
+}
+IDEMPOTENT_KEYS = {"identity": (), "vertex-cut": ("vertices",), "complement": ("of",)}
+BIMODULE_KEYS = {"simple": ("index",), "projective": ("pair",), "diagonal": ()}
 
 
 def algebra_from_spec(spec) -> Algebra:
@@ -200,7 +230,7 @@ def _interned_algebra(spec) -> Algebra:
 
 
 def _build_algebra(spec: dict) -> Algebra:
-    kind = spec.get("kind", "quiver")
+    kind = spec_kind(spec, "algebra", ALGEBRA_KEYS, "quiver")
     if kind == "scalar":
         return scalar_algebra()
     if kind == "named":
@@ -212,7 +242,7 @@ def _build_algebra(spec: dict) -> Algebra:
         n = spec_int(spec.get("vertices"), "quiver vertices", 1)
         arrows = []
         for k, arrow in enumerate(spec_list(spec.get("arrows", []), "arrows")):
-            arrow = spec_object(arrow, f"arrows[{k}]")
+            arrow = spec_object(arrow, f"arrows[{k}]", ("from", "to", "label"))
             arrows.append((
                 spec_index(arrow.get("from"), n, f"arrows[{k}].from"),
                 spec_index(arrow.get("to"), n, f"arrows[{k}].to"),
@@ -251,13 +281,12 @@ def _build_algebra(spec: dict) -> Algebra:
             raise
         except ValueError as exc:  # the unit and idempotent axioms, associativity
             raise InputError(f"bad table spec: {exc}") from exc
-    raise InputError(f"unknown algebra kind {kind!r}")
 
 
 def module_from_spec(spec, algebra: Algebra) -> Module:
     """Module over `algebra` from {"dim": d, "action": {label: matrix}};
     each action matrix is read into its sparse rows on load."""
-    spec = spec_object(spec, "module spec")
+    spec = spec_object(spec, "module spec", ("dim", "action"))
     dim = spec_int(spec.get("dim"), "module dim", 0)
     action = spec_object(spec.get("action"), "module action")
     unknown = sorted(set(action) - set(algebra.labels))
@@ -284,7 +313,7 @@ def complex_from_spec(spec, algebra: Algebra):
     {"-1": [[...]]}} where the matrix at degree n maps degree n to n+1.
     Each differential must be a module map: it commutes with the action of
     every basis element."""
-    spec = spec_object(spec, "complex spec")
+    spec = spec_object(spec, "complex spec", ("components", "differentials"))
     comps = {
         spec_degree(k, f"components key {k!r}"): module_from_spec(v, algebra)
         for k, v in spec_object(spec.get("components", {}), "components").items()
@@ -315,6 +344,7 @@ def coefficients_from_spec(spec, algebra: Algebra):
         return diagonal_bimodule(algebra)
     spec = spec_object(spec, "coefficients")
     if "named" in spec:
+        spec_object(spec, "named coefficients", ("named",))
         if spec["named"] == "diagonal":
             return diagonal_bimodule(algebra)
         if spec["named"] == "dual":
@@ -328,28 +358,27 @@ def coefficients_from_spec(spec, algebra: Algebra):
     return module_from_spec(spec, hom_algebra(algebra, algebra))
 
 
-def motive_from_spec(spec, cap: int = DEFAULT_CAP) -> NCMotive:
-    """The motive of a JSON spec; its idempotent is resolved and checked at
-    cap.  An idempotent that NCMotive refuses, such as one whose class is
-    zero (an empty vertex cut, the complement of the identity or of a cut of
-    every vertex), is malformed input."""
-    spec = spec_object(spec, "motive spec")
+def motive_from_spec(spec) -> NCMotive:
+    """The motive of a JSON spec.  An idempotent that NCMotive refuses,
+    such as one whose class is zero (an empty vertex cut, the complement of
+    the identity or of a cut of every vertex), is malformed input."""
+    spec = spec_object(spec, "motive spec", ("algebra", "idempotent"))
     a = algebra_from_spec(spec.get("algebra", {"kind": "scalar"}))
     try:
-        idem = idempotent_from_spec(spec.get("idempotent"), a, cap)
+        idem = idempotent_from_spec(spec.get("idempotent"), a)
     except RecursionError as exc:
         raise InputError("idempotent spec is nested too deeply") from exc
     try:
-        return NCMotive(a, idem, cap)
+        return NCMotive(a, idem)
     except ValueError as exc:  # a zero class, or one that is not idempotent
         raise InputError(str(exc)) from exc
 
 
-def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspondence | None:
+def idempotent_from_spec(idem, a: Algebra) -> Correspondence | None:
     """The idempotent correspondence of a motive over a; None for the identity."""
     if idem is None:
         return None
-    kind = spec_object(idem, "idempotent spec").get("kind", "identity")
+    kind = spec_kind(spec_object(idem, "idempotent spec"), "idempotent", IDEMPOTENT_KEYS, "identity")
     if kind == "identity":
         return None
     if kind == "vertex-cut":
@@ -360,38 +389,34 @@ def idempotent_from_spec(idem, a: Algebra, cap: int = DEFAULT_CAP) -> Correspond
             return vertex_cut_idempotent(a, vertices)
         except ValueError as exc:  # a path between two of the vertices
             raise InputError(f"bad vertex cut: {exc}") from exc
-    if kind == "complement":
-        inner = idempotent_from_spec(idem.get("of"), a, cap)
-        if inner is None:
-            inner = identity_correspondence(NCMotive(a), cap)
-        return complement_idempotent(inner, cap)
-    raise InputError(f"unknown idempotent kind {kind!r}")
+    inner = idempotent_from_spec(idem.get("of"), a)
+    if inner is None:
+        inner = identity_correspondence(NCMotive(a))
+    return complement_idempotent(inner)
 
 
-def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive, cap: int) -> Correspondence:
+def correspondence_from_spec(spec, src: NCMotive, dst: NCMotive) -> Correspondence:
     e = hom_algebra(src.algebra, dst.algebra)
     terms = []
-    spec = spec_object(spec, "correspondence spec")
+    spec = spec_object(spec, "correspondence spec", ("terms",))
     for k, t in enumerate(spec_list(spec.get("terms"), "terms")):
-        t = spec_object(t, f"terms[{k}]")
+        t = spec_object(t, f"terms[{k}]", ("bimodule", "coefficient", "shift"))
         b = spec_object(t.get("bimodule"), f"terms[{k}].bimodule")
         coeff = spec_scalar(t.get("coefficient", 1), f"terms[{k}].coefficient")
-        kind = b.get("kind")
+        kind = spec_kind(b, "bimodule", BIMODULE_KEYS)
         if kind == "simple":
             index = spec_index(b.get("index"), len(e.idempotents), f"terms[{k}].bimodule.index")
-            pc = simple_resolutions(e, cap)[index]
+            pc = simple_resolutions(e)[index]
         elif kind == "projective":
             i, j = spec_list(b.get("pair"), f"terms[{k}].bimodule.pair", 2)
             i = spec_index(i, len(src.algebra.idempotents), f"terms[{k}].bimodule.pair[0]")
             n_b = len(dst.algebra.idempotents)
             j = spec_index(j, n_b, f"terms[{k}].bimodule.pair[1]")
             pc = PerfectComplex(e, {0: (i * n_b + j,)})
-        elif kind == "diagonal":
+        else:
             if src.algebra is not dst.algebra:
                 raise InputError("diagonal terms need equal source and target algebras")
-            pc = diagonal_resolution(src.algebra, cap)
-        else:
-            raise InputError(f"unknown bimodule kind {kind!r}")
+            pc = diagonal_resolution(src.algebra)
         shift = spec_int(t.get("shift", 0), f"terms[{k}].shift")
         if shift:
             pc = pc.shift(shift)
@@ -455,25 +480,15 @@ def load_json(path):
     return value
 
 
-def load_scenario(args, *required):
-    """The scenario file of a command: a JSON object holding `source` and
-    every required key, with its cap (options.cap, default --cap) and its
-    source motive."""
-    spec = spec_object(load_json(args.scenario), "scenario")
+def load_scenario(args, required, optional=()):
+    """The scenario file of a command and its source motive: a JSON object
+    holding `source` and every required key, and no key but these, the
+    optional ones and `format`."""
+    spec = spec_object(load_json(args.scenario), "scenario", ("source", *required, *optional))
     missing = [k for k in ("source", *required) if k not in spec]
     if missing:
         raise InputError(f"scenario lacks {missing}")
-    cap = scenario_option(spec, "cap", args.cap)
-    return spec, cap, motive_from_spec(spec["source"], cap)
-
-
-def scenario_option(spec, key, default):
-    """A non-negative integer from the scenario's options, default if absent;
-    null only where the default is None."""
-    value = spec_object(spec.get("options", {}), "scenario options").get(key, default)
-    if value is None and default is None:
-        return None
-    return spec_int(value, f"option {key}", 0)
+    return spec, motive_from_spec(spec["source"])
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -482,7 +497,7 @@ def scenario_option(spec, key, default):
 def cmd_euler_matrix(args) -> int:
     spec = load_json(args.algebra)
     a = algebra_from_spec(spec)
-    g = euler_matrix(a, args.cap)
+    g = euler_matrix(a)
     det = g.det()
     report = {
         "command": "euler-matrix",
@@ -501,7 +516,7 @@ def cmd_euler_matrix(args) -> int:
 def cmd_smooth_check(args) -> int:
     spec = load_json(args.algebra)
     a = algebra_from_spec(spec)
-    ok, res = check_smooth(a, args.cap)
+    ok, res = check_smooth(a)
     report = {
         "command": "smooth-check",
         "inputs_digest": digest(spec),
@@ -564,12 +579,12 @@ def cmd_hochschild(args) -> int:
     w = coefficients_from_spec(coeff_spec, a)
     top = args.top
     depth = top if args.bar_check is None else max(top, args.bar_check)
-    profile = hochschild(a, w, top=depth, cap=args.cap)
+    profile = hochschild(a, w, top=depth)
     report = {
         "command": "hochschild",
         "inputs_digest": digest([spec, coeff_spec, top, args.bar_check]),
         "dims": profile.dims[: top + 1],
-        "euler_characteristic": hochschild_euler(a, w, args.cap),
+        "euler_characteristic": hochschild_euler(a, w),
         "verdict": True,
     }
     if args.bar_check is not None:
@@ -591,12 +606,12 @@ def cmd_hochschild(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    spec, cap, src = load_scenario(args, "x", "y")
-    dst = motive_from_spec(spec.get("target", spec["source"]), cap)
-    x = correspondence_from_spec(spec["x"], src, dst, cap)
-    y = correspondence_from_spec(spec["y"], dst, src, cap)
-    val = intersection_number(x, y, cap)
-    sym = intersection_number(y, x, cap)
+    spec, src = load_scenario(args, ("x", "y"), ("target",))
+    dst = motive_from_spec(spec.get("target", spec["source"]))
+    x = correspondence_from_spec(spec["x"], src, dst)
+    y = correspondence_from_spec(spec["y"], dst, src)
+    val = intersection_number(x, y)
+    sym = intersection_number(y, x)
     report = {
         "command": "intersect",
         "inputs_digest": digest(spec),
@@ -610,9 +625,9 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    spec, cap, src = load_scenario(args, "z")
-    z = correspondence_from_spec(spec["z"], src, src, cap)
-    val = trace(z, cap)
+    spec, src = load_scenario(args, ("z",))
+    z = correspondence_from_spec(spec["z"], src, src)
+    val = trace(z)
     report = {
         "command": "trace",
         "inputs_digest": digest(spec),
@@ -623,11 +638,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, cap, src = load_scenario(args)
-    dst = motive_from_spec(spec.get("target", spec["source"]), cap)
-    sample_pairs = scenario_option(spec, "sample_pairs", None)
-    model = build_hom_model(src, dst, cap)
-    rep = verify_equivalence(model, cap, sample_pairs=sample_pairs)
+    spec, src = load_scenario(args, (), ("target",))
+    dst = motive_from_spec(spec.get("target", spec["source"]))
+    model = build_hom_model(src, dst)
+    rep = verify_equivalence(model)
     rep["command"] = "verify"
     rep["inputs_digest"] = digest(spec)
     return emit(rep, args)
@@ -643,19 +657,19 @@ def cmd_corpus(args) -> int:
     # per-algebra invariants
     for name in CORPUS_NAMES:
         a = corpus_algebra(name)
-        g = euler_matrix(a, args.cap)
+        g = euler_matrix(a)
         det = g.det()
         ok_det = det in (1, -1)
         add_row("euler", name, ok_det, f"det={scalar_to_json(det)}")
         if name != "Q":
             oracle = quiver_euler_oracle(name)
             add_row("euler-oracle", name, g.data == oracle, "matches arrow-count form")
-        ok_s, res = check_smooth(a, args.cap)
+        ok_s, res = check_smooth(a)
         length = resolution_length(res) if ok_s else None
         add_row("smooth", name, ok_s, f"diagonal resolution length {length}")
         w = diagonal_bimodule(a)
         top = args.bar_depth
-        hh = hochschild(a, w, top=top, cap=args.cap)
+        hh = hochschild(a, w, top=top)
         bar = bar_oracle(a, w, top=top)
         add_row("hochschild-vs-bar", name, hh.dims == bar.dims, f"dims={hh.dims}")
         ok_serre = True
@@ -668,8 +682,8 @@ def cmd_corpus(args) -> int:
 
     # motive scenarios
     for name, src, dst in corpus_motive_scenarios():
-        model = build_hom_model(src, dst, args.cap)
-        rep = verify_equivalence(model, args.cap)
+        model = build_hom_model(src, dst)
+        rep = verify_equivalence(model)
         detail = rep["kernel_statement"]
         add_row("verify", name, rep["verdict"], detail)
 
@@ -709,12 +723,6 @@ def build_parser():
         type=int,
         default=argparse.SUPPRESS,
         help="seed for randomized sweeps (default 0)",
-    )
-    common.add_argument(
-        "--cap",
-        type=non_negative_int,
-        default=argparse.SUPPRESS,
-        help=f"resolution length cap (default {DEFAULT_CAP})",
     )
     common.add_argument(
         "--timing",
@@ -791,7 +799,6 @@ def main(argv=None) -> int:
         gc.collect(0)
         args.out = getattr(args, "out", None)
         args.seed = getattr(args, "seed", 0)
-        args.cap = getattr(args, "cap", DEFAULT_CAP)
         args.timing = getattr(args, "timing", False)
         args._t0 = time.monotonic()
         return args.func(args)

@@ -46,7 +46,7 @@ from .homalg import dual_perfect
 from .linalg import Matrix, norm_scalar
 from .modules import diagonal_bimodule, direct_sum_modules, injective_module, simple_modules
 from .resolutions import (
-    DEFAULT_CAP,
+    MAX_RESOLUTION_LENGTH,
     ResolutionCapExceeded,
     projective_resolution,
     resolution_length,
@@ -99,7 +99,7 @@ def euler_pairing(m: PerfectComplex, n) -> int:
 
 
 @cached
-def simple_resolutions(a: Algebra, cap: int = DEFAULT_CAP):
+def simple_resolutions(a: Algebra):
     """Cached minimal resolutions of the simple modules, in idempotent order.
 
     Over a tensor algebra L (x) R the simple S_(i,j) is S_i (x) S_j, and its
@@ -107,15 +107,15 @@ def simple_resolutions(a: Algebra, cap: int = DEFAULT_CAP):
     of the factors' cached resolutions (Kuenneth over the field), so nothing
     is resolved over the product itself.  Any other algebra resolves its
     simples by projective_resolution.  Either way a resolution longer than
-    cap raises ResolutionCapExceeded."""
+    MAX_RESOLUTION_LENGTH raises ResolutionCapExceeded."""
     factors = a.meta.get("factors")
     if factors is None:
-        return [projective_resolution(s, cap)[0] for s in simple_modules(a)]
-    left, right = (simple_resolutions(f, cap) for f in factors)
+        return [projective_resolution(s)[0] for s in simple_modules(a)]
+    left, right = (simple_resolutions(f) for f in factors)
     longest = sum(max(map(resolution_length, r), default=0) for r in (left, right))
-    if longest > cap:
+    if longest > MAX_RESOLUTION_LENGTH:
         raise ResolutionCapExceeded(
-            f"simple resolutions over {a!r} have length {longest} > cap {cap}"
+            f"simple resolutions over {a!r} have length {longest} > {MAX_RESOLUTION_LENGTH}"
         )
     return [external_tensor(a, x, y) for x in left for y in right]
 
@@ -163,15 +163,15 @@ def external_tensor(a: Algebra, x: PerfectComplex, y: PerfectComplex) -> Perfect
 
 
 @cached
-def euler_matrix(a: Algebra, cap: int = DEFAULT_CAP) -> Matrix:
+def euler_matrix(a: Algebra) -> Matrix:
     """Gram matrix of the Euler form on the simple basis; by bilinearity it
     determines the form on the whole rationalized Grothendieck group."""
-    res = simple_resolutions(a, cap)
+    res = simple_resolutions(a)
     n = len(res)
     return Matrix(n, n, [[euler_pairing(res[i], res[j]) for j in range(n)] for i in range(n)])
 
 
-def compose_classes(u, v, middle: Algebra, cap: int = DEFAULT_CAP) -> list:
+def compose_classes(u, v, middle: Algebra) -> list:
     """Class of X (x)_middle Y from the class u of X over
     tensor(op(L), middle) and the class v of Y over tensor(op(middle), R):
     read as an n_L x n_middle matrix U and an n_middle x n_R matrix V (row
@@ -184,7 +184,7 @@ def compose_classes(u, v, middle: Algebra, cap: int = DEFAULT_CAP) -> list:
     Y in L e_l (x) e_m Y, so the class of the product is C_L W V =
     U C^-1 V.  C^-1 is the Euler matrix: chi(e_i A, S_j) = delta_ij and
     [e_i A] = sum_k C_ik [S_k]."""
-    chi = euler_matrix(middle, cap).data
+    chi = euler_matrix(middle).data
     n = len(chi)
     n_r = len(v) // n
     vrows = [v[r * n_r : (r + 1) * n_r] for r in range(n)]
@@ -231,7 +231,7 @@ def serre(m: PerfectComplex) -> Complex:
 
 
 @cached
-def diagonal_resolution(a: Algebra, cap: int = DEFAULT_CAP) -> PerfectComplex:
+def diagonal_resolution(a: Algebra) -> PerfectComplex:
     """Minimal resolution of the diagonal bimodule over tensor(op(A), A).
 
     - A path algebra kQ takes the standard resolution in closed form
@@ -246,13 +246,13 @@ def diagonal_resolution(a: Algebra, cap: int = DEFAULT_CAP) -> PerfectComplex:
       resolves the diagonal bimodule by projective_resolution, which the
       tests also use as the oracle of the closed form.
 
-    Raises ResolutionCapExceeded when the resolution is longer than cap."""
+    Raises ResolutionCapExceeded past MAX_RESOLUTION_LENGTH."""
     if "quiver" not in a.meta:
-        return projective_resolution(diagonal_bimodule(a), cap)[0]
+        return projective_resolution(diagonal_bimodule(a))[0]
     res = _path_algebra_diagonal(a)
-    if resolution_length(res) > cap:
+    if resolution_length(res) > MAX_RESOLUTION_LENGTH:
         raise ResolutionCapExceeded(
-            f"diagonal resolution over {a!r} has length {resolution_length(res)} > cap {cap}"
+            f"diagonal resolution over {a!r} has length {resolution_length(res)} > {MAX_RESOLUTION_LENGTH}"
         )
     return res
 
@@ -283,10 +283,10 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
     return PerfectComplex(env, copies, {-1: blocks})
 
 
-def check_smooth(a: Algebra, cap: int = DEFAULT_CAP):
-    """(True, diagonal resolution) when the diagonal bimodule has a finite
-    projective resolution within the cap, else (False, None)."""
+def check_smooth(a: Algebra):
+    """(True, diagonal resolution) when the diagonal bimodule has a projective
+    resolution within MAX_RESOLUTION_LENGTH, else (False, None)."""
     try:
-        return True, diagonal_resolution(a, cap)
+        return True, diagonal_resolution(a)
     except ResolutionCapExceeded:
         return False, None

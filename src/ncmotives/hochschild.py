@@ -3,7 +3,7 @@
 The production computation tensors the (short) minimal resolution of the
 diagonal bimodule against the coefficients over the enveloping algebra;
 HH_n is the cohomology of that complex in degree -n.  bar_oracle is an
-independent oracle up to a degree cap: the normalized bar complex relative
+independent oracle up to a given degree: the normalized bar complex relative
 to the vertex idempotents, whose degree-n term has one block e_r W e_l per
 composable n-tuple of non-idempotent basis monomials (Cibils' complex for a
 path algebra), so it grows with the number of such tuples rather than like
@@ -29,7 +29,6 @@ from .derived import compose_classes, diagonal_resolution, k0_class
 from .homalg import tensor_over
 from .linalg import RowBasis
 from .modules import Module, left_structure_module
-from .resolutions import DEFAULT_CAP
 
 
 HHProfile = namedtuple("HHProfile", "algebra dims")
@@ -43,7 +42,7 @@ def _left_structure_complex(w, a: Algebra) -> Complex:
     return Complex(alg, comps, dict(w.differentials), check=False)
 
 
-def hochschild(a: Algebra, w, top: int, cap: int = DEFAULT_CAP) -> HHProfile:
+def hochschild(a: Algebra, w, top: int) -> HHProfile:
     """Hochschild homology dimensions HH_0 .. HH_top of A with coefficients
     in a bimodule (or bounded complex of bimodules) over tensor(op(A), A).
 
@@ -51,7 +50,7 @@ def hochschild(a: Algebra, w, top: int, cap: int = DEFAULT_CAP) -> HHProfile:
     (diagonal resolution) (x)_{A^e} coefficients.  The coefficients must
     have no component in a positive degree (ValueError otherwise): the
     total complex then sits in degrees <= 0, so no homology is dropped."""
-    diag = diagonal_resolution(a, cap)
+    diag = diagonal_resolution(a)
     wc = as_complex(w)
     q = scalar_algebra()
     env = hom_algebra(a, a)
@@ -64,20 +63,20 @@ def hochschild(a: Algebra, w, top: int, cap: int = DEFAULT_CAP) -> HHProfile:
     return HHProfile(a, dims)
 
 
-def hochschild_euler(a: Algebra, w, cap: int = DEFAULT_CAP) -> int:
+def hochschild_euler(a: Algebra, w) -> int:
     """Alternating sum of Hochschild dimensions: the Euler characteristic of
     (diagonal resolution) (x)_{A^e} W, read from the class of W alone."""
     k = k0_class(w)
     if k.algebra is not hom_algebra(a, a):
         raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
-    return _pair_with_diagonal(a, k.coords, cap)
+    return _pair_with_diagonal(a, k.coords)
 
 
-def _pair_with_diagonal(a: Algebra, coords, cap: int) -> int:
+def _pair_with_diagonal(a: Algebra, coords) -> int:
     """Pair the copy weights of the diagonal resolution with a class over
     tensor(op(A), A); the pair (u, v) meets (v, u), since the tensor product
     reads the coefficients through their left structure."""
-    weights = diagonal_resolution(a, cap).euler_copy_weights()
+    weights = diagonal_resolution(a).euler_copy_weights()
     n_a = len(a.idempotents)
     total = 0
     for r, w in enumerate(weights):
@@ -192,7 +191,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
 # -- intersection numbers ---------------------------------------------------------
 
 
-def intersection_number(x, y, cap: int = DEFAULT_CAP) -> int | Fraction:
+def intersection_number(x, y) -> int | Fraction:
     """Intersection pairing of correspondences x: (A,e) -> (B,e') and
     y: (B,e') -> (A,e): the bilinear combination over term pairs of the
     alternating Hochschild dimension sums of X_i (x)_B Y_j, each read from
@@ -204,6 +203,6 @@ def intersection_number(x, y, cap: int = DEFAULT_CAP) -> int | Fraction:
     total = 0
     for cx, xt in x.terms:
         for cy, yt in y.terms:
-            cls = compose_classes(k0_class(xt).coords, k0_class(yt).coords, b, cap)
-            total += cx * cy * _pair_with_diagonal(a, cls, cap)
+            cls = compose_classes(k0_class(xt).coords, k0_class(yt).coords, b)
+            total += cx * cy * _pair_with_diagonal(a, cls)
     return total

@@ -30,7 +30,6 @@ from .derived import (
 from .homalg import dual_perfect, tensor_over
 from .hochschild import hochschild_euler, intersection_number
 from .linalg import Matrix, RowBasis, exact_text, norm_scalar, span_equal
-from .resolutions import DEFAULT_CAP
 
 
 # -- motives and correspondences --------------------------------------------------
@@ -41,11 +40,11 @@ class NCMotive:
 
     idem=None means the identity motive (class of the diagonal bimodule).
     Idempotency e o e = e is verified at the class level on construction,
-    through the Euler matrix of the algebra at the given cap.  An idempotent
+    through the Euler matrix of the algebra.  An idempotent
     whose class is zero is refused (ValueError): its motive is zero, so every
     check on it would compare empty spaces."""
 
-    def __init__(self, algebra: Algebra, idem: "Correspondence | None" = None, cap: int = DEFAULT_CAP):
+    def __init__(self, algebra: Algebra, idem: "Correspondence | None" = None):
         self.algebra = algebra
         self.idem = idem
         self.name = f"({algebra.meta.get('name', '?')}, {'id' if idem is None else 'e'})"
@@ -55,7 +54,7 @@ class NCMotive:
             cls = idem.k0()
             if not any(cls):
                 raise ValueError("the idempotent is the zero class")
-            if compose_classes(cls, cls, algebra, cap) != list(cls):
+            if compose_classes(cls, cls, algebra) != list(cls):
                 raise ValueError("correspondence class is not idempotent")
 
     def idem_class(self):
@@ -125,12 +124,12 @@ class Correspondence:
         return f"<Correspondence {self.source.name} -> {self.target.name}, {len(self.terms)} terms>"
 
 
-def identity_correspondence(m: NCMotive, cap: int = DEFAULT_CAP) -> Correspondence:
+def identity_correspondence(m: NCMotive) -> Correspondence:
     """The identity of the identity motive: class of the diagonal bimodule,
     represented by its minimal resolution."""
     if not m.is_identity():
         raise ValueError("identity correspondence is attached to identity motives")
-    return Correspondence(m, m, [(1, diagonal_resolution(m.algebra, cap))])
+    return Correspondence(m, m, [(1, diagonal_resolution(m.algebra))])
 
 
 def vertex_cut_idempotent(a: Algebra, vertices) -> Correspondence:
@@ -154,16 +153,16 @@ def vertex_cut_idempotent(a: Algebra, vertices) -> Correspondence:
     return Correspondence(ident, ident, [(1, term)])
 
 
-def complement_idempotent(e: Correspondence, cap: int = DEFAULT_CAP) -> Correspondence:
+def complement_idempotent(e: Correspondence) -> Correspondence:
     """1 - e for an idempotent endo-correspondence of an identity motive."""
-    ident = identity_correspondence(e.source, cap)
+    ident = identity_correspondence(e.source)
     return Correspondence(e.source, e.target, [*ident.terms, *((-c, t) for c, t in e.terms)])
 
 
-def project_class(src: NCMotive, dst: NCMotive, cls, cap: int = DEFAULT_CAP):
+def project_class(src: NCMotive, dst: NCMotive, cls):
     """The projector e o - o e' on classes over the Hom algebra."""
-    left = compose_classes(src.idem_class(), cls, src.algebra, cap)
-    return compose_classes(left, dst.idem_class(), dst.algebra, cap)
+    left = compose_classes(src.idem_class(), cls, src.algebra)
+    return compose_classes(left, dst.idem_class(), dst.algebra)
 
 
 # -- operations --------------------------------------------------------------------
@@ -198,7 +197,7 @@ def dualize(x: Correspondence) -> Correspondence:
     return Correspondence(x.target, x.source, [(c, dual_perfect(t, a, b)) for c, t in x.terms])
 
 
-def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> int | Fraction:
+def trace(z: Correspondence) -> int | Fraction:
     """Categorical trace of an endo-correspondence: the alternating sum of
     Hochschild dimensions of each term, combined by the coefficients."""
     if z.source != z.target:
@@ -206,7 +205,7 @@ def trace(z: Correspondence, cap: int = DEFAULT_CAP) -> int | Fraction:
     a = z.source.algebra
     total = 0
     for c, t in z.terms:
-        total += c * hochschild_euler(a, t, cap)
+        total += c * hochschild_euler(a, t)
     return total
 
 
@@ -231,11 +230,11 @@ def serre_correspondence(x: Correspondence) -> Correspondence:
     )
 
 
-def realize_class(cls, src: NCMotive, dst: NCMotive, cap: int = DEFAULT_CAP) -> Correspondence:
+def realize_class(cls, src: NCMotive, dst: NCMotive) -> Correspondence:
     """A correspondence representing a class vector: the combination of
     simple resolutions over the Hom algebra with the given coefficients."""
     e = hom_algebra(src.algebra, dst.algebra)
-    res = simple_resolutions(e, cap)
+    res = simple_resolutions(e)
     terms = [(c, res[i]) for i, c in enumerate(cls) if c]
     return Correspondence(src, dst, terms)
 
@@ -254,7 +253,7 @@ class HomSpaceModel(namedtuple("HomSpaceModel", "source target basis realized"))
         return len(self.basis)
 
 
-def build_hom_model(src: NCMotive, dst: NCMotive, cap: int = DEFAULT_CAP) -> HomSpaceModel:
+def build_hom_model(src: NCMotive, dst: NCMotive) -> HomSpaceModel:
     """Model of Hom((A,e),(B,e')): basis of the image of the projector
     e o - o e' on classes, each basis class realized by a correspondence."""
     e = hom_algebra(src.algebra, dst.algebra)
@@ -263,12 +262,12 @@ def build_hom_model(src: NCMotive, dst: NCMotive, cap: int = DEFAULT_CAP) -> Hom
     for i in range(n):
         std = [0] * n
         std[i] = 1
-        rb.add(project_class(src, dst, std, cap))
+        rb.add(project_class(src, dst, std))
     basis = [r[:] for r in rb.rows]
     for v in basis:
-        if project_class(src, dst, v, cap) != v:
+        if project_class(src, dst, v) != v:
             raise AssertionError("projector image is not projector-stable")
-    realized = [realize_class(v, src, dst, cap) for v in basis]
+    realized = [realize_class(v, src, dst) for v in basis]
     return HomSpaceModel(src, dst, basis, realized)
 
 
@@ -278,10 +277,10 @@ def euler_gram(m: HomSpaceModel) -> Matrix:
     return Matrix(m.dim, m.dim, [[chi_hom(x, y) for y in m.realized] for x in m.realized])
 
 
-def numerical_kernel(m: HomSpaceModel, cap: int = DEFAULT_CAP):
+def numerical_kernel(m: HomSpaceModel):
     """Classes pairing to zero against the whole reversed Hom-space model,
     via the rectangular intersection matrix; coordinates over m.basis."""
-    reverse = build_hom_model(m.target, m.source, cap)
+    reverse = build_hom_model(m.target, m.source)
     if m.dim == 0:
         return []
     if reverse.dim == 0:
@@ -290,7 +289,7 @@ def numerical_kernel(m: HomSpaceModel, cap: int = DEFAULT_CAP):
         m.dim,
         reverse.dim,
         [
-            [intersection_number(m.realized[i], reverse.realized[j], cap) for j in range(reverse.dim)]
+            [intersection_number(m.realized[i], reverse.realized[j]) for j in range(reverse.dim)]
             for i in range(m.dim)
         ],
     )
@@ -312,7 +311,7 @@ def check_record(name, identity, expected, actual) -> dict:
     }
 
 
-def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: int | None = None) -> dict:
+def verify_equivalence(m: HomSpaceModel) -> dict:
     """Run every identity the construction promises on a Hom-space model and
     report the kernel-equality verdict.
 
@@ -324,18 +323,15 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
       gram-int-kernel       kernel of the intersection Gram = Euler kernel
       numerical-kernel      pairing-to-zero classes = Euler kernel
       idempotent-law        e o e = e for both endpoint motives
-    The pairwise checks read chi(x, y) from the Euler Gram, and
-    commutative-square reads <D(x) . y> from the intersection Gram.
+    The pairwise checks run on every pair of basis classes and read
+    chi(x, y) from the Euler Gram; commutative-square reads <D(x) . y> from
+    the intersection Gram.
     Failures are recorded in the report, not raised."""
     checks = []
     n = m.dim
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    if sample_pairs is not None and len(pairs) > sample_pairs:
-        step = max(1, len(pairs) // max(1, sample_pairs))
-        pairs = pairs[::step][:sample_pairs]
     gram_chi = euler_gram(m)
     duals = [dualize(x) for x in m.realized]
-    gram_int = Matrix(n, n, [[intersection_number(d, y, cap) for y in m.realized] for d in duals])
+    gram_int = Matrix(n, n, [[intersection_number(d, y) for y in m.realized] for d in duals])
 
     # idempotent law
     for motive, tag in ((m.source, "source"), (m.target, "target")):
@@ -344,34 +340,33 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
             f"idempotent-law-{tag}",
             "e o e = e on classes",
             list(cls),
-            compose_classes(cls, cls, motive.algebra, cap),
+            compose_classes(cls, cls, motive.algebra),
         ))
 
     # pairwise identities
-    serres = {}
-    for i, j in pairs:
-        x, y = m.realized[i], m.realized[j]
-        lhs = gram_chi.data[i][j]
-        if i not in serres:
-            serres[i] = serre_correspondence(x)
-        checks.append(check_record(
-            f"serre-symmetry[{i},{j}]",
-            "chi(x,y) = chi(y, S(x))",
-            lhs,
-            chi_hom(y, serres[i]),
-        ))
-        checks.append(check_record(
-            f"trace-formula[{i},{j}]",
-            "chi(x,y) = trace(y o D(x))",
-            lhs,
-            trace(compose(y, duals[i]), cap),
-        ))
-        checks.append(check_record(
-            f"commutative-square[{i},{j}]",
-            "chi(x,y) = <D(x) . y>",
-            lhs,
-            gram_int.data[i][j],
-        ))
+    for i in range(n):
+        sx = serre_correspondence(m.realized[i])
+        for j in range(n):
+            y = m.realized[j]
+            lhs = gram_chi.data[i][j]
+            checks.append(check_record(
+                f"serre-symmetry[{i},{j}]",
+                "chi(x,y) = chi(y, S(x))",
+                lhs,
+                chi_hom(y, sx),
+            ))
+            checks.append(check_record(
+                f"trace-formula[{i},{j}]",
+                "chi(x,y) = trace(y o D(x))",
+                lhs,
+                trace(compose(y, duals[i])),
+            ))
+            checks.append(check_record(
+                f"commutative-square[{i},{j}]",
+                "chi(x,y) = <D(x) . y>",
+                lhs,
+                gram_int.data[i][j],
+            ))
 
     # kernels
     kl = gram_chi.left_kernel_basis()
@@ -394,7 +389,7 @@ def verify_equivalence(m: HomSpaceModel, cap: int = DEFAULT_CAP, sample_pairs: i
         span_equal(span_r, span_i),
     ))
 
-    nk = numerical_kernel(m, cap)
+    nk = numerical_kernel(m)
     span_n = RowBasis(n).extend(nk)
     checks.append(check_record(
         "numerical-kernel",

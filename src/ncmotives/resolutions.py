@@ -5,9 +5,9 @@ covers (tops computed through the radical), producing a PerfectComplex in
 degrees <= 0 quasi-isomorphic to the module placed in degree 0.  Each block
 of a differential is read off a cover generator's image in the previous
 cover, so no differential matrix is formed.  For an algebra of finite
-global dimension the iteration terminates; the cap turns a runaway
-resolution (an input outside the supported class) into an error rather
-than a silent truncation.
+global dimension the iteration terminates; MAX_RESOLUTION_LENGTH turns a
+runaway resolution (an input outside the supported class) into an error
+rather than a silent truncation.
 """
 
 from __future__ import annotations
@@ -16,14 +16,17 @@ from .complexes import PerfectComplex
 from .linalg import Matrix, RowBasis
 from .modules import Module, cover_data, direct_sum_modules, projective_module
 
-DEFAULT_CAP = 16
+MAX_RESOLUTION_LENGTH = 16
+"""The longest resolution the package builds (projective, simple or
+diagonal); a longer one raises ResolutionCapExceeded.  The corpus and the
+Hom-space ladder need at most 6, for the simples of op(P^3) (x) P^3."""
 
 
 class ResolutionCapExceeded(RuntimeError):
-    """The resolution did not terminate within the configured length cap."""
+    """A resolution is longer than MAX_RESOLUTION_LENGTH."""
 
 
-def projective_resolution(m: Module, cap: int = DEFAULT_CAP):
+def projective_resolution(m: Module):
     """Minimal projective resolution of a module.
 
     Returns (PerfectComplex in degrees -length..0, augmentation matrix
@@ -39,9 +42,9 @@ def projective_resolution(m: Module, cap: int = DEFAULT_CAP):
     current, sub = m, RowBasis.full(m.dim)
     step = 0
     while sub.dim > 0:
-        if step > cap:
+        if step > MAX_RESOLUTION_LENGTH:
             raise ResolutionCapExceeded(
-                f"resolution of a module over {a!r} exceeded cap {cap}"
+                f"resolution of a module over {a!r} is longer than {MAX_RESOLUTION_LENGTH}"
             )
         cs, gens, cover = cover_data(current, sub)
         copies[-step] = tuple(cs)

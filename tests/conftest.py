@@ -33,3 +33,17 @@ def kronecker():
 @pytest.fixture()
 def rng():
     return random.Random(20240501)
+
+
+@pytest.fixture()
+def max_length(monkeypatch):
+    """Set MAX_RESOLUTION_LENGTH for one test, in every module that reads
+    it.  No memo is keyed by the bound, so apply it to algebras built in the
+    test, which hold no resolution made under another bound."""
+    from ncmotives import derived, resolutions
+
+    def set_length(n):
+        for module in (derived, resolutions):
+            monkeypatch.setattr(module, "MAX_RESOLUTION_LENGTH", n)
+
+    return set_length

@@ -19,8 +19,9 @@ of the result; generator lifts define the next differential (P-part, with a
 sign) and the next comparison component phi (C-part), extended right-linearly
 from the generators so both are module maps.  This keeps the mapping cone of
 phi exact at every stage, i.e. phi is a quasi-isomorphism.  For an algebra of
-finite global dimension the recursion terminates; the cap turns a runaway
-recursion into ResolutionCapExceeded rather than a silent truncation.
+finite global dimension the recursion terminates; MAX_RESOLUTION_LENGTH turns
+a runaway recursion into ResolutionCapExceeded rather than a silent
+truncation.
 """
 
 from dense_reference import solve, submodule_from_rowbasis
@@ -41,7 +42,7 @@ from ncmotives.modules import (
 )
 from ncmotives.motives import Correspondence
 from ncmotives.resolutions import (
-    DEFAULT_CAP,
+    MAX_RESOLUTION_LENGTH,
     ResolutionCapExceeded,
     projective_resolution,
 )
@@ -132,7 +133,7 @@ def cone(f: ChainMap) -> Complex:
     return Complex(a, comps, diffs)
 
 
-def resolve_complex(c, cap: int = DEFAULT_CAP) -> PerfectComplex:
+def resolve_complex(c) -> PerfectComplex:
     """Perfect complex quasi-isomorphic to a bounded complex.
 
     Already-perfect inputs are returned unchanged; plain modules are
@@ -141,23 +142,23 @@ def resolve_complex(c, cap: int = DEFAULT_CAP) -> PerfectComplex:
     if isinstance(c, PerfectComplex):
         return c
     if isinstance(c, Module):
-        return projective_resolution(c, cap)[0]
+        return projective_resolution(c)[0]
     if c.is_zero():
         return PerfectComplex(c.algebra, {})
-    pc = _resolve_complex_inner(c, cap)
+    pc = _resolve_complex_inner(c)
     if not homology_dims_equal(pc, c):
         raise AssertionError("perfect replacement changed homology")
     return pc
 
 
-def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
+def _resolve_complex_inner(c: Complex) -> PerfectComplex:
     a = c.algebra
     copies: dict[int, tuple] = {}
     diffs: dict[int, Matrix] = {}
     phi: dict[int, Matrix] = {}
 
     n = c.hi
-    floor = c.lo - cap
+    floor = c.lo - MAX_RESOLUTION_LENGTH
     while True:
         dim_p_next = _copies_dim(a, copies.get(n + 1, ()))
         dim_c_here = c.component_dim(n)
@@ -168,7 +169,7 @@ def _resolve_complex_inner(c: Complex, cap: int) -> PerfectComplex:
             continue
         if n < floor:
             raise ResolutionCapExceeded(
-                f"perfect replacement over {a!r} exceeded cap {cap}"
+                f"perfect replacement over {a!r} is longer than {MAX_RESOLUTION_LENGTH}"
             )
 
         p_next, _ = direct_sum_modules(

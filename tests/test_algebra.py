@@ -340,6 +340,26 @@ def test_non_adapted_basis_is_rejected_by_sparse_peirce():
     assert a.radical().dim == 0
 
 
+@pytest.mark.parametrize("left, right", [("op(A3)", "A3"), ("Kronecker", "A2")])
+def test_coprojective_traces_of_a_tensor_algebra_match_a_table_scan(left, right):
+    """On tensor(L, R) the traces on A e_(i,k) are the outer product of L's
+    on L e_i and R's on R e_k (Kuenneth); a scan of every table row is the
+    oracle.  Kronecker (x) A2 has factors of different dimensions, so
+    taking them in the wrong order breaks the match."""
+    factors = [
+        opposite(corpus_algebra(name[3:-1])) if name.startswith("op(") else corpus_algebra(name)
+        for name in (left, right)
+    ]
+    a = tensor(*factors)
+    assert a.meta["factors"] == tuple(factors)
+    for j in range(len(a.idempotents)):
+        scan = [0] * a.dim
+        for u in a.coprojective_basis(j):
+            for b, row in enumerate(a.mul):
+                scan[b] += sum(c for u2, c in row[u] if u2 == u)
+        assert a.coprojective_traces(j) == scan
+
+
 def test_swap_permutation_is_memoized_and_inverted_by_the_reverse_swap(a2, kronecker):
     p = swap_permutation(a2, kronecker)
     assert p is swap_permutation(a2, kronecker)
@@ -351,10 +371,9 @@ def test_swap_permutation_is_memoized_and_inverted_by_the_reverse_swap(a2, krone
 # -- the memo helper ----------------------------------------------------------
 
 
-def test_cached_fills_keyword_and_default_arguments_by_position():
-    """f(x, 1), f(x, 1, 16), f(x, 1, cap=16) and f(x, x=1) share one entry,
-    keyed by the qualified name and the positional arguments; a call that
-    raises stores nothing."""
+def test_cached_keys_by_name_and_positional_arguments():
+    """f(x, 1) is kept under (qualified name, 1), and f(x, 2) apart from
+    it; a call that raises stores nothing, and a keyword call is refused."""
     from ncmotives.algebra import cached
 
     class Box:
@@ -364,25 +383,39 @@ def test_cached_fills_keyword_and_default_arguments_by_position():
     calls = []
 
     @cached
-    def f(obj, x, cap=16):
-        calls.append((x, cap))
+    def f(obj, x):
+        calls.append(x)
         if x < 0:
             raise ValueError(x)
-        return [x, cap]
+        return [x]
 
     box = Box()
     first = f(box, 1)
-    assert f(box, 1, 16) is first and f(box, 1, cap=16) is first and f(box, x=1) is first
-    assert f(box, 1, 5) is not first
-    assert calls == [(1, 16), (1, 5)]
-    assert sorted(box._cache) == [(f.__qualname__, 1, 5), (f.__qualname__, 1, 16)]
+    assert f(box, 1) is first and f(box, 2) is not first
+    assert calls == [1, 2]
+    assert sorted(box._cache) == [(f.__qualname__, 1), (f.__qualname__, 2)]
     with pytest.raises(ValueError):
         f(box, -1)
     assert len(box._cache) == 2
     with pytest.raises(TypeError):
-        f(box)
-    with pytest.raises(TypeError):
-        f(box, 1, size=2)
+        f(box, x=1)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["def f(obj, x, size=16): pass", "def f(obj, x, *, size): pass", "def f(obj, *, size=16): pass"],
+    ids=["default", "keyword-only", "keyword-only-default"],
+)
+def test_cached_refuses_default_and_keyword_only_arguments(source):
+    """The memo keys the arguments as passed, so f(a) and f(a, 16) would be
+    two entries for one value: a default or keyword-only argument is a
+    TypeError when the function is decorated."""
+    from ncmotives.algebra import cached
+
+    scope = {}
+    exec(source, scope)
+    with pytest.raises(TypeError, match="default or keyword-only"):
+        cached(scope["f"])
 
 
 def test_no_cache_access_outside_the_memo_helper():
@@ -437,4 +470,23 @@ def test_no_function_level_relative_import():
                     for inner in ast.walk(node)
                     if isinstance(inner, ast.ImportFrom) and inner.level
                 ]
+    assert found == []
+
+
+def test_no_function_takes_a_resolution_bound():
+    """The resolution bound is the constant MAX_RESOLUTION_LENGTH: no
+    function, method or lambda of the package has a parameter named cap."""
+    import ast
+    from pathlib import Path
+
+    import ncmotives
+
+    found = []
+    for path in sorted(Path(ncmotives.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                if any(p is not None and p.arg == "cap" for p in params):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -190,14 +190,6 @@ def test_verify_command_identity_scenario(tmp_path):
     assert report["kernel_dim"] == report["numerical_kernel_dim"] == 0
 
 
-def test_verify_command_with_no_sampled_pairs(tmp_path):
-    scenario = {"format": 1, "source": {"algebra": A2_SPEC}, "options": {"sample_pairs": 0}}
-    path = write(tmp_path, "scenario.json", scenario)
-    code, report = run_to_report(tmp_path, ["verify", path])
-    assert code == 0
-    assert not any("[" in c["name"] for c in report["checks"])
-
-
 def test_verify_command_restricted_scenario(tmp_path):
     scenario = {
         "format": 1,
@@ -475,6 +467,12 @@ MALFORMED_INPUTS = {
     "idempotent-not-an-object": ["verify", {"source": {"algebra": A2_SPEC, "idempotent": "x"}}],
     "scenario-is-an-array": ["verify", [A2_MOTIVE]],
     "negative-option": ["verify", {"source": A2_MOTIVE, "options": {"sample_pairs": -1}}],
+    # a scenario holds only the keys its command reads, and format
+    "options": ["verify", {"source": A2_MOTIVE, "options": {"cap": 16}}],
+    "targte": ["verify", {"source": A2_MOTIVE, "targte": {"algebra": _quiver(3, [(0, 1, "a"), (1, 2, "b")])}}],
+    "idempotnet": ["verify", {"source": {"algebra": A2_SPEC, "idempotnet": {"kind": "vertex-cut", "vertices": [0]}}}],
+    # the flag is gone: argparse refuses it
+    "cap-flag": ["--cap", "4", "euler-matrix", A2_SPEC],
     "intersect-without-x": ["intersect", {"source": A2_MOTIVE, "target": A2_MOTIVE, "y": SIMPLE_TERMS}],
     "trace-without-z": ["trace", {"source": A2_MOTIVE}],
     # a scenario names its source: none of these may default to Q
@@ -558,6 +556,63 @@ MALFORMED_INPUTS = {
     # a report that cannot be written is a bad --out, not a bug
     "out-in-a-missing-directory": ["euler-matrix", A2_SPEC, "--out", os.path.join(os.devnull, "r.json")],
 }
+
+
+# inputs valid but for one key that no reader reads, with that key
+UNKNOWN_KEYS = {
+    "trace-with-a-target": (["trace", {"source": A2_MOTIVE, "target": A2_MOTIVE, "z": {"terms": []}}], "target"),
+    "vertex-cut-with-an-of": (
+        ["verify", {"source": {"algebra": A2_SPEC, "idempotent": {"kind": "vertex-cut", "vertices": [0], "of": None}}}],
+        "of",
+    ),
+    "arrow-with-a-weight": (
+        ["euler-matrix", {**A2_SPEC, "arrows": [{"from": 0, "to": 1, "label": "a", "weight": 2}]}],
+        "weight",
+    ),
+    "named-algebra-with-arrows": (["euler-matrix", {"kind": "named", "name": "A2", "arrows": []}], "arrows"),
+    "table-with-units": (["euler-matrix", {**DUAL_NUMBERS_SPEC, "units": [1, 0]}], "units"),
+    "term-with-a-coefficent": (
+        ["trace", {"source": A2_MOTIVE, "z": {"terms": [{"coefficent": 2, "bimodule": {"kind": "diagonal"}}]}}],
+        "coefficent",
+    ),
+    "simple-with-a-pair": (
+        ["trace", {"source": A2_MOTIVE, "z": {"terms": [{"bimodule": {"kind": "simple", "index": 0, "pair": [0, 0]}}]}}],
+        "pair",
+    ),
+    "correspondence-with-a-term": (["trace", {"source": A2_MOTIVE, "z": {"terms": [], "term": []}}], "term"),
+    "named-coefficients-with-a-dim": (["hochschild", A2_SPEC, "--coefficients", {"named": "dual", "dim": 3}], "dim"),
+    "module-with-actions": (["hochschild", A2_SPEC, "--coefficients", {**A2_DIAGONAL_SPEC, "actions": {}}], "actions"),
+    "complex-with-a-differential": (
+        ["hochschild", A2_SPEC, "--coefficients", {"components": {"0": A2_DIAGONAL_SPEC}, "differential": {}}],
+        "differential",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, key", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_unknown_keys_are_refused_by_name(tmp_path, capsys, argv, key):
+    """A key no reader reads is malformed input, named in the message: a
+    misspelled key is not read as an absent one."""
+    argv = [a if isinstance(a, str) else write(tmp_path, f"input{k}.json", a) for k, a in enumerate(argv)]
+    assert main(argv) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_every_spec_object_may_hold_format(tmp_path):
+    """`format` is accepted on every spec object, nested ones included."""
+    f = {"format": 1}
+    a2 = {**A2_SPEC, "arrows": [{**f, "from": 0, "to": 1, "label": "a"}]}
+    cut = {**f, "kind": "complement", "of": {**f, "kind": "vertex-cut", "vertices": [0]}}
+    terms = {**f, "terms": [{**f, "bimodule": {**f, "kind": "projective", "pair": [0, 0]}}]}
+    runs = [
+        ["verify", {**f, "source": {**f, "algebra": a2, "idempotent": cut}, "target": {**f, "algebra": a2}}],
+        ["intersect", {**f, "source": {**f, "algebra": {**f, "kind": "named", "name": "A2"}}, "x": terms, "y": terms}],
+        ["hochschild", a2, "--coefficients", {**f, "components": {"0": {**f, **A2_DIAGONAL_SPEC}}, "differentials": {}}],
+        ["hochschild", a2, "--coefficients", {**f, "named": "dual"}],
+    ]
+    for k, argv in enumerate(runs):
+        argv = [a if isinstance(a, str) else write(tmp_path, f"input{k}_{i}.json", a) for i, a in enumerate(argv)]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0, argv[0]
 
 
 @pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
@@ -766,17 +821,31 @@ def test_timing_adds_only_elapsed_seconds(tmp_path, where):
     assert report == json.loads(plain.read_text())
 
 
-def test_cap_exceeded_exit_code(tmp_path):
+def test_cap_exceeded_exit_code(tmp_path, capsys):
+    """The dual numbers have infinite global dimension: no resolution of
+    their simple module ends within MAX_RESOLUTION_LENGTH."""
     spec = write(tmp_path, "dual.json", DUAL_NUMBERS_SPEC)
-    assert main(["--cap", "4", "euler-matrix", spec]) == 4
+    assert main(["euler-matrix", spec]) == 4
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
 
 
 def test_cap_exceeded_on_a_hom_algebra_exit_code(tmp_path):
-    """The simple resolutions over op(A3) (x) A3 have length 2, so cap 1
-    must refuse them even though each factor's resolutions fit."""
-    a3 = {"algebra": _line_quiver(3)}
-    path = write(tmp_path, "a3.json", {"format": 1, "source": a3, "target": a3})
-    assert main(["--cap", "1", "verify", path]) == 4
+    """The radical-square-zero line of 10 vertices has global dimension 9,
+    so the simple resolutions over its Hom algebra to itself have length
+    18 > 16 and are refused, though each factor's resolutions fit."""
+    line = {"algebra": _radical_square_zero_line(10)}
+    path = write(tmp_path, "line.json", {"format": 1, "source": line, "target": line})
+    assert main(["verify", path]) == 4
+
+
+@pytest.mark.parametrize("n, code", [(17, 0), (18, 4)])
+def test_euler_matrix_at_the_resolution_bound(tmp_path, n, code):
+    """The radical-square-zero line of n vertices has global dimension
+    n - 1: at n = 17 its longest simple resolution has length 16 =
+    MAX_RESOLUTION_LENGTH and is built, at n = 18 it has length 17 and the
+    run exits 4."""
+    spec = write(tmp_path, "line.json", _radical_square_zero_line(n))
+    assert main(["euler-matrix", spec, "--out", str(tmp_path / "e.json")]) == code
 
 
 def test_report_determinism(tmp_path):
@@ -1198,35 +1267,6 @@ def test_verify_assembles_no_differential_matrix(tmp_path):
     assert _run_fresh(script, timeout=120) == "0"
 
 
-def test_a_scenario_cap_reaches_every_resolution(tmp_path):
-    """verify A3 -> A3 with "cap": 5 resolves the simples of A3, of its
-    opposite and of the Hom algebra, and builds their Euler matrices, at
-    cap 5 alone: no cache of those algebras holds an entry at another cap.
-    So does a source with a vertex cut or its complement, whose law
-    e o e = e (and the complement's diagonal resolution) is read on load."""
-    a3 = _line_quiver(3)
-    cut = {"kind": "vertex-cut", "vertices": [1]}
-    paths = []
-    for k, idem in enumerate([None, cut, {"kind": "complement", "of": cut}]):
-        source = {"algebra": a3} if idem is None else {"algebra": a3, "idempotent": idem}
-        scenario = {"format": 1, "source": source, "target": {"algebra": a3}, "options": {"cap": 5}}
-        paths.append(write(tmp_path, f"A3_A3_{k}.json", scenario))
-    out = str(tmp_path / "v.json")
-    script = (
-        "from ncmotives.algebra import hom_algebra, opposite\n"
-        "from ncmotives.cli import algebra_from_spec, main\n"
-        f"a = algebra_from_spec({a3!r})\n"
-        f"for path in {paths!r}:\n"
-        f"    assert main(['--seed', '1', 'verify', path, '--out', {out!r}]) == 0\n"
-        "names = ('simple_resolutions', 'euler_matrix', 'diagonal_resolution')\n"
-        "caches = [b._cache for b in (a, opposite(a), hom_algebra(a, a))]\n"
-        "print(sorted({k for c in caches for k in c if isinstance(k, tuple) and k[0] in names}))\n"
-    )
-    assert _run_fresh(script, timeout=60) == (
-        "[('diagonal_resolution', 5), ('euler_matrix', 5), ('simple_resolutions', 5)]"
-    )
-
-
 def _radical_square_zero_line(n):
     """The line quiver on n vertices with every product of two arrows zero,
     as a `table` spec (dimension 2n - 1, global dimension n - 1)."""
@@ -1256,17 +1296,3 @@ def _radical_square_zero_line(n):
     }
 
 
-def test_an_idempotent_motive_is_checked_at_the_scenario_cap(tmp_path):
-    """A source of global dimension 18 needs "cap": 20.  Its vertex cut is
-    checked idempotent at that cap, not at the default 16, so verify
-    passes instead of exiting 4."""
-    cut = {"kind": "vertex-cut", "vertices": [0]}
-    scenario = {
-        "format": 1,
-        "source": {"algebra": _radical_square_zero_line(19), "idempotent": cut},
-        "target": {"algebra": {"kind": "scalar"}},
-        "options": {"cap": 20},
-    }
-    code, report = run_to_report(tmp_path, ["verify", write(tmp_path, "cut.json", scenario)])
-    assert code == 0
-    assert report["dim"] == 1 and report["verdict"] is True

@@ -295,13 +295,19 @@ def test_kunneth_simple_resolutions_match_projective_resolutions():
         assert euler_matrix(e).data == _euler_gram(direct)
 
 
-def test_kunneth_simple_resolutions_respect_the_cap():
-    """The product of two length-1 resolutions has length 2: cap 1 refuses
-    it, cap 2 accepts it."""
-    e = hom_algebra(corpus_algebra("A3"), corpus_algebra("A3"))
+def test_kunneth_simple_resolutions_respect_the_cap(max_length):
+    """The product of two length-1 resolutions has length 2: a bound of 1
+    refuses it though each factor's resolutions fit, a bound of 2 accepts
+    it."""
+    from ncmotives.algebra import Quiver, path_algebra
+
+    a3 = path_algebra(Quiver(3, [(0, 1, "a"), (1, 2, "b")]))
+    e = hom_algebra(a3, a3)
+    max_length(1)
     with pytest.raises(ResolutionCapExceeded):
-        simple_resolutions(e, cap=1)
-    lengths = [r.hi - r.lo for r in simple_resolutions(e, cap=2)]
+        simple_resolutions(e)
+    max_length(2)
+    lengths = [r.hi - r.lo for r in simple_resolutions(e)]
     assert max(lengths) == 2
 
 
@@ -344,7 +350,7 @@ def test_check_smooth_cap_exhaustion_returns_false():
     dual_numbers = table_algebra(
         2, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0], [[1, 0]]
     )
-    ok, res = check_smooth(dual_numbers, cap=5)
+    ok, res = check_smooth(dual_numbers)
     assert not ok and res is None
 
 
@@ -589,18 +595,25 @@ def test_closed_form_diagonal_resolution_matches_projective_resolution(name):
     ]
 
 
-def test_closed_form_diagonal_resolution_respects_the_cap():
+def test_closed_form_diagonal_resolution_respects_the_cap(max_length):
     """A path algebra with an arrow has a diagonal resolution of length 1
     (closed form), a tensor of two such has length 2 (projective_resolution):
-    a cap below the length raises, through check_smooth it reads as not
-    smooth, and a semisimple quiver algebra passes cap 0."""
-    for name, length in (("A3", 1), ("A2xKronecker", 2)):
-        a = _named_algebra(name)
+    a bound below the length raises, through check_smooth it reads as not
+    smooth, and a semisimple quiver algebra passes a bound of 0."""
+    from ncmotives.algebra import Quiver, path_algebra, tensor
+
+    a2 = path_algebra(Quiver(2, [(0, 1, "a")]))
+    kronecker = path_algebra(Quiver(2, [(0, 1, "a"), (0, 1, "b")]))
+    a3 = path_algebra(Quiver(3, [(0, 1, "a"), (1, 2, "b")]))
+    for a, length in ((a3, 1), (tensor(a2, kronecker), 2)):
+        max_length(length - 1)
         with pytest.raises(ResolutionCapExceeded):
-            diagonal_resolution(a, cap=length - 1)
-        assert check_smooth(a, cap=length - 1) == (False, None)
-        assert resolution_length(diagonal_resolution(a, cap=length)) == length
-    assert resolution_length(diagonal_resolution(corpus_algebra("QxQ"), cap=0)) == 0
+            diagonal_resolution(a)
+        assert check_smooth(a) == (False, None)
+        max_length(length)
+        assert resolution_length(diagonal_resolution(a)) == length
+    max_length(0)
+    assert resolution_length(diagonal_resolution(path_algebra(Quiver(2, [])))) == 0
 
 
 def test_verify_resolves_over_no_enveloping_algebra_of_a_quiver_algebra(tmp_path, monkeypatch):
@@ -615,9 +628,9 @@ def test_verify_resolves_over_no_enveloping_algebra_of_a_quiver_algebra(tmp_path
 
     resolved = []
 
-    def spy(m, cap):
+    def spy(m):
         resolved.append(m.algebra)
-        return projective_resolution(m, cap)
+        return projective_resolution(m)
 
     monkeypatch.setattr(derived, "projective_resolution", spy)
     a3 = {
@@ -649,10 +662,10 @@ def test_verify_resolves_simples_only_over_its_algebras_and_hom_algebras(tmp_pat
     resolved = []
     resolve = derived.simple_resolutions
 
-    def spy(a, cap=derived.DEFAULT_CAP):
-        if ("simple_resolutions", cap) not in a._cache:
+    def spy(a):
+        if ("simple_resolutions",) not in a._cache:
             resolved.append(a)
-        return resolve(a, cap)
+        return resolve(a)
 
     for module in (derived, motives, cli):
         monkeypatch.setattr(module, "simple_resolutions", spy)
@@ -669,18 +682,3 @@ def test_verify_resolves_simples_only_over_its_algebras_and_hom_algebras(tmp_pat
     expected = [a4, a2, opposite(a4), opposite(a2), hom_algebra(a4, a2), hom_algebra(a2, a4)]
     assert len(resolved) == 6
     assert all(any(r is e for r in resolved) for e in expected)
-
-
-@pytest.mark.parametrize("f", [simple_resolutions, euler_matrix, diagonal_resolution])
-def test_default_cap_calls_share_one_memo(f):
-    """f(a), f(a, DEFAULT_CAP) and f(a, cap=DEFAULT_CAP) return one object,
-    kept under the one key (name, DEFAULT_CAP), whichever form comes first."""
-    from ncmotives.algebra import Quiver, path_algebra
-    from ncmotives.resolutions import DEFAULT_CAP
-
-    forms = [lambda a: f(a), lambda a: f(a, DEFAULT_CAP), lambda a: f(a, cap=DEFAULT_CAP)]
-    for first in range(3):
-        a = path_algebra(Quiver(3, [(0, 1, "a"), (1, 2, "b")]))
-        value = forms[first](a)
-        assert all(form(a) is value for form in forms)
-        assert [k for k in a._cache if k[0] == f.__name__] == [(f.__name__, DEFAULT_CAP)]

@@ -84,7 +84,7 @@ def test_resolution_cap_signals_infinite_global_dimension():
     a = dual_numbers()
     (s,) = simple_modules(a)
     with pytest.raises(ResolutionCapExceeded):
-        projective_resolution(s, cap=6)
+        projective_resolution(s)
 
 
 def test_resolve_complex_returns_perfect_unchanged(a2, rng):
