@@ -22,7 +22,7 @@ from .derived import (
     k0_class,
     serre,
 )
-from .hochschild import HHProfile, bar_oracle, hochschild, intersection_number
+from .hochschild import bar_oracle, hochschild, intersection_number
 from .homalg import hom_complex, tensor_over
 from .linalg import Matrix, RowBasis
 from .modules import (

@@ -1,95 +1,81 @@
 """Hochschild homology with bimodule coefficients and the intersection pairing.
 
-The production computation tensors the (short) minimal resolution of the
-diagonal bimodule against the coefficients over the enveloping algebra;
-HH_n is the cohomology of that complex in degree -n.  bar_oracle is an
-independent oracle up to a given degree: the normalized bar complex relative
-to the vertex idempotents, whose degree-n term has one block e_r W e_l per
-composable n-tuple of non-idempotent basis monomials (Cibils' complex for a
-path algebra), so it grows with the number of such tuples rather than like
-dim(W) dim(A)^n.  The rank of each differential is the dimension of the
-RowBasis spanned by its rows, the package's one elimination engine.
+HH is a Hom complex.  With P the diagonal resolution over A^e =
+tensor(op(A), A) and A^! = D_A(P) its bimodule dual (homalg.dual_perfect),
+homalg's Hom_{A^e}(M, N) = M^v (x)_{A^e} N read the other way round gives
+HH_n(A, W) = H^{-n}(P (x)_{A^e} W) = H^{-n} Hom_{A^e}(A^!, W).  D_A has
+already swapped the two sides of A^e, so W is read through its own right
+action.  bar_oracle is an independent oracle up to a given degree: the
+normalized bar complex relative to the vertex idempotents, whose degree-n
+term has one block e_r W e_l per composable n-tuple of non-idempotent basis
+monomials (Cibils' complex for a path algebra), so it grows with the number
+of such tuples rather than like dim(W) dim(A)^n.  The rank of each
+differential is the dimension of the RowBasis spanned by its rows, the
+package's one elimination engine.
 
 Intersection numbers of correspondences are alternating sums of Hochschild
 dimensions of composed bimodules.  The Euler characteristic of a bounded
 complex equals the alternating sum of its component dimensions, so these
 need only the Grothendieck class of the coefficients (derived.k0_class, or
 derived.compose_classes for a composite), paired with the copy weights of
-the diagonal resolution; never homology.
+A^! (the Euler pairing chi(A^!, -)); never homology.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import Algebra, hom_algebra, join_pair_basis, opposite, scalar_algebra
-from .complexes import Complex, as_complex
-from .derived import compose_classes, diagonal_resolution, k0_class
-from .homalg import tensor_over
+from .algebra import Algebra, hom_algebra, join_pair_basis
+from .complexes import PerfectComplex, as_complex
+from .derived import compose_classes, diagonal_resolution, euler_pairing, k0_class
+from .homalg import dual_perfect, hom_complex
 from .linalg import RowBasis
-from .modules import Module, left_structure_module
+from .modules import Module
 
 
-HHProfile = namedtuple("HHProfile", "algebra dims")
+def inverse_dualizing(a: Algebra) -> PerfectComplex:
+    """A^! = D_A(P) for the diagonal resolution P, memoized on P."""
+    return dual_perfect(diagonal_resolution(a), a, a)
 
 
-def _left_structure_complex(w, a: Algebra) -> Complex:
-    """Componentwise left-module structure of a complex of A-A-bimodules."""
-    w = as_complex(w)
-    comps = {n: left_structure_module(m, a) for n, m in w.components.items()}
-    alg = opposite(hom_algebra(a, a))
-    return Complex(alg, comps, dict(w.differentials), check=False)
+def _check_bimodule(a: Algebra, w):
+    if w.algebra is not hom_algebra(a, a):
+        raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
 
 
-def hochschild(a: Algebra, w, top: int) -> HHProfile:
+def hochschild(a: Algebra, w, top: int) -> list:
     """Hochschild homology dimensions HH_0 .. HH_top of A with coefficients
     in a bimodule (or bounded complex of bimodules) over tensor(op(A), A).
 
-    HH_n is the cohomology in degree -n of
-    (diagonal resolution) (x)_{A^e} coefficients.  The coefficients must
-    have no component in a positive degree (ValueError otherwise): the
-    total complex then sits in degrees <= 0, so no homology is dropped."""
-    diag = diagonal_resolution(a)
+    HH_n is the cohomology in degree -n of Hom_{A^e}(A^!, W).  A^! sits in
+    degrees >= 0, so W must have none in a positive degree (ValueError
+    otherwise): the Hom complex then sits in degrees <= 0, and no homology
+    is dropped."""
     wc = as_complex(w)
-    q = scalar_algebra()
-    env = hom_algebra(a, a)
-    if wc.algebra is not env:
-        raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
+    _check_bimodule(a, wc)
     if wc.hi > 0:
         raise ValueError("coefficients have a component in a positive degree")
-    t = tensor_over(diag, _left_structure_complex(wc, a), q, env, q, check=False)
-    dims = [t.homology(-n) for n in range(top + 1)]
-    return HHProfile(a, dims)
+    hom = hom_complex(inverse_dualizing(a), wc)
+    return [hom.homology(-n) for n in range(top + 1)]
 
 
 def hochschild_euler(a: Algebra, w) -> int:
-    """Alternating sum of Hochschild dimensions: the Euler characteristic of
-    (diagonal resolution) (x)_{A^e} W, read from the class of W alone."""
-    k = k0_class(w)
-    if k.algebra is not hom_algebra(a, a):
-        raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
-    return _pair_with_diagonal(a, k.coords)
+    """Alternating sum of Hochschild dimensions: the Euler pairing
+    chi(A^!, W) of the Hom complex, read from the class of W alone."""
+    _check_bimodule(a, w)
+    return euler_pairing(inverse_dualizing(a), w)
 
 
 def _pair_with_diagonal(a: Algebra, coords) -> int:
-    """Pair the copy weights of the diagonal resolution with a class over
-    tensor(op(A), A); the pair (u, v) meets (v, u), since the tensor product
-    reads the coefficients through their left structure."""
-    weights = diagonal_resolution(a).euler_copy_weights()
-    n_a = len(a.idempotents)
-    total = 0
-    for r, w in enumerate(weights):
-        if w:
-            u, v = divmod(r, n_a)
-            total += w * coords[v * n_a + u]
-    return total
+    """chi(A^!, -) on a class over tensor(op(A), A): the copy weights of
+    A^! dotted with its coordinates."""
+    return sum(w * c for w, c in zip(inverse_dualizing(a).euler_copy_weights(), coords))
 
 
 # -- bar complex oracle ---------------------------------------------------------
 
 
-def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
+def bar_oracle(a: Algebra, w: Module, top: int) -> list:
     """Hochschild homology of A with coefficients in a single bimodule W via
     the normalized bar complex relative to E = (+) k e_i, the span of the
     vertex idempotents, in degrees n <= top:
@@ -116,9 +102,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
     the composable paths of positive length.
 
     dims[n] = dim C_n - rank d_n - rank d_{n+1}."""
-    env = hom_algebra(a, a)
-    if w.algebra is not env:
-        raise ValueError("coefficients are not bimodules over tensor(op(A), A)")
+    _check_bimodule(a, w)
     left, right = a.peirce()
     idem = a.idempotents
     monomials = [t for t in range(a.dim) if t not in idem]
@@ -184,8 +168,7 @@ def bar_oracle(a: Algebra, w: Module, top: int = 4) -> HHProfile:
                     row[last_off + k2] += sign_n * c
                 image.add(row)
         ranks[n] = image.dim
-    dims = [dims_c[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    return HHProfile(a, dims)
+    return [dims_c[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
 
 
 # -- intersection numbers ---------------------------------------------------------

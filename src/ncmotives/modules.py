@@ -5,7 +5,8 @@ basis vector s times basis element j, as its nonzero (k, c) pairs.
 Elements are row vectors and act on the right, so row s of the action
 matrix of b_j is row(s, j), and act(x * y) = act(x) * act(y) as matrix
 products.  Bimodules are right modules over tensor(opposite(A), B): the
-pair (a^op, b) acts as "a on the left, b on the right".
+pair (a^op, b) acts as "a on the left, b on the right", and only so: HH is
+Hom from A^!, the dual of the diagonal resolution (hochschild.hochschild).
 
 Each kind of module reads its rows its own way: a projective e_i A and the
 diagonal bimodule from the structure constants, an injective D(A e_i) and
@@ -38,7 +39,6 @@ from .algebra import (
     cached,
     hom_algebra,
     join_pair_basis,
-    opposite,
     product,
     swap_permutation,
 )
@@ -314,19 +314,3 @@ def dual_bimodule(a: Algebra) -> Module:
         return tuple((s, c) for s in range(a.dim) for k, c in diag.row(s, perm[t]) if k == u)
 
     return Module(diag.algebra, a.dim, row, lambda t: diag.trace(perm[t]))
-
-
-def left_structure_module(m: Module, a: Algebra) -> Module:
-    """The left-module structure of an A-A-bimodule, as a right module over
-    the opposite enveloping algebra.
-
-    For a right module over E = tensor(op(A), A) the basis pair (x^op, y)
-    acts as x m y; the left E-structure needed for balanced tensor products
-    against right E-modules sends (x^op, y) to y m x, which is the right
-    action of the swapped pair.  Permuting the basis indices of the rows and
-    traces therefore yields a right module over opposite(E)."""
-    env = hom_algebra(a, a)
-    if m.algebra is not env:
-        raise ValueError("module is not a bimodule over tensor(op(A), A)")
-    perm = swap_permutation(a, a)
-    return Module(opposite(env), m.dim, lambda s, g: m.row(s, perm[g]), lambda g: m.trace(perm[g]))

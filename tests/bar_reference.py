@@ -10,7 +10,6 @@ independent of the package's RowBasis.
 
 from dense_reference import matrix_sum
 from ncmotives.algebra import hom_algebra, join_pair_basis
-from ncmotives.hochschild import HHProfile
 from ncmotives.linalg import norm_scalar
 
 
@@ -31,8 +30,7 @@ def absolute_bar_dims(a, w, top):
     for n in range(1, top + 2):
         rows = bar_differential_rows(a, w.dim, right_rows, left_rows, n)
         ranks[n] = _rank(rows, w.dim * a.dim ** (n - 1))
-    dims = [w.dim * a.dim**n - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    return HHProfile(a, dims)
+    return [w.dim * a.dim**n - ranks[n] - ranks[n + 1] for n in range(top + 1)]
 
 
 def _rank(rows, cols):

@@ -175,6 +175,6 @@ def euler_characteristic(c: Complex) -> int:
     return sum((-1 if n % 2 else 1) * m.dim for n, m in c.components.items())
 
 
-def hh_euler(profile) -> int:
+def hh_euler(dims) -> int:
     """Alternating sum of the dimensions of a Hochschild profile."""
-    return sum((-1) ** n * d for n, d in enumerate(profile.dims))
+    return sum((-1) ** n * d for n, d in enumerate(dims))

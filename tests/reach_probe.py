@@ -1,6 +1,6 @@
 """Reach probe: the functions of the package that a set of commands never enters.
 
-Imports the package and runs sixteen commands of the command line in this
+Imports the package and runs seventeen commands of the command line in this
 interpreter under sys.setprofile, records every function of the package
 that is entered, and prints those never entered with their line counts,
 then a summary line.  The import is traced too, so a decorator, which runs
@@ -72,7 +72,7 @@ QXQ_DIAGONAL = {
 
 
 def commands(tmp: Path):
-    """The sixteen probed command lines, keyed by a short name."""
+    """The seventeen probed command lines, keyed by a short name."""
 
     def write(name, obj):
         path = tmp / name
@@ -111,6 +111,7 @@ def commands(tmp: Path):
             write("v4.json", scenario(QXQ, QXQ, {"kind": "vertex-cut", "vertices": [0, 1]})),
         ],
         "hochschild A2 bar-check": ["hochschild", a2_path, "--top", "3", "--bar-check", "3"],
+        "hochschild table A2 bar-check": ["hochschild", table, "--bar-check", "2"],
         "hochschild A3 dual": [
             "hochschild", a3_path, "--coefficients", write("dual.json", {"named": "dual"}),
         ],

@@ -176,6 +176,24 @@ def test_hochschild_explicit_module_and_complex_coefficients(tmp_path):
     assert report2["dims"] == [2, 0, 0]
 
 
+def test_hochschild_bar_check_refuses_complex_coefficients_before_computing(tmp_path, monkeypatch):
+    """The bar complex takes a single bimodule: complex coefficients with
+    --bar-check exit 2 before any Hochschild homology is computed."""
+    import ncmotives.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "hochschild", lambda *args, **kw: calls.append(args))
+    spec = write(tmp_path, "a2.json", A2_SPEC)
+    coeff = write(
+        tmp_path,
+        "complex.json",
+        {"format": 1, "components": {"0": A2_DIAGONAL_SPEC}, "differentials": {}},
+    )
+    argv = ["hochschild", spec, "--coefficients", coeff, "--bar-check", "2"]
+    assert main(argv) == 2
+    assert calls == []
+
+
 def test_verify_command_identity_scenario(tmp_path):
     scenario = {
         "format": 1,
@@ -230,10 +248,48 @@ def test_intersect_command(tmp_path):
     assert code == 0  # symmetry check passes
 
 
+# Pairs of specs written differently that read the same: A2_SPEC with
+# `format` (which a nested spec does not read) dropped and with `kind` left
+# to its default, a quiver without arrows and a table with `arrows` and
+# `labels` left to their defaults.
+A2_WITHOUT_FORMAT = {k: v for k, v in A2_SPEC.items() if k != "format"}
+ONE_POINT_TABLE = {"kind": "table", "dim": 1, "mul": [[[1]]], "unit": [1], "idempotents": [[1]]}
+SPECS_EQUAL_AS_READ = {
+    "format": (A2_SPEC, A2_WITHOUT_FORMAT),
+    "kind": (A2_SPEC, {k: v for k, v in A2_SPEC.items() if k != "kind"}),
+    "arrows": ({"kind": "quiver", "vertices": 2, "arrows": []}, {"vertices": 2}),
+    "labels": ({**ONE_POINT_TABLE, "labels": ["b0"]}, ONE_POINT_TABLE),
+}
+
+
 def test_equal_specs_share_one_algebra():
     spec = {"algebra": _line_quiver(3)}
     assert motive_from_spec(spec).algebra is motive_from_spec(json.loads(json.dumps(spec))).algebra
     assert algebra_from_spec(A2_SPEC) is algebra_from_spec(dict(reversed(list(A2_SPEC.items()))))
+    for written, read in SPECS_EQUAL_AS_READ.values():
+        assert algebra_from_spec(written) is algebra_from_spec(read)
+    with_format = {**A2_WITHOUT_FORMAT, "arrows": [{**A2_SPEC["arrows"][0], "format": 1}]}
+    assert algebra_from_spec(with_format) is algebra_from_spec(A2_SPEC)
+    assert algebra_from_spec({"kind": "opposite", "of": A2_SPEC}) is algebra_from_spec(
+        {"kind": "opposite", "of": A2_WITHOUT_FORMAT}
+    )
+
+
+@pytest.mark.parametrize("written, read", SPECS_EQUAL_AS_READ.values(), ids=SPECS_EQUAL_AS_READ)
+def test_intersect_diagonal_terms_on_specs_equal_as_read(tmp_path, written, read):
+    """Source and target written differently but read alike are one
+    algebra, so diagonal terms are accepted."""
+    diagonal = {"terms": [{"bimodule": {"kind": "diagonal"}}]}
+    scenario = {
+        "format": 1,
+        "source": {"algebra": written},
+        "target": {"algebra": read},
+        "x": diagonal,
+        "y": diagonal,
+    }
+    code, report = run_to_report(tmp_path, ["intersect", write(tmp_path, "scenario.json", scenario)])
+    assert code == 0
+    assert report["verdict"] is True
 
 
 def test_intersect_diagonal_terms_on_equal_quiver_specs(tmp_path):

@@ -10,6 +10,7 @@ from dense_reference import (
     right_matrix,
     span_submodule,
 )
+from hochschild_reference import left_structure_module
 from ncmotives.algebra import hom_algebra, opposite, tensor
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
 from ncmotives.derived import k0_class
@@ -20,7 +21,6 @@ from ncmotives.modules import (
     diagonal_bimodule,
     direct_sum_modules,
     dual_bimodule,
-    left_structure_module,
     module_radical,
     projective_module,
     quotient_module,
@@ -169,6 +169,9 @@ def test_bimodule_actions_match_dense_products(name):
 
 
 def test_left_structure_module_is_valid(a2):
+    """The left structure of a bimodule, through which the reference route
+    of tests/hochschild_reference.py meets the diagonal, is a module over
+    the opposite enveloping algebra."""
     w = diagonal_bimodule(a2)
     lm = left_structure_module(w, a2)
     assert lm.algebra is opposite(tensor(opposite(a2), a2))
