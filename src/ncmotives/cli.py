@@ -194,8 +194,9 @@ def spec_degree(key, what) -> int:
 # -- algebra specs -----------------------------------------------------------------
 
 
-# Algebras built from specs, keyed by the canonical JSON of the spec as read
-# (_spec_as_read).
+# Quiver and table algebras built from specs, keyed by what _build_algebra
+# reads from them: (vertex count, arrow triples) or (dim, labels, unit,
+# idempotents, mul), with scalars as spec_scalar normalizes them.
 _interned_algebras = weakref.WeakValueDictionary()
 
 # The keys of each kind of spec besides `kind`.
@@ -212,48 +213,22 @@ BIMODULE_KEYS = {"simple": ("index",), "projective": ("pair",), "diagonal": ()}
 
 
 def algebra_from_spec(spec) -> Algebra:
-    """The algebra of a JSON spec.  Equal specs give one Algebra object (and
-    so one set of caches) for as long as it is in use.
+    """The algebra of a JSON spec.  Specs that are equal as read give one
+    Algebra object (and so one set of caches) for as long as it is in use,
+    whatever their scalar spellings, key order, `format` or defaults: `kind`
+    defaults to quiver, a quiver's `arrows` to [] and a table's `labels` to
+    b0 ... b{dim-1}.  An opposite or a tensor is memoized on its factors, and
+    a named algebra by corpus_algebra.
 
     Kinds: scalar | named | quiver | opposite | tensor | table."""
     try:
-        return _interned_algebra(spec)
+        return _build_algebra(spec_object(spec, "algebra spec"))
     except RecursionError as exc:
         raise InputError("algebra spec is nested too deeply") from exc
 
 
-def _interned_algebra(spec) -> Algebra:
-    spec = _spec_as_read(spec)
-    key = json.dumps(spec, sort_keys=True)
-    a = _interned_algebras.get(key)
-    if a is None:
-        a = _interned_algebras[key] = _build_algebra(spec_object(spec, "algebra spec"))
-    return a
-
-
-def _spec_as_read(spec):
-    """An algebra spec as _build_algebra reads it, which keys the intern
-    table: `format` dropped (from its arrows too), and the defaults of
-    `kind`, a quiver's `arrows` and a table's `labels` filled in, the labels
-    once `mul` has `dim` rows (so bounded by the file).  A nested spec is
-    interned by its own call; a malformed one is left for _build_algebra."""
-    if not isinstance(spec, dict):
-        return spec
-    read = {"kind": "quiver", **spec}
-    read.pop("format", None)
-    if read["kind"] == "quiver" and isinstance(read.setdefault("arrows", []), list):
-        read["arrows"] = [
-            {k: v for k, v in x.items() if k != "format"} if isinstance(x, dict) else x
-            for x in read["arrows"]
-        ]
-    mul = read.get("mul")
-    if read["kind"] == "table" and isinstance(mul, list) and len(mul) == read.get("dim"):
-        read.setdefault("labels", [f"b{i}" for i in range(len(mul))])
-    return read
-
-
 def _build_algebra(spec: dict) -> Algebra:
-    kind = spec_kind(spec, "algebra", ALGEBRA_KEYS)
+    kind = spec_kind(spec, "algebra", ALGEBRA_KEYS, "quiver")
     if kind == "scalar":
         return scalar_algebra()
     if kind == "named":
@@ -261,10 +236,15 @@ def _build_algebra(spec: dict) -> Algebra:
         if name not in CORPUS_NAMES:
             raise InputError(f"unknown named algebra {name!r}")
         return corpus_algebra(name)
+    if kind == "opposite":
+        return opposite(algebra_from_spec(spec_object(spec.get("of"), "opposite of")))
+    if kind == "tensor":
+        left, right = spec_list(spec.get("factors"), "tensor factors", 2)
+        return tensor(algebra_from_spec(left), algebra_from_spec(right))
     if kind == "quiver":
         n = spec_int(spec.get("vertices"), "quiver vertices", 1)
         arrows = []
-        for k, arrow in enumerate(spec_list(spec.get("arrows"), "arrows")):
+        for k, arrow in enumerate(spec_list(spec.get("arrows", []), "arrows")):
             arrow = spec_object(arrow, f"arrows[{k}]", ("from", "to", "label"))
             arrows.append((
                 spec_index(arrow.get("from"), n, f"arrows[{k}].from"),
@@ -273,37 +253,42 @@ def _build_algebra(spec: dict) -> Algebra:
             ))
         if len({label for _, _, label in arrows}) != len(arrows):
             raise InputError("arrow labels must be distinct")
-        a = path_algebra(Quiver(n, arrows))
-        if len(set(a.labels)) != a.dim:
-            dup = next(lab for k, lab in enumerate(a.labels) if lab in a.labels[:k])
-            raise InputError(f"two basis elements of the quiver are labelled {dup!r}")
+        key = (n, tuple(arrows))
+        a = _interned_algebras.get(key)
+        if a is None:
+            a = path_algebra(Quiver(n, arrows))
+            if len(set(a.labels)) != a.dim:
+                dup = next(lab for k, lab in enumerate(a.labels) if lab in a.labels[:k])
+                raise InputError(f"two basis elements of the quiver are labelled {dup!r}")
+            _interned_algebras[key] = a
         return a
-    if kind == "opposite":
-        return opposite(_interned_algebra(spec_object(spec.get("of"), "opposite of")))
-    if kind == "tensor":
-        left, right = spec_list(spec.get("factors"), "tensor factors", 2)
-        return tensor(_interned_algebra(left), _interned_algebra(right))
-    if kind == "table":
-        dim = spec_int(spec.get("dim"), "table dim", 1)
-        # dim is bounded by the size of the file only once mul has dim rows
-        mul = [
-            [spec_vector(v, dim, f"mul[{i}][{j}]") for j, v in enumerate(spec_list(r, f"mul[{i}]", dim))]
-            for i, r in enumerate(spec_list(spec.get("mul"), "mul", dim))
-        ]
-        unit = spec_vector(spec.get("unit"), dim, "unit")
-        idems = [
-            spec_vector(e, dim, f"idempotents[{r}]")
-            for r, e in enumerate(spec_list(spec.get("idempotents"), "idempotents"))
-        ]
-        labels = spec_list(spec.get("labels"), "labels", dim)
-        if len({spec_label(lab, f"labels[{k}]") for k, lab in enumerate(labels)}) != dim:
-            raise InputError("table labels must be distinct")
+    # a table
+    dim = spec_int(spec.get("dim"), "table dim", 1)
+    # dim is bounded by the size of the file only once mul has dim rows
+    mul = [
+        [spec_vector(v, dim, f"mul[{i}][{j}]") for j, v in enumerate(spec_list(r, f"mul[{i}]", dim))]
+        for i, r in enumerate(spec_list(spec.get("mul"), "mul", dim))
+    ]
+    unit = spec_vector(spec.get("unit"), dim, "unit")
+    idems = [
+        spec_vector(e, dim, f"idempotents[{r}]")
+        for r, e in enumerate(spec_list(spec.get("idempotents"), "idempotents"))
+    ]
+    labels = spec_list(spec.get("labels", [f"b{i}" for i in range(dim)]), "labels", dim)
+    if len({spec_label(lab, f"labels[{k}]") for k, lab in enumerate(labels)}) != dim:
+        raise InputError("table labels must be distinct")
+    key = (
+        dim, tuple(labels), tuple(unit), tuple(map(tuple, idems)), tuple(tuple(map(tuple, r)) for r in mul)
+    )
+    a = _interned_algebras.get(key)
+    if a is None:
         try:
-            return table_algebra(dim, labels, mul, unit, idems)
+            a = _interned_algebras[key] = table_algebra(dim, labels, mul, unit, idems)
         except AlgebraStructureError:
             raise
         except ValueError as exc:  # the unit and idempotent axioms, associativity
             raise InputError(f"bad table spec: {exc}") from exc
+    return a
 
 
 def module_from_spec(spec, algebra: Algebra) -> Module:
@@ -734,6 +719,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
 def build_parser():
     # the common options are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -769,7 +761,7 @@ def build_parser():
 
     s = sub.add_parser("serre-check", parents=[common], help="degreewise Serre duality on random perfect complexes")
     s.add_argument("algebra")
-    s.add_argument("--samples", type=non_negative_int, default=10)
+    s.add_argument("--samples", type=positive_int, default=10)
     s.set_defaults(func=cmd_serre_check)
 
     s = sub.add_parser("hochschild", parents=[common], help="Hochschild homology dimensions")
@@ -792,7 +784,7 @@ def build_parser():
     s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("corpus", parents=[common], help="run the built-in corpus and print a pass/fail table")
-    s.add_argument("--samples", type=non_negative_int, default=6)
+    s.add_argument("--samples", type=positive_int, default=6)
     s.add_argument("--bar-depth", type=non_negative_int, default=4, dest="bar_depth")
     s.set_defaults(func=cmd_corpus)
 

@@ -161,7 +161,7 @@ class PerfectComplex(Complex):
             if kept:
                 self._blocks[n] = kept
         comps = {
-            n: direct_sum_modules(algebra, [projective_module(algebra, i)[0] for i in cs])[0]
+            n: direct_sum_modules(algebra, [projective_module(algebra, i) for i in cs])
             for n, cs in self.copies.items()
         }
         # the build reads these two dicts, so the complex holds no cycle

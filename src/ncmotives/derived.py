@@ -110,7 +110,7 @@ def simple_resolutions(a: Algebra):
     MAX_RESOLUTION_LENGTH raises ResolutionCapExceeded."""
     factors = a.meta.get("factors")
     if factors is None:
-        return [projective_resolution(s)[0] for s in simple_modules(a)]
+        return [projective_resolution(s) for s in simple_modules(a)]
     left, right = (simple_resolutions(f) for f in factors)
     longest = sum(max(map(resolution_length, r), default=0) for r in (left, right))
     if longest > MAX_RESOLUTION_LENGTH:
@@ -221,7 +221,7 @@ def serre(m: PerfectComplex) -> Complex:
     a = m.algebra
     d = dual_perfect(m, scalar_algebra(), a)
     comps = {
-        n: direct_sum_modules(a, [injective_module(a, i) for i in cs])[0]
+        n: direct_sum_modules(a, [injective_module(a, i) for i in cs])
         for n, cs in m.copies.items()
     }
     diffs = LazyDifferentials(
@@ -248,7 +248,7 @@ def diagonal_resolution(a: Algebra) -> PerfectComplex:
 
     Raises ResolutionCapExceeded past MAX_RESOLUTION_LENGTH."""
     if "quiver" not in a.meta:
-        return projective_resolution(diagonal_bimodule(a))[0]
+        return projective_resolution(diagonal_bimodule(a))
     res = _path_algebra_diagonal(a)
     if resolution_length(res) > MAX_RESOLUTION_LENGTH:
         raise ResolutionCapExceeded(

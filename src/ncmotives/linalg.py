@@ -5,11 +5,11 @@ Vectors are plain lists of scalars (row vectors unless stated otherwise),
 matrices are dense and immutable by convention.
 
 RowBasis, the canonical reduced row echelon form of a span, is the one
-elimination engine: Matrix.rref, rank and kernel_basis read it, and so do
-the package's subspaces and bar-complex ranks.  The canonical form
+elimination engine: Matrix.rref, rank, kernel_basis and det read it, and so
+do the package's subspaces and bar-complex ranks.  The canonical form
 does not depend on the order of the rows, so echelon forms, kernel bases
-and coordinates are deterministic.  Matrix.det is the one other
-elimination, since it needs the pivot values that the RREF scales to 1.
+and coordinates are deterministic.  det reads its pivot values from
+RowBasis.reduce, before RowBasis.add scales them to 1.
 
 Scalars are not kept in a canonical type: sums and products are stored as
 they come, so an integral ``Fraction`` such as ``Fraction(4, 2)`` may sit
@@ -62,10 +62,6 @@ def exact_text(x) -> str:
         return str(x)
 
 
-def as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def vec_is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
@@ -104,9 +100,6 @@ class Matrix:
         for i in range(n):
             m.data[i][i] = 1
         return m
-
-    def copy_data(self):
-        return [row[:] for row in self.data]
 
     def __eq__(self, other):
         return (
@@ -184,29 +177,26 @@ class Matrix:
         return self.transpose().kernel_basis()
 
     def det(self):
-        """Determinant by fraction-free-ish Gaussian elimination."""
+        """Determinant, read from RowBasis: each row is reduced against the
+        span of the rows above it.  With the columns taken in pivot order
+        the residuals form a triangular matrix of the same determinant up
+        to the sign of that reordering, so det is the signed product of
+        their pivot values; it is 0 at the first row in the span of those
+        above."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = self.copy_data()
-        det = Fraction(1)
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if m[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
+        rb = RowBasis(self.cols)
+        det = 1
+        for row in self.data:
+            v = rb.reduce(row)
+            p = next((j for j, x in enumerate(v) if x), None)
+            if p is None:
                 return 0
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
+            # each earlier pivot right of p is one inversion of the pivot order
+            if sum(q > p for q in rb.pivots) % 2:
                 det = -det
-            pv = m[col][col]
-            det *= pv
-            for r in range(col + 1, n):
-                f = as_fraction(m[r][col]) / pv
-                if f:
-                    m[r] = [norm_scalar(x - f * y) for x, y in zip(m[r], m[col])]
+            det *= v[p]
+            rb.add(v)
         return norm_scalar(det)
 
 
@@ -293,7 +283,7 @@ class RowBasis:
             return False
         pv = v[p]
         if pv != 1:
-            inv = Fraction(1) / as_fraction(pv)
+            inv = Fraction(1) / pv
             v = [norm_scalar(x * inv) if x else 0 for x in v]
         # keep existing rows reduced against the new pivot
         for i, row in enumerate(self.rows):

@@ -115,19 +115,17 @@ def table_module(a: Algebra, dim: int, table) -> Module:
 
 
 @cached
-def projective_module(a: Algebra, i: int):
-    """(Module for e_i A, monomial basis indices into A).
-
-    The basis of e_i A is the set of basis monomials with left idempotent i,
-    and the action is the restriction of right multiplication: its rows are
-    read from the structure constants."""
+def projective_module(a: Algebra, i: int) -> Module:
+    """The module e_i A.  Its basis is a.projective_basis(i), the basis
+    monomials with left idempotent i, and the action is the restriction of
+    right multiplication: its rows are read from the structure constants."""
     basis = a.projective_basis(i)
     pos = {t: r for r, t in enumerate(basis)}
 
     def row(s, j):
         return tuple((pos[k], c) for k, c in a.mul[basis[s]][j])
 
-    return Module(a, len(basis), row), basis
+    return Module(a, len(basis), row)
 
 
 @cached
@@ -146,10 +144,11 @@ def injective_module(a: Algebra, i: int) -> Module:
     return Module(a, len(basis), row, lambda j: a.coprojective_traces(i)[j])
 
 
-def direct_sum_modules(a: Algebra, mods):
-    """(Module, offsets).  The zero-summand case gives the zero module.
-    Row s of the sum is the summand's row, moved to the summand's offset,
-    and a trace is the sum of the summands' traces."""
+def direct_sum_modules(a: Algebra, mods) -> Module:
+    """The direct sum of mods, each summand after the ones before it; no
+    summands give the zero module.  Row s of the sum is the summand's row,
+    moved to the summand's offset, and a trace is the sum of the summands'
+    traces."""
     offsets = []
     total = 0
     for m in mods:
@@ -164,23 +163,14 @@ def direct_sum_modules(a: Algebra, mods):
         o = offsets[i]
         return tuple((k + o, c) for k, c in mods[i].row(s - o, j))
 
-    return Module(a, total, row, trace), offsets
+    return Module(a, total, row, trace)
 
 
-def quotient_module(m: Module, sub: RowBasis):
-    """Quotient of m by an action-closed subspace.
-
-    Returns (Module, projection matrix m -> quotient).  Quotient coordinates
-    are the non-pivot positions of the subspace's echelon form."""
+def quotient_module(m: Module, sub: RowBasis) -> Module:
+    """The quotient of m by an action-closed subspace.  Its coordinates are
+    the non-pivot positions of the subspace's echelon form: a vector of m
+    projects to the entries of sub.reduce(v) at those positions."""
     free = [c for c in range(m.dim) if c not in set(sub.pivots)]
-    qdim = len(free)
-    proj_rows = []
-    for t in range(m.dim):
-        v = [0] * m.dim
-        v[t] = 1
-        red = sub.reduce(v)
-        proj_rows.append([red[c] for c in free])
-    proj = Matrix(m.dim, qdim, proj_rows)
     table = []
     for j in range(m.algebra.dim):
         rows = []
@@ -188,7 +178,7 @@ def quotient_module(m: Module, sub: RowBasis):
             red = sub.reduce(m.times(_unit(m.dim, c), ((j, 1),)))
             rows.append(nonzero_pairs(red[x] for x in free))
         table.append(rows)
-    return table_module(m.algebra, qdim, table), proj
+    return table_module(m.algebra, len(free), table)
 
 
 def module_radical(m: Module, sub: RowBasis) -> RowBasis:
@@ -238,9 +228,8 @@ def simple_modules(a: Algebra):
     """One simple right module per idempotent: S_i = top of e_i A."""
     ms = []
     for i in range(len(a.idempotents)):
-        p, _ = projective_module(a, i)
-        s, _ = quotient_module(p, module_radical(p, RowBasis.full(p.dim)))
-        ms.append(s)
+        p = projective_module(a, i)
+        ms.append(quotient_module(p, module_radical(p, RowBasis.full(p.dim))))
     return ms
 
 

@@ -13,7 +13,7 @@ rather than a silent truncation.
 from __future__ import annotations
 
 from .complexes import PerfectComplex
-from .linalg import Matrix, RowBasis
+from .linalg import RowBasis
 from .modules import Module, cover_data, direct_sum_modules, projective_module
 
 MAX_RESOLUTION_LENGTH = 16
@@ -26,19 +26,17 @@ class ResolutionCapExceeded(RuntimeError):
     """A resolution is longer than MAX_RESOLUTION_LENGTH."""
 
 
-def projective_resolution(m: Module):
-    """Minimal projective resolution of a module.
-
-    Returns (PerfectComplex in degrees -length..0, augmentation matrix
-    P^0 -> m).  The kernel of each cover is resolved in turn until it
-    vanishes.  Each kernel stays a subspace of the cover's sum of
-    projectives, so the next cover's generators come in that sum's
-    coordinates, and the block of d from copy c of a cover to copy c2 of
-    the previous one is the generator of c, restricted to copy c2."""
+def projective_resolution(m: Module) -> PerfectComplex:
+    """Minimal projective resolution of a module: a PerfectComplex in
+    degrees -length..0.  Its augmentation P^0 -> m is the cover of step 0,
+    cover_data(m, RowBasis.full(m.dim)).  The kernel of each cover is
+    resolved in turn until it vanishes.  Each kernel stays a subspace of the
+    cover's sum of projectives, so the next cover's generators come in that
+    sum's coordinates, and the block of d from copy c of a cover to copy c2
+    of the previous one is the generator of c, restricted to copy c2."""
     a = m.algebra
     copies: dict[int, tuple] = {}
     blocks: dict[int, dict] = {}
-    augmentation = Matrix.zeros(0, 0)
     current, sub = m, RowBasis.full(m.dim)
     step = 0
     while sub.dim > 0:
@@ -48,18 +46,16 @@ def projective_resolution(m: Module):
             )
         cs, gens, cover = cover_data(current, sub)
         copies[-step] = tuple(cs)
-        if step == 0:
-            augmentation = cover
-        else:
+        if step:
             bl = blocks[-step] = {}
             for c, g in enumerate(gens):
                 coords = iter(g)
                 for c2, i2 in enumerate(copies[1 - step]):
                     bl[(c, c2)] = list(zip(a.projective_basis(i2), coords))
-        current, _ = direct_sum_modules(a, [projective_module(a, i)[0] for i in cs])
+        current = direct_sum_modules(a, [projective_module(a, i) for i in cs])
         sub = RowBasis(current.dim).extend(cover.left_kernel_basis())
         step += 1
-    return PerfectComplex(a, copies, blocks), augmentation
+    return PerfectComplex(a, copies, blocks)
 
 
 def resolution_length(pc: PerfectComplex) -> int:

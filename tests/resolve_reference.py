@@ -110,7 +110,7 @@ def cone(f: ChainMap) -> Complex:
     degs = {n - 1 for n in x.components} | set(y.components)
     comps = {}
     for n in degs:
-        total, _ = direct_sum_modules(a, [component(x, n + 1), component(y, n)])
+        total = direct_sum_modules(a, [component(x, n + 1), component(y, n)])
         if total.dim:
             comps[n] = total
     diffs = {}
@@ -142,7 +142,7 @@ def resolve_complex(c) -> PerfectComplex:
     if isinstance(c, PerfectComplex):
         return c
     if isinstance(c, Module):
-        return projective_resolution(c)[0]
+        return projective_resolution(c)
     if c.is_zero():
         return PerfectComplex(c.algebra, {})
     pc = _resolve_complex_inner(c)
@@ -172,10 +172,10 @@ def _resolve_complex_inner(c: Complex) -> PerfectComplex:
                 f"perfect replacement over {a!r} is longer than {MAX_RESOLUTION_LENGTH}"
             )
 
-        p_next, _ = direct_sum_modules(
-            a, [projective_module(a, i)[0] for i in copies.get(n + 1, ())]
+        p_next = direct_sum_modules(
+            a, [projective_module(a, i) for i in copies.get(n + 1, ())]
         )
-        amb, _ = direct_sum_modules(a, [p_next, component(c, n)])
+        amb = direct_sum_modules(a, [p_next, component(c, n)])
         dim_p_next2 = _copies_dim(a, copies.get(n + 2, ()))
         dim_c_next = c.component_dim(n + 1)
 
@@ -217,7 +217,7 @@ def _resolve_complex_inner(c: Complex) -> PerfectComplex:
                 if cs is None:
                     raise AssertionError("boundary escaped the cycle module")
                 sub.add(cs)
-        vmod, proj = quotient_module(zmod, sub)
+        vmod = quotient_module(zmod, sub)
         if vmod.dim == 0:
             if n <= c.lo:
                 break
@@ -227,7 +227,7 @@ def _resolve_complex_inner(c: Complex) -> PerfectComplex:
         cs, gens, _ = cover_data(vmod, RowBasis.full(vmod.dim))
         copies[n] = tuple(cs)
         # lift each generator to the ambient sum and extend right-linearly
-        proj_t = proj.transpose()
+        proj_t = quotient_projection(zmod.dim, sub).transpose()
         d_out_rows = []
         phi_out_rows = []
         for i, g in zip(cs, gens):
@@ -248,6 +248,15 @@ def _resolve_complex_inner(c: Complex) -> PerfectComplex:
         n -= 1
 
     return perfect_from_matrices(a, copies, diffs)
+
+
+def quotient_projection(dim: int, sub: RowBasis) -> Matrix:
+    """The matrix of the projection of Q^dim onto its quotient by sub, in
+    the coordinates of modules.quotient_module: the entries of each reduced
+    unit vector at the non-pivot positions of sub."""
+    free = [c for c in range(dim) if c not in set(sub.pivots)]
+    reduced = [sub.reduce(row) for row in Matrix.identity(dim).data]
+    return Matrix(dim, len(free), [[v[c] for c in free] for v in reduced])
 
 
 def _copies_dim(a: Algebra, copies) -> int:

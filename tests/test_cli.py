@@ -19,6 +19,7 @@ from ncmotives.cli import (
 from ncmotives.algebra import check_unit_and_idempotents
 from ncmotives.modules import diagonal_bimodule
 from test_algebra import M2_NON_ADAPTED, SPLIT_QXQ
+from test_complexes import TABLE_A2
 
 A2_SPEC = {
     "format": 1,
@@ -251,7 +252,8 @@ def test_intersect_command(tmp_path):
 # Pairs of specs written differently that read the same: A2_SPEC with
 # `format` (which a nested spec does not read) dropped and with `kind` left
 # to its default, a quiver without arrows and a table with `arrows` and
-# `labels` left to their defaults.
+# `labels` left to their defaults, and A2 as a table with its unit 1 written
+# as the strings "1" and "2/2".
 A2_WITHOUT_FORMAT = {k: v for k, v in A2_SPEC.items() if k != "format"}
 ONE_POINT_TABLE = {"kind": "table", "dim": 1, "mul": [[[1]]], "unit": [1], "idempotents": [[1]]}
 SPECS_EQUAL_AS_READ = {
@@ -259,6 +261,7 @@ SPECS_EQUAL_AS_READ = {
     "kind": (A2_SPEC, {k: v for k, v in A2_SPEC.items() if k != "kind"}),
     "arrows": ({"kind": "quiver", "vertices": 2, "arrows": []}, {"vertices": 2}),
     "labels": ({**ONE_POINT_TABLE, "labels": ["b0"]}, ONE_POINT_TABLE),
+    "scalar-spelling": (TABLE_A2, {**TABLE_A2, "unit": ["1", "2/2", 0]}),
 }
 
 
@@ -606,7 +609,11 @@ MALFORMED_INPUTS = {
     "negative-top": ["hochschild", A2_SPEC, "--top", "-3"],
     "negative-bar-check": ["hochschild", A2_SPEC, "--bar-check", "-1"],
     "negative-samples": ["serre-check", A2_SPEC, "--samples", "-1"],
-    "negative-cap": ["--cap", "-1", "euler-matrix", A2_SPEC],
+    # no sample would leave nothing to check, a vacuous pass
+    "serre-check-zero-samples": ["serre-check", A2_SPEC, "--samples", "0"],
+    "corpus-zero-samples": ["corpus", "--samples", "0"],
+    # the flag is gone, with a value it never took
+    "removed-cap-flag-negative": ["--cap", "-1", "euler-matrix", A2_SPEC],
     "corpus-negative-samples": ["corpus", "--samples", "-1"],
     "corpus-negative-bar-depth": ["corpus", "--bar-depth", "-2"],
     # a report that cannot be written is a bad --out, not a bug

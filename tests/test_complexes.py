@@ -158,8 +158,8 @@ def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rn
     built += [pc.shift(1) for pc in built[:4]]
     built += simple_resolutions(e) + [diagonal_resolution(kronecker)]
     for alg in [*map(corpus_algebra, CORPUS_NAMES), table_a2]:
-        built += [projective_resolution(s)[0] for s in simple_modules(alg)]
-    built.append(projective_resolution(diagonal_bimodule(table_a2))[0])
+        built += [projective_resolution(s) for s in simple_modules(alg)]
+    built.append(projective_resolution(diagonal_bimodule(table_a2)))
     # the table A2 has a simple and a diagonal resolution of length 1
     assert built[-1].block_elements(-1) and any(pc.block_elements(-1) for pc in built[-3:-1])
     for pc in built:

@@ -89,13 +89,13 @@ def test_k0_additive_on_cones(a2, rng):
 
 def test_k0_of_projective_counts_paths(a2):
     # e0 A has dimension vector given by the paths starting at vertex 0
-    res, _ = projective_resolution(projective_module(a2, 0)[0])
+    res = projective_resolution(projective_module(a2, 0))
     assert list(k0_class(res).coords) == [1, 1]
 
 
 def test_euler_pairing_over_scalars(q, rng):
-    p, _ = projective_module(q, 0)
-    res, _ = projective_resolution(p)
+    p = projective_module(q, 0)
+    res = projective_resolution(p)
     assert euler_pairing(res, res) == 1
     # chi factorizes as the product of Euler characteristics over a field
     for _ in range(5):
@@ -173,7 +173,7 @@ def test_serre_of_projectives_gives_injectives(a2, a3):
     of A e_i, computed independently from the Peirce dimensions."""
     for alg in (a2, a3):
         for i in range(len(alg.idempotents)):
-            res, _ = projective_resolution(projective_module(alg, i)[0])
+            res = projective_resolution(projective_module(alg, i))
             s = serre(res)
             dims = {n: d for n, d in s.homology_dims().items() if d}
             inj = injective_dimension_vector(alg, i)
@@ -284,7 +284,7 @@ def test_kunneth_simple_resolutions_match_projective_resolutions():
     for e in _corpus_hom_algebras():
         assert e.meta["factors"]
         kunneth = simple_resolutions(e)
-        direct = [projective_resolution(s)[0] for s in simple_modules(e)]
+        direct = [projective_resolution(s) for s in simple_modules(e)]
         assert len(kunneth) == len(direct) == len(e.idempotents)
         for k, d in zip(kunneth, direct):
             assert {n: Counter(c) for n, c in k.copies.items()} == {
@@ -358,7 +358,7 @@ def test_quasi_isomorphism_invariance_of_chi(a2, rng):
     """Replacing either argument by a padded resolution with the same
     homology leaves the pairing unchanged."""
     s0 = simple_modules(a2)[0]
-    res, _ = projective_resolution(s0)
+    res = projective_resolution(s0)
     other = resolve_complex(single_module_complex(s0))
     m = random_perfect_complex(a2, rng)
     assert euler_pairing(res, m) == euler_pairing(other, m)
@@ -579,7 +579,7 @@ def test_closed_form_diagonal_resolution_matches_projective_resolution(name):
 
     a = _named_algebra(name)
     closed = diagonal_resolution(a)
-    oracle, _ = projective_resolution(diagonal_bimodule(a))
+    oracle = projective_resolution(diagonal_bimodule(a))
     assert "quiver" in a.meta
     assert closed.copies == oracle.copies
     assert closed.differentials == oracle.differentials
@@ -682,3 +682,30 @@ def test_verify_resolves_simples_only_over_its_algebras_and_hom_algebras(tmp_pat
     expected = [a4, a2, opposite(a4), opposite(a2), hom_algebra(a4, a2), hom_algebra(a2, a4)]
     assert len(resolved) == 6
     assert all(any(r is e for r in resolved) for e in expected)
+
+
+def _happel_algebra(name):
+    """A corpus algebra, A2 as a `table` spec, or the Beilinson algebra of
+    P^1, P^2 or P^1 x P^1 (tests/geometry_reference.py), by name."""
+    from geometry_reference import beilinson_spec
+    from ncmotives.cli import algebra_from_spec
+    from test_complexes import TABLE_A2
+
+    if name in CORPUS_NAMES:
+        return corpus_algebra(name)
+    if name == "table A2":
+        return algebra_from_spec(TABLE_A2)
+    if name == "P1xP1":
+        return algebra_from_spec({"kind": "tensor", "factors": [beilinson_spec(1)] * 2})
+    return algebra_from_spec(beilinson_spec(int(name[1:])))
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "table A2", "P1", "P2", "P1xP1"])
+def test_diagonal_copy_weights_are_the_euler_matrix(name):
+    """Happel's formula: copy (i, j) of the minimal resolution of the
+    diagonal sits in degree -k exactly dim Ext^k(S_i, S_j) times, so its
+    alternating count is chi(S_i, S_j), the Euler matrix flattened row by
+    row.  The two sides share no code: one is the diagonal resolution, the
+    other the one-sided resolutions of the simples."""
+    a = _happel_algebra(name)
+    assert diagonal_resolution(a).euler_copy_weights() == [x for row in euler_matrix(a).data for x in row]

@@ -5,7 +5,8 @@ Fractions such as Fraction(4, 2) meet in one matrix.  The reduced row
 echelon form (RowBasis, whatever the order of its rows), rank, determinant,
 kernel dimension and solvability must agree with sympy, and what
 elimination returns must be normalized: no integral Fraction comes out of
-kernel_basis, solve or det.
+kernel_basis, solve or det.  The determinant is also checked on the empty
+matrix, on singular matrices and on matrices with permuted rows.
 """
 
 from fractions import Fraction
@@ -60,8 +61,31 @@ def test_rank_and_kernel_agree_with_sympy(m):
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.data)
 
 
+@st.composite
+def singular_matrices(draw):
+    """A square matrix with one row a combination of the others."""
+    m = draw(matrices(square=True))
+    k = draw(st.integers(0, m.rows - 1))
+    coeffs = draw(st.lists(SCALARS, min_size=m.rows, max_size=m.rows))
+    others = [(c, r) for i, (c, r) in enumerate(zip(coeffs, m.data)) if i != k]
+    data = list(m.data)
+    data[k] = [sum(c * r[j] for c, r in others) for j in range(m.cols)]
+    return Matrix(m.rows, m.cols, data)
+
+
+@st.composite
+def row_permuted(draw):
+    """A square matrix with its rows in a drawn order, which moves the
+    pivots of the elimination out of column order."""
+    m = draw(matrices(square=True))
+    return Matrix(m.rows, m.cols, draw(st.permutations(m.data)))
+
+
 @SETTINGS
-@given(matrices(square=True))
+@given(st.one_of(matrices(square=True), singular_matrices(), row_permuted()))
+@example(Matrix(0, 0, []))
+@example(Matrix(2, 2, [[0, 1], [1, 0]]))
+@example(Matrix(3, 3, [[0, 0, 2], [3, 0, 0], [0, Fraction(1, 2), 0]]))
 def test_det_agrees_with_sympy(m):
     d = m.det()
     assert is_normalized(d)

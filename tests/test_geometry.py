@@ -1,14 +1,29 @@
-"""The Beilinson algebras of P^1 and P^2 (tests/geometry_reference.py) run
-through the command line as `table` inputs: their Euler form is the inverse
-of the binomial Cartan matrix, and the verify reports are pinned."""
+"""The Beilinson algebras of P^1 and P^2 (tests/geometry_reference.py), and
+P^1 x P^1 as their `tensor` spec, run through the command line as `table`
+inputs: their Euler form is the inverse of the binomial Cartan matrix, the
+diagonal resolution has length n and the Koszul copy counts, the trace of
+the diagonal is n + 1 (the Euler characteristic of P^n, 4 for P^1 x P^1),
+Serre duality holds, and the verify reports are pinned."""
 
 import hashlib
 import json
+from collections import Counter
+from math import comb
 
 import pytest
 
 from geometry_reference import beilinson_cartan, beilinson_spec
-from ncmotives.cli import main
+from ncmotives.cli import algebra_from_spec, main
+from ncmotives.derived import diagonal_resolution
+
+# P^1, P^2 and P^1 x P^1 as specs, with the length of their diagonal
+# resolutions (the dimension) and the trace of the diagonal (the Euler
+# characteristic of the variety)
+GEOMETRY = {
+    "P1": (beilinson_spec(1), 1, 2),
+    "P2": (beilinson_spec(2), 2, 3),
+    "P1xP1": ({"format": 1, "kind": "tensor", "factors": [beilinson_spec(1)] * 2}, 2, 4),
+}
 
 
 def _report(tmp_path, argv, spec):
@@ -50,3 +65,38 @@ def test_verify_reports_on_beilinson_algebras_are_pinned(tmp_path, pair):
     }
     report = _report(tmp_path, ["--seed", "1", "verify"], scenario)
     assert hashlib.sha256(report).hexdigest() == PINNED_BEILINSON_VERIFY[pair]
+
+
+@pytest.mark.parametrize("name", GEOMETRY)
+def test_smooth_check_gives_the_dimension(tmp_path, name):
+    spec, dim, _ = GEOMETRY[name]
+    report = json.loads(_report(tmp_path, ["smooth-check"], spec))
+    assert report["smooth"] is True
+    assert report["diagonal_resolution_length"] == dim
+
+
+@pytest.mark.parametrize("name", GEOMETRY)
+def test_trace_of_the_diagonal_is_the_euler_characteristic(tmp_path, name):
+    spec, _, euler = GEOMETRY[name]
+    scenario = {"format": 1, "source": {"algebra": spec}, "z": {"terms": [{"bimodule": {"kind": "diagonal"}}]}}
+    assert json.loads(_report(tmp_path, ["trace"], scenario))["trace"] == euler
+
+
+@pytest.mark.parametrize("name", GEOMETRY)
+def test_serre_check_holds(tmp_path, name):
+    report = json.loads(_report(tmp_path, ["--seed", "1", "serre-check", "--samples", "3"], GEOMETRY[name][0]))
+    assert report["verdict"] is True
+    assert len(report["checks"]) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_diagonal_resolution_has_the_koszul_copy_counts(n):
+    """B_n is Koszul: in degree -k the diagonal resolution has copy (i, i+k),
+    index i (n + 1) + i + k, exactly binom(n + 1, k) times (the k-th
+    exterior power of the n + 1 variables), for k = 0 ... n, and no other
+    copy."""
+    res = diagonal_resolution(algebra_from_spec(beilinson_spec(n)))
+    expected = {
+        -k: {i * (n + 1) + i + k: comb(n + 1, k) for i in range(n + 1 - k)} for k in range(n + 1)
+    }
+    assert {d: dict(Counter(res.copies_at(d))) for d in res.copies} == expected

@@ -46,8 +46,8 @@ def brute_hom_dim(m1: Module, m2: Module) -> int:
 
 
 def test_hom_of_projective_over_scalars(q):
-    p, _ = projective_module(q, 0)
-    res, _ = projective_resolution(p)
+    p = projective_module(q, 0)
+    res = projective_resolution(p)
     h = hom_complex(res, res)
     assert h.homology_dims() == {0: 1}
 
@@ -55,19 +55,19 @@ def test_hom_of_projective_over_scalars(q):
 def test_hom_component_dims_match_brute_force(a2, a3, kronecker):
     algebras = (a2, a3, kronecker, opposite(kronecker), tensor(opposite(a2), kronecker))
     for alg in algebras:
-        mods = simple_modules(alg) + [projective_module(alg, i)[0] for i in range(len(alg.idempotents))]
+        mods = simple_modules(alg) + [projective_module(alg, i) for i in range(len(alg.idempotents))]
         for m in mods:
-            res, _ = projective_resolution(m)
+            res = projective_resolution(m)
             for n in mods:
                 h = hom_complex(res, single_module_complex(n))
                 # compare the full Hom-space dimension at each bidegree
                 for p in degrees(res):
-                    comp, _ = _component_module(res, alg, p)
+                    comp = _component_module(res, alg, p)
                     assert h.component_dim(-p) == brute_hom_dim(comp, n)
 
 
 def test_hom_complex_rejects_different_algebras(a2, kronecker):
-    res, _ = projective_resolution(simple_modules(a2)[0])
+    res = projective_resolution(simple_modules(a2)[0])
     with pytest.raises(ValueError, match="different algebras"):
         hom_complex(res, single_module_complex(simple_modules(kronecker)[0]))
 
@@ -75,7 +75,7 @@ def test_hom_complex_rejects_different_algebras(a2, kronecker):
 def _component_module(res, alg, p):
     from ncmotives.modules import direct_sum_modules
 
-    mods = [projective_module(alg, i)[0] for i in res.copies_at(p)]
+    mods = [projective_module(alg, i) for i in res.copies_at(p)]
     return direct_sum_modules(alg, mods)
 
 
@@ -84,8 +84,8 @@ def test_a2_ext_table_against_explicit_resolution(a2):
     commutant solver, compared with hom_complex homology."""
     s0, s1 = simple_modules(a2)
     # hand-built: S0 has resolution  P1 --(left mult by a)--> P0
-    p0, basis0 = projective_module(a2, 0)
-    p1, basis1 = projective_module(a2, 1)
+    p0 = projective_module(a2, 0)
+    p1 = projective_module(a2, 1)
     # map e1 |-> a, expressed on the monomial bases {e1} -> {e0, a}
     d = from_rows([[0, 1]])
     # Hom(P0, S_j) and Hom(P1, S_j) and the induced map give Ext^0/Ext^1
@@ -104,14 +104,14 @@ def test_a2_ext_table_against_explicit_resolution(a2):
             # which is zero, so the induced map is zero
             rank = 0
         expected[(0, j)] = (hom_p0 - rank, hom_p1 - rank)
-    res0, _ = projective_resolution(s0)
+    res0 = projective_resolution(s0)
     for j, s in enumerate((s0, s1)):
         h = hom_complex(res0, single_module_complex(s))
         ext0, ext1 = expected[(0, j)]
         assert h.homology(0) == ext0
         assert h.homology(1) == ext1
     # the sink simple is projective: Ext^1(S1, -) = 0
-    res1, _ = projective_resolution(s1)
+    res1 = projective_resolution(s1)
     for s in (s0, s1):
         h = hom_complex(res1, single_module_complex(s))
         assert h.homology(1) == 0
@@ -128,7 +128,7 @@ def test_ext_dims_match_arrow_counts(a2, a3, kronecker):
             counts[(arr.source, arr.target)] = counts.get((arr.source, arr.target), 0) + 1
         simples = simple_modules(alg)
         for i, si in enumerate(simples):
-            res, _ = projective_resolution(si)
+            res = projective_resolution(si)
             for j, sj in enumerate(simples):
                 h = hom_complex(res, single_module_complex(sj))
                 assert h.homology(0) == (1 if i == j else 0)
@@ -149,7 +149,7 @@ def test_hom_dims_independent_of_resolution(a2, rng):
     """Two different resolutions of the same homology give equal Hom
     cohomology: pad the minimal resolution with an acyclic two-term piece."""
     s0, s1 = simple_modules(a2)
-    res, _ = projective_resolution(s0)
+    res = projective_resolution(s0)
     # acyclic complex P1 --id--> P1 in degrees -1, 0
     padded = PerfectComplex(
         a2,

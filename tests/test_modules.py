@@ -38,7 +38,7 @@ def test_module_axioms_on_corpus(name, request):
     for s in simple_modules(a):
         s.check()
     for i in range(len(a.idempotents)):
-        projective_module(a, i)[0].check()
+        projective_module(a, i).check()
 
 
 def test_simples_of_scalars(q):
@@ -63,20 +63,20 @@ def test_simples_of_kronecker(kronecker):
 
 
 def test_projective_module_bases(a2):
-    p0, basis0 = projective_module(a2, 0)
-    p1, basis1 = projective_module(a2, 1)
-    assert p0.dim == 2 and [a2.labels[t] for t in basis0] == ["e0", "a"]
-    assert p1.dim == 1 and [a2.labels[t] for t in basis1] == ["e1"]
+    p0 = projective_module(a2, 0)
+    p1 = projective_module(a2, 1)
+    assert p0.dim == 2 and [a2.labels[t] for t in a2.projective_basis(0)] == ["e0", "a"]
+    assert p1.dim == 1 and [a2.labels[t] for t in a2.projective_basis(1)] == ["e1"]
 
 
 def test_module_radical_of_projective(a2):
-    p0, _ = projective_module(a2, 0)
+    p0 = projective_module(a2, 0)
     rad = module_radical(p0, RowBasis.full(p0.dim))
     assert rad.dim == 1  # the arrow spans rad(e0 A)
 
 
 def test_cover_of_projective_is_identity_length(a2):
-    p0, _ = projective_module(a2, 0)
+    p0 = projective_module(a2, 0)
     copies, gens, cover = cover_data(p0, RowBasis.full(p0.dim))
     assert copies == [0]
     assert cover.rank() == p0.dim
@@ -88,7 +88,7 @@ def test_cover_of_a_submodule_is_read_in_the_ambient_coordinates(a2):
     """rad(e0 A) = span{a} inside e0 A (basis e0, a) is the simple top of
     e1 A: one copy at vertex 1, generated by the arrow itself, with the
     generator and the cover rows in e0 A's coordinates."""
-    p0, _ = projective_module(a2, 0)
+    p0 = projective_module(a2, 0)
     copies, gens, cover = cover_data(p0, RowBasis(2).extend([[0, 1]]))
     assert (copies, gens, cover.data) == ([1], [[0, 1]], [[0, 1]])
 
@@ -98,7 +98,7 @@ def test_a_span_that_is_not_action_closed_is_refused(a2, build):
     """span{e0} inside e0 A is not a submodule (e0 * a = a leaves it): its
     product with the radical generator a, which the cover and the radical
     compute anyway, raises."""
-    p0, _ = projective_module(a2, 0)
+    p0 = projective_module(a2, 0)
     with pytest.raises(ValueError, match="span is not action-closed"):
         build(p0, RowBasis(2).extend([[1, 0]]))
 
@@ -114,16 +114,20 @@ def test_span_submodule_closure(a2):
 def test_quotient_module_dims(a2):
     reg = regular_module(a2)
     _, rb, _ = span_submodule(reg, [basis_vector(a2, 2)])  # the arrow ideal
-    quot, proj = quotient_module(reg, rb)
+    quot = quotient_module(reg, rb)
     assert quot.dim == 2
     quot.check()
 
 
 def test_direct_sum(a2):
-    p0, _ = projective_module(a2, 0)
-    p1, _ = projective_module(a2, 1)
-    total, offsets = direct_sum_modules(a2, [p0, p1])
-    assert total.dim == 3 and offsets == [0, 2]
+    p0 = projective_module(a2, 0)
+    p1 = projective_module(a2, 1)
+    total = direct_sum_modules(a2, [p0, p1])
+    assert total.dim == 3
+    # p1's one row sits after p0's two
+    for j in range(a2.dim):
+        moved = tuple((k + 2, c) for k, c in p1.row(0, j))
+        assert [total.row(s, j) for s in range(3)] == [p0.row(0, j), p0.row(1, j), moved]
     total.check()
 
 
@@ -131,7 +135,7 @@ def test_k0_class_of_a_module_is_its_dimension_vector(a2):
     reg = regular_module(a2)
     # dim(A e_i) per idempotent: e0 fixes {e0}, arrow and e1 end at vertex 1
     assert k0_class(reg).coords == (1, 2)
-    p0, _ = projective_module(a2, 0)
+    p0 = projective_module(a2, 0)
     assert k0_class(p0).coords == (1, 1)
 
 
@@ -203,7 +207,7 @@ def test_kuenneth_module_radical_matches_the_full_radical():
                 continue
             seen.append(e)
             mods = [regular_module(e)]
-            mods += [projective_module(e, i)[0] for i in range(len(e.idempotents))]
+            mods += [projective_module(e, i) for i in range(len(e.idempotents))]
             if e is hom_algebra(a, a):
                 mods += [diagonal_bimodule(a), dual_bimodule(a)]
             for m in mods:
@@ -227,7 +231,7 @@ def test_diagonal_resolution_matches_one_built_through_the_dense_radical(name, m
     a = path_algebra(quiver)
     res = diagonal_resolution(a)
     monkeypatch.setattr(modules, "module_radical", dense_module_radical)
-    dense, _ = projective_resolution(diagonal_bimodule(a))
+    dense = projective_resolution(diagonal_bimodule(a))
     assert res.copies == dense.copies
     assert res.differentials == dense.differentials
 
@@ -260,7 +264,7 @@ def _sparse_action_modules(a):
     cases = []
     for i in range(n):
         basis = a.projective_basis(i)
-        cases.append((projective_module(a, i)[0], lambda j, b=basis: _restrict(right_matrix(a, j), b)))
+        cases.append((projective_module(a, i), lambda j, b=basis: _restrict(right_matrix(a, j), b)))
     for i in range(n):
         basis = a.coprojective_basis(i)
         cases.append(
@@ -268,7 +272,7 @@ def _sparse_action_modules(a):
         )
     zero = (Module(a, 0, None), lambda j: Matrix.zeros(0, 0))
     summands = [cases[n - 1], zero, *cases[:n], cases[-1]]
-    total, _ = direct_sum_modules(a, [m for m, _ in summands])
+    total = direct_sum_modules(a, [m for m, _ in summands])
     cases.append((total, lambda j: _block_diagonal([oracle(j) for _, oracle in summands])))
     for i, s in enumerate(simple_modules(a)):
         cases.append((s, lambda j, g=a.idempotents[i]: Matrix(1, 1, [[1 if j == g else 0]])))

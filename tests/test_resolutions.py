@@ -5,8 +5,9 @@ from ncmotives.algebra import table_algebra
 from ncmotives.complexes import Complex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class
-from ncmotives.linalg import Matrix
+from ncmotives.linalg import Matrix, RowBasis
 from ncmotives.modules import (
+    cover_data,
     diagonal_bimodule,
     direct_sum_modules,
     projective_module,
@@ -19,12 +20,12 @@ from resolve_reference import ChainMap, cone, resolve_complex
 
 def random_module(a, rng, copies=1):
     """Random quotient of a free module (always a valid module)."""
-    free, _ = direct_sum_modules(a, [regular_module(a)] * copies)
+    free = direct_sum_modules(a, [regular_module(a)] * copies)
     gens = [[rng.randint(-1, 1) for _ in range(free.dim)] for _ in range(rng.randint(0, 2))]
     if not gens:
         return free
     _, rb, _ = span_submodule(free, gens)
-    return quotient_module(free, rb)[0]
+    return quotient_module(free, rb)
 
 
 def dual_numbers():
@@ -33,16 +34,16 @@ def dual_numbers():
 
 
 def test_projective_resolves_to_itself(a2):
-    p0, _ = projective_module(a2, 0)
-    res, aug = projective_resolution(p0)
+    p0 = projective_module(a2, 0)
+    res = projective_resolution(p0)
     assert res.lo == res.hi == 0
     assert res.copies_at(0) == (0,)
 
 
 def test_simple_resolutions_over_a2(a2):
     s0, s1 = simple_modules(a2)
-    res0, _ = projective_resolution(s0)
-    res1, _ = projective_resolution(s1)
+    res0 = projective_resolution(s0)
+    res1 = projective_resolution(s1)
     # the sink simple is projective, the source simple has a length-1
     # resolution; Euler classes match the alternating sum of the components
     assert res1.lo == res1.hi == 0
@@ -52,7 +53,7 @@ def test_simple_resolutions_over_a2(a2):
     for n in res0.copies:
         s = -1 if n % 2 else 1
         for i in res0.copies_at(n):
-            p, _ = projective_module(a2, i)
+            p = projective_module(a2, i)
             dims = k0_class(p).coords
             comp_sum = [x + s * d for x, d in zip(comp_sum, dims)]
     assert list(k.coords) == comp_sum
@@ -64,7 +65,7 @@ def test_hereditary_simples_resolve_in_one_step(name, request):
         {"QxQ": "qxq", "A2": "a2", "A3": "a3", "Kronecker": "kronecker"}[name]
     )
     for s in simple_modules(a):
-        res, _ = projective_resolution(s)
+        res = projective_resolution(s)
         assert res.hi - res.lo <= 1
 
 
@@ -72,12 +73,15 @@ def test_resolution_quasi_isomorphic_to_module(a2, a3, rng):
     for alg in (a2, a3):
         for _ in range(4):
             m = random_module(alg, rng)
-            res, aug = projective_resolution(m)
+            res = projective_resolution(m)
             dims = res.homology_dims()
             assert dims.get(0, 0) == m.dim
             assert all(d == 0 for n, d in dims.items() if n != 0)
             if m.dim:
-                assert aug.rank() == m.dim
+                # the augmentation P^0 -> m is the cover of step 0
+                _, _, augmentation = cover_data(m, RowBasis.full(m.dim))
+                assert augmentation.rows == res.component_dim(0)
+                assert augmentation.rank() == m.dim
 
 
 def test_resolution_cap_signals_infinite_global_dimension():
@@ -125,7 +129,7 @@ def test_resolve_complex_matches_homology_everywhere(a2, a3, kronecker, rng):
 def test_diagonal_resolution_shapes(a2, kronecker):
     # hereditary algebras admit length-1 resolutions of the diagonal
     for alg in (a2, kronecker):
-        res, _ = projective_resolution(diagonal_bimodule(alg))
+        res = projective_resolution(diagonal_bimodule(alg))
         assert res.hi - res.lo == 1
         assert res.homology_dims() == {-1: 0, 0: alg.dim} or res.homology_dims() == {0: alg.dim}
 
@@ -152,7 +156,7 @@ def test_syzygies_stay_subspaces_of_their_projectives():
         "    builders.add(sys._getframe(1).f_code.co_name)\n"
         "    init(self, *args)\n"
         "modules.Module.__init__ = counted\n"
-        "lengths = [resolution_length(projective_resolution(m)[0]) for m in inputs]\n"
+        "lengths = [resolution_length(projective_resolution(m)) for m in inputs]\n"
         "print(sorted(builders), lengths)\n"
     )
     assert _run_fresh(script, timeout=60) == (
