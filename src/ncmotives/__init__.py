@@ -38,7 +38,6 @@ from .motives import (
     NCMotive,
     build_hom_model,
     chi_hom,
-    compose,
     dualize,
     identity_correspondence,
     numerical_kernel,

@@ -11,8 +11,8 @@ of homalg.py this makes H^i Hom(M, N) compute morphisms M -> N shifted down
 by i, matching the indexing used throughout the derived-invariants layer.
 
 Differentials are a dict, or a LazyDifferentials that builds each one on
-first read (perfect complexes and the tensor products of homalg make theirs
-so, since a class reads none of them).
+first read (perfect complexes and Serre transforms make theirs so, since a
+class reads none of them).
 
 A PerfectComplex is a Complex whose components are read off its copies:
 the degree-n component is the direct sum of the indecomposable projectives

@@ -5,8 +5,7 @@ free on the simple classes; a complex lands in it through its alternating
 idempotent-weighted dimension vector.  k0_class is the one place that
 computes it: a perfect complex's class is read from its copies (no modules
 are built), any other complex's from the traces of its idempotent actions
-(a tensor product answers them from its block layout, a Serre transform
-from its injectives).
+(a Serre transform answers them from its injectives).
 The Euler pairing of two perfect complexes is the Euler characteristic of
 their Hom complex, an exact integer: the copy weights of the first paired
 with the class of the second.  Its matrix on the simple basis is the
@@ -63,9 +62,8 @@ def k0_class(x) -> K0Class:
     memoized in the complex's cache.  Any other complex (or module) gives
     the alternating sum over its components of the traces of the idempotent
     actions, which are the dimensions M e_j.  A trace is read through
-    Module.trace, so a tensor_over output answers from its block layout, a
-    Serre component from its injectives, and neither builds an action
-    matrix."""
+    Module.trace, so a Serre component answers from its injectives and
+    builds no action matrix."""
     if isinstance(x, PerfectComplex):
         return _perfect_class(x)
     c = as_complex(x)
@@ -216,8 +214,7 @@ def serre(m: PerfectComplex) -> Complex:
     first read (complexes.LazyDifferentials), so a class reads the
     injectives' traces and builds no matrix.  The result is not resolved
     and not perfect: use it as the second argument of euler_pairing or
-    hom_complex, or as the right factor y of motives.compose, where any
-    bounded complex is valid."""
+    hom_complex, where any bounded complex is valid."""
     a = m.algebra
     d = dual_perfect(m, scalar_algebra(), a)
     comps = {

@@ -13,19 +13,26 @@ of such tuples rather than like dim(W) dim(A)^n.  The rank of each
 differential is the dimension of the RowBasis spanned by its rows, the
 package's one elimination engine.
 
-Intersection numbers of correspondences are alternating sums of Hochschild
-dimensions of composed bimodules.  The Euler characteristic of a bounded
-complex equals the alternating sum of its component dimensions, so these
-need only the Grothendieck class of the coefficients (derived.k0_class, or
-derived.compose_classes for a composite), paired with the copy weights of
-A^! (the Euler pairing chi(A^!, -)); never homology.
+Intersection numbers and traces of composites are alternating sums of
+Hochschild dimensions of composed bimodules, so they need only the
+Grothendieck class of the composite, paired with the copy weights of A^!
+(the Euler pairing chi(A^!, -)); never homology, never the composite.
+intersection_number reads that class through the Euler matrix of the middle
+algebra (derived.compose_classes), composite_trace from the copies of its
+left factor (tensor_class), so the two routes stay independent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, hom_algebra, join_pair_basis
+from .algebra import (
+    Algebra,
+    hom_algebra,
+    join_pair_basis,
+    join_pair_idempotent,
+    split_pair_idempotent,
+)
 from .complexes import PerfectComplex, as_complex
 from .derived import compose_classes, diagonal_resolution, euler_pairing, k0_class
 from .homalg import dual_perfect, hom_complex
@@ -171,7 +178,7 @@ def bar_oracle(a: Algebra, w: Module, top: int) -> list:
     return [dims_c[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
 
 
-# -- intersection numbers ---------------------------------------------------------
+# -- intersection numbers and traces of composites ------------------------------
 
 
 def intersection_number(x, y) -> int | Fraction:
@@ -189,3 +196,39 @@ def intersection_number(x, y) -> int | Fraction:
             cls = compose_classes(k0_class(xt).coords, k0_class(yt).coords, b)
             total += cx * cy * _pair_with_diagonal(a, cls)
     return total
+
+
+def tensor_class(x: PerfectComplex, y, left: Algebra, middle: Algebra, right: Algebra) -> list:
+    """Class of x (x)_middle y over tensor(op(left), right), from the copies
+    of x and the class of y, with no Euler matrix: copy (l, m) of x meets
+    Y^q in L e_l (x) e_m Y^q, so entry (i, j) is the sum over copies of
+    weight(x)_(l, m) * dim(e_i L e_l) * k0(y)_(m, j)."""
+    ky = k0_class(y)
+    if not isinstance(x, PerfectComplex) or x.algebra is not hom_algebra(left, middle):
+        raise ValueError("x is not perfect over tensor(op(left), middle)")
+    if ky.algebra is not hom_algebra(middle, right):
+        raise ValueError("y does not live over tensor(op(middle), right)")
+    n_r = len(right.idempotents)
+    out = [0] * (len(left.idempotents) * n_r)
+    for idem, w in enumerate(x.euler_copy_weights()):
+        if w:
+            l_i, m_i = split_pair_idempotent(middle, idem)
+            yrow = [ky.coords[join_pair_idempotent(right, m_i, j)] for j in range(n_r)]
+            for i, row in enumerate(left.peirce_dims()):
+                for j, c in enumerate(yrow):
+                    out[join_pair_idempotent(right, i, j)] += w * row[l_i] * c
+    return out
+
+
+def composite_trace(x, y) -> int | Fraction:
+    """trace(y o x) for x: (B,e') -> (A,e) with perfect terms and
+    y: (A,e) -> (B,e'), the composite unbuilt: the class of each term pair's
+    X (x)_A Y (tensor_class) paired with the copy weights of B^!."""
+    if x.target != y.source or y.target != x.source:
+        raise ValueError("correspondence endpoints do not chain")
+    a, b = x.target.algebra, x.source.algebra
+    return sum(
+        cx * cy * _pair_with_diagonal(b, tensor_class(xt, yt, b, a, b))
+        for cx, xt in x.terms
+        for cy, yt in y.terms
+    )

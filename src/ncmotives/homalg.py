@@ -19,23 +19,21 @@ M^v = Hom_A(M, A).  Conventions:
   M -> shift(N, -k) (N moved k degrees down) in the derived category;
   alternating sums of these dimensions form the Euler pairing.
 * Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
-  tensor_over lays out the blocks of the total complex at once, builds
-  each differential on first read, and reads each component's action a
-  row at a time.  A class reads neither: it reads traces from the layout,
-  a trace on L e_l times a trace on e_m Y^q per block, and the layout
-  reads dim e_m Y^q as the trace of g_m (x) 1.  Each map it reads is a sum
-  of (multiplication on L e_l) (x) (a map of y between blocks e_m Y^q).  The traces and maps of y -- the actions of middle and
+  tensor_over lays out the blocks of the total complex, builds its
+  differentials, and reads each component's action a row at a time.  Each
+  map it reads is a sum of (multiplication on L e_l) (x) (a map of y
+  between blocks e_m Y^q).  The maps of y -- the actions of middle and
   right basis elements and d_Y, in the block coordinates of the e_m Y^q --
-  do not depend on x, so they are memos on y (_ytrace, _ymove and the block
-  bases _yblock that only _ymove builds), keyed by (middle, right, ...),
-  whether y is perfect or not: the n left factors D(x_i) that meet one
-  simple resolution y in the trace formula compute them once.  They are
-  read sparse: the blocks and actions of y through the sparse right action
-  of its components (modules.Module.row), which a sum of projectives or
-  of injectives answers from the structure constants, and the traces
-  through Module.trace; no dense action matrix of y is built.  The class of
-  x (x)_middle y alone needs no layout: derived.compose_classes reads it
-  from the classes of x and y through the Euler matrix of middle.
+  and the dimensions of the blocks do not depend on x, so they are memos on
+  y (_ymove, the block bases _yblock it builds, and _ytrace), keyed by
+  (middle, right, ...), whether y is perfect or not.  They are read sparse:
+  the blocks and actions of y through the sparse right action of its
+  components (modules.Module.row), which a sum of projectives or of
+  injectives answers from the structure constants, and the dimensions
+  through Module.trace; no dense action matrix of y is built.  The class
+  of x (x)_middle y needs no tensor complex: derived.compose_classes reads
+  it from the classes of x and y through the Euler matrix of middle, and
+  hochschild.tensor_class from the copies of x and the class of y.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
   transporting each left-multiplication block z to its image under the
   canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a
@@ -64,13 +62,8 @@ from .algebra import (
     split_pair_idempotent,
     swap_permutation,
 )
-from .complexes import (
-    Complex,
-    LazyDifferentials,
-    PerfectComplex,
-    as_complex,
-)
-from .linalg import Matrix, RowBasis, nonzero_pairs, norm_scalar, row_times
+from .complexes import Complex, PerfectComplex, as_complex
+from .linalg import Matrix, RowBasis, nonzero_pairs, row_times
 from .modules import Module
 
 
@@ -92,14 +85,7 @@ def hom_complex(m: PerfectComplex, n) -> Complex:
 # -- balanced tensor product -----------------------------------------------------
 
 
-def tensor_over(
-    x: PerfectComplex,
-    y,
-    left: Algebra,
-    middle: Algebra,
-    right: Algebra,
-    check: bool = True,
-) -> Complex:
+def tensor_over(x: PerfectComplex, y, left: Algebra, middle: Algebra, right: Algebra) -> Complex:
     """Total complex of x (x)_middle y.
 
     x must be a perfect complex over tensor(opposite(left), middle) -- its
@@ -114,23 +100,14 @@ def tensor_over(
     Every map here -- the action of a basis element of
     tensor(opposite(left), right), 1 (x) d_Y and d_X (x) 1 -- is a sum of
     (multiplication on L e_l) (x) (map of y in block coordinates): the
-    differentials are added by one writer, kron, and the action is read a
-    row at a time.  The maps of y (_ymove: a side action or d_Y) are
-    memos on y keyed by (middle, right, ...), so every left factor y meets
-    shares them (a module y is wrapped afresh on each call).  They are read
-    through Module.row of y's components, in sparse rows, so no dense
-    action matrix of y is built.  Only the layout is built here, with
-    dim e_m Y^q the sum of _ytrace over the idempotents of right.  Each
-    differential is built on first read and kept
-    (complexes.LazyDifferentials), or at once when check is true, for the
-    d^2 check.  Each component is a sparse right action (Module.row),
-    whose rows no command reads: its trace is read from the layout,
-    and the tests check the two against each other through
-    Module.act_matrix.  On the block (L e_l) (x) (e_m Y^q), the basis
-    element (a^op, r) has trace tr(a on L e_l) * tr(r on e_m Y^q); the
-    first factor is left.coprojective_traces(l)[a], the second is
-    Module.trace of g_m (x) r on Y^q (_ytrace).  So a reader of the
-    Grothendieck class builds no matrix of the output, and no matrix of y.
+    differentials are added by one writer, kron, and checked for d^2 = 0,
+    and the action of a component is read a row at a time (Module.row).
+    The maps of y (_ymove: a side action or d_Y) are memos on y keyed by
+    (middle, right, ...), so every left factor y meets shares them (a
+    module y is wrapped afresh on each call).  They are read through
+    Module.row of y's components, in sparse rows, so no dense action
+    matrix of y is built; dim e_m Y^q is the sum of _ytrace over the
+    idempotents of right.
     """
     y = as_complex(y)
     e_x = hom_algebra(left, middle)
@@ -150,8 +127,7 @@ def tensor_over(
 
     ymove = partial(_ymove, y, middle, right)
 
-    # block layout per total degree: (p, copy, m, ltraces, lblock, ydim, offset),
-    # with ltraces the traces of left multiplication on L e_l
+    # block layout per total degree: (p, copy, m, lblock, ydim, offset)
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
     for k in sorted({p + q for p in x.components for q in y.components}):
@@ -166,7 +142,7 @@ def tensor_over(
                 lblock = left.coprojective_basis(l_i)
                 ydim = sum(_ytrace(y, middle, right, q, m_i, h) for h in right.idempotents)
                 if lblock and ydim:
-                    entries.append((p, c, m_i, left.coprojective_traces(l_i), lblock, ydim, off))
+                    entries.append((p, c, m_i, lblock, ydim, off))
                     off += len(lblock) * ydim
         if entries:
             layout[k] = entries
@@ -178,7 +154,7 @@ def tensor_over(
         """Add L (x) ymat to out, from the layout entry src to dst: L sends
         position s of src's L e_l block to c * u2 over (s, u2, c) in lpairs
         (u2 outside dst's block contributes nothing); ymat is a ymove."""
-        (_, _, _, _, _, ydim, off), (_, _, _, _, lblock2, ydim2, off2) = src, dst
+        (_, _, _, _, ydim, off), (_, _, _, lblock2, ydim2, off2) = src, dst
         pos = {u: s2 for s2, u in enumerate(lblock2)}
         for s, u2, c in lpairs:
             if u2 not in pos:
@@ -193,8 +169,8 @@ def tensor_over(
         """Row s of the action of basis element t of e_t on the degree-k
         component: left multiplication by its left part on the L e_l
         position of s, (x) the row of the action of its right part on y."""
-        i = bisect_right([e[6] for e in layout[k]], s) - 1
-        p, _, m, _, lblock, ydim, off = layout[k][i]
+        i = bisect_right([e[5] for e in layout[k]], s) - 1
+        p, _, m, lblock, ydim, off = layout[k][i]
         a_i, r_i = split_pair_basis(right, t)
         x, vi = divmod(s - off, ydim)
         pos = {u: s2 for s2, u in enumerate(lblock)}
@@ -206,25 +182,12 @@ def tensor_over(
             for vj, cy in yrow
         )
 
-    def action_trace(k, t):
-        """Trace of the action of t on the degree-k component, read from
-        the layout: on each block, the trace of left multiplication by t's
-        left part on L e_l times the trace of the action of its right part
-        on e_m Y^q."""
-        a_i, r_i = split_pair_basis(right, t)
-        total = 0
-        for p, _, m, ltraces, _, _, _ in layout[k]:
-            tl = ltraces[a_i]
-            if tl:
-                total += tl * _ytrace(y, middle, right, k - p, m, r_i)
-        return norm_scalar(total)
-
     def differential(k):
         """The matrix of d^k, from degree k to k + 1."""
         tgt = {(e[0], e[1]): e for e in layout[k + 1]}
         out = [[0] * dims[k + 1] for _ in range(dims[k])]
         for e in layout[k]:
-            p, c, m, _, lblock, _, _ = e
+            p, c, m, lblock, _, _ = e
             q = k - p
             # 1 (x) d_Y with sign (-1)^p
             if q in y.differentials and (p, c) in tgt:
@@ -246,11 +209,8 @@ def tensor_over(
                     kron(out, e, e2, lmul, ymove(q, m, q, e2[2], (g_m, None)))
         return Matrix(dims[k], dims[k + 1], out)
 
-    components = {
-        k: Module(e_t, dims[k], partial(row, k), partial(action_trace, k)) for k in layout
-    }
-    diffs = LazyDifferentials([k for k in layout if k + 1 in layout], differential)
-    return Complex(e_t, components, diffs, check=check)
+    components = {k: Module(e_t, dims[k], partial(row, k)) for k in layout}
+    return Complex(e_t, components, {k: differential(k) for k in layout if k + 1 in layout})
 
 
 # -- the maps of y that tensor_over reads, memos on y --------------------------------

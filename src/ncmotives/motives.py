@@ -4,13 +4,14 @@ verdict.
 
 A motive is an algebra with an idempotent endo-correspondence class; the
 identity motive carries the class of the diagonal bimodule.  Correspondences
-are rational combinations of perfect bimodule complexes, composed by the
-derived tensor product over the middle algebra and compared at the level of
-Grothendieck classes (the morphisms of the category are exactly those
-classes).  On classes, composition over a middle algebra B is
-[X] chi_B [Y] (derived.compose_classes, chi_B the Euler matrix of B), so
-restricted Hom-sets, the images of the projector e o - o e', need no
-composite to be built.
+are rational combinations of perfect bimodule complexes, compared at the
+level of Grothendieck classes (the morphisms of the category are exactly
+those classes).  Composition is the derived tensor product over the middle
+algebra, and no composite is ever built: on classes it is [X] chi_B [Y]
+(derived.compose_classes, chi_B the Euler matrix of B), so restricted
+Hom-sets, the images of the projector e o - o e', are read from classes,
+and the trace of a composite is read from the copies of its left factor and
+the class of its right one (hochschild.composite_trace).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .derived import (
     serre,
     simple_resolutions,
 )
-from .homalg import dual_perfect, tensor_over
-from .hochschild import hochschild_euler, intersection_number
+from .homalg import dual_perfect
+from .hochschild import composite_trace, hochschild_euler, intersection_number
 from .linalg import Matrix, RowBasis, exact_text, norm_scalar, span_equal
 
 
@@ -86,11 +87,10 @@ class Correspondence:
     """Rational combination of bimodule complexes between motives.
 
     Terms built from specs, simple resolutions, duals and vertex cuts are
-    perfect; compose and serre_correspondence give unresolved tensor
-    complexes.  Terms must be perfect in the first argument of chi_hom, in
-    dualize and in the x of compose (its right factor y may be any bounded
-    complex); k0, trace and intersection_number (which reads classes)
-    accept any bounded complex.
+    perfect; serre_correspondence gives unresolved complexes.  Terms must be
+    perfect in the first argument of chi_hom, in dualize and in the x of
+    hochschild.composite_trace; k0, trace and intersection_number (which
+    read classes) accept any bounded complex.
 
     terms is a tuple of (coefficient, complex) with exact coefficients (an
     int unless the coefficient is a proper fraction).  The class (k0) is
@@ -166,27 +166,6 @@ def project_class(src: NCMotive, dst: NCMotive, cls):
 
 
 # -- operations --------------------------------------------------------------------
-
-
-def compose(y: Correspondence, x: Correspondence) -> Correspondence:
-    """Composite y o x of x: L -> M and y: M -> N: termwise derived tensor
-    X (x)_M Y over the middle algebra.
-
-    Every term of x must be a PerfectComplex (tensor_over reads the left
-    factor off its copies and raises ValueError otherwise); the terms of y
-    may be any bounded complexes.  The tensor complexes are returned
-    unresolved, so a composite is not perfect and cannot be the x of a
-    further compose."""
-    if x.target != y.source:
-        raise ValueError("correspondence endpoints do not chain")
-    a = x.source.algebra
-    b = x.target.algebra
-    c = y.target.algebra
-    terms = []
-    for cx, xt in x.terms:
-        for cy, yt in y.terms:
-            terms.append((cx * cy, tensor_over(xt, yt, a, b, c, check=False)))
-    return Correspondence(x.source, y.target, terms)
 
 
 def dualize(x: Correspondence) -> Correspondence:
@@ -324,8 +303,10 @@ def verify_equivalence(m: HomSpaceModel) -> dict:
       numerical-kernel      pairing-to-zero classes = Euler kernel
       idempotent-law        e o e = e for both endpoint motives
     The pairwise checks run on every pair of basis classes and read
-    chi(x, y) from the Euler Gram; commutative-square reads <D(x) . y> from
-    the intersection Gram.
+    chi(x, y) from the Euler Gram; trace-formula reads trace(y o D(x)) from
+    the copies of D(x) and the class of y (hochschild.composite_trace), and
+    commutative-square reads <D(x) . y> from the intersection Gram, whose
+    classes compose through Euler matrices.
     Failures are recorded in the report, not raised."""
     checks = []
     n = m.dim
@@ -359,7 +340,7 @@ def verify_equivalence(m: HomSpaceModel) -> dict:
                 f"trace-formula[{i},{j}]",
                 "chi(x,y) = trace(y o D(x))",
                 lhs,
-                trace(compose(y, duals[i])),
+                composite_trace(duals[i], y),
             ))
             checks.append(check_record(
                 f"commutative-square[{i},{j}]",

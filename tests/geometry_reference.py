@@ -9,6 +9,11 @@ morphisms O(i) -> O(j)); the product of a monomial on (i, j) and one on
 package has no notion of a projective space: these inputs reach it only as
 structure constants, so every block of their perfect complexes comes from
 a non-path algebra.
+
+Ringel's canonical algebra C(2,2,2) is written the same way.  It is the
+quiver with arrows a_i: 0 -> i and b_i: i -> 4 (i = 1, 2, 3) bound by
+a_3 b_3 = a_1 b_1 - a_2 b_2: the one input here whose structure constants
+have a product with two terms and a negative coefficient.
 """
 
 from itertools import combinations_with_replacement
@@ -60,3 +65,41 @@ def beilinson_cartan(n):
     """The Cartan matrix dim(e_i B_n e_j) = binom(n + j - i, n) for i <= j,
     and 0 below the diagonal."""
     return [[comb(n + j - i, n) if i <= j else 0 for j in range(n + 1)] for i in range(n + 1)]
+
+
+def canonical_spec():
+    """Ringel's canonical algebra C(2,2,2) as a `table` spec of dimension
+    13: the idempotents e0..e4, the arrows a1..a3 and b1..b3, and the paths
+    c1 = a1 b1 and c2 = a2 b2 from 0 to 4; a3 b3 = c1 - c2.  Paths compose
+    left to right, as in the Beilinson algebras above."""
+    labels = [f"e{i}" for i in range(5)] + ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2"]
+    index = {name: k for k, name in enumerate(labels)}
+    ends = {f"e{i}": (i, i) for i in range(5)}
+    ends.update({f"a{i}": (0, i) for i in (1, 2, 3)})
+    ends.update({f"b{i}": (i, 4) for i in (1, 2, 3)})
+    ends.update({"c1": (0, 4), "c2": (0, 4)})
+    products = {("a1", "b1"): {"c1": 1}, ("a2", "b2"): {"c2": 1}, ("a3", "b3"): {"c1": 1, "c2": -1}}
+    dim = len(labels)
+    mul = []
+    for p in labels:
+        row = []
+        for q in labels:
+            vec = [0] * dim
+            if p.startswith("e") and ends[p][1] == ends[q][0]:
+                vec[index[q]] = 1
+            elif q.startswith("e") and ends[p][1] == ends[q][0]:
+                vec[index[p]] = 1
+            for name, c in products.get((p, q), {}).items():
+                vec[index[name]] = c
+            row.append(vec)
+        mul.append(row)
+    idempotents = [[int(k == i) for k in range(dim)] for i in range(5)]
+    return {
+        "format": 1,
+        "kind": "table",
+        "dim": dim,
+        "labels": labels,
+        "mul": mul,
+        "unit": [sum(col) for col in zip(*idempotents)],
+        "idempotents": idempotents,
+    }

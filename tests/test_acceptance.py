@@ -26,10 +26,10 @@ from ncmotives.derived import (
     euler_pairing,
     serre,
 )
-from ncmotives.hochschild import bar_oracle, hochschild, intersection_number
+from ncmotives.hochschild import bar_oracle, composite_trace, hochschild, intersection_number
 from ncmotives.homalg import hom_complex
 from ncmotives.linalg import RowBasis, span_equal
-from correspondence_reference import random_correspondence
+from correspondence_reference import compose, random_correspondence
 from dense_reference import regular_module
 from ncmotives.modules import diagonal_bimodule, dual_bimodule, simple_modules
 from ncmotives.motives import (
@@ -37,7 +37,6 @@ from ncmotives.motives import (
     build_hom_model,
     chi_hom,
     complement_idempotent,
-    compose,
     dualize,
     euler_gram,
     numerical_kernel,
@@ -278,7 +277,7 @@ def test_c07_trace_formula(parallel_pairs):
     ok = True
     for x, y in parallel_pairs:
         lhs = chi_hom(x, y)
-        rhs = trace(compose(y, dualize(x)))
+        rhs = composite_trace(dualize(x), y)
         ok = ok and lhs == rhs
     elapsed = time.monotonic() - t0
     report(
@@ -301,12 +300,13 @@ def test_trace_of_unresolved_composite_matches_perfect_replacement(composable_pa
 
 
 def test_composite_actions_built_on_first_read_are_module_actions(composable_pairs):
-    """compose builds each component action of its tensor complexes on first
-    read.  Read through the class (idempotent actions only) each term's
-    class equals tensor_class of its factors; read in full, every component
-    satisfies the module axioms."""
+    """The built composite of the test oracle reads each component action of
+    its tensor complexes a row at a time, on first read.  Read through the
+    class (idempotent traces only) each term's class equals
+    hochschild.tensor_class of its factors, which builds no composite; read
+    in full, every component satisfies the module axioms."""
     from ncmotives.derived import k0_class
-    from class_reference import tensor_class
+    from ncmotives.hochschild import tensor_class
 
     for x, y in composable_pairs:
         a, b, c = x.source.algebra, x.target.algebra, y.target.algebra

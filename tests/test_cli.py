@@ -995,7 +995,7 @@ def _plus_one_on_first_call(f):
 
 # (function in motives, its mutation, the check family that must catch it)
 VERIFY_MUTATIONS = {
-    "one-trace-plus-one": ("trace", _plus_one_on_first_call, "trace-formula"),
+    "one-trace-plus-one": ("composite_trace", _plus_one_on_first_call, "trace-formula"),
     "one-intersection-number-plus-one": (
         "intersection_number",
         _plus_one_on_first_call,

@@ -229,7 +229,7 @@ def test_serre_matches_tensor_with_the_dual_bimodule():
         dual = dual_bimodule(alg)
         for m in simple_resolutions(alg):
             got = serre(m)
-            want = tensor_over(m, dual, scalar_algebra(), alg, alg, check=False)
+            want = tensor_over(m, dual, scalar_algebra(), alg, alg)
             assert got.algebra is want.algebra is alg
             assert sorted(got.components) == sorted(want.components)
             for n, comp in want.components.items():
@@ -522,10 +522,11 @@ CLASS_ALGEBRAS = ["Q", "QxQ", "A2", "A3", "Kronecker", "op(A3)", "A2xKronecker"]
 
 def test_compose_classes_matches_the_block_count_on_simple_resolutions():
     """compose_classes (U chi_B V) against the block count of
-    tests/class_reference.py, which never reads an Euler matrix, on every
-    pair res(S_i) over hom(A, B), res(S_j) over hom(B, C): A and B range
-    over CLASS_ALGEBRAS, C over its first five (7990 pairs)."""
-    from class_reference import tensor_class
+    hochschild.tensor_class, the trace formula's route, which never reads an
+    Euler matrix, on every pair res(S_i) over hom(A, B), res(S_j) over
+    hom(B, C): A and B range over CLASS_ALGEBRAS, C over its first five
+    (7990 pairs)."""
+    from ncmotives.hochschild import tensor_class
 
     algs = [_named_algebra(n) for n in CLASS_ALGEBRAS]
     pairs = 0
@@ -546,7 +547,7 @@ def test_compose_classes_matches_the_block_count_on_random_and_serre_pairs(seed)
     """The same comparison on seeded random perfect complexes x over
     hom(A, B) against y over hom(B, C) and against its unresolved Serre
     transform, whose class is read from traces, not copies."""
-    from class_reference import tensor_class
+    from ncmotives.hochschild import tensor_class
 
     rng = random.Random(seed)
     algs = [_named_algebra(n) for n in CLASS_ALGEBRAS]

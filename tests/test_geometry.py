@@ -3,7 +3,9 @@ P^1 x P^1 as their `tensor` spec, run through the command line as `table`
 inputs: their Euler form is the inverse of the binomial Cartan matrix, the
 diagonal resolution has length n and the Koszul copy counts, the trace of
 the diagonal is n + 1 (the Euler characteristic of P^n, 4 for P^1 x P^1),
-Serre duality holds, and the verify reports are pinned."""
+Serre duality holds, and the verify reports are pinned.  Ringel's canonical
+algebra C(2,2,2), whose relation a3 b3 = a1 b1 - a2 b2 is a product with two
+terms and a negative coefficient, has its command-line results pinned too."""
 
 import hashlib
 import json
@@ -12,7 +14,7 @@ from math import comb
 
 import pytest
 
-from geometry_reference import beilinson_cartan, beilinson_spec
+from geometry_reference import beilinson_cartan, beilinson_spec, canonical_spec
 from ncmotives.cli import algebra_from_spec, main
 from ncmotives.derived import diagonal_resolution
 
@@ -100,3 +102,47 @@ def test_diagonal_resolution_has_the_koszul_copy_counts(n):
         -k: {i * (n + 1) + i + k: comb(n + 1, k) for i in range(n + 1 - k)} for k in range(n + 1)
     }
     assert {d: dict(Counter(res.copies_at(d))) for d in res.copies} == expected
+
+
+CANONICAL = canonical_spec()
+# command, its options, its input, and what its report must hold on C(2,2,2)
+CANONICAL_RESULTS = {
+    "euler-matrix": (
+        [],
+        CANONICAL,
+        {
+            "determinant": 1,
+            "matrix": [
+                [1, -1, -1, -1, 1],
+                [0, 1, 0, 0, -1],
+                [0, 0, 1, 0, -1],
+                [0, 0, 0, 1, -1],
+                [0, 0, 0, 0, 1],
+            ],
+        },
+    ),
+    "smooth-check": ([], CANONICAL, {"smooth": True, "diagonal_resolution_length": 2}),
+    "hochschild": (
+        ["--top", "3", "--bar-check", "2"],
+        CANONICAL,
+        {"dims": [5, 0, 0, 0], "bar_dims": [5, 0, 0], "verdict": True},
+    ),
+    "verify": (
+        [],
+        {"format": 1, "source": {"algebra": CANONICAL}, "target": {"algebra": CANONICAL}},
+        {"dim": 25, "det_gram_chi": "1", "kernel_dim": 0, "verdict": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", CANONICAL_RESULTS)
+def test_canonical_algebra_results_are_pinned(tmp_path, command):
+    """C(2,2,2) has dimension 13, an Euler matrix of determinant 1, a
+    diagonal resolution of length 2, HH = [5, 0, 0, 0] as the bar complex
+    agrees, and a unimodular 25-dimensional Hom model of its identity
+    motive.  A projective module that drops the second term of a product,
+    or its sign, makes its perfect complexes fail d^2 = 0."""
+    options, spec, expected = CANONICAL_RESULTS[command]
+    assert CANONICAL["dim"] == 13
+    report = json.loads(_report(tmp_path, [command, *options], spec))
+    assert {key: report[key] for key in expected} == expected

@@ -390,3 +390,80 @@ def test_hochschild_reports_are_pinned(tmp_path, name):
     assert main(["hochschild", *_pinned_hochschild_argv(name, write), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == PINNED_HOCHSCHILD[name], digest
+
+
+def _trace_formula_bases():
+    """The realized bases of the Hom models of the corpus scenarios and of
+    A4 -> A2: the trace-formula check of verify reads (D(x), y) over every
+    pair x, y of one basis."""
+    from ncmotives.cli import algebra_from_spec
+    from ncmotives.corpus import corpus_motive_scenarios
+    from ncmotives.motives import build_hom_model
+    from test_cli import _line_quiver
+
+    scenarios = [(src, dst) for _, src, dst in corpus_motive_scenarios()]
+    a4, a2 = (algebra_from_spec(_line_quiver(n)) for n in (4, 2))
+    scenarios.append((NCMotive(a4), NCMotive(a2)))
+    return [build_hom_model(src, dst).realized for src, dst in scenarios]
+
+
+def test_composite_trace_equals_the_trace_of_the_built_composite():
+    """composite_trace(D(x), y) reads trace(y o D(x)) from the copies of
+    D(x) and the class of y; the oracle builds y o D(x) as tensor complexes
+    (correspondence_reference.compose) and takes the Hochschild Euler
+    characteristic of their classes.  Every basis pair of the 15 corpus
+    scenarios (99 pairs) and of A4 -> A2 (64)."""
+    from correspondence_reference import compose
+    from ncmotives.hochschild import composite_trace
+    from ncmotives.motives import dualize, trace
+
+    pairs = 0
+    for basis in _trace_formula_bases():
+        for x in basis:
+            dx = dualize(x)
+            for y in basis:
+                assert composite_trace(dx, y) == trace(compose(y, dx))
+                pairs += 1
+    assert pairs == 99 + 64
+
+
+def test_composite_trace_reads_no_euler_matrix(monkeypatch):
+    """The trace-formula check is independent of the commutative square,
+    which composes classes through Euler matrices: with euler_matrix and
+    compose_classes made to raise, composite_trace still gives chi(x, y) on
+    every basis pair of the models above."""
+    from importlib import import_module
+
+    from ncmotives import derived, motives
+
+    hh = import_module("ncmotives.hochschild")  # the package exports a function of that name
+    from ncmotives.motives import chi_hom, dualize
+
+    bases = _trace_formula_bases()
+    expected = [[[chi_hom(x, y) for y in basis] for x in basis] for basis in bases]
+    duals = [[dualize(x) for x in basis] for basis in bases]
+
+    def refused(*args):
+        raise AssertionError("the trace formula read an Euler matrix")
+
+    for module in (derived, hh, motives):
+        for name in ("euler_matrix", "compose_classes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    got = [[[hh.composite_trace(d, y) for y in basis] for d in ds] for ds, basis in zip(duals, bases)]
+    assert got == expected
+
+
+def test_composite_trace_refuses_what_does_not_compose(a2, kronecker, rng):
+    """x and y must chain to an endo-composite, and the terms of x must be
+    perfect."""
+    from ncmotives.derived import serre
+    from ncmotives.hochschild import composite_trace
+
+    ma, mb = NCMotive(a2), NCMotive(kronecker)
+    x = random_correspondence(mb, ma, rng)
+    with pytest.raises(ValueError, match="do not chain"):
+        composite_trace(x, random_correspondence(mb, ma, rng))
+    unresolved = Correspondence(mb, ma, [(c, serre(t)) for c, t in x.terms])
+    with pytest.raises(ValueError, match="not perfect"):
+        composite_trace(unresolved, random_correspondence(ma, mb, rng))

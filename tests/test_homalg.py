@@ -7,8 +7,8 @@ from ncmotives.algebra import opposite, scalar_algebra, tensor
 from ncmotives.complexes import Complex, PerfectComplex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class, serre
-from class_reference import tensor_class
 from dense_reference import degrees, from_rows, hh_euler, matrix_trace, shift, single_module_complex
+from ncmotives.hochschild import tensor_class
 from ncmotives.homalg import (
     dual_perfect,
     hom_complex,
@@ -363,7 +363,7 @@ def _y_memo_pairs(y):
 
 def test_shared_right_factor_data_matches_a_cold_build(q):
     """tensor_over keeps what it reads of the right factor y in y's cache,
-    keyed by (middle, right, ...).  On the trace-formula triples of the corpus
+    keyed by (middle, right, ...).  On the composites y o D(x) of the corpus
     Hom models (left factors D(x) over tensor(op(B), A), y over
     tensor(op(A), B)) a warm build equals a cold one; each y meets two left
     factors, then serves a second key (Q, tensor(op(A), B)) against a
@@ -385,15 +385,15 @@ def test_shared_right_factor_data_matches_a_cold_build(q):
         lefts = [dual_perfect(res[0], a, b), dual_perfect(res[-1], a, b)]
         for y in res:
             for x in lefts:
-                warm = tensor_over(x, y, b, a, b, check=False)
-                _assert_same_tensor(warm, tensor_over(x, _fresh(y), b, a, b, check=False))
-            warm = tensor_over(over_q, y, q, q, e, check=False)
-            _assert_same_tensor(warm, tensor_over(over_q, _fresh(y), q, q, e, check=False))
+                warm = tensor_over(x, y, b, a, b)
+                _assert_same_tensor(warm, tensor_over(x, _fresh(y), b, a, b))
+            warm = tensor_over(over_q, y, q, q, e)
+            _assert_same_tensor(warm, tensor_over(over_q, _fresh(y), q, q, e))
             assert {(a, b), (q, e)} <= _y_memo_pairs(y)
             sy = serre(y)
             for x in lefts:
-                warm = tensor_over(x, sy, b, a, b, check=False)
-                _assert_same_tensor(warm, tensor_over(x, _fresh(sy), b, a, b, check=False))
+                warm = tensor_over(x, sy, b, a, b)
+                _assert_same_tensor(warm, tensor_over(x, _fresh(sy), b, a, b))
             assert (a, b) in _y_memo_pairs(sy)
             checked += 1
     assert checked > 30
@@ -426,7 +426,8 @@ def test_second_build_against_one_y_reads_only_memos(a2, kronecker, monkeypatch)
 def _trace_formula_factors(names=None):
     """(D(x_t), y_t, B, A, B) for every term pair of y o D(x) over the basis
     pairs x, y of the corpus Hom models A -> B (or of the named ones): the
-    tensor products the trace-formula check reads."""
+    tensor products whose traces the trace-formula check reads, without
+    building them (hochschild.composite_trace)."""
     from ncmotives.corpus import corpus_motive_scenarios
     from ncmotives.motives import build_hom_model, dualize
 
@@ -444,99 +445,71 @@ def _trace_formula_factors(names=None):
 
 def _count_builds(monkeypatch):
     """Count the action matrices built from here on (Module.act_matrix, of
-    any module), and the differentials of tensor_over outputs built and the
-    outputs made."""
+    any module) and the tensor complexes made (homalg.tensor_over)."""
     import ncmotives.homalg as homalg
-    from ncmotives.complexes import LazyDifferentials
     from ncmotives.modules import Module
 
-    built = {"actions": 0, "differentials": 0, "complexes": 0}
+    built = {"actions": 0, "complexes": 0}
     act_matrix = Module.act_matrix
+    tensor = homalg.tensor_over
 
     def counted_matrix(m, pairs):
         built["actions"] += 1
         return act_matrix(m, pairs)
 
-    def counted(build):
-        def run(j):
-            built["differentials"] += 1
-            return build(j)
-
-        return run
-
-    class Differentials(LazyDifferentials):
-        def __init__(self, degrees, build):
-            built["complexes"] += 1
-            super().__init__(degrees, counted(build))
+    def counted_tensor(*args):
+        built["complexes"] += 1
+        return tensor(*args)
 
     monkeypatch.setattr(Module, "act_matrix", counted_matrix)
-    monkeypatch.setattr(homalg, "LazyDifferentials", Differentials)
+    monkeypatch.setattr(homalg, "tensor_over", counted_tensor)
     return built
 
 
-def test_layout_traces_match_built_actions():
-    """tensor_over answers the trace of a component action from its block
-    layout (Module.trace); the trace of the dense matrix of its rows
-    (Module.act_matrix) is the oracle.  Every trace-formula composite
-    of the corpus Hom models, every idempotent of the output algebra, every
-    degree; every basis element where the output algebra has dimension at
-    most 9 (the endo-composites over Q, QxQ and A2)."""
-    checked = 0
-    for x, y, left, middle, right in _trace_formula_factors():
-        t = tensor_over(x, y, left, middle, right, check=False)
-        ts = range(t.algebra.dim) if t.algebra.dim <= 9 else t.algebra.idempotents
-        for comp in t.components.values():
-            for g in ts:
-                from_layout = comp.trace(g)
-                assert from_layout == matrix_trace(comp.act_matrix(((g, 1),)))
-                checked += 1
-    assert checked > 1500
-
-
 def test_class_of_a_composite_builds_no_action_matrix(monkeypatch):
-    """k0_class of a tensor_over output reads every idempotent trace from
-    the layout, so it builds no action matrix and no differential; the
-    class equals tensor_class's formula."""
+    """k0_class of a tensor_over output sums each idempotent trace from the
+    rows of its components, so it builds no action matrix; the class equals
+    hochschild.tensor_class's, which is read from the factors alone."""
     built = _count_builds(monkeypatch)
     classes = 0
     for x, y, left, middle, right in _trace_formula_factors({"A2-id", "Kronecker-id"}):
-        t = tensor_over(x, y, left, middle, right, check=False)
+        t = tensor_over(x, y, left, middle, right)
         assert list(k0_class(t).coords) == tensor_class(x, y, left, middle, right)
         classes += 1
-    assert classes > 10 and built["complexes"] == classes
-    assert built["actions"] == 0 and built["differentials"] == 0
+    assert classes > 10 and built["actions"] == 0
 
 
 def test_verify_builds_no_composite_differential(tmp_path, monkeypatch):
-    """verify A3 -> A3 reads the composites of the trace-formula check only
-    through their classes: tensor_over makes them, and neither one of their
-    differentials nor one of their action matrices is built."""
+    """verify A3 -> A3 and A4 -> A2 read trace(y o D(x)) of the
+    trace-formula check from the copies of D(x) and the class of y
+    (hochschild.composite_trace): tensor_over makes no complex, so no
+    differential of a composite is built, and no action matrix either."""
     import json
 
     from ncmotives.cli import main
 
-    a3 = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 3,
-        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
-    }
-    path = tmp_path / "a3.json"
-    path.write_text(json.dumps({"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}))
+    def line(n):
+        arrows = [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(n - 1)]
+        return {"format": 1, "kind": "quiver", "vertices": n, "arrows": arrows}
+
     built = _count_builds(monkeypatch)
-    out = tmp_path / "report.json"
-    assert main(["verify", str(path), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert sum(c["name"].startswith("trace-formula") for c in report["checks"]) == 81
-    assert built["complexes"] > 0
-    assert built["differentials"] == 0 and built["actions"] == 0
+    for n_src, n_dst in ((3, 3), (4, 2)):
+        scenario = {"format": 1, "source": {"algebra": line(n_src)}, "target": {"algebra": line(n_dst)}}
+        path = tmp_path / f"a{n_src}_a{n_dst}.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "report.json"
+        assert main(["--seed", "1", "verify", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        pairs = (n_src * n_dst) ** 2
+        assert sum(c["name"].startswith("trace-formula") for c in report["checks"]) == pairs
+    assert built == {"actions": 0, "complexes": 0}
 
 
 def test_verify_builds_no_block_basis():
-    """tensor_over reads dim e_m Y^q from traces, so verify A3 -> A3, whose
-    composites are read only for their classes, builds no block basis
-    (_yblock), which only a map of y needs.  A fresh interpreter keeps
-    bases cached by other tests from hiding a build."""
+    """verify A3 -> A3 builds no tensor complex, so it builds no block basis
+    of a right factor (_yblock), which only tensor_over's maps of y need.  A
+    fresh interpreter keeps bases cached by other tests from hiding a
+    build."""
     from test_cli import _run_fresh
 
     a3 = {
@@ -565,48 +538,28 @@ def test_verify_builds_no_block_basis():
     assert _run_fresh(script, timeout=120) == "0"
 
 
-def test_differentials_on_first_read_equal_a_checked_build(monkeypatch):
-    """A tensor_over output builds no differential until one is read; the
-    differentials it then builds equal, entry for entry, those of a
-    check=True build, which builds all of them at once for the d^2 check."""
-    built = _count_builds(monkeypatch)
-    compared = 0
-    for x, y, left, middle, right in _trace_formula_factors({"A2-id", "Kronecker-id", "A2-to-Kronecker"}):
-        lazy = tensor_over(x, y, left, middle, right, check=False)
-        assert built["differentials"] == 0
-        checked = tensor_over(x, y, left, middle, right, check=True)
-        assert built["differentials"] == len(checked.differentials)
-        for n in checked.differentials:
-            assert lazy.differentials[n] == checked.differentials[n]
-        assert lazy.differentials == checked.differentials
-        compared += len(checked.differentials)
-        built["differentials"] = 0
-    assert compared > 20
-
-
 def test_hochschild_of_trace_formula_composites():
-    """hochschild() reads the differentials of a composite as tensor_over
-    builds them on first read.  On the trace-formula composites of three
-    corpus Hom models, each moved down to end in degree <= 0 if it does
-    not, the dims equal those of the same complex with the differentials of
-    a check=True build, the Euler characteristic equals hochschild_euler
-    (read from the layout traces), and the dims summed per model are
-    pinned (computed before differentials were built lazily)."""
-    from ncmotives.hochschild import hochschild, hochschild_euler
+    """hochschild() reads the differentials of a built composite.  On the
+    composites y o D(x) of three corpus Hom models, each moved down to end
+    in degree <= 0 if it does not, the Euler characteristic of the dims
+    equals hochschild_euler (read from the row-sum traces of the composite)
+    and the trace the trace-formula check reads from the factors
+    (hochschild.tensor_class paired with the copy weights of the
+    inverse dualizing complex), and the dims summed per model are pinned."""
+    from ncmotives.hochschild import _pair_with_diagonal, hochschild, hochschild_euler
 
     names = {"A2-id", "Kronecker-id", "A2-to-Kronecker"}
     sums = {}
     for x, y, left, middle, right in _trace_formula_factors(names):
-        t = tensor_over(x, y, left, middle, right, check=False)
+        t = tensor_over(x, y, left, middle, right)
         if t.is_zero():
             continue
-        checked = tensor_over(x, y, left, middle, right, check=True)
-        eager = Complex(t.algebra, t.components, dict(checked.differentials.items()))
+        expected = _pair_with_diagonal(right, tensor_class(x, y, left, middle, right))
         if t.hi > 0:
-            t, eager = shift(t, -t.hi), shift(eager, -t.hi)
+            expected *= (-1) ** t.hi
+            t = shift(t, -t.hi)
         prof = hochschild(right, t, top=3)
-        assert prof == hochschild(right, eager, top=3)
-        assert hh_euler(prof) == hochschild_euler(right, t)
+        assert hh_euler(prof) == hochschild_euler(right, t) == expected
         key = (left.dim, middle.dim)
         sums[key] = [s + d for s, d in zip(sums.get(key, [0] * 4), prof)]
     assert sums == {(3, 3): [4, 4, 1, 0], (4, 4): [9, 6, 1, 0], (4, 3): [6, 5, 1, 0]}

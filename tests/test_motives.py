@@ -4,11 +4,11 @@ from itertools import combinations
 
 from ncmotives.algebra import hom_algebra
 from ncmotives.complexes import PerfectComplex
-from correspondence_reference import random_correspondence
+from correspondence_reference import compose, random_correspondence
 from geometry_reference import beilinson_spec
 from ncmotives.cli import InputError, algebra_from_spec, motive_from_spec
 from ncmotives.derived import euler_matrix
-from ncmotives.hochschild import intersection_number
+from ncmotives.hochschild import composite_trace, intersection_number
 from ncmotives.linalg import Matrix, RowBasis, span_equal
 from ncmotives.motives import (
     Correspondence,
@@ -16,7 +16,6 @@ from ncmotives.motives import (
     build_hom_model,
     chi_hom,
     complement_idempotent,
-    compose,
     compose_classes,
     dualize,
     euler_gram,
@@ -144,12 +143,14 @@ def test_chi_hom_on_simple_classes_matches_euler_matrix(qxq, a2):
 
 def test_trace_formula_on_random_pairs(a2, qxq, rng):
     """chi(x, y) = trace(D(x) o y), the cyclic partner of the order in
-    criterion 7: Ext pipeline against Hochschild pipeline."""
+    criterion 7: Ext pipeline against Hochschild pipeline, the composite
+    built (the oracle compose) and read from its factors (composite_trace,
+    an endo-trace over A2 here, over QxQ in verify's order)."""
     ma, mb = NCMotive(a2), NCMotive(qxq)
     for _ in range(4):
         x = random_correspondence(ma, mb, rng)
         y = random_correspondence(ma, mb, rng)
-        assert chi_hom(x, y) == trace(compose(dualize(x), y))
+        assert chi_hom(x, y) == trace(compose(dualize(x), y)) == composite_trace(y, dualize(x))
 
 
 def test_commutative_square_on_random_pairs(a2, kronecker, rng):
@@ -379,35 +380,40 @@ def test_no_statable_motive_pair_has_a_kernel():
 
 
 def test_trace_of_a_composite_builds_only_idempotent_actions(monkeypatch):
-    """trace reads a composite's class from the traces of its idempotent
-    actions; no action matrix of another basis element is built
-    (Module.act_matrix; 36 basis elements, 9 idempotents on A3 -> A3)."""
+    """trace reads a built composite's class from the traces of its
+    idempotent actions, each summed from its rows: no action matrix is
+    built, and no row of another basis element is read (36 basis elements,
+    9 idempotents on A3 -> A3).  composite_trace gives the same numbers
+    from D(x)'s copies and y's class, and reads no row at all."""
+    from ncmotives import modules
     from ncmotives.corpus import corpus_algebra
     from ncmotives.derived import simple_resolutions
-
-    from ncmotives.modules import Module
 
     m = NCMotive(corpus_algebra("A3"))
     e = hom_algebra(m.algebra, m.algebra)
     idem = set(e.idempotents)
     res = simple_resolutions(e)
-    built = set()
-    act_matrix = Module.act_matrix
+    read = []
+    row_trace = modules._row_trace
 
-    def recorded(mod, pairs):
-        built.update(k for k, _ in pairs)
-        return act_matrix(mod, pairs)
+    def recorded(row, dim, j):
+        read.append(j)
+        return row_trace(row, dim, j)
 
-    monkeypatch.setattr(Module, "act_matrix", recorded)
-    components = 0
+    def refused(mod, pairs):
+        raise AssertionError("an action matrix was built")
+
+    monkeypatch.setattr(modules, "_row_trace", recorded)
+    monkeypatch.setattr(modules.Module, "act_matrix", refused)
     for i, j in [(0, 0), (0, 8), (4, 2), (8, 0)]:
         x = Correspondence(m, m, [(1, res[i])])
         y = Correspondence(m, m, [(1, res[j])])
-        z = compose(y, dualize(x))
-        trace(z)
-        components += sum(len(t.components) for _, t in z.terms)
-    assert built <= idem
-    assert components
+        dx = dualize(x)
+        before = len(read)
+        direct = composite_trace(dx, y)
+        assert len(read) == before
+        assert trace(compose(y, dx)) == direct
+    assert read and set(read) <= idem
 
 
 def test_class_arithmetic_is_exact_and_integral_on_integer_inputs(a2):
