@@ -23,7 +23,7 @@ from .derived import (
     serre,
 )
 from .hochschild import bar_oracle, hochschild, intersection_number
-from .homalg import hom_complex, tensor_over
+from .homalg import hom_complex
 from .linalg import Matrix, RowBasis
 from .modules import (
     Module,

@@ -503,13 +503,9 @@ def _tensor(a: Algebra, b: Algebra) -> Algebra:
 # identity indexing there and need no special case.
 
 
-def split_pair_basis(right: Algebra, t: int):
-    """Decompose a basis index of tensor(left, right) into factor indices;
-    the pair indexing depends on the right factor alone."""
-    return divmod(t, right.dim)
-
-
 def join_pair_basis(right: Algebra, i: int, j: int) -> int:
+    """The basis index of the pair (i, j) in tensor(left, right); the pair
+    indexing depends on the right factor alone."""
     return i * right.dim + j
 
 

@@ -795,8 +795,8 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     The command runs with the cyclic garbage collector off: the package
-    makes no reference cycle per operation (a dual holds its complex
-    weakly), so reference counting frees what a run drops.  One young pass
+    makes no reference cycle per operation (a dual holds nothing of its
+    complex), so reference counting frees what a run drops.  One young pass
     right after parsing frees the argument parser, which argparse links
     both ways.  On return the collector's state is restored for in-process
     callers, after moving what the run built to the oldest generation

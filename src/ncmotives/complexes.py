@@ -136,16 +136,11 @@ class PerfectComplex(Complex):
     nonzero pairs in index order, and drops zero blocks.  Raises ValueError
     unless every block lies in its Peirce corner e_to A e_from (which makes
     d^n a module map) and d^2 = 0 on the blocks.  Each differential is
-    assembled on first read.
+    assembled on first read."""
 
-    dual_of is None, or (left, right, weak reference to x) when this complex
-    is the dual of x built by homalg.dual_perfect: its dual over (left,
-    right) is x while x lives."""
-
-    __slots__ = ("copies", "_blocks", "dual_of")
+    __slots__ = ("copies", "_blocks")
 
     def __init__(self, algebra: Algebra, copies: dict, blocks=None):
-        self.dual_of = None
         self.copies = {n: tuple(c) for n, c in copies.items() if c}
         left, right = algebra.peirce()
         self._blocks = {}

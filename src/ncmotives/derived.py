@@ -14,10 +14,9 @@ X (x)_B Y is [X] chi_B [Y] (compose_classes): correspondence classes
 compose without building a tensor complex.
 
 Which terms must be perfect: the first argument of euler_pairing (and of
-homalg.hom_complex, which tensors its summandwise dual with the second) is
-a PerfectComplex; the second may be any bounded complex, and a
-PerfectComplex is one (a Complex read off its copies), so it is passed as
-it is.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
+homalg.hom_complex, which reads it off its copies) is a PerfectComplex;
+the second may be any bounded complex, and a PerfectComplex is one (a
+Complex read off its copies), so it is passed as it is.  The Serre transform is the Nakayama functor D(Hom_A(-, A)),
 naturally isomorphic to - (x)_A D(A) on perfect complexes.  It is read off
 the copies of M: Hom_A(e_i A, A) = A e_i, so S(M) is the unresolved
 complex of injectives D(A e_i) over the copies of M, with the transposed

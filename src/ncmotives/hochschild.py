@@ -2,10 +2,10 @@
 
 HH is a Hom complex.  With P the diagonal resolution over A^e =
 tensor(op(A), A) and A^! = D_A(P) its bimodule dual (homalg.dual_perfect),
-homalg's Hom_{A^e}(M, N) = M^v (x)_{A^e} N read the other way round gives
-HH_n(A, W) = H^{-n}(P (x)_{A^e} W) = H^{-n} Hom_{A^e}(A^!, W).  D_A has
-already swapped the two sides of A^e, so W is read through its own right
-action.  bar_oracle is an independent oracle up to a given degree: the
+HH_n(A, W) = H^{-n}(P (x)_{A^e} W) = H^{-n} Hom_{A^e}(A^!, W), and
+homalg.hom_complex builds that Hom complex from the copies of A^!: one
+block W^q e per copy e A^e.  D_A has already swapped the two sides of A^e,
+so W is read through its own right action.  bar_oracle is an independent oracle up to a given degree: the
 normalized bar complex relative to the vertex idempotents, whose degree-n
 term has one block e_r W e_l per composable n-tuple of non-idempotent basis
 monomials (Cibils' complex for a path algebra), so it grows with the number

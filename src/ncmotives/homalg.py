@@ -1,295 +1,140 @@
-"""Hom complexes, balanced tensor products and duals of perfect complexes.
+"""Hom complexes and duals of perfect complexes.
 
 Everything here leans on one structural fact about the supported algebras:
-a perfect complex has components (+) e A for distinguished idempotents e, so
+a perfect complex has components (+) e A for distinguished idempotents e,
+and Hom_A(e_i A, N) = N e_i, so derived Hom is finite block bookkeeping on
+the copies of its first argument instead of large commutant solves.
+Conventions:
 
-    e(L^op (x) M)  restricted to M is projective, hence
-    ((l^op, m)-summand) (x)_M Y  =  L e_l (x) (e_m Y)
-
-which turns derived tensor into finite block bookkeeping instead of large
-commutant solves.  Derived Hom is the same bookkeeping: Hom_A(e A, A) = A e
-and A e (x)_A N = N e, so Hom_A(M, N) = M^v (x)_A N for the summandwise dual
-M^v = Hom_A(M, A).  Conventions:
-
-* Hom complex: hom_complex is dual_perfect followed by tensor_over, so
-  Hom^k = (+)_p Hom(M^p, N^{p+k}) (M^v sits in degree -p) and its signs are
-  those of the tensor totalization below, with d_{M^v} precomposition by
-  d_M.  They differ from (df) = d_N f - (-1)^k f d_M only by signs on
-  components, so the cohomology is the same: degree k computes morphisms
-  M -> shift(N, -k) (N moved k degrees down) in the derived category;
-  alternating sums of these dimensions form the Euler pairing.
-* Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.
-  tensor_over lays out the blocks of the total complex, builds its
-  differentials, and reads each component's action a row at a time.  Each
-  map it reads is a sum of (multiplication on L e_l) (x) (a map of y
-  between blocks e_m Y^q).  The maps of y -- the actions of middle and
-  right basis elements and d_Y, in the block coordinates of the e_m Y^q --
-  and the dimensions of the blocks do not depend on x, so they are memos on
-  y (_ymove, the block bases _yblock it builds, and _ytrace), keyed by
-  (middle, right, ...), whether y is perfect or not.  They are read sparse:
-  the blocks and actions of y through the sparse right action of its
-  components (modules.Module.row), which a sum of projectives or of
-  injectives answers from the structure constants, and the dimensions
-  through Module.trace; no dense action matrix of y is built.  The class
-  of x (x)_middle y needs no tensor complex: derived.compose_classes reads
-  it from the classes of x and y through the Euler matrix of middle, and
-  hochschild.tensor_class from the copies of x and the class of y.
+* Hom complex: Hom^k = (+)_p Hom(M^p, N^{p+k}), one block N^{p+k} e_i per
+  copy e_i A of M^p.  Its differential is (-1)^p d_N on each block plus
+  precomposition with d_M: a block of d_M from copy c' of M^{p-1} to copy
+  c of M^p is left multiplication by some z in e_i A e_i', and it sends
+  f in N^q e_i on copy c to f z in N^q e_i' on copy c'.  This differs from
+  (df) = d_N f - (-1)^k f d_M only by signs on components, so the
+  cohomology is the same: degree k computes morphisms M -> shift(N, -k)
+  (N moved k degrees down) in the derived category; alternating sums of
+  these dimensions form the Euler pairing.  N is read through the sparse
+  right action of its components (modules.Module.row) and the traces of
+  the idempotents; no dense action matrix of N is built.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
   transporting each left-multiplication block z to its image under the
-  canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); it is a
-  strict involution on perfect complexes.  The dual is a memo on the
-  complex, so hom_complex, serre and dualize share one dual per complex
-  and pair of algebras; the dual points back at the complex only weakly
-  (PerfectComplex.dual_of), so the pair is no reference cycle and is freed
-  by reference counting alone.
+  canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); applied
+  twice it gives back the copies and blocks it started from.  The dual is
+  a memo on the complex, so serre, dualize and the A^! of hochschild share
+  one dual per complex and pair of algebras.  It holds nothing of the
+  complex, so the two are no reference cycle and are freed by reference
+  counting alone.
 """
 
 from __future__ import annotations
-
-import weakref
-from bisect import bisect_right
-from functools import partial
 
 from .algebra import (
     Algebra,
     cached,
     hom_algebra,
-    join_pair_basis,
     join_pair_idempotent,
-    opposite,
     scalar_algebra,
-    split_pair_basis,
     split_pair_idempotent,
     swap_permutation,
 )
 from .complexes import Complex, PerfectComplex, as_complex
-from .linalg import Matrix, RowBasis, nonzero_pairs, row_times
+from .linalg import Matrix, RowBasis, row_times
 from .modules import Module
-
-
-# -- Hom complexes ---------------------------------------------------------------
 
 
 def hom_complex(m: PerfectComplex, n) -> Complex:
     """Total Hom complex of a perfect complex into a complex over the same
-    algebra, as a complex of plain vector spaces: Hom_A(M, N) = M^v (x)_A N,
-    with M^v = Hom_A(M, A) the summandwise dual."""
+    algebra, as a complex of plain vector spaces.
+
+    Degree k is the direct sum, over p in decreasing order and then the
+    copies e_i A of M^p, of the blocks N^{p+k} e_i, each in the coordinates
+    of the echelon basis of its span in N^{p+k}; the differential is the
+    one of the module docstring.  The block bases are memos of this call."""
+    if not isinstance(m, PerfectComplex):
+        raise ValueError("the first argument of hom_complex must be a perfect complex")
     n = as_complex(n)
     a = m.algebra
     if n.algebra is not a:
         raise ValueError("hom_complex arguments live over different algebras")
-    q = scalar_algebra()
-    return tensor_over(dual_perfect(m, q, a), n, q, opposite(a), q)
+    bases: dict = {}
 
+    def block(q, i) -> RowBasis:
+        """The block N^q e_i: the span of the unit vectors of N^q times e_i."""
+        if (q, i) not in bases:
+            nq = n.components[q]
+            e = ((a.idempotents[i], 1),)
+            unit = [0] * nq.dim
+            rb = bases[(q, i)] = RowBasis(nq.dim)
+            for s in range(nq.dim):
+                unit[s] = 1
+                rb.add(nq.times(unit, e))
+                unit[s] = 0
+        return bases[(q, i)]
 
-# -- balanced tensor product -----------------------------------------------------
+    def move(q, i, q2, i2, z):
+        """Rows, in the coordinates of the block N^q2 e_i2, of the images of
+        the basis of N^q e_i: under d_N^q if z is None, else times z."""
+        src = block(q, i).rows
+        if z is None:
+            images = (row_times(v, n.differentials[q]) for v in src)
+        else:
+            images = (n.components[q].times(v, z) for v in src)
+        rows = [block(q2, i2).coords(w) for w in images]
+        if None in rows:
+            raise AssertionError("a map of N escaped its block")
+        return rows
 
-
-def tensor_over(x: PerfectComplex, y, left: Algebra, middle: Algebra, right: Algebra) -> Complex:
-    """Total complex of x (x)_middle y.
-
-    x must be a perfect complex over tensor(opposite(left), middle) -- its
-    components are then projective as right middle-modules, so the result
-    computes the derived tensor product.  y is any bounded complex of
-    modules over tensor(opposite(middle), right).  The output is a complex
-    of modules over tensor(opposite(left), right) whose degree-k component
-    is the direct sum over p+q = k and copies (l, m) of
-
-        (L e_l) (x) (e_m . Y^q).
-
-    Every map here -- the action of a basis element of
-    tensor(opposite(left), right), 1 (x) d_Y and d_X (x) 1 -- is a sum of
-    (multiplication on L e_l) (x) (map of y in block coordinates): the
-    differentials are added by one writer, kron, and checked for d^2 = 0,
-    and the action of a component is read a row at a time (Module.row).
-    The maps of y (_ymove: a side action or d_Y) are memos on y keyed by
-    (middle, right, ...), so every left factor y meets shares them (a
-    module y is wrapped afresh on each call).  They are read through
-    Module.row of y's components, in sparse rows, so no dense action
-    matrix of y is built; dim e_m Y^q is the sum of _ytrace over the
-    idempotents of right.
-    """
-    y = as_complex(y)
-    e_x = hom_algebra(left, middle)
-    e_y = hom_algebra(middle, right)
-    e_t = hom_algebra(left, right)
-    if not isinstance(x, PerfectComplex):
-        raise ValueError(
-            "the left tensor factor must be a perfect complex "
-            "(any bounded complex may be the right factor)"
-        )
-    if x.algebra is not e_x:
-        raise ValueError("x is not perfect over tensor(op(left), middle)")
-    if y.algebra is not e_y:
-        raise ValueError("y does not live over tensor(op(middle), right)")
-    if x.is_zero() or y.is_zero():
-        return Complex(e_t, {}, {}, check=False)
-
-    ymove = partial(_ymove, y, middle, right)
-
-    # block layout per total degree: (p, copy, m, lblock, ydim, offset)
+    # per degree k: (p, copy, idempotent, block dim, offset)
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
-    for k in sorted({p + q for p in x.components for q in y.components}):
-        entries = []
-        off = 0
-        for p in sorted(x.components):
-            q = k - p
-            if q not in y.components:
-                continue
-            for c, idem in enumerate(x.copies_at(p)):
-                l_i, m_i = split_pair_idempotent(middle, idem)
-                lblock = left.coprojective_basis(l_i)
-                ydim = sum(_ytrace(y, middle, right, q, m_i, h) for h in right.idempotents)
-                if lblock and ydim:
-                    entries.append((p, c, m_i, lblock, ydim, off))
-                    off += len(lblock) * ydim
-        if entries:
-            layout[k] = entries
-            dims[k] = off
-    if not layout:
-        return Complex(e_t, {}, {}, check=False)
-
-    def kron(out, src, dst, lpairs, ymat):
-        """Add L (x) ymat to out, from the layout entry src to dst: L sends
-        position s of src's L e_l block to c * u2 over (s, u2, c) in lpairs
-        (u2 outside dst's block contributes nothing); ymat is a ymove."""
-        (_, _, _, _, ydim, off), (_, _, _, lblock2, ydim2, off2) = src, dst
-        pos = {u: s2 for s2, u in enumerate(lblock2)}
-        for s, u2, c in lpairs:
-            if u2 not in pos:
-                continue
-            dst_base = off2 + pos[u2] * ydim2
-            for vi, yr in enumerate(ymat):
-                row = out[off + s * ydim + vi]
-                for vj, cy in yr:
-                    row[dst_base + vj] += c * cy
-
-    def row(k, s, t):
-        """Row s of the action of basis element t of e_t on the degree-k
-        component: left multiplication by its left part on the L e_l
-        position of s, (x) the row of the action of its right part on y."""
-        i = bisect_right([e[5] for e in layout[k]], s) - 1
-        p, _, m, lblock, ydim, off = layout[k][i]
-        a_i, r_i = split_pair_basis(right, t)
-        x, vi = divmod(s - off, ydim)
-        pos = {u: s2 for s2, u in enumerate(lblock)}
-        yrow = ymove(k - p, m, k - p, m, (None, r_i))[vi]
-        return tuple(
-            (off + pos[u2] * ydim + vj, cl * cy)
-            for u2, cl in left.mul[a_i][lblock[x]]
-            if u2 in pos
-            for vj, cy in yrow
-        )
+    for p in sorted(m.copies, reverse=True):
+        for c, i in enumerate(m.copies[p]):
+            for q, nq in n.components.items():
+                dim = nq.trace(a.idempotents[i])
+                if dim:
+                    k = q - p
+                    layout.setdefault(k, []).append((p, c, i, dim, dims.get(k, 0)))
+                    dims[k] = dims.get(k, 0) + dim
 
     def differential(k):
         """The matrix of d^k, from degree k to k + 1."""
-        tgt = {(e[0], e[1]): e for e in layout[k + 1]}
         out = [[0] * dims[k + 1] for _ in range(dims[k])]
-        for e in layout[k]:
-            p, c, m, lblock, _, _ = e
-            q = k - p
-            # 1 (x) d_Y with sign (-1)^p
-            if q in y.differentials and (p, c) in tgt:
-                lid = ((s, u, -1 if p % 2 else 1) for s, u in enumerate(lblock))
-                kron(out, e, tgt[(p, c)], lid, ymove(q, m, q + 1, m, None))
-            # d_X (x) 1: each basis element g of a block of d_X multiplies
-            # L e_l by its left part and moves y by its middle part
-            for (cc, c2), z in x.block_elements(p).items():
-                if cc != c or (p + 1, c2) not in tgt:
-                    continue
-                e2 = tgt[(p + 1, c2)]
-                for g, coeff in z:
-                    g_l, g_m = split_pair_basis(middle, g)
-                    lmul = (
-                        (s, u2, coeff * cl)
-                        for s, u in enumerate(lblock)
-                        for u2, cl in left.mul[u][g_l]
-                    )
-                    kron(out, e, e2, lmul, ymove(q, m, q, e2[2], (g_m, None)))
+        tgt = {(p, c): (i, off) for p, c, i, _, off in layout[k + 1]}
+
+        def add(off, off2, rows, sign):
+            for r, cs in enumerate(rows):
+                row = out[off + r]
+                for j, x in enumerate(cs):
+                    if x:
+                        row[off2 + j] += sign * x
+
+        for p, c, i, _, off in layout[k]:
+            q = p + k
+            if q in n.differentials and (p, c) in tgt:
+                add(off, tgt[(p, c)][1], move(q, i, q + 1, i, None), -1 if p % 2 else 1)
+            for (c2, c3), z in m.block_elements(p - 1).items():
+                if c3 == c and (p - 1, c2) in tgt:
+                    i2, off2 = tgt[(p - 1, c2)]
+                    add(off, off2, move(q, i, q, i2, z), 1)
         return Matrix(dims[k], dims[k + 1], out)
 
-    components = {k: Module(e_t, dims[k], partial(row, k)) for k in layout}
-    return Complex(e_t, components, {k: differential(k) for k in layout if k + 1 in layout})
-
-
-# -- the maps of y that tensor_over reads, memos on y --------------------------------
-
-
-def _yelement(middle: Algebra, right: Algebra, g_m, r):
-    """The element g_m (x) r of tensor(opposite(middle), right) as (basis
-    index, coefficient) pairs; None stands for the unit."""
-    gs = middle.unit if g_m is None else [(g_m, 1)]
-    rs = right.unit if r is None else [(r, 1)]
-    return [(join_pair_basis(right, i, j), u * v) for i, u in gs for j, v in rs]
+    q_alg = scalar_algebra()
+    components = {k: Module(q_alg, dim, lambda s, j: ((s, 1),)) for k, dim in dims.items()}
+    return Complex(q_alg, components, {k: differential(k) for k in layout if k + 1 in layout})
 
 
 @cached
-def _yblock(y: Complex, middle: Algebra, right: Algebra, q, m) -> RowBasis:
-    """The block e_m Y^q: the span of the rows of g_m (x) 1 on Y^q."""
-    yq = y.components[q]
-    pairs = _yelement(middle, right, middle.idempotents[m], None)
-    rb = RowBasis(yq.dim)
-    for s in range(yq.dim):
-        unit = [0] * yq.dim
-        unit[s] = 1
-        rb.add(yq.times(unit, pairs))
-    return rb
-
-
-@cached
-def _ymove(y: Complex, middle: Algebra, right: Algebra, q, m, q2, m2, act):
-    """Sparse rows, as (position, coefficient) pairs, of a map of y in
-    block coordinates, e_m Y^q -> e_m2 Y^q2: the action of
-    _yelement(middle, right, *act) (q2 = q), or d_Y^q (q2 = q + 1) if act
-    is None."""
-    dst = _yblock(y, middle, right, q2, m2)
-    src = _yblock(y, middle, right, q, m).rows
-    if act is None:
-        images = (row_times(v, y.differentials[q]) for v in src)
-    else:
-        pairs = _yelement(middle, right, *act)
-        images = (y.components[q].times(v, pairs) for v in src)
-    rows = [dst.coords(w) for w in images]
-    if None in rows:
-        raise AssertionError("a map of y escaped its block")
-    return [nonzero_pairs(r) for r in rows]
-
-
-@cached
-def _ytrace(y: Complex, middle: Algebra, right: Algebra, q, m, r):
-    """Trace of basis element r of right on e_m Y^q: the trace of
-    g_m (x) r on Y^q, since g_m (x) 1 is an idempotent commuting with
-    1 (x) r whose image is the block."""
-    g = join_pair_basis(right, middle.idempotents[m], r)
-    return y.components[q].trace(g)
-
-
-# -- duals ------------------------------------------------------------------------
-
-
 def dual_perfect(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
     """Summandwise dual Hom(-, ring) of a perfect complex over
     tensor(op(left), right), as a perfect complex over tensor(op(right), left).
 
     Degrees are negated; each left-multiplication block is transported along
-    the canonical anti-isomorphism of the two tensor algebras.  Applying the
-    construction twice returns the original complex on the nose.  The dual
-    is a memo on x, and it keeps a weak reference to x in dual_of, so
-    D(D(x)) is x while x lives, and dropping x frees both without the cycle
-    collector."""
+    the canonical anti-isomorphism of the two tensor algebras, so applying
+    the construction twice gives back the copies and blocks of x.  The dual
+    is a memo on x and refers to nothing of x."""
     if x.algebra is not hom_algebra(left, right):
         raise ValueError("x is not perfect over tensor(op(left), right)")
-    if x.dual_of is not None and x.dual_of[:2] == (left, right):
-        origin = x.dual_of[2]()
-        if origin is not None:
-            return origin
-    return _dual(x, left, right)
-
-
-@cached
-def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
-    e_ba = hom_algebra(right, left)
     perm = swap_permutation(left, right)
 
     def sigma_idem(r):
@@ -305,6 +150,4 @@ def _dual(x: PerfectComplex, left: Algebra, right: Algebra) -> PerfectComplex:
             (c2, c): [(perm[g], coeff) for g, coeff in z]
             for (c, c2), z in x.block_elements(n).items()
         }
-    d = PerfectComplex(e_ba, copies, blocks)
-    d.dual_of = (right, left, weakref.ref(x))
-    return d
+    return PerfectComplex(hom_algebra(right, left), copies, blocks)

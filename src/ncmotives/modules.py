@@ -13,9 +13,9 @@ diagonal bimodule from the structure constants, an injective D(A e_i) and
 the dual bimodule by transposing them, a direct sum from its summands, and
 a quotient or a module spec from a table of rows (table_module).
 Everything that multiplies vectors (Module.times, act_matrix, quotients,
-radicals, covers, and the y side of homalg.tensor_over) reads through row,
-and a class reads Module.trace, which a projective, an injective and a sum
-answer without a matrix.  A dense action matrix is
+radicals, covers, and the second argument of homalg.hom_complex) reads
+through row, and a class reads Module.trace, which a projective, an
+injective and a sum answer without a matrix.  A dense action matrix is
 built only by Module.act_matrix: for Module.check, the module-map check of
 a complex spec, the bar-complex oracle and the tests.  Module.times and
 act_matrix take the algebra element as its nonzero (basis index,

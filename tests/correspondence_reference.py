@@ -15,8 +15,8 @@ from fractions import Fraction
 from ncmotives.algebra import hom_algebra
 from ncmotives.complexes import PerfectComplex
 from ncmotives.corpus import random_perfect_complex
-from ncmotives.homalg import tensor_over
 from ncmotives.motives import Correspondence, NCMotive
+from tensor_reference import tensor_over
 
 
 def random_correspondence(
@@ -42,7 +42,7 @@ def random_correspondence(
 
 def compose(y: Correspondence, x: Correspondence) -> Correspondence:
     """Composite y o x of x: L -> M and y: M -> N, built: the termwise
-    derived tensor X (x)_M Y over the middle algebra (homalg.tensor_over).
+    derived tensor X (x)_M Y over the middle algebra (tensor_reference.tensor_over).
 
     Every term of x must be a PerfectComplex (tensor_over reads the left
     factor off its copies and raises ValueError otherwise); the terms of y

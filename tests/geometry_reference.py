@@ -14,9 +14,16 @@ Ringel's canonical algebra C(2,2,2) is written the same way.  It is the
 quiver with arrows a_i: 0 -> i and b_i: i -> 4 (i = 1, 2, 3) bound by
 a_3 b_3 = a_1 b_1 - a_2 b_2: the one input here whose structure constants
 have a product with two terms and a negative coefficient.
+
+Beilinson's exterior algebra Lambda_n of P^n is the endomorphism algebra of
+the other exceptional collection, Omega^n(n), ..., Omega^1(1), O: the same
+quiver as B_n, with the exterior monomials of degree j - i on each pair
+i <= j.  It is derived equivalent to B_n but shares none of its structure
+constants: every product of two non-idempotent monomials is 0 or carries a
+sign.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 
@@ -65,6 +72,45 @@ def beilinson_cartan(n):
     """The Cartan matrix dim(e_i B_n e_j) = binom(n + j - i, n) for i <= j,
     and 0 below the diagonal."""
     return [[comb(n + j - i, n) if i <= j else 0 for j in range(n + 1)] for i in range(n + 1)]
+
+
+def exterior_spec(n):
+    """Lambda_n as a `table` spec of dimension 4, 12, 32 for n = 1, 2, 3.
+    Its basis is (i, j, S) for i <= j and S a subset of {0, ..., n} of size
+    j - i; the product of (i, j, S) and (j, k, T) is 0 if S and T meet,
+    and otherwise (i, k, S u T) times the sign of the permutation sorting
+    S followed by T."""
+    basis = [
+        (i, j, subset)
+        for i in range(n + 1)
+        for j in range(i, n + 1)
+        for subset in combinations(range(n + 1), j - i)
+    ]
+    index = {b: k for k, b in enumerate(basis)}
+    dim = len(basis)
+    mul = []
+    for i, j, subset in basis:
+        row = []
+        for j2, k, subset2 in basis:
+            vec = [0] * dim
+            if j == j2 and not set(subset) & set(subset2):
+                inversions = sum(s > t for s in subset for t in subset2)
+                vec[index[(i, k, tuple(sorted(subset + subset2)))]] = (-1) ** inversions
+            row.append(vec)
+        mul.append(row)
+    idempotents = [[1 if b == (i, i, ()) else 0 for b in basis] for i in range(n + 1)]
+    return {
+        "format": 1,
+        "kind": "table",
+        "dim": dim,
+        "labels": [
+            f"e{i}" if i == j else f"{i}-{j}:" + "^".join(f"y{v}" for v in subset)
+            for i, j, subset in basis
+        ],
+        "mul": mul,
+        "unit": [sum(col) for col in zip(*idempotents)],
+        "idempotents": idempotents,
+    }
 
 
 def canonical_spec():

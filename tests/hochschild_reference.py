@@ -12,8 +12,8 @@ so the two meet only in their results.
 
 from ncmotives.algebra import hom_algebra, opposite, scalar_algebra, swap_permutation
 from ncmotives.complexes import Complex, as_complex
-from ncmotives.homalg import tensor_over
 from ncmotives.modules import Module
+from tensor_reference import tensor_over
 
 
 def left_structure_module(m: Module, a) -> Module:

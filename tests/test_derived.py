@@ -25,11 +25,12 @@ from ncmotives.derived import (
     serre,
     simple_resolutions,
 )
-from ncmotives.homalg import dual_perfect, hom_complex, tensor_over
+from ncmotives.homalg import dual_perfect, hom_complex
 from ncmotives.linalg import Matrix
 from ncmotives.modules import dual_bimodule, projective_module, simple_modules
 from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution, resolution_length
 from resolve_reference import ChainMap, cone, resolve_complex
+from tensor_reference import tensor_over
 
 
 def corpus_algebras():

@@ -5,7 +5,9 @@ diagonal resolution has length n and the Koszul copy counts, the trace of
 the diagonal is n + 1 (the Euler characteristic of P^n, 4 for P^1 x P^1),
 Serre duality holds, and the verify reports are pinned.  Ringel's canonical
 algebra C(2,2,2), whose relation a3 b3 = a1 b1 - a2 b2 is a product with two
-terms and a negative coefficient, has its command-line results pinned too."""
+terms and a negative coefficient, has its command-line results pinned too,
+and so have Beilinson's exterior algebras of P^1 and P^2, whose products all
+carry signs; their Coxeter polynomials are those of B_1 and B_2."""
 
 import hashlib
 import json
@@ -14,7 +16,7 @@ from math import comb
 
 import pytest
 
-from geometry_reference import beilinson_cartan, beilinson_spec, canonical_spec
+from geometry_reference import beilinson_cartan, beilinson_spec, canonical_spec, exterior_spec
 from ncmotives.cli import algebra_from_spec, main
 from ncmotives.derived import diagonal_resolution
 
@@ -146,3 +148,61 @@ def test_canonical_algebra_results_are_pinned(tmp_path, command):
     assert CANONICAL["dim"] == 13
     report = json.loads(_report(tmp_path, [command, *options], spec))
     assert {key: report[key] for key in expected} == expected
+
+
+def _identity(spec):
+    return {"format": 1, "source": {"algebra": spec}, "target": {"algebra": spec}}
+
+
+HH_OPTIONS = ["--top", "3", "--bar-check", "2"]
+# (n, command): its options, its input, and what its report must hold on
+# the exterior algebra of P^n
+EXTERIOR_RESULTS = {
+    (1, "euler-matrix"): ([], exterior_spec(1), {"determinant": 1, "matrix": [[1, -2], [0, 1]]}),
+    (2, "euler-matrix"): (
+        [],
+        exterior_spec(2),
+        {"determinant": 1, "matrix": [[1, -3, 6], [0, 1, -3], [0, 0, 1]]},
+    ),
+    (1, "hochschild"): (HH_OPTIONS, exterior_spec(1), {"dims": [2, 0, 0, 0], "verdict": True}),
+    (2, "hochschild"): (HH_OPTIONS, exterior_spec(2), {"dims": [3, 0, 0, 0], "verdict": True}),
+    (1, "smooth-check"): ([], exterior_spec(1), {"smooth": True, "diagonal_resolution_length": 1}),
+    (2, "smooth-check"): ([], exterior_spec(2), {"smooth": True, "diagonal_resolution_length": 2}),
+    (2, "serre-check"): (["--seed", "1"], exterior_spec(2), {"verdict": True}),
+    (2, "verify"): (
+        ["--seed", "1"],
+        _identity(exterior_spec(2)),
+        {"dim": 9, "det_gram_chi": "1", "kernel_dim": 0, "verdict": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXTERIOR_RESULTS, ids=lambda c: f"L{c[0]}-{c[1]}")
+def test_exterior_algebra_results_are_pinned(tmp_path, case):
+    """Lambda_n has dimension 4, 12 for n = 1, 2 and, like B_n, an Euler
+    matrix of determinant 1, HH = [n + 1, 0, 0, 0] as the bar complex
+    agrees, a diagonal resolution of length n, Serre duality, and a
+    unimodular Hom model of its identity motive.  Every product of
+    non-idempotents carries a sign, so the blocks of its perfect complexes
+    are the signed ones a Hom complex precomposes with."""
+    n, command = case
+    options, spec, expected = EXTERIOR_RESULTS[case]
+    assert exterior_spec(n)["dim"] == (4, 12)[n - 1]
+    report = json.loads(_report(tmp_path, [command, *options], spec))
+    assert {key: report[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_exterior_and_beilinson_algebras_share_their_coxeter_polynomial(tmp_path, n):
+    """Lambda_n and B_n are derived equivalent, so their Coxeter matrices
+    -M^-1 M^T, read from the Euler matrices M of the command line, have one
+    characteristic polynomial, computed by sympy: (x - 1)^2 for n = 1 and
+    (x + 1)^3 for n = 2."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expected = ((x - 1) ** 2, (x + 1) ** 3)[n - 1]
+    for spec in (exterior_spec(n), beilinson_spec(n)):
+        m = sympy.Matrix(json.loads(_report(tmp_path, ["euler-matrix"], spec))["matrix"])
+        coxeter = -m.inv() * m.T
+        assert sympy.expand(coxeter.charpoly(x).as_expr() - expected) == 0

@@ -1,5 +1,7 @@
 """Hom complexes, tensor products and duals, cross-checked against a
-commutant-equation solver that never uses the projective shortcut."""
+commutant-equation solver that never uses the projective shortcut; the Hom
+complex also against the tensor route of tensor_reference, and that
+reference's memos on its right factor against cold builds."""
 
 import pytest
 
@@ -9,11 +11,7 @@ from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class, serre
 from dense_reference import degrees, from_rows, hh_euler, matrix_trace, shift, single_module_complex
 from ncmotives.hochschild import tensor_class
-from ncmotives.homalg import (
-    dual_perfect,
-    hom_complex,
-    tensor_over,
-)
+from ncmotives.homalg import dual_perfect, hom_complex
 from ncmotives.linalg import Matrix
 from ncmotives.modules import (
     Module,
@@ -21,6 +19,7 @@ from ncmotives.modules import (
     simple_modules,
 )
 from ncmotives.resolutions import projective_resolution
+from tensor_reference import tensor_over
 
 
 def brute_hom_dim(m1: Module, m2: Module) -> int:
@@ -172,6 +171,44 @@ def _padded_blocks(a2, res):
     return {-1: blocks}
 
 
+def test_hom_complex_equals_the_tensor_route(rng):
+    """hom_complex(m, n), built from the copies of m and the right action of
+    n, equals M^v (x)_A N for the summandwise dual M^v (the tensor route of
+    tensor_reference) entry for entry: the same component dimensions, the
+    same differentials, so the same homology.  On random pairs (m, n) and
+    (n, S(m)) over the corpus algebras and tensor(op(A2), Kronecker), and on
+    (A^!, A) and (A^!, D(A)) over each corpus algebra."""
+    from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
+    from ncmotives.hochschild import inverse_dualizing
+    from ncmotives.modules import diagonal_bimodule, dual_bimodule
+
+    q = scalar_algebra()
+    corpus = [corpus_algebra(name) for name in CORPUS_NAMES]
+    pairs = []
+    for alg in corpus + [tensor(opposite(corpus[2]), corpus[4])]:
+        for _ in range(20):
+            m, n = random_perfect_complex(alg, rng), random_perfect_complex(alg, rng)
+            pairs += [(m, n), (n, serre(m))]
+    for a in corpus:
+        pairs += [(inverse_dualizing(a), diagonal_bimodule(a)), (inverse_dualizing(a), dual_bimodule(a))]
+    with_differentials = 0
+    for m, n in pairs:
+        h = hom_complex(m, n)
+        t = tensor_over(dual_perfect(m, q, m.algebra), n, q, opposite(m.algebra), q)
+        assert h.algebra is t.algebra is q
+        assert {k: c.dim for k, c in h.components.items()} == {k: c.dim for k, c in t.components.items()}
+        assert h.differentials == t.differentials
+        assert h.homology_dims() == t.homology_dims()
+        with_differentials += bool(h.differentials)
+    assert len(pairs) == 250 and with_differentials > 100
+
+
+def test_hom_complex_rejects_a_first_argument_that_is_not_perfect(a2):
+    s0 = single_module_complex(simple_modules(a2)[0])
+    with pytest.raises(ValueError, match="must be a perfect complex"):
+        hom_complex(s0, s0)
+
+
 def test_tensor_over_requires_perfect_left_factor(a2, q):
     from ncmotives.modules import diagonal_bimodule
 
@@ -277,22 +314,22 @@ def test_dual_of_free_rank_one(a2):
 
 
 def test_dual_is_strict_involution(a2, kronecker, rng):
+    """D(D(x)) has the copies and the differentials of x, and the dual is a
+    memo on the complex it dualizes."""
     e = tensor(opposite(a2), kronecker)
     for _ in range(4):
         x = random_perfect_complex(e, rng)
         d = dual_perfect(x, a2, kronecker)
         assert dual_perfect(x, a2, kronecker) is d
-        assert dual_perfect(d, kronecker, a2) is x
-        # a dual built without the memo
-        dd = dual_perfect(_fresh(d), kronecker, a2)
-        assert dd is not x and dd.copies == x.copies
+        dd = dual_perfect(d, kronecker, a2)
+        assert dd.algebra is x.algebra and dd.copies == x.copies
         assert dd.differentials == x.differentials
 
 
 def test_a_complex_and_its_dual_are_freed_by_reference_counting(a2, kronecker, rng):
-    """The dual holds its complex only weakly, so a complex and its dual are
-    no reference cycle: dropping both frees both with the collector off.
-    A dual whose complex is gone dualizes to a new complex."""
+    """The dual refers to nothing of its complex, so a complex, its dual and
+    the dual of that are no reference cycle: dropping them frees them with
+    the collector off."""
     import gc
     import weakref
 
@@ -303,18 +340,14 @@ def test_a_complex_and_its_dual_are_freed_by_reference_counting(a2, kronecker, r
         for _ in range(4):
             x = random_perfect_complex(e, rng)
             d = dual_perfect(x, a2, kronecker)
-            assert dual_perfect(d, kronecker, a2) is x
-            for n in d.differentials:  # the lazily built maps hold no cycle either
-                d.differentials[n]
-            refs = weakref.ref(x), weakref.ref(d)
-            copies = x.copies
+            dd = dual_perfect(d, kronecker, a2)
+            # the lazily built maps hold no cycle either
+            assert all(c.differentials[n] is not None for c in (x, d, dd) for n in c.differentials)
+            refs = weakref.ref(x), weakref.ref(d), weakref.ref(dd)
+            del d, dd
+            assert refs[0]() is x and refs[1]() is not None
             del x
-            assert refs[0]() is None
-            x2 = dual_perfect(d, kronecker, a2)
-            assert x2.copies == copies and dual_perfect(d, kronecker, a2) is x2
-            assert dual_perfect(x2, a2, kronecker) is d
-            del d, x2
-            assert refs[1]() is None
+            assert [r() for r in refs] == [None] * 3
     finally:
         if enabled:
             gc.enable()
@@ -357,18 +390,20 @@ def _assert_same_tensor(t, u):
 
 
 def _y_memo_pairs(y):
-    """The (middle, right) pairs of the memos tensor_over keeps on y."""
+    """The (middle, right) pairs of the memos tensor_reference.tensor_over
+    keeps on y."""
     return {k[1:3] for k in y._cache if k[0] in ("_yblock", "_ymove", "_ytrace")}
 
 
 def test_shared_right_factor_data_matches_a_cold_build(q):
-    """tensor_over keeps what it reads of the right factor y in y's cache,
-    keyed by (middle, right, ...).  On the composites y o D(x) of the corpus
-    Hom models (left factors D(x) over tensor(op(B), A), y over
-    tensor(op(A), B)) a warm build equals a cold one; each y meets two left
-    factors, then serves a second key (Q, tensor(op(A), B)) against a
-    perfect complex over Q.  The unresolved Serre complex S(y), which is not
-    perfect, keeps its memos the same way."""
+    """tensor_reference.tensor_over keeps what it reads of the right factor
+    y in y's cache, keyed by (middle, right, ...).  On the composites
+    y o D(x) of the corpus Hom models (left factors D(x) over
+    tensor(op(B), A), y over tensor(op(A), B)) a warm build equals a cold
+    one; each y meets two left factors, then serves a second key
+    (Q, tensor(op(A), B)) against a perfect complex over Q.  The unresolved
+    Serre complex S(y), which is not perfect, keeps its memos the same
+    way."""
     from ncmotives.corpus import corpus_motive_scenarios
     from ncmotives.derived import simple_resolutions
 
@@ -400,9 +435,9 @@ def test_shared_right_factor_data_matches_a_cold_build(q):
 
 
 def test_second_build_against_one_y_reads_only_memos(a2, kronecker, monkeypatch):
-    """Every map of y that tensor_over writes is memoized in y's cache, so
-    building the same tensors again against one y computes no block
-    coordinates: the duals of every simple resolution over
+    """Every map of y that tensor_reference.tensor_over writes is memoized
+    in y's cache, so building the same tensors again against one y computes
+    no block coordinates: the duals of every simple resolution over
     tensor(op(A2), Kronecker), each tensored with one resolution y."""
     from ncmotives.derived import simple_resolutions
     from ncmotives.linalg import RowBasis
@@ -445,24 +480,35 @@ def _trace_formula_factors(names=None):
 
 def _count_builds(monkeypatch):
     """Count the action matrices built from here on (Module.act_matrix, of
-    any module) and the tensor complexes made (homalg.tensor_over)."""
+    any module), the Hom complexes made (homalg.hom_complex, under every
+    name a package module binds it to) and the tensor complexes made through
+    tensor_reference.tensor_over."""
+    import sys
+
     import ncmotives.homalg as homalg
+    import tensor_reference
     from ncmotives.modules import Module
 
     built = {"actions": 0, "complexes": 0}
     act_matrix = Module.act_matrix
-    tensor = homalg.tensor_over
+    hom, tensor = homalg.hom_complex, tensor_reference.tensor_over
 
     def counted_matrix(m, pairs):
         built["actions"] += 1
         return act_matrix(m, pairs)
 
-    def counted_tensor(*args):
-        built["complexes"] += 1
-        return tensor(*args)
+    def counted(fn):
+        def call(*args):
+            built["complexes"] += 1
+            return fn(*args)
+
+        return call
 
     monkeypatch.setattr(Module, "act_matrix", counted_matrix)
-    monkeypatch.setattr(homalg, "tensor_over", counted_tensor)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ncmotives" and getattr(module, "hom_complex", None) is hom:
+            monkeypatch.setattr(module, "hom_complex", counted(hom))
+    monkeypatch.setattr(tensor_reference, "tensor_over", counted(tensor))
     return built
 
 
@@ -470,20 +516,23 @@ def test_class_of_a_composite_builds_no_action_matrix(monkeypatch):
     """k0_class of a tensor_over output sums each idempotent trace from the
     rows of its components, so it builds no action matrix; the class equals
     hochschild.tensor_class's, which is read from the factors alone."""
+    import tensor_reference
+
     built = _count_builds(monkeypatch)
     classes = 0
     for x, y, left, middle, right in _trace_formula_factors({"A2-id", "Kronecker-id"}):
-        t = tensor_over(x, y, left, middle, right)
+        t = tensor_reference.tensor_over(x, y, left, middle, right)
         assert list(k0_class(t).coords) == tensor_class(x, y, left, middle, right)
         classes += 1
-    assert classes > 10 and built["actions"] == 0
+    assert classes > 10 and built == {"actions": 0, "complexes": classes}
 
 
 def test_verify_builds_no_composite_differential(tmp_path, monkeypatch):
     """verify A3 -> A3 and A4 -> A2 read trace(y o D(x)) of the
     trace-formula check from the copies of D(x) and the class of y
-    (hochschild.composite_trace): tensor_over makes no complex, so no
-    differential of a composite is built, and no action matrix either."""
+    (hochschild.composite_trace): no Hom complex and no tensor complex is
+    made, so no differential of a composite is built, and no action matrix
+    either."""
     import json
 
     from ncmotives.cli import main
@@ -506,10 +555,10 @@ def test_verify_builds_no_composite_differential(tmp_path, monkeypatch):
 
 
 def test_verify_builds_no_block_basis():
-    """verify A3 -> A3 builds no tensor complex, so it builds no block basis
-    of a right factor (_yblock), which only tensor_over's maps of y need.  A
-    fresh interpreter keeps bases cached by other tests from hiding a
-    build."""
+    """verify A3 -> A3 calls homalg.hom_complex under none of the names the
+    package binds it to, so it builds no block basis of a Hom complex;
+    hochschild on A3, run next, calls it once.  A fresh interpreter keeps
+    results cached by other tests from hiding a call."""
     from test_cli import _run_fresh
 
     a3 = {
@@ -520,22 +569,29 @@ def test_verify_builds_no_block_basis():
     }
     scenario = {"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}
     script = (
-        "import json, os, tempfile\n"
+        "import json, os, sys, tempfile\n"
         "from ncmotives import homalg\n"
         "from ncmotives.cli import main\n"
         "calls = []\n"
-        "yblock = homalg._yblock\n"
+        "hom = homalg.hom_complex\n"
         "def counted(*args):\n"
         "    calls.append(args)\n"
-        "    return yblock(*args)\n"
-        "homalg._yblock = counted\n"
+        "    return hom(*args)\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.split('.')[0] == 'ncmotives' and getattr(module, 'hom_complex', None) is hom:\n"
+        "        setattr(module, 'hom_complex', counted)\n"
+        "counts = []\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"
-        "    path, out = os.path.join(tmp, 'a3.json'), os.path.join(tmp, 'report.json')\n"
+        "    path, out = os.path.join(tmp, 'input.json'), os.path.join(tmp, 'report.json')\n"
         f"    json.dump({scenario!r}, open(path, 'w'))\n"
         "    assert main(['--seed', '1', 'verify', path, '--out', out]) == 0\n"
-        "print(len(calls))\n"
+        "    counts.append(len(calls))\n"
+        f"    json.dump({a3!r}, open(path, 'w'))\n"
+        "    assert main(['hochschild', path, '--out', out]) == 0\n"
+        "    counts.append(len(calls))\n"
+        "print(*counts)\n"
     )
-    assert _run_fresh(script, timeout=120) == "0"
+    assert _run_fresh(script, timeout=120) == "0 1"
 
 
 def test_hochschild_of_trace_formula_composites():

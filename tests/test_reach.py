@@ -23,10 +23,6 @@ ALLOWED = {
     "complexes.LazyDifferentials.__len__": "part of the Mapping protocol LazyDifferentials implements",
     "linalg.Matrix.__hash__": "Matrix defines __eq__, so it needs __hash__ to stay hashable",
     "linalg.RowBasis.__len__": "container protocol, the dimension of the span",
-    "homalg.tensor_over.row": (
-        "sparse action of a tensor product: what a product read as the coefficients"
-        " of another (HH(A, D(X) (x)_A Y)) acts by"
-    ),
 }
 
 
