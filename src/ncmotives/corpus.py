@@ -10,47 +10,34 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Algebra, Quiver, path_algebra, scalar_algebra
+from .algebra import Algebra
 from .complexes import PerfectComplex
 from .linalg import Matrix
 from .motives import NCMotive, complement_idempotent, vertex_cut_idempotent
-CORPUS_NAMES = ("Q", "QxQ", "A2", "A3", "Kronecker")
+from .specs import NAMED_SPECS, algebra_from_spec
 
-_QUIVERS = {
-    "QxQ": (2, []),
-    "A2": (2, [(0, 1, "a")]),
-    "A3": (3, [(0, 1, "a"), (1, 2, "b")]),
-    "Kronecker": (2, [(0, 1, "a"), (0, 1, "b")]),
-}
+CORPUS_NAMES = tuple(NAMED_SPECS)
 
 _algebras: dict = {}
-
-
-def corpus_quiver(name: str) -> Quiver:
-    vertices, arrows = _QUIVERS[name]
-    return Quiver(vertices, arrows)
 
 
 def quiver_euler_oracle(name: str):
     """Arrow-count Euler form of a corpus quiver: delta_ij - #arrows(i -> j),
     an independent oracle for euler_matrix on hereditary algebras."""
-    q = corpus_quiver(name)
-    n = q.vertex_count
+    spec = NAMED_SPECS[name]
+    n = spec["vertices"]
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a in q.arrows:
-        mat[a.source][a.target] -= 1
+    for arrow in spec["arrows"]:
+        mat[arrow["from"]][arrow["to"]] -= 1
     return mat
 
 
 def corpus_algebra(name: str) -> Algebra:
-    """Shared instance of a corpus algebra (caches live on the instance)."""
+    """Shared instance of a corpus algebra (caches live on the instance): the
+    algebra of its spec, kept here for the whole run, since the spec reader
+    holds the algebras it interns only while they are in use."""
     if name not in _algebras:
-        if name == "Q":
-            _algebras[name] = scalar_algebra()
-        else:
-            a = path_algebra(corpus_quiver(name))
-            a.meta["name"] = name
-            _algebras[name] = a
+        _algebras[name] = algebra_from_spec(NAMED_SPECS[name])
     return _algebras[name]
 
 

@@ -1,4 +1,5 @@
-"""The Beilinson algebras of projective spaces, written as `table` specs.
+"""Reference algebras written as specs: the Beilinson algebras of projective
+spaces as `table` specs, and the quivers of the Hom-space ladder.
 
 The Beilinson algebra B_n of P^n is the endomorphism algebra of the
 exceptional collection O, O(1), ..., O(n).  It has one vertex per line
@@ -21,10 +22,25 @@ quiver as B_n, with the exterior monomials of degree j - i on each pair
 i <= j.  It is derived equivalent to B_n but shares none of its structure
 constants: every product of two non-idempotent monomials is 0 or carries a
 sign.
+
+The path algebras of the Hom-space ladder are written as `quiver` specs:
+the line quiver A_n and the Kronecker quiver K_k with k parallel arrows.
 """
 
 from itertools import combinations, combinations_with_replacement
 from math import comb
+
+
+def line_spec(n):
+    """A_n: the quiver 0 -> 1 -> ... -> n-1, with arrows a0, ..., a{n-2}."""
+    arrows = [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(n - 1)]
+    return {"format": 1, "kind": "quiver", "vertices": n, "arrows": arrows}
+
+
+def kronecker_spec(k):
+    """K_k: two vertices and k arrows 0 -> 1, labelled a, b, c, ..."""
+    arrows = [{"from": 0, "to": 1, "label": chr(ord("a") + i)} for i in range(k)]
+    return {"format": 1, "kind": "quiver", "vertices": 2, "arrows": arrows}
 
 
 def beilinson_basis(n):

@@ -26,23 +26,14 @@ import tempfile
 from importlib.util import find_spec
 from pathlib import Path
 
+from geometry_reference import kronecker_spec, line_spec
+
 # found without importing the package, so that probe() traces its import
 if find_spec("ncmotives") is None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 SRC = Path(find_spec("ncmotives").origin).resolve().parent
 
-
-def line_quiver(n):
-    arrows = [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(n - 1)]
-    return {"format": 1, "kind": "quiver", "vertices": n, "arrows": arrows}
-
-
-KRONECKER = {
-    "format": 1,
-    "kind": "quiver",
-    "vertices": 2,
-    "arrows": [{"from": 0, "to": 1, "label": x} for x in "ab"],
-}
+KRONECKER = kronecker_spec(2)
 # A2 written as structure constants: basis e0, e1, a with e0 a = a = a e1
 TABLE_A2 = {
     "format": 1,
@@ -86,7 +77,7 @@ def commands(tmp: Path):
                 s[side]["idempotent"] = idem
         return s
 
-    a2, a3 = line_quiver(2), line_quiver(3)
+    a2, a3 = line_spec(2), line_spec(3)
     cut = {"kind": "vertex-cut", "vertices": [0]}
     kron, table = write("kronecker.json", KRONECKER), write("table_a2.json", TABLE_A2)
     a2_path, a3_path, qxq = write("a2.json", a2), write("a3.json", a3), write("qxq.json", QXQ)

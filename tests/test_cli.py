@@ -8,16 +8,11 @@ from pathlib import Path
 import pytest
 
 from dense_reference import basis_vector, multiply
-from ncmotives.cli import (
-    InputError,
-    algebra_from_spec,
-    main,
-    module_from_spec,
-    motive_from_spec,
-    scalar_to_json,
-)
+from geometry_reference import kronecker_spec, line_spec
+from ncmotives.cli import main, scalar_to_json
 from ncmotives.algebra import check_unit_and_idempotents
 from ncmotives.modules import diagonal_bimodule
+from ncmotives.specs import InputError, algebra_from_spec, module_from_spec, motive_from_spec
 from test_algebra import M2_NON_ADAPTED, SPLIT_QXQ
 from test_complexes import TABLE_A2
 
@@ -128,13 +123,7 @@ def test_hochschild_bar_check_deeper_than_top(tmp_path):
     """--bar-check past --top compares the bar dims with a profile computed
     to the bar depth, not with the truncated dims padded by zeros: the
     Kronecker quiver with dual coefficients has HH_1 = 3."""
-    kronecker = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 2,
-        "arrows": [{"from": 0, "to": 1, "label": x} for x in "ab"],
-    }
-    spec = write(tmp_path, "kronecker.json", kronecker)
+    spec = write(tmp_path, "kronecker.json", kronecker_spec(2))
     coeff = write(tmp_path, "dual.json", {"named": "dual"})
     argv = ["hochschild", spec, "--coefficients", coeff, "--top", "0", "--bar-check", "1"]
     code, report = run_to_report(tmp_path, argv)
@@ -266,7 +255,7 @@ SPECS_EQUAL_AS_READ = {
 
 
 def test_equal_specs_share_one_algebra():
-    spec = {"algebra": _line_quiver(3)}
+    spec = {"algebra": line_spec(3)}
     assert motive_from_spec(spec).algebra is motive_from_spec(json.loads(json.dumps(spec))).algebra
     assert algebra_from_spec(A2_SPEC) is algebra_from_spec(dict(reversed(list(A2_SPEC.items()))))
     for written, read in SPECS_EQUAL_AS_READ.values():
@@ -296,7 +285,7 @@ def test_intersect_diagonal_terms_on_specs_equal_as_read(tmp_path, written, read
 
 
 def test_intersect_diagonal_terms_on_equal_quiver_specs(tmp_path):
-    """Source and target given by equal (non-named) specs are one algebra,
+    """Source and target given by equal quiver specs are one algebra,
     so diagonal terms are accepted."""
     diagonal = {"terms": [{"bimodule": {"kind": "diagonal"}}]}
     scenario = {
@@ -528,7 +517,7 @@ MALFORMED_INPUTS = {
     "negative-option": ["verify", {"source": A2_MOTIVE, "options": {"sample_pairs": -1}}],
     # a scenario holds only the keys its command reads, and format
     "options": ["verify", {"source": A2_MOTIVE, "options": {"cap": 16}}],
-    "targte": ["verify", {"source": A2_MOTIVE, "targte": {"algebra": _quiver(3, [(0, 1, "a"), (1, 2, "b")])}}],
+    "targte": ["verify", {"source": A2_MOTIVE, "targte": {"algebra": line_spec(3)}}],
     "idempotnet": ["verify", {"source": {"algebra": A2_SPEC, "idempotnet": {"kind": "vertex-cut", "vertices": [0]}}}],
     # the flag is gone: argparse refuses it
     "cap-flag": ["--cap", "4", "euler-matrix", A2_SPEC],
@@ -821,7 +810,7 @@ def test_oversized_tensor_algebra_is_refused_before_it_is_built():
     with MemoryError (exit 5)."""
     from ncmotives.algebra import MAX_TENSOR_DIM
 
-    a40 = _line_quiver(40)
+    a40 = line_spec(40)
     cut = {"algebra": a40, "idempotent": {"kind": "vertex-cut", "vertices": [0]}}
     runs = [
         ("verify", {"format": 1, "source": {"algebra": a40}, "target": {"algebra": a40}}),
@@ -948,11 +937,6 @@ def test_dense_table_specs_load_and_multiply():
                 assert product == spec["mul"][i][j]
 
 
-def _line_quiver(n):
-    arrows = [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(n - 1)]
-    return {"format": 1, "kind": "quiver", "vertices": n, "arrows": arrows}
-
-
 # SHA-256 of the reports of the benchmark's commands.  They depend only on
 # the mathematics, so a change of representation or of how much
 # intermediate work is built must leave them byte-identical.
@@ -974,8 +958,8 @@ def test_benchmark_reports_are_pinned(tmp_path):
     for (m, n), expected in PINNED_VERIFY.items():
         scenario = {
             "format": 1,
-            "source": {"algebra": _line_quiver(m)},
-            "target": {"algebra": _line_quiver(n)},
+            "source": {"algebra": line_spec(m)},
+            "target": {"algebra": line_spec(n)},
         }
         path = write(tmp_path, f"verify_A{m}_A{n}.json", scenario)
         assert _report_sha256(tmp_path, ["--seed", "1", "verify", path]) == expected
@@ -1014,7 +998,7 @@ def test_each_pairwise_check_can_fail(tmp_path, monkeypatch, mutation):
 
     name, mutate, family = mutation
     monkeypatch.setattr(motives, name, mutate(getattr(motives, name)))
-    a3 = {"algebra": _line_quiver(3)}
+    a3 = {"algebra": line_spec(3)}
     path = write(tmp_path, "a3.json", {"format": 1, "source": a3, "target": a3})
     code, report = run_to_report(tmp_path, ["--seed", "1", "verify", path])
     assert code == 1 and report["verdict"] is False
@@ -1023,12 +1007,7 @@ def test_each_pairwise_check_can_fail(tmp_path, monkeypatch, mutation):
 
 
 def test_verify_three_arrow_kronecker_endo(tmp_path):
-    k3 = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 2,
-        "arrows": [{"from": 0, "to": 1, "label": x} for x in "abc"],
-    }
+    k3 = kronecker_spec(3)
     path = write(tmp_path, "k3.json", {"format": 1, "source": {"algebra": k3}, "target": {"algebra": k3}})
     code, report = run_to_report(tmp_path, ["verify", path])
     assert code == 0
@@ -1103,12 +1082,7 @@ def test_commands_load_no_openssl(tmp_path):
     """verify and corpus never load hashlib's OpenSSL backend: the report
     digest comes from CPython's own SHA-256 module.  This runs in a fresh
     interpreter, since pytest itself may import hashlib."""
-    a3 = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 3,
-        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
-    }
+    a3 = line_spec(3)
     path = write(tmp_path, "a3.json", {"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}})
     script = (
         "import sys\n"
@@ -1219,13 +1193,13 @@ def test_a_run_leaves_none_of_its_algebras_alive(tmp_path):
     at each other), the interned algebra of the scenario is gone."""
     import gc
 
-    from ncmotives import cli
+    from ncmotives import specs
 
     algebra = _quiver(3, [(0, 1, "lone0"), (1, 2, "lone1")])
     scenario = write(tmp_path, "s.json", {"format": 1, "source": {"algebra": algebra}})
     assert main(["verify", scenario, "--out", str(tmp_path / "v.json")]) == 0
     gc.collect()
-    assert not [a for a in cli._interned_algebras.values() if "lone0" in a.labels]
+    assert not [a for a in specs._interned_algebras.values() if "lone0" in a.labels]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1309,8 +1283,8 @@ def test_verify_assembles_no_differential_matrix(tmp_path):
     for m, n in ((3, 3), (4, 2)):
         scenario = {
             "format": 1,
-            "source": {"algebra": _line_quiver(m)},
-            "target": {"algebra": _line_quiver(n)},
+            "source": {"algebra": line_spec(m)},
+            "target": {"algebra": line_spec(n)},
         }
         paths.append(write(tmp_path, f"A{m}_A{n}.json", scenario))
     out = str(tmp_path / "v.json")

@@ -143,7 +143,7 @@ def test_blocks_round_trip_through_the_assembled_differentials(a2, kronecker, rn
     coefficient) pairs in strictly increasing index order, and keeps the
     blocks that the generator rows of its assembled differentials give
     back."""
-    from ncmotives.cli import algebra_from_spec
+    from ncmotives.specs import algebra_from_spec
     from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
     from ncmotives.derived import diagonal_resolution, simple_resolutions
     from ncmotives.homalg import dual_perfect

@@ -13,6 +13,7 @@ from dense_reference import (
     matrix_trace,
     single_module_complex,
 )
+from geometry_reference import kronecker_spec, line_spec
 from ncmotives.complexes import Complex
 from ncmotives.corpus import CORPUS_NAMES, corpus_algebra, quiver_euler_oracle, random_perfect_complex
 from ncmotives.derived import (
@@ -389,12 +390,7 @@ def test_serre_classes_in_verify_build_no_transpose(tmp_path, monkeypatch):
 
     monkeypatch.setattr(derived, "direct_sum_modules", counted_sum)
     monkeypatch.setattr(Module, "act_matrix", counted_matrix)
-    a3 = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 3,
-        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
-    }
+    a3 = line_spec(3)
     path = tmp_path / "a3.json"
     path.write_text(json.dumps({"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}))
     assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 0
@@ -409,12 +405,7 @@ def test_serre_check_builds_no_action_matrix():
     interpreter keeps modules cached by other tests from hiding a build."""
     from test_cli import _run_fresh
 
-    kronecker = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 2,
-        "arrows": [{"from": 0, "to": 1, "label": x} for x in "ab"],
-    }
+    kronecker = kronecker_spec(2)
     script = (
         "import json, os, tempfile\n"
         "from ncmotives.cli import main\n"
@@ -657,7 +648,7 @@ def test_verify_resolves_simples_only_over_its_algebras_and_hom_algebras(tmp_pat
     hom(A4, A4) (dimension 100) nor hom(A2, A2) is resolved."""
     import json
 
-    from ncmotives import cli, derived, motives
+    from ncmotives import derived, motives, specs
     from ncmotives.algebra import opposite
     from ncmotives.cli import main
 
@@ -669,7 +660,7 @@ def test_verify_resolves_simples_only_over_its_algebras_and_hom_algebras(tmp_pat
             resolved.append(a)
         return resolve(a)
 
-    for module in (derived, motives, cli):
+    for module in (derived, motives, specs):
         monkeypatch.setattr(module, "simple_resolutions", spy)
 
     def line(n):
@@ -690,7 +681,7 @@ def _happel_algebra(name):
     """A corpus algebra, A2 as a `table` spec, or the Beilinson algebra of
     P^1, P^2 or P^1 x P^1 (tests/geometry_reference.py), by name."""
     from geometry_reference import beilinson_spec
-    from ncmotives.cli import algebra_from_spec
+    from ncmotives.specs import algebra_from_spec
     from test_complexes import TABLE_A2
 
     if name in CORPUS_NAMES:

@@ -17,7 +17,8 @@ from math import comb
 import pytest
 
 from geometry_reference import beilinson_cartan, beilinson_spec, canonical_spec, exterior_spec
-from ncmotives.cli import algebra_from_spec, main
+from ncmotives.cli import main
+from ncmotives.specs import algebra_from_spec
 from ncmotives.derived import diagonal_resolution
 
 # P^1, P^2 and P^1 x P^1 as specs, with the length of their diagonal

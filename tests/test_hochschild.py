@@ -2,6 +2,7 @@ import pytest
 
 from bar_reference import absolute_bar_dims
 from dense_reference import hh_euler, regular_module
+from geometry_reference import line_spec
 from ncmotives.algebra import Algebra, hom_algebra, opposite, table_algebra, tensor
 from correspondence_reference import random_correspondence
 from ncmotives.derived import diagonal_resolution
@@ -271,7 +272,7 @@ def _reference_route_algebras():
     of P^1 and P^1 x P^1, whose diagonal resolutions are computed rather than
     written in closed form."""
     from geometry_reference import beilinson_spec
-    from ncmotives.cli import algebra_from_spec
+    from ncmotives.specs import algebra_from_spec
     from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
 
     algs = {name: corpus_algebra(name) for name in CORPUS_NAMES}
@@ -341,12 +342,7 @@ def _pinned_hochschild_argv(name, write):
         "e1|e0": [[0, 0], [0, 0]],
         "e1|e1": [[0, 0], [0, 1]],
     }
-    a3 = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 3,
-        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
-    }
+    a3 = line_spec(3)
     p1 = beilinson_spec(1)
     bar = ["--top", "3", "--bar-check", "3"]
     return {
@@ -396,13 +392,12 @@ def _trace_formula_bases():
     """The realized bases of the Hom models of the corpus scenarios and of
     A4 -> A2: the trace-formula check of verify reads (D(x), y) over every
     pair x, y of one basis."""
-    from ncmotives.cli import algebra_from_spec
     from ncmotives.corpus import corpus_motive_scenarios
     from ncmotives.motives import build_hom_model
-    from test_cli import _line_quiver
+    from ncmotives.specs import algebra_from_spec
 
     scenarios = [(src, dst) for _, src, dst in corpus_motive_scenarios()]
-    a4, a2 = (algebra_from_spec(_line_quiver(n)) for n in (4, 2))
+    a4, a2 = (algebra_from_spec(line_spec(n)) for n in (4, 2))
     scenarios.append((NCMotive(a4), NCMotive(a2)))
     return [build_hom_model(src, dst).realized for src, dst in scenarios]
 
@@ -432,11 +427,8 @@ def test_composite_trace_reads_no_euler_matrix(monkeypatch):
     which composes classes through Euler matrices: with euler_matrix and
     compose_classes made to raise, composite_trace still gives chi(x, y) on
     every basis pair of the models above."""
-    from importlib import import_module
-
     from ncmotives import derived, motives
-
-    hh = import_module("ncmotives.hochschild")  # the package exports a function of that name
+    from ncmotives import hochschild as hh
     from ncmotives.motives import chi_hom, dualize
 
     bases = _trace_formula_bases()

@@ -10,6 +10,7 @@ from ncmotives.complexes import Complex, PerfectComplex
 from ncmotives.corpus import random_perfect_complex
 from ncmotives.derived import k0_class, serre
 from dense_reference import degrees, from_rows, hh_euler, matrix_trace, shift, single_module_complex
+from geometry_reference import line_spec
 from ncmotives.hochschild import tensor_class
 from ncmotives.homalg import dual_perfect, hom_complex
 from ncmotives.linalg import Matrix
@@ -118,13 +119,12 @@ def test_a2_ext_table_against_explicit_resolution(a2):
 
 def test_ext_dims_match_arrow_counts(a2, a3, kronecker):
     # Ext^1(S_i, S_j) has dimension equal to the number of arrows i -> j
-    from ncmotives.corpus import corpus_quiver
+    from ncmotives.specs import NAMED_SPECS
 
     for alg, name in ((a2, "A2"), (a3, "A3"), (kronecker, "Kronecker")):
-        quiver = corpus_quiver(name)
         counts = {}
-        for arr in quiver.arrows:
-            counts[(arr.source, arr.target)] = counts.get((arr.source, arr.target), 0) + 1
+        for arr in NAMED_SPECS[name]["arrows"]:
+            counts[(arr["from"], arr["to"])] = counts.get((arr["from"], arr["to"]), 0) + 1
         simples = simple_modules(alg)
         for i, si in enumerate(simples):
             res = projective_resolution(si)
@@ -537,13 +537,9 @@ def test_verify_builds_no_composite_differential(tmp_path, monkeypatch):
 
     from ncmotives.cli import main
 
-    def line(n):
-        arrows = [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(n - 1)]
-        return {"format": 1, "kind": "quiver", "vertices": n, "arrows": arrows}
-
     built = _count_builds(monkeypatch)
     for n_src, n_dst in ((3, 3), (4, 2)):
-        scenario = {"format": 1, "source": {"algebra": line(n_src)}, "target": {"algebra": line(n_dst)}}
+        scenario = {"format": 1, "source": {"algebra": line_spec(n_src)}, "target": {"algebra": line_spec(n_dst)}}
         path = tmp_path / f"a{n_src}_a{n_dst}.json"
         path.write_text(json.dumps(scenario))
         out = tmp_path / "report.json"
@@ -561,12 +557,7 @@ def test_verify_builds_no_block_basis():
     results cached by other tests from hiding a call."""
     from test_cli import _run_fresh
 
-    a3 = {
-        "format": 1,
-        "kind": "quiver",
-        "vertices": 3,
-        "arrows": [{"from": i, "to": i + 1, "label": f"a{i}"} for i in range(2)],
-    }
+    a3 = line_spec(3)
     scenario = {"format": 1, "source": {"algebra": a3}, "target": {"algebra": a3}}
     script = (
         "import json, os, sys, tempfile\n"

@@ -218,17 +218,15 @@ def test_kuenneth_module_radical_matches_the_full_radical():
 
 @pytest.mark.parametrize("name", ["A2", "A3", "Kronecker", "A4"])
 def test_diagonal_resolution_matches_one_built_through_the_dense_radical(name, monkeypatch):
+    from geometry_reference import line_spec
     from ncmotives import modules
-    from ncmotives.algebra import Quiver, path_algebra
-    from ncmotives.corpus import corpus_quiver
+    from ncmotives.algebra import path_algebra
     from ncmotives.derived import diagonal_resolution
     from ncmotives.resolutions import projective_resolution
+    from ncmotives.specs import NAMED_SPECS
+    from test_algebra import quiver_of
 
-    if name == "A4":
-        quiver = Quiver(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "c")])
-    else:
-        quiver = corpus_quiver(name)
-    a = path_algebra(quiver)
+    a = path_algebra(quiver_of(line_spec(4) if name == "A4" else NAMED_SPECS[name]))
     res = diagonal_resolution(a)
     monkeypatch.setattr(modules, "module_radical", dense_module_radical)
     dense = projective_resolution(diagonal_bimodule(a))

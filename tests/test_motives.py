@@ -6,7 +6,7 @@ from ncmotives.algebra import hom_algebra
 from ncmotives.complexes import PerfectComplex
 from correspondence_reference import compose, random_correspondence
 from geometry_reference import beilinson_spec
-from ncmotives.cli import InputError, algebra_from_spec, motive_from_spec
+from ncmotives.specs import InputError, algebra_from_spec, motive_from_spec
 from ncmotives.derived import euler_matrix
 from ncmotives.hochschild import composite_trace, intersection_number
 from ncmotives.linalg import Matrix, RowBasis, span_equal
@@ -463,7 +463,8 @@ def test_verify_dualizes_each_basis_class_once(monkeypatch):
     cache) out of the count."""
     from ncmotives import derived, motives
     from ncmotives.algebra import path_algebra
-    from ncmotives.corpus import corpus_quiver
+    from ncmotives.specs import NAMED_SPECS
+    from test_algebra import quiver_of
 
     duals = {}
     for module in (motives, derived):
@@ -475,7 +476,7 @@ def test_verify_dualizes_each_basis_class_once(monkeypatch):
             return d
 
         monkeypatch.setattr(module, "dual_perfect", recorded)
-    a3 = path_algebra(corpus_quiver("A3"))
+    a3 = path_algebra(quiver_of(NAMED_SPECS["A3"]))
     m = NCMotive(a3)
     model = build_hom_model(m, m)
     rep = verify_equivalence(model)
