@@ -3,13 +3,13 @@
 The constructors here build path algebras of finite acyclic quivers, their
 opposites, and tensor products of such; the command line also loads
 algebras from explicit structure constants (a `table` spec), which
-table_algebra converts from dense vectors and checks for associativity and
-primitive idempotents.  Every algebra of the package has a monomial basis
-in which each distinguished idempotent is a basis element, named by its
-index, and every basis element b satisfies e b f = b for a unique pair
-(e, f) of them; the Peirce bookkeeping below depends on that.  Elements,
-products and the unit are tuples of nonzero (basis index, coefficient)
-pairs.
+table_algebra converts from dense vectors and checks for associativity,
+primitive idempotents and basicness.  Every algebra of the package is basic
+and has a monomial basis in which each distinguished idempotent is a basis
+element, named by its index, and every basis element b satisfies e b f = b
+for a unique pair (e, f) of them; the Peirce bookkeeping below depends on
+that.  Elements, products and the unit are tuples of nonzero (basis index,
+coefficient) pairs.
 
 Path composition convention: paths are read left to right, so for an arrow
 a: i -> j the products satisfy e_i * a = a = a * e_j, and p * q is "p then q"
@@ -211,22 +211,18 @@ class Algebra:
         return [t for t in range(self.dim) if right[t] == j]
 
     @cached
-    def coprojective_traces(self, j):
-        """The trace of left multiplication by each basis element on A * e_j,
-        as a list indexed by basis element.  On tensor(L, R), A e_(i,k) is
-        L e_i (x) R e_k, so the trace of g (x) h is the product of the
-        factors' traces (Kuenneth), and no table row is scanned."""
+    def coprojective_dims(self, j):
+        """The dimension vector of D(A e_j): dim(e_g A e_j) over the
+        idempotents g, column j of peirce_dims.  On tensor(L, R), A e_(i,k)
+        is L e_i (x) R e_k, so it is the product of the factors' vectors
+        (Kuenneth), and the product's own Peirce table is not read."""
         factors = self.meta.get("factors")
-        if factors is not None:
-            left, right = factors
-            i, k = divmod(j, len(right.idempotents))
-            tr = right.coprojective_traces(k)
-            return [x * y for x in left.coprojective_traces(i) for y in tr]
-        traces = [0] * self.dim
-        for u in self.coprojective_basis(j):
-            for a, row in enumerate(self.mul):
-                traces[a] += sum(c for u2, c in row[u] if u2 == u)
-        return traces
+        if factors is None:
+            return tuple(row[j] for row in self.peirce_dims())
+        left, right = factors
+        i, k = split_pair_idempotent(right, j)
+        dims = right.coprojective_dims(k)
+        return tuple(x * y for x in left.coprojective_dims(i) for y in dims)
 
     @cached
     def peirce_block(self, i, j):
@@ -316,10 +312,13 @@ def table_algebra(dim, labels, mul, unit, idempotents) -> Algebra:
       5. each idempotent e_i is primitive: e_i A e_i / e_i (rad A) e_i is
          one-dimensional.  In the Peirce-adapted basis e_i v e_i keeps the
          coordinates of v in the corner e_i A e_i, so the quotient's
-         dimension is the corner's less the rank of the radical on it.
-    The first two raise ValueError; the last three AlgebraStructureError,
+         dimension is the corner's less the rank of the radical on it;
+      6. the algebra is basic: by 5, A/rad A is a product of matrix
+         algebras M_n(Q) whose sizes n add up to the number of idempotents,
+         so every n is 1 exactly when that number is dim A - dim rad A.
+    The first two raise ValueError; the last four AlgebraStructureError,
     since the package supports neither a non-monomial nor a non-primitive
-    idempotent."""
+    idempotent, nor a non-basic algebra."""
     if any(len(v) != dim for v in (labels, mul, unit, *idempotents, *mul)) or any(
         len(v) != dim for row in mul for v in row
     ):
@@ -348,6 +347,11 @@ def table_algebra(dim, labels, mul, unit, idempotents) -> Algebra:
         rank = RowBasis(len(corner)).extend([v[t] for t in corner] for v in rad).dim
         if len(corner) - rank != 1:
             raise AlgebraStructureError(f"idempotent {i} is not primitive")
+    if dim - len(rad) != len(idems):
+        raise AlgebraStructureError(
+            f"the algebra is not basic: its semisimple quotient has dimension "
+            f"{dim - len(rad)}, not one per idempotent ({len(idems)})"
+        )
     return a
 
 

@@ -1,11 +1,11 @@
 """Euler form, Grothendieck classes, Serre transform, smoothness.
 
 The Grothendieck group of the derived category of a supported algebra is
-free on the simple classes; a complex lands in it through its alternating
-idempotent-weighted dimension vector.  k0_class is the one place that
-computes it: a perfect complex's class is read from its copies (no modules
-are built), any other complex's from the traces of its idempotent actions
-(a Serre transform answers them from its injectives).
+free on the simple classes; a complex lands in it through the alternating
+sum of its components' dimension vectors (Module.dims).  k0_class is the
+one place that computes it, one route for every complex: a perfect
+complex's components answer from the Peirce table, a Serre transform's
+from its injectives, so neither reads a row.
 The Euler pairing of two perfect complexes is the Euler characteristic of
 their Hom complex, an exact integer: the copy weights of the first paired
 with the class of the second.  Its matrix on the simple basis is the
@@ -20,8 +20,9 @@ Complex read off its copies), so it is passed as it is.  The Serre transform is 
 naturally isomorphic to - (x)_A D(A) on perfect complexes.  It is read off
 the copies of M: Hom_A(e_i A, A) = A e_i, so S(M) is the unresolved
 complex of injectives D(A e_i) over the copies of M, with the transposed
-differentials of the summandwise dual (homalg.dual_perfect); neither the
-enveloping algebra of A nor D(A) as a bimodule is built.  Every consumer
+differentials of the summandwise dual (homalg.dual_perfect), built on
+first read; neither the enveloping algebra of A nor D(A) as a bimodule is
+built.  Every consumer
 reads S(M) only as the second argument above, so no perfect replacement is
 built either (the package has none; the tests compare S(M) with one built
 by their reference module).  The defining duality of S is verified by the
@@ -36,8 +37,6 @@ algebras resolve a bimodule over their enveloping algebra.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .algebra import Algebra, cached, hom_algebra, join_pair_basis, scalar_algebra
 from .complexes import Complex, LazyDifferentials, PerfectComplex, as_complex
 from .homalg import dual_perfect
@@ -50,49 +49,31 @@ from .resolutions import (
     resolution_length,
 )
 
-K0Class = namedtuple("K0Class", "algebra coords")
 
-
-def k0_class(x) -> K0Class:
-    """Class of a complex or module in the simple basis.
-
-    A perfect complex's class is read from its copies: e_i A contributes
-    dim(e_i A e_j) to coordinate j, with the sign of its degree; it is
-    memoized in the complex's cache.  Any other complex (or module) gives
-    the alternating sum over its components of the traces of the idempotent
-    actions, which are the dimensions M e_j.  A trace is read through
-    Module.trace, so a Serre component answers from its injectives and
-    builds no action matrix."""
-    if isinstance(x, PerfectComplex):
-        return _perfect_class(x)
-    c = as_complex(x)
-    a = c.algebra
-    coords = [0] * len(a.idempotents)
-    for deg, comp in c.components.items():
-        s = -1 if deg % 2 else 1
-        for j, g in enumerate(a.idempotents):
-            t = comp.trace(g)
-            if not isinstance(t, int):
-                raise ValueError("idempotent action has non-integral trace")
-            coords[j] += s * t
-    return K0Class(a, tuple(coords))
+def k0_class(x) -> tuple:
+    """Class of a complex or module in the simple basis, as its coordinate
+    tuple: the alternating sum over the components of their dimension
+    vectors dim(M e_j).  A complex's class is memoized on it; a copy e_i A
+    contributes row i of the Peirce table, an injective D(A e_i) column i."""
+    return _class(as_complex(x))
 
 
 @cached
-def _perfect_class(x: PerfectComplex) -> K0Class:
-    dims = x.algebra.peirce_dims()
-    weights = x.euler_copy_weights()
-    coords = [sum(w * dims[i][j] for i, w in enumerate(weights) if w) for j in range(len(dims))]
-    return K0Class(x.algebra, tuple(coords))
+def _class(c: Complex) -> tuple:
+    coords = [0] * len(c.algebra.idempotents)
+    for deg, comp in c.components.items():
+        s = -1 if deg % 2 else 1
+        for j, d in enumerate(comp.dims()):
+            coords[j] += s * d
+    return tuple(coords)
 
 
 def euler_pairing(m: PerfectComplex, n) -> int:
     """chi(M, N): Euler characteristic of the Hom complex.  Hom(e_i A, N) is
     N e_i, so chi is the copy weights of M paired with the class of N."""
-    k = k0_class(n)
-    if k.algebra is not m.algebra:
+    if n.algebra is not m.algebra:
         raise ValueError("euler_pairing arguments live over different algebras")
-    return sum(w * c for w, c in zip(m.euler_copy_weights(), k.coords))
+    return sum(w * c for w, c in zip(m.euler_copy_weights(), k0_class(n)))
 
 
 @cached
@@ -208,20 +189,20 @@ def serre(m: PerfectComplex) -> Complex:
     becomes A e_i in degree -n.  D sends A e_i to the injective D(A e_i)
     and negates the degrees again, so the component of S(M) in degree n is
     the direct sum of modules.injective_module(a, i) over the copies i of M
-    in degree n, whose rows and traces are read from the structure
-    constants.  Each differential is the transpose of the dual's, taken on
-    first read (complexes.LazyDifferentials), so a class reads the
-    injectives' traces and builds no matrix.  The result is not resolved
-    and not perfect: use it as the second argument of euler_pairing or
-    hom_complex, where any bounded complex is valid."""
+    in degree n.  S(M) has a differential in degree n where M has one: the
+    transpose of the dual's in degree -n - 1, with the dual over op(A)
+    built on first read (complexes.LazyDifferentials), so a class builds
+    neither.  The result is not resolved and not perfect: use it as the
+    second argument of euler_pairing or hom_complex, where any bounded
+    complex is valid."""
     a = m.algebra
-    d = dual_perfect(m, scalar_algebra(), a)
     comps = {
         n: direct_sum_modules(a, [injective_module(a, i) for i in cs])
         for n, cs in m.copies.items()
     }
     diffs = LazyDifferentials(
-        [-n - 1 for n in d.differentials], lambda k: d.differentials[-k - 1].transpose()
+        m.differentials,
+        lambda k: dual_perfect(m, scalar_algebra(), a).differentials[-k - 1].transpose(),
     )
     return Complex(a, comps, diffs, check=False)
 

@@ -193,7 +193,7 @@ def intersection_number(x, y) -> int | Fraction:
     total = 0
     for cx, xt in x.terms:
         for cy, yt in y.terms:
-            cls = compose_classes(k0_class(xt).coords, k0_class(yt).coords, b)
+            cls = compose_classes(k0_class(xt), k0_class(yt), b)
             total += cx * cy * _pair_with_diagonal(a, cls)
     return total
 
@@ -206,14 +206,14 @@ def tensor_class(x: PerfectComplex, y, left: Algebra, middle: Algebra, right: Al
     ky = k0_class(y)
     if not isinstance(x, PerfectComplex) or x.algebra is not hom_algebra(left, middle):
         raise ValueError("x is not perfect over tensor(op(left), middle)")
-    if ky.algebra is not hom_algebra(middle, right):
+    if y.algebra is not hom_algebra(middle, right):
         raise ValueError("y does not live over tensor(op(middle), right)")
     n_r = len(right.idempotents)
     out = [0] * (len(left.idempotents) * n_r)
     for idem, w in enumerate(x.euler_copy_weights()):
         if w:
             l_i, m_i = split_pair_idempotent(middle, idem)
-            yrow = [ky.coords[join_pair_idempotent(right, m_i, j)] for j in range(n_r)]
+            yrow = [ky[join_pair_idempotent(right, m_i, j)] for j in range(n_r)]
             for i, row in enumerate(left.peirce_dims()):
                 for j, c in enumerate(yrow):
                     out[join_pair_idempotent(right, i, j)] += w * row[l_i] * c

@@ -15,8 +15,8 @@ Conventions:
   cohomology is the same: degree k computes morphisms M -> shift(N, -k)
   (N moved k degrees down) in the derived category; alternating sums of
   these dimensions form the Euler pairing.  N is read through the sparse
-  right action of its components (modules.Module.row) and the traces of
-  the idempotents; no dense action matrix of N is built.
+  right action (modules.Module.row) and the dimension vectors (Module.dims)
+  of its components; no dense action matrix of N is built.
 * dual_perfect applies Hom(-, ring) summandwise, negating degrees,
   transporting each left-multiplication block z to its image under the
   canonical anti-isomorphism tensor(op(A), B) -> tensor(op(B), A); applied
@@ -88,10 +88,11 @@ def hom_complex(m: PerfectComplex, n) -> Complex:
     # per degree k: (p, copy, idempotent, block dim, offset)
     layout: dict[int, list] = {}
     dims: dict[int, int] = {}
+    n_dims = {q: nq.dims() for q, nq in n.components.items()}
     for p in sorted(m.copies, reverse=True):
         for c, i in enumerate(m.copies[p]):
-            for q, nq in n.components.items():
-                dim = nq.trace(a.idempotents[i])
+            for q, dq in n_dims.items():
+                dim = dq[i]
                 if dim:
                     k = q - p
                     layout.setdefault(k, []).append((p, c, i, dim, dims.get(k, 0)))

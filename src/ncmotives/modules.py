@@ -14,8 +14,8 @@ the dual bimodule by transposing them, a direct sum from its summands, and
 a quotient or a module spec from a table of rows (table_module).
 Everything that multiplies vectors (Module.times, act_matrix, quotients,
 radicals, covers, and the second argument of homalg.hom_complex) reads
-through row, and a class reads Module.trace, which a projective, an
-injective and a sum answer without a matrix.  A dense action matrix is
+through row; a class reads Module.dims, which a projective, an injective
+and a sum answer from the Peirce table.  A dense action matrix is
 built only by Module.act_matrix: for Module.check, the module-map check of
 a complex spec, the bar-complex oracle and the tests.  Module.times and
 act_matrix take the algebra element as its nonzero (basis index,
@@ -49,17 +49,17 @@ class Module:
     """A right module: its dimension and its sparse right action.
 
     row(s, j) is basis vector s times basis element j, as its nonzero (k, c)
-    pairs, and trace(j) the trace of the action of basis element j; without
-    a trace function it is summed from the diagonal entries of the rows.
+    pairs, and dims() its dimension vector, the tuple of dim(M e_g) over
+    algebra.idempotents g, by default read from the idempotents' rows.
     Both are the callables given here, kept as attributes."""
 
-    __slots__ = ("algebra", "dim", "row", "trace")
+    __slots__ = ("algebra", "dim", "row", "dims")
 
-    def __init__(self, algebra: Algebra, dim: int, row, trace=None):
+    def __init__(self, algebra: Algebra, dim: int, row, dims=None):
         self.algebra = algebra
         self.dim = dim
         self.row = row
-        self.trace = trace or partial(_row_trace, row, dim)
+        self.dims = dims or partial(_row_dims, algebra, row, dim)
 
     def __repr__(self):
         return f"<Module dim={self.dim} over {self.algebra!r}>"
@@ -97,10 +97,14 @@ class Module:
         return True
 
 
-def _row_trace(row, dim, j):
-    """The trace of basis element j: the sum of the diagonal entries of its
-    rows."""
-    return norm_scalar(sum(c for s in range(dim) for k, c in row(s, j) if k == s))
+def _row_dims(a: Algebra, row, dim):
+    """dim(M e_g) for each idempotent g: the trace of its action, summed from
+    the diagonal entries of its rows; ValueError if one is not an integer."""
+    diag = (sum(c for s in range(dim) for k, c in row(s, g) if k == s) for g in a.idempotents)
+    dims = tuple(map(norm_scalar, diag))
+    if not all(isinstance(t, int) for t in dims):
+        raise ValueError("idempotent action has non-integral trace")
+    return dims
 
 
 def _unit(n, s):
@@ -118,14 +122,15 @@ def table_module(a: Algebra, dim: int, table) -> Module:
 def projective_module(a: Algebra, i: int) -> Module:
     """The module e_i A.  Its basis is a.projective_basis(i), the basis
     monomials with left idempotent i, and the action is the restriction of
-    right multiplication: its rows are read from the structure constants."""
+    right multiplication: its rows are read from the structure constants,
+    its dimension vector from row i of the Peirce table."""
     basis = a.projective_basis(i)
     pos = {t: r for r, t in enumerate(basis)}
 
     def row(s, j):
         return tuple((pos[k], c) for k, c in a.mul[basis[s]][j])
 
-    return Module(a, len(basis), row)
+    return Module(a, len(basis), row, lambda: tuple(a.peirce_dims()[i]))
 
 
 @cached
@@ -133,37 +138,37 @@ def injective_module(a: Algebra, i: int) -> Module:
     """D(A e_i), the linear dual of A e_i, in the basis dual to
     a.coprojective_basis(i): (phi b_j)(x) = phi(b_j x), so row u of b_j
     holds, at each position r of that basis, the coefficient of its u-th
-    element in b_j times its r-th.  The trace of b_j is that of left
-    multiplication by b_j on A e_i."""
+    element in b_j times its r-th.  D(A e_i) e_g is D(e_g A e_i), so the
+    dimension vector is a.coprojective_dims(i)."""
     basis = a.coprojective_basis(i)
 
     def row(s, j):
         u = basis[s]
         return tuple((r, c) for r, t in enumerate(basis) for k, c in a.mul[j][t] if k == u)
 
-    return Module(a, len(basis), row, lambda j: a.coprojective_traces(i)[j])
+    return Module(a, len(basis), row, lambda: a.coprojective_dims(i))
 
 
 def direct_sum_modules(a: Algebra, mods) -> Module:
     """The direct sum of mods, each summand after the ones before it; no
     summands give the zero module.  Row s of the sum is the summand's row,
-    moved to the summand's offset, and a trace is the sum of the summands'
-    traces."""
+    moved to the summand's offset, and the dimension vector is the sum of
+    the summands'."""
     offsets = []
     total = 0
     for m in mods:
         offsets.append(total)
         total += m.dim
 
-    def trace(j):
-        return norm_scalar(sum(m.trace(j) for m in mods))
+    def dims():
+        return tuple(map(sum, zip((0,) * len(a.idempotents), *(m.dims() for m in mods))))
 
     def row(s, j):
         i = bisect_right(offsets, s) - 1
         o = offsets[i]
         return tuple((k + o, c) for k, c in mods[i].row(s - o, j))
 
-    return Module(a, total, row, trace)
+    return Module(a, total, row, dims)
 
 
 def quotient_module(m: Module, sub: RowBasis) -> Module:
@@ -292,14 +297,20 @@ def dual_bimodule(a: Algebra) -> Module:
     In dual-basis coordinates the pair (b_i^op, b_j) acts by the transpose
     of L_j R_i, the diagonal bimodule's action at the swapped pair
     (b_j^op, b_i): row u holds the coefficient of b_u in row s of that
-    action, at each s, and the trace is that action's.  At runtime only
+    action, at each s, and the dimension vector is the diagonal bimodule's
+    at the swapped idempotent pairs.  At runtime only
     `hochschild` with dual coefficients calls it; derived.serre builds S(M)
     from the copies of M instead, and the tests use M (x)_A D(A) as its
     oracle."""
     diag = diagonal_bimodule(a)
     perm = swap_permutation(a, a)
+    n = len(a.idempotents)
 
     def row(u, t):
         return tuple((s, c) for s in range(a.dim) for k, c in diag.row(s, perm[t]) if k == u)
 
-    return Module(diag.algebra, a.dim, row, lambda t: diag.trace(perm[t]))
+    def dims():
+        d = diag.dims()
+        return sum((d[i::n] for i in range(n)), ())
+
+    return Module(diag.algebra, a.dim, row, dims)

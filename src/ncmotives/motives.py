@@ -115,7 +115,7 @@ class Correspondence:
         e = hom_algebra(self.source.algebra, self.target.algebra)
         out = [0] * len(e.idempotents)
         for c, t in self.terms:
-            for i, x in enumerate(k0_class(t).coords):
+            for i, x in enumerate(k0_class(t)):
                 if x:
                     out[i] += c * x
         return tuple(norm_scalar(x) for x in out)

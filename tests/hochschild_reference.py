@@ -10,7 +10,13 @@ copies of W where the package's route swaps those of P (homalg.dual_perfect),
 so the two meet only in their results.
 """
 
-from ncmotives.algebra import hom_algebra, opposite, scalar_algebra, swap_permutation
+from ncmotives.algebra import (
+    hom_algebra,
+    join_pair_idempotent,
+    opposite,
+    scalar_algebra,
+    swap_permutation,
+)
 from ncmotives.complexes import Complex, as_complex
 from ncmotives.modules import Module
 from tensor_reference import tensor_over
@@ -19,12 +25,19 @@ from tensor_reference import tensor_over
 def left_structure_module(m: Module, a) -> Module:
     """The left-module structure of an A-A-bimodule, as a right module over
     the opposite enveloping algebra: permuting the basis indices of the rows
-    and traces by the swap (x^op, y) -> (y^op, x)."""
+    by the swap (x^op, y) -> (y^op, x), and the dimension vector by the
+    swap of the idempotent pairs."""
     env = hom_algebra(a, a)
     if m.algebra is not env:
         raise ValueError("module is not a bimodule over tensor(op(A), A)")
     perm = swap_permutation(a, a)
-    return Module(opposite(env), m.dim, lambda s, g: m.row(s, perm[g]), lambda g: m.trace(perm[g]))
+    n = len(a.idempotents)
+
+    def dims():
+        d = m.dims()
+        return tuple(d[join_pair_idempotent(a, j, i)] for i in range(n) for j in range(n))
+
+    return Module(opposite(env), m.dim, lambda s, g: m.row(s, perm[g]), dims)
 
 
 def left_structure_complex(w, a) -> Complex:

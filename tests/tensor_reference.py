@@ -14,7 +14,7 @@ Tensor totalization: d(x (x) y) = dx (x) y + (-1)^{deg x} x (x) dy.  The
 maps of y -- the actions of middle and right basis elements and d_Y, in the
 block coordinates of the e_m Y^q -- and the dimensions of the blocks do not
 depend on x, so they are memos on y (_ymove, the block bases _yblock it
-builds, and _ytrace), keyed by (middle, right, ...).
+builds, and _ydim), keyed by (middle, right, ...).
 """
 
 from bisect import bisect_right
@@ -25,6 +25,7 @@ from ncmotives.algebra import (
     cached,
     hom_algebra,
     join_pair_basis,
+    join_pair_idempotent,
     split_pair_idempotent,
 )
 from ncmotives.complexes import Complex, PerfectComplex, as_complex
@@ -60,8 +61,8 @@ def tensor_over(x: PerfectComplex, y, left: Algebra, middle: Algebra, right: Alg
     (middle, right, ...), so every left factor y meets shares them (a
     module y is wrapped afresh on each call).  They are read through
     Module.row of y's components, in sparse rows, so no dense action
-    matrix of y is built; dim e_m Y^q is the sum of _ytrace over the
-    idempotents of right.
+    matrix of y is built; dim e_m Y^q is read from the dimension vector
+    of Y^q (_ydim).
     """
     y = as_complex(y)
     e_x = hom_algebra(left, middle)
@@ -94,7 +95,7 @@ def tensor_over(x: PerfectComplex, y, left: Algebra, middle: Algebra, right: Alg
             for c, idem in enumerate(x.copies_at(p)):
                 l_i, m_i = split_pair_idempotent(middle, idem)
                 lblock = left.coprojective_basis(l_i)
-                ydim = sum(_ytrace(y, middle, right, q, m_i, h) for h in right.idempotents)
+                ydim = _ydim(y, right, q, m_i)
                 if lblock and ydim:
                     entries.append((p, c, m_i, lblock, ydim, off))
                     off += len(lblock) * ydim
@@ -211,10 +212,9 @@ def _ymove(y: Complex, middle: Algebra, right: Algebra, q, m, q2, m2, act):
 
 
 @cached
-def _ytrace(y: Complex, middle: Algebra, right: Algebra, q, m, r):
-    """Trace of basis element r of right on e_m Y^q: the trace of
-    g_m (x) r on Y^q, since g_m (x) 1 is an idempotent commuting with
-    1 (x) r whose image is the block."""
-    g = join_pair_basis(right, middle.idempotents[m], r)
-    return y.components[q].trace(g)
+def _ydim(y: Complex, right: Algebra, q, m):
+    """dim e_m Y^q: the sum of the dimensions of Y^q at the idempotent
+    pairs (m, h) of tensor(op(middle), right), read from Module.dims."""
+    d = y.components[q].dims()
+    return sum(d[join_pair_idempotent(right, m, h)] for h in range(len(right.idempotents)))
 

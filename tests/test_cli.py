@@ -428,6 +428,51 @@ def test_non_primitive_table_idempotent_is_unsupported(tmp_path, capsys):
     assert "idempotent 0 is not primitive" in capsys.readouterr().err
 
 
+# M2(Q) on its matrix units, idempotents e11 and e22: the basis is adapted
+# and both are primitive, but A/rad A = M2(Q) is not basic
+M2_MATRIX_UNITS = _table(
+    dim=4,
+    labels=["e11", "e12", "e21", "e22"],
+    mul=[
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ],
+    unit=[1, 0, 0, 1],
+    idempotents=[[1, 0, 0, 0], [0, 0, 0, 1]],
+)
+
+
+def test_non_basic_table_algebra_is_refused_before_it_is_resolved():
+    """M2(Q) on its matrix units passes every other load check.  Loaded
+    anyway, its resolutions do not end: euler-matrix exceeds the resolution
+    cap, and smooth-check and hochschild exhaust memory.  Refused as not
+    basic, each of the three commands is unsupported input (exit 3) with
+    the message.  They run in a fresh interpreter limited to 1 GB of
+    address space, so a resolution that is attempted after all fails with
+    MemoryError (exit 5) instead of exhausting the machine."""
+    spec = M2_MATRIX_UNITS
+    script = (
+        "import contextlib, io, json, os, resource, tempfile\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ncmotives.cli import main\n"
+        "results = []\n"
+        "for command in ['euler-matrix', 'smooth-check', 'hochschild']:\n"
+        "    err = io.StringIO()\n"
+        "    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):\n"
+        "        path = os.path.join(tmp, 'm2.json')\n"
+        f"        json.dump({spec!r}, open(path, 'w'))\n"
+        "        results.append([main([command, path]), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    message = (
+        "unsupported input: the algebra is not basic: its semisimple quotient "
+        "has dimension 4, not one per idempotent (2)\n"
+    )
+    assert json.loads(_run_fresh(script, timeout=120)) == [[3, message]] * 3
+
+
 def test_the_same_algebra_on_its_primitive_idempotents_loads(tmp_path):
     """Q[x]/(x^2 - x) on the basis x, 1 - x with both as idempotents is
     Q x Q: its Euler matrix is the identity and HH = [2, 0, 0]."""

@@ -28,7 +28,7 @@ from ncmotives.derived import (
 )
 from ncmotives.homalg import dual_perfect, hom_complex
 from ncmotives.linalg import Matrix
-from ncmotives.modules import dual_bimodule, projective_module, simple_modules
+from ncmotives.modules import Module, dual_bimodule, projective_module, simple_modules
 from ncmotives.resolutions import ResolutionCapExceeded, projective_resolution, resolution_length
 from resolve_reference import ChainMap, cone, resolve_complex
 from tensor_reference import tensor_over
@@ -48,21 +48,24 @@ def test_k0_of_simple_resolutions_is_standard_basis(a2, a3):
     for alg in (a2, a3):
         res = simple_resolutions(alg)
         for i, r in enumerate(res):
-            coords = list(k0_class(r).coords)
+            coords = list(k0_class(r))
             expected = [1 if j == i else 0 for j in range(len(res))]
             assert coords == expected
 
 
 
 def _plain_view(pc):
-    """The components and differentials of pc as a plain Complex, which
-    k0_class reads through the traces of its idempotent actions."""
-    return Complex(pc.algebra, pc.components, pc.differentials)
+    """The components and differentials of pc as a plain Complex whose
+    components know only their rows, so k0_class reads their dimension
+    vectors from the traces of the idempotent actions, not from the Peirce
+    table."""
+    comps = {n: Module(m.algebra, m.dim, m.row) for n, m in pc.components.items()}
+    return Complex(pc.algebra, comps, pc.differentials)
 
 
 def test_k0_class_of_a_perfect_complex_is_memoized(a2, kronecker, rng):
     """A perfect complex keeps its class: a second call returns the same
-    object, equal to the trace-branch class of its plain view."""
+    object, equal to the class of its plain view read from the rows."""
     for a in (a2, kronecker):
         for _ in range(5):
             pc = random_perfect_complex(a, rng)
@@ -72,8 +75,9 @@ def test_k0_class_of_a_perfect_complex_is_memoized(a2, kronecker, rng):
 
 
 def test_k0_class_from_copies_matches_traces(a2, kronecker, rng):
-    """The copy branch of k0_class (a perfect complex) agrees with the trace
-    branch on its plain view, the complex of modules."""
+    """The class of a perfect complex, whose components answer from the
+    Peirce table, agrees with that of its plain view, whose components
+    answer from the traces of their rows."""
     for alg in corpus_algebras() + [hom_algebra(a2, kronecker)]:
         for _ in range(8):
             pc = random_perfect_complex(alg, rng, max_width=2, max_mult=2)
@@ -86,13 +90,13 @@ def test_k0_additive_on_cones(a2, rng):
     f = ChainMap(x, y, {})  # the zero chain map
     c = cone(f)
     kx, ky, kc = k0_class(x), k0_class(y), k0_class(c)
-    assert list(kc.coords) == [b - a for a, b in zip(kx.coords, ky.coords)]
+    assert list(kc) == [b - a for a, b in zip(kx, ky)]
 
 
 def test_k0_of_projective_counts_paths(a2):
     # e0 A has dimension vector given by the paths starting at vertex 0
     res = projective_resolution(projective_module(a2, 0))
-    assert list(k0_class(res).coords) == [1, 1]
+    assert list(k0_class(res)) == [1, 1]
 
 
 def test_euler_pairing_over_scalars(q, rng):
@@ -167,7 +171,7 @@ def test_serre_fixes_simples_of_semisimple(qxq):
         assert {n: d for n, d in s.homology_dims().items() if d} == {
             n: d for n, d in r.homology_dims().items() if d
         }
-        assert list(k0_class(s).coords) == list(k0_class(r).coords)
+        assert list(k0_class(s)) == list(k0_class(r))
 
 
 def test_serre_of_projectives_gives_injectives(a2, a3):
@@ -180,7 +184,7 @@ def test_serre_of_projectives_gives_injectives(a2, a3):
             dims = {n: d for n, d in s.homology_dims().items() if d}
             inj = injective_dimension_vector(alg, i)
             assert dims == {0: sum(inj)}
-            assert list(k0_class(s).coords) == inj
+            assert list(k0_class(s)) == inj
 
 
 def test_serre_duality_degreewise(a2, a3, kronecker, qxq, rng):
@@ -244,12 +248,13 @@ def test_serre_matches_tensor_with_the_dual_bimodule():
 
 def test_serre_components_are_the_transposed_dual_components(rng):
     """The component of S(M) in degree n is a sum of injectives D(A e_i)
-    whose rows and traces are those of the transpose of the dual's
-    component in degree -n: row u of b_j is column u of the dual's action
-    matrix of b_j (Module.act_matrix, the dense oracle), and the traces
-    agree.  On the simple resolutions and two random perfect complexes over
-    every corpus algebra and its enveloping algebra.  Rows are compared
-    because reading b_j t as t b_j keeps some traces."""
+    whose rows are those of the transpose of the dual's component in degree
+    -n: row u of b_j is column u of the dual's action matrix of b_j
+    (Module.act_matrix, the dense oracle), and whose dimension vector
+    (Module.dims) is the traces of that oracle at the idempotents.  On the
+    simple resolutions and two random perfect complexes over every corpus
+    algebra and its enveloping algebra.  Rows are compared because reading
+    b_j t as t b_j keeps some traces."""
     q = scalar_algebra()
     checked = 0
     for a in corpus_algebras():
@@ -259,11 +264,11 @@ def test_serre_components_are_the_transposed_dual_components(rng):
                 s = serre(m)
                 assert sorted(s.components) == sorted(-n for n in d.components)
                 for n, comp in s.components.items():
-                    for j in range(alg.dim):
-                        oracle = d.components[-n].act_matrix(((j, 1),)).transpose()
+                    oracles = [d.components[-n].act_matrix(((j, 1),)).transpose() for j in range(alg.dim)]
+                    for j, oracle in enumerate(oracles):
                         assert [comp.row(u, j) for u in range(comp.dim)] == [as_pairs(r) for r in oracle.data]
-                        assert comp.trace(j) == matrix_trace(oracle)
                         checked += 1
+                    assert comp.dims() == tuple(matrix_trace(oracles[g]) for g in alg.idempotents)
     assert checked > 1000
 
 
@@ -368,8 +373,8 @@ def test_quasi_isomorphism_invariance_of_chi(a2, rng):
 
 
 def test_serre_classes_in_verify_build_no_transpose(tmp_path, monkeypatch):
-    """verify A3 -> A3 reads each Serre complex through its class, and each
-    idempotent trace of a Serre component comes from its injectives: no
+    """verify A3 -> A3 reads each Serre complex through its class, and the
+    dimension vector of a Serre component comes from its injectives: no
     action matrix is built (Module.act_matrix)."""
     import json
 
@@ -400,7 +405,7 @@ def test_serre_classes_in_verify_build_no_transpose(tmp_path, monkeypatch):
 
 def test_serre_check_builds_no_action_matrix():
     """serre-check on the Kronecker quiver (--seed 3 --samples 5) reads the
-    Serre transforms through their rows and traces: Module.act_matrix, the
+    Serre transforms through their rows and dimension vectors: Module.act_matrix, the
     one builder of a dense action matrix, is never called.  A fresh
     interpreter keeps modules cached by other tests from hiding a build."""
     from test_cli import _run_fresh
@@ -435,7 +440,7 @@ def test_serre_class_is_read_from_the_copies():
         idem = e.idempotents
         for x in simple_resolutions(e):
             s = serre(x)
-            got = list(k0_class(s).coords)
+            got = list(k0_class(s))
             w = x.euler_copy_weights()
             closed = [
                 sum(wi * e.peirce_dims()[j][i] for i, wi in enumerate(w)) for j in range(len(idem))
@@ -524,10 +529,10 @@ def test_compose_classes_matches_the_block_count_on_simple_resolutions():
     pairs = 0
     for a in algs:
         for b in algs:
-            left = [(x, k0_class(x).coords) for x in simple_resolutions(hom_algebra(a, b))]
+            left = [(x, k0_class(x)) for x in simple_resolutions(hom_algebra(a, b))]
             for c in algs[:5]:
                 for y in simple_resolutions(hom_algebra(b, c)):
-                    v = k0_class(y).coords
+                    v = k0_class(y)
                     for x, u in left:
                         assert compose_classes(u, v, b) == tensor_class(x, y, a, b, c)
                         pairs += 1
@@ -538,7 +543,7 @@ def test_compose_classes_matches_the_block_count_on_simple_resolutions():
 def test_compose_classes_matches_the_block_count_on_random_and_serre_pairs(seed):
     """The same comparison on seeded random perfect complexes x over
     hom(A, B) against y over hom(B, C) and against its unresolved Serre
-    transform, whose class is read from traces, not copies."""
+    transform, whose class is read from its injectives, not copies."""
     from ncmotives.hochschild import tensor_class
 
     rng = random.Random(seed)
@@ -548,9 +553,9 @@ def test_compose_classes_matches_the_block_count_on_random_and_serre_pairs(seed)
         c = rng.choice(algs[:5])
         x = random_perfect_complex(hom_algebra(a, b), rng)
         y = random_perfect_complex(hom_algebra(b, c), rng)
-        u = k0_class(x).coords
+        u = k0_class(x)
         for z in (y, serre(y)):
-            assert compose_classes(u, k0_class(z).coords, b) == tensor_class(x, z, a, b, c)
+            assert compose_classes(u, k0_class(z), b) == tensor_class(x, z, a, b, c)
 
 
 DIAGONAL_CASES = [n for n in CORPUS_NAMES if n != "Q"] + ["A4", "A5", "A6", "A7", "K3", "K4", *DESCENDING_QUIVERS]

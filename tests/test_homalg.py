@@ -362,12 +362,12 @@ def test_dual_k0_naturality(a2, rng):
     aop = opposite(a2)
     res = simple_resolutions(e)
     n = len(res)
-    cols = [list(k0_class(dual_perfect(r, a2, aop)).coords) for r in res]
+    cols = [list(k0_class(dual_perfect(r, a2, aop))) for r in res]
     for _ in range(4):
         x = random_perfect_complex(e, rng)
-        kx = k0_class(x).coords
+        kx = k0_class(x)
         expected = [sum(cols[i][t] * kx[i] for i in range(n)) for t in range(len(cols[0]))]
-        assert list(k0_class(dual_perfect(x, a2, aop)).coords) == expected
+        assert list(k0_class(dual_perfect(x, a2, aop))) == expected
 
 
 def _fresh(y):
@@ -522,7 +522,7 @@ def test_class_of_a_composite_builds_no_action_matrix(monkeypatch):
     classes = 0
     for x, y, left, middle, right in _trace_formula_factors({"A2-id", "Kronecker-id"}):
         t = tensor_reference.tensor_over(x, y, left, middle, right)
-        assert list(k0_class(t).coords) == tensor_class(x, y, left, middle, right)
+        assert list(k0_class(t)) == tensor_class(x, y, left, middle, right)
         classes += 1
     assert classes > 10 and built == {"actions": 0, "complexes": classes}
 

@@ -134,9 +134,9 @@ def test_direct_sum(a2):
 def test_k0_class_of_a_module_is_its_dimension_vector(a2):
     reg = regular_module(a2)
     # dim(A e_i) per idempotent: e0 fixes {e0}, arrow and e1 end at vertex 1
-    assert k0_class(reg).coords == (1, 2)
+    assert k0_class(reg) == (1, 2)
     p0 = projective_module(a2, 0)
-    assert k0_class(p0).coords == (1, 1)
+    assert k0_class(p0) == (1, 1)
 
 
 def test_diagonal_bimodule_action(a2):
@@ -155,21 +155,26 @@ def test_dual_bimodule_dimension_vector(a2):
         for j in range(2):
             idx = i * 2 + j
             t = matrix_trace(da.act_matrix(((env.idempotents[idx], 1),)))
-            assert t == a2.peirce_dims()[j][i]
+            assert t == a2.peirce_dims()[j][i] == da.dims()[idx]
 
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, "env(A2)"])
 def test_bimodule_actions_match_dense_products(name):
     """diagonal_bimodule and dual_bimodule read their rows from the
     structure constants; the dense products L_i R_j and (L_j R_i)^T are the
-    oracle."""
+    oracle, and their traces at the idempotents that of Module.dims."""
     a = hom_algebra(corpus_algebra("A2"), corpus_algebra("A2")) if name == "env(A2)" else corpus_algebra(name)
     diag = diagonal_bimodule(a)
     dual = dual_bimodule(a)
+    traces = {}
     for t in range(hom_algebra(a, a).dim):
         i, j = divmod(t, a.dim)
         assert diag.act_matrix(((t, 1),)) == left_matrix(a, i) * right_matrix(a, j)
         assert dual.act_matrix(((t, 1),)) == (left_matrix(a, j) * right_matrix(a, i)).transpose()
+        traces[t] = (matrix_trace(diag.act_matrix(((t, 1),))), matrix_trace(dual.act_matrix(((t, 1),))))
+    idem = hom_algebra(a, a).idempotents
+    assert diag.dims() == tuple(traces[g][0] for g in idem)
+    assert dual.dims() == tuple(traces[g][1] for g in idem)
 
 
 def test_left_structure_module_is_valid(a2):
@@ -180,6 +185,7 @@ def test_left_structure_module_is_valid(a2):
     lm = left_structure_module(w, a2)
     assert lm.algebra is opposite(tensor(opposite(a2), a2))
     lm.check()
+    assert lm.dims() == Module(lm.algebra, lm.dim, lm.row).dims()
 
 
 def dense_module_radical(m, sub):
@@ -280,8 +286,9 @@ def _sparse_action_modules(a):
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, "env(A2)", "op(A3)xA3"])
 def test_sparse_right_action_matches_the_dense_builder(name, rng):
     """Module.row(s, j) is row s of a dense oracle of the action, as its
-    nonzero (k, c) pairs, and Module.trace(j) its trace, on every module
-    kind and basis element; act_matrix and Module.times (through
+    nonzero (k, c) pairs, on every module kind and basis element, and
+    Module.dims() the oracle's traces at the idempotents; act_matrix and
+    Module.times (through
     dense_reference.act_vector), which read through row, equal the dense
     sums of the oracle matrices (dense_reference.matrix_sum and row_times)
     on random elements."""
@@ -297,7 +304,7 @@ def test_sparse_right_action_matches_the_dense_builder(name, rng):
         dense = [oracle(j) for j in range(a.dim)]
         for j in range(a.dim):
             assert [m.row(s, j) for s in range(m.dim)] == [as_pairs(r) for r in dense[j].data]
-            assert m.trace(j) == matrix_trace(dense[j])
+        assert m.dims() == tuple(matrix_trace(dense[g]) for g in a.idempotents)
         for _ in range(3):
             coeffs = [rng.choice([0, 0, 1, -2]) for _ in range(a.dim)]
             v = [rng.choice([0, 1, 3]) for _ in range(m.dim)]

@@ -380,11 +380,12 @@ def test_no_statable_motive_pair_has_a_kernel():
 
 
 def test_trace_of_a_composite_builds_only_idempotent_actions(monkeypatch):
-    """trace reads a built composite's class from the traces of its
-    idempotent actions, each summed from its rows: no action matrix is
-    built, and no row of another basis element is read (36 basis elements,
-    9 idempotents on A3 -> A3).  composite_trace gives the same numbers
-    from D(x)'s copies and y's class, and reads no row at all."""
+    """trace reads a built composite's class from the dimension vectors of
+    its components, each the traces of the idempotent actions summed from
+    their rows (modules._row_dims): no action matrix is built, and no row
+    of another basis element is read (36 basis elements, 9 idempotents on
+    A3 -> A3).  composite_trace gives the same numbers from D(x)'s copies
+    and y's class, and reads no row at all."""
     from ncmotives import modules
     from ncmotives.corpus import corpus_algebra
     from ncmotives.derived import simple_resolutions
@@ -394,16 +395,15 @@ def test_trace_of_a_composite_builds_only_idempotent_actions(monkeypatch):
     idem = set(e.idempotents)
     res = simple_resolutions(e)
     read = []
-    row_trace = modules._row_trace
+    row_dims = modules._row_dims
 
-    def recorded(row, dim, j):
-        read.append(j)
-        return row_trace(row, dim, j)
+    def recorded(a, row, dim):
+        return row_dims(a, lambda s, j: read.append(j) or row(s, j), dim)
 
     def refused(mod, pairs):
         raise AssertionError("an action matrix was built")
 
-    monkeypatch.setattr(modules, "_row_trace", recorded)
+    monkeypatch.setattr(modules, "_row_dims", recorded)
     monkeypatch.setattr(modules.Module, "act_matrix", refused)
     for i, j in [(0, 0), (0, 8), (4, 2), (8, 0)]:
         x = Correspondence(m, m, [(1, res[i])])
@@ -457,15 +457,25 @@ def test_class_and_dual_of_a_correspondence_are_computed_once(a2, monkeypatch):
 
 def test_verify_dualizes_each_basis_class_once(monkeypatch):
     """verify_equivalence builds one dual per basis term: the intersection
-    Gram and the trace formula read D(x) for every pair (x, y) and serre
-    dualizes each x over Q, yet each of these duals is built once.  A fresh A3 keeps
+    Gram and the trace formula read D(x) for every pair (x, y), yet each of
+    these duals is built once.  The Serre transforms verify reads only
+    through their classes, so serre dualizes no x over Q, and no opposite
+    of a tensor algebra (the Hom algebra) is constructed.  A fresh A3 keeps
     duals kept by earlier tests (simple resolutions live in the algebra's
     cache) out of the count."""
-    from ncmotives import derived, motives
+    from ncmotives import algebra, derived, motives
     from ncmotives.algebra import path_algebra
     from ncmotives.specs import NAMED_SPECS
     from test_algebra import quiver_of
 
+    made = []
+    init = algebra.Algebra.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(algebra.Algebra, "__init__", recorded_init)
     duals = {}
     for module in (motives, derived):
         dual = module.dual_perfect
@@ -482,7 +492,9 @@ def test_verify_dualizes_each_basis_class_once(monkeypatch):
     rep = verify_equivalence(model)
     assert rep["verdict"] is True
     assert sum(len(r.terms) for r in model.realized) == 9
-    assert len(duals) == 18
+    assert len(duals) == 9
+    opposites_of = [b.meta["of"] for b in made if "of" in b.meta]
+    assert opposites_of and not any("factors" in b.meta for b in opposites_of)
 
 
 def test_verify_reads_each_serre_class_once(a3, monkeypatch):
