@@ -348,10 +348,10 @@ def test_non_adapted_basis_is_rejected_by_sparse_peirce():
 
 
 @pytest.mark.parametrize("left, right", [("op(A3)", "A3"), ("Kronecker", "A2")])
-def test_coprojective_dims_of_a_tensor_algebra_match_a_table_scan(left, right):
-    """On tensor(L, R) the dimension vector of D(A e_(i,k)) is the outer
-    product of L's for L e_i and R's for R e_k (Kuenneth); the traces of
-    left multiplication by the idempotents on A e_(i,k), scanned from the
+def test_coprojective_traces_of_a_tensor_algebra_match_a_table_scan(left, right):
+    """On tensor(L, R) the dimension vector of D(A e_(i,k)), the traces of
+    the idempotents on it, is the outer product of L's for L e_i and R's
+    for R e_k (Kuenneth); the traces of left multiplication by the idempotents on A e_(i,k), scanned from the
     table rows, are the oracle.  Kronecker (x) A2 has factors of different
     dimensions, so taking them in the wrong order breaks the match.  The
     product's own Peirce table is not read (a fresh copy of the algebra
