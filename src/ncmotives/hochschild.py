@@ -16,10 +16,12 @@ package's one elimination engine.
 Intersection numbers and traces of composites are alternating sums of
 Hochschild dimensions of composed bimodules, so they need only the
 Grothendieck class of the composite, paired with the copy weights of A^!
-(the Euler pairing chi(A^!, -)); never homology, never the composite.
-intersection_number reads that class through the Euler matrix of the middle
-algebra (derived.compose_classes), composite_trace from the copies of its
-left factor (tensor_class), so the two routes stay independent.
+(pair_with_diagonal); never homology, never the composite.  Both are
+bilinear forms on a correspondence's class and copy weights:
+intersection_number composes two classes through the Euler matrix of the
+middle algebra (derived.compose_classes), composite_trace the copy weights
+of its left factor with the class of its right one (tensor_class), so the
+two routes stay independent.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .algebra import (
     split_pair_idempotent,
 )
 from .complexes import PerfectComplex, as_complex
-from .derived import compose_classes, diagonal_resolution, euler_pairing, k0_class
+from .derived import compose_classes, diagonal_resolution, k0_class
 from .homalg import dual_perfect, hom_complex
 from .linalg import RowBasis
 from .modules import Module
@@ -70,13 +72,13 @@ def hochschild_euler(a: Algebra, w) -> int:
     """Alternating sum of Hochschild dimensions: the Euler pairing
     chi(A^!, W) of the Hom complex, read from the class of W alone."""
     _check_bimodule(a, w)
-    return euler_pairing(inverse_dualizing(a), w)
+    return pair_with_diagonal(a, k0_class(w))
 
 
-def _pair_with_diagonal(a: Algebra, coords) -> int:
+def pair_with_diagonal(a: Algebra, cls) -> int | Fraction:
     """chi(A^!, -) on a class over tensor(op(A), A): the copy weights of
     A^! dotted with its coordinates."""
-    return sum(w * c for w, c in zip(inverse_dualizing(a).euler_copy_weights(), coords))
+    return sum(w * c for w, c in zip(inverse_dualizing(a).euler_copy_weights(), cls))
 
 
 # -- bar complex oracle ---------------------------------------------------------
@@ -183,52 +185,41 @@ def bar_oracle(a: Algebra, w: Module, top: int) -> list:
 
 def intersection_number(x, y) -> int | Fraction:
     """Intersection pairing of correspondences x: (A,e) -> (B,e') and
-    y: (B,e') -> (A,e): the bilinear combination over term pairs of the
-    alternating Hochschild dimension sums of X_i (x)_B Y_j, each read from
-    the classes of X_i and Y_j (derived.compose_classes)."""
+    y: (B,e') -> (A,e): the class of X (x)_B Y, composed from the classes
+    of x and y (derived.compose_classes), paired with the copy weights of
+    A^!."""
     if x.source.algebra is not y.target.algebra or x.target.algebra is not y.source.algebra:
         raise ValueError("correspondence endpoints do not chain")
-    a = x.source.algebra
-    b = x.target.algebra
-    total = 0
-    for cx, xt in x.terms:
-        for cy, yt in y.terms:
-            cls = compose_classes(k0_class(xt), k0_class(yt), b)
-            total += cx * cy * _pair_with_diagonal(a, cls)
-    return total
+    cls = compose_classes(x.k0(), y.k0(), x.target.algebra)
+    return pair_with_diagonal(x.source.algebra, cls)
 
 
-def tensor_class(x: PerfectComplex, y, left: Algebra, middle: Algebra, right: Algebra) -> list:
-    """Class of x (x)_middle y over tensor(op(left), right), from the copies
-    of x and the class of y, with no Euler matrix: copy (l, m) of x meets
-    Y^q in L e_l (x) e_m Y^q, so entry (i, j) is the sum over copies of
-    weight(x)_(l, m) * dim(e_i L e_l) * k0(y)_(m, j)."""
-    ky = k0_class(y)
-    if not isinstance(x, PerfectComplex) or x.algebra is not hom_algebra(left, middle):
-        raise ValueError("x is not perfect over tensor(op(left), middle)")
-    if y.algebra is not hom_algebra(middle, right):
-        raise ValueError("y does not live over tensor(op(middle), right)")
-    n_r = len(right.idempotents)
-    out = [0] * (len(left.idempotents) * n_r)
-    for idem, w in enumerate(x.euler_copy_weights()):
-        if w:
+def tensor_class(w, v, left: Algebra, middle: Algebra, right: Algebra) -> list:
+    """Class of X (x)_middle Y over tensor(op(left), right) from the copy
+    weights w of a perfect X over tensor(op(left), middle) and the class v
+    of Y over tensor(op(middle), right), with no Euler matrix: copy (l, m)
+    of X meets Y^q in L e_l (x) e_m Y^q, so entry (i, j) is the sum over
+    copies of w_(l, m) * dim(e_i L e_l) * v_(m, j)."""
+    n_l, n_m, n_r = (len(x.idempotents) for x in (left, middle, right))
+    if len(w) != n_l * n_m or len(v) != n_m * n_r:
+        raise ValueError("vectors do not live over tensor(op(left), middle) and tensor(op(middle), right)")
+    out = [0] * (n_l * n_r)
+    for idem, c_w in enumerate(w):
+        if c_w:
             l_i, m_i = split_pair_idempotent(middle, idem)
-            yrow = [ky[join_pair_idempotent(right, m_i, j)] for j in range(n_r)]
+            vrow = [v[join_pair_idempotent(right, m_i, j)] for j in range(n_r)]
             for i, row in enumerate(left.peirce_dims()):
-                for j, c in enumerate(yrow):
-                    out[join_pair_idempotent(right, i, j)] += w * row[l_i] * c
+                for j, c in enumerate(vrow):
+                    out[join_pair_idempotent(right, i, j)] += c_w * row[l_i] * c
     return out
 
 
 def composite_trace(x, y) -> int | Fraction:
     """trace(y o x) for x: (B,e') -> (A,e) with perfect terms and
-    y: (A,e) -> (B,e'), the composite unbuilt: the class of each term pair's
-    X (x)_A Y (tensor_class) paired with the copy weights of B^!."""
+    y: (A,e) -> (B,e'), the composite unbuilt: the class of X (x)_A Y,
+    read from the copy weights of x and the class of y (tensor_class),
+    paired with the copy weights of B^!."""
     if x.target != y.source or y.target != x.source:
         raise ValueError("correspondence endpoints do not chain")
     a, b = x.target.algebra, x.source.algebra
-    return sum(
-        cx * cy * _pair_with_diagonal(b, tensor_class(xt, yt, b, a, b))
-        for cx, xt in x.terms
-        for cy, yt in y.terms
-    )
+    return pair_with_diagonal(b, tensor_class(x.weights(), y.k0(), b, a, b))

@@ -4,14 +4,18 @@ verdict.
 
 A motive is an algebra with an idempotent endo-correspondence class; the
 identity motive carries the class of the diagonal bimodule.  Correspondences
-are rational combinations of perfect bimodule complexes, compared at the
-level of Grothendieck classes (the morphisms of the category are exactly
-those classes).  Composition is the derived tensor product over the middle
-algebra, and no composite is ever built: on classes it is [X] chi_B [Y]
-(derived.compose_classes, chi_B the Euler matrix of B), so restricted
-Hom-sets, the images of the projector e o - o e', are read from classes,
-and the trace of a composite is read from the copies of its left factor and
-the class of its right one (hochschild.composite_trace).
+are rational combinations of perfect bimodule complexes, read through two
+vectors on the simple basis of the Hom algebra: the class k0() (the
+morphisms of the category are exactly those classes) and the copy weights
+weights().  Every pairing is a bilinear form on them: chi(x, y) is
+x.weights() . y.k0(), and trace, intersection number and the trace of a
+composite pair a class with the copy weights of A^!.  Composition is the
+derived tensor product over the middle algebra, and no composite is ever
+built: on classes it is [X] chi_B [Y] (derived.compose_classes, chi_B the
+Euler matrix of B), so restricted Hom-sets, the images of the projector
+e o - o e', are read from classes, and the trace of a composite is read
+from the copy weights of its left factor and the class of its right one
+(hochschild.composite_trace).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .derived import (
     simple_resolutions,
 )
 from .homalg import dual_perfect
-from .hochschild import composite_trace, hochschild_euler, intersection_number
+from .hochschild import composite_trace, intersection_number, pair_with_diagonal
 from .linalg import Matrix, RowBasis, exact_text, norm_scalar, span_equal
 
 
@@ -40,6 +44,7 @@ class NCMotive:
     """An algebra together with an idempotent correspondence class.
 
     idem=None means the identity motive (class of the diagonal bimodule).
+    cls is the class of the idempotent, read once at construction.
     Idempotency e o e = e is verified at the class level on construction,
     through the Euler matrix of the algebra.  An idempotent
     whose class is zero is refused (ValueError): its motive is zero, so every
@@ -49,19 +54,16 @@ class NCMotive:
         self.algebra = algebra
         self.idem = idem
         self.name = f"({algebra.meta.get('name', '?')}, {'id' if idem is None else 'e'})"
-        if idem is not None:
-            if idem.source.algebra is not algebra or idem.target.algebra is not algebra:
-                raise ValueError("idempotent must be an endo-correspondence of the algebra")
-            cls = idem.k0()
-            if not any(cls):
-                raise ValueError("the idempotent is the zero class")
-            if compose_classes(cls, cls, algebra) != list(cls):
-                raise ValueError("correspondence class is not idempotent")
-
-    def idem_class(self):
-        if self.idem is not None:
-            return list(self.idem.k0())
-        return identity_class(self.algebra)
+        if idem is None:
+            self.cls = identity_class(algebra)
+            return
+        if idem.source.algebra is not algebra or idem.target.algebra is not algebra:
+            raise ValueError("idempotent must be an endo-correspondence of the algebra")
+        self.cls = idem.k0()
+        if not any(self.cls):
+            raise ValueError("the idempotent is the zero class")
+        if compose_classes(self.cls, self.cls, algebra) != self.cls:
+            raise ValueError("correspondence class is not idempotent")
 
     def is_identity(self) -> bool:
         return self.idem is None
@@ -70,7 +72,7 @@ class NCMotive:
         return (
             isinstance(other, NCMotive)
             and self.algebra is other.algebra
-            and self.idem_class() == other.idem_class()
+            and self.cls == other.cls
         )
 
     def __repr__(self):
@@ -88,12 +90,12 @@ class Correspondence:
 
     Terms built from specs, simple resolutions, duals and vertex cuts are
     perfect; serre_correspondence gives unresolved complexes.  Terms must be
-    perfect in the first argument of chi_hom, in dualize and in the x of
-    hochschild.composite_trace; k0, trace and intersection_number (which
-    read classes) accept any bounded complex.
+    perfect where copies are read (weights, so the first argument of
+    chi_hom and the x of hochschild.composite_trace, and dualize); k0, trace
+    and intersection_number (which read classes) accept any bounded complex.
 
     terms is a tuple of (coefficient, complex) with exact coefficients (an
-    int unless the coefficient is a proper fraction).  The class (k0) is
+    int unless the coefficient is a proper fraction).  Both vectors are
     computed once and kept; dualize reads the dual each term keeps."""
 
     def __init__(self, source: NCMotive, target: NCMotive, terms):
@@ -102,26 +104,35 @@ class Correspondence:
         self.terms = tuple((norm_scalar(c), t) for c, t in terms)
         self._cache: dict = {}
         e = hom_algebra(source.algebra, target.algebra)
-        for _, t in self.terms:
-            if t.algebra is not e:
-                raise ValueError("term does not live over the Hom algebra")
+        if any(t.algebra is not e for _, t in self.terms):
+            raise ValueError("term does not live over the Hom algebra")
 
     def k0(self):
         """Class vector in the simple basis of the Hom algebra."""
-        return list(self._class())
+        return list(self._vector(k0_class))
+
+    def weights(self):
+        """Copy-weight vector (PerfectComplex.euler_copy_weights) in the same
+        basis; ValueError unless every term is perfect."""
+        return list(self._vector(_copy_weights))
 
     @cached
-    def _class(self):
-        e = hom_algebra(self.source.algebra, self.target.algebra)
-        out = [0] * len(e.idempotents)
+    def _vector(self, read):
+        out = [0] * len(hom_algebra(self.source.algebra, self.target.algebra).idempotents)
         for c, t in self.terms:
-            for i, x in enumerate(k0_class(t)):
+            for i, x in enumerate(read(t)):
                 if x:
                     out[i] += c * x
         return tuple(norm_scalar(x) for x in out)
 
     def __repr__(self):
         return f"<Correspondence {self.source.name} -> {self.target.name}, {len(self.terms)} terms>"
+
+
+def _copy_weights(t) -> list:
+    if not isinstance(t, PerfectComplex):
+        raise ValueError("term is not perfect: it has no copies to weigh")
+    return t.euler_copy_weights()
 
 
 def identity_correspondence(m: NCMotive) -> Correspondence:
@@ -161,8 +172,8 @@ def complement_idempotent(e: Correspondence) -> Correspondence:
 
 def project_class(src: NCMotive, dst: NCMotive, cls):
     """The projector e o - o e' on classes over the Hom algebra."""
-    left = compose_classes(src.idem_class(), cls, src.algebra)
-    return compose_classes(left, dst.idem_class(), dst.algebra)
+    left = compose_classes(src.cls, cls, src.algebra)
+    return compose_classes(left, dst.cls, dst.algebra)
 
 
 # -- operations --------------------------------------------------------------------
@@ -177,28 +188,21 @@ def dualize(x: Correspondence) -> Correspondence:
 
 
 def trace(z: Correspondence) -> int | Fraction:
-    """Categorical trace of an endo-correspondence: the alternating sum of
-    Hochschild dimensions of each term, combined by the coefficients."""
+    """Categorical trace of an endo-correspondence: its class paired with
+    the copy weights of A^!, the alternating sum of Hochschild dimensions
+    of any complex of that class (hochschild.pair_with_diagonal)."""
     if z.source != z.target:
         raise ValueError("trace requires an endo-correspondence")
-    a = z.source.algebra
-    total = 0
-    for c, t in z.terms:
-        total += c * hochschild_euler(a, t)
-    return total
+    return pair_with_diagonal(z.source.algebra, z.k0())
 
 
 def chi_hom(x: Correspondence, y: Correspondence) -> int | Fraction:
-    """Euler form on a Hom-set: bilinear extension of the Euler pairing of
-    the underlying perfect bimodule complexes, i.e. the copy weights of each
-    term of x paired with the memoized class of y."""
+    """Euler form on a Hom-set, the bilinear extension of the Euler pairing
+    of perfect bimodule complexes: the copy weights of x paired with the
+    class of y."""
     if x.source != y.source or x.target != y.target:
         raise ValueError("chi_hom requires parallel correspondences")
-    ky = y.k0()
-    total = 0
-    for cx, xt in x.terms:
-        total += cx * sum(w * c for w, c in zip(xt.euler_copy_weights(), ky))
-    return total
+    return sum(w * c for w, c in zip(x.weights(), y.k0()))
 
 
 def serre_correspondence(x: Correspondence) -> Correspondence:
@@ -299,14 +303,17 @@ def verify_equivalence(m: HomSpaceModel) -> dict:
       trace-formula         chi(x, y) = trace(y o D(x)) on basis pairs
       commutative-square    chi(x, y) = <D(x) . y> on basis pairs
       kernel-left-right     left and right kernels of the Euler Gram agree
-      gram-int-kernel       kernel of the intersection Gram = Euler kernel
+      gram-int-kernel       kernel of the intersection Gram = Gram kernel
       numerical-kernel      pairing-to-zero classes = Euler kernel
       idempotent-law        e o e = e for both endpoint motives
     The pairwise checks run on every pair of basis classes and read
     chi(x, y) from the Euler Gram; trace-formula reads trace(y o D(x)) from
     the copies of D(x) and the class of y (hochschild.composite_trace), and
     commutative-square reads <D(x) . y> from the intersection Gram, whose
-    classes compose through Euler matrices.
+    classes compose through Euler matrices.  The Euler kernel (kernel_dim)
+    is the part of the corner in Ker chi of the whole Hom algebra, the left
+    kernel of the basis' copy weights (B chi_E); the Gram checks and
+    det_gram_chi read the Gram of the corner.
     Failures are recorded in the report, not raised."""
     checks = []
     n = m.dim
@@ -316,12 +323,11 @@ def verify_equivalence(m: HomSpaceModel) -> dict:
 
     # idempotent law
     for motive, tag in ((m.source, "source"), (m.target, "target")):
-        cls = motive.idem_class()
         checks.append(check_record(
             f"idempotent-law-{tag}",
             "e o e = e on classes",
-            list(cls),
-            compose_classes(cls, cls, motive.algebra),
+            motive.cls,
+            compose_classes(motive.cls, motive.cls, motive.algebra),
         ))
 
     # pairwise identities
@@ -370,13 +376,15 @@ def verify_equivalence(m: HomSpaceModel) -> dict:
         span_equal(span_r, span_i),
     ))
 
+    width = len(hom_algebra(m.source.algebra, m.target.algebra).idempotents)
+    kc = Matrix(n, width, [x.weights() for x in m.realized]).left_kernel_basis()
     nk = numerical_kernel(m)
     span_n = RowBasis(n).extend(nk)
     checks.append(check_record(
         "numerical-kernel",
         "numerically trivial classes = Ker(chi)",
         True,
-        span_equal(span_n, span_r),
+        span_equal(span_n, RowBasis(n).extend(kc)),
     ))
 
     det = gram_chi.det() if n else 1
@@ -387,13 +395,13 @@ def verify_equivalence(m: HomSpaceModel) -> dict:
         "gram_chi": [[exact_text(x) for x in row] for row in gram_chi.data],
         "det_gram_chi": exact_text(det),
         "unimodular": unimodular,
-        "kernel_dim": len(kr),
-        "kernel_basis": [[exact_text(x) for x in v] for v in kr],
+        "kernel_dim": len(kc),
+        "kernel_basis": [[exact_text(x) for x in v] for v in kc],
         "numerical_kernel_dim": len(nk),
         "kernel_statement": (
             "gram_chi is unimodular; both kernels are zero (non-vacuous check)"
             if unimodular
-            else f"kernel dimension {len(kr)}"
+            else f"kernel dimension {len(kc)}"
         ),
         "checks": checks,
         "verdict": all(c["pass"] for c in checks),

@@ -314,7 +314,7 @@ def test_composite_actions_built_on_first_read_are_module_actions(composable_pai
         factors = [(xt, yt) for _, xt in x.terms for _, yt in y.terms]
         assert len(factors) == len(z.terms)
         for (xt, yt), (_, t) in zip(factors, z.terms):
-            assert list(k0_class(t)) == tensor_class(xt, yt, a, b, c)
+            assert list(k0_class(t)) == tensor_class(xt.euler_copy_weights(), k0_class(yt), a, b, c)
             for comp in t.components.values():
                 comp.check()
 

@@ -238,6 +238,46 @@ def test_intersect_command(tmp_path):
     assert code == 0  # symmetry check passes
 
 
+def _term(coefficient, kind, shift=0, **fields):
+    return {"coefficient": coefficient, "bimodule": {"kind": kind, **fields}, "shift": shift}
+
+
+def test_intersect_combines_fractional_and_shifted_terms(tmp_path):
+    """Two terms on each side, A2 -> Kronecker: x = 1/2 simple 1 +
+    3 projective (0, 1) shifted by 1, y = -2 simple 2 + simple 0 shifted by
+    -1.  The value is pinned; it is the sum over the four term pairs."""
+    scenario = {
+        "format": 1,
+        "source": {"algebra": A2_SPEC},
+        "target": {"algebra": kronecker_spec(2)},
+        "x": {"terms": [_term("1/2", "simple", index=1), _term(3, "projective", 1, pair=[0, 1])]},
+        "y": {"terms": [_term(-2, "simple", index=2), _term(1, "simple", -1, index=0)]},
+    }
+    code, report = run_to_report(tmp_path, ["intersect", write(tmp_path, "x.json", scenario)])
+    assert code == 0
+    assert report["intersection_number"] == 5
+    assert report["verdict"] is True
+
+
+def test_trace_combines_fractional_and_shifted_terms(tmp_path):
+    """z = 2/3 diagonal + 1/2 simple 3 shifted by -5 + projective (1, 0) on
+    the A2 identity: the trace is pinned, the sum over the three terms."""
+    scenario = {
+        "format": 1,
+        "source": {"algebra": A2_SPEC},
+        "z": {
+            "terms": [
+                _term("2/3", "diagonal"),
+                _term("1/2", "simple", -5, index=3),
+                _term(1, "projective", pair=[1, 0]),
+            ]
+        },
+    }
+    code, report = run_to_report(tmp_path, ["trace", write(tmp_path, "z.json", scenario)])
+    assert code == 0
+    assert report["trace"] == "11/6"
+
+
 # Pairs of specs written differently that read the same: A2_SPEC with
 # `format` (which a nested spec does not read) dropped and with `kind` left
 # to its default, a quiver without arrows and a table with `arrows` and

@@ -299,7 +299,7 @@ def test_hom_route_matches_the_tensor_route(name, rng):
     from hochschild_reference import tensor_route_complex
     from ncmotives.corpus import random_perfect_complex
     from ncmotives.derived import k0_class
-    from ncmotives.hochschild import _pair_with_diagonal
+    from ncmotives.hochschild import pair_with_diagonal
 
     a = _reference_route_algebras()[name]
     p = diagonal_resolution(a)
@@ -313,7 +313,7 @@ def test_hom_route_matches_the_tensor_route(name, rng):
         dims = [reference.homology(-n) for n in range(top + 1)]
         assert hochschild(a, w, top) == dims
         assert hochschild_euler(a, w) == hh_euler(dims)
-        assert _pair_with_diagonal(a, k0_class(w)) == hh_euler(dims)
+        assert pair_with_diagonal(a, k0_class(w)) == hh_euler(dims)
 
 
 # SHA-256 of `hochschild` reports; like the pinned benchmark reports, they

@@ -265,9 +265,9 @@ def test_tensor_class_matches_assembled(a2, kronecker, rng):
     x = random_perfect_complex(e, rng, max_width=1)
     y = random_perfect_complex(e_rev, rng, max_width=1)
     t = tensor_over(x, y, a2, kronecker, a2)
-    cls = tensor_class(x, y, a2, kronecker, a2)
+    cls = tensor_class(x.euler_copy_weights(), k0_class(y), a2, kronecker, a2)
     plain_y = Complex(e_rev, y.components, y.differentials)
-    assert tensor_class(x, plain_y, a2, kronecker, a2) == cls
+    assert tensor_class(x.euler_copy_weights(), k0_class(plain_y), a2, kronecker, a2) == cls
     env = tensor(opposite(a2), a2)
     idem_idx = env.idempotents
     for r in range(len(env.idempotents)):
@@ -522,7 +522,7 @@ def test_class_of_a_composite_builds_no_action_matrix(monkeypatch):
     classes = 0
     for x, y, left, middle, right in _trace_formula_factors({"A2-id", "Kronecker-id"}):
         t = tensor_reference.tensor_over(x, y, left, middle, right)
-        assert list(k0_class(t)) == tensor_class(x, y, left, middle, right)
+        assert list(k0_class(t)) == tensor_class(x.euler_copy_weights(), k0_class(y), left, middle, right)
         classes += 1
     assert classes > 10 and built == {"actions": 0, "complexes": classes}
 
@@ -593,7 +593,7 @@ def test_hochschild_of_trace_formula_composites():
     and the trace the trace-formula check reads from the factors
     (hochschild.tensor_class paired with the copy weights of the
     inverse dualizing complex), and the dims summed per model are pinned."""
-    from ncmotives.hochschild import _pair_with_diagonal, hochschild, hochschild_euler
+    from ncmotives.hochschild import hochschild, hochschild_euler, pair_with_diagonal
 
     names = {"A2-id", "Kronecker-id", "A2-to-Kronecker"}
     sums = {}
@@ -601,7 +601,7 @@ def test_hochschild_of_trace_formula_composites():
         t = tensor_over(x, y, left, middle, right)
         if t.is_zero():
             continue
-        expected = _pair_with_diagonal(right, tensor_class(x, y, left, middle, right))
+        expected = pair_with_diagonal(right, tensor_class(x.euler_copy_weights(), k0_class(y), left, middle, right))
         if t.hi > 0:
             expected *= (-1) ** t.hi
             t = shift(t, -t.hi)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 from itertools import combinations
@@ -522,3 +524,81 @@ def test_verify_reads_each_serre_class_once(a3, monkeypatch):
     assert rep["verdict"] is True
     assert len(made) == 9
     assert 0 < len(reads) <= 9
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_pairing_is_the_bilinear_form_of_its_terms(seed):
+    """chi_hom, trace, intersection_number and composite_trace read each
+    correspondence once, through its class and copy weights; on seeded
+    correspondences between corpus algebras (up to 3 terms, fractional
+    coefficients, shifted terms, unresolved Serre transforms as the class
+    argument) each equals its oracle, which reads every term on its own and
+    sums over terms or term pairs."""
+    from correspondence_reference import (
+        chi_hom_by_terms,
+        composite_trace_by_terms,
+        intersection_number_by_terms,
+        trace_by_terms,
+    )
+    from ncmotives.corpus import CORPUS_NAMES, corpus_algebra
+
+    rng = random.Random(seed)
+    motives = [NCMotive(corpus_algebra(name)) for name in CORPUS_NAMES]
+    fractional = 0
+    for _ in range(12):
+        ma, mb = rng.choice(motives), rng.choice(motives)
+
+        def draw(src, dst):
+            return random_correspondence(src, dst, rng, max_terms=3, max_shift=2)
+
+        x, x2, y, z = draw(ma, mb), draw(ma, mb), draw(mb, ma), draw(ma, ma)
+        sx2 = serre_correspondence(x2)
+        for u, v in ((x, x2), (x, sx2), (x2, x)):
+            assert chi_hom(u, v) == chi_hom_by_terms(u, v)
+        for u in (z, serre_correspondence(z)):
+            assert trace(u) == trace_by_terms(u)
+        for u, v in ((x, y), (y, x), (x, dualize(x2)), (y, serre_correspondence(x))):
+            assert intersection_number(u, v) == intersection_number_by_terms(u, v)
+        for u, v in ((y, x), (x, y), (dualize(x2), x), (y, sx2)):
+            assert composite_trace(u, v) == composite_trace_by_terms(u, v)
+        fractional += any(type(c) is Fraction for c, _ in x.terms + y.terms + z.terms)
+    assert fractional
+
+
+# Idempotents of the Kronecker quiver realized from a class u, and for each
+# direction the determinant of the Gram of the corner: four of the six
+# corners have a singular Gram.
+KRONECKER_CORNERS = {
+    ("u1", "e->id"): ([-1, 0, -1, 0], "0"),
+    ("u1", "id->e"): ([-1, 0, -1, 0], "1"),
+    ("u1", "e->e"): ([-1, 0, -1, 0], "0"),
+    ("u2", "e->id"): ([-1, -1, -2, -2], "1"),
+    ("u2", "id->e"): ([-1, -1, -2, -2], "0"),
+    ("u2", "e->e"): ([-1, -1, -2, -2], "0"),
+}
+
+
+@pytest.mark.parametrize(
+    "key", KRONECKER_CORNERS, ids=[f"{u}-{d}" for u, d in KRONECKER_CORNERS]
+)
+def test_euler_kernel_is_taken_on_the_whole_hom_algebra(key):
+    """On Hom((A, e), (B, e')) the Euler kernel is the corner's part of
+    Ker chi of the whole Hom algebra (the quotient by Ker chi comes before
+    the idempotent completion), not the kernel of the Gram restricted to
+    the corner.  The two differ where D(e) != e: four of these six corners
+    have a singular corner Gram, yet no corner class pairs to zero with
+    the whole Hom algebra, and no class is numerically trivial.  Every
+    verdict is True with an Euler kernel of 0."""
+    from geometry_reference import kronecker_spec
+
+    u, det = KRONECKER_CORNERS[key]
+    a = algebra_from_spec(kronecker_spec(2))
+    ident = NCMotive(a)
+    e = NCMotive(a, realize_class(u, ident, ident))
+    src, dst = {"e->id": (e, ident), "id->e": (ident, e), "e->e": (e, e)}[key[1]]
+    report = verify_equivalence(build_hom_model(src, dst))
+    assert report["det_gram_chi"] == det
+    assert report["kernel_dim"] == report["numerical_kernel_dim"] == 0
+    assert report["kernel_basis"] == []
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+    assert report["verdict"] is True
