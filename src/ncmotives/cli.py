@@ -411,15 +411,17 @@ def build_parser():
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    The command runs with the cyclic garbage collector off: the package
-    makes no reference cycle per operation (a dual holds nothing of its
-    complex), so reference counting frees what a run drops.  One young pass
-    right after parsing frees the argument parser, which argparse links
-    both ways.  On return the collector's state is restored for in-process
-    callers, after moving what the run built to the oldest generation
-    (freeze then unfreeze, unless the caller has frozen objects) so that
-    re-enabling does not start with a young pass over all of it.  gc.freeze
-    is registered once as an exit hook, here rather than at import, so the
+    The command runs with the cyclic garbage collector off, so no collector
+    pass interrupts it.  A run does build cycles: an algebra's memos hold
+    modules and resolutions whose .algebra points back, and op(a).meta["of"]
+    is a; only a full collection frees them.  One young pass right after
+    parsing frees the argument parser, which argparse links both ways.  On
+    return the collector's state is restored for in-process callers, after
+    moving what the run built to the oldest generation (freeze then
+    unfreeze, unless the caller has frozen objects) so that re-enabling does
+    not start with a young pass over all of it; an in-process caller holds
+    the run's cyclic graph until its next full collection.  gc.freeze is
+    registered once as an exit hook, here rather than at import, so the
     final collections of shutdown skip what the process frees anyway."""
     enabled = gc.isenabled()
     gc.disable()

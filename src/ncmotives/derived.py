@@ -40,7 +40,7 @@ from __future__ import annotations
 from .algebra import Algebra, cached, hom_algebra, join_pair_basis, scalar_algebra
 from .complexes import Complex, LazyDifferentials, PerfectComplex, as_complex
 from .homalg import dual_perfect
-from .linalg import Matrix, norm_scalar
+from .linalg import Matrix, gram, norm_scalar
 from .modules import diagonal_bimodule, direct_sum_modules, injective_module, simple_modules
 from .resolutions import (
     MAX_RESOLUTION_LENGTH,
@@ -145,8 +145,7 @@ def euler_matrix(a: Algebra) -> Matrix:
     """Gram matrix of the Euler form on the simple basis; by bilinearity it
     determines the form on the whole rationalized Grothendieck group."""
     res = simple_resolutions(a)
-    n = len(res)
-    return Matrix(n, n, [[euler_pairing(res[i], res[j]) for j in range(n)] for i in range(n)])
+    return gram(euler_pairing, res, res)
 
 
 def compose_classes(u, v, middle: Algebra) -> list:

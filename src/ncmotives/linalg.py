@@ -200,6 +200,12 @@ class Matrix:
         return norm_scalar(det)
 
 
+def gram(pairing, xs, ys) -> Matrix:
+    """The matrix of pairing(x, y), one row per x in xs and one column per
+    y in ys; the pairing is called once per pair, row by row."""
+    return Matrix(len(xs), len(ys), [[pairing(x, y) for y in ys] for x in xs])
+
+
 def nonzero_pairs(v):
     """The nonzero (index, entry) pairs of a dense vector, in index order:
     the form of a sparse row and of an algebra element."""

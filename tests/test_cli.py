@@ -1026,11 +1026,11 @@ def test_dense_table_specs_load_and_multiply():
 # the mathematics, so a change of representation or of how much
 # intermediate work is built must leave them byte-identical.
 PINNED_VERIFY = {
-    (3, 3): "5314248470f5201e3175fc56fb138b56143ca825afa73209fcfce117d0239d4b",
-    (4, 2): "15e5e5966c0dc951c94ba7a944fa5e37ce3c63777445268d30c566c89ee3ff59",
-    (5, 3): "0e589bcd6915a7ecdc7497b8cd3e696a5a2b2a9e3f033ad972ceada880ee036e",
+    (3, 3): "18fff7d5380bf31d7611c75b6004dbb1b1c826fbd5cd63866a7cc89c39afee6d",
+    (4, 2): "2b192369a7cdee8abbae7537a352857d62a79ff79a078c8789958d7abfd618c6",
+    (5, 3): "e7c280d2be8875c604236f10218704a1c4485c00abfd13d6bf9ec8af287141e6",
 }
-PINNED_CORPUS = "1e6fc928f8fa8616796f1da209bf543f21987ae5d21196a1b7c13da0b301461a"
+PINNED_CORPUS = "1533d878e718f073983a83e57dfa4d62bccec90569c12508e1114bdf6e65cc8f"
 
 
 def _report_sha256(tmp_path, argv):
@@ -1062,6 +1062,13 @@ def _plus_one_on_first_call(f):
     return mutated
 
 
+def _one_more_unit_vector(f):
+    def mutated(m):
+        return [*f(m), [int(k == 0) for k in range(m.dim)]]
+
+    return mutated
+
+
 # (function in motives, its mutation, the check family that must catch it)
 VERIFY_MUTATIONS = {
     "one-trace-plus-one": ("composite_trace", _plus_one_on_first_call, "trace-formula"),
@@ -1071,6 +1078,11 @@ VERIFY_MUTATIONS = {
         "commutative-square",
     ),
     "serre-is-the-identity": ("serre_correspondence", lambda f: lambda x: x, "serre-symmetry"),
+    "numerical-kernel-gains-a-unit-vector": (
+        "numerical_kernel",
+        _one_more_unit_vector,
+        "numerical-kernel",
+    ),
 }
 
 
@@ -1078,7 +1090,9 @@ VERIFY_MUTATIONS = {
 def test_each_pairwise_check_can_fail(tmp_path, monkeypatch, mutation):
     """The pairwise checks share their left side chi(x, y) with the Euler
     Gram of the report, so a wrong right side must still flip the verdict
-    of verify A3 -> A3."""
+    of verify A3 -> A3.  Every kernel of A3 -> A3 is zero, so a kernel
+    check wired to the wrong kernel would pass; a numerical kernel grown
+    by one vector must still fail its row of the kernel table."""
     from ncmotives import motives
 
     name, mutate, family = mutation

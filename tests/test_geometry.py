@@ -55,8 +55,8 @@ def test_euler_matrix_of_the_beilinson_algebra_inverts_its_cartan_matrix(tmp_pat
 # Beilinson algebras; like the pinned benchmark reports, they depend only on
 # the mathematics.
 PINNED_BEILINSON_VERIFY = {
-    (1, 2): "551be28c0fde06dc00a33153a43a268db12059237e3568f49ec8ea82a396b889",
-    (2, 2): "ffafbbba217815b0a8e8c5645f6d3e2caa3053e8e685018392e1437e68d85403",
+    (1, 2): "3c9a0791eee189680945ac323b560a2f6c00d336e3f1f9202ffca0a41ad630f3",
+    (2, 2): "dfe9602cdbdbd8709b2722ce6e7fd2c24484aae2e4ad911b7e4b00b39934512b",
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dense_reference import from_rows, matrix_sum, solve
-from ncmotives.linalg import Matrix, RowBasis, row_times, span_equal
+from ncmotives.linalg import Matrix, RowBasis, gram, row_times, span_equal
 
 
 def test_rank_identity():
@@ -119,6 +119,32 @@ def test_det():
     assert from_rows([[0, 1], [1, 0]]).det() == -1
     assert from_rows([[2, 0], [0, 3]]).det() == 6
     assert from_rows([[1, 2], [2, 4]]).det() == 0
+
+
+def test_empty_matrices_answer_without_a_special_case():
+    """The answers verify reads on a zero-dimensional Hom space or an empty
+    reverse model: det of the 0 x 0 matrix is 1, a k x 0 matrix kills every
+    row vector, and a 0 x k matrix every column vector."""
+    assert Matrix(0, 0, []).det() == 1
+    units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert Matrix(3, 0, [[], [], []]).left_kernel_basis() == units
+    assert Matrix(0, 3, []).left_kernel_basis() == []
+    assert Matrix(0, 3, []).kernel_basis() == units
+
+
+def test_gram_is_one_pairing_per_pair_row_by_row():
+    calls = []
+
+    def pairing(x, y):
+        calls.append((x, y))
+        return x * y
+
+    assert gram(pairing, [1, 2], [3, 4, 5]) == from_rows([[3, 4, 5], [6, 8, 10]])
+    assert calls == [(x, y) for x in (1, 2) for y in (3, 4, 5)]
+    assert gram(pairing, [], [3, 4]) == Matrix(0, 2, [])
+    calls.clear()
+    empty = gram(pairing, [1, 2], [])
+    assert (empty.rows, empty.cols) == (2, 0) and calls == []
 
 
 def test_matrix_rejects_inexact_entries():

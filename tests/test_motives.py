@@ -11,7 +11,7 @@ from geometry_reference import beilinson_spec
 from ncmotives.specs import InputError, algebra_from_spec, motive_from_spec
 from ncmotives.derived import euler_matrix
 from ncmotives.hochschild import composite_trace, intersection_number
-from ncmotives.linalg import Matrix, RowBasis, span_equal
+from ncmotives.linalg import Matrix, RowBasis, gram, span_equal
 from ncmotives.motives import (
     Correspondence,
     NCMotive,
@@ -20,7 +20,6 @@ from ncmotives.motives import (
     complement_idempotent,
     compose_classes,
     dualize,
-    euler_gram,
     identity_class,
     identity_correspondence,
     numerical_kernel,
@@ -231,14 +230,14 @@ def test_hom_model_scalars(q):
     m = NCMotive(q)
     model = build_hom_model(m, m)
     assert model.dim == 1
-    assert euler_gram(model).data == [[1]]
+    assert gram(chi_hom, model.realized, model.realized).data == [[1]]
 
 
 def test_hom_model_a2_identity(a2):
     m = NCMotive(a2)
     model = build_hom_model(m, m)
     assert model.dim == 4
-    assert euler_gram(model).det() in (1, -1)
+    assert gram(chi_hom, model.realized, model.realized).det() in (1, -1)
 
 
 def test_hom_model_is_its_basis_and_its_realization():
@@ -256,7 +255,7 @@ def test_euler_gram_is_the_euler_matrix_on_the_basis_classes(a2, kronecker):
         model = build_hom_model(src, dst)
         chi = euler_matrix(hom_algebra(src.algebra, dst.algebra))
         b = Matrix(model.dim, chi.rows, model.basis)
-        assert euler_gram(model) == b * chi * b.transpose()
+        assert gram(chi_hom, model.realized, model.realized) == b * chi * b.transpose()
 
 
 def test_idempotent_cuts_reduce_model_dimension(a2):
