@@ -18,10 +18,9 @@ a: i -> j the products satisfy e_i * a = a = a * e_j, and p * q is "p then q"
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import wraps
 
-from .linalg import Matrix, RowBasis, norm_scalar
+from .linalg import RowBasis, gram, norm_scalar
 
 
 class CyclicQuiverError(ValueError):
@@ -59,9 +58,6 @@ class AlgebraStructureError(ValueError):
     """Raised when an algebra lacks the monomial structure an operation needs."""
 
 
-Arrow = namedtuple("Arrow", "source target label")
-
-
 def cached(fn):
     """Memoize fn(obj, *args) in obj._cache under (fn.__qualname__, *args).
 
@@ -85,54 +81,6 @@ def cached(fn):
         return value
 
     return memo
-
-
-class Quiver:
-    """A finite quiver.  Acyclicity and the path count (at most MAX_PATHS)
-    are checked at construction, the vertex count first, since the checks
-    allocate per vertex."""
-
-    def __init__(self, vertex_count: int, arrows):
-        if vertex_count > MAX_PATHS:
-            raise QuiverTooLargeError(
-                f"the quiver has at least {vertex_count} paths (one per vertex), "
-                f"more than {MAX_PATHS}"
-            )
-        self.vertex_count = vertex_count
-        self.arrows = [
-            a if isinstance(a, Arrow) else Arrow(*a) for a in arrows
-        ]
-        labels = set()
-        for a in self.arrows:
-            if not (0 <= a.source < vertex_count and 0 <= a.target < vertex_count):
-                raise ValueError(f"arrow {a} out of range")
-            if a.label in labels:
-                raise ValueError(f"duplicate arrow label {a.label!r}")
-            labels.add(a.label)
-        out = [[] for _ in range(vertex_count)]
-        indeg = [0] * vertex_count
-        for a in self.arrows:
-            out[a.source].append(a.target)
-            indeg[a.target] += 1
-        order = [v for v in range(vertex_count) if indeg[v] == 0]
-        for v in order:
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-        if len(order) != vertex_count:
-            raise CyclicQuiverError("quiver has a directed cycle")
-        # paths from v: the trivial one, then those through each arrow out of v
-        paths = [1] * vertex_count
-        for v in reversed(order):
-            paths[v] += sum(paths[w] for w in out[v])
-        if sum(paths) > MAX_PATHS:
-            raise QuiverTooLargeError(
-                f"the quiver has {sum(paths)} paths, more than {MAX_PATHS}"
-            )
-
-    def __repr__(self):
-        return f"Quiver({self.vertex_count}, {self.arrows!r})"
 
 
 class Algebra:
@@ -251,14 +199,12 @@ class Algebra:
             sum(c for s, prod in enumerate(row) for m, c in prod if m == s)
             for row in self.mul
         ]
-        gram = [
-            [norm_scalar(sum(c * tl[k] for k, c in self.mul[i][j])) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        rad = RowBasis(self.dim)
-        for v in Matrix(self.dim, self.dim, gram).kernel_basis():
-            rad.add(v)
-        return rad
+        form = gram(
+            lambda i, j: norm_scalar(sum(c * tl[k] for k, c in self.mul[i][j])),
+            range(self.dim),
+            range(self.dim),
+        )
+        return RowBasis(self.dim).extend(form.kernel_basis())
 
 
 # -- constructors -------------------------------------------------------------
@@ -355,55 +301,80 @@ def table_algebra(dim, labels, mul, unit, idempotents) -> Algebra:
     return a
 
 
-def _monomial_mul_table(table):
-    """Structure constants for a basis where products are single monomials.
+def path_algebra(vertex_count: int, arrows) -> Algebra:
+    """Path algebra of a finite acyclic quiver, given by its vertex count and
+    its arrows as (source, target, label) triples.
 
-    table[i][j] is a basis index or None."""
-    return [[() if k is None else ((k, 1),) for k in row] for row in table]
-
-
-def path_algebra(q: Quiver) -> Algebra:
-    """Path algebra of a finite acyclic quiver.
+    The quiver is checked first: the vertex count against MAX_PATHS before
+    anything is allocated per vertex, then each arrow's endpoints and the
+    distinct labels (ValueError), acyclicity (CyclicQuiverError), and the
+    path count against MAX_PATHS before any path is listed
+    (QuiverTooLargeError).
 
     Basis: all paths, the length-0 path at vertex v labelled "e{v}" first,
     then longer paths ordered by (length, label).  Product is concatenation,
-    zero when the endpoints do not match.  meta["arrow_basis"] holds the
-    basis index of each arrow, in the quiver's order."""
-    paths = [((), v, v, f"e{v}") for v in range(q.vertex_count)]
+    zero when the endpoints do not match.  meta["quiver"] holds the
+    (source, target, basis index) of each arrow, in the given order."""
+    if vertex_count > MAX_PATHS:
+        raise QuiverTooLargeError(
+            f"the quiver has at least {vertex_count} paths (one per vertex), "
+            f"more than {MAX_PATHS}"
+        )
+    arrows = list(arrows)
+    # the arrows out of each vertex, as (arrow index, target, label)
+    out = [[] for _ in range(vertex_count)]
+    indeg = [0] * vertex_count
+    labels = set()
+    for k, (s, t, label) in enumerate(arrows):
+        if not (0 <= s < vertex_count and 0 <= t < vertex_count):
+            raise ValueError(f"arrow {(s, t, label)!r} out of range")
+        if label in labels:
+            raise ValueError(f"duplicate arrow label {label!r}")
+        labels.add(label)
+        out[s].append((k, t, label))
+        indeg[t] += 1
+    order = [v for v in range(vertex_count) if indeg[v] == 0]
+    for v in order:
+        for _, w, _ in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    if len(order) != vertex_count:
+        raise CyclicQuiverError("quiver has a directed cycle")
+    # paths from v: the trivial one, then those through each arrow out of v
+    counts = [1] * vertex_count
+    for v in reversed(order):
+        counts[v] += sum(counts[w] for _, w, _ in out[v])
+    if sum(counts) > MAX_PATHS:
+        raise QuiverTooLargeError(
+            f"the quiver has {sum(counts)} paths, more than {MAX_PATHS}"
+        )
+    # a path is (arrow indices, source, target, label)
+    paths = [((), v, v, f"e{v}") for v in range(vertex_count)]
     frontier = list(paths)
     while frontier:
-        new = []
-        for arrows, src, tgt, label in frontier:
-            for k, a in enumerate(q.arrows):
-                if a.source == tgt:
-                    alabel = a.label if not arrows else label + "*" + a.label
-                    new.append((arrows + (k,), src, a.target, alabel))
+        new = [
+            (ks + (k,), src, t, alabel if not ks else label + "*" + alabel)
+            for ks, src, tgt, label in frontier
+            for k, t, alabel in out[tgt]
+        ]
         new.sort(key=lambda p: p[3])
         paths.extend(new)
         frontier = new
-    # keyed by arrow tuple for nontrivial paths, by vertex for trivial ones
-    def key_of(p):
-        return ("v", p[1]) if not p[0] else ("a",) + p[0]
-
-    index = {key_of(p): i for i, p in enumerate(paths)}
-    dim = len(paths)
-    table = [[None] * dim for _ in range(dim)]
-    for i, (ar1, s1, t1, _) in enumerate(paths):
-        for j, (ar2, s2, t2, _) in enumerate(paths):
-            if t1 != s2:
-                continue
-            joined = ar1 + ar2
-            k = index[("v", s1)] if not joined else index[("a",) + joined]
-            table[i][j] = k
+    # a path is determined by its arrows and its source
+    index = {(ks, src): i for i, (ks, src, _, _) in enumerate(paths)}
+    mul = [
+        [((index[(ks1 + ks2, s1)], 1),) if t1 == s2 else () for ks2, s2, _, _ in paths]
+        for ks1, s1, t1, _ in paths
+    ]
     return Algebra(
-        dim,
+        len(paths),
         [p[3] for p in paths],
-        _monomial_mul_table(table),
-        range(q.vertex_count),
+        mul,
+        range(vertex_count),
         meta={
             "name": "path algebra",
-            "quiver": q,
-            "arrow_basis": [index[("a", k)] for k in range(len(q.arrows))],
+            "quiver": tuple((s, t, index[((k,), s)]) for k, (s, t, _) in enumerate(arrows)),
         },
     )
 

@@ -211,8 +211,9 @@ def diagonal_resolution(a: Algebra) -> PerfectComplex:
     """Minimal resolution of the diagonal bimodule over tensor(op(A), A).
 
     - A path algebra kQ takes the standard resolution in closed form
-      (Happel, LNM 1404): one copy A e_v (x) e_v A per vertex in degree 0,
-      one copy A e_s (x) e_t A per arrow a: s -> t in degree -1, and
+      (Happel, LNM 1404), read from the arrows in meta["quiver"]: one copy
+      A e_v (x) e_v A per vertex in degree 0, one copy A e_s (x) e_t A per
+      arrow a: s -> t in degree -1, and
       d(1 (x) 1) = +-(e_s (x) a - a (x) e_t), with the sign that gives the
       copy of the smaller vertex +1.  Copies, order and signs are those
       projective_resolution finds.  Bardzell's resolution of a monomial
@@ -238,20 +239,16 @@ def _path_algebra_diagonal(a: Algebra) -> PerfectComplex:
     degree 0 has the vertex copies (v, v) in vertex order, degree -1 the
     arrow copies (s, t) in idempotent order, parallel arrows in basis
     order."""
-    q = a.meta["quiver"]
-    n = q.vertex_count
-    env = hom_algebra(a, a)
     g = a.idempotents
+    n = len(g)
+    env = hom_algebra(a, a)
     copies = {0: tuple(v * n + v for v in range(n))}
-    arrows = sorted(
-        (arrow.source * n + arrow.target, b, arrow.source, arrow.target)
-        for arrow, b in zip(q.arrows, a.meta["arrow_basis"])
-    )
+    arrows = sorted(a.meta["quiver"])
     if not arrows:
         return PerfectComplex(env, copies)
-    copies[-1] = tuple(r for r, _, _, _ in arrows)
+    copies[-1] = tuple(s * n + t for s, t, _ in arrows)
     blocks = {}
-    for c, (_, b, s, t) in enumerate(arrows):
+    for c, (s, t, b) in enumerate(arrows):
         sign = 1 if s < t else -1
         # e_s (x) a in the copy of s, a (x) e_t in the copy of t
         for v, (x, y), coeff in ((s, (g[s], b), sign), (t, (b, g[t]), -sign)):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .algebra import (
     Algebra,
     AlgebraStructureError,
-    Quiver,
     hom_algebra,
     opposite,
     path_algebra,
@@ -139,9 +138,10 @@ def spec_degree(key, what) -> int:
 # -- algebra specs -----------------------------------------------------------------
 
 
-# Quiver and table algebras built from specs, keyed by what _build_algebra
-# reads from them: (vertex count, arrow triples) or (dim, labels, unit,
-# idempotents, mul), with scalars as spec_scalar normalizes them.
+# Path and table algebras built from specs, keyed by what _build_algebra
+# reads from them: (vertex count, arrow triples), which path_algebra builds
+# from directly, or (dim, labels, unit, idempotents, mul), with scalars as
+# spec_scalar normalizes them.
 _interned_algebras = weakref.WeakValueDictionary()
 
 # The keys of each kind of spec besides `kind`.
@@ -218,7 +218,7 @@ def _build_algebra(spec: dict) -> Algebra:
         key = (n, tuple(arrows))
         a = _interned_algebras.get(key)
         if a is None:
-            a = path_algebra(Quiver(n, arrows))
+            a = path_algebra(n, arrows)
             if len(set(a.labels)) != a.dim:
                 dup = next(lab for k, lab in enumerate(a.labels) if lab in a.labels[:k])
                 raise InputError(f"two basis elements of the quiver are labelled {dup!r}")

@@ -563,6 +563,8 @@ A2_DIAGONAL_SPEC = {
     },
 }
 NO_VERTICES = {"kind": "quiver", "vertices": 0}
+# the 1-dimensional A2^e-module on which only e0|e0 acts, by 1
+E0_E0_ONLY = {"dim": 1, "action": {lab: [[int(lab == "e0|e0")]] for lab in ZERO_ACTION["action"]}}
 
 
 def _quiver(vertices, arrows):
@@ -692,6 +694,35 @@ MALFORMED_INPUTS = {
     "corpus-negative-bar-depth": ["corpus", "--bar-depth", "-2"],
     # a report that cannot be written is a bad --out, not a bug
     "out-in-a-missing-directory": ["euler-matrix", A2_SPEC, "--out", os.path.join(os.devnull, "r.json")],
+    "unknown-algebra-kind": ["euler-matrix", {"kind": "banana"}],
+    "unknown-named-algebra": ["euler-matrix", {"kind": "named", "name": "A9"}],
+    "arrow-labels-repeated": ["euler-matrix", _quiver(2, [(0, 1, "a"), (0, 1, "a")])],
+    "unknown-idempotent-kind": ["verify", {"source": {"algebra": A2_SPEC, "idempotent": {"kind": "banana"}}}],
+    "unknown-bimodule-kind": ["trace", {"source": A2_MOTIVE, "z": {"terms": [{"bimodule": {"kind": "banana"}}]}}],
+    "action-names-an-unknown-label": ["hochschild", A2_SPEC, "--coefficients", {"dim": 1, "action": {"zz": [[0]]}}],
+    "action-missing-for-a-basis-element": [
+        "hochschild", A2_SPEC, "--coefficients", {"dim": 1, "action": {"e0|e0": [[1]]}},
+    ],
+    "unknown-named-coefficients": ["hochschild", A2_SPEC, "--coefficients", {"named": "banana"}],
+    "coefficient-differentials-square-to-nonzero": [
+        "hochschild",
+        A2_SPEC,
+        "--coefficients",
+        {
+            "format": 1,
+            "components": {str(n): E0_E0_ONLY for n in (-2, -1, 0)},
+            "differentials": {"-2": [[1]], "-1": [[1]]},
+        },
+    ],
+    "diagonal-term-between-unequal-algebras": [
+        "intersect",
+        {
+            "source": A2_MOTIVE,
+            "target": {"algebra": {"kind": "named", "name": "Kronecker"}},
+            "x": {"terms": [{"bimodule": {"kind": "diagonal"}}]},
+            "y": SIMPLE_TERMS,
+        },
+    ],
 }
 
 
@@ -1062,6 +1093,21 @@ def _plus_one_on_first_call(f):
     return mutated
 
 
+def _zero_against_the_first_simple(side):
+    """A mutation of a pairing: it returns 0 whenever argument `side` has
+    the first unit class, so its Gram loses a row (side 0) or a column
+    (side 1)."""
+
+    def mutate(f):
+        def mutated(*args):
+            cls = args[side].k0()
+            return 0 if cls == [int(k == 0) for k in range(len(cls))] else f(*args)
+
+        return mutated
+
+    return mutate
+
+
 def _one_more_unit_vector(f):
     def mutated(m):
         return [*f(m), [int(k == 0) for k in range(m.dim)]]
@@ -1083,6 +1129,12 @@ VERIFY_MUTATIONS = {
         _one_more_unit_vector,
         "numerical-kernel",
     ),
+    "intersection-gram-loses-a-column": (
+        "intersection_number",
+        _zero_against_the_first_simple(1),
+        "gram-int-kernel",
+    ),
+    "euler-gram-loses-a-row": ("chi_hom", _zero_against_the_first_simple(0), "kernel-left-right"),
 }
 
 
@@ -1091,8 +1143,11 @@ def test_each_pairwise_check_can_fail(tmp_path, monkeypatch, mutation):
     """The pairwise checks share their left side chi(x, y) with the Euler
     Gram of the report, so a wrong right side must still flip the verdict
     of verify A3 -> A3.  Every kernel of A3 -> A3 is zero, so a kernel
-    check wired to the wrong kernel would pass; a numerical kernel grown
-    by one vector must still fail its row of the kernel table."""
+    check wired to the wrong kernel would pass unless a mutation makes its
+    two sides differ: a numerical kernel grown by one vector, an
+    intersection Gram that loses a column (a right kernel that Ker_R(gram_chi)
+    lacks) and an Euler Gram that loses a row (a left kernel unequal to its
+    right kernel) must each still fail their row of the kernel table."""
     from ncmotives import motives
 
     name, mutate, family = mutation

@@ -306,9 +306,9 @@ def test_kunneth_simple_resolutions_respect_the_cap(max_length):
     """The product of two length-1 resolutions has length 2: a bound of 1
     refuses it though each factor's resolutions fit, a bound of 2 accepts
     it."""
-    from ncmotives.algebra import Quiver, path_algebra
+    from ncmotives.algebra import path_algebra
 
-    a3 = path_algebra(Quiver(3, [(0, 1, "a"), (1, 2, "b")]))
+    a3 = path_algebra(3, [(0, 1, "a"), (1, 2, "b")])
     e = hom_algebra(a3, a3)
     max_length(1)
     with pytest.raises(ResolutionCapExceeded):
@@ -455,15 +455,15 @@ def test_serre_class_is_read_from_the_copies():
 
 
 def _line(n):
-    from ncmotives.algebra import Quiver, path_algebra
+    from ncmotives.algebra import path_algebra
 
-    return path_algebra(Quiver(n, [(i, i + 1, f"a{i}") for i in range(n - 1)]))
+    return path_algebra(n, [(i, i + 1, f"a{i}") for i in range(n - 1)])
 
 
 def _kronecker(n):
-    from ncmotives.algebra import Quiver, path_algebra
+    from ncmotives.algebra import path_algebra
 
-    return path_algebra(Quiver(2, [(0, 1, chr(97 + i)) for i in range(n)]))
+    return path_algebra(2, [(0, 1, chr(97 + i)) for i in range(n)])
 
 
 # Quivers with an arrow from a larger to a smaller vertex, whose copy in
@@ -478,12 +478,12 @@ DESCENDING_QUIVERS = {
 def _named_algebra(name):
     """The corpus algebras, the line quivers A4..A7, the Kronecker quivers
     K3, K4, the descending quivers, op(A3) and A2 (x) Kronecker, by name."""
-    from ncmotives.algebra import Quiver, opposite, path_algebra, tensor
+    from ncmotives.algebra import opposite, path_algebra, tensor
 
     if name in CORPUS_NAMES:
         return corpus_algebra(name)
     if name in DESCENDING_QUIVERS:
-        return path_algebra(Quiver(*DESCENDING_QUIVERS[name]))
+        return path_algebra(*DESCENDING_QUIVERS[name])
     if name == "op(A3)":
         return opposite(corpus_algebra("A3"))
     if name == "A2xKronecker":
@@ -598,11 +598,11 @@ def test_closed_form_diagonal_resolution_respects_the_cap(max_length):
     (closed form), a tensor of two such has length 2 (projective_resolution):
     a bound below the length raises, through check_smooth it reads as not
     smooth, and a semisimple quiver algebra passes a bound of 0."""
-    from ncmotives.algebra import Quiver, path_algebra, tensor
+    from ncmotives.algebra import path_algebra, tensor
 
-    a2 = path_algebra(Quiver(2, [(0, 1, "a")]))
-    kronecker = path_algebra(Quiver(2, [(0, 1, "a"), (0, 1, "b")]))
-    a3 = path_algebra(Quiver(3, [(0, 1, "a"), (1, 2, "b")]))
+    a2 = path_algebra(2, [(0, 1, "a")])
+    kronecker = path_algebra(2, [(0, 1, "a"), (0, 1, "b")])
+    a3 = path_algebra(3, [(0, 1, "a"), (1, 2, "b")])
     for a, length in ((a3, 1), (tensor(a2, kronecker), 2)):
         max_length(length - 1)
         with pytest.raises(ResolutionCapExceeded):
@@ -611,7 +611,7 @@ def test_closed_form_diagonal_resolution_respects_the_cap(max_length):
         max_length(length)
         assert resolution_length(diagonal_resolution(a)) == length
     max_length(0)
-    assert resolution_length(diagonal_resolution(path_algebra(Quiver(2, [])))) == 0
+    assert resolution_length(diagonal_resolution(path_algebra(2, []))) == 0
 
 
 def test_verify_resolves_over_no_enveloping_algebra_of_a_quiver_algebra(tmp_path, monkeypatch):

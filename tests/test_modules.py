@@ -232,7 +232,7 @@ def test_diagonal_resolution_matches_one_built_through_the_dense_radical(name, m
     from ncmotives.specs import NAMED_SPECS
     from test_algebra import quiver_of
 
-    a = path_algebra(quiver_of(line_spec(4) if name == "A4" else NAMED_SPECS[name]))
+    a = path_algebra(*quiver_of(line_spec(4) if name == "A4" else NAMED_SPECS[name]))
     res = diagonal_resolution(a)
     monkeypatch.setattr(modules, "module_radical", dense_module_radical)
     dense = projective_resolution(diagonal_bimodule(a))

@@ -487,7 +487,7 @@ def test_verify_dualizes_each_basis_class_once(monkeypatch):
             return d
 
         monkeypatch.setattr(module, "dual_perfect", recorded)
-    a3 = path_algebra(quiver_of(NAMED_SPECS["A3"]))
+    a3 = path_algebra(*quiver_of(NAMED_SPECS["A3"]))
     m = NCMotive(a3)
     model = build_hom_model(m, m)
     rep = verify_equivalence(model)

@@ -13,7 +13,6 @@ PROBE = Path(__file__).resolve().with_name("reach_probe.py")
 
 ALLOWED = {
     "algebra.Algebra.__repr__": "a repr, read in error messages and when debugging",
-    "algebra.Quiver.__repr__": "a repr",
     "complexes.Complex.__repr__": "a repr",
     "complexes.PerfectComplex.__repr__": "a repr",
     "linalg.Matrix.__repr__": "a repr",
